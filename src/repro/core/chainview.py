@@ -6,19 +6,20 @@ once.  :func:`materialize_chains` advances every requested chain
 level-synchronously: one gather parses the current entry of all still-live
 walks (header words via int64/uint32 views of the heap arena), one
 residency-map lookup splits them into resident and blocked, and the
-survivors step to their ``next_cpu`` together.  The per-entry Python work
-of the old scalar materializers -- ``divmod``, a dict probe, a
-``struct.unpack_from`` and two ``bytes`` copies per chain step -- becomes
-a handful of numpy operations per chain *level*, shared by every chain
-still alive at that depth.
+survivors step to their ``next_cpu`` together.  Per-entry Python work --
+``divmod``, a dict probe, a ``struct.unpack_from`` and two ``bytes``
+copies per chain step -- becomes a handful of numpy operations per chain
+*level*, shared by every chain still alive at that depth.
 
-The result is a :class:`ChainSoA` per chain: flat arrays of addresses,
-arena positions, key/value lengths, mutation flags, and walk-charge
-cumsums, plus one zero-padded key matrix for whole-chain key compares.
-Consumers either scan it directly (lookups) or convert it into the
-classic per-batch :class:`~repro.core.organizations._ChainReplay` memo
-(insert replay and mutation paths), so all charging code stays shared
-with the scalar oracle.
+The result is a :class:`ChainBlock`: chain-major flat arrays of addresses,
+arena positions, key/value lengths, mutation flags and walk-charge
+cumsums, plus one zero-padded key matrix.  It is read two ways, and there
+is no third:
+
+* lookups index it by head and scan one chain's :class:`ChainSoA` slice;
+* the pre-aggregated insert kernels hand :func:`resolve_keys` every
+  distinct batch key at once and get back, per key, what a scalar walk of
+  its bucket's resident prefix would have found and been charged.
 
 :class:`ChainViewStore` caches views across lookup passes.  Validity is
 stamped by two heap counters: ``residency_epoch`` (any page moving in or
@@ -32,16 +33,29 @@ address stays byte-accurate and simply becomes a suffix.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.core import _kernels as K
 from repro.core import entries as E
 from repro.memalloc.address import NULL
 
-__all__ = ["ChainSoA", "ChainViewStore", "materialize_chains"]
+__all__ = [
+    "ChainBlock",
+    "ChainSoA",
+    "ChainViewStore",
+    "KeyResolve",
+    "materialize_chains",
+    "resolve_keys",
+]
 
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-_EMPTY_KEYS = np.zeros((0, 0), dtype=np.uint8)
+#: generic-entry flag bits live above GKLEN_MASK in the klen word
+_GFLAG_BITS = ~np.int64(E.GKLEN_MASK)
+
+#: (batch key, resident entry) pairs :func:`resolve_keys` expands at a
+#: time; bounds its pair arrays however many keys share one long chain
+_RESOLVE_PAIRS = 1 << 18
 
 
 class ChainSoA:
@@ -101,18 +115,84 @@ class ChainSoA:
         return self.arena[vo : vo + int(self.vlens[w])].tobytes()
 
 
-def _empty_view(head: int, arena: np.ndarray, blocked) -> ChainSoA:
-    return ChainSoA(
-        head, arena, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64,
-        _EMPTY_I64, _EMPTY_I64, _EMPTY_I64, _EMPTY_KEYS, blocked,
+class ChainBlock(Mapping):
+    """Everything one :func:`materialize_chains` call parsed.
+
+    The flat arrays are chain-major: chain ``i`` (the one starting at
+    ``heads[i]``) owns rows ``starts[i]:starts[i + 1]`` in walk order.  As
+    a mapping it is ``head -> ChainSoA``, each view a zero-copy slice built
+    when asked for, so bulk consumers never pay per-chain Python.
+    """
+
+    def __init__(self, heads, arena, starts, addrs, pos, klens, vlens,
+                 flags, costs, cum, keys, blocked):
+        self.heads = heads  # distinct non-NULL start addresses, in order
+        self.arena = arena
+        self.starts = starts  # (len(heads) + 1,) row bounds per chain
+        self.addrs = addrs
+        self.pos = pos
+        self.klens = klens
+        self.vlens = vlens
+        self.flags = flags
+        self.costs = costs
+        self.cum = cum  # inclusive, restarting at every chain
+        self.keys = keys
+        #: chain index -> (segment, address) where its walk left residency
+        self.blocked = blocked
+        self._index = {h: i for i, h in enumerate(heads)}
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def __iter__(self):
+        return iter(self.heads)
+
+    def __getitem__(self, head: int) -> ChainSoA:
+        i = self._index[head]
+        a, b = int(self.starts[i]), int(self.starts[i + 1])
+        return ChainSoA(
+            head, self.arena, self.addrs[a:b], self.pos[a:b],
+            self.klens[a:b], self.vlens[a:b], self.flags[a:b],
+            self.costs[a:b], self.cum[a:b], self.keys[a:b],
+            self.blocked.get(i),
+        )
+
+
+def _gather_generic(w64, w32, pos):
+    """Parse one level of generic-entry headers at arena byte offsets
+    ``pos`` (8-aligned).  Returns ``(next_cpu, klen, vlen, flags)``."""
+    p4 = pos >> 2
+    kw = w32[p4 + 4].astype(np.int64)
+    return (
+        w64[(pos >> 3) + 1], kw & np.int64(E.GKLEN_MASK),
+        w32[p4 + 5].astype(np.int64), kw & _GFLAG_BITS,
     )
+
+
+def _gather_key(w64, w32, pos):
+    """Parse one level of multi-valued key-entry headers.  Returns
+    ``(next_cpu, klen, vlen=0, flags)`` -- the vlen column keeps the two
+    kinds shape-compatible for the shared walk loop."""
+    p4 = pos >> 2
+    return (
+        w64[(pos >> 3) + 1], w32[p4 + 8].astype(np.int64),
+        np.zeros(len(pos), dtype=np.int64), w32[p4 + 9].astype(np.int64),
+    )
+
+
+#: entry layout per chain kind: (level gather, header bytes)
+_LAYOUTS = {
+    "generic": (_gather_generic, E.ENTRY_HEADER),
+    "key": (_gather_key, E.KEY_ENTRY_HEADER),
+}
 
 
 def _materialize_scalar(heap, head, kind, header, arena) -> ChainSoA:
     """Per-entry walk producing the same ChainSoA as the bulk path.
 
-    Only used when the arena or page size is not 8-byte aligned, where
-    the int64/uint32 word views of the bulk gathers are unavailable.
+    Feeds :func:`materialize_chains` when the arena or page size is not
+    8-byte aligned, where the int64/uint32 word views of the bulk gathers
+    are unavailable, and is the sanitizer's independent reference parse.
     """
     page_size = heap.page_size
     addr = head
@@ -138,17 +218,14 @@ def _materialize_scalar(heap, head, kind, header, arena) -> ChainSoA:
         vlens.append(vl)
         flags.append(fl)
         addr = next_cpu
-    if not addrs:
-        return _empty_view(head, arena, blocked)
     klen_a = np.array(klens, dtype=np.int64)
-    pos_a = np.array(pos, dtype=np.int64)
     costs = header + klen_a
-    width = int(klen_a.max())
-    keymat = np.zeros((len(addrs), width), dtype=np.uint8)
+    keymat = np.zeros((len(addrs), max(klens, default=0)), dtype=np.uint8)
     for w, (p, kl) in enumerate(zip(pos, klens)):
         keymat[w, :kl] = arena[p + header : p + header + kl]
     return ChainSoA(
-        head, arena, np.array(addrs, dtype=np.int64), pos_a, klen_a,
+        head, arena, np.array(addrs, dtype=np.int64),
+        np.array(pos, dtype=np.int64), klen_a,
         np.array(vlens, dtype=np.int64), np.array(flags, dtype=np.int64),
         costs, np.cumsum(costs), keymat, blocked,
     )
@@ -157,14 +234,12 @@ def _materialize_scalar(heap, head, kind, header, arena) -> ChainSoA:
 def _assemble(
     heads, arena, header, addr_s, pos_s, klen_s, vlen_s, flags_s, counts,
     blocked,
-) -> dict[int, "ChainSoA"]:
-    """Shared tail of both materializer paths: chain-major flat arrays ->
-    per-head :class:`ChainSoA` views.
+) -> ChainBlock:
+    """Shared tail of both parse paths: chain-major header columns ->
+    :class:`ChainBlock` with walk costs and the key matrix.
 
     Inputs must already be chain-major (chain ``i``'s entries contiguous,
-    in walk order, ``counts[i]`` long); the per-chain cost cumsums, one
-    zero-padded key matrix, and the per-head slicing happen here so the
-    numpy and compiled walks cannot drift apart.
+    in walk order, ``counts[i]`` long).
     """
     n = len(addr_s)
     costs_s = header + klen_s
@@ -186,71 +261,54 @@ def _assemble(
         keymat[~valid] = 0
     else:
         keymat = np.zeros((n, 0), dtype=np.uint8)
-
-    out: dict[int, ChainSoA] = {}
-    for i, h in enumerate(heads):
-        a, b = int(starts[i]), int(starts[i + 1])
-        out[h] = ChainSoA(
-            h, arena, addr_s[a:b], pos_s[a:b], klen_s[a:b], vlen_s[a:b],
-            flags_s[a:b], costs_s[a:b], cum_s[a:b], keymat[a:b],
-            blocked.get(i),
-        )
-    return out
+    return ChainBlock(
+        heads, arena, starts, addr_s, pos_s, klen_s, vlen_s, flags_s,
+        costs_s, cum_s, keymat, blocked,
+    )
 
 
-def materialize_chains(
-    heap, heads, kind: str = "generic", compiled: bool = False
-) -> dict[int, "ChainSoA"]:
+def materialize_chains(heap, heads, kind: str = "generic") -> ChainBlock:
     """Bulk-parse the resident chain prefixes starting at ``heads``.
 
     ``kind`` selects the entry layout (``"generic"`` for the basic and
     combining methods, ``"key"`` for multi-valued key entries); the walk
-    itself is layout-agnostic.  ``compiled`` runs the *entire*
-    level-synchronous loop as two jitted passes over the arena words
-    (:func:`repro.core._kernels.walk_chains`) when numba is available,
-    and otherwise falls back to the per-level numpy gathers below -- the
-    same silent degradation as the other ``impl="compiled"`` seams.
+    itself is layout-agnostic.  This is the only chain parser: every
+    reader of resident chains outside the scalar oracle loops goes through
+    the block it returns.
     """
+    if kind not in _LAYOUTS:
+        raise ValueError(f"unknown chain kind {kind!r}")
+    gather, header = _LAYOUTS[kind]
     heads = list(dict.fromkeys(int(h) for h in heads if h != NULL))
     arena = heap.pool.arena
-    out: dict[int, ChainSoA] = {}
-    if not heads:
-        return out
-    if kind == "generic":
-        gather = K.gather_generic if compiled else K.gather_level_generic
-        header = E.ENTRY_HEADER
-    elif kind == "key":
-        gather = K.gather_key if compiled else K.gather_level_key
-        header = E.KEY_ENTRY_HEADER
-    else:
-        raise ValueError(f"unknown chain kind {kind!r}")
-
+    nc = len(heads)
     page_size = heap.page_size
     if arena.nbytes % 8 or page_size % 8:
         # word views need 8-byte alignment; odd page sizes (tiny test
-        # heaps) take the per-entry path
-        for h in heads:
-            out[h] = _materialize_scalar(heap, h, kind, header, arena)
-        return out
+        # heaps) parse entry by entry into the same block
+        views = [
+            _materialize_scalar(heap, h, kind, header, arena) for h in heads
+        ]
+        cols = [
+            np.concatenate([getattr(v, name) for v in views])
+            if views else np.zeros(0, dtype=np.int64)
+            for name in ("addrs", "pos", "klens", "vlens", "flags")
+        ]
+        return _assemble(
+            heads, arena, header, *cols,
+            np.array([v.n for v in views], dtype=np.int64),
+            {i: v.blocked for i, v in enumerate(views)
+             if v.blocked is not None},
+        )
     segmap = heap.resident_slot_map()
     w64 = arena.view(np.int64)
     w32 = arena.view(np.uint32)
 
-    nc = len(heads)
-    if compiled and K.walk_chains is not None:
-        counts, addrs, pos, klen, vlen, flags, blocked = K.walk_chains(
-            w64, w32, np.array(heads, dtype=np.int64), segmap, page_size,
-            kind,
-        )
-        return _assemble(
-            heads, arena, header, addrs, pos, klen, vlen, flags, counts,
-            blocked,
-        )
     cur = np.array(heads, dtype=np.int64)
     ci = np.arange(nc, dtype=np.int64)
     blocked: dict[int, tuple[int, int]] = {}
-    lv_ci, lv_addr, lv_pos = [], [], []
-    lv_klen, lv_vlen, lv_flags = [], [], []
+    # per level: chain index, address, arena position, klen, vlen, flags
+    levels: list[tuple] = []
 
     while len(cur):
         seg = cur // page_size
@@ -267,34 +325,121 @@ def materialize_chains(
                 break
         pos = slot * page_size + (cur - seg * page_size)
         nxt, klen, vlen, flags = gather(w64, w32, pos)
-        lv_ci.append(ci)
-        lv_addr.append(cur)
-        lv_pos.append(pos)
-        lv_klen.append(klen)
-        lv_vlen.append(vlen)
-        lv_flags.append(flags)
+        levels.append((ci, cur, pos, klen, vlen, flags))
         alive = nxt != NULL
         ci, cur = ci[alive], nxt[alive]
 
-    if not lv_ci:
-        for i, h in enumerate(heads):
-            # the head itself was non-resident (or every head was)
-            out[h] = _empty_view(h, arena, blocked.get(i))
-        return out
-
-    ci_all = np.concatenate(lv_ci)
+    if not levels:
+        # no head was resident (or none was given): all-empty chains
+        empty = np.zeros(0, dtype=np.int64)
+        levels.append((empty,) * 6)
+    ci_all, *cols = (np.concatenate(col) for col in zip(*levels))
     n = len(ci_all)
     # stable sort by chain id; level order within a chain IS walk order
     order = (ci_all * n + np.arange(n, dtype=np.int64)).argsort()
     counts = np.bincount(ci_all[order], minlength=nc)
     return _assemble(
-        heads, arena, header,
-        np.concatenate(lv_addr)[order],
-        np.concatenate(lv_pos)[order],
-        np.concatenate(lv_klen)[order],
-        np.concatenate(lv_vlen)[order],
-        np.concatenate(lv_flags)[order],
-        counts, blocked,
+        heads, arena, header, *(col[order] for col in cols), counts, blocked
+    )
+
+
+def _as_words(mat: np.ndarray) -> np.ndarray:
+    """A uint8 matrix as uint64 words, rows zero-padded to 8 bytes."""
+    n, w = mat.shape
+    out = np.zeros((n, -(-w // 8) * 8), dtype=np.uint8)
+    out[:, :w] = mat
+    return out.view(np.uint64)
+
+
+class KeyResolve(NamedTuple):
+    """What a scalar walk would find for each of G keys: (G,) int64 each.
+
+    A walk that misses visits ``n_resident`` entries and is charged
+    ``walk_bytes``; one that hits stops at walk position ``hit`` (0 is the
+    chain head), having been charged ``hit_bytes``.  Keys whose chain is
+    empty, non-resident at the head, or simply does not hold them have
+    ``hit == -1`` and ``hit_pos == hit_addr == NULL``.
+    """
+
+    n_resident: np.ndarray  # resident prefix length of the key's chain
+    walk_bytes: np.ndarray  # charge of walking that whole prefix
+    hit: np.ndarray  # walk position of the newest same-key entry, or -1
+    hit_bytes: np.ndarray  # charge of the walk that stops there
+    hit_pos: np.ndarray  # arena byte position of the hit entry
+    hit_addr: np.ndarray  # its cpu address
+
+
+def resolve_keys(heap, heads, kind, keys, key_lens) -> KeyResolve:
+    """First-match resolve of a batch of keys against resident chains.
+
+    ``heads[g]`` is the chain key ``g`` hashes to (``NULL`` for an empty
+    bucket; many keys may share one), ``keys`` the zero-padded (G, width)
+    key matrix and ``key_lens`` the exact lengths.  Every distinct chain
+    is parsed once by :func:`materialize_chains`; keys are then expanded
+    against their chain's entries ``_RESOLVE_PAIRS`` pairs at a time and
+    compared on length first, bytes second -- the order the scalar walk
+    uses, so embedded and trailing NULs cannot alias a shorter key.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    key_lens = np.asarray(key_lens, dtype=np.int64)
+    G = len(heads)
+    n_resident = np.zeros(G, dtype=np.int64)
+    walk_bytes = np.zeros(G, dtype=np.int64)
+    hit = np.full(G, -1, dtype=np.int64)
+    hit_bytes = np.zeros(G, dtype=np.int64)
+    hit_pos = np.full(G, NULL, dtype=np.int64)
+    hit_addr = np.full(G, NULL, dtype=np.int64)
+
+    live = np.flatnonzero(heads != NULL)
+    if len(live):
+        uniq, chain = np.unique(heads[live], return_inverse=True)
+        block = materialize_chains(heap, uniq, kind)
+        starts = block.starts
+        n_resident[live] = np.diff(starts)[chain]
+        walkable = n_resident[live] > 0
+        sel = live[walkable]  # keys with something to walk, ascending
+        first_row = starts[chain[walkable]]
+        npairs = n_resident[sel]
+        walk_bytes[sel] = block.cum[first_row + npairs - 1]
+
+        # both matrices cut to the common width, zeroed past each key's
+        # length and packed into 8-byte words: equal-length keys are equal
+        # iff their words are, and one word column of all pairs is a pair
+        # of 1-D gathers
+        width = min(block.keys.shape[1], keys.shape[1])
+        qkeys = keys[sel, :width]
+        qkeys[np.arange(width) >= key_lens[sel, None]] = 0
+        rwords = _as_words(block.keys[:, :width])
+        qwords = _as_words(qkeys)
+        cp = np.cumsum(npairs)
+        lo = 0
+        while lo < len(sel):
+            budget = (cp[lo - 1] if lo else 0) + _RESOLVE_PAIRS
+            hi = max(lo + 1, int(np.searchsorted(cp, budget, side="right")))
+            cnt = npairs[lo:hi]
+            # pair p = (key sel[rep[p]], walk position within[p])
+            rep = np.repeat(np.arange(lo, hi), cnt)
+            within = np.arange(int(cnt.sum())) - np.repeat(
+                np.cumsum(cnt) - cnt, cnt
+            )
+            row = first_row[rep] + within
+            g = sel[rep]
+            cand = np.flatnonzero(block.klens[row] == key_lens[g])
+            for c in range(rwords.shape[1]):
+                cand = cand[rwords[row[cand], c] == qwords[rep[cand], c]]
+            if len(cand):
+                # pairs are (key, walk position)-ordered: the first match
+                # of each key is its newest same-key entry
+                gm = g[cand]
+                newest = cand[np.r_[True, gm[1:] != gm[:-1]]]
+                gm, rows = g[newest], row[newest]
+                hit[gm] = within[newest]
+                hit_bytes[gm] = block.cum[rows]
+                hit_pos[gm] = block.pos[rows]
+                hit_addr[gm] = block.addrs[rows]
+            lo = hi
+    return KeyResolve(
+        n_resident, walk_bytes, hit, hit_bytes, hit_pos, hit_addr
     )
 
 
@@ -304,8 +449,8 @@ class ChainViewStore:
     The stamp pairs ``residency_epoch`` (pages moved) with
     ``write_epoch`` (in-place entry writes); either advancing drops every
     cached view.  Used by the lookup driver to keep views alive across
-    postponement passes -- insert/mutation paths materialize fresh per
-    batch instead, because their memos must absorb in-batch writes.
+    postponement passes -- the insert kernels resolve against a fresh
+    parse per batch instead, because they write between batches.
     """
 
     def __init__(self, heap):
@@ -313,9 +458,7 @@ class ChainViewStore:
         self._views: dict[tuple[str, int], ChainSoA] = {}
         self._stamp: tuple[int, int] | None = None
 
-    def get_many(
-        self, heads, kind: str = "generic", compiled: bool = False
-    ) -> dict[int, ChainSoA]:
+    def get_many(self, heads, kind: str = "generic") -> dict[int, ChainSoA]:
         heap = self.heap
         stamp = (heap.residency_epoch, heap.write_epoch)
         if stamp != self._stamp:
@@ -324,8 +467,6 @@ class ChainViewStore:
         heads = [int(h) for h in heads if h != NULL]
         missing = [h for h in heads if (kind, h) not in self._views]
         if missing:
-            for h, v in materialize_chains(
-                heap, missing, kind, compiled
-            ).items():
+            for h, v in materialize_chains(heap, missing, kind).items():
                 self._views[(kind, h)] = v
         return {h: self._views[(kind, h)] for h in heads}

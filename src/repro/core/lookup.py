@@ -23,9 +23,8 @@ against struct-of-arrays chain views (:mod:`repro.core.chainview`) --
 every touched chain is bulk-parsed level-synchronously, cached in the
 table's :class:`~repro.core.chainview.ChainViewStore` across postponement
 passes (residency/write epochs invalidate), and each query becomes one
-whole-chain key compare instead of a per-entry Python loop.
-``compiled`` additionally routes the header gathers through the optional
-numba backend.  The multi-valued walk interleaves two chain kinds with
+whole-chain key compare instead of a per-entry Python loop.  The
+multi-valued walk interleaves two chain kinds with
 per-key value lists and stays on the scalar path under every setting.
 """
 
@@ -42,6 +41,7 @@ from repro.core.organizations import (
     BasicOrganization,
     CombiningOrganization,
     HASH_CYCLES_PER_BYTE,
+    IMPLS,
 )
 from repro.gpusim.kernel import BatchStats, KernelModel
 from repro.gpusim.pcie import PCIeBus
@@ -75,8 +75,8 @@ class LookupDriver:
     ):
         from repro.core.organizations import MultiValuedOrganization
 
-        if impl not in ("vectorized", "compiled", "slow_reference"):
-            raise ValueError(f"unknown impl {impl!r}")
+        if impl not in IMPLS:
+            raise ValueError(f"impl must be one of {IMPLS}: {impl!r}")
         self.impl = impl
         self._combiner = None
         self._multivalued = False
@@ -140,9 +140,7 @@ class LookupDriver:
             views = None
             if not self._multivalued and self.impl != "slow_reference":
                 views = table.chain_views.get_many(
-                    (ws[0] for ws in state.values()),
-                    "generic",
-                    compiled=self.impl == "compiled",
+                    (ws[0] for ws in state.values()), "generic"
                 )
             for i, walk_state in state.items():
                 key = keys[i]

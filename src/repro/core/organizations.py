@@ -13,25 +13,25 @@ The insert paths do the *real* work -- packing entries into heap pages and
 maintaining both pointer chains -- while counting probe steps, touched bytes
 and allocation contention for the cost model.
 
-Every organization carries two interchangeable insert implementations,
-selected by the ``impl`` constructor argument:
+Every organization carries two interchangeable implementations, selected
+by the ``impl`` constructor argument:
 
-* ``"vectorized"`` (default) -- batched kernels shaped like a real GPU hash
-  table's bulk-synchronous insert path: records are bucketized, allocation
-  space is reserved per bucket group in one pass
+* ``"vectorized"`` (default) -- batched kernels wherever the scalar walk's
+  effects and charges have a closed form: records are bucketized,
+  allocation space is reserved per bucket group in one pass
   (:meth:`~repro.memalloc.allocator.BucketGroupAllocator.allocate_many`),
   entries are packed with slab-style numpy scatter writes, and chain heads
   are updated with grouped last-writer-wins scatters.  The probing
-  organizations materialize each bucket's resident chain prefix once per
-  batch and replay walks against it.
-* ``"compiled"`` -- the vectorized orchestration with the chain-walk
-  gathers routed through the optional numba backend
-  (:mod:`repro.core._kernels`); silently identical to ``"vectorized"``
-  when numba is not installed.
-* ``"slow_reference"`` -- the original one-record-at-a-time loops, kept as
-  the differential-testing oracle.
+  organizations group the batch by distinct key and resolve every key
+  against its bucket's resident chain prefix in one bulk pass
+  (:func:`repro.core.chainview.resolve_keys`).  Whatever has no closed
+  form -- mixed-op batches with deletes or lookups, traced runs, 64-bit
+  hash collisions, callback / f64 combiners, tables holding tombstones,
+  multi-valued inserts under pool pressure -- runs the scalar loop.
+* ``"slow_reference"`` -- the one-record-at-a-time loops, always: the
+  differential-testing oracle.
 
-All produce bit-identical tables, success masks, and cost tallies; only
+Both produce bit-identical tables, success masks, and cost tallies; only
 wall-clock time differs.  Simulated-time accounting is therefore unaffected
 by the choice (see docs/cost_model.md, "Host-side performance architecture").
 """
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import entries as E
-from repro.core.chainview import materialize_chains
+from repro.core.chainview import resolve_keys
 from repro.core.combiners import Combiner
 from repro.core.mutations import OP_DELETE, OP_INSERT, OP_LOOKUP, OP_UPDATE
 from repro.memalloc.address import NULL
@@ -80,121 +80,9 @@ TOMBSTONE_CYCLES = 10.0
 #: in-place value rewrite of a basic-method update (value store + flag word)
 UPDATE_CYCLES = 18.0
 
-#: valid insert-path implementations; "compiled" shares the vectorized
-#: orchestration but routes chain-walk gathers through the optional numba
-#: backend (repro.core._kernels), degrading to pure numpy when absent
-IMPLS = ("vectorized", "compiled", "slow_reference")
-
-
-class _ChainReplay:
-    """Materialized resident prefix of one bucket chain.
-
-    Entries are stored tail-first (``append_head`` == prepend to the chain)
-    so positions stay stable while inserts prepend.  :meth:`replay` charges
-    the same probe steps, touched bytes, and trace accesses as re-walking
-    the real chain entry by entry, but resolves the key in one dict lookup
-    -- keys are unique within the resident prefix, because an insert only
-    creates an entry after a walk missed.
-    """
-
-    __slots__ = ("addrs", "costs", "cum", "refs", "index", "flags", "blocked")
-
-    def __init__(self) -> None:
-        self.addrs: list[int] = []  # cpu address per entry (tail-first)
-        self.costs: list[int] = []  # bytes charged when the walk visits it
-        self.cum: list[int] = []  # cumulative costs from the tail
-        self.refs: list[tuple] = []  # organization-specific entry handle
-        self.index: dict[bytes, int] = {}  # key -> tail position
-        self.flags: list[int] = []  # on-disk mutation flags per entry
-        #: the materializing walk stopped at a non-resident entry, so a
-        #: miss against this prefix does not prove the key is absent
-        self.blocked: bool = False
-
-    def append_head(
-        self, addr: int, cost: int, key: bytes, ref: tuple, flags: int = 0
-    ) -> None:
-        t = len(self.addrs)
-        self.addrs.append(addr)
-        self.costs.append(cost)
-        self.cum.append((self.cum[-1] if t else 0) + cost)
-        self.refs.append(ref)
-        self.flags.append(flags)
-        self.index[key] = t
-
-    def mark(self, t: int, flag: int) -> None:
-        """Mirror an in-place flag write (tombstone/shadow) into the memo."""
-        self.flags[t] |= flag
-
-    def resolve(
-        self, key: bytes, tally: "InsertTally", trace
-    ) -> tuple[int, tuple, int] | None:
-        """Like :meth:`replay`, but surfaces liveness: returns
-        ``(position, ref, flags)`` of the newest same-key entry -- live,
-        shadowed, or tombstoned -- or None on a clean miss.  Charges are
-        what a fresh walk stopping at the first (newest) match pays."""
-        n = len(self.addrs)
-        t = self.index.get(key)
-        if t is None:  # miss: the walk visits the whole resident prefix
-            if n:
-                tally.probe_steps += n
-                tally.bytes_touched += self.cum[-1]
-                if trace is not None:
-                    for i in range(n - 1, -1, -1):
-                        trace.on_access(self.addrs[i], self.costs[i])
-            return None
-        tally.probe_steps += n - t
-        tally.bytes_touched += self.cum[-1] - self.cum[t] + self.costs[t]
-        if trace is not None:
-            for i in range(n - 1, t - 1, -1):
-                trace.on_access(self.addrs[i], self.costs[i])
-        return t, self.refs[t], self.flags[t]
-
-    def replay(self, key: bytes, tally: "InsertTally", trace) -> tuple | None:
-        hit = self.resolve(key, tally, trace)
-        return None if hit is None else hit[1]
-
-
-def _replay_from_soa(view, kind: str, page_size: int) -> _ChainReplay:
-    """Convert one bulk-parsed :class:`~repro.core.chainview.ChainSoA`
-    (walk order, newest first) into the tail-first per-batch memo.
-
-    ``refs`` point into the heap arena with *absolute* offsets -- every
-    consumer treats ``(buf, off)`` opaquely, so arena-absolute and
-    page-relative handles interoperate within a batch.  Ascending tail
-    order makes the newest same-key entry win the ``index`` dict, exactly
-    like repeated ``append_head`` calls.
-    """
-    chain = _ChainReplay()
-    chain.blocked = view.blocked is not None
-    n = view.n
-    if not n:
-        return chain
-    rev = slice(None, None, -1)
-    chain.addrs = view.addrs[rev].tolist()
-    costs = view.costs[rev]
-    chain.costs = costs.tolist()
-    chain.cum = np.cumsum(costs).tolist()
-    chain.flags = view.flags[rev].tolist()
-    pos = view.pos[rev].tolist()
-    klens = view.klens[rev].tolist()
-    width = view.keys.shape[1]
-    blob = view.keys.tobytes()
-    arena = view.arena
-    if kind == "generic":
-        vlens = view.vlens[rev].tolist()
-        chain.refs = [
-            (arena, p, kl, vl, a)
-            for p, kl, vl, a in zip(pos, klens, vlens, chain.addrs)
-        ]
-    else:
-        chain.refs = [
-            (arena, p, a // page_size) for p, a in zip(pos, chain.addrs)
-        ]
-    for t in range(n):
-        w = n - 1 - t
-        start = w * width
-        chain.index[blob[start : start + klens[t]]] = t
-    return chain
+#: valid implementations: batched kernels with a scalar fallback, or the
+#: scalar oracle loops only
+IMPLS = ("vectorized", "slow_reference")
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -228,6 +116,98 @@ def _segmented_exclusive_cumsum(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
     out = np.empty(m, dtype=np.int64)
     out[order] = excl - base
     return out
+
+
+def _link_heads(buckets, bs, gaddr, caddr) -> tuple[np.ndarray, np.ndarray]:
+    """Prepend new entries to their bucket chains; returns their
+    ``(next_gpu, next_cpu)`` pointers.
+
+    ``bs`` are the entries' bucket ids sorted by (bucket, arrival), with
+    ``gaddr``/``caddr`` the entries' own addresses in the same order.
+    Within each bucket, an entry points at the one inserted just before it
+    (the first at the old head), and the bucket head ends at the last
+    arrival -- grouped last-writer-wins, what the scalar loop reaches one
+    record at a time.
+    """
+    head_gpu, head_cpu = buckets.head_gpu, buckets.head_cpu
+    first = np.r_[True, bs[1:] != bs[:-1]]
+    next_gpu = np.where(first, head_gpu[bs], np.r_[NULL, gaddr[:-1]])
+    next_cpu = np.where(first, head_cpu[bs], np.r_[NULL, caddr[:-1]])
+    last = np.r_[first[1:], True]
+    head_gpu[bs[last]] = gaddr[last]
+    head_cpu[bs[last]] = caddr[last]
+    return next_gpu, next_cpu
+
+
+class _DistinctKeys:
+    """One insert subset grouped by distinct key: the shared front of the
+    pre-aggregated kernels.
+
+    With ``m`` records holding ``G`` distinct keys, ``sub`` permutes subset
+    positions key-major (arrival order inside a key), ``starts``/``counts``
+    bound each key's segment of ``sub``, ``firstj`` is the subset position
+    of each key's first occurrence, ``gpos`` maps a record to its key, and
+    ``gbucket`` is each key's bucket.
+    """
+
+    def __init__(self, grouping, idx, buckets):
+        m = len(idx)
+        self.sub, self.starts = grouping.subset(idx)
+        G = len(self.starts)
+        self.counts = np.diff(np.r_[self.starts, m])
+        self.firstj = self.sub[self.starts]
+        self.gpos = np.empty(m, dtype=np.int64)
+        self.gpos[self.sub] = np.repeat(np.arange(G), self.counts)
+        self.isfirst = np.zeros(m, dtype=bool)
+        self.isfirst[self.firstj] = True
+        self.gbucket = buckets[self.firstj]
+
+    def resolve(self, table, batch, idx, kind):
+        """Look every distinct key up in its bucket's resident prefix."""
+        rec = idx[self.firstj]
+        return resolve_keys(
+            table.heap, table.buckets.head_cpu[self.gbucket], kind,
+            batch.keys[rec], batch.key_lens[rec],
+        )
+
+    def walk_charges(self, res, buckets, klens, created, header):
+        """Closed form of what the scalar walks of all ``m`` records cost.
+
+        A record's walk visits its bucket's resident prefix plus every
+        entry prepended by earlier records of the batch.  Both have closed
+        forms -- per-bucket exclusive cumulative sums of "entry prepended
+        here" events (probe steps) and of their header+key costs (bytes) --
+        so no per-record walk is replayed.  ``created`` marks the keys (G,)
+        whose entry this batch creates at their first occurrence; a key
+        that is neither resident nor created misses on every occurrence.
+
+        Returns ``(probe_steps, walk_bytes, hit_res, hit_new)``: the two
+        totals, and per-record masks of walks that end at a resident entry
+        and at an entry an earlier record of this batch created.
+        """
+        m = len(buckets)
+        gpos, firstj = self.gpos, self.firstj
+        made = firstj[created]
+        ev = np.zeros(m, dtype=np.int64)
+        cv = np.zeros(m, dtype=np.int64)
+        ev[made] = 1
+        cv[made] = header + klens[made]
+        A = _segmented_exclusive_cumsum(ev, buckets)
+        S = _segmented_exclusive_cumsum(cv, buckets)
+        hit_res = (res.hit >= 0)[gpos]
+        hit_new = ~hit_res & created[gpos] & ~self.isfirst
+        miss = ~(hit_res | hit_new)
+        probe = np.zeros(m, dtype=np.int64)
+        btv = np.zeros(m, dtype=np.int64)
+        probe[miss] = res.n_resident[gpos][miss] + A[miss]
+        btv[miss] = res.walk_bytes[gpos][miss] + S[miss]
+        if hit_new.any():
+            probe[hit_new] = A[hit_new] - A[firstj][gpos][hit_new]
+            btv[hit_new] = S[hit_new] - S[firstj][gpos][hit_new]
+        if hit_res.any():
+            probe[hit_res] = res.hit[gpos][hit_res] + 1 + A[hit_res]
+            btv[hit_res] = res.hit_bytes[gpos][hit_res] + S[hit_res]
+        return int(probe.sum()), int(btv.sum()), hit_res, hit_new
 
 
 @dataclass
@@ -335,45 +315,13 @@ class Organization:
     kind: str = "abstract"
     #: page kinds this organization allocates from
     page_kinds: tuple[PageKind, ...] = (PageKind.GENERIC,)
-    #: insert-path implementation ("vectorized" | "slow_reference")
+    #: one of :data:`IMPLS`; governs inserts and mixed-op mutations alike
     impl: str = "vectorized"
 
     def _set_impl(self, impl: str) -> None:
         if impl not in IMPLS:
             raise ValueError(f"impl must be one of {IMPLS}: {impl!r}")
         self.impl = impl
-
-    def _materialize_replays(
-        self, table, buckets, kind: str = "generic"
-    ) -> dict[int, "_ChainReplay"]:
-        """Bulk-build the per-batch chain memos for the given bucket ids.
-
-        One struct-of-arrays pass (:func:`repro.core.chainview.
-        materialize_chains`) walks every distinct touched chain
-        level-synchronously, then each view converts to the classic
-        tail-first :class:`_ChainReplay`.  Buckets with a NULL head are
-        omitted; callers keep their lazy single-chain fallback, so the
-        prefill is purely an optimization.  Eager materialization is safe
-        because a lazy memo is built at a bucket's *first* touch, before
-        any in-batch write to that chain.
-        """
-        head_cpu = table.buckets.head_cpu
-        heads: dict[int, int] = {}
-        for b in buckets:
-            h = int(head_cpu[b])
-            if h != NULL:
-                heads[int(b)] = h
-        if not heads:
-            return {}
-        views = materialize_chains(
-            table.heap, heads.values(), kind,
-            compiled=self.impl == "compiled",
-        )
-        page_size = table.heap.page_size
-        return {
-            b: _replay_from_soa(views[h], kind, page_size)
-            for b, h in heads.items()
-        }
 
     def insert_indices(
         self,
@@ -415,16 +363,18 @@ class Organization:
         end-of-iteration eviction refills the pool).
         """
         if self.impl == "slow_reference":
-            return self._mutate_scalar(table, batch, idx, buckets, tally)
+            return self._mutate_impl(table, batch, idx, buckets, tally)
         return self._mutate_vectorized(table, batch, idx, buckets, tally)
 
-    def _mutate_scalar(self, table, batch, idx, buckets, tally) -> np.ndarray:
+    def _mutate_impl(self, table, batch, idx, buckets, tally) -> np.ndarray:
+        """The in-order mixed-op loop: every op re-walks the real chain."""
         raise NotImplementedError(
             f"the {self.kind} organization has no mutation path"
         )
 
     def _mutate_vectorized(self, table, batch, idx, buckets, tally) -> np.ndarray:
-        return self._mutate_scalar(table, batch, idx, buckets, tally)
+        # no batched form for this op mix: the scalar loop is the kernel
+        return self._mutate_impl(table, batch, idx, buckets, tally)
 
     def should_halt(self, table: "GpuHashTable") -> bool:
         return False
@@ -453,24 +403,6 @@ class Organization:
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _walk_resident(table, bufs, addr, key, tally, trace):
-        """Walk a chain while targets are resident, looking for ``key``.
-
-        Returns (buf, off, klen, flags) of the first (newest) matching
-        entry -- live or tombstoned; callers that care check ``flags`` --
-        or None.  Traversal stops at the first non-resident target -- safe
-        because inserts are at the head, so resident entries form a prefix
-        of the chain within an iteration (Section III-B).
-        """
-        hit, _blocked = Organization._walk_resident_mut(
-            table, bufs, addr, key, tally, trace
-        )
-        if hit is None:
-            return None
-        buf, off, klen, _vlen, flags, _addr = hit
-        return buf, off, klen, flags
-
     @staticmethod
     def _walk_resident_mut(table, bufs, addr, key, tally, trace):
         """Resident-prefix walk that distinguishes *absence* from *blocking*.
@@ -506,66 +438,7 @@ class Organization:
             addr = next_cpu
         return None, False
 
-    @staticmethod
-    def _materialize_chain(table, addr: int) -> _ChainReplay:
-        """Walk one bucket's resident chain prefix once, recording every
-        entry so later walks in the same batch are dict lookups."""
-        heap = table.heap
-        page_size = heap.page_size
-        walked = []  # head-first
-        blocked = False
-        while addr != NULL:
-            seg, off = divmod(addr, page_size)
-            page = heap.resident_page(seg)
-            if page is None:
-                blocked = True
-                break
-            buf = heap.pool.slot_view(page.slot)
-            _, next_cpu, klen, vlen = E.read_entry_header(buf, off)
-            key = E.entry_key(buf, off, klen)
-            walked.append((
-                addr, E.ENTRY_HEADER + klen, key,
-                (buf, off, klen, vlen, addr), E.entry_flags(buf, off),
-            ))
-            addr = next_cpu
-        chain = _ChainReplay()
-        for entry in reversed(walked):
-            chain.append_head(*entry)
-        chain.blocked = blocked
-        return chain
-
-    # ------------------------------------------------------------------
-    # shared generic-entry mutation machinery (basic + combining)
-    # ------------------------------------------------------------------
-    def _generic_find(self, table, chains, bufs, b, key, tally, trace):
-        """Newest resident same-key entry via a fresh walk (``chains`` is
-        None: the scalar oracle) or the per-batch chain memo (vectorized).
-
-        Returns ``(hit, blocked, t, chain)`` with ``hit = (buf, off, klen,
-        vlen, flags, addr)`` or None; ``flags`` is always read fresh from
-        the entry so in-place flag flips earlier in the batch are visible
-        on both paths.  ``t``/``chain`` are the memo coordinates (None on
-        the scalar path)."""
-        head = int(table.buckets.head_cpu[b])
-        if chains is None:
-            hit, blocked = self._walk_resident_mut(
-                table, bufs, head, key, tally, trace
-            )
-            return hit, blocked, None, None
-        chain = chains.get(b)
-        if chain is None:
-            chain = self._materialize_chain(table, head)
-            chains[b] = chain
-        got = chain.resolve(key, tally, trace)
-        if got is None:
-            return None, chain.blocked, None, chain
-        t, (buf, off, klen, vlen, addr), _memo_flags = got
-        return (buf, off, klen, vlen, E.entry_flags(buf, off), addr), \
-            False, t, chain
-
-    def _delete_generic(
-        self, table, tally, b, key, hit, blocked, t, chain
-    ) -> bool:
+    def _delete_generic(self, table, tally, b, key, hit, blocked) -> bool:
         """Tombstone delete against a generic-entry chain; True = success.
 
         Upsert semantics: a proven-absent or already-dead key is a
@@ -583,8 +456,6 @@ class Organization:
                 return True
             E.set_entry_flag(buf, off, E.GFLAG_TOMBSTONE)
             table.heap.note_write(addr // table.heap.page_size)
-            if chain is not None:
-                chain.mark(t, E.GFLAG_TOMBSTONE)
             alloc.note_tombstone(E.entry_size(klen, vlen))
             tally.table_cycles += TOMBSTONE_CYCLES
             tally.bytes_touched += 4  # the rewritten klen/flag word
@@ -615,12 +486,6 @@ class Organization:
         tally.alloc_groups.append(group)
         if trace is not None:
             trace.on_access(a.cpu_addr, size)
-        if chain is not None:
-            chain.append_head(
-                a.cpu_addr, E.ENTRY_HEADER + len(key), key,
-                (buf, a.offset, len(key), 0, a.cpu_addr),
-                flags=E.GFLAG_TOMBSTONE,
-            )
         muts.deletes_tombstones += 1
         return True
 
@@ -728,23 +593,10 @@ class BasicOrganization(Organization):
         tally.bytes_touched += int((sizes[ok] + 16).sum())
         tally.alloc_groups.extend(groups[ok])
 
-        # chain linking: within each bucket, entry j points at the entry
-        # inserted just before it (or the old head), and the bucket head
-        # ends at the last arrival -- grouped last-writer-wins.
-        head_gpu = table.buckets.head_gpu
-        head_cpu = table.buckets.head_cpu
         sel = bucket_order[ok[bucket_order]]  # successes in (bucket, arrival) order
-        bs = buckets[sel]
-        gaddr = bulk.gpu_addr[sel]
-        caddr = bulk.cpu_addr[sel]
-        first = np.r_[True, bs[1:] != bs[:-1]]
-        prev_g = np.r_[NULL, gaddr[:-1]]
-        prev_c = np.r_[NULL, caddr[:-1]]
-        next_gpu = np.where(first, head_gpu[bs], prev_g)
-        next_cpu = np.where(first, head_cpu[bs], prev_c)
-        last = np.r_[first[1:], True]
-        head_gpu[bs[last]] = gaddr[last]
-        head_cpu[bs[last]] = caddr[last]
+        next_gpu, next_cpu = _link_heads(
+            table.buckets, buckets[sel], bulk.gpu_addr[sel], bulk.cpu_addr[sel]
+        )
 
         # slab write of every new entry straight into the heap arena
         rec = idx[sel]
@@ -799,22 +651,7 @@ class BasicOrganization(Organization):
         return success
 
     # -- mixed-op mutation path ----------------------------------------
-    def _mutate_scalar(self, table, batch, idx, buckets, tally):
-        return self._mutate_impl(table, batch, idx, buckets, tally, None)
-
-    def _mutate_vectorized(self, table, batch, idx, buckets, tally):
-        chains = self._materialize_replays(table, np.unique(buckets))
-        return self._mutate_impl(table, batch, idx, buckets, tally, chains)
-
-    def _mutate_impl(self, table, batch, idx, buckets, tally, chains):
-        """In-order mixed-op loop; ``chains`` switches the walk strategy.
-
-        With ``chains`` a dict, each touched bucket's resident chain is
-        materialized once and kept coherent across in-batch mutations (one
-        chain probe per distinct key); with None every op re-walks the real
-        chain -- the scalar oracle.  All charges are shared code, so the
-        two paths stay bit-identical by construction.
-        """
+    def _mutate_impl(self, table, batch, idx, buckets, tally):
         heap = table.heap
         alloc = table.alloc
         head_gpu = table.buckets.head_gpu
@@ -869,18 +706,13 @@ class BasicOrganization(Organization):
                 tally.alloc_groups.append(group)
                 if trace is not None:
                     trace.on_access(a.cpu_addr, size)
-                if chains is not None and b in chains:
-                    chains[b].append_head(
-                        a.cpu_addr, E.ENTRY_HEADER + len(key), key,
-                        (buf, a.offset, len(key), len(value), a.cpu_addr),
-                    )
                 muts.inserts += 1
                 success[j] = True
                 continue
             if op == OP_UPDATE:
                 value = batch.value_bytes(i)
-                hit, blocked, t, chain = self._generic_find(
-                    table, chains, bufs, b, key, tally, trace
+                hit, blocked = self._walk_resident_mut(
+                    table, bufs, int(head_cpu[b]), key, tally, trace
                 )
                 if hit is not None:
                     buf, off, klen, vlen, flags, addr = hit
@@ -890,8 +722,6 @@ class BasicOrganization(Organization):
                         E.set_entry_value(buf, off, klen, value)
                         E.set_entry_flag(buf, off, E.GFLAG_SHADOW)
                         heap.note_write(addr // heap.page_size)
-                        if chain is not None:
-                            chain.mark(t, E.GFLAG_SHADOW)
                         tally.table_cycles += UPDATE_CYCLES
                         tally.bytes_touched += vlen + 4
                         if trace is not None:
@@ -921,22 +751,14 @@ class BasicOrganization(Organization):
                 tally.alloc_groups.append(group)
                 if trace is not None:
                     trace.on_access(a.cpu_addr, size)
-                if chain is not None:
-                    chain.append_head(
-                        a.cpu_addr, E.ENTRY_HEADER + len(key), key,
-                        (buf, a.offset, len(key), len(value), a.cpu_addr),
-                        flags=E.GFLAG_SHADOW,
-                    )
                 muts.updates_entries += 1
                 success[j] = True
                 continue
             # OP_DELETE
-            hit, blocked, t, chain = self._generic_find(
-                table, chains, bufs, b, key, tally, trace
+            hit, blocked = self._walk_resident_mut(
+                table, bufs, int(head_cpu[b]), key, tally, trace
             )
-            if self._delete_generic(
-                table, tally, b, key, hit, blocked, t, chain
-            ):
+            if self._delete_generic(table, tally, b, key, hit, blocked):
                 tally.succeeded += 1
                 success[j] = True
             else:
@@ -981,12 +803,12 @@ class CombiningOrganization(Organization):
         probe steps and touched bytes are vectorized sums of the very
         charges the reference makes (see ``_insert_preagg``).
 
-        Falls back to the replay walk -- exact but per-record -- when the
-        charges cannot be reproduced in closed form: an access trace is
-        attached (per-walk ``on_access`` ordering), a 64-bit hash collision
-        was detected, the combiner lacks an exact vectorized reduction
-        (callbacks, f64 rounding-order sensitivity), or the batch's numeric
-        dtype differs from the combiner's.
+        Falls back to the scalar loop when the charges cannot be reproduced
+        in closed form: an access trace is attached (per-walk ``on_access``
+        ordering), a 64-bit hash collision was detected, the combiner lacks
+        an exact vectorized reduction (callbacks, f64 rounding-order
+        sensitivity), the batch's numeric dtype differs from the
+        combiner's, or the table holds tombstones.
         """
         if batch.numeric_values is None:
             raise ValueError(
@@ -1002,23 +824,20 @@ class CombiningOrganization(Organization):
             or batch.numeric_values.dtype != comb.dtype
             or table.alloc.stats.entries_tombstoned > 0
         ):
-            return self._insert_replay(table, batch, idx, buckets, tally)
-        return self._insert_preagg(table, batch, idx, buckets, tally, grouping)
+            return self._insert_scalar(table, batch, idx, buckets, tally)
+        return self._insert_preagg(
+            table, batch, idx, buckets, tally,
+            _DistinctKeys(grouping, idx, buckets),
+        )
 
-    def _insert_preagg(self, table, batch, idx, buckets, tally, grouping,
-                       ops=None):
+    def _insert_preagg(self, table, batch, idx, buckets, tally, dk, ops=None):
         """One probe + one combine per distinct key, scalar-exact tallies.
 
-        The scalar reference's walk charges depend on how the bucket's
-        chain grows *during* the batch: a record's walk visits the resident
-        prefix plus every entry prepended by earlier records of the batch.
-        Both contributions have closed forms -- per-bucket exclusive
-        cumulative sums of "entry prepended here" events (probe steps) and
-        their header+key costs (bytes) -- so the kernel never replays
-        per-record walks.  In-batch duplicate values are pre-reduced per
-        distinct key (left-to-right, matching the scalar combine order; the
-        only divergence is int64 overflow, which wraps here as on a real
-        GPU but raises in the scalar oracle's ``struct.pack``).
+        ``dk`` is the subset's :class:`_DistinctKeys`; walk charges come
+        from its closed form.  In-batch duplicate values are pre-reduced
+        per distinct key (left-to-right, matching the scalar combine order;
+        the only divergence is int64 overflow, which wraps here as on a
+        real GPU but raises in the scalar oracle's ``struct.pack``).
 
         Keys whose first allocation fails are postponed on *every*
         occurrence, exactly like the reference: a failed allocation mutates
@@ -1028,8 +847,6 @@ class CombiningOrganization(Organization):
         """
         heap = table.heap
         alloc = table.alloc
-        head_gpu = table.buckets.head_gpu
-        head_cpu = table.buckets.head_cpu
         group_size = table.buckets.group_size
         comb = self.combiner
         page_size = heap.page_size
@@ -1037,48 +854,12 @@ class CombiningOrganization(Organization):
         if m == 0:
             return np.zeros(0, dtype=bool)
         klens = batch.key_lens[idx].astype(np.int64)
-
-        # group the (possibly reissued) subset by distinct key
-        sub, starts = grouping.subset(idx)
-        G = len(starts)
-        counts = np.diff(np.r_[starts, m])
-        firstj = sub[starts]  # subset position of each key's first occurrence
-        gpos = np.empty(m, dtype=np.int64)
-        gpos[sub] = np.repeat(np.arange(G), counts)
-        isfirst = np.zeros(m, dtype=bool)
-        isfirst[firstj] = True
-        gbucket = buckets[firstj]
-
-        # resolve each distinct key against its bucket's resident prefix
-        res_pos = np.full(G, -1, dtype=np.int64)  # tail position, -1 = absent
-        n0_g = np.zeros(G, dtype=np.int64)  # resident chain length
-        R_g = np.zeros(G, dtype=np.int64)  # resident full-walk bytes
-        hitbase_g = np.zeros(G, dtype=np.int64)  # resident hit-walk bytes
-        hit_refs: list[tuple[int, tuple]] = []
-        nonnull = head_cpu[gbucket] != NULL
-        if nonnull.any():
-            chains = self._materialize_replays(
-                table, np.unique(gbucket[nonnull])
-            )
-            all_keys = batch.cache.key_bytes_list()
-            for gi in np.flatnonzero(nonnull).tolist():
-                b = int(gbucket[gi])
-                chain = chains.get(b)
-                if chain is None:
-                    chain = self._materialize_chain(table, int(head_cpu[b]))
-                    chains[b] = chain
-                n = len(chain.addrs)
-                n0_g[gi] = n
-                if n:
-                    R_g[gi] = chain.cum[-1]
-                t = chain.index.get(all_keys[int(idx[firstj[gi]])])
-                if t is not None:
-                    res_pos[gi] = t
-                    hitbase_g[gi] = chain.cum[-1] - chain.cum[t] + chain.costs[t]
-                    hit_refs.append((gi, chain.refs[t]))
+        sub, starts, counts = dk.sub, dk.starts, dk.counts
+        firstj, gpos, gbucket = dk.firstj, dk.gpos, dk.gbucket
+        res = dk.resolve(table, batch, idx, "generic")
 
         # one optimistic allocation per distinct absent key, arrival order
-        newg = np.flatnonzero(res_pos < 0)
+        newg = np.flatnonzero(res.hit < 0)
         req = newg[np.argsort(firstj[newg])]  # first positions are unique
         req_first = firstj[req]
         sizes = E.entry_sizes_bulk(
@@ -1089,49 +870,26 @@ class CombiningOrganization(Organization):
         okpos = np.flatnonzero(bulk.ok)
         failpos = np.flatnonzero(~bulk.ok)
         succ = req[okpos]  # inserted keys, arrival order
-        ins = np.zeros(G, dtype=bool)
+        ins = np.zeros(len(starts), dtype=bool)
         ins[succ] = True
         if len(failpos):
             extra = int((counts[req[failpos]] - 1).sum())
             if extra:
                 alloc.record_denied_retries(extra, rgroups[failpos])
 
-        # closed-form walk charges (see docstring)
-        ev = np.zeros(m, dtype=np.int64)
-        cv = np.zeros(m, dtype=np.int64)
-        succ_first = firstj[succ]
-        ev[succ_first] = 1
-        cv[succ_first] = E.ENTRY_HEADER + klens[succ_first]
-        A = _segmented_exclusive_cumsum(ev, buckets)
-        S = _segmented_exclusive_cumsum(cv, buckets)
-        r_res = res_pos[gpos]
+        probe_steps, walk_bytes, hit_res, hit_new = dk.walk_charges(
+            res, buckets, klens, ins, E.ENTRY_HEADER
+        )
         r_ins = ins[gpos]
-        hit_res = r_res >= 0
-        hit_new = ~hit_res & r_ins & ~isfirst
-        miss = ~hit_res & (~r_ins | isfirst)
-        n0r = n0_g[gpos]
-        probe = np.zeros(m, dtype=np.int64)
-        btv = np.zeros(m, dtype=np.int64)
-        probe[miss] = n0r[miss] + A[miss]
-        btv[miss] = R_g[gpos][miss] + S[miss]
-        if hit_new.any():
-            Af = A[firstj][gpos]
-            Sf = S[firstj][gpos]
-            probe[hit_new] = A[hit_new] - Af[hit_new]
-            btv[hit_new] = S[hit_new] - Sf[hit_new]
-        if hit_res.any():
-            probe[hit_res] = n0r[hit_res] + A[hit_res] - r_res[hit_res]
-            btv[hit_res] = hitbase_g[gpos][hit_res] + S[hit_res]
-
         n_hits = int(hit_res.sum()) + int(hit_new.sum())
         n_miss = m - n_hits
         n_post = int((~hit_res & ~r_ins).sum())
         tally.attempted += m
         tally.succeeded += m - n_post
         tally.postponed += n_post
-        tally.probe_steps += int(probe.sum())
+        tally.probe_steps += probe_steps
         tally.bytes_touched += (
-            int(btv.sum())
+            walk_bytes
             + 2 * comb.value_size * n_hits
             + int((sizes[okpos] + 16).sum())
         )
@@ -1152,15 +910,10 @@ class CombiningOrganization(Organization):
             sfj = firstj[succ]
             order2 = _stable_order(buckets[sfj])
             sel_g = succ[order2]
-            bs = buckets[sfj][order2]
-            gaddr = bulk.gpu_addr[okpos][order2]
-            caddr = bulk.cpu_addr[okpos][order2]
-            first = np.r_[True, bs[1:] != bs[:-1]]
-            next_gpu = np.where(first, head_gpu[bs], np.r_[NULL, gaddr[:-1]])
-            next_cpu = np.where(first, head_cpu[bs], np.r_[NULL, caddr[:-1]])
-            last = np.r_[first[1:], True]
-            head_gpu[bs[last]] = gaddr[last]
-            head_cpu[bs[last]] = caddr[last]
+            next_gpu, next_cpu = _link_heads(
+                table.buckets, buckets[sfj][order2],
+                bulk.gpu_addr[okpos][order2], bulk.cpu_addr[okpos][order2],
+            )
             rec = idx[sfj][order2]
             pos = bulk.slot[okpos][order2] * page_size + bulk.offset[okpos][order2]
             vdtype = comb.dtype.newbyteorder("<")
@@ -1175,13 +928,17 @@ class CombiningOrganization(Organization):
             )
 
         # one in-place combine per resident hit key
-        if hit_refs:
+        hit_g = np.flatnonzero(res.hit >= 0)
+        if len(hit_g):
             fmt = comb.fmt
-            for gi, (buf, off, klen, _vlen, _addr) in hit_refs:
-                vo = off + E.ENTRY_HEADER + klen
-                stored = fmt.unpack_from(buf, vo)[0]
-                fmt.pack_into(buf, vo, comb.combine(stored, int(red[gi])))
-                heap.note_write(_addr // page_size)
+            arena = heap.pool.arena
+            vo = res.hit_pos[hit_g] + E.ENTRY_HEADER + klens[firstj[hit_g]]
+            for o, a, v in zip(
+                vo.tolist(), res.hit_addr[hit_g].tolist(), red[hit_g].tolist()
+            ):
+                stored = fmt.unpack_from(arena, o)[0]
+                fmt.pack_into(arena, o, comb.combine(stored, v))
+                heap.note_write(a // page_size)
 
         if ops is not None:
             # mixed-op accounting: under the no-failure pre-flight every
@@ -1194,82 +951,6 @@ class CombiningOrganization(Organization):
             muts.updates_inplace += int((upd & hit).sum())
             muts.updates_entries += int((upd & ~hit).sum())
         return hit_res | r_ins
-
-    def _insert_replay(self, table, batch, idx, buckets, tally):
-        """Per-record combining insert with memoized chain walks.
-
-        Each touched bucket's resident chain is materialized once per
-        batch; every record then resolves its key in O(1) while charging
-        exactly the probe steps and bytes the real walk would.  Allocation,
-        packing, and in-place combines are unchanged.  Kept as the exact
-        path for traced runs and pre-aggregation fallbacks.
-        """
-        heap = table.heap
-        alloc = table.alloc
-        head_gpu = table.buckets.head_gpu
-        head_cpu = table.buckets.head_cpu
-        group_size = table.buckets.group_size
-        comb = self.combiner
-        fmt = comb.fmt
-        trace = table.trace
-        cache = batch.cache
-        all_keys = cache.key_bytes_list()
-        all_values = cache.numeric_list()
-        idx_list = idx.tolist()
-        bucket_list = buckets.tolist()
-        success = np.zeros(len(idx), dtype=bool)
-        chains = self._materialize_replays(table, set(bucket_list))
-        for j, i in enumerate(idx_list):
-            b = bucket_list[j]
-            key = all_keys[i]
-            v = all_values[i]
-            tally.attempted += 1
-            tally.table_cycles += HASH_CYCLES_PER_BYTE * len(key)
-            chain = chains.get(b)
-            if chain is None:
-                chain = self._materialize_chain(table, int(head_cpu[b]))
-                chains[b] = chain
-            got = chain.resolve(key, tally, trace)
-            if got is not None and not got[2] & E.GFLAG_TOMBSTONE:
-                buf, off, klen = got[1][:3]
-                vo = off + E.ENTRY_HEADER + klen
-                stored = fmt.unpack_from(buf, vo)[0]
-                fmt.pack_into(buf, vo, comb.combine(stored, v))
-                heap.note_write(got[1][4] // heap.page_size)
-                tally.table_cycles += comb.cycles
-                # read + write of the stored scalar, at its actual width
-                tally.bytes_touched += 2 * comb.value_size
-                tally.succeeded += 1
-                if trace is not None:
-                    trace.on_access(int(head_cpu[b]), comb.value_size)
-                success[j] = True
-                continue
-            # clean miss, or the newest copy is a tombstone (the key was
-            # deleted: a fresh entry supersedes it at merge time)
-            size = E.entry_size(len(key), comb.value_size)
-            a = alloc.allocate(b // group_size, size, PageKind.GENERIC)
-            tally.table_cycles += INSERT_CYCLES
-            if a is None:
-                tally.postponed += 1
-                continue
-            buf = heap.pool.slot_view(a.page.slot)
-            E.write_entry(
-                buf, a.offset, int(head_gpu[b]), int(head_cpu[b]),
-                key, comb.pack(v),
-            )
-            head_gpu[b] = a.gpu_addr
-            head_cpu[b] = a.cpu_addr
-            chain.append_head(
-                a.cpu_addr, E.ENTRY_HEADER + len(key), key,
-                (buf, a.offset, len(key), comb.value_size, a.cpu_addr),
-            )
-            tally.succeeded += 1
-            tally.bytes_touched += size + 16
-            tally.alloc_groups.append(b // group_size)
-            if trace is not None:
-                trace.on_access(a.cpu_addr, size)
-            success[j] = True
-        return success
 
     def _insert_scalar(self, table, batch, idx, buckets, tally):
         if batch.numeric_values is None:
@@ -1339,9 +1020,6 @@ class CombiningOrganization(Organization):
         return success
 
     # -- mixed-op mutation path ----------------------------------------
-    def _mutate_scalar(self, table, batch, idx, buckets, tally):
-        return self._mutate_impl(table, batch, idx, buckets, tally, None)
-
     def _mutate_vectorized(self, table, batch, idx, buckets, tally):
         """Mutation dispatch for the batched implementation.
 
@@ -1351,8 +1029,7 @@ class CombiningOrganization(Organization):
         the postponement gate can never fire mid-batch, and the kernel's
         closed-form charges are exact.  Everything else -- deletes,
         lookups, float/callback combiners, sticky failures, tombstones
-        already in the table -- runs the memoized replay loop, which is
-        bit-identical to the scalar oracle by shared code.
+        already in the table -- runs the scalar loop.
         """
         comb = self.combiner
         ops_arr = batch.ops[idx]
@@ -1373,27 +1050,21 @@ class CombiningOrganization(Organization):
                 # allocation is monotone under dropping requests, so
                 # success of the superset implies success of whatever the
                 # kernel actually allocates.
-                sub, starts = grouping.subset(idx)
-                firstj = sub[starts]
-                order = np.argsort(firstj, kind="stable")
-                first_arr = firstj[order]
-                klens = batch.key_lens[idx].astype(np.int64)
+                dk = _DistinctKeys(grouping, idx, buckets)
+                first_arr = np.sort(dk.firstj)
                 sizes = E.entry_sizes_bulk(
-                    klens[first_arr],
+                    batch.key_lens[idx[first_arr]].astype(np.int64),
                     np.full(len(first_arr), comb.value_size, np.int64),
                 )
                 groups = buckets[first_arr] // table.buckets.group_size
                 needed = table.alloc.plan_pages_needed(groups, sizes)
                 if table.heap.pool.can_take(needed):
                     return self._insert_preagg(
-                        table, batch, idx, buckets, tally, grouping,
-                        ops=ops_arr,
+                        table, batch, idx, buckets, tally, dk, ops=ops_arr
                     )
-        chains = self._materialize_replays(table, np.unique(buckets))
-        return self._mutate_impl(table, batch, idx, buckets, tally, chains)
+        return self._mutate_impl(table, batch, idx, buckets, tally)
 
-    def _mutate_impl(self, table, batch, idx, buckets, tally, chains):
-        """In-order mixed-op loop (see BasicOrganization._mutate_impl)."""
+    def _mutate_impl(self, table, batch, idx, buckets, tally):
         heap = table.heap
         alloc = table.alloc
         head_gpu = table.buckets.head_gpu
@@ -1440,12 +1111,10 @@ class CombiningOrganization(Organization):
                 success[j] = True
                 continue
             if op == OP_DELETE:
-                hit, blocked, t, chain = self._generic_find(
-                    table, chains, bufs, b, key, tally, trace
+                hit, blocked = self._walk_resident_mut(
+                    table, bufs, int(head_cpu[b]), key, tally, trace
                 )
-                if self._delete_generic(
-                    table, tally, b, key, hit, blocked, t, chain
-                ):
+                if self._delete_generic(table, tally, b, key, hit, blocked):
                     tally.succeeded += 1
                     success[j] = True
                 else:
@@ -1453,8 +1122,8 @@ class CombiningOrganization(Organization):
                 continue
             # OP_INSERT and OP_UPDATE are both upsert-combines
             v = all_values[i]
-            hit, blocked, t, chain = self._generic_find(
-                table, chains, bufs, b, key, tally, trace
+            hit, blocked = self._walk_resident_mut(
+                table, bufs, int(head_cpu[b]), key, tally, trace
             )
             if hit is not None and not hit[4] & E.GFLAG_TOMBSTONE:
                 buf, off, klen = hit[0], hit[1], hit[2]
@@ -1493,11 +1162,6 @@ class CombiningOrganization(Organization):
             tally.alloc_groups.append(group)
             if trace is not None:
                 trace.on_access(a.cpu_addr, size)
-            if chain is not None:
-                chain.append_head(
-                    a.cpu_addr, E.ENTRY_HEADER + len(key), key,
-                    (buf, a.offset, len(key), comb.value_size, a.cpu_addr),
-                )
             if op == OP_UPDATE:
                 muts.updates_entries += 1
             else:
@@ -1573,17 +1237,6 @@ class MultiValuedOrganization(Organization):
             self._pin_counts[seg] = remaining
 
     # -- key-entry chain walk (different header layout) ------------------
-    def _find_key(self, table, bufs, addr, key, tally, trace):
-        """Resident walk for the newest same-key key entry, live or dead.
-
-        Returns ``(buf, off, seg, flags)`` or None; see
-        :meth:`_find_key_mut` for the absence/blocking distinction."""
-        hit, _blocked = self._find_key_mut(table, bufs, addr, key, tally, trace)
-        if hit is None:
-            return None
-        buf, off, seg, flags, _addr = hit
-        return buf, off, seg, flags
-
     def _find_key_mut(self, table, bufs, addr, key, tally, trace):
         """Like :meth:`Organization._walk_resident_mut` for key entries:
         returns ``(hit, blocked)`` with ``hit = (buf, off, seg, flags,
@@ -1631,33 +1284,6 @@ class MultiValuedOrganization(Organization):
             trace.on_access(a.cpu_addr, size)
         return True
 
-    @staticmethod
-    def _materialize_keychain(table, addr: int) -> _ChainReplay:
-        """Materialize one bucket's resident key-entry chain prefix."""
-        heap = table.heap
-        page_size = heap.page_size
-        walked = []  # head-first
-        blocked = False
-        while addr != NULL:
-            seg, off = divmod(addr, page_size)
-            page = heap.resident_page(seg)
-            if page is None:
-                blocked = True
-                break
-            buf = heap.pool.slot_view(page.slot)
-            hdr = E.read_key_entry_header(buf, off)
-            next_cpu, klen = hdr[1], hdr[4]
-            key = E.key_entry_key(buf, off, klen)
-            walked.append(
-                (addr, E.KEY_ENTRY_HEADER + klen, key, (buf, off, seg), hdr[5])
-            )
-            addr = next_cpu
-        chain = _ChainReplay()
-        for entry in reversed(walked):
-            chain.append_head(*entry)
-        chain.blocked = blocked
-        return chain
-
     def _insert_vectorized(self, table, batch, idx, buckets, tally):
         """Batched multi-valued insert via in-batch pre-aggregation.
 
@@ -1672,8 +1298,8 @@ class MultiValuedOrganization(Organization):
         (:meth:`~repro.memalloc.allocator.BucketGroupAllocator.plan_pages_needed`)
         proves every allocation will succeed; under pool pressure -- where
         per-record KEY/VALUE outcomes feed back into later requests -- the
-        replay walk handles postponement exactly.  Traced runs and hash
-        collisions also fall back.
+        scalar loop handles postponement exactly.  Traced runs, hash
+        collisions and tables holding tombstones also fall back.
         """
         if batch.values is None:
             raise ValueError("the multi-valued method requires byte values")
@@ -1683,27 +1309,27 @@ class MultiValuedOrganization(Organization):
             and not grouping.has_collision
             and table.alloc.stats.entries_tombstoned == 0
         ):
-            result = self._insert_preagg(table, batch, idx, buckets, tally,
-                                         grouping)
+            result = self._insert_preagg(
+                table, batch, idx, buckets, tally,
+                _DistinctKeys(grouping, idx, buckets),
+            )
             if result is not None:
                 return result
-        return self._insert_replay(table, batch, idx, buckets, tally)
+        return self._insert_scalar(table, batch, idx, buckets, tally)
 
-    def _insert_preagg(self, table, batch, idx, buckets, tally, grouping):
+    def _insert_preagg(self, table, batch, idx, buckets, tally, dk):
         """No-postponement fast path; returns None when it does not apply.
 
         Mutates nothing before the pre-flight decision: the request plan
         (one KEY allocation per distinct absent key at its first
         occurrence, one VALUE allocation per record, interleaved in arrival
         order) is built up front, and only executed when the planner proves
-        the pool can serve it all.  Walk charges use the same closed forms
+        the pool can serve it all.  Walk charges use the same closed form
         as the combining kernel, with key-entry header costs.
         """
         heap = table.heap
         alloc = table.alloc
         page_size = heap.page_size
-        head_gpu = table.buckets.head_gpu
-        head_cpu = table.buckets.head_cpu
         group_size = table.buckets.group_size
         m = len(idx)
         if m == 0:
@@ -1713,51 +1339,17 @@ class MultiValuedOrganization(Organization):
         vsizes = E.value_node_sizes_bulk(vlens)
         ksizes = E.key_entry_sizes_bulk(klens)
         if int(vsizes.max()) > page_size or int(ksizes.max()) > page_size:
-            return None  # replay reproduces the scalar path's ValueError
+            return None  # the scalar loop raises the allocator's ValueError
 
-        sub, starts = grouping.subset(idx)
+        sub, starts, counts = dk.sub, dk.starts, dk.counts
+        firstj, gpos, gbucket = dk.firstj, dk.gpos, dk.gbucket
         G = len(starts)
-        counts = np.diff(np.r_[starts, m])
-        firstj = sub[starts]
-        gpos = np.empty(m, dtype=np.int64)
-        gpos[sub] = np.repeat(np.arange(G), counts)
-        isfirst = np.zeros(m, dtype=bool)
-        isfirst[firstj] = True
-        gbucket = buckets[firstj]
-
-        # resolve each distinct key against its bucket's resident prefix
-        res_pos = np.full(G, -1, dtype=np.int64)
-        n0_g = np.zeros(G, dtype=np.int64)
-        R_g = np.zeros(G, dtype=np.int64)
-        hitbase_g = np.zeros(G, dtype=np.int64)
-        res_ref: list = [None] * G
-        chains: dict[int, _ChainReplay] = {}
-        nonnull = head_cpu[gbucket] != NULL
-        if nonnull.any():
-            chains = self._materialize_replays(
-                table, np.unique(gbucket[nonnull]), kind="key"
-            )
-            all_keys = batch.cache.key_bytes_list()
-            for gi in np.flatnonzero(nonnull).tolist():
-                b = int(gbucket[gi])
-                chain = chains.get(b)
-                if chain is None:
-                    chain = self._materialize_keychain(table, int(head_cpu[b]))
-                    chains[b] = chain
-                n = len(chain.addrs)
-                n0_g[gi] = n
-                if n:
-                    R_g[gi] = chain.cum[-1]
-                t = chain.index.get(all_keys[int(idx[firstj[gi]])])
-                if t is not None:
-                    res_pos[gi] = t
-                    hitbase_g[gi] = chain.cum[-1] - chain.cum[t] + chain.costs[t]
-                    res_ref[gi] = chain.refs[t]
+        res = dk.resolve(table, batch, idx, "key")
 
         # interleaved request plan: [KEY for first occurrence of an absent
         # key] then [VALUE] per record, in arrival order
-        newmask_g = res_pos < 0
-        isnewfirst = isfirst & newmask_g[gpos]
+        newmask_g = res.hit < 0
+        isnewfirst = dk.isfirst & newmask_g[gpos]
         nf_rec = np.flatnonzero(isnewfirst)
         nreq = 1 + isnewfirst.astype(np.int64)
         rstart = np.cumsum(nreq) - nreq
@@ -1774,7 +1366,7 @@ class MultiValuedOrganization(Organization):
 
         needed = alloc.plan_pages_needed(req_groups, req_sizes, kinds=req_codes)
         if not heap.pool.can_take(needed):
-            return None  # pressure: replay handles postponement exactly
+            return None  # pressure: the scalar loop postpones exactly
 
         bulk = alloc.allocate_many(req_groups, req_sizes, kinds=req_codes)
         assert bool(bulk.ok.all())  # guaranteed by the can_take pre-flight
@@ -1795,12 +1387,16 @@ class MultiValuedOrganization(Organization):
         # link each key's value chain: first node points at the existing
         # list head (NULL for new keys), later nodes at their predecessor,
         # and the key's head ends at the last arrival
+        arena = heap.pool.arena
         hit_g = np.flatnonzero(~newmask_g)
+        hits = list(zip(
+            hit_g.tolist(), res.hit_pos[hit_g].tolist(),
+            (res.hit_addr[hit_g] // page_size).tolist(),
+        ))  # (key, arena offset of its key entry, that entry's segment)
         head0_g = np.full(G, NULL, dtype=np.int64)
         head0_c = np.full(G, NULL, dtype=np.int64)
-        for gi in hit_g.tolist():
-            kbuf, koff, _kseg = res_ref[gi]
-            hdr = E.read_key_entry_header(kbuf, koff)
+        for gi, koff, _kseg in hits:
+            hdr = E.read_key_entry_header(arena, koff)
             head0_g[gi] = hdr[2]
             head0_c[gi] = hdr[3]
         vg_s = vgpu[sub]
@@ -1818,146 +1414,46 @@ class MultiValuedOrganization(Organization):
         vnext_g[sub] = vnext_g_s
         vnext_c[sub] = vnext_c_s
         E.write_value_nodes_bulk(
-            heap.pool.arena, vpos, vnext_g, vnext_c, batch.values[idx], vlens
+            arena, vpos, vnext_g, vnext_c, batch.values[idx], vlens
         )
 
         # new key entries: grouped last-writer-wins bucket heads, final
         # value-list head written with the entry itself
         if len(nf_rec):
-            nk = kg  # groups in arrival order of their creation
-            order2 = _stable_order(gbucket[nk])
-            sel = nk[order2]
-            bs = gbucket[sel]
-            gaddr = kaddr_gpu[sel]
-            caddr = kaddr_cpu[sel]
-            first = np.r_[True, bs[1:] != bs[:-1]]
-            nxt_g = np.where(first, head_gpu[bs], np.r_[NULL, gaddr[:-1]])
-            nxt_c = np.where(first, head_cpu[bs], np.r_[NULL, caddr[:-1]])
-            last = np.r_[first[1:], True]
-            head_gpu[bs[last]] = gaddr[last]
-            head_cpu[bs[last]] = caddr[last]
+            # kg lists the new keys in arrival order of their creation
+            sel = kg[_stable_order(gbucket[kg])]
+            nxt_g, nxt_c = _link_heads(
+                table.buckets, gbucket[sel], kaddr_gpu[sel], kaddr_cpu[sel]
+            )
             rec = idx[firstj[sel]]
             E.write_key_entries_bulk(
-                heap.pool.arena, kpos_g[sel], nxt_g, nxt_c,
+                arena, kpos_g[sel], nxt_g, nxt_c,
                 vfinal_g[sel], vfinal_c[sel],
                 batch.keys[rec], batch.key_lens[rec].astype(np.int64),
             )
 
         # resident hit keys: rewrite the value-list head once, un-pin
-        for gi in hit_g.tolist():
-            kbuf, koff, kseg = res_ref[gi]
-            E.set_vhead(kbuf, koff, int(vfinal_g[gi]), int(vfinal_c[gi]))
+        for gi, koff, kseg in hits:
+            E.set_vhead(arena, koff, int(vfinal_g[gi]), int(vfinal_c[gi]))
             heap.note_write(kseg)
-            self._clear_pending(table, kbuf, kseg, koff)
+            self._clear_pending(table, arena, kseg, koff)
 
-        # closed-form walk charges (key-entry header costs)
-        ev = np.zeros(m, dtype=np.int64)
-        cv = np.zeros(m, dtype=np.int64)
-        ev[nf_rec] = 1
-        cv[nf_rec] = E.KEY_ENTRY_HEADER + klens[nf_rec]
-        A = _segmented_exclusive_cumsum(ev, buckets)
-        S = _segmented_exclusive_cumsum(cv, buckets)
-        hit_res = res_pos[gpos] >= 0
-        hit_new = ~hit_res & ~isfirst
-        miss = isnewfirst
-        n0r = n0_g[gpos]
-        probe = np.zeros(m, dtype=np.int64)
-        btv = np.zeros(m, dtype=np.int64)
-        probe[miss] = n0r[miss] + A[miss]
-        btv[miss] = R_g[gpos][miss] + S[miss]
-        if hit_new.any():
-            Af = A[firstj][gpos]
-            Sf = S[firstj][gpos]
-            probe[hit_new] = A[hit_new] - Af[hit_new]
-            btv[hit_new] = S[hit_new] - Sf[hit_new]
-        if hit_res.any():
-            probe[hit_res] = (
-                n0r[hit_res] + A[hit_res] - res_pos[gpos][hit_res]
-            )
-            btv[hit_res] = hitbase_g[gpos][hit_res] + S[hit_res]
+        probe_steps, walk_bytes, _, _ = dk.walk_charges(
+            res, buckets, klens, newmask_g, E.KEY_ENTRY_HEADER
+        )
         tally.attempted += m
         tally.succeeded += m
         tally.table_cycles += float(
             HASH_CYCLES_PER_BYTE * int(klens.sum()) + INSERT_CYCLES * m
         )
-        tally.probe_steps += int(probe.sum())
+        tally.probe_steps += probe_steps
         tally.bytes_touched += (
-            int(btv.sum())
+            walk_bytes
             + int((vsizes + 16).sum())
             + int((ksizes[nf_rec] + 16).sum())
         )
         tally.alloc_groups.extend(req_groups)
         return np.ones(m, dtype=bool)
-
-    def _insert_replay(self, table, batch, idx, buckets, tally):
-        """Per-record multi-valued insert with memoized key-chain walks.
-
-        Key-entry chains are materialized once per touched bucket; pending
-        flags, value-node appends, and page pinning are unchanged from the
-        scalar reference.  Kept as the exact path for traced runs and for
-        batches the no-postponement pre-flight rejects.
-        """
-        heap = table.heap
-        alloc = table.alloc
-        head_gpu = table.buckets.head_gpu
-        head_cpu = table.buckets.head_cpu
-        group_size = table.buckets.group_size
-        trace = table.trace
-        cache = batch.cache
-        all_keys = cache.key_bytes_list()
-        all_values = cache.value_bytes_list()
-        idx_list = idx.tolist()
-        bucket_list = buckets.tolist()
-        success = np.zeros(len(idx), dtype=bool)
-        chains = self._materialize_replays(table, set(bucket_list), kind="key")
-        for j, i in enumerate(idx_list):
-            b = bucket_list[j]
-            group = b // group_size
-            key = all_keys[i]
-            value = all_values[i]
-            tally.attempted += 1
-            tally.table_cycles += HASH_CYCLES_PER_BYTE * len(key) + INSERT_CYCLES
-            chain = chains.get(b)
-            if chain is None:
-                chain = self._materialize_keychain(table, int(head_cpu[b]))
-                chains[b] = chain
-            got = chain.resolve(key, tally, trace)
-            if got is not None and got[2] & E.FLAG_TOMBSTONE:
-                got = None  # deleted key: a fresh key entry supersedes it
-            hit = None if got is None else got[1]
-            if hit is None:
-                ksize = E.key_entry_size(len(key))
-                a = alloc.allocate(group, ksize, PageKind.KEY)
-                if a is None:
-                    tally.postponed += 1
-                    continue
-                kbuf = heap.pool.slot_view(a.page.slot)
-                E.write_key_entry(
-                    kbuf, a.offset, int(head_gpu[b]), int(head_cpu[b]), key
-                )
-                head_gpu[b] = a.gpu_addr
-                head_cpu[b] = a.cpu_addr
-                tally.bytes_touched += ksize + 16
-                tally.alloc_groups.append(group)
-                if trace is not None:
-                    trace.on_access(a.cpu_addr, ksize)
-                hit = (kbuf, a.offset, a.page.segment)
-                chain.append_head(
-                    a.cpu_addr, E.KEY_ENTRY_HEADER + len(key), key, hit
-                )
-            kbuf, koff, kseg = hit
-            if self._append_value(
-                table, tally, trace, kbuf, koff, kseg, group, value
-            ):
-                self._clear_pending(table, kbuf, kseg, koff)
-                tally.succeeded += 1
-                success[j] = True
-            else:
-                # The key entry exists but its value could not be stored:
-                # flag it so its page is retained across the eviction.
-                self._set_pending(table, kbuf, kseg, koff)
-                tally.postponed += 1
-        return success
 
     def _insert_scalar(self, table, batch, idx, buckets, tally):
         if batch.values is None:
@@ -1980,7 +1476,9 @@ class MultiValuedOrganization(Organization):
             value = batch.value_bytes(i)
             tally.attempted += 1
             tally.table_cycles += HASH_CYCLES_PER_BYTE * len(key) + INSERT_CYCLES
-            hit = self._find_key(table, bufs, int(head_cpu[b]), key, tally, trace)
+            hit, _blocked = self._find_key_mut(
+                table, bufs, int(head_cpu[b]), key, tally, trace
+            )
             if hit is not None and hit[3] & E.FLAG_TOMBSTONE:
                 hit = None  # deleted key: a fresh key entry supersedes it
             if hit is None:
@@ -2016,37 +1514,6 @@ class MultiValuedOrganization(Organization):
         return success
 
     # -- mixed-op mutation path ----------------------------------------
-    def _mutate_scalar(self, table, batch, idx, buckets, tally):
-        return self._mutate_impl(table, batch, idx, buckets, tally, None)
-
-    def _mutate_vectorized(self, table, batch, idx, buckets, tally):
-        chains = self._materialize_replays(
-            table, np.unique(buckets), kind="key"
-        )
-        return self._mutate_impl(table, batch, idx, buckets, tally, chains)
-
-    def _mv_find(self, table, chains, bufs, b, key, tally, trace):
-        """Newest resident same-key key entry; fresh walk or memo.
-
-        Returns ``(hit, blocked, t, chain)`` with ``hit = (buf, off, seg,
-        flags, addr)``; flags are read fresh from the entry."""
-        head = int(table.buckets.head_cpu[b])
-        if chains is None:
-            hit, blocked = self._find_key_mut(
-                table, bufs, head, key, tally, trace
-            )
-            return hit, blocked, None, None
-        chain = chains.get(b)
-        if chain is None:
-            chain = self._materialize_keychain(table, head)
-            chains[b] = chain
-        got = chain.resolve(key, tally, trace)
-        if got is None:
-            return None, chain.blocked, None, chain
-        t, (buf, off, seg), _memo_flags = got
-        return (buf, off, seg, E.get_flags(buf, off), chain.addrs[t]), \
-            False, t, chain
-
     def _lookup_mv(self, table, b, key, tally) -> list[bytes]:
         """Full CPU-chain lookup: newest live key entry's values, plus any
         older duplicates (forced evictions split a key's values across
@@ -2087,8 +1554,7 @@ class MultiValuedOrganization(Organization):
         out.reverse()
         return out
 
-    def _mutate_impl(self, table, batch, idx, buckets, tally, chains):
-        """In-order mixed-op loop (see BasicOrganization._mutate_impl)."""
+    def _mutate_impl(self, table, batch, idx, buckets, tally):
         heap = table.heap
         alloc = table.alloc
         head_gpu = table.buckets.head_gpu
@@ -2121,8 +1587,8 @@ class MultiValuedOrganization(Organization):
                 success[j] = True
                 continue
             if op == OP_DELETE:
-                hit, blocked, t, chain = self._mv_find(
-                    table, chains, bufs, b, key, tally, trace
+                hit, blocked = self._find_key_mut(
+                    table, bufs, int(head_cpu[b]), key, tally, trace
                 )
                 if hit is not None:
                     kbuf, koff, kseg, fl, addr = hit
@@ -2135,8 +1601,6 @@ class MultiValuedOrganization(Organization):
                         cur = E.get_flags(kbuf, koff)
                         E.set_flags(kbuf, koff, cur | E.FLAG_TOMBSTONE)
                         heap.note_write(kseg)
-                        if chain is not None:
-                            chain.mark(t, E.FLAG_TOMBSTONE)
                         alloc.note_tombstone(E.key_entry_size(len(key)))
                         tally.table_cycles += TOMBSTONE_CYCLES
                         tally.bytes_touched += 4
@@ -2170,12 +1634,6 @@ class MultiValuedOrganization(Organization):
                 tally.alloc_groups.append(group)
                 if trace is not None:
                     trace.on_access(a.cpu_addr, ksize)
-                if chain is not None:
-                    chain.append_head(
-                        a.cpu_addr, E.KEY_ENTRY_HEADER + len(key), key,
-                        (kbuf, a.offset, a.page.segment),
-                        flags=E.FLAG_TOMBSTONE,
-                    )
                 muts.deletes_tombstones += 1
                 tally.succeeded += 1
                 success[j] = True
@@ -2183,8 +1641,8 @@ class MultiValuedOrganization(Organization):
             # OP_INSERT / OP_UPDATE: both append one value node
             value = batch.value_bytes(i)
             tally.table_cycles += INSERT_CYCLES
-            hit, blocked, t, chain = self._mv_find(
-                table, chains, bufs, b, key, tally, trace
+            hit, blocked = self._find_key_mut(
+                table, bufs, int(head_cpu[b]), key, tally, trace
             )
             if hit is not None and hit[3] & E.FLAG_TOMBSTONE:
                 hit = None  # deleted key: a fresh key entry supersedes it
@@ -2225,12 +1683,6 @@ class MultiValuedOrganization(Organization):
                 tally.alloc_groups.append(group)
                 if trace is not None:
                     trace.on_access(a.cpu_addr, ksize)
-                if chain is not None:
-                    chain.append_head(
-                        a.cpu_addr, E.KEY_ENTRY_HEADER + len(key), key,
-                        (kbuf, a.offset, a.page.segment),
-                        flags=E.FLAG_SHADOW if shadow else 0,
-                    )
                 hit = (kbuf, a.offset, a.page.segment, 0, a.cpu_addr)
                 created = True
             kbuf, koff, kseg = hit[0], hit[1], hit[2]

@@ -39,7 +39,7 @@ class BatchGrouping:
     64-bit hash) with a byte-exact key verification pass: if two records
     share a (bucket, hash) pair but differ in key bytes -- a genuine 64-bit
     FNV-1a collision -- :attr:`has_collision` is set and callers must fall
-    back to the scalar-faithful replay walk, which compares full keys.
+    back to the scalar loop, which compares full keys.
 
     Group ids are assigned in (bucket, hash, arrival) order; within a group
     records keep arrival order, which is what makes segmented reductions
@@ -96,7 +96,6 @@ class BatchCache:
         self._bucket_ids: dict[int, np.ndarray] = {}
         self._keys: list[bytes] | None = None
         self._values: list[bytes] | None = None
-        self._numeric: list | None = None
         self._groupings: dict[int, BatchGrouping] = {}
 
     def hashes(self) -> np.ndarray:
@@ -178,15 +177,6 @@ class BatchCache:
                 rows[i, : lens[i]].tobytes() for i in range(len(lens))
             ]
         return self._values
-
-    def numeric_list(self) -> list:
-        """``numeric_values.tolist()``, computed once."""
-        if self._numeric is None:
-            b = self._batch
-            if b.numeric_values is None:
-                raise ValueError("batch carries byte values")
-            self._numeric = b.numeric_values.tolist()
-        return self._numeric
 
 
 def pack_byte_rows(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray]:

@@ -506,7 +506,6 @@ def _build_registry() -> tuple[ImplSpec, ...]:
     ):
         for impl, label in (
             ("vectorized", "vectorized"),
-            ("compiled", "compiled"),
             ("slow_reference", "reference"),
         ):
             specs.append(

@@ -25,8 +25,13 @@ from repro.core import (
     SUM_I64,
 )
 from repro.core import chainview, entries as E
-from repro.core.chainview import ChainViewStore, materialize_chains
+from repro.core.chainview import (
+    ChainViewStore,
+    materialize_chains,
+    resolve_keys,
+)
 from repro.core.lookup import LookupDriver
+from repro.core.records import pack_byte_rows
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 from repro.memalloc.address import NULL
@@ -58,18 +63,48 @@ def page_in_all(table):
 KEYS = [b"cv-key-%03d" % i for i in range(40)]
 PAIRS = [(k, b"val-%03d" % i) for i, k in enumerate(KEYS)]
 
+#: resident keys a zero-padded row compare could confuse: a prefix of other
+#: keys, the empty key, embedded and trailing NULs
+EDGE_KEYS = [b"cv-key", b"", b"nul", b"nul\x00", b"nul\x00\x00", b"nul\x00mid"]
+EDGE_PAIRS = [(k, b"edge-%d" % i) for i, k in enumerate(EDGE_KEYS)]
+#: absent keys: a prefix of resident keys, a resident key plus a byte, equal
+#: length but different bytes, and one longer than every resident key (the
+#: batch key matrix is then wider than the resident one)
+ABSENT_KEYS = [
+    b"cv-key-00", b"cv-key-0000", b"nul\x00mie", b"\x00", b"nul\x00\x00\x00",
+    b"longer-than-every-resident-key",
+]
+
+
+def scalar_resolve(heap, kind, header, heads, queries):
+    """What :func:`resolve_keys` must return, from per-entry walks."""
+    arena = heap.pool.arena
+    rows = []
+    for h, q in zip(heads, queries):
+        if h == NULL:
+            rows.append((0, 0, -1, 0, NULL, NULL))
+            continue
+        v = chainview._materialize_scalar(heap, h, kind, header, arena)
+        w = next((w for w in range(v.n) if v.key_bytes(w) == q), -1)
+        rows.append((
+            v.n, int(v.cum[-1]) if v.n else 0, w,
+            *((int(v.cum[w]), int(v.pos[w]), int(v.addrs[w])) if w >= 0
+              else (0, NULL, NULL)),
+        ))
+    return rows
+
 
 # ----------------------------------------------------------------------
 # materializer parity: bulk level-sync gathers vs per-entry scalar walk
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("org_kind", ["basic", "combining", "multi-valued"])
-def test_bulk_matches_scalar_materializer(org_kind):
+def test_bulk_matches_scalar_materializer(org_kind, monkeypatch):
     if org_kind == "combining":
         org, kind, header = (
             CombiningOrganization(SUM_I64), "generic", E.ENTRY_HEADER
         )
         table, driver, _ = build(org)
-        stream = KEYS * 3
+        stream = (KEYS + EDGE_KEYS) * 3
         driver.run([RecordBatch.from_numeric(
             stream, np.ones(len(stream), dtype=np.int64)
         )])
@@ -83,12 +118,18 @@ def test_bulk_matches_scalar_materializer(org_kind):
             else BasicOrganization()
         )
         table, driver, _ = build(org)
-        insert(table, driver, PAIRS)
+        insert(table, driver, PAIRS + EDGE_PAIRS)
     page_in_all(table)
+    # evict one page again: every chain starting in it parses to an empty
+    # view blocked at its head
+    seg = next(iter(table.heap._resident))
+    table.heap.evict([table.heap._resident[seg]])
     heads = table.buckets.head_cpu
     heads = [int(h) for h in heads[heads != NULL]]
     assert heads, "populated table must have chains"
     bulk = materialize_chains(table.heap, heads, kind)
+    assert any(v.n == 0 and v.blocked for v in bulk.values())
+    assert any(v.n > 1 for v in bulk.values())
     arena = table.heap.pool.arena
     for h in heads:
         want = chainview._materialize_scalar(table.heap, h, kind, header, arena)
@@ -100,6 +141,24 @@ def test_bulk_matches_scalar_materializer(org_kind):
             )
         for w in range(want.n):
             assert got.key_bytes(w) == want.key_bytes(w)
+
+    # first-match resolve: every query against every chain (and an empty
+    # bucket), with the batch key matrix wider and narrower than the
+    # resident one, whole and with the pair expansion cut into slices
+    queries = KEYS + EDGE_KEYS + ABSENT_KEYS
+    for qs in (queries, [q for q in queries if len(q) <= 4]):
+        qheads = [h for h in heads + [NULL] for _ in qs]
+        qkeys = qs * (len(heads) + 1)
+        want_rows = scalar_resolve(table.heap, kind, header, qheads, qkeys)
+        if qs is queries:
+            assert any(r[2] > 0 for r in want_rows), "no hit below a head"
+        kmat, klens = pack_byte_rows(qkeys)
+        for pairs in (chainview._RESOLVE_PAIRS, 2):
+            monkeypatch.setattr(chainview, "_RESOLVE_PAIRS", pairs)
+            got_cols = resolve_keys(
+                table.heap, np.array(qheads), kind, kmat, klens
+            )
+            assert list(zip(*(c.tolist() for c in got_cols))) == want_rows
 
 
 def test_empty_and_single_entry_chains():
@@ -211,106 +270,41 @@ def test_unaligned_heap_falls_back_to_scalar_parse():
     assert got == set(KEYS[:10])
 
 
-# ----------------------------------------------------------------------
-# compiled backend seam (numba optional; this container runs without it)
-# ----------------------------------------------------------------------
-def test_compiled_impl_matches_reference_without_numba(monkeypatch):
-    """impl="compiled" must give bit-identical answers whether or not
-    numba is importable; with REPRO_NO_NUMBA the gathers silently alias
-    the vectorized numpy versions."""
-    monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-    results = {}
-    for impl in ("compiled", "vectorized", "slow_reference"):
-        table, driver, lookups = build(org=BasicOrganization(impl=impl))
-        insert(table, driver, PAIRS)
-        res = lookups.lookup(KEYS + [b"missing"])
-        results[impl] = (res.values, res.iterations)
-    assert results["compiled"] == results["vectorized"]
-    assert results["compiled"] == results["slow_reference"]
-
-
-def test_kernels_module_degrades_without_numba():
-    from repro.core import _kernels
-
-    if not _kernels.HAVE_NUMBA:
-        assert _kernels.gather_generic is _kernels.gather_level_generic
-        assert _kernels.gather_key is _kernels.gather_level_key
-
-
-def _walk_chains_reference(w64, w32, heads, segmap, page_size, kind):
-    """Pure-Python mirror of the jitted whole-walk kernel (same two-pass
-    traversal, same header parses), used to exercise the compiled
-    materializer path in environments without numba."""
-    from repro.core.entries import GKLEN_MASK
-
-    counts, blocked = [], {}
-    rows = []
-    for i, head in enumerate(heads.tolist()):
-        addr = head
-        cnt = 0
-        while addr != NULL:
-            seg = addr // page_size
-            slot = int(segmap[seg])
-            if slot < 0:
-                blocked[i] = (seg, addr)
-                break
-            pos = slot * page_size + (addr - seg * page_size)
-            p4 = pos >> 2
-            if kind == "generic":
-                kw = int(w32[p4 + 4])
-                row = (addr, pos, kw & GKLEN_MASK, int(w32[p4 + 5]),
-                       kw & ~GKLEN_MASK)
-            else:
-                row = (addr, pos, int(w32[p4 + 8]), 0, int(w32[p4 + 9]))
-            rows.append(row)
-            cnt += 1
-            addr = int(w64[(pos >> 3) + 1])
-        counts.append(cnt)
-    cols = list(zip(*rows)) if rows else [[]] * 5
-    return (
-        np.array(counts, dtype=np.int64),
-        np.array(cols[0], dtype=np.int64),
-        np.array(cols[1], dtype=np.int64),
-        np.array(cols[2], dtype=np.int64),
-        np.array(cols[3], dtype=np.int64),
-        np.array(cols[4], dtype=np.int64),
-        blocked,
-    )
-
-
-@pytest.mark.parametrize("org_kind", ["basic", "multi-valued"])
-def test_whole_walk_compiled_path_matches_numpy(org_kind, monkeypatch):
-    """The compiled=True route through walk_chains must produce views
-    field-identical to the per-level numpy loop, including blocked
-    chains.  walk_chains is stubbed with a pure-Python mirror of the
-    jitted kernel, so the wrapper + assembly tail is exercised even in
-    this numba-less container."""
-    org = MultiValuedOrganization() if org_kind == "multi-valued" else None
-    kind = "key" if org_kind == "multi-valued" else "generic"
-    table, driver, _ = build(org=org)
-    insert(table, driver, PAIRS)
-    page_in_all(table)
-    # evict one resident page so some walk blocks mid-chain
-    seg = next(iter(table.heap._resident))
-    table.heap.evict([table.heap._resident[seg]])
-    heads = table.buckets.head_cpu
-    live = [int(h) for h in heads[heads != NULL]]
-
-    want = materialize_chains(table.heap, live, kind)
-    monkeypatch.setattr(chainview.K, "walk_chains", _walk_chains_reference)
-    got = materialize_chains(table.heap, live, kind, compiled=True)
-
-    assert set(want) == set(got)
-    for h in live:
-        a, b = want[h], got[h]
-        assert a.blocked == b.blocked
-        for f in ("addrs", "pos", "klens", "vlens", "flags", "costs",
-                  "cum", "keys"):
-            np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
-
-
-def test_walk_chains_absent_without_numba():
-    from repro.core import _kernels
-
-    if not _kernels.HAVE_NUMBA:
-        assert _kernels.walk_chains is None
+@pytest.mark.parametrize("org_kind", ["combining", "multi-valued"])
+def test_unaligned_heap_resolve_matches_reference(org_kind):
+    """The second batch finds the first one's entries resident, so the
+    insert kernels resolve against chains the per-entry fallback parsed:
+    masks, tallies, simulated clock and contents must equal the oracle."""
+    streams = [
+        [KEYS[i % 12] for i in range(40)],
+        [KEYS[(7 * i) % 20] for i in range(40)],  # old keys and new ones
+    ]
+    outcomes = {}
+    for impl in ("vectorized", "slow_reference"):
+        if org_kind == "combining":
+            org = CombiningOrganization(SUM_I64, impl=impl)
+            batches = [
+                RecordBatch.from_numeric(s, np.arange(len(s), dtype=np.int64))
+                for s in streams
+            ]
+        else:
+            org = MultiValuedOrganization(impl=impl)
+            batches = [
+                RecordBatch.from_pairs(
+                    [(k, b"v%d-%d" % (n, i)) for i, k in enumerate(s)]
+                )
+                for n, s in enumerate(streams)
+            ]
+        table, driver, _ = build(org, heap_bytes=60 * 300, page_size=300)
+        results = [table.insert_batch(b) for b in batches]
+        assert all(r.success.all() for r in results), "heap must not evict"
+        for r in results:
+            driver.kernel.charge(r.stats)  # advance the simulated clock
+        assert table.ledger.elapsed > 0
+        outcomes[impl] = (
+            [r.success.tolist() for r in results],
+            [r.tally for r in results],
+            table.ledger.elapsed,
+            table.result(),
+        )
+    assert outcomes["vectorized"] == outcomes["slow_reference"]

@@ -217,8 +217,9 @@ def test_lookup_duplicate_queries_share_one_chain_walk():
 
 def test_lookup_rejects_unknown_impl():
     table, driver, lookups = build_table()
-    with pytest.raises(ValueError):
-        LookupDriver(table, lookups.kernel, lookups.bus, impl="gpu")
+    for impl in ("gpu", "compiled"):  # the numba backend is gone for good
+        with pytest.raises(ValueError):
+            LookupDriver(table, lookups.kernel, lookups.bus, impl=impl)
 
 
 def test_lookup_unknown_org_rejected():

@@ -128,3 +128,16 @@ def test_hashtable_rejects_unknown_org_string():
 
     with pytest.raises(ValueError):
         Bad().make_organization()
+
+
+def test_compiled_impl_no_longer_exists():
+    from repro.core.organizations import IMPLS
+
+    assert IMPLS == ("vectorized", "slow_reference")
+    for make in (
+        BasicOrganization,
+        MultiValuedOrganization,
+        lambda impl: CombiningOrganization(SUM_I64, impl=impl),
+    ):
+        with pytest.raises(ValueError, match="impl must be one of"):
+            make(impl="compiled")

@@ -63,13 +63,9 @@ def test_byte_lists_roundtrip_and_are_memoized():
     assert b.value_bytes_list() is values
 
 
-def test_numeric_list_and_kind_errors():
-    nb = numeric_batch()
-    assert nb.cache.numeric_list() == [0, 1, 2, 3]
+def test_value_bytes_list_rejects_numeric_batch():
     with pytest.raises(ValueError, match="numeric"):
-        nb.cache.value_bytes_list()
-    with pytest.raises(ValueError, match="byte"):
-        byte_batch().cache.numeric_list()
+        numeric_batch().cache.value_bytes_list()
 
 
 def test_cache_attachment_freezes_payload_arrays():
