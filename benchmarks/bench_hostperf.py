@@ -16,7 +16,12 @@ trajectory at both the classic 64k scale and the deep-chain 1M scale::
 Two key distributions are measured: ``uniform`` (every key equally likely,
 ~keyspace/1 duplication) and ``zipf`` (zipf(1.05) over a reduced keyspace,
 the heavy-duplication regime where the in-batch pre-aggregation kernels
-collapse whole runs of duplicates into one chain probe).  A third
+collapse whole runs of duplicates into one chain probe); the insert cells
+carry a ``combining-f64`` row (``SUM_F64`` over values of mixed magnitude)
+beside the three organizations, because its kernel is the one an
+order-exact fold had to earn.  A ``result`` cell times the CPU-side read of
+a finished two-iteration table, bulk reader (``impl="vectorized"``) against
+the per-entry merge, in keys/s.  A third
 ``mixed-ops`` cell times interleaved insert/update/delete/lookup
 mutation batches; it is tracked but not gated, because delete and lookup
 ops send the whole batch down the scalar loop under both implementations
@@ -27,8 +32,9 @@ iteration-boundary path under ``integrity`` off|verify|scrub, measuring
 what per-page CRC32 sealing and the background scrub sweep cost the host.
 
 The pytest entry points double as the CI perf smoke: every organization's
-vectorized path must beat its scalar reference by at least 2x on the
-reduced workload (the tracked full-scale speedups are ~8-10x; 2x keeps the
+vectorized insert path (f64 combining included) must beat its scalar
+reference by at least 2x, and the bulk ``result()`` of the combining table
+its per-entry merge by 1.5x, on the reduced workload (the tracked full-scale speedups are ~8-10x; 2x keeps the
 gate robust on noisy shared runners).  The 1M tier is gated separately
 (``test_million_tier_*``, a dedicated CI job) with *absolute* vectorized
 records/sec floors seeded at roughly a third of the throughput measured
@@ -56,6 +62,7 @@ from repro.core import (
     OP_LOOKUP,
     OP_UPDATE,
     RecordBatch,
+    SUM_F64,
     SUM_I64,
 )
 from repro.memalloc import GpuHeap
@@ -73,6 +80,11 @@ TIER_NS = (FULL_N, MILLION_N)
 #: reduced scale for the CI smoke (keeps the gate < a few seconds)
 SMOKE_N = 16_384
 SMOKE_MIN_SPEEDUP = 2.0
+#: gate of the bulk ``result()`` reader.  Both readers must create one
+#: ``bytes`` per entry and store every key in a dict, which bounds the
+#: ratio: 2.0-2.7x measured, against 1.0x for any per-entry reader, so
+#: 1.5x tells the two apart without sitting inside the run-to-run noise
+RESULT_MIN_SPEEDUP = 1.5
 #: absolute vectorized floors for the 1M tier (records/sec), seeded at
 #: ~1/3 of the throughput measured when the tier landed (basic 1.58M,
 #: combining 841k, multi-valued 619k) to stay robust on shared runners
@@ -84,6 +96,9 @@ MILLION_MIN_RPS = {
 
 DISTRIBUTIONS = ("uniform", "zipf")
 KINDS = ("basic", "combining", "multi-valued")
+#: rows of the 64k insert cells: the organizations, plus the combining
+#: organization once more under an f64 combiner
+INSERT_KINDS = KINDS + ("combining-f64",)
 
 #: zipf skew of the heavy-duplication workload (matches the sanitize
 #: conformance matrix's ``zipf105`` cell)
@@ -130,6 +145,8 @@ def make_org(kind: str, impl: str):
         return BasicOrganization(impl=impl)
     if kind == "combining":
         return CombiningOrganization(SUM_I64, impl=impl)
+    if kind == "combining-f64":
+        return CombiningOrganization(SUM_F64, impl=impl)
     return MultiValuedOrganization(impl=impl)
 
 
@@ -138,6 +155,10 @@ def make_batch(kind: str, keys, values):
         return RecordBatch.from_numeric(
             keys, np.ones(len(keys), dtype=np.int64)
         )
+    if kind == "combining-f64":
+        # mixed magnitudes: sums whose rounding depends on association
+        n = np.arange(len(keys), dtype=np.float64)
+        return RecordBatch.from_numeric(keys, (n + 0.1) * 10.0 ** (n % 17 - 8))
     return RecordBatch.from_pairs(list(zip(keys, values)))
 
 
@@ -159,6 +180,37 @@ def insert_rps(kind: str, impl: str, keys, values, repeats: int = 3) -> float:
         assert result.success.all(), "workload must not be postponed"
         best = max(best, n / dt)
     return best
+
+
+def result_kps(kind: str, keys, values, repeats: int = 3) -> dict:
+    """Best-of-``repeats`` keys/sec of ``result()`` on a finished table.
+
+    The table is loaded in two iterations, so every reader sees evicted
+    segments and keys split across entries.  Both readers run over the
+    very same table: the per-entry merge is what ``result()`` does once
+    the organization says ``slow_reference``.
+    """
+    table = make_table(kind, "vectorized", len(keys))
+    half = len(keys) // 2
+    for lo in (0, half):
+        batch = make_batch(kind, keys[lo : lo + half], values[lo : lo + half])
+        assert table.insert_batch(batch).success.all()
+        table.end_iteration()
+    best = {"slow_reference": 0.0, "vectorized": 0.0}
+    for _ in range(repeats):
+        # both readers inside every repeat: this box changes speed for
+        # seconds at a time, and one arm per window would measure that
+        for impl in best:
+            table.org.impl = impl
+            t0 = time.perf_counter()
+            out = table.result()
+            dt = time.perf_counter() - t0
+            best[impl] = max(best[impl], len(out) / dt)
+    return {
+        "scalar_kps": round(best["slow_reference"]),
+        "vectorized_kps": round(best["vectorized"]),
+        "speedup": round(best["vectorized"] / best["slow_reference"], 2),
+    }
 
 
 #: op mix of the mixed-op cell (insert/update/delete/lookup); matches the
@@ -324,14 +376,20 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
     the scalar mixed-op/integrity cells would take minutes."""
     distributions = {}
     dists = ("uniform",) if insert_only else DISTRIBUTIONS
+    kinds = KINDS if insert_only else INSERT_KINDS
     for dist in dists:
         keys, values = make_workload(n, dist)
         distributions[dist] = {
-            kind: _insert_cell(kind, keys, values, repeats) for kind in KINDS
+            kind: _insert_cell(kind, keys, values, repeats) for kind in kinds
         }
     if insert_only:
         return {"n_records": n, "repeats": repeats,
                 "distributions": distributions}
+    # CPU-side read of the finished table: bulk reader vs per-entry merge
+    keys, values = make_workload(n, "uniform")
+    distributions["result"] = {
+        kind: result_kps(kind, keys, values, repeats) for kind in KINDS
+    }
     # mixed-op cell: tracked, not gated -- delete/lookup ops force the
     # scalar loop, so this measures the mutation oracle itself
     triples = make_mixed_ops(n)
@@ -469,6 +527,25 @@ def test_vectorized_combining_beats_scalar_smoke():
     _smoke("combining", "zipf")
 
 
+def test_vectorized_combining_f64_beats_scalar_smoke():
+    """CI gate: f64 combiners stay in the pre-aggregating kernel -- the
+    order-exact fold must not slide back to one record at a time."""
+    _smoke("combining-f64", "uniform")
+    _smoke("combining-f64", "zipf")
+
+
+def test_result_reader_beats_scalar_smoke():
+    """CI gate: ``result()`` of the combining table through the bulk
+    reader must stay clear of the per-entry merge (see
+    :data:`RESULT_MIN_SPEEDUP`)."""
+    keys, values = make_workload(SMOKE_N, "uniform")
+    row = result_kps("combining", keys, values)
+    assert row["vectorized_kps"] >= RESULT_MIN_SPEEDUP * row["scalar_kps"], (
+        f"result(): bulk reader {row['vectorized_kps']:,} keys/s < "
+        f"{RESULT_MIN_SPEEDUP}x per-entry merge {row['scalar_kps']:,} keys/s"
+    )
+
+
 def test_vectorized_multivalued_beats_scalar_smoke():
     """CI gate: the bulk multi-valued kernel must not regress below the
     scalar reference (>= 2x, uniform and zipf)."""
@@ -545,14 +622,19 @@ def test_hostperf_export_roundtrip(tmp_path):
     full = loaded["tiers"]["2048"]
     assert full["n_records"] == 2048
     assert set(full["distributions"]) == (
-        set(DISTRIBUTIONS) | {"mixed-ops", "integrity-overhead"}
+        set(DISTRIBUTIONS) | {"result", "mixed-ops", "integrity-overhead"}
     )
     for dist in DISTRIBUTIONS:
         rows = full["distributions"][dist]
-        assert set(rows) == set(KINDS)
+        assert set(rows) == set(INSERT_KINDS)
         for row in rows.values():
             assert set(row) == {"scalar_rps", "vectorized_rps", "speedup"}
             assert row["scalar_rps"] > 0 and row["vectorized_rps"] > 0
+    rows = full["distributions"]["result"]
+    assert set(rows) == set(KINDS)
+    for row in rows.values():
+        assert set(row) == {"scalar_kps", "vectorized_kps", "speedup"}
+        assert row["scalar_kps"] > 0 and row["vectorized_kps"] > 0
     for kind, row in full["distributions"]["mixed-ops"].items():
         assert row["scalar_rps"] > 0
         assert ("vectorized_rps" in row) == (kind in BATCHED_MUTATION_KINDS)
@@ -617,6 +699,13 @@ def _print_tier(tier: dict) -> None:
                     )
                     + f"   (+{row['verify_overhead_pct']}% verify, "
                     f"+{row['scrub_overhead_pct']}% scrub)"
+                )
+                continue
+            if dist == "result":
+                print(
+                    f"{dist:>8}/{kind:<13} scalar {row['scalar_kps']:>10,} "
+                    f"keys/s   vectorized {row['vectorized_kps']:>10,} "
+                    f"keys/s   {row['speedup']:.1f}x"
                 )
                 continue
             line = f"{dist:>8}/{kind:<13} scalar {row['scalar_rps']:>10,} rec/s"

@@ -1,17 +1,23 @@
-"""Struct-of-arrays views over resident bucket chains.
+"""Struct-of-arrays views over bucket chains.
 
 A bucket chain is a linked list, so a single walk is inherently
 sequential; the vectorization win comes from walking *many* chains at
-once.  :func:`materialize_chains` advances every requested chain
-level-synchronously: one gather parses the current entry of all still-live
-walks (header words via int64/uint32 views of the heap arena), one
-residency-map lookup splits them into resident and blocked, and the
-survivors step to their ``next_cpu`` together.  Per-entry Python work --
-``divmod``, a dict probe, a ``struct.unpack_from`` and two ``bytes``
-copies per chain step -- becomes a handful of numpy operations per chain
-*level*, shared by every chain still alive at that depth.
+once.  One walker (:func:`_walk`) advances every requested chain
+level-synchronously: one gather steps all still-live walks to their
+``next_cpu`` together, and the nodes' other header words are gathered once
+at the end.  Per-entry Python work -- ``divmod``, a dict probe, a
+``struct.unpack_from`` and two ``bytes`` copies per chain step -- becomes
+a handful of numpy operations per chain *level*, shared by every chain
+still alive at that depth; the few chains far longer than the rest finish
+one node at a time.  The walker serves two address translations:
 
-The result is a :class:`ChainBlock`: chain-major flat arrays of addresses,
+* :func:`materialize_chains` reads *resident* chains out of the GPU arena
+  under the residency map, and a walk blocks where its chain leaves it;
+* :func:`walk_cpu_image` reads the *finished* table out of the flat
+  CPU-side image, where a CPU address is the byte offset and nothing
+  blocks (``GpuHashTable.result``).
+
+A resident parse returns a :class:`ChainBlock`: chain-major flat arrays of addresses,
 arena positions, key/value lengths, mutation flags and walk-charge
 cumsums, plus one zero-padded key matrix.  It is read two ways, and there
 is no third:
@@ -34,7 +40,7 @@ address stays byte-accurate and simply becomes a suffix.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +54,8 @@ __all__ = [
     "KeyResolve",
     "materialize_chains",
     "resolve_keys",
+    "walk_cpu_image",
+    "word_aligned",
 ]
 
 #: generic-entry flag bits live above GKLEN_MASK in the klen word
@@ -56,6 +64,11 @@ _GFLAG_BITS = ~np.int64(E.GKLEN_MASK)
 #: (batch key, resident entry) pairs :func:`resolve_keys` expands at a
 #: time; bounds its pair arrays however many keys share one long chain
 _RESOLVE_PAIRS = 1 << 18
+
+#: live walks a level-synchronous round needs to beat the per-node loop:
+#: a round is ~a dozen numpy dispatches whatever its width, a loop step
+#: well under a microsecond
+_ROUND_MIN_LIVE = 32
 
 
 class ChainSoA:
@@ -158,33 +171,141 @@ class ChainBlock(Mapping):
         )
 
 
-def _gather_generic(w64, w32, pos):
-    """Parse one level of generic-entry headers at arena byte offsets
-    ``pos`` (8-aligned).  Returns ``(next_cpu, klen, vlen, flags)``."""
-    p4 = pos >> 2
-    kw = w32[p4 + 4].astype(np.int64)
-    return (
-        w64[(pos >> 3) + 1], kw & np.int64(E.GKLEN_MASK),
-        w32[p4 + 5].astype(np.int64), kw & _GFLAG_BITS,
-    )
+class _Layout(NamedTuple):
+    """How the walker reads one kind of linked node.
+
+    Every kind keeps ``next_cpu`` at byte 8 and two u32 fields side by
+    side further in; the walker gathers them as raw ``(u, v)`` columns and
+    :attr:`decode` turns those into ``(klen, vlen, flags)``.
+    """
+
+    header: int  # bytes in front of the node's payload
+    word: int  # u32 index, from the node start, of ``u`` (``v`` follows)
+    decode: Callable
 
 
-def _gather_key(w64, w32, pos):
-    """Parse one level of multi-valued key-entry headers.  Returns
-    ``(next_cpu, klen, vlen=0, flags)`` -- the vlen column keeps the two
-    kinds shape-compatible for the shared walk loop."""
-    p4 = pos >> 2
-    return (
-        w64[(pos >> 3) + 1], w32[p4 + 8].astype(np.int64),
-        np.zeros(len(pos), dtype=np.int64), w32[p4 + 9].astype(np.int64),
-    )
+def _zeros(col):
+    return np.zeros(len(col), dtype=np.int64)
 
 
-#: entry layout per chain kind: (level gather, header bytes)
 _LAYOUTS = {
-    "generic": (_gather_generic, E.ENTRY_HEADER),
-    "key": (_gather_key, E.KEY_ENTRY_HEADER),
+    # u = klen word (flags in its top bits), v = vlen
+    "generic": _Layout(
+        E.ENTRY_HEADER, 4,
+        lambda u, v: (u & np.int64(E.GKLEN_MASK), v, u & _GFLAG_BITS),
+    ),
+    # multi-valued key entries: u = klen, v = flags
+    "key": _Layout(E.KEY_ENTRY_HEADER, 8, lambda u, v: (u, _zeros(u), v)),
+    # value nodes: u = vlen, v = pad
+    "value": _Layout(
+        E.VALUE_NODE_HEADER, 4, lambda u, v: (_zeros(u), u, _zeros(u))
+    ),
 }
+
+
+def word_aligned(heap) -> bool:
+    """May this heap's bytes be read through int64/uint32 word views?
+    Odd page sizes (tiny test heaps) parse entry by entry instead."""
+    return heap.pool.arena.nbytes % 8 == 0 and heap.page_size % 8 == 0
+
+
+def _walk(buf, heads, layout, base, page_size):
+    """The level-synchronous walker behind every bulk chain read.
+
+    Walks the linked nodes starting at each of ``heads`` (``NULL`` heads
+    are empty chains) through ``buf``, a uint8 array, under one of two
+    address translations.  With ``base`` -- byte position in ``buf`` of
+    every segment, ``-1`` when absent -- a walk *blocks* where it leaves
+    the mapped segments (the GPU arena under the residency map).  With
+    ``base=None`` a CPU address *is* the byte offset (the flat CPU-side
+    image) and no walk can block.
+
+    One round steps every live walk to its next node with a handful of
+    gathers.  That pays only while many walks are live: under
+    :data:`_ROUND_MIN_LIVE` the few long ones finish one node at a time.
+    Either way only the pointers are chased; the nodes' other fields are
+    gathered once, for all of them, at the end.
+
+    Returns ``(addr, pos, klen, vlen, flags)`` columns in chain-major
+    walk order, the per-chain node counts, and ``{chain: (segment,
+    address)}`` for the walks that blocked.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    nc = len(heads)
+    w64 = buf.view(np.int64)
+    ci = np.flatnonzero(heads != NULL)
+    cur = heads[ci]
+    blocked: dict[int, tuple[int, int]] = {}
+    # per batch of visited nodes: chain index, rank in chain, address,
+    # byte position
+    parts: list[tuple] = []
+    depth = 0
+    while len(cur) >= _ROUND_MIN_LIVE:
+        pos = cur
+        if base is not None:
+            seg = cur // page_size
+            at = base[seg]
+            dead = at < 0
+            if dead.any():
+                blocked.update(zip(
+                    ci[dead].tolist(),
+                    zip(seg[dead].tolist(), cur[dead].tolist()),
+                ))
+                live = ~dead
+                ci, cur, seg, at = ci[live], cur[live], seg[live], at[live]
+            pos = at + (cur - seg * page_size)
+        parts.append((ci, np.full(len(ci), depth), cur, pos))
+        depth += 1
+        nxt = w64[(pos >> 3) + 1]
+        alive = nxt != NULL
+        ci, cur = ci[alive], nxt[alive]
+
+    if len(cur):
+        m64 = memoryview(buf).cast("q")
+        at = None if base is None else base.tolist()
+        t_addr: list[int] = []
+        t_pos: list[int] = []
+        lens = []
+        for c, addr in zip(ci.tolist(), cur.tolist()):
+            before = len(t_addr)
+            while addr != NULL:
+                pos = addr
+                if at is not None:
+                    seg, off = divmod(addr, page_size)
+                    if at[seg] < 0:
+                        blocked[c] = (seg, addr)
+                        break
+                    pos = at[seg] + off
+                t_addr.append(addr)
+                t_pos.append(pos)
+                addr = m64[(pos >> 3) + 1]
+            lens.append(len(t_addr) - before)
+        first = np.cumsum(lens) - lens
+        parts.append((
+            np.repeat(ci, lens),
+            depth + np.arange(len(t_addr)) - np.repeat(first, lens),
+            np.array(t_addr, dtype=np.int64),
+            np.array(t_pos, dtype=np.int64),
+        ))
+
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return (empty,) * 5, np.zeros(nc, dtype=np.int64), blocked
+    ci_all, rank, addr, pos = (np.concatenate(col) for col in zip(*parts))
+    counts = np.bincount(ci_all, minlength=nc)
+    # chain-major reassembly: a node's row is its chain's first row plus
+    # its rank in the walk
+    dest = (np.cumsum(counts) - counts)[ci_all] + rank
+    addr_s = np.empty_like(addr)
+    pos_s = np.empty_like(pos)
+    addr_s[dest] = addr
+    pos_s[dest] = pos
+    p4 = (pos_s >> 2) + layout.word
+    w32 = buf.view(np.uint32)
+    fields = layout.decode(
+        w32[p4].astype(np.int64), w32[p4 + 1].astype(np.int64)
+    )
+    return (addr_s, pos_s, *fields), counts, blocked
 
 
 def _materialize_scalar(heap, head, kind, header, arena) -> ChainSoA:
@@ -276,16 +397,14 @@ def materialize_chains(heap, heads, kind: str = "generic") -> ChainBlock:
     reader of resident chains outside the scalar oracle loops goes through
     the block it returns.
     """
-    if kind not in _LAYOUTS:
+    if kind not in ("generic", "key"):
         raise ValueError(f"unknown chain kind {kind!r}")
-    gather, header = _LAYOUTS[kind]
+    layout = _LAYOUTS[kind]
+    header = layout.header
     heads = list(dict.fromkeys(int(h) for h in heads if h != NULL))
     arena = heap.pool.arena
-    nc = len(heads)
     page_size = heap.page_size
-    if arena.nbytes % 8 or page_size % 8:
-        # word views need 8-byte alignment; odd page sizes (tiny test
-        # heaps) parse entry by entry into the same block
+    if not word_aligned(heap):
         views = [
             _materialize_scalar(heap, h, kind, header, arena) for h in heads
         ]
@@ -300,47 +419,24 @@ def materialize_chains(heap, heads, kind: str = "generic") -> ChainBlock:
             {i: v.blocked for i, v in enumerate(views)
              if v.blocked is not None},
         )
-    segmap = heap.resident_slot_map()
-    w64 = arena.view(np.int64)
-    w32 = arena.view(np.uint32)
+    slot = heap.resident_slot_map()
+    base = np.where(slot < 0, -1, slot * page_size)
+    cols, counts, blocked = _walk(arena, heads, layout, base, page_size)
+    return _assemble(heads, arena, header, *cols, counts, blocked)
 
-    cur = np.array(heads, dtype=np.int64)
-    ci = np.arange(nc, dtype=np.int64)
-    blocked: dict[int, tuple[int, int]] = {}
-    # per level: chain index, address, arena position, klen, vlen, flags
-    levels: list[tuple] = []
 
-    while len(cur):
-        seg = cur // page_size
-        slot = segmap[seg]
-        dead = slot < 0
-        if dead.any():
-            for c, s, a in zip(
-                ci[dead].tolist(), seg[dead].tolist(), cur[dead].tolist()
-            ):
-                blocked[c] = (s, a)
-            live = ~dead
-            ci, cur, seg, slot = ci[live], cur[live], seg[live], slot[live]
-            if not len(cur):
-                break
-        pos = slot * page_size + (cur - seg * page_size)
-        nxt, klen, vlen, flags = gather(w64, w32, pos)
-        levels.append((ci, cur, pos, klen, vlen, flags))
-        alive = nxt != NULL
-        ci, cur = ci[alive], nxt[alive]
+def walk_cpu_image(image: np.ndarray, heads, kind: str):
+    """Walk chains through the flat CPU-side image
+    (:meth:`repro.memalloc.heap.GpuHeap.cpu_image`), where a CPU address
+    is the byte offset and nothing is ever non-resident.
 
-    if not levels:
-        # no head was resident (or none was given): all-empty chains
-        empty = np.zeros(0, dtype=np.int64)
-        levels.append((empty,) * 6)
-    ci_all, *cols = (np.concatenate(col) for col in zip(*levels))
-    n = len(ci_all)
-    # stable sort by chain id; level order within a chain IS walk order
-    order = (ci_all * n + np.arange(n, dtype=np.int64)).argsort()
-    counts = np.bincount(ci_all[order], minlength=nc)
-    return _assemble(
-        heads, arena, header, *(col[order] for col in cols), counts, blocked
-    )
+    ``kind`` is ``"generic"``, ``"key"`` or ``"value"`` (a multi-valued
+    key's value list).  Returns chain-major ``(pos, klen, vlen, flags)``
+    columns and the per-head node counts; the gathers are unchecked, so
+    the image must come from a heap this process built or verified.
+    """
+    cols, counts, _ = _walk(image, heads, _LAYOUTS[kind], None, 0)
+    return cols[1:], counts
 
 
 def _as_words(mat: np.ndarray) -> np.ndarray:

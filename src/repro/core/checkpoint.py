@@ -252,8 +252,10 @@ class FrozenTable:
         out: dict[bytes, Any] = {}
         for key, payload in self.cpu_items():
             if self.organization == "combining":
+                # older values fold in from the left, as in the live
+                # table's result(): f64 sums must survive a round trip
                 out[key] = (
-                    self.combiner.combine(out[key], payload)
+                    self.combiner.combine(payload, out[key])
                     if key in out else payload
                 )
             elif self.organization == "multi-valued":
@@ -299,7 +301,7 @@ class FrozenTable:
                         found = True
                     else:
                         v = self.combiner.unpack(raw)
-                        acc = v if not found else self.combiner.combine(acc, v)
+                        acc = v if not found else self.combiner.combine(v, acc)
                         found = True
                     if flags & E.GFLAG_SHADOW:
                         break  # supersedes every older same-key entry

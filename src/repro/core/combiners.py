@@ -79,39 +79,98 @@ class Combiner:
     def supports_vector_reduce(self) -> bool:
         """True when batched kernels may pre-aggregate duplicates in-batch.
 
-        Requires an associative ufunc, an integer scalar (bit-exact under any
-        association, unlike f64 whose rounding depends on reduction order) and
-        integer-valued cycles so vectorized cost sums match the scalar
-        accumulation bit for bit.
+        Requires a ufunc computing exactly :attr:`fn` (any scalar type:
+        :meth:`fold_segments` combines in the scalar loop's order, so f64
+        rounding comes out the same) and integer-valued cycles so
+        vectorized cost sums match the scalar accumulation bit for bit.
         """
-        return (
-            self.ufunc is not None
-            and self.scalar in ("i64", "u64")
-            and float(self.cycles).is_integer()
-        )
+        return self.ufunc is not None and float(self.cycles).is_integer()
 
-    def reduce_batch(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Segmented in-order reduction: one reduced value per segment.
+    def fold_segments(
+        self,
+        values: np.ndarray,
+        starts: np.ndarray,
+        seeds: np.ndarray | None = None,
+        seeded: np.ndarray | None = None,
+        acc_right: bool = False,
+    ) -> np.ndarray:
+        """Order-exact segmented left fold: one folded value per segment.
 
-        ``values`` must be group-contiguous and ``starts`` the segment start
-        offsets (``ufunc.reduceat`` semantics); elements inside a segment are
-        reduced left to right, matching the scalar combine order.
+        ``values`` is group-contiguous and ``starts`` holds the segment
+        start offsets.  Segment ``g`` folds to ``((v0 . v1) . v2) ...``,
+        or to ``((seeds[g] . v0) . v1) ...`` where ``seeded[g]`` -- the
+        very sequence of combines a one-record-at-a-time loop performs, so
+        the result is bit for bit what that loop stores, f64 included.
+        With ``acc_right`` every combine is ``v . acc`` instead of
+        ``acc . v`` (the finished-table reader folds older values in from
+        the left).
+
+        The fold is vectorised *across* segments by occurrence rank: round
+        ``r`` combines the ``r``-th value of every segment that has one,
+        and with segments sorted by length each round is a prefix slice.
+        The few long segments still live once further rounds would cost
+        more dispatches than they save finish with one ``ufunc.accumulate``
+        each -- sequential, unlike ``reduce``/``reduceat``, whose float
+        loops sum pairwise.  ``accumulate`` keeps the accumulator on the
+        left, so an ``acc_right`` fold runs its rounds to the end.
         """
-        if self.ufunc is None:
+        ufunc = self.ufunc
+        if ufunc is None:
             raise ValueError(f"combiner {self.name!r} has no vectorized reduction")
-        return self.ufunc.reduceat(values, starts)
-
+        counts = np.diff(np.r_[starts, len(values)])
+        if seeds is None:
+            acc = values[starts]
+            todo = counts - 1
+        else:
+            acc = np.where(seeded, seeds, values[starts])
+            todo = counts - 1 + seeded
+        busy = np.flatnonzero(todo)
+        if not len(busy):
+            return acc
+        order = busy[np.argsort(-todo[busy])]
+        todo_s = todo[order]
+        out, acc = acc, acc[order]
+        nxt = (starts + counts)[order] - todo_s  # first value still to fold
+        # live[r]: segments owing more than r combines (a prefix of the sort)
+        live = len(order) - np.cumsum(np.bincount(todo_s))
+        # a round and an accumulate are one numpy dispatch each: run the
+        # rounds that leave the fewest dispatches, rounds plus survivors
+        rounds = len(live) - 1
+        if not acc_right:
+            rounds = int(np.argmin(np.arange(len(live)) + live))
+        # overflow to inf and inf - inf are the scalar loop's silent behaviour
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(rounds):
+                head = acc[: live[r]]
+                v = values[nxt[: live[r]] + r]
+                if acc_right:
+                    ufunc(v, head, out=head)
+                else:
+                    ufunc(head, v, out=head)
+            for g in range(int(live[rounds])):
+                rest = values[nxt[g] + rounds : nxt[g] + todo_s[g]]
+                run = np.concatenate((acc[g : g + 1], rest))
+                acc[g] = ufunc.accumulate(run)[-1]
+        out[order] = acc
+        return out
 
 def SumCombiner(scalar: str = "i64") -> Combiner:
     return Combiner("sum", scalar, lambda a, b: a + b, ufunc=np.add)
 
 
+def _int_only(ufunc, scalar: str):
+    """``np.maximum``/``np.minimum`` are Python's ``max``/``min`` on integers
+    only: on f64 they propagate NaN and order signed zeros, the builtins
+    return whichever operand the comparison leaves standing."""
+    return None if scalar == "f64" else ufunc
+
+
 def MaxCombiner(scalar: str = "i64") -> Combiner:
-    return Combiner("max", scalar, max, ufunc=np.maximum)
+    return Combiner("max", scalar, max, ufunc=_int_only(np.maximum, scalar))
 
 
 def MinCombiner(scalar: str = "i64") -> Combiner:
-    return Combiner("min", scalar, min, ufunc=np.minimum)
+    return Combiner("min", scalar, min, ufunc=_int_only(np.minimum, scalar))
 
 
 def BitOrCombiner(scalar: str = "u64") -> Combiner:

@@ -71,6 +71,8 @@ __all__ = [
     "key_entry_sizes_bulk",
     "value_node_sizes_bulk",
     "scatter_rows",
+    "gather_field",
+    "scatter_field",
     "write_entries_bulk",
     "write_key_entries_bulk",
     "write_value_nodes_bulk",
@@ -219,6 +221,23 @@ def scatter_rows(
     for col in range(full, int(lens.max())):
         live = lens > col
         arena[starts[live] + col] = rows[live, col]
+
+
+def gather_field(arena: np.ndarray, pos: np.ndarray, dtype: str) -> np.ndarray:
+    """One little-endian ``dtype`` field per byte position, any alignment
+    (combining scalars sit right after variable-length keys)."""
+    width = np.dtype(dtype).itemsize
+    return arena[pos[:, None] + np.arange(width)].view(dtype).ravel()
+
+
+def scatter_field(arena: np.ndarray, pos: np.ndarray, values: np.ndarray) -> None:
+    """Store row ``j`` of ``values`` (scalars, or rows of adjacent fields,
+    little-endian) at ``arena[pos[j]:]``; the inverse of :func:`gather_field`."""
+    if len(pos) == 0:
+        return
+    le = np.ascontiguousarray(values, dtype=values.dtype.newbyteorder("<"))
+    rows = le.view(np.uint8).reshape(len(pos), -1)
+    arena[pos[:, None] + np.arange(rows.shape[1])] = rows
 
 
 def _scatter_payload_words(

@@ -15,18 +15,22 @@ so a :class:`~repro.gpusim.KernelModel` can charge simulated time.
 The finished table is readable from the CPU side -- :meth:`cpu_items` walks
 the CPU pointer chains across resident and evicted segments alike, and
 :meth:`result` additionally merges duplicate keys (combining residue across
-iterations) into the final mapping.
+iterations) into the final mapping.  ``impl="vectorized"`` tables produce
+that mapping with a bulk reader over one flat image of the CPU side
+(:meth:`~repro.memalloc.heap.GpuHeap.cpu_image`); the entry-by-entry
+:meth:`cpu_items` walk stays as its oracle.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Any, Iterator
 
 import numpy as np
 
 from repro.core import entries as E
 from repro.core.buckets import BucketArray
-from repro.core.chainview import ChainViewStore
+from repro.core.chainview import ChainViewStore, walk_cpu_image, word_aligned
 from repro.core.mutations import MutationBatch, MutationCounters
 from repro.core.organizations import (
     CombiningOrganization,
@@ -34,6 +38,7 @@ from repro.core.organizations import (
     InsertTally,
     MultiValuedOrganization,
     Organization,
+    segmented_exclusive_cumsum,
 )
 from repro.core.records import RecordBatch
 from repro.gpusim.clock import CostCategory, CostLedger
@@ -61,6 +66,42 @@ class InsertResult:
     @property
     def n_postponed(self) -> int:
         return len(self.success) - self.n_success
+
+
+def _slices(blob: bytes, lo: np.ndarray, hi: np.ndarray) -> list[bytes]:
+    return [blob[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def _key_groups(keys: list[bytes]):
+    """``(last, label)`` for keys in walk order: ``last`` maps every
+    distinct key (dict order: first occurrence) to the index of its last
+    one, and ``label[i]`` is that index for entry ``i``'s key -- one id
+    per key, and per (chain, key), since a key lives in one bucket chain.
+    ``label`` is None when the keys are all distinct.  Only entries that
+    are not their key's last pay a dict probe.
+    """
+    n = len(keys)
+    last = dict(zip(keys, count()))
+    if len(last) == n:
+        return last, None
+    newer = np.ones(n, dtype=bool)
+    newer[np.fromiter(last.values(), np.int64, len(last))] = False
+    newer = np.flatnonzero(newer)
+    label = np.arange(n)
+    label[newer] = [last[keys[i]] for i in newer.tolist()]
+    return last, label
+
+
+def _visible(keys: list[bytes], closing: np.ndarray, dead: np.ndarray):
+    """The newest-first automaton of :meth:`GpuHashTable.cpu_items` over
+    entries in walk order: an entry shows unless it is ``dead`` (a
+    tombstone) or an earlier entry of its key was ``closing`` (a tombstone,
+    or a shadow -- which shows itself, then closes)."""
+    _, label = _key_groups(keys)
+    if label is None:
+        return ~dead
+    earlier = segmented_exclusive_cumsum(closing.astype(np.int64), label)
+    return (earlier == 0) & ~dead
 
 
 class GpuHashTable:
@@ -387,7 +428,14 @@ class GpuHashTable:
         * combining: duplicate keys are reduced with the combiner,
         * multi-valued: value lists of duplicate key entries are concatenated,
         * basic: every pair is kept (``dict[key, list[value]]``).
+
+        ``impl="vectorized"`` tables read through the bulk reader;
+        ``impl="slow_reference"`` tables, and heaps too oddly sized for
+        word views, merge :meth:`cpu_items` entry by entry -- the oracle
+        the bulk reader is tested against.
         """
+        if self.org.impl == "vectorized" and word_aligned(self.heap):
+            return self._result_bulk()
         combining = isinstance(self.org, CombiningOrganization)
         multivalued = isinstance(self.org, MultiValuedOrganization)
         out: dict[bytes, Any] = {}
@@ -404,6 +452,88 @@ class GpuHashTable:
                 out.setdefault(key, []).extend(payload)
             else:
                 out.setdefault(key, []).append(payload)
+        return out
+
+    def _result_bulk(self) -> dict[bytes, Any]:
+        """:meth:`result` without per-entry pointer chasing.
+
+        Every bucket chain is walked level-synchronously through one flat
+        image of the CPU side; keys and byte values are slices of that
+        image, mutation flags resolve as one mask (computed only when a
+        flag bit is set anywhere), and what is left per entry is the
+        ``bytes`` slice and the dict store the mapping itself requires.
+        """
+        heads = self.buckets.head_cpu[self.buckets.occupied_buckets()]
+        if not len(heads):
+            return {}
+        blob = self.heap.cpu_image()
+        image = np.frombuffer(blob, dtype=np.uint8)
+        if isinstance(self.org, MultiValuedOrganization):
+            return self._result_multivalued(blob, image, heads)
+        combining = isinstance(self.org, CombiningOrganization)
+        (pos, klens, vlens, flags), _ = walk_cpu_image(image, heads, "generic")
+        vo = pos + E.ENTRY_HEADER + klens
+        keys = _slices(blob, pos + E.ENTRY_HEADER, vo)
+        dead = (flags & E.GFLAG_TOMBSTONE) != 0
+        # combining entries never carry SHADOW: an update is a combine
+        closing = dead if combining else flags != 0
+        if closing.any():
+            show = _visible(keys, closing, dead)
+            keys = list(compress(keys, show.tolist()))
+            vo, vlens = vo[show], vlens[show]
+        if not combining:
+            pairs: dict[bytes, list[bytes]] = {}
+            for key, value in zip(keys, _slices(blob, vo, vo + vlens)):
+                pairs.setdefault(key, []).append(value)
+            return pairs
+        comb = self.org.combiner
+        values = E.gather_field(image, vo, comb.dtype.newbyteorder("<"))
+        last, label = _key_groups(keys)
+        if label is None:
+            return dict(zip(keys, values.tolist()))
+        if comb.ufunc is None:  # callbacks: the per-entry merge of result()
+            out: dict[bytes, Any] = {}
+            for key, value in zip(keys, values.tolist()):
+                out[key] = comb.combine(value, out[key]) if key in out else value
+            return out
+        # keys split across iterations: newest first in walk order, each
+        # older scalar folded in from the left, as the merge loop does;
+        # the folded value lands on the key's last (oldest) entry
+        split = np.zeros(len(keys), dtype=bool)
+        split[label[label != np.arange(len(keys))]] = True
+        members = np.flatnonzero(split[label])
+        order = members[np.argsort(label[members], kind="stable")]
+        starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
+        values[label[order[starts]]] = comb.fold_segments(
+            values[order], starts, acc_right=True
+        )
+        at = np.fromiter(last.values(), np.int64, len(last))
+        return dict(zip(last, values[at].tolist()))
+
+    def _result_multivalued(self, blob, image, heads) -> dict[bytes, list]:
+        (pos, klens, _, flags), _ = walk_cpu_image(image, heads, "key")
+        vhead = image.view(np.int64)[(pos >> 3) + 3]
+        # an empty PENDING key entry is unacknowledged: invisible, and it
+        # closes nothing (see cpu_items)
+        born = ~(((flags & E.FLAG_PENDING) != 0) & (vhead == NULL))
+        pos, klens, flags, vhead = pos[born], klens[born], flags[born], vhead[born]
+        ko = pos + E.KEY_ENTRY_HEADER
+        keys = _slices(blob, ko, ko + klens)
+        closing = (flags & (E.FLAG_TOMBSTONE | E.FLAG_SHADOW)) != 0
+        if closing.any():
+            show = _visible(keys, closing, (flags & E.FLAG_TOMBSTONE) != 0)
+            keys = list(compress(keys, show.tolist()))
+            vhead = vhead[show]
+        # every visible key entry's value list, walked together
+        (vpos, _, vlens, _), counts = walk_cpu_image(image, vhead, "value")
+        vo = vpos + E.VALUE_NODE_HEADER
+        values = _slices(blob, vo, vo + vlens)
+        ends = np.cumsum(counts)
+        out: dict[bytes, list[bytes]] = {}
+        for key, lo, hi in zip(keys, (ends - counts).tolist(), ends.tolist()):
+            chunk = values[lo:hi]
+            if out.setdefault(key, chunk) is not chunk:
+                out[key] += chunk  # a key split across key entries
         return out
 
     # ------------------------------------------------------------------

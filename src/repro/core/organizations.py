@@ -26,7 +26,7 @@ by the ``impl`` constructor argument:
   against its bucket's resident chain prefix in one bulk pass
   (:func:`repro.core.chainview.resolve_keys`).  Whatever has no closed
   form -- mixed-op batches with deletes or lookups, traced runs, 64-bit
-  hash collisions, callback / f64 combiners, tables holding tombstones,
+  hash collisions, callback combiners, tables holding tombstones,
   multi-valued inserts under pool pressure -- runs the scalar loop.
 * ``"slow_reference"`` -- the one-record-at-a-time loops, always: the
   differential-testing oracle.
@@ -97,7 +97,7 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return (keys.astype(np.int64) * n + np.arange(n)).argsort()
 
 
-def _segmented_exclusive_cumsum(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
+def segmented_exclusive_cumsum(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Per-element sum of *earlier* same-segment elements, in arrival order.
 
     This is the closed form behind the pre-aggregated kernels' walk
@@ -192,8 +192,8 @@ class _DistinctKeys:
         cv = np.zeros(m, dtype=np.int64)
         ev[made] = 1
         cv[made] = header + klens[made]
-        A = _segmented_exclusive_cumsum(ev, buckets)
-        S = _segmented_exclusive_cumsum(cv, buckets)
+        A = segmented_exclusive_cumsum(ev, buckets)
+        S = segmented_exclusive_cumsum(cv, buckets)
         hit_res = (res.hit >= 0)[gpos]
         hit_new = ~hit_res & created[gpos] & ~self.isfirst
         miss = ~(hit_res | hit_new)
@@ -796,18 +796,17 @@ class CombiningOrganization(Organization):
         """Batched combining insert via in-batch pre-aggregation.
 
         Records are grouped by distinct key (cached hashes, one lexsort);
-        duplicate values are pre-reduced with the combiner's ``ufunc.reduceat``
-        so each distinct key performs one chain probe and one in-place
-        combine; misses are bulk-allocated and scatter-written exactly like
-        the basic kernel.  Tallies stay byte-identical to the scalar walk:
+        duplicate values are folded in arrival order
+        (:meth:`Combiner.fold_segments`) so each distinct key performs one
+        chain probe and one in-place store; misses are bulk-allocated and
+        scatter-written exactly like the basic kernel.  Tallies stay byte-identical to the scalar walk:
         probe steps and touched bytes are vectorized sums of the very
         charges the reference makes (see ``_insert_preagg``).
 
         Falls back to the scalar loop when the charges cannot be reproduced
         in closed form: an access trace is attached (per-walk ``on_access``
-        ordering), a 64-bit hash collision was detected, the combiner lacks
-        an exact vectorized reduction (callbacks, f64 rounding-order
-        sensitivity), the batch's numeric dtype differs from the
+        ordering), a 64-bit hash collision was detected, the combiner has
+        no ufunc (callbacks), the batch's numeric dtype differs from the
         combiner's, or the table holds tombstones.
         """
         if batch.numeric_values is None:
@@ -834,10 +833,12 @@ class CombiningOrganization(Organization):
         """One probe + one combine per distinct key, scalar-exact tallies.
 
         ``dk`` is the subset's :class:`_DistinctKeys`; walk charges come
-        from its closed form.  In-batch duplicate values are pre-reduced
-        per distinct key (left-to-right, matching the scalar combine order;
-        the only divergence is int64 overflow, which wraps here as on a
-        real GPU but raises in the scalar oracle's ``struct.pack``).
+        from its closed form.  Each distinct key's values are folded in
+        arrival order by :meth:`Combiner.fold_segments`, seeded with the
+        stored scalar where the key is resident -- the scalar loop's own
+        sequence of combines, so f64 sums round identically (the only
+        divergence is int64 overflow, which wraps here as on a real GPU
+        but raises in the scalar oracle's ``struct.pack``).
 
         Keys whose first allocation fails are postponed on *every*
         occurrence, exactly like the reference: a failed allocation mutates
@@ -902,8 +903,18 @@ class CombiningOrganization(Organization):
         )
         tally.alloc_groups.extend(rgroups[okpos])
 
-        # pre-aggregate duplicate values per distinct key (arrival order)
-        red = comb.reduce_batch(batch.numeric_values[idx][sub], starts)
+        # fold every key's values in arrival order, a resident hit's onto
+        # the scalar it already stores
+        is_hit = res.hit >= 0
+        hit_g = np.flatnonzero(is_hit)
+        vdtype = comb.dtype.newbyteorder("<")
+        arena = heap.pool.arena
+        vo = res.hit_pos[hit_g] + E.ENTRY_HEADER + klens[firstj[hit_g]]
+        stored = np.zeros(len(starts), dtype=comb.dtype)
+        stored[hit_g] = E.gather_field(arena, vo, vdtype)
+        red = comb.fold_segments(
+            batch.numeric_values[idx][sub], starts, stored, is_hit
+        )
 
         # scatter-write the new entries + grouped last-writer-wins heads
         if len(succ):
@@ -916,29 +927,20 @@ class CombiningOrganization(Organization):
             )
             rec = idx[sfj][order2]
             pos = bulk.slot[okpos][order2] * page_size + bulk.offset[okpos][order2]
-            vdtype = comb.dtype.newbyteorder("<")
             valmat = (
                 red[sel_g].astype(vdtype).view(np.uint8)
                 .reshape(len(succ), comb.value_size)
             )
             E.write_entries_bulk(
-                heap.pool.arena, pos, next_gpu, next_cpu,
+                arena, pos, next_gpu, next_cpu,
                 batch.keys[rec], batch.key_lens[rec].astype(np.int64),
                 valmat, np.full(len(succ), comb.value_size, np.int64),
             )
 
-        # one in-place combine per resident hit key
-        hit_g = np.flatnonzero(res.hit >= 0)
-        if len(hit_g):
-            fmt = comb.fmt
-            arena = heap.pool.arena
-            vo = res.hit_pos[hit_g] + E.ENTRY_HEADER + klens[firstj[hit_g]]
-            for o, a, v in zip(
-                vo.tolist(), res.hit_addr[hit_g].tolist(), red[hit_g].tolist()
-            ):
-                stored = fmt.unpack_from(arena, o)[0]
-                fmt.pack_into(arena, o, comb.combine(stored, v))
-                heap.note_write(a // page_size)
+        # resident hit keys: one in-place store of the folded scalar each
+        E.scatter_field(arena, vo, red[hit_g])
+        for seg in np.unique(res.hit_addr[hit_g] // page_size).tolist():
+            heap.note_write(seg)
 
         if ops is not None:
             # mixed-op accounting: under the no-failure pre-flight every
@@ -1028,8 +1030,8 @@ class CombiningOrganization(Organization):
         worst-case all-miss pre-flight proves no allocation can fail: then
         the postponement gate can never fire mid-batch, and the kernel's
         closed-form charges are exact.  Everything else -- deletes,
-        lookups, float/callback combiners, sticky failures, tombstones
-        already in the table -- runs the scalar loop.
+        lookups, callback combiners, sticky failures, tombstones already
+        in the table -- runs the scalar loop.
         """
         comb = self.combiner
         ops_arr = batch.ops[idx]
@@ -1389,16 +1391,12 @@ class MultiValuedOrganization(Organization):
         # and the key's head ends at the last arrival
         arena = heap.pool.arena
         hit_g = np.flatnonzero(~newmask_g)
-        hits = list(zip(
-            hit_g.tolist(), res.hit_pos[hit_g].tolist(),
-            (res.hit_addr[hit_g] // page_size).tolist(),
-        ))  # (key, arena offset of its key entry, that entry's segment)
+        hit_pos = res.hit_pos[hit_g]  # arena offsets of the hit key entries
         head0_g = np.full(G, NULL, dtype=np.int64)
         head0_c = np.full(G, NULL, dtype=np.int64)
-        for gi, koff, _kseg in hits:
-            hdr = E.read_key_entry_header(arena, koff)
-            head0_g[gi] = hdr[2]
-            head0_c[gi] = hdr[3]
+        head0_g[hit_g] = E.gather_field(arena, hit_pos + 16, "<i8")
+        head0_c[hit_g] = E.gather_field(arena, hit_pos + 24, "<i8")
+        hit_flags = E.gather_field(arena, hit_pos + 36, "<u4")
         vg_s = vgpu[sub]
         vc_s = vcpu[sub]
         fmask = np.zeros(m, dtype=bool)
@@ -1433,9 +1431,17 @@ class MultiValuedOrganization(Organization):
             )
 
         # resident hit keys: rewrite the value-list head once, un-pin
-        for gi, koff, kseg in hits:
-            E.set_vhead(arena, koff, int(vfinal_g[gi]), int(vfinal_c[gi]))
-            heap.note_write(kseg)
+        E.scatter_field(
+            arena, hit_pos + 16,
+            np.stack((vfinal_g[hit_g], vfinal_c[hit_g]), axis=1),
+        )
+        hit_seg = res.hit_addr[hit_g] // page_size
+        for seg in np.unique(hit_seg).tolist():
+            heap.note_write(seg)
+        pending = np.flatnonzero(hit_flags & E.FLAG_PENDING)
+        for koff, kseg in zip(
+            hit_pos[pending].tolist(), hit_seg[pending].tolist()
+        ):
             self._clear_pending(table, arena, kseg, koff)
 
         probe_steps, walk_bytes, _, _ = dk.walk_charges(

@@ -34,7 +34,7 @@ class BatchGrouping:
     """Duplicate-key grouping of one batch for one table's bucket count.
 
     The pre-aggregated insert kernels need every record of the same key to
-    land in one segment so a ``ufunc.reduceat`` can combine duplicates
+    land in one segment so a segmented fold can combine duplicates
     in-batch before the table is touched.  Groups are keyed on (bucket id,
     64-bit hash) with a byte-exact key verification pass: if two records
     share a (bucket, hash) pair but differ in key bytes -- a genuine 64-bit
@@ -60,7 +60,7 @@ class BatchGrouping:
         Returns ``(order, starts)``: ``order`` permutes subset *positions*
         group-major while preserving arrival order inside each group, and
         ``starts`` are the segment start offsets into the ordered subset
-        (directly usable as ``reduceat`` bounds).  Cost is one O(m log m)
+        (directly usable as ``fold_segments`` bounds).  Cost is one O(m log m)
         lexsort over the cached group ids -- reissued SEPO subsets never
         re-hash or re-compare keys.
         """
@@ -187,7 +187,7 @@ def pack_byte_rows(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     fancy-indexed into the padded matrix through ragged row offsets.
     """
     n = len(rows)
-    lens = np.fromiter((len(r) for r in rows), dtype=np.int32, count=n)
+    lens = np.fromiter(map(len, rows), dtype=np.int32, count=n)
     width = int(lens.max()) if n else 0
     mat = np.zeros((n, max(width, 1)), dtype=np.uint8)
     total = int(lens.sum())

@@ -20,7 +20,9 @@
   verification is host-side and uncharged, so it is done on *every* read
   rather than cached per epoch: a cache would open a window where
   corruption lands right after a verified read and pointer-walking code
-  consumes garbage for the rest of the iteration.
+  consumes garbage for the rest of the iteration.  The bulk ``result()``
+  reader needs no cache to verify once: it reads each segment once, into
+  the private copy (:meth:`GpuHeap.cpu_image`) it then walks.
 
 Verification failures become structured :class:`CorruptionEvent` records.
 A failing page is **quarantined** -- further reads raise instead of

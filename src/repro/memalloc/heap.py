@@ -244,6 +244,21 @@ class GpuHeap:
             self.integrity.check_read(self, segment)
         return self._store[segment]
 
+    def cpu_image(self) -> bytes:
+        """The whole CPU side as one read-only buffer in which a CPU
+        address *is* the byte offset: every segment ever allocated, joined
+        in id order (one table-sized copy).
+
+        This is the dual-pointer payoff in its most regular form: the
+        finished table's bulk reader follows ``*_cpu`` pointers through it
+        with plain gathers and no residency lookups.  Stored segments pass
+        through :meth:`segment_view`, so with integrity on each is
+        verified exactly once, before a single pointer is read out of it.
+        """
+        return b"".join(
+            self.segment_view(seg) for seg in range(self._next_segment)
+        )
+
     def note_write(self, segment: int) -> None:
         """Record an in-place write to a *resident* page.
 

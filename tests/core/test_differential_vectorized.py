@@ -5,8 +5,11 @@ and ``impl="slow_reference"``); this suite drives identical workloads through
 both -- across multiple SEPO iterations, postponement, and eviction
 boundaries -- and asserts that success masks, :class:`InsertTally` fields,
 :class:`BatchStats`, ledger charges, access traces, per-bucket chain
-contents, and final ``result()`` mappings are *identical*, not just close.
+contents, and final ``result()`` mappings are *identical*, not just close
+(f64 payloads are compared by their ``struct.pack`` bytes).
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -20,11 +23,12 @@ from repro.core import (
     GpuHashTable,
     MultiValuedOrganization,
     RecordBatch,
+    SUM_F64,
     SUM_I64,
 )
 from repro.memalloc import GpuHeap
 
-ORGS = ["basic", "combining", "multi-valued"]
+ORGS = ["basic", "combining", "combining-f64", "multi-valued"]
 
 
 def make_org(kind: str, impl: str):
@@ -32,7 +36,20 @@ def make_org(kind: str, impl: str):
         return BasicOrganization(impl=impl)
     if kind == "combining":
         return CombiningOrganization(SUM_I64, impl=impl)
+    if kind == "combining-f64":
+        return CombiningOrganization(SUM_F64, impl=impl)
     return MultiValuedOrganization(impl=impl)
+
+
+def f64_values(n: int) -> np.ndarray:
+    """Sums whose rounding depends on association: 16 orders of magnitude,
+    both signs, and a sprinkling of the values float code forgets."""
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+    special = [np.nan, np.inf, -np.inf, -0.0, np.inf]
+    for j, v in enumerate(special[: n // 8]):
+        vals[(j * 37 + 5) % n] = v
+    return vals
 
 
 def make_batch(kind: str, keys: list[bytes], values: list[bytes]):
@@ -40,7 +57,26 @@ def make_batch(kind: str, keys: list[bytes], values: list[bytes]):
         return RecordBatch.from_numeric(
             keys, np.arange(1, len(keys) + 1, dtype=np.int64)
         )
+    if kind == "combining-f64":
+        return RecordBatch.from_numeric(keys, f64_values(len(keys)))
     return RecordBatch.from_pairs(list(zip(keys, values)))
+
+
+def exact(payload):
+    """A payload as something ``==`` compares bit for bit.  NaNs compare
+    as NaN and no further: which payload survives ``nan + nan`` depends on
+    operand order in ways CPython itself does not keep stable."""
+    if not isinstance(payload, float):
+        return payload
+    return struct.pack("<d", payload) if payload == payload else "nan"
+
+
+def exact_items(table):
+    return [(k, exact(v)) for k, v in table.cpu_items()]
+
+
+def exact_result(table):
+    return {k: exact(v) for k, v in table.result().items()}
 
 
 def run_workload(kind: str, impl: str, batches_spec, heap_bytes, page_size,
@@ -110,8 +146,8 @@ def assert_identical(a, b):
         )
         np.testing.assert_array_equal(a["trace"].sizes(), b["trace"].sizes())
     # chain contents: cpu_items walks every bucket's CPU chain in order
-    assert list(a["table"].cpu_items()) == list(b["table"].cpu_items())
-    assert a["table"].result() == b["table"].result()
+    assert exact_items(a["table"]) == exact_items(b["table"])
+    assert exact_result(a["table"]) == exact_result(b["table"])
 
 
 def seeded_workload(seed: int, n_records: int, n_distinct: int):
@@ -169,7 +205,7 @@ def test_differential_reissued_subsets(kind):
             np.arange(2, 120, 3),
         ]
         masks = [table.insert_batch(batch, s).success.copy() for s in subsets]
-        results[impl] = (masks, dict(table.result()))
+        results[impl] = (masks, exact_result(table))
         batch.invalidate_cache()
     for ma, mb in zip(results["vectorized"][0], results["slow_reference"][0]):
         np.testing.assert_array_equal(ma, mb)
@@ -239,8 +275,8 @@ def assert_sepo_identical(kind, batches_spec, make_fault=None, **kw):
         assert ia.pages_retained == ib.pages_retained
     assert ra.elapsed_seconds == rb.elapsed_seconds  # simulated, bit-equal
     assert la.breakdown() == lb.breakdown()
-    assert list(ta.cpu_items()) == list(tb.cpu_items())
-    assert ta.result() == tb.result()
+    assert exact_items(ta) == exact_items(tb)
+    assert exact_result(ta) == exact_result(tb)
     return ra
 
 
@@ -278,14 +314,19 @@ def test_differential_pool_exhaustion_fault(kind):
 
 
 @pytest.mark.parametrize("kind", ORGS)
-@pytest.mark.parametrize("n_distinct", [1, 3])
+@pytest.mark.parametrize("n_distinct", [1, 3, 40])
 def test_differential_heavy_duplication_preagg(kind, n_distinct):
     """All-duplicates / near-all-duplicates: whole batches collapse into
-    a handful of reduceat runs, one chain probe per distinct key."""
+    a handful of folds, one chain probe per distinct key.  With 40 keys a
+    120-fold hot key rides along, so one fold runs both its rounds and its
+    accumulate tail; the second batch folds onto stored scalars."""
     rng = np.random.default_rng(5)
     keys = [b"dup%02d" % i for i in rng.integers(0, n_distinct, size=200)]
+    if n_distinct == 40:
+        for j in rng.choice(200, size=120, replace=False):
+            keys[j] = b"hot"
     values = [b"pv%03d" % i for i in range(200)]
-    assert_sepo_identical(kind, [(keys, values)], heap_pages=16)
+    assert_sepo_identical(kind, [(keys, values)] * 2, heap_pages=16)
 
 
 def test_impl_validation():

@@ -6,7 +6,9 @@ own payload then closes the key, and a PENDING multi-valued key entry --
 allocated for a postponed op but never acknowledged -- is invisible.  This
 module pins that automaton across :class:`LookupDriver` (both impls),
 checkpoint round-trips (:func:`save_table`/:func:`load_table`), and the
-live table's ``cpu_items``/``result``.
+live table's ``cpu_items``/``result`` -- the latter twice over: the bulk
+reader an ``impl="vectorized"`` table uses, and the per-entry merge it must
+agree with on the very same bytes.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from repro.core import (
     MutationBatch,
     OP_DELETE,
     OP_INSERT,
+    OP_LOOKUP,
     OP_UPDATE,
     SUM_I64,
     load_table,
@@ -62,6 +65,22 @@ def mutated_table(kind, impl="vectorized", heap_bytes=1 << 16,
     assert res.success.all()
     table.end_iteration()
     return table
+
+
+def both_readers(table):
+    """``result()`` through the bulk reader and through the per-entry
+    oracle, over the same table bytes; asserts they agree (dict equality,
+    so value-list order too) and returns the mapping."""
+    assert table.org.impl == "vectorized"
+    bulk = table.result()
+    table.org.impl = "slow_reference"
+    try:
+        oracle = table.result()
+    finally:
+        table.org.impl = "vectorized"
+    assert bulk == oracle
+    assert list(bulk) == list(oracle)  # same first-occurrence key order
+    return bulk
 
 
 EXPECT = {
@@ -136,7 +155,7 @@ def test_mv_pending_entry_invisible_until_acknowledged():
         "fixture drift: second insert was expected to postpone"
     )
     assert list(table.cpu_items()) == [(b"k00", [b"v0"])]
-    assert b"\x00" not in table.result()
+    assert b"\x00" not in both_readers(table)
     # acknowledge on the reissue pass; now it is data
     table.end_iteration()
     res = table.mutate_batch(batch, np.array([1]))
@@ -170,7 +189,7 @@ def test_mv_pending_shadow_does_not_mask_older_values():
     res = table.mutate_batch(batch)
     if not res.success[0]:
         # the unacknowledged shadow must not supersede anything yet
-        assert table.result() == {b"key": [b"old0", b"old1", b"old2"]}
+        assert both_readers(table) == {b"key": [b"old0", b"old1", b"old2"]}
         for slot in held:
             heap.pool.release(slot)
         heap.fault_reserved_slots = set()
@@ -178,6 +197,108 @@ def test_mv_pending_shadow_does_not_mask_older_values():
         res = table.mutate_batch(batch)
         assert res.success.all()
     table.end_iteration()
-    assert table.result() == {b"key": [b"new"]}
+    assert both_readers(table) == {b"key": [b"new"]}
     report = table.check_invariants()
     assert not report.violations
+
+
+# ----------------------------------------------------------------------
+# the bulk reader against the per-entry merge
+# ----------------------------------------------------------------------
+def mixed_stream(seed, n, n_distinct, kind):
+    rng = np.random.default_rng(seed)
+    ops = rng.choice(
+        [OP_INSERT, OP_UPDATE, OP_DELETE, OP_LOOKUP], size=n,
+        p=[0.45, 0.25, 0.2, 0.1],
+    )
+    keys = [b"k%03d" % i for i in rng.integers(0, n_distinct, size=n)]
+    val = (lambda v: v) if kind == "combining" else (lambda v: b"v%d" % v)
+    return [(int(o), k, val(i)) for i, (o, k) in enumerate(zip(ops, keys))]
+
+
+@pytest.mark.parametrize("kind,policy", [
+    ("basic", "append"), ("combining", "append"),
+    ("multi-valued", "append"), ("multi-valued", "replace"),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bulk_reader_matches_oracle_after_mixed_ops(kind, policy, seed):
+    """Tombstones, shadows and postponed PENDING appends, spread over three
+    or more iterations of an 8-page heap: checked after every iteration, so
+    half-applied batches (unborn key entries, pinned pages) are read too."""
+    heap = GpuHeap(2048, 256)
+    table = GpuHashTable(32, make_org(kind), heap, group_size=8)
+    for b in range(3):
+        batch = MutationBatch.from_ops(
+            mixed_stream(seed * 10 + b, 120, 50, kind),
+            numeric_dtype=np.int64 if kind == "combining" else None,
+            update_policy=policy,
+        )
+        pending = np.arange(len(batch))
+        while len(pending):
+            res = table.mutate_batch(batch, pending)
+            pending = pending[~res.success]
+            both_readers(table)
+            table.end_iteration()
+            both_readers(table)
+    assert table.iterations_completed >= 3
+    assert table.alloc.stats.entries_tombstoned > 0
+    assert both_readers(table)
+
+
+@pytest.mark.parametrize("kind", ORGS)
+def test_bulk_reader_on_an_empty_table(kind):
+    table = GpuHashTable(16, make_org(kind), GpuHeap(1 << 12, 256))
+    assert both_readers(table) == {}
+    table.end_iteration()
+    assert both_readers(table) == {}
+
+
+@pytest.mark.parametrize("kind", ORGS)
+def test_bulk_reader_past_the_round_cut_over(kind):
+    """40 chains of uneven length: the walker runs level-synchronous rounds
+    while 32 are live, then finishes the long ones (a 300-fold hot key: one
+    basic chain, one value list) node by node.  Two iterations, so every
+    key is split across entries and the combining fold merges them."""
+    from repro.core import RecordBatch
+    from repro.core.chainview import _ROUND_MIN_LIVE
+
+    table = GpuHashTable(40, make_org(kind), GpuHeap(1 << 20, 1 << 12),
+                         group_size=8)
+    rng = np.random.default_rng(3)
+    want: dict = {}
+    for it in range(2):
+        keys = [b"key%04d" % i for i in rng.integers(0, 900, size=1500)]
+        keys += [b"hot"] * 300
+        if kind == "combining":
+            vals = np.arange(len(keys), dtype=np.int64) + it
+            batch = RecordBatch.from_numeric(keys, vals)
+            for k, v in zip(keys, vals.tolist()):
+                want[k] = want.get(k, 0) + v
+        else:
+            vals = [b"v%d-%d" % (it, i) for i in range(len(keys))]
+            batch = RecordBatch.from_pairs(list(zip(keys, vals)))
+            for k, v in zip(keys, vals):
+                want.setdefault(k, []).append(v)
+        assert table.insert_batch(batch).success.all()
+        table.end_iteration()
+    assert len(table.buckets.occupied_buckets()) > _ROUND_MIN_LIVE
+    got = both_readers(table)
+    if kind == "combining":
+        assert got == want
+    else:
+        assert {k: sorted(v) for k, v in got.items()} == {
+            k: sorted(v) for k, v in want.items()
+        }
+
+
+@pytest.mark.parametrize("kind", ORGS)
+def test_odd_page_size_reads_through_the_oracle(kind, monkeypatch):
+    """No word views over a 300-byte page: ``result()`` keeps the
+    per-entry merge, as ``materialize_chains`` keeps its scalar parse."""
+    table = mutated_table(kind, heap_bytes=300 * 16, page_size=300)
+    aligned_twin = both_readers(mutated_table(kind))
+    monkeypatch.setattr(
+        GpuHashTable, "_result_bulk",
+        lambda self: pytest.fail("bulk reader ran on an unaligned heap"),
+    )
+    assert table.result() == aligned_twin

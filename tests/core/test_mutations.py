@@ -8,9 +8,9 @@ results, mutation counters, the tombstone census, and final ``result()``
 mappings are *identical*, with the dict model from
 :func:`repro.core.model_for_ops` as ground truth.
 
-Also pins the pre-aggregation gating rules: the combining fast path
-(``reduceat`` over in-batch duplicates) is only sound for insert/update-only
-batches on integer-reduce combiners, so float and callback combiners -- and
+Also pins the pre-aggregation gating rules: the combining fast path (an
+order-exact fold over in-batch duplicates) is only sound for
+insert/update-only batches on ufunc combiners, so callback combiners -- and
 any batch carrying a delete or lookup -- must take the replay walk, with
 tallies that still match the scalar reference bit for bit.
 """
@@ -229,7 +229,7 @@ def test_mixed_ops_through_sepo_driver():
 
 
 # ----------------------------------------------------------------------
-# pre-aggregation gating: which batches may take the reduceat fast path
+# pre-aggregation gating: which batches may take the folding fast path
 # ----------------------------------------------------------------------
 def _count_preagg(org):
     """Instrument an organization instance's preagg entry point."""
@@ -264,12 +264,11 @@ UPDATE_TRIPLES = [
 
 
 @pytest.mark.parametrize("combiner", [
-    SUM_F64,
     CallbackCombiner(lambda a, b: a + b, scalar="i64", name="cb-sum"),
-], ids=["float", "callback"])
+], ids=["callback"])
 def test_non_vector_reduce_updates_take_replay_walk(combiner):
-    """Float rounding is association-sensitive and callbacks have no ufunc:
-    neither may pre-aggregate, even for an insert/update-only batch."""
+    """Callbacks have no ufunc to fold with: they may not pre-aggregate,
+    even for an insert/update-only batch."""
     assert not combiner.supports_vector_reduce
     table, res, calls, _ = _run_combining(combiner, UPDATE_TRIPLES)
     assert calls["n"] == 0, "replay walk expected, preagg kernel ran"
@@ -283,9 +282,36 @@ def test_non_vector_reduce_updates_take_replay_walk(combiner):
     assert table.result() == ref_table.result()
 
 
+def test_f64_reduce_insert_update_batch_uses_preagg():
+    """Float rounding is association-sensitive, and the order-exact fold
+    keeps the scalar loop's association: an f64 insert/update-only batch
+    pre-aggregates, twice over the same keys so the second batch folds
+    onto stored scalars, and lands on the scalar reference's bits."""
+    triples = [
+        (op, key, v * 10.0 ** (3 * (i % 5) - 6))
+        for i, (op, key, v) in enumerate(UPDATE_TRIPLES * 3)
+    ]
+    assert SUM_F64.supports_vector_reduce
+    tables = {}
+    for impl in ("vectorized", "slow_reference"):
+        table, res, calls, _ = _run_combining(SUM_F64, triples, impl=impl)
+        batch = MutationBatch.from_ops(triples, numeric_dtype=np.float64)
+        res2 = table.mutate_batch(batch)
+        assert res2.success.all()
+        assert calls["n"] == (2 if impl == "vectorized" else 0)
+        tables[impl] = (table, res, res2)
+    (ta, a1, a2), (tb, b1, b2) = tables["vectorized"], tables["slow_reference"]
+    for a, b in ((a1, b1), (a2, b2)):
+        assert a.tally == b.tally
+    pack = SUM_F64.pack
+    assert {k: pack(v) for k, v in ta.result().items()} == {
+        k: pack(v) for k, v in tb.result().items()
+    }
+
+
 def test_integer_reduce_insert_update_batch_uses_preagg():
     """BitOr-style integer reduction: insert/update-only mutation batches
-    may collapse in-batch duplicates with reduceat."""
+    may collapse in-batch duplicates with one fold."""
     triples = [
         (OP_INSERT, b"alpha", 1), (OP_UPDATE, b"alpha", 2),
         (OP_INSERT, b"beta", 4), (OP_UPDATE, b"beta", 8),
@@ -305,7 +331,7 @@ def test_integer_reduce_insert_update_batch_uses_preagg():
 @pytest.mark.parametrize("op", [OP_DELETE, OP_LOOKUP],
                          ids=["delete", "lookup"])
 def test_delete_or_lookup_in_batch_forces_replay(op):
-    """reduceat can only express upsert-combines: one delete or lookup in
+    """The fold can only express upsert-combines: one delete or lookup in
     the batch sends the whole batch down the replay walk."""
     triples = UPDATE_TRIPLES + [(op, b"alpha", 0)]
     _, _, calls, batch = _run_combining(SUM_I64, triples)

@@ -105,6 +105,40 @@ def test_clean_reads_and_result_are_false_positive_free():
     assert heap.integrity.verifies > 0
 
 
+@pytest.mark.parametrize("kind", ["basic", "combining", "multi-valued"])
+def test_result_verifies_each_stored_segment_exactly_once(kind):
+    """The bulk reader takes every stored segment through ``segment_view``
+    once, while building the flat image -- not once per entry read out of
+    it, which is what made multi-valued verify reads cost 8x."""
+    from repro.core import BasicOrganization, MultiValuedOrganization
+    from tests.core.conftest import byte_batch
+
+    org = {
+        "basic": BasicOrganization,
+        "combining": lambda: CombiningOrganization(SUM_I64),
+        "multi-valued": MultiValuedOrganization,
+    }[kind]()
+    heap = GpuHeap(4096, 512)
+    table = GpuHashTable(64, org, heap, group_size=16, integrity="verify")
+    for round_ in range(2):
+        pairs = [(b"key%03d" % (i % 25), i) for i in range(40)]
+        if kind == "combining":
+            table.insert_batch(numeric_batch(pairs))
+        else:
+            table.insert_batch(byte_batch([(k, b"v%d" % v) for k, v in pairs]))
+        table.end_iteration()
+    integ = heap.integrity
+    assert len(heap._store) > 2 and not heap.resident_pages
+    before = integ.verifies
+    assert len(table.result()) == 25
+    assert integ.verifies - before == len(heap._store)
+    assert integ.detected == 0
+    # and one flipped bit anywhere in the store still stops the read
+    corrupt_stored(heap, which=len(heap._store) - 1)
+    with pytest.raises(CorruptionError):
+        table.result()
+
+
 def test_torn_transfer_retried_and_charged():
     table, heap, ledger = make_int_table()
     integ = heap.integrity
