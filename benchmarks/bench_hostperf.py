@@ -23,17 +23,21 @@ order-exact fold had to earn.  A ``result`` cell times the CPU-side read of
 a finished two-iteration table, bulk reader (``impl="vectorized"``) against
 the per-entry merge, in keys/s.  A third
 ``mixed-ops`` cell times interleaved insert/update/delete/lookup
-mutation batches; it is tracked but not gated, because delete and lookup
-ops send the whole batch down the scalar loop under both implementations
-(only the combining organization has a batched mutation dispatch in front
-of it, so only its row carries a ``vectorized`` arm).  A fourth
-``integrity-overhead`` cell (also tracked, not gated) times the insert +
+mutation batches: the two generic-entry organizations run the batched
+mixed-op kernel under ``impl="vectorized"`` (gated at 2x the scalar loop
+in the full 64k tier), the multi-valued one has only the scalar loop and
+carries a scalar arm alone.  The ``mixed_sweep`` tier beside it is the
+evidence for ``organizations.MIXED_KERNEL_MIN_OPS``: the same op stream
+issued in batches of 64 ... 2,048 ops, kernel forced on against the loop,
+on a fresh table and on one several times its heap.  A fourth
+``integrity-overhead`` cell (tracked, not gated) times the insert +
 iteration-boundary path under ``integrity`` off|verify|scrub, measuring
 what per-page CRC32 sealing and the background scrub sweep cost the host.
 
 The pytest entry points double as the CI perf smoke: every organization's
 vectorized insert path (f64 combining included) must beat its scalar
-reference by at least 2x, and the bulk ``result()`` of the combining table
+reference by at least 2x, the batched mixed-op kernel the scalar loop by
+2x at 64k ops, and the bulk ``result()`` of the combining table
 its per-entry merge by 1.5x, on the reduced workload (the tracked full-scale speedups are ~8-10x; 2x keeps the
 gate robust on noisy shared runners).  The 1M tier is gated separately
 (``test_million_tier_*``, a dedicated CI job) with *absolute* vectorized
@@ -64,7 +68,10 @@ from repro.core import (
     RecordBatch,
     SUM_F64,
     SUM_I64,
+    SepoDriver,
+    organizations,
 )
+from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,6 +92,9 @@ SMOKE_MIN_SPEEDUP = 2.0
 #: ratio: 2.0-2.7x measured, against 1.0x for any per-entry reader, so
 #: 1.5x tells the two apart without sitting inside the run-to-run noise
 RESULT_MIN_SPEEDUP = 1.5
+#: gate for the batched mixed-op kernel over the scalar loop at 64k ops
+#: (measured 4.3x on both generic-entry organizations)
+MIXED_MIN_SPEEDUP = 2.0
 #: absolute vectorized floors for the 1M tier (records/sec), seeded at
 #: ~1/3 of the throughput measured when the tier landed (basic 1.58M,
 #: combining 841k, multi-valued 619k) to stay robust on shared runners
@@ -218,13 +228,13 @@ def result_kps(kind: str, keys, values, repeats: int = 3) -> dict:
 MIXED_OP_P = (0.45, 0.20, 0.15, 0.20)
 
 
-def make_mixed_ops(n: int, seed: int = 42):
-    """Seeded mixed-op triples over an n/8 keyspace."""
+def make_mixed_ops(n: int, seed: int = 42, keyspace: int | None = None):
+    """Seeded mixed-op triples over ``keyspace`` keys (default n/8)."""
     rng = np.random.default_rng(seed)
     ops = rng.choice(
         [OP_INSERT, OP_UPDATE, OP_DELETE, OP_LOOKUP], size=n, p=MIXED_OP_P
     )
-    ranks = rng.integers(0, max(16, n // 8), size=n)
+    ranks = rng.integers(0, keyspace or max(16, n // 8), size=n)
     return [
         (int(op), b"key-%08d" % r, i)
         for i, (op, r) in enumerate(zip(ops, ranks))
@@ -285,8 +295,76 @@ def integrity_rps(kind: str, mode: str, keys, values, repeats: int = 3) -> float
 
 
 #: organizations whose ``impl="vectorized"`` mutation path is more than
-#: the scalar loop; the others' vectorized arm would time the same function
-BATCHED_MUTATION_KINDS = ("combining",)
+#: the scalar loop (the batched mixed-op kernel); the multi-valued arm
+#: would time the same function twice
+BATCHED_MUTATION_KINDS = ("basic", "combining")
+
+#: batch sizes of the cut-over sweep, and the ops each cell streams
+SWEEP_SIZES = (64, 128, 256, 512, 768, 1024, 2048)
+SWEEP_OPS = 8192
+#: the sweep's tables: the shape of the benchmark of record's ``kv_mixed``
+SWEEP_BUCKETS, SWEEP_PAGE, SWEEP_KEYSPACE = 1024, 4 << 10, 4096
+SWEEP_HEAP = {"fresh": 8 << 20, "part-evicted": 256 << 10}
+
+
+def _sweep_table(kind: str, impl: str, state: str) -> GpuHashTable:
+    """An empty table with room for the whole stream, or one loaded by
+    16k mixed ops into a heap a fraction of its size -- chains that run on
+    into evicted memory, a CPU-side image several times the heap."""
+    ledger = CostLedger()
+    table = GpuHashTable(
+        SWEEP_BUCKETS, make_org(kind, "vectorized"),
+        GpuHeap(SWEEP_HEAP[state], SWEEP_PAGE), group_size=64, ledger=ledger,
+    )
+    if state == "part-evicted":
+        load = make_mixed_ops(2 * SWEEP_OPS, 3, SWEEP_KEYSPACE)
+        SepoDriver(table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger)).run(
+            [make_mutation(kind, load[lo:lo + 2048])
+             for lo in range(0, len(load), 2048)]
+        )
+    table.org.impl = impl
+    return table
+
+
+def sweep_rps(kind, impl, state, size, repeats: int = 3) -> float:
+    """Best-of-``repeats`` ops/sec for :data:`SWEEP_OPS` mixed ops issued
+    ``size`` at a time (postponed ops are not reissued: both arms do the
+    same work on bit-identical tables)."""
+    stream = make_mixed_ops(SWEEP_OPS, 7, SWEEP_KEYSPACE)
+    best = 0.0
+    for _ in range(repeats):
+        table = _sweep_table(kind, impl, state)
+        batches = [
+            make_mutation(kind, stream[lo:lo + size])
+            for lo in range(0, SWEEP_OPS, size)
+        ]
+        t0 = time.perf_counter()
+        for batch in batches:
+            table.mutate_batch(batch)
+        best = max(best, SWEEP_OPS / (time.perf_counter() - t0))
+    return best
+
+
+def mixed_sweep(repeats: int = 3, sizes=SWEEP_SIZES) -> dict:
+    """The cut-over sweep: batched kernel (forced on at every size) against
+    the scalar loop, per organization, table state and batch size."""
+    shipped = organizations.MIXED_KERNEL_MIN_OPS
+    organizations.MIXED_KERNEL_MIN_OPS = 0
+    try:
+        rows = {}
+        for state in SWEEP_HEAP:
+            for kind in BATCHED_MUTATION_KINDS:
+                for size in sizes:
+                    loop = sweep_rps(kind, "slow_reference", state, size, repeats)
+                    kernel = sweep_rps(kind, "vectorized", state, size, repeats)
+                    rows[f"{state}/{kind}/{size}"] = {
+                        "loop_rps": round(loop),
+                        "kernel_rps": round(kernel),
+                        "kernel_over_loop": round(kernel / loop, 2),
+                    }
+    finally:
+        organizations.MIXED_KERNEL_MIN_OPS = shipped
+    return {"cut_over_ops": shipped, "ops_per_cell": SWEEP_OPS, "rows": rows}
 
 
 def _insert_cell(kind, keys, values, repeats) -> dict:
@@ -390,8 +468,9 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
     distributions["result"] = {
         kind: result_kps(kind, keys, values, repeats) for kind in KINDS
     }
-    # mixed-op cell: tracked, not gated -- delete/lookup ops force the
-    # scalar loop, so this measures the mutation oracle itself
+    # mixed-op cell: the batched kernel against the scalar loop (gated
+    # by test_mixed_ops_kernel_beats_scalar_loop); multi-valued has only
+    # the loop
     triples = make_mixed_ops(n)
     distributions["mixed-ops"] = {
         kind: _mixed_cell(kind, triples, repeats) for kind in KINDS
@@ -423,6 +502,8 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
         # tracked, not gated (the gate is test_shard_scaling_smoke):
         # simulated aggregate throughput + overlap per shard count
         "shard_scaling": shard_scaling_cell(n),
+        # the evidence behind organizations.MIXED_KERNEL_MIN_OPS
+        "mixed_sweep": mixed_sweep(repeats),
     }
 
 
@@ -555,15 +636,37 @@ def test_vectorized_multivalued_beats_scalar_smoke():
 
 def test_mixed_ops_cell_runs():
     """Non-gating: the mixed-op mutation cell must complete on every
-    organization under every implementation it distinguishes (throughput
-    is tracked in ``BENCH_hostperf.json``, not asserted -- delete/lookup
-    ops force the scalar loop, so no speedup floor applies)."""
+    organization under every implementation it distinguishes, and so must
+    one column of the cut-over sweep."""
     triples = make_mixed_ops(2048)
     for kind in KINDS:
         row = _mixed_cell(kind, triples, repeats=1)
         assert row["scalar_rps"] > 0
         assert ("vectorized_rps" in row) == (kind in BATCHED_MUTATION_KINDS)
         assert row.get("vectorized_rps", 1) > 0
+    shipped = organizations.MIXED_KERNEL_MIN_OPS
+    sweep = mixed_sweep(repeats=1, sizes=(256,))
+    assert organizations.MIXED_KERNEL_MIN_OPS == shipped == sweep["cut_over_ops"]
+    assert set(sweep["rows"]) == {
+        f"{state}/{kind}/256"
+        for state in SWEEP_HEAP for kind in BATCHED_MUTATION_KINDS
+    }
+    assert all(r["kernel_rps"] > 0 < r["loop_rps"] for r in sweep["rows"].values())
+
+
+def test_mixed_ops_kernel_beats_scalar_loop():
+    """CI gate: at 64k ops the batched mixed-op kernel must sustain
+    :data:`MIXED_MIN_SPEEDUP` x the scalar loop on both generic-entry
+    organizations (measured 4.3x; the loop is the oracle, so a kernel that
+    is not clearly faster has no reason to exist)."""
+    triples = make_mixed_ops(FULL_N)
+    for kind in BATCHED_MUTATION_KINDS:
+        scalar = mutate_rps(kind, "slow_reference", triples, repeats=2)
+        vectorized = mutate_rps(kind, "vectorized", triples, repeats=3)
+        assert vectorized >= MIXED_MIN_SPEEDUP * scalar, (
+            f"{kind}: batched mixed-op kernel {vectorized:,.0f} ops/s < "
+            f"{MIXED_MIN_SPEEDUP}x scalar loop {scalar:,.0f} ops/s"
+        )
 
 
 def test_integrity_overhead_cell_runs():
@@ -641,7 +744,13 @@ def test_hostperf_export_roundtrip(tmp_path):
     for row in full["distributions"]["integrity-overhead"].values():
         for mode in INTEGRITY_CELL_MODES:
             assert row[f"{mode}_rps"] > 0
-    # full tiers also carry the (non-gated) shard weak-scaling rows
+    # ... the cut-over sweep behind MIXED_KERNEL_MIN_OPS ...
+    sweep = full["mixed_sweep"]
+    assert sweep["cut_over_ops"] == organizations.MIXED_KERNEL_MIN_OPS
+    assert len(sweep["rows"]) == (
+        len(SWEEP_HEAP) * len(BATCHED_MUTATION_KINDS) * len(SWEEP_SIZES)
+    )
+    # ... and the (non-gated) shard weak-scaling rows
     scaling = full["shard_scaling"]
     assert set(scaling) == {str(c) for c in SHARD_COUNTS}
     for row in scaling.values():
@@ -651,7 +760,7 @@ def test_hostperf_export_roundtrip(tmp_path):
     deep = loaded["tiers"]["4096"]
     assert set(deep["distributions"]) == {"uniform"}
     assert set(deep["distributions"]["uniform"]) == set(KINDS)
-    assert "shard_scaling" not in deep
+    assert "shard_scaling" not in deep and "mixed_sweep" not in deep
 
 
 # ----------------------------------------------------------------------
@@ -715,6 +824,14 @@ def _print_tier(tier: dict) -> None:
                     f"{row['speedup']:.1f}x"
                 )
             print(line)
+    sweep = tier.get("mixed_sweep")
+    if sweep:
+        print(f"  mixed-op cut-over sweep (shipped: {sweep['cut_over_ops']} ops)")
+        for name, row in sweep["rows"].items():
+            print(
+                f"  {name:>30} loop {row['loop_rps']:>9,} ops/s   kernel "
+                f"{row['kernel_rps']:>9,} ops/s   {row['kernel_over_loop']:.2f}x"
+            )
     for count, row in tier.get("shard_scaling", {}).items():
         print(
             f"  shards={count:<2} simulated {row['records_per_second']:>12,} "

@@ -17,15 +17,18 @@ one node at a time.  The walker serves two address translations:
   CPU-side image, where a CPU address is the byte offset and nothing
   blocks (``GpuHashTable.result``).
 
-A resident parse returns a :class:`ChainBlock`: chain-major flat arrays of addresses,
-arena positions, key/value lengths, mutation flags and walk-charge
+A parse returns a :class:`ChainBlock`: chain-major flat arrays of addresses,
+byte positions, key/value lengths, mutation flags and walk-charge
 cumsums, plus one zero-padded key matrix.  It is read two ways, and there
 is no third:
 
 * lookups index it by head and scan one chain's :class:`ChainSoA` slice;
-* the pre-aggregated insert kernels hand :func:`resolve_keys` every
-  distinct batch key at once and get back, per key, what a scalar walk of
-  its bucket's resident prefix would have found and been charged.
+* the batched insert and mixed-op kernels hand every distinct batch key at
+  once to the one key matcher (:func:`_match_keys`).  :func:`resolve_keys`
+  keeps each key's first match in its bucket's *resident* prefix -- what a
+  scalar walk would have found and been charged;
+  :func:`match_cpu_chains` keeps every match in the *whole* chain, read
+  through the CPU-side image -- what an in-stream lookup visits.
 
 :class:`ChainViewStore` caches views across lookup passes.  Validity is
 stamped by two heap counters: ``residency_epoch`` (any page moving in or
@@ -51,7 +54,9 @@ __all__ = [
     "ChainBlock",
     "ChainSoA",
     "ChainViewStore",
+    "ChainMatches",
     "KeyResolve",
+    "match_cpu_chains",
     "materialize_chains",
     "resolve_keys",
     "walk_cpu_image",
@@ -152,7 +157,7 @@ class ChainBlock(Mapping):
         self.keys = keys
         #: chain index -> (segment, address) where its walk left residency
         self.blocked = blocked
-        self._index = {h: i for i, h in enumerate(heads)}
+        self._index: dict | None = None  # head -> chain, built when asked
 
     def __len__(self) -> int:
         return len(self.heads)
@@ -161,6 +166,8 @@ class ChainBlock(Mapping):
         return iter(self.heads)
 
     def __getitem__(self, head: int) -> ChainSoA:
+        if self._index is None:
+            self._index = {h: i for i, h in enumerate(self.heads)}
         i = self._index[head]
         a, b = int(self.starts[i]), int(self.starts[i + 1])
         return ChainSoA(
@@ -448,13 +455,15 @@ def _as_words(mat: np.ndarray) -> np.ndarray:
 
 
 class KeyResolve(NamedTuple):
-    """What a scalar walk would find for each of G keys: (G,) int64 each.
+    """What a scalar walk would find for each of G keys: (G,) arrays.
 
     A walk that misses visits ``n_resident`` entries and is charged
     ``walk_bytes``; one that hits stops at walk position ``hit`` (0 is the
-    chain head), having been charged ``hit_bytes``.  Keys whose chain is
-    empty, non-resident at the head, or simply does not hold them have
-    ``hit == -1`` and ``hit_pos == hit_addr == NULL``.
+    chain head) -- the newest same-key entry, *live or dead* -- having
+    been charged ``hit_bytes``.  Keys whose chain is empty, non-resident
+    at the head, or simply does not hold them have ``hit == -1`` and
+    ``hit_pos == hit_addr == NULL``; ``blocked`` then tells a proven
+    absence from a miss against a chain that runs on into evicted memory.
     """
 
     n_resident: np.ndarray  # resident prefix length of the key's chain
@@ -463,6 +472,71 @@ class KeyResolve(NamedTuple):
     hit_bytes: np.ndarray  # charge of the walk that stops there
     hit_pos: np.ndarray  # arena byte position of the hit entry
     hit_addr: np.ndarray  # its cpu address
+    hit_flags: np.ndarray  # its raw mutation-flag bits (0 without a hit)
+    hit_vlen: np.ndarray  # its value length (0 without a hit)
+    blocked: np.ndarray  # bool: the resident prefix ends at evicted memory
+
+
+def _chains_of(heads):
+    """``(live, uniq, chain)``: the keys whose bucket is not empty, the
+    distinct chain heads among them, and each live key's index into those
+    (many keys share a chain)."""
+    live = np.flatnonzero(heads != NULL)
+    h = heads[live]
+    order = np.argsort(h, kind="stable")
+    hs = h[order]
+    first = np.ones(len(hs), dtype=bool)
+    np.not_equal(hs[1:], hs[:-1], out=first[1:])
+    chain = np.empty(len(h), dtype=np.int64)
+    chain[order] = np.cumsum(first) - 1
+    return live, hs[first], chain
+
+
+def _match_keys(block, first_row, npairs, keys, key_lens):
+    """The one key matcher: every (key, entry) pair with equal key bytes.
+
+    Key ``k`` is compared with the ``npairs[k]`` entries of ``block``
+    starting at row ``first_row[k]`` (its chain, in walk order).  Pairs
+    are expanded :data:`_RESOLVE_PAIRS` at a time and narrowed on key
+    length first, then one 8-byte word column at a time -- the order the
+    scalar walk compares in, so embedded and trailing NULs cannot alias a
+    shorter key.  Returns ``(k, within, row)`` of the matching pairs,
+    ordered by key and then walk position: a key's first pair is its
+    newest same-key entry (what :func:`resolve_keys` keeps), all of them
+    are what a lookup reads.
+    """
+    # both matrices cut to the common width, zeroed past each key's
+    # length and packed into 8-byte words: equal-length keys are equal
+    # iff their words are, and one word column of all pairs is a pair
+    # of 1-D gathers
+    width = min(block.keys.shape[1], keys.shape[1])
+    qkeys = keys[:, :width].copy()
+    qkeys[np.arange(width) >= key_lens[:, None]] = 0
+    rwords = _as_words(block.keys[:, :width])
+    qwords = _as_words(qkeys)
+    cp = np.cumsum(npairs)
+    found: list[tuple] = []
+    lo = 0
+    while lo < len(npairs):
+        budget = (cp[lo - 1] if lo else 0) + _RESOLVE_PAIRS
+        hi = max(lo + 1, int(np.searchsorted(cp, budget, side="right")))
+        cnt = npairs[lo:hi]
+        # pair p = (key rep[p], walk position within[p])
+        rep = np.repeat(np.arange(lo, hi), cnt)
+        within = np.arange(int(cnt.sum())) - np.repeat(
+            np.cumsum(cnt) - cnt, cnt
+        )
+        row = first_row[rep] + within
+        cand = np.flatnonzero(block.klens[row] == key_lens[rep])
+        for c in range(rwords.shape[1]):
+            cand = cand[rwords[row[cand], c] == qwords[rep[cand], c]]
+        found.append((rep[cand], within[cand], row[cand]))
+        lo = hi
+    if len(found) == 1:
+        return found[0]
+    if not found:
+        return (np.zeros(0, dtype=np.int64),) * 3
+    return tuple(np.concatenate(col) for col in zip(*found))
 
 
 def resolve_keys(heap, heads, kind, keys, key_lens) -> KeyResolve:
@@ -471,10 +545,9 @@ def resolve_keys(heap, heads, kind, keys, key_lens) -> KeyResolve:
     ``heads[g]`` is the chain key ``g`` hashes to (``NULL`` for an empty
     bucket; many keys may share one), ``keys`` the zero-padded (G, width)
     key matrix and ``key_lens`` the exact lengths.  Every distinct chain
-    is parsed once by :func:`materialize_chains`; keys are then expanded
-    against their chain's entries ``_RESOLVE_PAIRS`` pairs at a time and
-    compared on length first, bytes second -- the order the scalar walk
-    uses, so embedded and trailing NULs cannot alias a shorter key.
+    is parsed once by :func:`materialize_chains`; :func:`_match_keys`
+    then compares each key with its chain's entries, and the first match
+    of a key is its newest same-key entry.
     """
     heads = np.asarray(heads, dtype=np.int64)
     key_lens = np.asarray(key_lens, dtype=np.int64)
@@ -485,57 +558,84 @@ def resolve_keys(heap, heads, kind, keys, key_lens) -> KeyResolve:
     hit_bytes = np.zeros(G, dtype=np.int64)
     hit_pos = np.full(G, NULL, dtype=np.int64)
     hit_addr = np.full(G, NULL, dtype=np.int64)
+    hit_flags = np.zeros(G, dtype=np.int64)
+    hit_vlen = np.zeros(G, dtype=np.int64)
+    blocked = np.zeros(G, dtype=bool)
 
-    live = np.flatnonzero(heads != NULL)
+    live, uniq, chain = _chains_of(heads)
     if len(live):
-        uniq, chain = np.unique(heads[live], return_inverse=True)
         block = materialize_chains(heap, uniq, kind)
         starts = block.starts
         n_resident[live] = np.diff(starts)[chain]
+        if block.blocked:
+            chain_blocked = np.zeros(len(uniq), dtype=bool)
+            chain_blocked[list(block.blocked)] = True
+            blocked[live] = chain_blocked[chain]
         walkable = n_resident[live] > 0
         sel = live[walkable]  # keys with something to walk, ascending
         first_row = starts[chain[walkable]]
         npairs = n_resident[sel]
         walk_bytes[sel] = block.cum[first_row + npairs - 1]
-
-        # both matrices cut to the common width, zeroed past each key's
-        # length and packed into 8-byte words: equal-length keys are equal
-        # iff their words are, and one word column of all pairs is a pair
-        # of 1-D gathers
-        width = min(block.keys.shape[1], keys.shape[1])
-        qkeys = keys[sel, :width]
-        qkeys[np.arange(width) >= key_lens[sel, None]] = 0
-        rwords = _as_words(block.keys[:, :width])
-        qwords = _as_words(qkeys)
-        cp = np.cumsum(npairs)
-        lo = 0
-        while lo < len(sel):
-            budget = (cp[lo - 1] if lo else 0) + _RESOLVE_PAIRS
-            hi = max(lo + 1, int(np.searchsorted(cp, budget, side="right")))
-            cnt = npairs[lo:hi]
-            # pair p = (key sel[rep[p]], walk position within[p])
-            rep = np.repeat(np.arange(lo, hi), cnt)
-            within = np.arange(int(cnt.sum())) - np.repeat(
-                np.cumsum(cnt) - cnt, cnt
-            )
-            row = first_row[rep] + within
-            g = sel[rep]
-            cand = np.flatnonzero(block.klens[row] == key_lens[g])
-            for c in range(rwords.shape[1]):
-                cand = cand[rwords[row[cand], c] == qwords[rep[cand], c]]
-            if len(cand):
-                # pairs are (key, walk position)-ordered: the first match
-                # of each key is its newest same-key entry
-                gm = g[cand]
-                newest = cand[np.r_[True, gm[1:] != gm[:-1]]]
-                gm, rows = g[newest], row[newest]
-                hit[gm] = within[newest]
-                hit_bytes[gm] = block.cum[rows]
-                hit_pos[gm] = block.pos[rows]
-                hit_addr[gm] = block.addrs[rows]
-            lo = hi
+        k, within, row = _match_keys(
+            block, first_row, npairs, keys[sel], key_lens[sel]
+        )
+        if len(k):
+            newest = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+            gm, rows = sel[k[newest]], row[newest]
+            hit[gm] = within[newest]
+            hit_bytes[gm] = block.cum[rows]
+            hit_pos[gm] = block.pos[rows]
+            hit_addr[gm] = block.addrs[rows]
+            hit_flags[gm] = block.flags[rows]
+            hit_vlen[gm] = block.vlens[rows]
     return KeyResolve(
-        n_resident, walk_bytes, hit, hit_bytes, hit_pos, hit_addr
+        n_resident, walk_bytes, hit, hit_bytes, hit_pos, hit_addr,
+        hit_flags, hit_vlen, blocked,
+    )
+
+
+class ChainMatches(NamedTuple):
+    """Every same-key entry of G keys' whole CPU-side chains.
+
+    ``n_chain`` / ``chain_bytes`` are per key: the chain's length and the
+    charge of walking all of it.  The remaining columns are per matching
+    entry, ordered by key and then walk position (newest first).
+    """
+
+    n_chain: np.ndarray
+    chain_bytes: np.ndarray
+    key: np.ndarray  # index of the key the entry matches
+    at: np.ndarray  # its walk position in the key's chain
+    cum: np.ndarray  # charge of the walk up to and including it
+    vpos: np.ndarray  # byte position of its value in the image
+    vlen: np.ndarray
+    flags: np.ndarray
+
+
+def match_cpu_chains(image, heads, keys, key_lens) -> ChainMatches:
+    """All-match resolve of a batch of keys against whole chains, read
+    through the flat CPU-side image (see :func:`walk_cpu_image`): what an
+    in-stream lookup of each key visits, evicted entries included.
+    Arguments as for :func:`resolve_keys`.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    key_lens = np.asarray(key_lens, dtype=np.int64)
+    n_chain = np.zeros(len(heads), dtype=np.int64)
+    chain_bytes = np.zeros(len(heads), dtype=np.int64)
+    live, uniq, chain = _chains_of(heads)
+    layout = _LAYOUTS["generic"]
+    cols, counts, _ = _walk(image, uniq, layout, None, 0)
+    block = _assemble(uniq.tolist(), image, layout.header, *cols, counts, {})
+    first_row = block.starts[chain]
+    n_chain[live] = counts[chain]
+    chain_bytes[live] = block.cum[first_row + n_chain[live] - 1]
+    k, within, row = _match_keys(
+        block, first_row, n_chain[live], keys[live], key_lens[live]
+    )
+    return ChainMatches(
+        n_chain, chain_bytes, live[k], within, block.cum[row],
+        block.pos[row] + layout.header + block.klens[row],
+        block.vlens[row], block.flags[row],
     )
 
 

@@ -73,6 +73,7 @@ __all__ = [
     "scatter_rows",
     "gather_field",
     "scatter_field",
+    "or_entry_flags",
     "write_entries_bulk",
     "write_key_entries_bulk",
     "write_value_nodes_bulk",
@@ -238,6 +239,14 @@ def scatter_field(arena: np.ndarray, pos: np.ndarray, values: np.ndarray) -> Non
     le = np.ascontiguousarray(values, dtype=values.dtype.newbyteorder("<"))
     rows = le.view(np.uint8).reshape(len(pos), -1)
     arena[pos[:, None] + np.arange(rows.shape[1])] = rows
+
+
+def or_entry_flags(arena: np.ndarray, pos: np.ndarray, flags: np.ndarray) -> None:
+    """OR mutation flag bits into the klen words of the generic entries at
+    byte positions ``pos`` (distinct); the bulk :func:`set_entry_flag`."""
+    if len(pos):
+        word = gather_field(arena, pos + 16, "<u4")
+        scatter_field(arena, pos + 16, word | flags.astype(np.uint32))
 
 
 def _scatter_payload_words(

@@ -34,8 +34,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.core import entries as E
-from repro.core.hashing import fnv1a
+from repro.core.hashing import fnv1a_batch
 from repro.core.hashtable import GpuHashTable
 from repro.core.organizations import (
     BasicOrganization,
@@ -43,6 +45,8 @@ from repro.core.organizations import (
     HASH_CYCLES_PER_BYTE,
     IMPLS,
 )
+from repro.core.records import pack_byte_rows
+from repro.gpusim.atomics import hottest_count
 from repro.gpusim.kernel import BatchStats, KernelModel
 from repro.gpusim.pcie import PCIeBus
 from repro.memalloc.address import NULL
@@ -99,10 +103,12 @@ class LookupDriver:
         heap = table.heap
         page_size = heap.page_size
         head_cpu = table.buckets.head_cpu
-        n_buckets = table.buckets.n_buckets
         start_elapsed = table.ledger.elapsed
 
-        buckets = [fnv1a(k) % n_buckets for k in keys]
+        bucket_ids = table.buckets.bucket_of_hash(
+            fnv1a_batch(*pack_byte_rows(keys))
+        ).astype(np.int64)
+        buckets = bucket_ids.tolist()
         values: list[Any] = [None] * len(keys)
         # Per-query walk state: (chain position, accumulated value, found)
         # for scalar methods, or (key position, value position, collected
@@ -165,8 +171,8 @@ class LookupDriver:
                     demanded[blocked_seg] += 1
                     still[i] = new_state
             stats.cycles_per_record = len(state) and cycles / len(state)
-            stats.hottest_bucket = max(
-                Counter(buckets[i] for i in state).values(), default=0
+            stats.hottest_bucket = hottest_count(
+                bucket_ids[np.fromiter(state, np.int64, len(state))]
             )
             self.kernel.charge(stats)
             postponed_total += len(still)
@@ -220,7 +226,9 @@ class LookupDriver:
                         values[i] = acc
                     return None
                 v = comb.unpack(view.value_bytes(w))
-                acc = v if not found else comb.combine(acc, v)
+                # the walk is newest-first: fold the older residue in from
+                # the left, like GpuHashTable.result()
+                acc = v if not found else comb.combine(v, acc)
                 found = True
         n = view.n
         if n:
@@ -259,7 +267,9 @@ class LookupDriver:
                     values[i] = raw  # basic method: newest entry wins
                     return None
                 v = comb.unpack(raw)
-                acc = v if not found else comb.combine(acc, v)
+                # newest-first walk: the older residue folds in from the
+                # left, like GpuHashTable.result()
+                acc = v if not found else comb.combine(v, acc)
                 found = True
             addr = next_cpu
         if found:

@@ -24,10 +24,15 @@ by the ``impl`` constructor argument:
   are updated with grouped last-writer-wins scatters.  The probing
   organizations group the batch by distinct key and resolve every key
   against its bucket's resident chain prefix in one bulk pass
-  (:func:`repro.core.chainview.resolve_keys`).  Whatever has no closed
-  form -- mixed-op batches with deletes or lookups, traced runs, 64-bit
-  hash collisions, callback combiners, tables holding tombstones,
-  multi-valued inserts under pool pressure -- runs the scalar loop.
+  (:func:`repro.core.chainview.resolve_keys`).  Mixed
+  insert/update/delete/lookup batches on the two generic-entry
+  organizations run one such kernel too (:func:`_mutate_generic`:
+  resolve -> plan -> allocate -> scatter, exact through allocation
+  failure in mid-batch) once they hold :data:`MIXED_KERNEL_MIN_OPS` ops.
+  Whatever has no closed form -- traced runs, 64-bit hash collisions,
+  callback combiners, pure-insert batches into tables holding tombstones,
+  multi-valued inserts under pool pressure and every multi-valued mixed-op
+  batch -- runs the scalar loop.
 * ``"slow_reference"`` -- the one-record-at-a-time loops, always: the
   differential-testing oracle.
 
@@ -44,7 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import entries as E
-from repro.core.chainview import resolve_keys
+from repro.core.chainview import match_cpu_chains, resolve_keys, word_aligned
 from repro.core.combiners import Combiner
 from repro.core.mutations import OP_DELETE, OP_INSERT, OP_LOOKUP, OP_UPDATE
 from repro.memalloc.address import NULL
@@ -84,6 +89,12 @@ UPDATE_CYCLES = 18.0
 #: scalar oracle loops only
 IMPLS = ("vectorized", "slow_reference")
 
+#: mixed-op batches of at least this many ops run the batched kernel under
+#: ``impl="vectorized"``; smaller ones run the loop, whose per-op cost is
+#: lower than the kernel's fixed cost of a few hundred numpy dispatches
+#: (the ``mixed_sweep`` tier of BENCH_hostperf.json is the evidence)
+MIXED_KERNEL_MIN_OPS = 512
+
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
     """``argsort(kind="stable")`` via a composite quicksort key.
@@ -97,17 +108,21 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return (keys.astype(np.int64) * n + np.arange(n)).argsort()
 
 
-def segmented_exclusive_cumsum(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
+def segmented_exclusive_cumsum(
+    x: np.ndarray, seg: np.ndarray, order: np.ndarray | None = None
+) -> np.ndarray:
     """Per-element sum of *earlier* same-segment elements, in arrival order.
 
-    This is the closed form behind the pre-aggregated kernels' walk
-    accounting: with ``x`` holding per-record "a new entry was prepended
-    here" event weights and ``seg`` the bucket ids, the result at record
-    ``j`` is exactly how much the bucket's chain grew before ``j``'s walk
-    started -- what the scalar reference observes record by record.
+    This is the closed form behind the batched kernels' walk accounting:
+    with ``x`` holding per-record "a new entry was prepended here" event
+    weights and ``seg`` the bucket ids, the result at record ``j`` is
+    exactly how much the bucket's chain grew before ``j``'s walk started
+    -- what the scalar reference observes record by record.  ``order`` is
+    ``_stable_order(seg)`` when the caller already has it.
     """
     m = len(x)
-    order = _stable_order(seg)
+    if order is None:
+        order = _stable_order(seg)
     xs = x[order]
     excl = np.cumsum(xs) - xs
     ss = seg[order]
@@ -170,44 +185,49 @@ class _DistinctKeys:
             batch.keys[rec], batch.key_lens[rec],
         )
 
-    def walk_charges(self, res, buckets, klens, created, header):
-        """Closed form of what the scalar walks of all ``m`` records cost.
+    def first_creates(self, created):
+        """``(made, creator)`` for :meth:`walk_charges` when each key of
+        ``created`` (G,) gets its one new entry at its first occurrence --
+        the pre-aggregated insert kernels' case."""
+        made = np.zeros(len(self.gpos), dtype=bool)
+        made[self.firstj[created]] = True
+        creator = np.where(
+            created[self.gpos] & ~self.isfirst, self.firstj[self.gpos], -1
+        )
+        return made, creator
 
-        A record's walk visits its bucket's resident prefix plus every
-        entry prepended by earlier records of the batch.  Both have closed
-        forms -- per-bucket exclusive cumulative sums of "entry prepended
-        here" events (probe steps) and of their header+key costs (bytes) --
-        so no per-record walk is replayed.  ``created`` marks the keys (G,)
-        whose entry this batch creates at their first occurrence; a key
-        that is neither resident nor created misses on every occurrence.
+    def walk_charges(self, res, buckets, klens, made, creator, header):
+        """Closed form of what a scalar walk by each of the ``m`` ops costs.
 
-        Returns ``(probe_steps, walk_bytes, hit_res, hit_new)``: the two
-        totals, and per-record masks of walks that end at a resident entry
-        and at an entry an earlier record of this batch created.
+        A walk visits the entries earlier ops of the batch prepended to its
+        bucket, newest first, then the bucket's resident prefix, and stops
+        at its key's newest copy.  ``made`` (m,) marks the ops that prepend
+        an entry; ``creator`` (m,) is the op that made the key's newest
+        copy as the walk starts, -1 when that copy -- if there is one -- is
+        resident.  With ``A`` / ``S`` the per-bucket exclusive cumulative
+        sums of creation events and of their header+key bytes, a walker
+        whose key was created by op ``c`` pays ``A[j] - A[c]`` probes and
+        ``S[j] - S[c]`` bytes; any other pays ``A[j]`` plus the resident
+        hit position + 1, or the whole resident prefix on a miss.  No
+        per-op walk is replayed.
+
+        Returns per-op ``(probe_steps, walk_bytes, A, S)``; callers sum
+        over the ops that do walk.
         """
-        m = len(buckets)
-        gpos, firstj = self.gpos, self.firstj
-        made = firstj[created]
-        ev = np.zeros(m, dtype=np.int64)
-        cv = np.zeros(m, dtype=np.int64)
-        ev[made] = 1
-        cv[made] = header + klens[made]
-        A = segmented_exclusive_cumsum(ev, buckets)
-        S = segmented_exclusive_cumsum(cv, buckets)
-        hit_res = (res.hit >= 0)[gpos]
-        hit_new = ~hit_res & created[gpos] & ~self.isfirst
-        miss = ~(hit_res | hit_new)
-        probe = np.zeros(m, dtype=np.int64)
-        btv = np.zeros(m, dtype=np.int64)
-        probe[miss] = res.n_resident[gpos][miss] + A[miss]
-        btv[miss] = res.walk_bytes[gpos][miss] + S[miss]
-        if hit_new.any():
-            probe[hit_new] = A[hit_new] - A[firstj][gpos][hit_new]
-            btv[hit_new] = S[hit_new] - S[firstj][gpos][hit_new]
-        if hit_res.any():
-            probe[hit_res] = res.hit[gpos][hit_res] + 1 + A[hit_res]
-            btv[hit_res] = res.hit_bytes[gpos][hit_res] + S[hit_res]
-        return int(probe.sum()), int(btv.sum()), hit_res, hit_new
+        gpos = self.gpos
+        order = _stable_order(buckets)
+        ev = made.astype(np.int64)
+        A = segmented_exclusive_cumsum(ev, buckets, order)
+        S = segmented_exclusive_cumsum(ev * (header + klens), buckets, order)
+        hit = res.hit[gpos]
+        probe = A + np.where(hit >= 0, hit + 1, res.n_resident[gpos])
+        btv = S + np.where(hit >= 0, res.hit_bytes[gpos], res.walk_bytes[gpos])
+        new = creator >= 0
+        if new.any():
+            c = creator[new]
+            probe[new] = A[new] - A[c]
+            btv[new] = S[new] - S[c]
+        return probe, btv, A, S
 
 
 @dataclass
@@ -309,6 +329,429 @@ class InsertTally:
         )
 
 
+def _latest_before(mask: np.ndarray, seg0: np.ndarray) -> np.ndarray:
+    """Per position of a key-major array, the latest *earlier* position of
+    the same key where ``mask`` holds, else -1 (``seg0[p]`` is the first
+    position of ``p``'s key)."""
+    at = np.where(mask, np.arange(len(mask)), -1)
+    last = np.r_[-1, np.maximum.accumulate(at)[:-1]]
+    return np.where(last >= seg0, last, -1)
+
+
+def _mutate_generic(table, batch, idx, buckets, tally, comb):
+    """The batched mixed-op kernel of the two generic-entry organizations:
+    resolve -> plan -> allocate -> scatter, bit-identical to their
+    ``_mutate_impl`` loops through mid-batch allocation failure.
+
+    ``comb`` is the whole policy.  ``None`` is the basic method: an insert
+    prepends without probing, an update overwrites a live same-width hit
+    and shadows it.  A :class:`Combiner` is the combining method: inserts
+    and updates are the same upsert, which probes and combines into a live
+    hit.  Deletes and lookups are common to both.
+
+    Every op's group must be open (the caller gates failed groups).
+    Returns the success mask, or None -- before touching anything -- when
+    a request exceeds the page size (the loop raises the allocator's
+    error).  docs/cost_model.md, "Mutation cycle costs", derives each
+    step.
+    """
+    heap = table.heap
+    alloc = table.alloc
+    muts = table.mutations
+    arena = heap.pool.arena
+    m = len(idx)
+    ar = np.arange(m)
+    ops = batch.ops[idx]
+    klens = batch.key_lens[idx].astype(np.int64)
+    groups = buckets // table.buckets.group_size
+    is_lk = ops == OP_LOOKUP
+    is_del = ops == OP_DELETE
+    is_upd = ops == OP_UPDATE
+    is_up = ~(is_lk | is_del)
+    if comb is None:
+        width = np.where(is_up, batch.val_lens[idx], 0).astype(np.int64)
+    else:
+        width = np.where(is_up, comb.value_size, 0)
+
+    # -- resolve: the state each op finds its key in ---------------------
+    # One of: live with a value width, dead, absent, or unproven (a miss
+    # against a chain that runs on into evicted memory).  It depends only
+    # on the key's previous write of the batch -- after an upsert the key
+    # is live at that op's width whether or not it allocated, after a
+    # delete it is dead (or still absent) -- and before the first write on
+    # what one resolve of the distinct keys found.
+    dk = _DistinctKeys(batch.cache.grouping(table.buckets), idx, buckets)
+    res = dk.resolve(table, batch, idx, "generic")
+    sub, gpos = dk.sub, dk.gpos
+    seg0 = np.repeat(dk.starts, dk.counts)
+    g_s = gpos[sub]
+    last_up = _latest_before(is_up[sub], seg0)
+    last_del = _latest_before(is_del[sub], seg0)
+    untouched = (last_up < 0) & (last_del < 0)
+    hit0 = res.hit >= 0
+    live0 = hit0 & ((res.hit_flags & E.GFLAG_TOMBSTONE) == 0)
+    live_s = np.where(
+        last_up >= 0, last_del < last_up, untouched & live0[g_s]
+    )
+    found_s = np.where(last_up >= 0, width[sub][last_up], res.hit_vlen[g_s])
+    unproven_s = untouched & (~hit0 & res.blocked)[g_s]
+    if comb is None:
+        keeps = is_upd[sub] & live_s & (found_s == width[sub])
+    else:
+        keeps = live_s
+    takes = np.empty(m, dtype=bool)  # ops that allocate an entry
+    takes[sub] = np.where(is_del[sub], unproven_s, is_up[sub] & ~keeps)
+    live = np.empty(m, dtype=bool)
+    live[sub] = live_s
+    found = np.empty(m, dtype=np.int64)  # value width of that live copy
+    found[sub] = found_s
+
+    # -- plan: the sticky cut -------------------------------------------
+    # The pool grants page takes in request order; a group stops at its
+    # first denied one.  That op postpones charged for its walk and its
+    # INSERT_CYCLES, every later op of the group postpones at the gate,
+    # every earlier one runs -- and since a key lives in one group, the
+    # states above hold for all ops that run.
+    req = np.flatnonzero(takes)
+    size = np.zeros(m, dtype=np.int64)
+    size[req] = E.entry_sizes_bulk(klens[req], width[req])
+    if len(req) and int(size.max()) > heap.page_size:
+        return None
+    stop = np.full(table.buckets.n_groups, m)
+    if len(req):
+        page_takes = alloc.plan_page_takes(groups[req], size[req])
+        denied = req[page_takes[heap.pool.n_free:]]
+        if len(denied):
+            g_denied, first = np.unique(groups[denied], return_index=True)
+            stop[g_denied] = denied[first]
+    stop = stop[groups]
+    ran = ar < stop
+    refused = ar == stop
+    n_gated = m - int(ran.sum()) - int(refused.sum())
+    made = takes & ran  # the entries this batch creates
+    inplace = ran & is_up & ~takes  # overwrites (basic) / combines
+    buried = ran & is_del & live  # live newest copies tombstoned in place
+    born_dead = made & is_del
+
+    # -- charges ---------------------------------------------------------
+    c_s = _latest_before(made[sub], seg0)
+    creator = np.empty(m, dtype=np.int64)  # op that made the newest copy
+    creator[sub] = np.where(c_s >= 0, sub[c_s], -1)
+    probe, walk_bytes, A, S = dk.walk_charges(
+        res, buckets, klens, made, creator, E.ENTRY_HEADER
+    )
+    walks = (ran | refused) & (is_del | (is_upd if comb is None else is_up))
+    n_refused = int(refused.sum())
+    n_inplace = int(inplace.sum())
+    n_buried = int(buried.sum())
+    tally.attempted += m
+    tally.succeeded += m - n_gated - n_refused
+    tally.postponed += n_gated + n_refused
+    muts.gate_postponed += n_gated
+    tally.probe_steps += int(probe[walks].sum())
+    tally.bytes_touched += (
+        int(walk_bytes[walks].sum())
+        + int((size[made] + 16).sum())
+        + 4 * n_buried
+        + (int((width[inplace] + 4).sum()) if comb is None
+           else 2 * comb.value_size * n_inplace)
+    )
+    # integer-valued constants (the caller checked comb.cycles): the sum
+    # is order-free and lands on the loop's float
+    tally.table_cycles += float(
+        HASH_CYCLES_PER_BYTE * int(klens.sum())
+        + INSERT_CYCLES * (int(made.sum()) + n_refused)
+        + (UPDATE_CYCLES if comb is None else comb.cycles) * n_inplace
+        + TOMBSTONE_CYCLES * n_buried
+    )
+    muts.inserts += int((ran & (ops == OP_INSERT)).sum())
+    muts.updates_inplace += int((inplace & is_upd).sum())
+    muts.updates_entries += int((made & is_upd).sum())
+    muts.deletes_inplace += n_buried
+    muts.deletes_tombstones += int(born_dead.sum())
+    muts.deletes_noop += int((ran & is_del & ~buried & ~takes).sum())
+    n_tomb = n_buried + int(born_dead.sum())
+    if n_tomb:
+        alloc.note_tombstone(
+            int(E.entry_sizes_bulk(klens[buried], found[buried]).sum())
+            + int(size[born_dead].sum()),
+            n_tomb,
+        )
+
+    # -- lookups read the table as it stood before the batch -------------
+    looks = ran & is_lk
+    if looks.any():
+        muts.lookups += int(looks.sum())
+        dirty = np.empty(m, dtype=bool)  # an earlier op wrote the same key
+        dirty[sub] = ~untouched
+        _answer_lookups(
+            table, batch, idx, dk, comb, looks, dirty, ran, made, inplace,
+            buried, A, S, tally,
+        )
+
+    # -- allocate: the request stream the loop would issue ---------------
+    ask = np.flatnonzero(takes & (ran | refused))
+    bulk = alloc.allocate_many(groups[ask], size[ask], PageKind.GENERIC)
+    if not np.array_equal(bulk.ok, ran[ask]):  # pragma: no cover
+        raise AssertionError("page-take plan and allocator disagree")
+    tally.alloc_groups.extend(groups[ask][bulk.ok])
+
+    # -- scatter: effects collapse per entry -----------------------------
+    # All in-place ops between two allocations of a key land on one entry
+    # (the resident hit before the first): flags OR together, the last
+    # overwrite wins, combines fold in arrival order.  ``target`` names
+    # that entry: the op that made it, or m + key for the resident hit.
+    target = np.where(made, ar, np.where(creator >= 0, creator, m + gpos))
+    nflags = np.zeros(m, dtype=np.int64)  # by making op
+    rflags = np.zeros(len(dk.starts), dtype=np.int64)  # by key (resident)
+    nflags[born_dead] = E.GFLAG_TOMBSTONE
+    t = target[buried]
+    nflags[t[t < m]] |= E.GFLAG_TOMBSTONE
+    rflags[t[t >= m] - m] |= E.GFLAG_TOMBSTONE
+    rewritten = np.zeros(len(dk.starts), dtype=bool)  # resident hits
+    if comb is None:
+        nflags[made & is_upd] |= E.GFLAG_SHADOW
+        source = ar.copy()  # op whose value each new entry ends up with
+        over = sub[inplace[sub]]  # in-place updates, key-major
+        if len(over):
+            t = target[over]
+            nflags[t[t < m]] |= E.GFLAG_SHADOW
+            rflags[t[t >= m] - m] |= E.GFLAG_SHADOW
+            final = np.r_[t[1:] != t[:-1], True]  # last overwrite per entry
+            t, over = t[final], over[final]
+            new = t < m
+            source[t[new]] = over[new]
+            g, over = t[~new] - m, over[~new]
+            E.scatter_rows(
+                arena, res.hit_pos[g] + E.ENTRY_HEADER + klens[over],
+                batch.values[idx[over]], width[over],
+            )
+    else:
+        vdtype = comb.dtype.newbyteorder("<")
+        folded = np.zeros(m, dtype=comb.dtype)  # by making op
+        ups = sub[(ran & is_up)[sub]]  # upserts that ran, key-major
+        if len(ups):
+            t = target[ups]
+            runs = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+            t = t[runs]
+            seeded = t >= m  # runs that start on a resident hit
+            g = t[seeded] - m
+            vo = res.hit_pos[g] + E.ENTRY_HEADER + klens[dk.firstj[g]]
+            seeds = np.zeros(len(runs), dtype=comb.dtype)
+            seeds[seeded] = E.gather_field(arena, vo, vdtype)
+            red = comb.fold_segments(
+                batch.numeric_values[idx[ups]], runs, seeds, seeded
+            )
+            E.scatter_field(arena, vo, red[seeded])
+            rewritten[g] = True
+            folded[t[~seeded]] = red[~seeded]
+    rewritten |= rflags != 0
+    hits = np.flatnonzero(rflags)
+    E.or_entry_flags(arena, res.hit_pos[hits], rflags[hits])
+    for seg in np.unique(res.hit_addr[rewritten] // heap.page_size).tolist():
+        heap.note_write(seg)
+
+    # new entries: linked newest-first per bucket, written once with their
+    # final value and flags
+    order = np.flatnonzero(bulk.ok)
+    if not len(order):
+        return ran
+    order = order[_stable_order(buckets[ask[order]])]
+    new = ask[order]  # the making ops, by (bucket, arrival)
+    at = bulk.slot[order] * heap.page_size + bulk.offset[order]
+    next_gpu, next_cpu = _link_heads(
+        table.buckets, buckets[new], bulk.gpu_addr[order], bulk.cpu_addr[order]
+    )
+    for dead in (False, True):  # entries with a value, then born dead
+        part = is_del[new] == dead
+        j = new[part]
+        if not len(j):
+            continue
+        rec = idx[j]
+        if dead:
+            values = np.zeros((len(j), 0), dtype=np.uint8)
+        elif comb is None:
+            values = batch.values[idx[source[j]]]
+        else:
+            values = folded[j].astype(vdtype).view(np.uint8).reshape(len(j), -1)
+        E.write_entries_bulk(
+            arena, at[part], next_gpu[part], next_cpu[part],
+            batch.keys[rec], klens[j], values, width[j],
+        )
+    flagged = nflags[new] != 0
+    E.or_entry_flags(arena, at[flagged], nflags[new[flagged]])
+    return ran
+
+
+def _answer_lookups(
+    table, batch, idx, dk, comb, looks, dirty, ran, made, inplace, buried,
+    A, S, tally,
+):
+    """Answer and charge the in-stream lookups of one kernel call.
+
+    Reads only the table as it stood before the batch: one flat image of
+    the CPU side (released on return), the lookups' bucket chains walked
+    through it, every same-key entry matched.  The newest-first automaton
+    of :meth:`Organization._lookup_generic` runs as a mask over those
+    matches; a lookup is charged the entries the batch prepended to its
+    bucket so far (``A`` / ``S``) plus the chain up to and including the
+    match that closes its key, else the whole chain.  The few lookups an
+    earlier op of their own batch wrote under replay that key's ops over
+    its match list, without touching the heap.
+    """
+    heap = table.heap
+    results = batch.lookup_results
+    gpos = dk.gpos
+    lk = np.flatnonzero(looks)
+    slot = np.full(len(dk.starts), -1, dtype=np.int64)
+    slot[gpos[lk]] = 0
+    keys = np.flatnonzero(slot == 0)  # distinct looked-up keys
+    slot[keys] = np.arange(len(keys))
+    rec = idx[dk.firstj[keys]]
+    blob = heap.cpu_image()
+    image = np.frombuffer(blob, dtype=np.uint8)
+    cm = match_cpu_chains(
+        image, table.buckets.head_cpu[dk.gbucket[keys]],
+        batch.keys[rec], batch.key_lens[rec],
+    )
+    # newest-first automaton: a tombstone closes its key unseen, a shadow
+    # shows itself and closes; nothing older shows
+    closing = cm.flags != 0
+    first = np.searchsorted(cm.key, np.arange(len(keys)))
+    base = np.r_[0, np.cumsum(closing)]
+    older = base[:-1] - base[first][cm.key]  # closing matches before this
+    shows = (older == 0) & ((cm.flags & E.GFLAG_TOMBSTONE) == 0)
+    closer = np.flatnonzero(closing & (older == 0))
+    probes = cm.n_chain.copy()
+    nbytes = cm.chain_bytes.copy()
+    probes[cm.key[closer]] = cm.at[closer] + 1
+    nbytes[cm.key[closer]] = cm.cum[closer]
+
+    # every matched entry's value: bytes (basic) or its scalar
+    if comb is None:
+        old: list = [
+            blob[a:b] for a, b in
+            zip(cm.vpos.tolist(), (cm.vpos + cm.vlen).tolist())
+        ]
+    else:
+        stored = np.flatnonzero(cm.vlen)  # born-dead entries hold none
+        scalars = np.zeros(len(cm.key), dtype=comb.dtype)
+        scalars[stored] = E.gather_field(
+            image, cm.vpos[stored], comb.dtype.newbyteorder("<")
+        )
+
+    # per-key answers, oldest first
+    vis = np.flatnonzero(shows)[::-1]  # keys descending, oldest first
+    vkey = cm.key[vis]
+    if comb is None:
+        answers: list = [[] for _ in keys]
+        for k, p in zip(vkey.tolist(), vis.tolist()):
+            answers[k].append(old[p])
+    else:
+        answers = [None] * len(keys)
+        if len(vis):
+            starts = np.flatnonzero(np.r_[True, vkey[1:] != vkey[:-1]])
+            red = comb.fold_segments(scalars[vis], starts)
+            for k, v in zip(vkey[starts].tolist(), red.tolist()):
+                answers[k] = v
+
+    clean = lk[~dirty[lk]]
+    ck = slot[gpos[clean]]
+    tally.probe_steps += int((probes[ck] + A[clean]).sum())
+    tally.bytes_touched += int((nbytes[ck] + S[clean]).sum())
+    if comb is None:
+        results.update(
+            (i, answers[k].copy())
+            for i, k in zip(idx[clean].tolist(), ck.tolist())
+        )
+    else:
+        results.update(
+            (i, answers[k]) for i, k in zip(idx[clean].tolist(), ck.tolist())
+        )
+
+    stale = lk[dirty[lk]]
+    if not len(stale):
+        return
+    # replay: each such key's ops, in order, over its same-key entries
+    # newest first -- [value, flags, making op or -1, match]
+    wrote = np.zeros(len(dk.starts), dtype=bool)
+    wrote[gpos[stale]] = True
+    sub = dk.sub
+    j_s = sub[(ran & wrote[gpos])[sub]]  # their ops that ran, key-major
+    rec = idx[j_s]
+    if comb is None:
+        rows = batch.values[rec]
+        vals = [
+            row[:n].tobytes() for row, n in zip(rows, batch.val_lens[rec].tolist())
+        ]
+    else:
+        vals = batch.numeric_values[rec].tolist()
+        old = scalars.tolist()
+    m_flags = cm.flags.tolist()
+    m_at = cm.at.tolist()
+    m_cum = cm.cum.tolist()
+    n_chain, chain_bytes = cm.n_chain.tolist(), cm.chain_bytes.tolist()
+    first = first.tolist() + [len(m_flags)]
+    A_l, S_l = A.tolist(), S.tolist()
+    TOMB, SHADOW = E.GFLAG_TOMBSTONE, E.GFLAG_SHADOW
+    probe_steps = nbytes_sum = 0
+    key = -1
+    ents: list = []
+    for j, i, g, op, value, is_made, is_inpl, is_bur, is_dirty in zip(
+        j_s.tolist(), rec.tolist(), slot[gpos[j_s]].tolist(),
+        batch.ops[rec].tolist(), vals, made[j_s].tolist(),
+        inplace[j_s].tolist(), buried[j_s].tolist(), dirty[j_s].tolist(),
+    ):
+        if g != key:
+            key = g
+            ents = [
+                [old[p], m_flags[p], -1, p]
+                for p in range(first[g], first[g + 1])
+            ]
+        if op == OP_LOOKUP:
+            if not is_dirty:
+                continue
+            out = []
+            steps, nb = A_l[j] + n_chain[g], S_l[j] + chain_bytes[g]
+            for v, flags, c, p in ents:
+                if not flags & TOMB:
+                    out.append(v)
+                if flags:  # the closing match ends the walk
+                    if c >= 0:
+                        steps, nb = A_l[j] - A_l[c], S_l[j] - S_l[c]
+                    else:
+                        steps, nb = A_l[j] + m_at[p] + 1, S_l[j] + m_cum[p]
+                    break
+            probe_steps += steps
+            nbytes_sum += nb
+            out.reverse()
+            if comb is None:
+                results[i] = out
+            elif out:
+                acc = out[0]
+                for v in out[1:]:  # (old . mid) . new, as the loop folds
+                    acc = comb.combine(acc, v)
+                results[i] = acc
+            else:
+                results[i] = None
+        elif is_made:
+            if op == OP_DELETE:
+                ents.insert(0, [None, TOMB, j, -1])
+            else:
+                shadow = SHADOW if comb is None and op == OP_UPDATE else 0
+                ents.insert(0, [value, shadow, j, -1])
+        elif is_inpl:
+            if comb is None:
+                ents[0][0] = value
+                ents[0][1] |= SHADOW
+            else:
+                ents[0][0] = comb.combine(ents[0][0], value)
+        elif is_bur:
+            ents[0][1] |= TOMB
+    tally.probe_steps += probe_steps
+    tally.bytes_touched += nbytes_sum
+
+
 class Organization:
     """Base class; see module docstring."""
 
@@ -317,6 +760,9 @@ class Organization:
     page_kinds: tuple[PageKind, ...] = (PageKind.GENERIC,)
     #: one of :data:`IMPLS`; governs inserts and mixed-op mutations alike
     impl: str = "vectorized"
+    #: every cycle constant this organization charges is integer-valued, so
+    #: a batch's ``table_cycles`` may be summed in any order
+    _integer_cycles = True
 
     def _set_impl(self, impl: str) -> None:
         if impl not in IMPLS:
@@ -361,6 +807,16 @@ class Organization:
         order across postponement replays (same key -> same bucket -> same
         group, and a failed allocation poisons the group until the
         end-of-iteration eviction refills the pool).
+
+        ``slow_reference`` runs :meth:`_mutate_impl`, one op at a time, for
+        everything.  ``vectorized`` takes the ops of groups that failed
+        before the call out in one masked step (:meth:`_mutate_vectorized`,
+        all three organizations) and hands the rest to
+        :meth:`_mutate_open`: the batched kernel :func:`_mutate_generic`
+        for basic and combining batches of :data:`MIXED_KERNEL_MIN_OPS`
+        ops or more, the same loop otherwise.  Success masks, tallies,
+        lookup answers, counters and table bytes do not depend on the
+        choice.
         """
         if self.impl == "slow_reference":
             return self._mutate_impl(table, batch, idx, buckets, tally)
@@ -373,7 +829,55 @@ class Organization:
         )
 
     def _mutate_vectorized(self, table, batch, idx, buckets, tally) -> np.ndarray:
-        # no batched form for this op mix: the scalar loop is the kernel
+        """The entry gate in one masked step, then :meth:`_mutate_open`.
+
+        Ops whose group is already sticky-failed postpone charged for
+        their hash alone and touch nothing, so they leave the batch
+        together; what runs sees exactly the ops the loop would let
+        through.  Integer-valued cycle constants make the charge
+        order-free (a combiner with fractional ``cycles`` keeps the loop's
+        own gate).
+        """
+        alloc = table.alloc
+        if alloc.has_failures and self._integer_cycles:
+            gated = np.isin(
+                buckets // table.buckets.group_size, alloc.failed_groups
+            )
+            n = int(gated.sum())
+            if n:
+                tally.attempted += n
+                tally.postponed += n
+                tally.table_cycles += HASH_CYCLES_PER_BYTE * int(
+                    batch.key_lens[idx[gated]].sum()
+                )
+                table.mutations.gate_postponed += n
+                success = np.zeros(len(idx), dtype=bool)
+                if n < len(idx):
+                    success[~gated] = self._mutate_open(
+                        table, batch, idx[~gated], buckets[~gated], tally
+                    )
+                return success
+        return self._mutate_open(table, batch, idx, buckets, tally)
+
+    def _mutate_open(self, table, batch, idx, buckets, tally) -> np.ndarray:
+        """Apply ops whose groups are all open on entry.  No batched form
+        here: the scalar loop is the kernel."""
+        return self._mutate_impl(table, batch, idx, buckets, tally)
+
+    def _mutate_batched(self, table, batch, idx, buckets, tally, comb):
+        """:func:`_mutate_generic` where it applies, else the loop: small
+        batches (:data:`MIXED_KERNEL_MIN_OPS`), traced runs (per-walk
+        ``on_access`` order), 64-bit hash collisions, and heaps too oddly
+        sized for word views."""
+        if (
+            len(idx) >= MIXED_KERNEL_MIN_OPS
+            and table.trace is None
+            and word_aligned(table.heap)
+            and not batch.cache.grouping(table.buckets).has_collision
+        ):
+            done = _mutate_generic(table, batch, idx, buckets, tally, comb)
+            if done is not None:
+                return done
         return self._mutate_impl(table, batch, idx, buckets, tally)
 
     def should_halt(self, table: "GpuHashTable") -> bool:
@@ -651,6 +1155,11 @@ class BasicOrganization(Organization):
         return success
 
     # -- mixed-op mutation path ----------------------------------------
+    def _mutate_open(self, table, batch, idx, buckets, tally):
+        if batch.values is None:  # the loop raises on the first value read
+            return self._mutate_impl(table, batch, idx, buckets, tally)
+        return self._mutate_batched(table, batch, idx, buckets, tally, None)
+
     def _mutate_impl(self, table, batch, idx, buckets, tally):
         heap = table.heap
         alloc = table.alloc
@@ -829,7 +1338,7 @@ class CombiningOrganization(Organization):
             _DistinctKeys(grouping, idx, buckets),
         )
 
-    def _insert_preagg(self, table, batch, idx, buckets, tally, dk, ops=None):
+    def _insert_preagg(self, table, batch, idx, buckets, tally, dk):
         """One probe + one combine per distinct key, scalar-exact tallies.
 
         ``dk`` is the subset's :class:`_DistinctKeys`; walk charges come
@@ -878,9 +1387,12 @@ class CombiningOrganization(Organization):
             if extra:
                 alloc.record_denied_retries(extra, rgroups[failpos])
 
-        probe_steps, walk_bytes, hit_res, hit_new = dk.walk_charges(
-            res, buckets, klens, ins, E.ENTRY_HEADER
+        made, creator = dk.first_creates(ins)
+        probe, walk_bytes, _, _ = dk.walk_charges(
+            res, buckets, klens, made, creator, E.ENTRY_HEADER
         )
+        hit_res = (res.hit >= 0)[gpos]
+        hit_new = creator >= 0
         r_ins = ins[gpos]
         n_hits = int(hit_res.sum()) + int(hit_new.sum())
         n_miss = m - n_hits
@@ -888,9 +1400,9 @@ class CombiningOrganization(Organization):
         tally.attempted += m
         tally.succeeded += m - n_post
         tally.postponed += n_post
-        tally.probe_steps += probe_steps
+        tally.probe_steps += int(probe.sum())
         tally.bytes_touched += (
-            walk_bytes
+            int(walk_bytes.sum())
             + 2 * comb.value_size * n_hits
             + int((sizes[okpos] + 16).sum())
         )
@@ -942,16 +1454,6 @@ class CombiningOrganization(Organization):
         for seg in np.unique(res.hit_addr[hit_g] // page_size).tolist():
             heap.note_write(seg)
 
-        if ops is not None:
-            # mixed-op accounting: under the no-failure pre-flight every
-            # record succeeded; updates that hit combined in place, updates
-            # that missed created their entry.
-            hit = hit_res | hit_new
-            upd = ops == OP_UPDATE
-            muts = table.mutations
-            muts.inserts += int((~upd).sum())
-            muts.updates_inplace += int((upd & hit).sum())
-            muts.updates_entries += int((upd & ~hit).sum())
         return hit_res | r_ins
 
     def _insert_scalar(self, table, batch, idx, buckets, tally):
@@ -1022,49 +1524,19 @@ class CombiningOrganization(Organization):
         return success
 
     # -- mixed-op mutation path ----------------------------------------
-    def _mutate_vectorized(self, table, batch, idx, buckets, tally):
-        """Mutation dispatch for the batched implementation.
+    @property
+    def _integer_cycles(self) -> bool:
+        return float(self.combiner.cycles).is_integer()
 
-        Insert/update-only batches reuse the pre-aggregated insert kernel
-        (an update is an upsert-combine, identical to an insert) when a
-        worst-case all-miss pre-flight proves no allocation can fail: then
-        the postponement gate can never fire mid-batch, and the kernel's
-        closed-form charges are exact.  Everything else -- deletes,
-        lookups, callback combiners, sticky failures, tombstones already
-        in the table -- runs the scalar loop.
-        """
+    def _mutate_open(self, table, batch, idx, buckets, tally):
         comb = self.combiner
-        ops_arr = batch.ops[idx]
-        if (
-            table.trace is None
-            and not ((ops_arr == OP_DELETE) | (ops_arr == OP_LOOKUP)).any()
-            and comb.supports_vector_reduce
-            and batch.numeric_values is not None
-            and batch.numeric_values.dtype == comb.dtype
-            and not table.alloc.has_failures
-            and table.alloc.stats.entries_tombstoned == 0
+        if (  # callbacks and foreign dtypes combine one value at a time
+            not comb.supports_vector_reduce
+            or batch.numeric_values is None
+            or batch.numeric_values.dtype != comb.dtype
         ):
-            grouping = batch.cache.grouping(table.buckets)
-            if not grouping.has_collision:
-                # worst-case pre-flight: one entry per distinct key, as if
-                # every probe missed.  The real request sequence is a
-                # same-order subsequence with identical sizes, and bump
-                # allocation is monotone under dropping requests, so
-                # success of the superset implies success of whatever the
-                # kernel actually allocates.
-                dk = _DistinctKeys(grouping, idx, buckets)
-                first_arr = np.sort(dk.firstj)
-                sizes = E.entry_sizes_bulk(
-                    batch.key_lens[idx[first_arr]].astype(np.int64),
-                    np.full(len(first_arr), comb.value_size, np.int64),
-                )
-                groups = buckets[first_arr] // table.buckets.group_size
-                needed = table.alloc.plan_pages_needed(groups, sizes)
-                if table.heap.pool.can_take(needed):
-                    return self._insert_preagg(
-                        table, batch, idx, buckets, tally, dk, ops=ops_arr
-                    )
-        return self._mutate_impl(table, batch, idx, buckets, tally)
+            return self._mutate_impl(table, batch, idx, buckets, tally)
+        return self._mutate_batched(table, batch, idx, buckets, tally, comb)
 
     def _mutate_impl(self, table, batch, idx, buckets, tally):
         heap = table.heap
@@ -1444,17 +1916,18 @@ class MultiValuedOrganization(Organization):
         ):
             self._clear_pending(table, arena, kseg, koff)
 
-        probe_steps, walk_bytes, _, _ = dk.walk_charges(
-            res, buckets, klens, newmask_g, E.KEY_ENTRY_HEADER
+        probe, walk_bytes, _, _ = dk.walk_charges(
+            res, buckets, klens, *dk.first_creates(newmask_g),
+            E.KEY_ENTRY_HEADER,
         )
         tally.attempted += m
         tally.succeeded += m
         tally.table_cycles += float(
             HASH_CYCLES_PER_BYTE * int(klens.sum()) + INSERT_CYCLES * m
         )
-        tally.probe_steps += probe_steps
+        tally.probe_steps += int(probe.sum())
         tally.bytes_touched += (
-            walk_bytes
+            int(walk_bytes.sum())
             + int((vsizes + 16).sum())
             + int((ksizes[nf_rec] + 16).sum())
         )

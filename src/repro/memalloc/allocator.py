@@ -435,6 +435,36 @@ class BucketGroupAllocator:
                 i0 = j
         return spans, triggers
 
+    def plan_page_takes(
+        self,
+        groups: np.ndarray,
+        sizes: np.ndarray,
+        kind: PageKind = PageKind.GENERIC,
+        kinds: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Which of these requests would take a fresh page, were they served
+        one at a time in array order from an unbounded pool: their indices,
+        ascending.
+
+        Read-only: neither the pool nor any current page is touched.  A
+        group's page takes depend on that group's requests alone, and the
+        pool grants them in index order, so with ``n = heap.pool.n_free``
+        the first ``n`` indices are the takes a real run is granted and
+        every later one is denied -- the batched mutation kernel cuts each
+        group at its first denied take before it allocates anything.
+        """
+        groups = np.asarray(groups, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.shape != groups.shape:
+            raise ValueError("groups and sizes must have matching lengths")
+        if len(groups) == 0:
+            return np.zeros(0, dtype=np.int64)
+        codes, composite = self._validate_bulk(groups, sizes, kinds)
+        order = _stable_order(composite)
+        _, triggers = self._plan_spans(order, composite, groups, sizes,
+                                       codes, kind)
+        return np.sort(np.array([t for t, _ in triggers], dtype=np.int64))
+
     def plan_pages_needed(
         self,
         groups: np.ndarray,
@@ -444,24 +474,13 @@ class BucketGroupAllocator:
     ) -> int:
         """Fresh pages a failure-free sequential run of these requests takes.
 
-        Read-only: neither the pool nor any current page is touched.  When
-        the result is ``<= heap.pool.n_free``, a subsequent
+        When the result is ``<= heap.pool.n_free``, a subsequent
         :meth:`allocate_many` of the very same requests is guaranteed to
         succeed on every request -- the pre-aggregated multi-valued kernel
         uses this pre-flight to decide whether the no-postponement fast path
         applies before mutating anything.
         """
-        groups = np.asarray(groups, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if sizes.shape != groups.shape:
-            raise ValueError("groups and sizes must have matching lengths")
-        if len(groups) == 0:
-            return 0
-        codes, composite = self._validate_bulk(groups, sizes, kinds)
-        order = _stable_order(composite)
-        _, triggers = self._plan_spans(order, composite, groups, sizes,
-                                       codes, kind)
-        return len(triggers)
+        return len(self.plan_page_takes(groups, sizes, kind, kinds))
 
     def record_denied_retries(self, count: int, groups=None) -> None:
         """Account ``count`` requests a batched kernel proved would be denied.
@@ -483,16 +502,17 @@ class BucketGroupAllocator:
             self._failed_groups.update(int(g) for g in np.unique(groups))
 
     # ------------------------------------------------------------------
-    def note_tombstone(self, nbytes: int) -> None:
-        """Record that an ``nbytes`` entry was logically deleted in place.
+    def note_tombstone(self, nbytes: int, count: int = 1) -> None:
+        """Record that ``count`` entries of ``nbytes`` in total were
+        logically deleted.
 
         Tombstoned extents remain allocated (and reachable through their
         chains), so ``bytes_allocated`` is untouched; this only sizes the
         reclaimable backlog for a future compaction pass.
         """
-        if nbytes <= 0:
+        if nbytes <= 0 or count <= 0:
             raise ValueError("tombstoned entry size must be positive")
-        self.stats.entries_tombstoned += 1
+        self.stats.entries_tombstoned += count
         self.stats.bytes_tombstoned += nbytes
 
     # ------------------------------------------------------------------
@@ -520,6 +540,12 @@ class BucketGroupAllocator:
     def has_failures(self) -> bool:
         """Any bucket group sticky-failed this iteration?"""
         return bool(self._failed_groups)
+
+    @property
+    def failed_groups(self) -> np.ndarray:
+        """The sticky-failed bucket groups of this iteration, ascending
+        (a copy): what :meth:`group_failed` answers one group at a time."""
+        return np.array(sorted(self._failed_groups), dtype=np.int64)
 
     @property
     def failed_fraction(self) -> float:

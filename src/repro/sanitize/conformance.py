@@ -28,18 +28,21 @@ final mapping and every interleaved lookup's result must match, and the
 delete-heavy fault cells land pool exhaustion / mid-iteration eviction
 on delete calls.
 
-Runnable as a CI gate::
+Runnable as a CI gate (``--sanitize`` overrides the environment; with
+neither, cells are checked at the end of each run)::
 
-    python -m repro.sanitize.conformance --seed 1 --n 400 --sanitize end
+    REPRO_SANITIZE=paranoid python -m repro.sanitize.conformance --seed 1 --n 400
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.sanitize import faults as F
+from repro.sanitize.sanitizer import ENV_VAR, resolve_level
 from repro.sanitize.workloads import (
     make_batches,
     make_mutation_batches,
@@ -804,7 +807,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--n", type=int, default=600, help="records per workload")
     parser.add_argument(
-        "--sanitize", default="end", help="sanitizer level for every run"
+        "--sanitize", default=None,
+        help="sanitizer level for every run (default: $REPRO_SANITIZE, "
+        "else 'end')",
     )
     parser.add_argument(
         "--no-faults", action="store_true", help="skip fault-injected cases"
@@ -842,10 +847,15 @@ def main(argv: list[str] | None = None) -> int:
         )
         impls = tuple(n for n in impls if n in shard) if impls else shard
 
+    # an explicit flag wins, then the environment (CI's REPRO_SANITIZE=
+    # paranoid prefix), and a bare invocation still sanitizes at the end
+    sanitize = resolve_level(
+        args.sanitize or os.environ.get(ENV_VAR) or "end"
+    )
     outcomes = run_matrix(
         seed=args.seed,
         n=args.n,
-        sanitize=args.sanitize,
+        sanitize=sanitize,
         include_faults=not args.no_faults,
         impls=impls,
     )
@@ -854,7 +864,7 @@ def main(argv: list[str] | None = None) -> int:
         print(o)
     print(
         f"\n{len(outcomes) - len(failures)}/{len(outcomes)} cells passed "
-        f"(seed={args.seed}, n={args.n}, sanitize={args.sanitize})"
+        f"(seed={args.seed}, n={args.n}, sanitize={sanitize})"
     )
     return 1 if failures else 0
 

@@ -279,9 +279,9 @@ def _check_integrity_seals(heap, report: SanitizeReport) -> None:
     with the actual bytes therefore means a write path forgot its
     ``note_write`` -- the exact bug class that would later surface as a
     false-positive "corruption" during a scrub.  Stored-segment seals are
-    deliberately *not* re-verified here: injected at-rest faults must be
-    detected (and attributed) by the integrity layer itself, not raced by
-    the sanitizer.
+    not swept here: at-rest damage is the integrity layer's to detect and
+    attribute, which it does -- for the sanitizer as for any reader -- on
+    the verifying read every chain walk makes (:meth:`_Arena.locate`).
     """
     integrity = heap.integrity
     if integrity is None:
@@ -315,13 +315,22 @@ class _Arena:
         self.page_size = heap.page_size
 
     def locate(self, seg: int):
-        """Returns (buffer, watermark) or None for an unknown segment."""
-        page = self.heap._resident.get(seg)
+        """Returns (buffer, watermark) or None for an unknown segment.
+
+        With integrity on, a stored segment is read the way the table
+        reads it -- through the verifying :meth:`GpuHeap.segment_view` --
+        so at-rest damage the integrity layer can repair is repaired (and
+        attributed to it) before a pointer is followed out of the stale
+        bytes, and unrepairable damage surfaces as its
+        :class:`~repro.integrity.CorruptionError`, not as a cascade of
+        dangling-pointer reports.
+        """
+        heap = self.heap
+        page = heap._resident.get(seg)
         if page is not None:
-            return self.heap.pool.slot_view(page.slot), page.used
-        buf = self.heap._store.get(seg)
-        if buf is not None:
-            return buf, self.heap._store_meta[seg][2]
+            return heap.pool.slot_view(page.slot), page.used
+        if seg in heap._store:
+            return heap.segment_view(seg), heap._store_meta[seg][2]
         return None
 
 

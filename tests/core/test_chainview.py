@@ -27,6 +27,7 @@ from repro.core import (
 from repro.core import chainview, entries as E
 from repro.core.chainview import (
     ChainViewStore,
+    match_cpu_chains,
     materialize_chains,
     resolve_keys,
 )
@@ -82,14 +83,16 @@ def scalar_resolve(heap, kind, header, heads, queries):
     rows = []
     for h, q in zip(heads, queries):
         if h == NULL:
-            rows.append((0, 0, -1, 0, NULL, NULL))
+            rows.append((0, 0, -1, 0, NULL, NULL, 0, 0, False))
             continue
         v = chainview._materialize_scalar(heap, h, kind, header, arena)
         w = next((w for w in range(v.n) if v.key_bytes(w) == q), -1)
         rows.append((
             v.n, int(v.cum[-1]) if v.n else 0, w,
-            *((int(v.cum[w]), int(v.pos[w]), int(v.addrs[w])) if w >= 0
-              else (0, NULL, NULL)),
+            *((int(v.cum[w]), int(v.pos[w]), int(v.addrs[w]),
+               int(v.flags[w]), int(v.vlens[w])) if w >= 0
+              else (0, NULL, NULL, 0, 0)),
+            v.blocked is not None,
         ))
     return rows
 
@@ -159,6 +162,60 @@ def test_bulk_matches_scalar_materializer(org_kind, monkeypatch):
                 table.heap, np.array(qheads), kind, kmat, klens
             )
             assert list(zip(*(c.tolist() for c in got_cols))) == want_rows
+
+
+def test_match_cpu_chains_matches_a_full_chain_walk(monkeypatch):
+    """The all-match read behind in-stream lookups: every same-key entry
+    of a key's *whole* chain -- evicted segments included, tombstones and
+    shadows as flagged -- with the walk charge up to each, against a
+    per-entry walk through ``segment_view``."""
+    table, driver, _ = build(heap_bytes=2 * 512, page_size=512, n_buckets=4)
+    val = lambda i: b"val-%03d" % i
+    for r in range(3):  # three iterations: duplicates across segments
+        ops = [(OP_INSERT, k, val(r)) for k in KEYS[:24] + EDGE_KEYS]
+        ops += [(OP_DELETE, k, b"") for k in KEYS[r:24:5]]
+        ops += [(OP_UPDATE, k, val(90 + r)) for k in KEYS[r + 1:24:7]]
+        driver.run([MutationBatch.from_ops(ops)])
+    heap = table.heap
+    assert len(heap._store) > 2, "chains were expected to cross segments"
+    queries = KEYS[:30] + EDGE_KEYS + ABSENT_KEYS
+    heads = [
+        int(table.buckets.head_cpu[b]) for b in
+        MutationBatch.from_ops([(OP_INSERT, q, b"") for q in queries])
+        .cache.bucket_ids(table.buckets)
+    ] + [NULL]
+    queries = queries + [b"empty-bucket"]
+    want_n, want_bytes, want = [], [], []
+    for k, (head, q) in enumerate(zip(heads, queries)):
+        addr, at, cum = head, 0, 0
+        while addr != NULL:
+            seg, off = divmod(addr, heap.page_size)
+            buf = heap.segment_view(seg)
+            _, nxt, klen, vlen = E.read_entry_header(buf, off)
+            cum += E.ENTRY_HEADER + klen
+            if E.entry_key(buf, off, klen) == q:
+                want.append((
+                    k, at, cum, E.entry_value(buf, off, klen, vlen),
+                    E.entry_flags(buf, off),
+                ))
+            addr, at = nxt, at + 1
+        want_n.append(at)
+        want_bytes.append(cum)
+    assert any(f & E.GFLAG_TOMBSTONE for *_, f in want)
+    assert any(f & E.GFLAG_SHADOW for *_, f in want)
+    blob = heap.cpu_image()
+    image = np.frombuffer(blob, dtype=np.uint8)
+    kmat, klens = pack_byte_rows(queries)
+    for pairs in (chainview._RESOLVE_PAIRS, 3):
+        monkeypatch.setattr(chainview, "_RESOLVE_PAIRS", pairs)
+        cm = match_cpu_chains(image, np.array(heads), kmat, klens)
+        assert cm.n_chain.tolist() == want_n
+        assert cm.chain_bytes.tolist() == want_bytes
+        got = [
+            (k, at, cum, blob[vp:vp + vl], fl) for k, at, cum, vp, vl, fl in
+            zip(*(c.tolist() for c in cm[2:]))
+        ]
+        assert got == want
 
 
 def test_empty_and_single_entry_chains():

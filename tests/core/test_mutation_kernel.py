@@ -1,0 +1,452 @@
+"""The batched mixed-op kernel, forced on at every batch size.
+
+``impl="vectorized"`` runs ``organizations._mutate_generic`` only for
+batches of at least ``MIXED_KERNEL_MIN_OPS`` ops, and the differential
+suites use batches far smaller than that.  This module patches the
+cut-over to 0 for every test it collects (a fixture; the shipped constant
+is untouched) and
+
+* re-collects ``test_mutations.py``, ``test_mutation_readers.py`` and the
+  ``MutationMachine`` state machine under it, so each of those suites
+  runs at the shipped cut-over in its own module and at 0 here, and
+* adds the cases that need the kernel's own paths: allocation failure in
+  the middle of a batch (several groups at once; the denied op an insert,
+  an allocating update, a born-dead delete), groups already failed on
+  entry, lookups that follow a write to their key in the same batch,
+  width-changing updates, f64 folds across postponement, and a seeded fuzz.
+
+Every new case holds ``vectorized`` to ``slow_reference`` on all the
+observables of ``assert_mut_identical`` plus the allocator's own stats.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+import tests.core.test_mutation_readers as _readers
+import tests.core.test_mutations as _mutations
+from repro.core import entries as E
+from repro.core import (
+    BITOR_U64,
+    GpuHashTable,
+    OP_DELETE,
+    OP_INSERT,
+    OP_LOOKUP,
+    OP_UPDATE,
+    SUM_F64,
+    SUM_I64,
+    organizations,
+)
+from repro.core.hashing import fnv1a
+from repro.memalloc import GpuHeap
+from tests.core.test_mutations import (
+    assert_mut_identical,
+    kernel_calls,  # noqa: F401 -- fixture of the re-collected tests
+    make_org,
+    mut_batch,
+    run_mutations,
+)
+from tests.core.test_stateful_machine import (
+    _MUTATION_SETTINGS,
+    MutationMachineVectorized,
+)
+
+
+@pytest.fixture(autouse=True)
+def kernel_always(monkeypatch):
+    monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", 0)
+
+
+# the existing suites, re-collected under the fixture above
+for _module in (_mutations, _readers):
+    globals().update(
+        {k: v for k, v in vars(_module).items() if k.startswith("test_")}
+    )
+
+
+class MutationMachineKernel(MutationMachineVectorized):
+    """The mixed-op state machine with every batch through the kernel."""
+
+
+TestMutationMachineKernel = MutationMachineKernel.TestCase
+TestMutationMachineKernel.settings = _MUTATION_SETTINGS
+
+
+# ----------------------------------------------------------------------
+# a SEPO-shaped driver that records what each kernel call was given
+# ----------------------------------------------------------------------
+def run_passes(kind, impl, op_batches, heap_bytes=2048, page_size=256,
+               n_buckets=32, group_size=8, combiner=SUM_I64, together=True):
+    """Like ``run_mutations``, but the way ``SepoDriver`` issues work:
+    every batch with pending ops once per pass, *then* the eviction -- so
+    later batches of a pass meet groups that already failed
+    (``together=False``: one batch at a time, each to completion).  Also
+    records, per call, the ops issued, the groups failed on entry and the
+    mask that came back."""
+    table = GpuHashTable(
+        n_buckets, make_org(kind, impl, combiner),
+        GpuHeap(heap_bytes, page_size), group_size=group_size,
+    )
+    batches = [mut_batch(kind, t, combiner=combiner) for t in op_batches]
+    masks, tallies, stats, calls = [], [], [], []
+    rounds = [batches] if together else [[b] for b in batches]
+    for todo in rounds:
+        pending = [np.arange(len(b)) for b in todo]
+        for _ in range(64):
+            for n, batch in enumerate(todo):
+                if not len(pending[n]):
+                    continue
+                entry_failed = table.alloc.failed_groups
+                res = table.mutate_batch(batch, pending[n])
+                masks.append(res.success.copy())
+                tallies.append(res.tally)
+                stats.append(res.stats)
+                calls.append((batch, pending[n], entry_failed, res.success))
+                pending[n] = pending[n][~res.success]
+            table.end_iteration()
+            if not any(len(p) for p in pending):
+                break
+        else:
+            raise AssertionError("workload does not converge")
+    return {
+        "table": table, "masks": masks, "tallies": tallies, "stats": stats,
+        "lookups": [dict(b.lookup_results) for b in batches],
+        "census": table.check_invariants(), "calls": calls,
+    }
+
+
+def what_happened(run):
+    """Labels of the kernel paths a run went through, read off the oracle
+    observables alone (masks, ops, the allocator's failed groups)."""
+    table = run["table"]
+    seen = set()
+    for batch, idx, entry_failed, success in run["calls"]:
+        groups = (
+            batch.cache.bucket_ids(table.buckets)[idx]
+            // table.buckets.group_size
+        )
+        ops = batch.ops[idx]
+        on_entry = np.isin(groups, entry_failed)
+        if on_entry.any():
+            seen.add("failed-on-entry")
+        # the first op of a group to postpone was denied its allocation
+        late = np.flatnonzero(~success & ~on_entry)
+        _, first = np.unique(groups[late], return_index=True)
+        if len(first) >= 2:
+            seen.add("several-groups-fail")
+        for op in ops[late[first]].tolist():
+            seen.add(f"denied-{('insert', 'update', 'delete')[op]}")
+        # lookups that follow a write to their own key in the same call
+        keys = batch.key_bytes_list()
+        wrote = set()
+        for i, op, ok in zip(idx.tolist(), ops.tolist(), success.tolist()):
+            if op == OP_LOOKUP:
+                if ok and keys[i] in wrote:
+                    seen.add("lookup-after-write")
+            elif ok:
+                wrote.add(keys[i])
+    return seen
+
+
+def assert_identical(a, b, f64=False):
+    if f64:  # NaN-free here: compare the bits, not the rounded repr
+        bits = lambda t: {
+            k: struct.pack("<d", v) for k, v in t["table"].result().items()
+        }
+        assert bits(a) == bits(b)
+    assert_mut_identical(a, b)
+    assert a["table"].alloc.stats == b["table"].alloc.stats
+    np.testing.assert_array_equal(
+        a["table"].alloc.failed_groups, b["table"].alloc.failed_groups
+    )
+
+
+def both(kind, spec, driver=run_passes, f64=False, **kw):
+    a = driver(kind, "vectorized", spec, **kw)
+    b = driver(kind, "slow_reference", spec, **kw)
+    assert_identical(a, b, f64)
+    return a
+
+
+def keys_of_group(group, n, n_buckets, group_size, tag=b"g"):
+    """``n`` distinct keys whose bucket lies in bucket group ``group``."""
+    out, i = [], 0
+    while len(out) < n:
+        key = b"%s%d-%d" % (tag, group, i)
+        if fnv1a(key) % n_buckets // group_size == group:
+            out.append(key)
+        i += 1
+    return out
+
+
+def value(kind, v):
+    return v if kind == "combining" else b"v%05d" % v
+
+
+# ----------------------------------------------------------------------
+# the sticky cut
+# ----------------------------------------------------------------------
+#: a single chain in a single group over two pages
+ONE_CHAIN = dict(heap_bytes=2 * 256, page_size=256, n_buckets=1, group_size=1)
+
+
+@pytest.mark.parametrize("kind", ["basic", "combining"])
+@pytest.mark.parametrize("denied", ["insert", "update", "delete"])
+def test_cut_at_each_kind_of_denied_op(kind, denied):
+    """Fill both pages exactly, then ask for one more entry: as an insert,
+    as an update of an absent key, and as a delete whose miss is unproven
+    (the chain runs on into the evicted first batch).  The denied op is
+    charged its walk and its INSERT_CYCLES; the ops behind it -- a lookup
+    and an in-place update that need no memory at all -- postpone at the
+    gate."""
+    val = (lambda v: v) if kind == "combining" else (lambda v: b"v%02d" % v)
+    per_page = 256 // E.entry_size(5, 8 if kind == "combining" else 3)
+    seed = [(OP_INSERT, b"old%02d" % i, val(i)) for i in range(4)]
+    fill = [(OP_INSERT, b"k%04d" % i, val(i)) for i in range(2 * per_page)]
+    extra = (
+        {"insert": OP_INSERT, "update": OP_UPDATE, "delete": OP_DELETE}[denied],
+        b"k9999", val(1),
+    )
+    tail = [(OP_LOOKUP, b"k0003", val(0)), (OP_UPDATE, b"k0004", val(7))]
+    a = both(kind, [seed, fill + [extra] + tail], together=False, **ONE_CHAIN)
+    assert what_happened(a) == {f"denied-{denied}"}
+    first_try = a["calls"][1][3]
+    assert first_try[:len(fill)].all() and not first_try[len(fill):].any()
+    assert a["table"].mutations.gate_postponed == 2
+
+
+@pytest.mark.parametrize("kind", ["basic", "combining"])
+def test_several_groups_fail_inside_one_batch(kind):
+    """Four groups share three pages: the pool runs dry while every group
+    still has ops queued, so each stops at its own first denied page take
+    and the groups' cuts interleave in arrival order."""
+    shape = dict(heap_bytes=3 * 256, page_size=256, n_buckets=16, group_size=4)
+    per_group = [keys_of_group(g, 12, 16, 4) for g in range(4)]
+    rng = np.random.default_rng(5)
+    triples = []
+    for r in range(12):
+        for g in rng.permutation(4).tolist():
+            key = per_group[g][r]
+            triples.append((OP_INSERT, key, value(kind, r)))
+            triples.append((OP_LOOKUP, key, value(kind, 0)))
+            if r % 3 == 0:
+                triples.append((OP_UPDATE, per_group[g][0], value(kind, r)))
+    a = both(kind, [triples], **shape)
+    seen = what_happened(a)
+    assert "several-groups-fail" in seen
+    assert "lookup-after-write" in seen
+
+
+@pytest.mark.parametrize("kind", ["basic", "combining", "multi-valued"])
+def test_groups_failed_on_entry_postpone_in_one_step(kind):
+    """The second batch of a pass meets the groups the first one
+    exhausted: their ops postpone at the entry gate (for the multi-valued
+    method too, which otherwise stays on the loop), the other groups' run."""
+    shape = dict(heap_bytes=2 * 256, page_size=256, n_buckets=16, group_size=8)
+    g0 = keys_of_group(0, 24, 16, 8)
+    g1 = keys_of_group(1, 6, 16, 8)
+    val = lambda v: value(kind, v)
+    first = [(OP_INSERT, k, val(i)) for i, k in enumerate(g0)]
+    second = []
+    for i in range(6):
+        second += [
+            (OP_UPDATE, g0[i], val(50 + i)), (OP_INSERT, g1[i], val(i)),
+            (OP_LOOKUP, g0[i], val(0)), (OP_LOOKUP, g1[i], val(0)),
+            (OP_DELETE, g0[i + 6], val(0)),
+        ]
+    a = both(kind, [first, second], **shape)
+    assert "failed-on-entry" in what_happened(a)
+    assert a["table"].mutations.gate_postponed > 0
+
+
+@pytest.mark.parametrize("cycles", [8.0, 2.5], ids=["integer", "fractional"])
+def test_callback_combiners_keep_the_loop(cycles, monkeypatch):
+    """A callback combines one value at a time: its batches never enter
+    the kernel.  With integer ``cycles`` the entry gate still takes failed
+    groups' ops out in one step; with fractional ``cycles`` the charge is
+    not order-free and the loop keeps its own gate.  Identical either way."""
+    from repro.core import CallbackCombiner
+
+    def never(*a, **kw):
+        raise AssertionError("batched kernel ran for a callback combiner")
+
+    monkeypatch.setattr(organizations, "_mutate_generic", never)
+    comb = CallbackCombiner(
+        lambda a, b: 3 * a - b, scalar="i64", name="3a-b", cycles=cycles
+    )
+    spec = [_mutations.seeded_ops(40 + i, 150, 40, "combining") for i in range(3)]
+    a = both("combining", spec, combiner=comb)
+    assert "failed-on-entry" in what_happened(a)
+
+
+# ----------------------------------------------------------------------
+# lookups that read their own batch's writes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["basic", "combining"])
+def test_lookup_after_same_key_writes_in_one_batch(kind):
+    """A lookup preceded in its batch by a write to its key replays that
+    key's ops: after an insert, after an in-place update of a resident
+    hit, after delete-then-reinsert, after a delete alone -- with older
+    copies of the key both resident and evicted underneath."""
+    val = lambda v: value(kind, v)
+    k = [b"key-%d" % i for i in range(6)]
+    look = lambda key: (OP_LOOKUP, key, val(0))
+    older = [(OP_INSERT, key, val(i)) for i, key in enumerate(k[:4])]
+    resident = [(OP_INSERT, key, val(10 + i)) for i, key in enumerate(k[1:5])]
+    probe = [
+        (OP_INSERT, k[5], val(20)), look(k[5]),          # fresh insert
+        (OP_UPDATE, k[1], val(21)), look(k[1]),          # in place, resident
+        (OP_UPDATE, k[1], val(22)), look(k[1]),          # ... twice
+        (OP_DELETE, k[2], val(0)), look(k[2]),           # tombstoned
+        (OP_INSERT, k[2], val(23)), look(k[2]),          # ... and reborn
+        (OP_DELETE, k[0], val(0)), look(k[0]),           # unproven: born dead
+        (OP_UPDATE, k[0], val(24)), look(k[0]),
+        (OP_INSERT, k[3], val(25)), (OP_DELETE, k[3], val(0)), look(k[3]),
+        look(k[4]),                                      # clean, for contrast
+    ]
+    heap = dict(heap_bytes=8 * 256, page_size=256, n_buckets=2, group_size=2)
+
+    def driver(kind, impl, spec, **kw):
+        """evict ``older``; keep ``resident`` and ``probe`` in one pass"""
+        first = run_mutations(kind, impl, spec[:1], **kw)
+        table = first["table"]
+        out = {"masks": [], "tallies": [], "stats": [], "lookups": []}
+        for triples in spec[1:]:
+            batch = mut_batch(kind, triples)
+            res = table.mutate_batch(batch)
+            assert res.success.all()
+            out["masks"].append(res.success)
+            out["tallies"].append(res.tally)
+            out["stats"].append(res.stats)
+            out["lookups"].append(dict(batch.lookup_results))
+        out.update(table=table, census=table.check_invariants())
+        return out
+
+    a = both(kind, [older, resident, probe], driver=driver, **heap)
+    from repro.core import model_for_ops
+
+    comb = SUM_I64 if kind == "combining" else None
+    _, want = model_for_ops(older + resident + probe, kind=kind, combiner=comb)
+    offset = len(older) + len(resident)
+    assert a["lookups"][-1] == {i - offset: v for i, v in want.items()}
+
+
+def test_width_changing_basic_updates():
+    """A basic update overwrites in place only at equal width; a wider or
+    narrower value prepends a shadow entry, after which the key's width is
+    the new one -- through a run of updates, a delete and lookups."""
+    k = b"wide"
+    triples = [
+        (OP_INSERT, k, b"aaaa"), (OP_UPDATE, k, b"bbbb"),       # in place
+        (OP_LOOKUP, k, b""), (OP_UPDATE, k, b"cc"),             # narrower
+        (OP_UPDATE, k, b"dd"), (OP_LOOKUP, k, b""),             # in place
+        (OP_UPDATE, k, b"eeeeeeee"), (OP_UPDATE, k, b"ffffffff"),
+        (OP_DELETE, k, b""), (OP_UPDATE, k, b"gggggggg"),       # dead: new
+        (OP_LOOKUP, k, b""), (OP_INSERT, k, b"hh"),
+        (OP_UPDATE, k, b"ii"), (OP_UPDATE, k, b""), (OP_LOOKUP, k, b""),
+    ]
+    again = [  # the first copy is evicted by now: unproven, so a new entry
+        (OP_UPDATE, k, b""), (OP_UPDATE, k, b"jjj"), (OP_UPDATE, k, b"kkk"),
+        (OP_LOOKUP, k, b""),
+    ]
+    a = both("basic", [triples, again], driver=run_mutations,
+             heap_bytes=1 << 14, page_size=1 << 10)
+    m = a["table"].mutations
+    assert m.updates_inplace == 5 and m.updates_entries == 6
+    assert a["lookups"][0] == {
+        2: [b"bbbb"], 5: [b"dd"], 10: [b"gggggggg"], 14: [b""],
+    }
+    assert a["lookups"][1] == {3: [b"kkk"]}
+
+
+def test_f64_sums_across_postponement():
+    """``SUM_F64`` over sixteen orders of magnitude, both signs, on a heap
+    that postpones: resident hits seed the fold with the stored scalar,
+    keys split across iterations, lookups fold oldest first -- all on the
+    scalar loop's bits."""
+    rng = np.random.default_rng(11)
+    spec = []
+    for _ in range(3):
+        n = 160
+        ops = rng.choice(
+            [OP_INSERT, OP_UPDATE, OP_DELETE, OP_LOOKUP], size=n,
+            p=[0.5, 0.25, 0.05, 0.2],
+        )
+        keys = [b"f%02d" % i for i in rng.integers(0, 40, size=n)]
+        vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+        spec.append([
+            (int(o), k, float(v)) for o, k, v in zip(ops, keys, vals)
+        ])
+    a = both("combining", spec, f64=True, combiner=SUM_F64)
+    assert any(not m.all() for m in a["masks"]), "expected postponement"
+    assert "lookup-after-write" in what_happened(a)
+
+
+# ----------------------------------------------------------------------
+# seeded fuzz
+# ----------------------------------------------------------------------
+def fuzz_stream(rng, kind, comb, n, n_keys):
+    ops = rng.choice(
+        [OP_INSERT, OP_UPDATE, OP_DELETE, OP_LOOKUP], size=n,
+        p=rng.dirichlet([2.0, 1.5, 1.5, 1.5]),
+    )
+    wide = rng.random() < 0.5  # variable-width keys
+    keys = [
+        b"k%04d" % i + b"x" * (i % 3 * 3 if wide else 0)
+        for i in rng.integers(0, n_keys, size=n)
+    ]
+    if kind != "combining":
+        ragged = rng.random() < 0.6  # variable-width values
+        vals = [
+            b"v%d" % v + b"y" * (v % 4 * 2 if ragged else 0)
+            for v in rng.integers(0, 90, size=n).tolist()
+        ]
+    elif comb is SUM_F64:
+        vals = (
+            rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+        ).tolist()
+    elif comb is BITOR_U64:
+        vals = rng.integers(0, 1 << 40, size=n).tolist()
+    else:
+        vals = rng.integers(-50, 50, size=n).tolist()
+    return [(int(o), k, v) for o, k, v in zip(ops, keys, vals)]
+
+
+FUZZ_CASES = 36
+
+
+def test_seeded_fuzz_matches_the_scalar_reference():
+    """Page sizes 128-512, 3-24 pages, group sizes 1-8, variable-width
+    keys and values, i64 / f64 / bit-or combiners; both drivers.  The
+    union of what the cases went through must cover every kernel path."""
+    seen = set()
+    for case in range(FUZZ_CASES):
+        rng = np.random.default_rng([2024, case])
+        kind = ("basic", "combining")[case % 2]
+        comb = (SUM_I64, SUM_F64, BITOR_U64)[case // 2 % 3]
+        page = int(rng.choice([128, 256, 512]))
+        shape = dict(
+            heap_bytes=page * int(rng.integers(3, 25)), page_size=page,
+            n_buckets=int(rng.choice([8, 16, 32, 64])),
+            group_size=int(rng.choice([1, 2, 4, 8])), combiner=comb,
+        )
+        spec = [
+            fuzz_stream(
+                rng, kind, comb, int(rng.integers(20, 320)),
+                int(rng.integers(5, 120)),
+            )
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        f64 = kind == "combining" and comb is SUM_F64
+        try:
+            a = both(kind, spec, f64=f64, **shape)
+        except AssertionError as exc:
+            if "converge" in str(exc):  # heap too small for this stream
+                continue
+            raise AssertionError(f"fuzz case {case}: {kind} {shape}") from exc
+        seen |= what_happened(a)
+    assert seen >= {
+        "failed-on-entry", "several-groups-fail", "lookup-after-write",
+        "denied-insert", "denied-update", "denied-delete",
+    }

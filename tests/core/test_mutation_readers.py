@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import (
     BasicOrganization,
+    CallbackCombiner,
     CombiningOrganization,
     GpuHashTable,
     LookupDriver,
@@ -26,7 +27,9 @@ from repro.core import (
     OP_LOOKUP,
     OP_UPDATE,
     SUM_I64,
+    SepoDriver,
     load_table,
+    model_for_ops,
     save_table,
 )
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
@@ -112,6 +115,40 @@ def test_lookup_driver_resolves_tombstones_and_shadows(kind, impl):
     result = driver.lookup(keys)
     col = ORGS.index(kind)
     assert result.values == [EXPECT[k][col] for k in keys]
+
+
+@pytest.mark.parametrize("impl", ["vectorized", "slow_reference"])
+def test_lookup_driver_folds_residue_in_the_result_order(impl):
+    """A combining key split across iterations has one entry per
+    iteration; every reader must fold the older residue in from the left
+    (``combine(older, acc)``).  ``3a - b`` tells the orders apart: three
+    separate runs leave k = 1, 2, 3 as three entries, for which the dict
+    model, ``result()`` and the in-stream lookup all say 0 -- and folding
+    the other way round says 20."""
+    comb = CallbackCombiner(lambda a, b: 3 * a - b, scalar="i64", name="3a-b")
+    ledger = CostLedger()
+    table = GpuHashTable(
+        8, CombiningOrganization(comb, impl=impl), GpuHeap(2 * 256, 256),
+        group_size=4, ledger=ledger,
+    )
+    kernel, bus = KernelModel(GTX_780TI, ledger), PCIeBus(ledger)
+    triples = [(OP_INSERT, b"k", v) for v in (1, 2, 3)]
+    for t in triples:
+        SepoDriver(table, kernel, bus).run(
+            [MutationBatch.from_ops([t], numeric_dtype=np.int64)]
+        )
+    assert sum(key == b"k" for key, _ in table.cpu_items()) == 3
+    model, _ = model_for_ops(triples, kind="combining", combiner=comb)
+    assert model == {b"k": 0}
+    assert table.result() == model
+    probe = MutationBatch.from_ops(
+        [(OP_LOOKUP, b"k", 0), (OP_LOOKUP, b"absent", 0)],
+        numeric_dtype=np.int64,
+    )
+    assert table.mutate_batch(probe).success.all()
+    assert probe.lookup_results == {0: 0, 1: None}
+    driver = LookupDriver(table, kernel, bus, impl=impl)
+    assert driver.lookup([b"k", b"absent"]).values == [0, None]
 
 
 @pytest.mark.parametrize("kind", ORGS)

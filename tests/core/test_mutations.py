@@ -8,16 +8,23 @@ results, mutation counters, the tombstone census, and final ``result()``
 mappings are *identical*, with the dict model from
 :func:`repro.core.model_for_ops` as ground truth.
 
-Also pins the pre-aggregation gating rules: the combining fast path (an
-order-exact fold over in-batch duplicates) is only sound for
-insert/update-only batches on ufunc combiners, so callback combiners -- and
-any batch carrying a delete or lookup -- must take the replay walk, with
-tallies that still match the scalar reference bit for bit.
+Also pins which batches the batched mixed-op kernel
+(``organizations._mutate_generic``) takes once the op-count cut-over lets
+it: ufunc combiners with any op mix -- deletes and lookups included, the
+in-batch duplicates folded in arrival order -- but never a callback
+combiner, which combines one value at a time in the scalar loop.  Either
+way the tallies match the scalar reference bit for bit.
+
+Every batch here is smaller than the shipped cut-over, so as written the
+differential cases hold the *dispatch* to the oracle;
+``test_mutation_kernel.py`` re-collects this module with the cut-over
+patched to 0 and adds the cases that need the kernel's failure paths.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import organizations
 from repro.core import (
     BITOR_U64,
     BasicOrganization,
@@ -229,8 +236,23 @@ def test_mixed_ops_through_sepo_driver():
 
 
 # ----------------------------------------------------------------------
-# pre-aggregation gating: which batches may take the folding fast path
+# kernel gating: which batches the batched mixed-op kernel takes
 # ----------------------------------------------------------------------
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Cut-over at 0, and a count of the batched kernel's entries."""
+    calls = {"n": 0}
+    original = organizations._mutate_generic
+
+    def counting(*a, **kw):
+        calls["n"] += 1
+        return original(*a, **kw)
+
+    monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", 0)
+    monkeypatch.setattr(organizations, "_mutate_generic", counting)
+    return calls
+
+
 def _count_preagg(org):
     """Instrument an organization instance's preagg entry point."""
     calls = {"n": 0}
@@ -244,16 +266,15 @@ def _count_preagg(org):
     return calls
 
 
-def _run_combining(combiner, triples, impl="vectorized", instrument=True):
+def _run_combining(combiner, triples, impl="vectorized"):
     heap = GpuHeap(1 << 16, 1 << 12)
     table = GpuHashTable(
         16, CombiningOrganization(combiner, impl=impl), heap, group_size=4,
     )
-    calls = _count_preagg(table.org) if instrument else None
     batch = MutationBatch.from_ops(triples, numeric_dtype=combiner.dtype)
     res = table.mutate_batch(batch)
     assert res.success.all()
-    return table, res, calls, batch
+    return table, res, batch
 
 
 UPDATE_TRIPLES = [
@@ -266,15 +287,15 @@ UPDATE_TRIPLES = [
 @pytest.mark.parametrize("combiner", [
     CallbackCombiner(lambda a, b: a + b, scalar="i64", name="cb-sum"),
 ], ids=["callback"])
-def test_non_vector_reduce_updates_take_replay_walk(combiner):
-    """Callbacks have no ufunc to fold with: they may not pre-aggregate,
-    even for an insert/update-only batch."""
+def test_non_vector_reduce_updates_take_replay_walk(combiner, kernel_calls):
+    """Callbacks have no ufunc to fold with: they stay on the scalar loop,
+    even for an insert/update-only batch past the cut-over."""
     assert not combiner.supports_vector_reduce
-    table, res, calls, _ = _run_combining(combiner, UPDATE_TRIPLES)
-    assert calls["n"] == 0, "replay walk expected, preagg kernel ran"
-    # and the replay walk stays bit-identical to the scalar reference
-    ref_table, ref, _, _ = _run_combining(
-        combiner, UPDATE_TRIPLES, impl="slow_reference", instrument=False
+    table, res, _ = _run_combining(combiner, UPDATE_TRIPLES)
+    assert kernel_calls["n"] == 0, "scalar loop expected, batched kernel ran"
+    # and the loop stays bit-identical to the scalar reference
+    ref_table, ref, _ = _run_combining(
+        combiner, UPDATE_TRIPLES, impl="slow_reference"
     )
     assert res.tally.probe_steps == ref.tally.probe_steps
     assert res.tally.bytes_touched == ref.tally.bytes_touched
@@ -282,11 +303,12 @@ def test_non_vector_reduce_updates_take_replay_walk(combiner):
     assert table.result() == ref_table.result()
 
 
-def test_f64_reduce_insert_update_batch_uses_preagg():
+def test_f64_reduce_insert_update_batch_uses_preagg(kernel_calls):
     """Float rounding is association-sensitive, and the order-exact fold
     keeps the scalar loop's association: an f64 insert/update-only batch
-    pre-aggregates, twice over the same keys so the second batch folds
-    onto stored scalars, and lands on the scalar reference's bits."""
+    pre-aggregates inside the batched kernel, twice over the same keys so
+    the second batch folds onto stored scalars, and lands on the scalar
+    reference's bits."""
     triples = [
         (op, key, v * 10.0 ** (3 * (i % 5) - 6))
         for i, (op, key, v) in enumerate(UPDATE_TRIPLES * 3)
@@ -294,11 +316,12 @@ def test_f64_reduce_insert_update_batch_uses_preagg():
     assert SUM_F64.supports_vector_reduce
     tables = {}
     for impl in ("vectorized", "slow_reference"):
-        table, res, calls, _ = _run_combining(SUM_F64, triples, impl=impl)
+        before = kernel_calls["n"]
+        table, res, _ = _run_combining(SUM_F64, triples, impl=impl)
         batch = MutationBatch.from_ops(triples, numeric_dtype=np.float64)
         res2 = table.mutate_batch(batch)
         assert res2.success.all()
-        assert calls["n"] == (2 if impl == "vectorized" else 0)
+        assert kernel_calls["n"] - before == (2 if impl == "vectorized" else 0)
         tables[impl] = (table, res, res2)
     (ta, a1, a2), (tb, b1, b2) = tables["vectorized"], tables["slow_reference"]
     for a, b in ((a1, b1), (a2, b2)):
@@ -309,19 +332,20 @@ def test_f64_reduce_insert_update_batch_uses_preagg():
     }
 
 
-def test_integer_reduce_insert_update_batch_uses_preagg():
-    """BitOr-style integer reduction: insert/update-only mutation batches
-    may collapse in-batch duplicates with one fold."""
+def test_integer_reduce_insert_update_batch_uses_preagg(kernel_calls):
+    """BitOr-style integer reduction: the batched kernel collapses the
+    in-batch duplicates of an insert/update-only batch with one fold."""
     triples = [
         (OP_INSERT, b"alpha", 1), (OP_UPDATE, b"alpha", 2),
         (OP_INSERT, b"beta", 4), (OP_UPDATE, b"beta", 8),
     ]
     assert BITOR_U64.supports_vector_reduce
-    table, res, calls, _ = _run_combining(BITOR_U64, triples)
-    assert calls["n"] == 1, "integer-reduce upsert batch should preagg"
-    ref_table, ref, _, _ = _run_combining(
-        BITOR_U64, triples, impl="slow_reference", instrument=False
+    table, res, _ = _run_combining(BITOR_U64, triples)
+    assert kernel_calls["n"] == 1, "integer-reduce upsert batch should fold"
+    ref_table, ref, _ = _run_combining(
+        BITOR_U64, triples, impl="slow_reference"
     )
+    assert kernel_calls["n"] == 1, "slow_reference must stay on the loop"
     assert res.tally.probe_steps == ref.tally.probe_steps
     assert res.tally.bytes_touched == ref.tally.bytes_touched
     assert res.tally.table_cycles == ref.tally.table_cycles
@@ -330,14 +354,38 @@ def test_integer_reduce_insert_update_batch_uses_preagg():
 
 @pytest.mark.parametrize("op", [OP_DELETE, OP_LOOKUP],
                          ids=["delete", "lookup"])
-def test_delete_or_lookup_in_batch_forces_replay(op):
-    """The fold can only express upsert-combines: one delete or lookup in
-    the batch sends the whole batch down the replay walk."""
+def test_delete_or_lookup_in_batch_runs_kernel(op, kernel_calls):
+    """The kernel expresses all four ops: a delete or a lookup in the
+    batch no longer sends it down the scalar loop, and the lookup reads
+    the folds of the ops before it."""
     triples = UPDATE_TRIPLES + [(op, b"alpha", 0)]
-    _, _, calls, batch = _run_combining(SUM_I64, triples)
-    assert calls["n"] == 0, "mixed batch must not preagg"
+    table, res, batch = _run_combining(SUM_I64, triples)
+    assert kernel_calls["n"] == 1, "mixed batch must run the batched kernel"
+    _, ref, ref_batch = _run_combining(SUM_I64, triples, impl="slow_reference")
+    assert res.tally == ref.tally
+    assert batch.lookup_results == ref_batch.lookup_results
     if op == OP_LOOKUP:
         assert batch.lookup_results[len(triples) - 1] == 7
+    else:
+        assert b"alpha" not in table.result()
+
+
+def test_batches_under_the_cut_over_stay_on_the_loop(monkeypatch):
+    """Below the cut-over the loop is the kernel -- the batched kernel's
+    fixed cost loses on a handful of ops -- and at it the kernel runs."""
+    triples = UPDATE_TRIPLES + [(OP_LOOKUP, b"alpha", 0)]
+    calls = []
+    original = organizations._mutate_generic
+    monkeypatch.setattr(
+        organizations, "_mutate_generic",
+        lambda *a, **kw: calls.append(1) or original(*a, **kw),
+    )
+    monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", len(triples) + 1)
+    _run_combining(SUM_I64, triples)
+    assert not calls, "batched kernel ran under the cut-over"
+    monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", len(triples))
+    _run_combining(SUM_I64, triples)
+    assert calls == [1]
 
 
 def test_tombstones_gate_insert_preagg():

@@ -252,3 +252,58 @@ def test_record_denied_retries_matches_scalar_repeats():
     assert a.stats.requests == b.stats.requests
     assert a.stats.postponed == b.stats.postponed
     assert a._failed_groups == b._failed_groups
+
+
+# ----------------------------------------------------------------------
+# the page-take plan behind the mixed-op kernel's sticky cut
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_plan_page_takes_predicts_the_gated_scalar_replay(seed):
+    """The plan lists the requests that take a fresh page from an
+    unbounded pool; the pool grants the first ``n_free`` of them.  Cutting
+    every group at its first denied take must reproduce a sequential replay
+    that stops issuing a group's requests once one was denied -- the
+    mutation gate -- request for request, and ``failed_groups`` must name
+    the groups that were cut."""
+    rng = np.random.default_rng(seed)
+    a, b = make_pair(6 * 256, 256, 5)
+    for alloc in (a, b):  # some groups start with a part-filled page
+        alloc.allocate(0, 120)
+        alloc.allocate(3, 200)
+    n = 120
+    groups = rng.integers(0, 5, size=n)
+    sizes = rng.integers(1, 12, size=n) * 8
+    before = (a.stats.requests, a.heap.pool.n_free, dict(a._current))
+    takes = a.plan_page_takes(groups, sizes)
+    assert (a.stats.requests, a.heap.pool.n_free, dict(a._current)) == before
+    assert (np.diff(takes) > 0).all()
+    denied = takes[a.heap.pool.n_free:]
+    stop = np.full(5, n)
+    for t in denied[::-1].tolist():  # first denied take per group wins
+        stop[groups[t]] = t
+    issued = np.flatnonzero(np.arange(n) <= stop[groups])
+    assert len(denied), "workload was expected to exhaust the pool"
+
+    want = []  # the gated scalar replay
+    for i, (g, s) in enumerate(zip(groups.tolist(), sizes.tolist())):
+        if b.group_failed(g):
+            continue
+        want.append((i, b.allocate(g, s)))
+    assert [i for i, _ in want] == issued.tolist()
+    bulk = a.allocate_many(groups[issued], sizes[issued])
+    assert_equivalent(a, bulk, b, [r for _, r in want], sizes[issued])
+    np.testing.assert_array_equal(
+        bulk.ok, np.arange(n)[issued] < stop[groups[issued]]
+    )
+    np.testing.assert_array_equal(a.failed_groups, np.unique(groups[denied]))
+    assert a.plan_pages_needed(groups, sizes) >= 0  # still read-only after
+
+
+def test_note_tombstone_books_a_batch_as_two_sums():
+    a, b = make_pair(1024, 256, 2)
+    for nbytes in (32, 48, 40):
+        b.note_tombstone(nbytes)
+    a.note_tombstone(32 + 48 + 40, count=3)
+    assert a.stats == b.stats
+    with pytest.raises(ValueError):
+        a.note_tombstone(8, count=0)
