@@ -33,6 +33,10 @@ on a fresh table and on one several times its heap.  A fourth
 ``integrity-overhead`` cell (tracked, not gated) times the insert +
 iteration-boundary path under ``integrity`` off|verify|scrub, measuring
 what per-page CRC32 sealing and the background scrub sweep cost the host.
+The shard tier carries both clocks: ``shard_scaling`` reports the simulated
+makespan numbers with the host ``wall_rps`` of ``ShardedExecutor.run``
+beside them, and a ``router`` cell times small client batches through
+``ShardRouter`` (host ops/s, launches per flush, simulated makespan).
 
 The pytest entry points double as the CI perf smoke: every organization's
 vectorized insert path (f64 combining included) must beat its scalar
@@ -73,6 +77,7 @@ from repro.core import (
 )
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
+from repro.shard import ShardedExecutor, ShardRouter
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXPORT_PATH = REPO_ROOT / "BENCH_hostperf.json"
@@ -398,21 +403,38 @@ SHARD_COUNTS = (1, 2, 4, 8)
 SHARD_BATCH_RECORDS = 8192
 
 
-def shard_scaling_cell(
-    n: int, counts=SHARD_COUNTS, kind: str = "basic", dist: str = "uniform"
-) -> dict:
-    """Sharded-executor scaling: simulated aggregate throughput per count.
+def _sharded_executor(kind: str, count: int, n: int) -> ShardedExecutor:
+    """The 4096-bucket/48MB budget of an ``n``-record run, split evenly
+    across ``count`` shards (weak scaling per device)."""
+    return ShardedExecutor(
+        count,
+        lambda: make_org(kind, "vectorized"),
+        n_buckets=max(64, 4096 // count),
+        heap_bytes=heap_bytes_for(n) // count,
+        page_size=64 << 10,
+        group_size=64,
+    )
 
-    Fixed total work; each count splits the same 4096-bucket/48MB budget
-    across its shards (weak scaling per device), streams the input in
+
+def shard_scaling_cell(
+    n: int,
+    counts=SHARD_COUNTS,
+    kind: str = "basic",
+    dist: str = "uniform",
+    repeats: int = 1,
+) -> dict:
+    """Sharded-executor scaling: both clocks per shard count.
+
+    Fixed total work; each count splits one budget across its shards
+    (:func:`_sharded_executor`), streams the input in
     :data:`SHARD_BATCH_RECORDS` client batches, and reports the
     *simulated* records/sec (records / makespan -- the slowest shard's
-    clock) plus the intra-shard transfer overlap efficiency.  Tracked in
-    ``BENCH_hostperf.json``; the CI gate is
+    clock) plus the intra-shard transfer overlap efficiency, and beside
+    them ``wall_rps``: host records/sec of ``executor.run`` itself, best
+    of ``repeats`` (the simulated numbers are the same every repeat).
+    Tracked in ``BENCH_hostperf.json``; the CI gate is
     :func:`test_shard_scaling_smoke`.
     """
-    from repro.shard import ShardedExecutor
-
     keys, values = make_workload(n, dist)
     rows = {}
     for count in counts:
@@ -424,17 +446,15 @@ def shard_scaling_cell(
             )
             for i in range(0, n, SHARD_BATCH_RECORDS)
         ]
-        executor = ShardedExecutor(
-            count,
-            lambda: make_org(kind, "vectorized"),
-            n_buckets=max(64, 4096 // count),
-            heap_bytes=heap_bytes_for(n) // count,
-            page_size=64 << 10,
-            group_size=64,
-        )
-        report = executor.run(batches)
+        wall_rps = 0.0
+        for _ in range(repeats):
+            executor = _sharded_executor(kind, count, n)
+            t0 = time.perf_counter()
+            report = executor.run(batches)
+            wall_rps = max(wall_rps, n / (time.perf_counter() - t0))
         rows[str(count)] = {
             "records_per_second": round(report.records_per_second),
+            "wall_rps": round(wall_rps),
             "makespan_seconds": report.makespan_seconds,
             "overlap_efficiency": round(
                 report.schedule["overlap_efficiency"], 3
@@ -445,6 +465,57 @@ def shard_scaling_cell(
         base = rows["1"]["records_per_second"]
         for row in rows.values():
             row["scaling_x"] = round(row["records_per_second"] / base, 2)
+    return rows
+
+
+#: the request-router cell: shard count, ops per client batch and the
+#: router's flush threshold (the serving shape of the benchmark of record's
+#: ``kv_sharded``), on the two organizations with a batched mixed-op kernel
+ROUTER_SHARDS = 4
+ROUTER_CLIENT_OPS = 256
+ROUTER_CHUNK_RECORDS = 1024
+
+
+def router_cell(n: int, repeats: int = 3) -> dict:
+    """Request-router throughput: ``n`` mixed ops submitted
+    :data:`ROUTER_CLIENT_OPS` at a time to a :data:`ROUTER_SHARDS`-shard
+    table, closed loop, then drained.
+
+    Per organization: host ops/sec (best of ``repeats``), kernel launches
+    per shard flush (read off the shards' ledgers; 1.0 = every flush was
+    one merged batch that needed one SEPO pass) and the simulated makespan.
+    """
+    triples = make_mixed_ops(n)
+    rows = {}
+    for kind in BATCHED_MUTATION_KINDS:
+        batches = [
+            make_mutation(kind, triples[i : i + ROUTER_CLIENT_OPS])
+            for i in range(0, n, ROUTER_CLIENT_OPS)
+        ]
+        wall_ops = 0.0
+        for _ in range(repeats):
+            executor = _sharded_executor(kind, ROUTER_SHARDS, n)
+            router = ShardRouter(executor, chunk_records=ROUTER_CHUNK_RECORDS)
+            t0 = time.perf_counter()
+            for batch in batches:
+                router.submit(batch)
+            router.drain()
+            wall_ops = max(wall_ops, n / (time.perf_counter() - t0))
+        flushes = sum(
+            router.stats[cause]
+            for cause in ("chunk_flushes", "backpressure_flushes", "drain_flushes")
+        )
+        launch_seconds = sum(
+            ch.ledger.breakdown().get("launch", 0.0) for ch in executor.channels
+        )
+        rows[kind] = {
+            "wall_ops_per_second": round(wall_ops),
+            "flushes": flushes,
+            "launches_per_flush": round(
+                launch_seconds / GTX_780TI.launch_s / flushes, 2
+            ),
+            "makespan_seconds": executor.schedule.makespan_seconds,
+        }
     return rows
 
 
@@ -500,8 +571,11 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
         "repeats": repeats,
         "distributions": distributions,
         # tracked, not gated (the gate is test_shard_scaling_smoke):
-        # simulated aggregate throughput + overlap per shard count
-        "shard_scaling": shard_scaling_cell(n),
+        # simulated aggregate throughput + overlap per shard count, and
+        # the host wall-clock of the same runs
+        "shard_scaling": shard_scaling_cell(n, repeats=repeats),
+        # the serving path: small client batches through the router
+        "router": router_cell(n, repeats),
         # the evidence behind organizations.MIXED_KERNEL_MIN_OPS
         "mixed_sweep": mixed_sweep(repeats),
     }
@@ -754,13 +828,19 @@ def test_hostperf_export_roundtrip(tmp_path):
     scaling = full["shard_scaling"]
     assert set(scaling) == {str(c) for c in SHARD_COUNTS}
     for row in scaling.values():
-        assert row["records_per_second"] > 0
+        assert row["records_per_second"] > 0 and row["wall_rps"] > 0
         assert 0.0 <= row["overlap_efficiency"] <= 1.0
+    # ... and the request-router rows: 2,048 roomy-heap ops are two flushes
+    # a shard at most, each one merged batch applied in one pass
+    assert set(full["router"]) == set(BATCHED_MUTATION_KINDS)
+    for row in full["router"].values():
+        assert row["wall_ops_per_second"] > 0 and row["makespan_seconds"] > 0
+        assert row["launches_per_flush"] == 1.0
     # the insert-only tier carries just the uniform insert cells
     deep = loaded["tiers"]["4096"]
     assert set(deep["distributions"]) == {"uniform"}
     assert set(deep["distributions"]["uniform"]) == set(KINDS)
-    assert "shard_scaling" not in deep and "mixed_sweep" not in deep
+    assert not {"shard_scaling", "mixed_sweep", "router"} & set(deep)
 
 
 # ----------------------------------------------------------------------
@@ -836,7 +916,14 @@ def _print_tier(tier: dict) -> None:
         print(
             f"  shards={count:<2} simulated {row['records_per_second']:>12,} "
             f"rec/s   {row.get('scaling_x', 1.0):.2f}x   "
-            f"overlap {row['overlap_efficiency']:.3f}"
+            f"overlap {row['overlap_efficiency']:.3f}   "
+            f"host {row['wall_rps']:>10,} rec/s"
+        )
+    for kind, row in tier.get("router", {}).items():
+        print(
+            f"  router/{kind:<10} host {row['wall_ops_per_second']:>10,} ops/s   "
+            f"{row['launches_per_flush']:.2f} launches/flush over "
+            f"{row['flushes']} flushes   makespan {row['makespan_seconds']:.6f} s"
         )
 
 

@@ -141,6 +141,20 @@ class MutationBatch(RecordBatch):
         the sub-batch resolves its own, keyed by sub-batch-local index)."""
         return {"ops": self.ops[idx], "update_policy": self.update_policy}
 
+    @property
+    def concat_key(self) -> tuple:
+        """As the base class, plus the policy updates are applied under."""
+        return super().concat_key + (self.update_policy,)
+
+    def _concat_extra(self, parts) -> dict:
+        """Carry op codes and the update policy into :meth:`~repro.core.
+        records.RecordBatch.concat` (lookup results start empty, keyed by
+        merged row as the merged batch resolves them)."""
+        return {
+            "ops": np.concatenate([p.ops for p in parts]),
+            "update_policy": self.update_policy,
+        }
+
     @classmethod
     def from_ops(
         cls,

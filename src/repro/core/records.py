@@ -13,7 +13,7 @@ key at its exact length (Section IV, third advantage of dynamic allocation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -201,6 +201,19 @@ def pack_byte_rows(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     return mat, lens
 
 
+def _stack_padded(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack padded uint8 row matrices, zero-padded to the widest."""
+    out = np.zeros(
+        (sum(m.shape[0] for m in mats), max(m.shape[1] for m in mats)),
+        dtype=np.uint8,
+    )
+    row = 0
+    for m in mats:
+        out[row : row + m.shape[0], : m.shape[1]] = m
+        row += m.shape[0]
+    return out
+
+
 def pack_str_keys(keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Pack unicode strings (UTF-8) into a padded uint8 matrix."""
     return pack_byte_rows([k.encode("utf-8") for k in keys])
@@ -336,6 +349,58 @@ class RecordBatch:
 
     def _take_extra(self, idx: np.ndarray) -> dict:
         """Subclass hook: extra constructor kwargs for :meth:`take`."""
+        return {}
+
+    # ------------------------------------------------------------------
+    @property
+    def concat_key(self) -> tuple:
+        """What two batches must share for :meth:`concat` to join them:
+        class, value kind (numeric dtype, or ``None`` for byte values) and
+        the per-batch parse-cost terms the kernel model charges with."""
+        dtype = None if self.numeric_values is None else self.numeric_values.dtype
+        return (type(self), dtype, self.parse_cycles, self.divergence)
+
+    @staticmethod
+    def concat(parts: Sequence["RecordBatch"]) -> "RecordBatch":
+        """One batch holding every row of ``parts``, in order.
+
+        The inverse of :meth:`take`, and how the request router turns a
+        queue of small slices into one kernel launch: key/value matrices
+        are zero-padded to the widest part, the per-row vectors are
+        concatenated and ``input_bytes`` is summed, so the merged batch
+        costs one transfer of exactly the parts' bytes.  Parts must agree
+        on :attr:`concat_key`; a single part is returned as is.
+        """
+        if not parts:
+            raise ValueError("concat needs at least one batch")
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        key = first.concat_key
+        for part in parts:
+            if part.concat_key != key:
+                raise ValueError(
+                    f"cannot concat incompatible batches: {part.concat_key} != {key}"
+                )
+        kwargs: dict = dict(
+            keys=_stack_padded([p.keys for p in parts]),
+            key_lens=np.concatenate([p.key_lens for p in parts]),
+            input_bytes=sum(p.input_bytes for p in parts),
+            parse_cycles=first.parse_cycles,
+            divergence=first.divergence,
+        )
+        if first.numeric_values is not None:
+            kwargs["numeric_values"] = np.concatenate(
+                [p.numeric_values for p in parts]
+            )
+        else:
+            kwargs["values"] = _stack_padded([p.values for p in parts])
+            kwargs["val_lens"] = np.concatenate([p.val_lens for p in parts])
+        kwargs.update(first._concat_extra(parts))
+        return type(first)(**kwargs)
+
+    def _concat_extra(self, parts: Sequence["RecordBatch"]) -> dict:
+        """Subclass hook: extra constructor kwargs for :meth:`concat`."""
         return {}
 
     def key_bytes(self, i: int) -> bytes:

@@ -265,29 +265,37 @@ class SepoDriver:
             table_bytes=self.table.heap.total_table_bytes,
         )
 
+    def step(self, batches: Sequence[RecordBatch], state: RunState) -> None:
+        """One whole SEPO iteration: pass, liveness rules, rearrangement.
+
+        The one pass loop body; :meth:`run` and the sharded executor's
+        round-robin both call it while ``state.bitmap`` has pending bits.
+        """
+        state.iteration += 1
+        if state.iteration > self.max_iterations:
+            raise NoProgressError(
+                f"exceeded {self.max_iterations} SEPO iterations"
+            )
+        rec = self.run_pass(batches, state)
+        if rec.succeeded == 0 and rec.attempted > 0:
+            # One stuck pass is recoverable: the end-of-iteration
+            # rearrangement (including the multi-valued deadlock
+            # fallback) frees pages.  Two in a row means the heap truly
+            # cannot host a single entry.
+            state.stuck_passes += 1
+            if state.stuck_passes >= 2:
+                raise NoProgressError(
+                    "two consecutive SEPO passes made no progress; the "
+                    "heap cannot host the working set"
+                )
+        else:
+            state.stuck_passes = 0
+        self.finish_iteration(state, rec)
+
     # ------------------------------------------------------------------
     def run(self, batches: Sequence[RecordBatch]) -> SepoReport:
         """Process every record of every batch to completion."""
         state = self.begin(batches)
         while state.bitmap.any_pending():
-            state.iteration += 1
-            if state.iteration > self.max_iterations:
-                raise NoProgressError(
-                    f"exceeded {self.max_iterations} SEPO iterations"
-                )
-            rec = self.run_pass(batches, state)
-            if rec.succeeded == 0 and rec.attempted > 0:
-                # One stuck pass is recoverable: the end-of-iteration
-                # rearrangement (including the multi-valued deadlock
-                # fallback) frees pages.  Two in a row means the heap truly
-                # cannot host a single entry.
-                state.stuck_passes += 1
-                if state.stuck_passes >= 2:
-                    raise NoProgressError(
-                        "two consecutive SEPO passes made no progress; the "
-                        "heap cannot host the working set"
-                    )
-            else:
-                state.stuck_passes = 0
-            self.finish_iteration(state, rec)
+            self.step(batches, state)
         return self.finalize(batches, state)

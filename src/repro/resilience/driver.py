@@ -213,7 +213,7 @@ class ResilientDriver:
                     self._deescalate(batches)
                 if state.stuck_passes >= 2:
                     # the point where the stock driver gives up (see
-                    # SepoDriver.run); the ladder takes over instead
+                    # SepoDriver.step); the ladder takes over instead
                     if not self.degrade:
                         raise NoProgressError(
                             "two consecutive SEPO passes made no progress; "

@@ -12,8 +12,9 @@ schedules.  This package provides:
 * :class:`ShardedExecutor` -- the N-device round-robin driver with an
   unsharded-identical ``result()``/``lookup()`` surface.
 * :class:`ShardRouter` -- a batching front door that coalesces many
-  small client streams into SEPO-sized per-shard chunks under a
-  backpressure bound.
+  small client streams under a backpressure bound and merges each shard
+  flush into one batch per run of compatible slices: one launch per flush
+  per SEPO pass.
 """
 
 from repro.shard.executor import ShardedExecutor, ShardReport

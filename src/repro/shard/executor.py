@@ -157,30 +157,12 @@ class ShardedExecutor:
         # different shards overlap by construction (independent channels);
         # the makespan is whichever clock ends furthest along.
         while pending:
-            still: list[int] = []
             for s in pending:
-                state, driver = states[s], self.drivers[s]
-                state.iteration += 1
-                if state.iteration > driver.max_iterations:
-                    raise NoProgressError(
-                        f"shard {s} exceeded {driver.max_iterations} "
-                        "SEPO iterations"
-                    )
-                rec = driver.run_pass(per_shard[s], state)
-                if rec.succeeded == 0 and rec.attempted > 0:
-                    state.stuck_passes += 1
-                    if state.stuck_passes >= 2:
-                        raise NoProgressError(
-                            f"shard {s}: two consecutive SEPO passes made "
-                            "no progress; the shard heap cannot host its "
-                            "working set"
-                        )
-                else:
-                    state.stuck_passes = 0
-                driver.finish_iteration(state, rec)
-                if state.bitmap.any_pending():
-                    still.append(s)
-            pending = still
+                try:
+                    self.drivers[s].step(per_shard[s], states[s])
+                except NoProgressError as exc:
+                    raise NoProgressError(f"shard {s}: {exc}") from exc
+            pending = [s for s in pending if states[s].bitmap.any_pending()]
         reports = [
             self.drivers[s].finalize(per_shard[s], states[s])
             for s in range(self.n_shards)

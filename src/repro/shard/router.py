@@ -6,9 +6,18 @@ MutationBatch` or plain :class:`~repro.core.records.RecordBatch`
 carries) from interleaved streams.  Submitting never answers anything
 directly: the router splits each batch by key-space shard and *coalesces*
 the per-shard slices until a shard has accumulated a SEPO-sized chunk
-(``chunk_records``), then runs that one shard's driver over the queued
-slices in arrival order.  Tiny client batches therefore never reach a
-device as tiny kernel launches -- the whole point of the router.
+(``chunk_records``).  A flush then merges every maximal run of
+compatible neighbouring slices (same :attr:`~repro.core.records.
+RecordBatch.concat_key`: class, value kind, ``update_policy``, parse
+costs) into one batch with :meth:`~repro.core.records.RecordBatch.
+concat` and runs that shard's driver over the merged batches.  Arrival
+order never changes; an incompatible neighbour starts the next batch.
+Tiny client batches therefore never reach a device as tiny kernel
+launches -- homogeneous traffic is one launch per flush per SEPO pass,
+the whole point of the router -- and since per-key order, the
+sticky-group gate and lookup-after-write are those of one
+``MutationBatch``, a lookup sees the writes of earlier tickets in its
+flush.
 
 Two bounds shape the queueing:
 
@@ -23,12 +32,23 @@ Answers are merged back *per submission*: every ticket's lookup results
 are re-keyed to that batch's own row numbers, and :meth:`~ShardRouter.
 drain` returns them in submission order, regardless of which shard
 answered what and when.
+
+When a shard's run raises (``NoProgressError``, ``TransferError``,
+``CorruptionError``) the exception propagates out of the ``submit`` or
+``drain`` that flushed; every ticket with a slice in that flush carries
+it as :attr:`Ticket.error` and never becomes ``done``.  The flush is not
+re-queued -- part of it may have been applied, and a replay would apply
+it twice -- and the other shards' queues are untouched, so a second
+``drain()`` completes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any
+
+import numpy as np
 
 from repro.bigkernel.partitioner import partition_by_shard
 from repro.core.records import RecordBatch
@@ -46,6 +66,8 @@ class Ticket:
     pending_parts: int = 0
     #: parent-batch-local lookup answers, filled as shards flush
     results: dict[int, Any] = field(default_factory=dict)
+    #: what a flush holding one of this batch's slices raised, if one did
+    error: Exception | None = None
 
     @property
     def done(self) -> bool:
@@ -144,13 +166,28 @@ class ShardRouter:
         self._queued_records[s] = 0
         self.stats[cause] += 1
         self.stats["flushed_chunks_records"] += n
-        subs = [sub for _t, sub, _i in queue]
-        # One coalesced SEPO run over every queued slice, arrival order.
-        # The shard's table persists across runs, so interleaved streams
-        # see one consistent table.
-        self.executor.drivers[s].run(subs)
+        # One coalesced SEPO run, one batch per maximal run of compatible
+        # slices, arrival order.  The shard's table persists across runs,
+        # so interleaved streams see one consistent table.
+        runs = [
+            list(run) for _key, run in groupby(queue, lambda q: q[1].concat_key)
+        ]
+        merged = [RecordBatch.concat([sub for _t, sub, _i in run]) for run in runs]
+        try:
+            self.executor.drivers[s].run(merged)
+        except Exception as exc:
+            # Part of the flush may have been applied: replaying it would
+            # double-apply, so nothing is re-queued; the tickets say why
+            # they will never be done.
+            for ticket, _sub, _idx in queue:
+                ticket.error = exc
+            raise
         self.executor.total_records += n
-        for ticket, sub, idx in queue:
-            for j, v in getattr(sub, "lookup_results", {}).items():
-                ticket.results[int(idx[j])] = v
-            ticket.pending_parts -= 1
+        for run, batch in zip(runs, merged):
+            # merged row -> the ticket it came from, and its row there
+            owner = [ticket for ticket, sub, _i in run for _ in range(len(sub))]
+            parent = np.concatenate([idx for _t, _sub, idx in run]).tolist()
+            for j, v in getattr(batch, "lookup_results", {}).items():
+                owner[j].results[parent[j]] = v
+            for ticket, _sub, _idx in run:
+                ticket.pending_parts -= 1

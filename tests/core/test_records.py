@@ -81,3 +81,80 @@ def test_input_bytes_defaults_to_staged():
 def test_numeric_staged_bytes_counts_scalars():
     b = RecordBatch.from_numeric([b"ab"], np.array([5], dtype=np.int64))
     assert b.staged_bytes == 2 + 8
+
+
+# ----------------------------------------------------------------------
+# RecordBatch.concat (the request router's merge)
+# ----------------------------------------------------------------------
+def test_concat_pads_to_the_widest_part_and_sums_input_bytes():
+    a = RecordBatch.from_pairs([(b"k", b"long-value"), (b"kk", b"v")], input_bytes=40)
+    b = RecordBatch.from_pairs([(b"a-much-longer-key", b"")])
+    c = RecordBatch.from_pairs([(b"mid-key", b"vv")], input_bytes=7)
+    merged = RecordBatch.concat([a, b, c])
+
+    assert type(merged) is RecordBatch and len(merged) == 4
+    assert merged.keys.shape == (4, len(b"a-much-longer-key"))
+    assert merged.values.shape == (4, len(b"long-value"))
+    assert merged.key_bytes_list() == [b"k", b"kk", b"a-much-longer-key", b"mid-key"]
+    assert merged.value_bytes_list() == [b"long-value", b"v", b"", b"vv"]
+    # padding is zeros: the grouping pass compares whole rows
+    assert not merged.keys[0, 1:].any() and not merged.values[2].any()
+    assert merged.input_bytes == 40 + b.staged_bytes + 7
+    # the parts are copied, not aliased: they stay usable and writable
+    merged.cache.hashes()
+    assert a.keys.flags.writeable
+
+
+def test_concat_hashes_equal_the_parts_hashes():
+    parts = [
+        RecordBatch.from_numeric([b"x", b"yy"], np.array([1, 2], dtype=np.int64)),
+        RecordBatch.from_numeric([b"a-wider-key"], np.array([3], dtype=np.int64)),
+        RecordBatch.from_numeric([b"yy", b""], np.array([4, 5], dtype=np.int64)),
+    ]
+    merged = RecordBatch.concat(parts)
+    assert merged.numeric_values.tolist() == [1, 2, 3, 4, 5]
+    assert merged.numeric_values.dtype == np.int64
+    want = np.concatenate([p.cache.hashes() for p in parts])
+    assert np.array_equal(merged.cache.hashes(), want)
+
+
+def test_concat_single_part_is_returned_as_is():
+    b = RecordBatch.from_pairs([(b"k", b"v")])
+    assert RecordBatch.concat([b]) is b
+    with pytest.raises(ValueError, match="at least one"):
+        RecordBatch.concat([])
+
+
+def test_concat_rejects_incompatible_parts():
+    i64 = RecordBatch.from_numeric([b"a"], np.array([1], dtype=np.int64))
+    f64 = RecordBatch.from_numeric([b"a"], np.array([1.0], dtype=np.float64))
+    raw = RecordBatch.from_pairs([(b"a", b"v")])
+    slow = RecordBatch.from_pairs([(b"a", b"v")], parse_cycles=80.0)
+    skew = RecordBatch.from_pairs([(b"a", b"v")], divergence=2.0)
+    for other in (f64, raw):
+        with pytest.raises(ValueError, match="incompatible"):
+            RecordBatch.concat([i64, other])
+    for other in (slow, skew, i64):
+        with pytest.raises(ValueError, match="incompatible"):
+            RecordBatch.concat([raw, other])
+
+
+def test_concat_mutation_batches_carry_ops_and_policy():
+    from repro.core.mutations import OP_DELETE, OP_INSERT, OP_LOOKUP, MutationBatch
+
+    a = MutationBatch.from_ops(
+        [(OP_INSERT, b"k", b"v"), (OP_LOOKUP, b"k", b"")], update_policy="replace"
+    )
+    b = MutationBatch.from_ops([(OP_DELETE, b"longer", b"")], update_policy="replace")
+    a.lookup_results[1] = [b"stale"]
+    merged = RecordBatch.concat([a, b])
+    assert type(merged) is MutationBatch
+    assert merged.ops.tolist() == [OP_INSERT, OP_LOOKUP, OP_DELETE]
+    assert merged.update_policy == "replace"
+    assert merged.lookup_results == {}  # answers belong to the merged rows
+
+    appending = MutationBatch.from_ops([(OP_INSERT, b"k", b"v")])
+    plain = RecordBatch.from_pairs([(b"k", b"v")])
+    for other in (appending, plain):
+        with pytest.raises(ValueError, match="incompatible"):
+            RecordBatch.concat([a, other])

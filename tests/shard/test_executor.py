@@ -22,6 +22,7 @@ from repro.core import (
     SUM_I64,
 )
 from repro.core.lookup import LookupDriver
+from repro.core.sepo import NoProgressError
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 from repro.sanitize import SanitizerError
@@ -149,6 +150,31 @@ def test_runs_accumulate_total_records():
     ex.run(make_batches(w, "basic", batch_size=50))
     ex.run(make_batches(w, "basic", batch_size=50))
     assert ex.total_records == 400
+
+
+# ----------------------------------------------------------------------
+# liveness: the executor's rounds run SepoDriver.step, rules included
+# ----------------------------------------------------------------------
+def test_two_stuck_passes_on_one_shard_raise_and_name_it():
+    ex = make_executor(2, ORGS["combining"][0])
+    # Drain shard 1's pool for good: no rearrangement can free a page.
+    while ex.tables[1].heap.pool.take() is not None:
+        pass
+    workload = make_workload("uniform", 100, seed=4)
+    with pytest.raises(NoProgressError, match="shard 1: two consecutive"):
+        ex.run(make_batches(workload, "combining", batch_size=50))
+    # round 1 finished shard 0 and rearranged both; round 2 only visited
+    # the stuck shard, which gave up before its second rearrangement
+    assert [t.iterations_completed for t in ex.tables] == [1, 1]
+    assert ex.total_records == 0  # a failed run reports nothing
+
+
+def test_max_iterations_exceeded_raises_and_names_the_shard():
+    ex = make_executor(2, ORGS["basic"][0], max_iterations=0)
+    workload = make_workload("uniform", 40, seed=4)
+    with pytest.raises(NoProgressError, match="shard 0: exceeded 0 SEPO iterations"):
+        ex.run(make_batches(workload, "basic", batch_size=40))
+    assert ex.run([]).total_records == 0  # nothing pending never iterates
 
 
 # ----------------------------------------------------------------------

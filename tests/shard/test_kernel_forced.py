@@ -1,13 +1,15 @@
 """The sharded executor and the request router over the batched mixed-op
 kernel.
 
-Router slices and per-shard sub-batches are a few dozen ops, far under
-``organizations.MIXED_KERNEL_MIN_OPS``, so ``test_executor.py`` and
-``test_router.py`` as collected in their own modules never enter the
-kernel.  This module re-collects both with the cut-over patched to 0 (a
-fixture; the shipped constant is untouched): the sharded == unsharded
-bit-identity and the routed-lookup oracle then hold with every mutation
-slice going through it.
+The executor's per-shard sub-batches are a few dozen ops, and of the
+router's merged flushes only the larger ones (the oracle matrix's
+768-record chunks) reach ``organizations.MIXED_KERNEL_MIN_OPS``, so
+``test_executor.py`` and most of ``test_router.py`` as collected in their
+own modules stay on the scalar loop.  This module re-collects both with
+the cut-over patched to 0 (a fixture; the shipped constant is untouched):
+the sharded == unsharded bit-identity, the routed-lookup oracle and the
+router's merge/failure contracts then hold with every mutation batch
+going through the kernel.
 """
 
 import pytest
