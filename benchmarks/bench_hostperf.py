@@ -37,11 +37,15 @@ The shard tier carries both clocks: ``shard_scaling`` reports the simulated
 makespan numbers with the host ``wall_rps`` of ``ShardedExecutor.run``
 beside them, and a ``router`` cell times small client batches through
 ``ShardRouter`` (host ops/s, launches per flush, simulated makespan).
+A ``lookup`` cell times ``LookupDriver.lookup`` -- 4,096 queries, half of
+them misses, against a table four times its heap -- as one batched resolve
+per pass and as the per-entry walk: queries/s, passes, pages paged in.
 
 The pytest entry points double as the CI perf smoke: every organization's
 vectorized insert path (f64 combining included) must beat its scalar
 reference by at least 2x, the batched mixed-op kernel the scalar loop by
-2x at 64k ops, and the bulk ``result()`` of the combining table
+2x at 64k ops, the batched lookup pass the per-entry walk by 2.5x basic,
+3x combining and 1.4x multi-valued, and the bulk ``result()`` of the combining table
 its per-entry merge by 1.5x, on the reduced workload (the tracked full-scale speedups are ~8-10x; 2x keeps the
 gate robust on noisy shared runners).  The 1M tier is gated separately
 (``test_million_tier_*``, a dedicated CI job) with *absolute* vectorized
@@ -75,6 +79,7 @@ from repro.core import (
     SepoDriver,
     organizations,
 )
+from repro.core.lookup import LookupDriver
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 from repro.shard import ShardedExecutor, ShardRouter
@@ -100,6 +105,12 @@ RESULT_MIN_SPEEDUP = 1.5
 #: gate for the batched mixed-op kernel over the scalar loop at 64k ops
 #: (measured 4.3x on both generic-entry organizations)
 MIXED_MIN_SPEEDUP = 2.0
+#: gates of the batched lookup pass over the per-entry walk in the lookup
+#: cell.  Measured over seven runs: basic 3.7-4.6x, combining 4.2-6.0x,
+#: multi-valued 1.7-2.5x -- there the ~1,400 page-ins both arms pay for are
+#: a third of the batched arm's time, and every pass re-parses two kinds of
+#: chain.  Each gate sits a quarter or more under its worst reading.
+LOOKUP_MIN_SPEEDUP = {"basic": 2.5, "combining": 3.0, "multi-valued": 1.4}
 #: absolute vectorized floors for the 1M tier (records/sec), seeded at
 #: ~1/3 of the throughput measured when the tier landed (basic 1.58M,
 #: combining 841k, multi-valued 619k) to stay robust on shared runners
@@ -312,21 +323,31 @@ SWEEP_BUCKETS, SWEEP_PAGE, SWEEP_KEYSPACE = 1024, 4 << 10, 4096
 SWEEP_HEAP = {"fresh": 8 << 20, "part-evicted": 256 << 10}
 
 
-def _sweep_table(kind: str, impl: str, state: str) -> GpuHashTable:
-    """An empty table with room for the whole stream, or one loaded by
-    16k mixed ops into a heap a fraction of its size -- chains that run on
-    into evicted memory, a CPU-side image several times the heap."""
+def _loaded_table(kind: str, heap_bytes: int, load_ops: int):
+    """A table of the sweep's shape with its kernel model and bus, loaded
+    by ``load_ops`` seeded mixed ops run to completion (and so, as after
+    every finished SEPO run, evicted): with a heap a fraction of what that
+    takes, chains that run on into evicted memory and a CPU-side image
+    several times the heap."""
     ledger = CostLedger()
     table = GpuHashTable(
         SWEEP_BUCKETS, make_org(kind, "vectorized"),
-        GpuHeap(SWEEP_HEAP[state], SWEEP_PAGE), group_size=64, ledger=ledger,
+        GpuHeap(heap_bytes, SWEEP_PAGE), group_size=64, ledger=ledger,
     )
-    if state == "part-evicted":
-        load = make_mixed_ops(2 * SWEEP_OPS, 3, SWEEP_KEYSPACE)
-        SepoDriver(table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger)).run(
-            [make_mutation(kind, load[lo:lo + 2048])
-             for lo in range(0, len(load), 2048)]
-        )
+    kernel, bus = KernelModel(GTX_780TI, ledger), PCIeBus(ledger)
+    load = make_mixed_ops(load_ops, 3, SWEEP_KEYSPACE)
+    SepoDriver(table, kernel, bus).run(
+        [make_mutation(kind, load[lo:lo + 2048])
+         for lo in range(0, len(load), 2048)]
+    )
+    return table, kernel, bus
+
+
+def _sweep_table(kind: str, impl: str, state: str) -> GpuHashTable:
+    """An empty table with room for the whole stream, or one loaded by
+    16k mixed ops into a heap a fraction of its size."""
+    load_ops = 2 * SWEEP_OPS if state == "part-evicted" else 0
+    table = _loaded_table(kind, SWEEP_HEAP[state], load_ops)[0]
     table.org.impl = impl
     return table
 
@@ -370,6 +391,55 @@ def mixed_sweep(repeats: int = 3, sizes=SWEEP_SIZES) -> dict:
     finally:
         organizations.MIXED_KERNEL_MIN_OPS = shipped
     return {"cut_over_ops": shipped, "ops_per_cell": SWEEP_OPS, "rows": rows}
+
+
+#: the lookup cell: a 24k mixed-op load (the sweep's table shape), then
+#: 4,096 queries over twice the keyspace -- half were never written
+LOOKUP_LOAD_OPS = 24_576
+LOOKUP_QUERIES = 4_096
+#: heap pages under which that load finishes as a table four times the heap
+#: (3.9-4.0x; a smaller heap evicts emptier pages, so the table grows as the
+#: heap shrinks and the size has to be found, not computed)
+LOOKUP_HEAP_PAGES = {"basic": 64, "combining": 35, "multi-valued": 96}
+
+
+def lookup_cell(repeats: int = 3, kinds=KINDS) -> dict:
+    """SEPO lookups, batched pass against the per-entry walk: best-of-
+    ``repeats`` queries/sec of one ``LookupDriver.lookup`` per
+    organization (a fresh table per measurement: a lookup pages segments
+    in), with the passes it took and the pages it paged in -- the same
+    under both implementations, to the digit."""
+    rng = np.random.default_rng(5)
+    queries = [
+        b"key-%08d" % r
+        for r in rng.integers(0, 2 * SWEEP_KEYSPACE, size=LOOKUP_QUERIES)
+    ]
+    rows = {}
+    for kind in kinds:
+        heap_bytes = LOOKUP_HEAP_PAGES[kind] * SWEEP_PAGE
+        best = {"slow_reference": 0.0, "vectorized": 0.0}
+        for _ in range(repeats):
+            # both arms inside every repeat (see result_kps)
+            for impl in best:
+                table, kernel, bus = _loaded_table(
+                    kind, heap_bytes, LOOKUP_LOAD_OPS
+                )
+                driver = LookupDriver(table, kernel, bus, impl=impl)
+                t0 = time.perf_counter()
+                res = driver.lookup(queries)
+                dt = time.perf_counter() - t0
+                best[impl] = max(best[impl], len(queries) / dt)
+        rows[kind] = {
+            "scalar_qps": round(best["slow_reference"]),
+            "batched_qps": round(best["vectorized"]),
+            "speedup": round(best["vectorized"] / best["slow_reference"], 2),
+            "passes": res.iterations,
+            "pages_paged_in": res.segments_paged_in,
+            "table_over_heap": round(
+                table.heap.total_table_bytes / heap_bytes, 2
+            ),
+        }
+    return rows
 
 
 def _insert_cell(kind, keys, values, repeats) -> dict:
@@ -576,6 +646,8 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
         "shard_scaling": shard_scaling_cell(n, repeats=repeats),
         # the serving path: small client batches through the router
         "router": router_cell(n, repeats),
+        # the read path: one batched resolve per pass vs the per-entry walk
+        "lookup": lookup_cell(repeats),
         # the evidence behind organizations.MIXED_KERNEL_MIN_OPS
         "mixed_sweep": mixed_sweep(repeats),
     }
@@ -743,6 +815,18 @@ def test_mixed_ops_kernel_beats_scalar_loop():
         )
 
 
+def test_batched_lookup_beats_scalar_walk():
+    """CI gate: one batched resolve per lookup pass must stay clear of the
+    per-query, per-entry walk it replaced on every organization (see
+    :data:`LOOKUP_MIN_SPEEDUP`), doing the same passes and page-ins."""
+    for kind, row in lookup_cell(repeats=3).items():
+        assert row["batched_qps"] >= LOOKUP_MIN_SPEEDUP[kind] * row["scalar_qps"], (
+            f"{kind}: batched lookup {row['batched_qps']:,} queries/s < "
+            f"{LOOKUP_MIN_SPEEDUP[kind]}x per-entry walk {row['scalar_qps']:,}"
+        )
+        assert row["passes"] > 2 and row["pages_paged_in"] > 0
+
+
 def test_integrity_overhead_cell_runs():
     """Non-gating: the checksum-overhead cell must complete on every
     organization in all three integrity modes (the off|verify|scrub
@@ -836,11 +920,16 @@ def test_hostperf_export_roundtrip(tmp_path):
     for row in full["router"].values():
         assert row["wall_ops_per_second"] > 0 and row["makespan_seconds"] > 0
         assert row["launches_per_flush"] == 1.0
+    # ... and the lookup rows: both arms, one table shape whatever the tier
+    assert set(full["lookup"]) == set(KINDS)
+    for row in full["lookup"].values():
+        assert row["scalar_qps"] > 0 and row["batched_qps"] > 0
+        assert 3.8 <= row["table_over_heap"] <= 4.2
     # the insert-only tier carries just the uniform insert cells
     deep = loaded["tiers"]["4096"]
     assert set(deep["distributions"]) == {"uniform"}
     assert set(deep["distributions"]["uniform"]) == set(KINDS)
-    assert not {"shard_scaling", "mixed_sweep", "router"} & set(deep)
+    assert not {"shard_scaling", "mixed_sweep", "router", "lookup"} & set(deep)
 
 
 # ----------------------------------------------------------------------
@@ -924,6 +1013,16 @@ def _print_tier(tier: dict) -> None:
             f"  router/{kind:<10} host {row['wall_ops_per_second']:>10,} ops/s   "
             f"{row['launches_per_flush']:.2f} launches/flush over "
             f"{row['flushes']} flushes   makespan {row['makespan_seconds']:.6f} s"
+        )
+
+
+    for kind, row in tier.get("lookup", {}).items():
+        print(
+            f"  lookup/{kind:<13} walk {row['scalar_qps']:>9,} queries/s   "
+            f"batched {row['batched_qps']:>9,} queries/s   "
+            f"{row['speedup']:.2f}x   {row['passes']} passes, "
+            f"{row['pages_paged_in']} pages in "
+            f"(table {row['table_over_heap']}x heap)"
         )
 
 

@@ -53,6 +53,18 @@ print(f"segments paged in : {result.segments_paged_in}")
 hits = sum(1 for v in result.values if v is not None)
 print(f"hits / misses     : {hits:,} / {len(queries) - hits:,}")
 
+# Every pass is one batched resolve of the still-open queries; what ran off
+# the resident chains is postponed, and the demand picks the pages to bring
+# back before the next pass.
+print("\n pass   open  answered  postponed  paged in")
+open_queries = len(queries)
+for n, (answered, postponed, paged_in) in enumerate(zip(
+    result.iteration_answered, result.iteration_postponed,
+    result.iteration_paged_in,
+), 1):
+    print(f"{n:5d}  {open_queries:5,}  {answered:8,}  {postponed:9,}  {paged_in:8,}")
+    open_queries = postponed
+
 # Verify against the CPU-side view of the same table.
 truth = table.result()
 for q, v in zip(queries, result.values):

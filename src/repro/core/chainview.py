@@ -19,25 +19,27 @@ one node at a time.  The walker serves two address translations:
 
 A parse returns a :class:`ChainBlock`: chain-major flat arrays of addresses,
 byte positions, key/value lengths, mutation flags and walk-charge
-cumsums, plus one zero-padded key matrix.  It is read two ways, and there
-is no third:
+cumsums, one zero-padded key matrix, and per chain the (segment, address)
+where its walk left residency.  Every batched reader -- the insert and
+mixed-op kernels and the lookup driver's pass -- hands all its keys at
+once to the one key matcher (:func:`_match_keys`) and gets back a
+:class:`ChainMatches`: every same-key entry of every key's chain.
+:func:`match_resident_chains` reads the *resident* prefixes (one SEPO
+lookup pass: what is not matched there and runs on into evicted memory
+is postponed at ``blocked_seg``), :func:`resolve_keys` keeps each key's
+first such match -- what a scalar write-side walk would have found and
+been charged -- and :func:`match_cpu_chains` matches the *whole* chain,
+read through the CPU-side image -- what an in-stream lookup visits.
 
-* lookups index it by head and scan one chain's :class:`ChainSoA` slice;
-* the batched insert and mixed-op kernels hand every distinct batch key at
-  once to the one key matcher (:func:`_match_keys`).  :func:`resolve_keys`
-  keeps each key's first match in its bucket's *resident* prefix -- what a
-  scalar walk would have found and been charged;
-  :func:`match_cpu_chains` keeps every match in the *whole* chain, read
-  through the CPU-side image -- what an in-stream lookup visits.
-
-:class:`ChainViewStore` caches views across lookup passes.  Validity is
-stamped by two heap counters: ``residency_epoch`` (any page moving in or
+:class:`ChainViewStore` caches per-chain :class:`ChainSoA` views under a
+stamp of two heap counters: ``residency_epoch`` (any page moving in or
 out of the arena relocates bytes) and ``write_epoch`` (any in-place
 entry write -- tombstones, combines, splices -- goes through
 ``GpuHeap.note_write``, which the integrity layer already requires of
 every such path).  Entry *allocation* never invalidates a view: new
 entries are only ever prepended, so a cached view keyed by its start
-address stays byte-accurate and simply becomes a suffix.
+address stays byte-accurate and simply becomes a suffix.  No reader in
+the library goes through the store (see its docstring).
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ __all__ = [
     "ChainMatches",
     "KeyResolve",
     "match_cpu_chains",
+    "match_resident_chains",
     "materialize_chains",
+    "newest_matches",
     "resolve_keys",
     "walk_cpu_image",
+    "walk_resident",
     "word_aligned",
 ]
 
@@ -104,20 +109,6 @@ class ChainSoA:
     def n(self) -> int:
         return len(self.addrs)
 
-    def match_positions(self, key: bytes) -> np.ndarray:
-        """Walk-order positions whose key equals ``key`` exactly.
-
-        Length is compared as well as bytes: the key matrix is
-        zero-padded, so a pure row compare could not tell a short key
-        from a longer one with embedded NULs.
-        """
-        kl = len(key)
-        m = self.klens == kl
-        if kl and m.any():
-            q = np.frombuffer(key, dtype=np.uint8)
-            m &= (self.keys[:, :kl] == q).all(axis=1)
-        return np.flatnonzero(m)
-
     def key_bytes(self, w: int, blob: bytes | None = None) -> bytes:
         """Key bytes of entry ``w``; pass ``self.keys.tobytes()`` as
         ``blob`` when extracting many keys to skip per-row views."""
@@ -126,11 +117,6 @@ class ChainSoA:
             return bytes(self.keys[w, : self.klens[w]])
         start = w * width
         return blob[start : start + int(self.klens[w])]
-
-    def value_bytes(self, w: int) -> bytes:
-        """Raw value bytes of generic entry ``w`` (from the live arena)."""
-        vo = int(self.pos[w]) + E.ENTRY_HEADER + int(self.klens[w])
-        return self.arena[vo : vo + int(self.vlens[w])].tobytes()
 
 
 class ChainBlock(Mapping):
@@ -155,8 +141,9 @@ class ChainBlock(Mapping):
         self.costs = costs
         self.cum = cum  # inclusive, restarting at every chain
         self.keys = keys
-        #: chain index -> (segment, address) where its walk left residency
-        self.blocked = blocked
+        #: per chain: the (segment, address) where its walk left
+        #: residency, ``(-1, NULL)`` for a chain that is resident to its end
+        self.blocked_seg, self.blocked_addr = blocked
         self._index: dict | None = None  # head -> chain, built when asked
 
     def __len__(self) -> int:
@@ -170,11 +157,12 @@ class ChainBlock(Mapping):
             self._index = {h: i for i, h in enumerate(self.heads)}
         i = self._index[head]
         a, b = int(self.starts[i]), int(self.starts[i + 1])
+        seg = int(self.blocked_seg[i])
         return ChainSoA(
             head, self.arena, self.addrs[a:b], self.pos[a:b],
             self.klens[a:b], self.vlens[a:b], self.flags[a:b],
             self.costs[a:b], self.cum[a:b], self.keys[a:b],
-            self.blocked.get(i),
+            (seg, int(self.blocked_addr[i])) if seg >= 0 else None,
         )
 
 
@@ -234,15 +222,16 @@ def _walk(buf, heads, layout, base, page_size):
     gathered once, for all of them, at the end.
 
     Returns ``(addr, pos, klen, vlen, flags)`` columns in chain-major
-    walk order, the per-chain node counts, and ``{chain: (segment,
-    address)}`` for the walks that blocked.
+    walk order, the per-chain node counts, and per chain the ``(segment,
+    address)`` arrays of where its walk blocked (``-1`` / ``NULL`` for the
+    walks that did not).
     """
     heads = np.asarray(heads, dtype=np.int64)
     nc = len(heads)
     w64 = buf.view(np.int64)
     ci = np.flatnonzero(heads != NULL)
     cur = heads[ci]
-    blocked: dict[int, tuple[int, int]] = {}
+    blocked = np.full(nc, -1, dtype=np.int64), np.full(nc, NULL, dtype=np.int64)
     # per batch of visited nodes: chain index, rank in chain, address,
     # byte position
     parts: list[tuple] = []
@@ -254,10 +243,8 @@ def _walk(buf, heads, layout, base, page_size):
             at = base[seg]
             dead = at < 0
             if dead.any():
-                blocked.update(zip(
-                    ci[dead].tolist(),
-                    zip(seg[dead].tolist(), cur[dead].tolist()),
-                ))
+                blocked[0][ci[dead]] = seg[dead]
+                blocked[1][ci[dead]] = cur[dead]
                 live = ~dead
                 ci, cur, seg, at = ci[live], cur[live], seg[live], at[live]
             pos = at + (cur - seg * page_size)
@@ -280,7 +267,7 @@ def _walk(buf, heads, layout, base, page_size):
                 if at is not None:
                     seg, off = divmod(addr, page_size)
                     if at[seg] < 0:
-                        blocked[c] = (seg, addr)
+                        blocked[0][c], blocked[1][c] = seg, addr
                         break
                     pos = at[seg] + off
                 t_addr.append(addr)
@@ -408,9 +395,8 @@ def materialize_chains(heap, heads, kind: str = "generic") -> ChainBlock:
         raise ValueError(f"unknown chain kind {kind!r}")
     layout = _LAYOUTS[kind]
     header = layout.header
-    heads = list(dict.fromkeys(int(h) for h in heads if h != NULL))
+    heads = [h for h in dict.fromkeys(map(int, heads)) if h != NULL]
     arena = heap.pool.arena
-    page_size = heap.page_size
     if not word_aligned(heap):
         views = [
             _materialize_scalar(heap, h, kind, header, arena) for h in heads
@@ -420,16 +406,24 @@ def materialize_chains(heap, heads, kind: str = "generic") -> ChainBlock:
             if views else np.zeros(0, dtype=np.int64)
             for name in ("addrs", "pos", "klens", "vlens", "flags")
         ]
+        blocked = [v.blocked or (-1, NULL) for v in views]
         return _assemble(
             heads, arena, header, *cols,
             np.array([v.n for v in views], dtype=np.int64),
-            {i: v.blocked for i, v in enumerate(views)
-             if v.blocked is not None},
+            tuple(np.array(blocked, dtype=np.int64).reshape(-1, 2).T),
         )
-    slot = heap.resident_slot_map()
-    base = np.where(slot < 0, -1, slot * page_size)
-    cols, counts, blocked = _walk(arena, heads, layout, base, page_size)
+    cols, counts, blocked = walk_resident(heap, heads, kind)
     return _assemble(heads, arena, header, *cols, counts, blocked)
+
+
+def walk_resident(heap, heads, kind: str):
+    """:func:`_walk` through the GPU arena under the residency map, one
+    walk per head (``"value"`` heads are multi-valued value lists); a walk
+    blocks where its chain leaves the resident segments.  Needs a
+    :func:`word_aligned` heap."""
+    slot = heap.resident_slot_map()
+    base = np.where(slot < 0, -1, slot * heap.page_size)
+    return _walk(heap.pool.arena, heads, _LAYOUTS[kind], base, heap.page_size)
 
 
 def walk_cpu_image(image: np.ndarray, heads, kind: str):
@@ -483,7 +477,7 @@ def _chains_of(heads):
     (many keys share a chain)."""
     live = np.flatnonzero(heads != NULL)
     h = heads[live]
-    order = np.argsort(h, kind="stable")
+    order = np.argsort(h)
     hs = h[order]
     first = np.ones(len(hs), dtype=bool)
     np.not_equal(hs[1:], hs[:-1], out=first[1:])
@@ -539,104 +533,129 @@ def _match_keys(block, first_row, npairs, keys, key_lens):
     return tuple(np.concatenate(col) for col in zip(*found))
 
 
-def resolve_keys(heap, heads, kind, keys, key_lens) -> KeyResolve:
-    """First-match resolve of a batch of keys against resident chains.
+class ChainMatches(NamedTuple):
+    """Every same-key entry of G keys' chains.
 
-    ``heads[g]`` is the chain key ``g`` hashes to (``NULL`` for an empty
-    bucket; many keys may share one), ``keys`` the zero-padded (G, width)
-    key matrix and ``key_lens`` the exact lengths.  Every distinct chain
-    is parsed once by :func:`materialize_chains`; :func:`_match_keys`
-    then compares each key with its chain's entries, and the first match
-    of a key is its newest same-key entry.
+    Per key: ``n_chain`` entries were visited (the chain's resident
+    prefix, or all of it through the CPU-side image), walking all of them
+    is charged ``chain_bytes``, and the walk left residency at
+    ``(blocked_seg, blocked_addr)`` -- ``(-1, NULL)`` when the chain ended
+    first.  The remaining columns are per matching entry, ordered by key
+    and then walk position (newest first).
     """
+
+    n_chain: np.ndarray
+    chain_bytes: np.ndarray
+    blocked_seg: np.ndarray
+    blocked_addr: np.ndarray
+    key: np.ndarray  # index of the key the entry matches
+    at: np.ndarray  # its walk position in the key's chain
+    cum: np.ndarray  # charge of the walk up to and including it
+    pos: np.ndarray  # its byte position in the arena / image
+    addr: np.ndarray  # its cpu address
+    vpos: np.ndarray  # byte position of a generic entry's value
+    vlen: np.ndarray
+    flags: np.ndarray
+
+
+def newest_matches(key: np.ndarray) -> np.ndarray:
+    """Index of every key's first (newest) entry in a
+    :attr:`ChainMatches.key` column, or any filtered subset of one."""
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _match_chains(parse, header, heads, keys, key_lens) -> ChainMatches:
+    """The one resolver: ``parse`` every distinct chain among ``heads``
+    once into a :class:`ChainBlock`, then :func:`_match_keys`."""
     heads = np.asarray(heads, dtype=np.int64)
     key_lens = np.asarray(key_lens, dtype=np.int64)
     G = len(heads)
-    n_resident = np.zeros(G, dtype=np.int64)
-    walk_bytes = np.zeros(G, dtype=np.int64)
+    n_chain = np.zeros(G, dtype=np.int64)
+    chain_bytes = np.zeros(G, dtype=np.int64)
+    blocked_seg = np.full(G, -1, dtype=np.int64)
+    blocked_addr = np.full(G, NULL, dtype=np.int64)
+    live, uniq, chain = _chains_of(heads)
+    if not len(live):
+        none = np.zeros(0, dtype=np.int64)
+        return ChainMatches(
+            n_chain, chain_bytes, blocked_seg, blocked_addr, *(none,) * 8
+        )
+    block = parse(uniq)
+    n_chain[live] = np.diff(block.starts)[chain]
+    blocked_seg[live] = block.blocked_seg[chain]
+    blocked_addr[live] = block.blocked_addr[chain]
+    walkable = n_chain[live] > 0
+    sel = live[walkable]  # keys with something to walk, ascending
+    first_row = block.starts[chain[walkable]]
+    npairs = n_chain[sel]
+    chain_bytes[sel] = block.cum[first_row + npairs - 1]
+    k, within, row = _match_keys(
+        block, first_row, npairs, keys[sel], key_lens[sel]
+    )
+    pos = block.pos[row]
+    return ChainMatches(
+        n_chain, chain_bytes, blocked_seg, blocked_addr, sel[k], within,
+        block.cum[row], pos, block.addrs[row],
+        pos + header + block.klens[row], block.vlens[row], block.flags[row],
+    )
+
+
+def match_resident_chains(heap, heads, kind, keys, key_lens) -> ChainMatches:
+    """All-match resolve of a batch of keys against resident chains.
+
+    ``heads[g]`` is where key ``g``'s walk starts (``NULL`` for an empty
+    bucket; many keys may share one), ``keys`` the zero-padded (G, width)
+    key matrix and ``key_lens`` the exact lengths.  Every distinct chain
+    is parsed once by :func:`materialize_chains`.
+    """
+    return _match_chains(
+        lambda uniq: materialize_chains(heap, uniq.tolist(), kind),
+        _LAYOUTS[kind].header, heads, keys, key_lens,
+    )
+
+
+def resolve_keys(heap, heads, kind, keys, key_lens) -> KeyResolve:
+    """First-match resolve: each key's newest same-key entry among
+    :func:`match_resident_chains`' (same arguments)."""
+    cm = match_resident_chains(heap, heads, kind, keys, key_lens)
+    G = len(cm.n_chain)
     hit = np.full(G, -1, dtype=np.int64)
     hit_bytes = np.zeros(G, dtype=np.int64)
     hit_pos = np.full(G, NULL, dtype=np.int64)
     hit_addr = np.full(G, NULL, dtype=np.int64)
     hit_flags = np.zeros(G, dtype=np.int64)
     hit_vlen = np.zeros(G, dtype=np.int64)
-    blocked = np.zeros(G, dtype=bool)
-
-    live, uniq, chain = _chains_of(heads)
-    if len(live):
-        block = materialize_chains(heap, uniq, kind)
-        starts = block.starts
-        n_resident[live] = np.diff(starts)[chain]
-        if block.blocked:
-            chain_blocked = np.zeros(len(uniq), dtype=bool)
-            chain_blocked[list(block.blocked)] = True
-            blocked[live] = chain_blocked[chain]
-        walkable = n_resident[live] > 0
-        sel = live[walkable]  # keys with something to walk, ascending
-        first_row = starts[chain[walkable]]
-        npairs = n_resident[sel]
-        walk_bytes[sel] = block.cum[first_row + npairs - 1]
-        k, within, row = _match_keys(
-            block, first_row, npairs, keys[sel], key_lens[sel]
-        )
-        if len(k):
-            newest = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-            gm, rows = sel[k[newest]], row[newest]
-            hit[gm] = within[newest]
-            hit_bytes[gm] = block.cum[rows]
-            hit_pos[gm] = block.pos[rows]
-            hit_addr[gm] = block.addrs[rows]
-            hit_flags[gm] = block.flags[rows]
-            hit_vlen[gm] = block.vlens[rows]
+    newest = newest_matches(cm.key)
+    gm = cm.key[newest]
+    hit[gm] = cm.at[newest]
+    hit_bytes[gm] = cm.cum[newest]
+    hit_pos[gm] = cm.pos[newest]
+    hit_addr[gm] = cm.addr[newest]
+    hit_flags[gm] = cm.flags[newest]
+    hit_vlen[gm] = cm.vlen[newest]
     return KeyResolve(
-        n_resident, walk_bytes, hit, hit_bytes, hit_pos, hit_addr,
-        hit_flags, hit_vlen, blocked,
+        cm.n_chain, cm.chain_bytes, hit, hit_bytes, hit_pos, hit_addr,
+        hit_flags, hit_vlen, cm.blocked_seg >= 0,
     )
-
-
-class ChainMatches(NamedTuple):
-    """Every same-key entry of G keys' whole CPU-side chains.
-
-    ``n_chain`` / ``chain_bytes`` are per key: the chain's length and the
-    charge of walking all of it.  The remaining columns are per matching
-    entry, ordered by key and then walk position (newest first).
-    """
-
-    n_chain: np.ndarray
-    chain_bytes: np.ndarray
-    key: np.ndarray  # index of the key the entry matches
-    at: np.ndarray  # its walk position in the key's chain
-    cum: np.ndarray  # charge of the walk up to and including it
-    vpos: np.ndarray  # byte position of its value in the image
-    vlen: np.ndarray
-    flags: np.ndarray
 
 
 def match_cpu_chains(image, heads, keys, key_lens) -> ChainMatches:
     """All-match resolve of a batch of keys against whole chains, read
     through the flat CPU-side image (see :func:`walk_cpu_image`): what an
     in-stream lookup of each key visits, evicted entries included.
-    Arguments as for :func:`resolve_keys`.
+    Arguments as for :func:`match_resident_chains`.
     """
-    heads = np.asarray(heads, dtype=np.int64)
-    key_lens = np.asarray(key_lens, dtype=np.int64)
-    n_chain = np.zeros(len(heads), dtype=np.int64)
-    chain_bytes = np.zeros(len(heads), dtype=np.int64)
-    live, uniq, chain = _chains_of(heads)
     layout = _LAYOUTS["generic"]
-    cols, counts, _ = _walk(image, uniq, layout, None, 0)
-    block = _assemble(uniq.tolist(), image, layout.header, *cols, counts, {})
-    first_row = block.starts[chain]
-    n_chain[live] = counts[chain]
-    chain_bytes[live] = block.cum[first_row + n_chain[live] - 1]
-    k, within, row = _match_keys(
-        block, first_row, n_chain[live], keys[live], key_lens[live]
-    )
-    return ChainMatches(
-        n_chain, chain_bytes, live[k], within, block.cum[row],
-        block.pos[row] + layout.header + block.klens[row],
-        block.vlens[row], block.flags[row],
-    )
+
+    def parse(uniq):
+        cols, counts, blocked = _walk(image, uniq, layout, None, 0)
+        return _assemble(
+            uniq.tolist(), image, layout.header, *cols, counts, blocked
+        )
+
+    return _match_chains(parse, layout.header, heads, keys, key_lens)
 
 
 class ChainViewStore:
@@ -644,9 +663,13 @@ class ChainViewStore:
 
     The stamp pairs ``residency_epoch`` (pages moved) with
     ``write_epoch`` (in-place entry writes); either advancing drops every
-    cached view.  Used by the lookup driver to keep views alive across
-    postponement passes -- the insert kernels resolve against a fresh
-    parse per batch instead, because they write between batches.
+    cached view.  No reader in the library goes through it: the write
+    kernels write between batches, and a lookup that postpones pages
+    segments in between passes -- every ``page_in`` bumps
+    ``residency_epoch`` -- so neither could ever be served a cached view
+    and both parse fresh.  What remains is the sanitizer's cross-check of
+    whatever a caller put here (``_check_chain_views``) and the trace
+    point the benchmark of record names.
     """
 
     def __init__(self, heap):

@@ -72,6 +72,7 @@ __all__ = [
     "value_node_sizes_bulk",
     "scatter_rows",
     "gather_field",
+    "gather_bytes",
     "scatter_field",
     "or_entry_flags",
     "write_entries_bulk",
@@ -229,6 +230,18 @@ def gather_field(arena: np.ndarray, pos: np.ndarray, dtype: str) -> np.ndarray:
     (combining scalars sit right after variable-length keys)."""
     width = np.dtype(dtype).itemsize
     return arena[pos[:, None] + np.arange(width)].view(dtype).ravel()
+
+
+def gather_bytes(arena: np.ndarray, pos: np.ndarray, lens: np.ndarray) -> list[bytes]:
+    """``arena[pos[j] : pos[j] + lens[j]]`` as one ``bytes`` per row: a
+    padded matrix gather, then slices of its one blob."""
+    if len(pos) == 0:
+        return []
+    width = max(int(lens.max()), 1)
+    idx = np.minimum(pos[:, None] + np.arange(width), arena.size - 1)
+    blob = arena[idx].tobytes()
+    lo = range(0, len(pos) * width, width)
+    return [blob[a : a + n] for a, n in zip(lo, lens.tolist())]
 
 
 def scatter_field(arena: np.ndarray, pos: np.ndarray, values: np.ndarray) -> None:

@@ -137,8 +137,8 @@ class GpuHashTable:
             )
         self.buckets = BucketArray(n_buckets, group_size, device_memory)
         self.heap = heap
-        #: struct-of-arrays chain views cached across lookup passes,
-        #: invalidated by the heap's residency/write epochs
+        #: per-head cache of struct-of-arrays chain views, invalidated by
+        #: the heap's residency/write epochs (no library reader uses it)
         self.chain_views = ChainViewStore(heap)
         self.alloc = BucketGroupAllocator(heap, self.buckets.n_groups)
         self.org = organization

@@ -16,27 +16,37 @@ several segments (one per iteration that evicted it), so a lookup only
 completes once it has walked its *entire* chain, combining every match on
 the way -- the value returned equals the finalized CPU-side result.
 
-Like the insert kernels, the probe has interchangeable implementations
-sharing exact accounting: ``slow_reference`` walks each query's chain
-entry by entry, while ``vectorized`` (the default) resolves queries
-against struct-of-arrays chain views (:mod:`repro.core.chainview`) --
-every touched chain is bulk-parsed level-synchronously, cached in the
-table's :class:`~repro.core.chainview.ChainViewStore` across postponement
-passes (residency/write epochs invalidate), and each query becomes one
-whole-chain key compare instead of a per-entry Python loop.  The
-multi-valued walk interleaves two chain kinds with
-per-key value lists and stays on the scalar path under every setting.
+One pass is one batched resolve (:mod:`repro.core.chainview`): the
+pending queries are an index array plus resume-address columns, every
+distinct chain they resume into is parsed once -- fresh each pass, since
+every rearrangement moves pages -- and all (query, resident entry) pairs
+go through the one key matcher.  A query is then *answered* or *ran off
+the resident suffix at segment s*: the second set is the postponement
+mask, its (segment, address) columns are the resume state, and its
+segment histogram is the page-in demand.  ``slow_reference`` runs the
+same passes with the per-entry walks (:meth:`LookupDriver._walk`,
+:meth:`LookupDriver._walk_mv`) as the oracle; values, per-pass counters
+and every charge are bit-identical.  The default hands a pass to the
+same loop when fewer than :data:`_BATCH_MIN_WALKS` of its walks can move,
+and the multi-valued method always on a heap too oddly sized for word
+views (:func:`~repro.core.chainview.word_aligned`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 from repro.core import entries as E
+from repro.core.chainview import (
+    match_resident_chains,
+    newest_matches,
+    walk_resident,
+    word_aligned,
+)
 from repro.core.hashing import fnv1a_batch
 from repro.core.hashtable import GpuHashTable
 from repro.core.organizations import (
@@ -53,6 +63,16 @@ from repro.memalloc.address import NULL
 
 __all__ = ["LookupDriver", "LookupResult"]
 
+#: walks (pending queries that do not resume in evicted memory) a pass
+#: needs before the batched resolve beats the per-query loop: a resolve is
+#: ~150 numpy dispatches (0.3-0.5 ms) whatever its width, a loop step
+#: 3-12 us per walk.  Measured on ``kv_mixed``-shaped tables: resident,
+#: whole-chain walks cross at 64-128 (combining) and 128-256 (basic,
+#: multi-valued) queries; on the 9x-oversubscribed multi-valued table the
+#: passes under the cut-over cost 15 ms batched, 8 ms looped, and moving it
+#: anywhere in 128...1024 changes nothing (reissued walks are short).
+_BATCH_MIN_WALKS = 128
+
 
 @dataclass
 class LookupResult:
@@ -63,7 +83,11 @@ class LookupResult:
     postponed_total: int
     segments_paged_in: int
     elapsed_seconds: float = 0.0
+    #: per pass: queries postponed, queries answered, and pages the
+    #: rearrangement after it paged in
     iteration_postponed: list[int] = field(default_factory=list)
+    iteration_answered: list[int] = field(default_factory=list)
+    iteration_paged_in: list[int] = field(default_factory=list)
 
 
 class LookupDriver:
@@ -100,145 +124,260 @@ class LookupDriver:
     # ------------------------------------------------------------------
     def lookup(self, keys: list[bytes]) -> LookupResult:
         table = self.table
-        heap = table.heap
-        page_size = heap.page_size
-        head_cpu = table.buckets.head_cpu
         start_elapsed = table.ledger.elapsed
-
+        n = len(keys)
+        keymat, klens = pack_byte_rows(keys)
         bucket_ids = table.buckets.bucket_of_hash(
-            fnv1a_batch(*pack_byte_rows(keys))
+            fnv1a_batch(keymat, klens)
         ).astype(np.int64)
-        buckets = bucket_ids.tolist()
-        values: list[Any] = [None] * len(keys)
-        # Per-query walk state: (chain position, accumulated value, found)
-        # for scalar methods, or (key position, value position, collected
-        # values) for the multi-valued method.  Keeping the position makes
-        # reissued lookups resume where they blocked, so already-walked
-        # segments need not stay resident -- the read-side analogue of the
-        # insert bitmap.
+        heads = table.buckets.head_cpu[bucket_ids].astype(np.int64)
+        # what a pass reads of the queries and where it puts the answers
+        q = SimpleNamespace(
+            keys=keys, keymat=keymat, klens=klens.astype(np.int64),
+            values=[None] * n,
+        )
+        # The open queries: their indices (``pend``) and, row for row, the
+        # resume state -- where each walk goes on and what it has gathered
+        # so far.  Keeping the position makes reissued lookups resume
+        # where they blocked, so already-walked segments need not stay
+        # resident -- the read-side analogue of the insert bitmap.
+        st = {"pend": np.arange(n)}
         if self._multivalued:
-            state: dict[int, Any] = {
-                i: (int(head_cpu[buckets[i]]), NULL, [], False)
-                for i in range(len(keys))
-            }
-        else:
-            state = {
-                i: (int(head_cpu[buckets[i]]), None, False)
-                for i in range(len(keys))
-            }
-        postponed_total = 0
-        segments_paged_in = 0
-        per_iteration: list[int] = []
-
-        iteration = 0
-        while state:
-            iteration += 1
-            if iteration > self.max_iterations:
-                raise RuntimeError("lookup did not converge; heap too small?")
-            demanded: Counter[int] = Counter()
-            still: dict[int, tuple[int, Any, bool]] = {}
-            stats = BatchStats(n_records=len(state), divergence=1.0)
-            cycles = 0.0
-            # Struct-of-arrays views of every chain this pass resumes
-            # into, bulk-materialized (or served from the table's store:
-            # residency/write epochs invalidate stale entries between
-            # passes automatically).
-            views = None
-            if not self._multivalued and self.impl != "slow_reference":
-                views = table.chain_views.get_many(
-                    (ws[0] for ws in state.values()), "generic"
-                )
-            for i, walk_state in state.items():
-                key = keys[i]
-                if self._multivalued:
-                    outcome = self._walk_mv(
-                        key, *walk_state, page_size=page_size, stats=stats,
-                        values=values, i=i,
-                    )
-                elif views is not None:
-                    addr, acc, found = walk_state
-                    outcome = self._walk_soa(
-                        key, addr, acc, found, views, stats, values, i
-                    )
-                else:
-                    addr, acc, found = walk_state
-                    outcome = self._walk(
-                        key, addr, acc, found, page_size, stats, values, i
-                    )
-                cycles += HASH_CYCLES_PER_BYTE * len(key)
-                if outcome is not None:
-                    blocked_seg, new_state = outcome
-                    demanded[blocked_seg] += 1
-                    still[i] = new_state
-            stats.cycles_per_record = len(state) and cycles / len(state)
-            stats.hottest_bucket = hottest_count(
-                bucket_ids[np.fromiter(state, np.int64, len(state))]
+            # kaddr: next key entry; vaddr: position inside a matched
+            # entry's value list (NULL between lists); last: that list
+            # belongs to a SHADOW entry, the walk ends when it drains
+            st.update(
+                kaddr=heads, vaddr=np.full(n, NULL, dtype=np.int64),
+                last=np.zeros(n, dtype=bool),
             )
+            q.collected = [[] for _ in keys]  # per query, newest first
+            one_pass = self._pass_mv
+        else:
+            comb = self._combiner
+            st.update(
+                addr=heads, found=np.zeros(n, dtype=bool),
+                acc=np.zeros(n, dtype=comb.dtype if comb else np.int64),
+            )
+            one_pass = self._pass_generic
+        if self.impl == "slow_reference" or (
+            self._multivalued and not word_aligned(table.heap)
+        ):
+            one_pass = self._pass_scalar
+
+        postponed: list[int] = []
+        answered: list[int] = []
+        paged_in: list[int] = []
+        while len(st["pend"]):
+            if len(postponed) >= self.max_iterations:
+                raise RuntimeError("lookup did not converge; heap too small?")
+            pend = st["pend"]
+            stats = BatchStats(n_records=len(pend), divergence=1.0)
+            # per open query: the segment that blocked it, -1 = answered
+            blocked = one_pass(np.arange(len(pend)), st, q, stats)
+            stats.cycles_per_record = (
+                HASH_CYCLES_PER_BYTE * int(q.klens[pend].sum()) / len(pend)
+            )
+            stats.hottest_bucket = hottest_count(bucket_ids[pend])
             self.kernel.charge(stats)
-            postponed_total += len(still)
-            per_iteration.append(len(still))
-            if not still:
-                break
-            segments_paged_in += self._rearrange(demanded)
-            state = still
+            still = blocked >= 0
+            st = {name: column[still] for name, column in st.items()}
+            postponed.append(len(st["pend"]))
+            answered.append(len(pend) - len(st["pend"]))
+            # demand order: most-demanded segment first, ties to the one
+            # that blocked the earlier query
+            uniq, first, count = np.unique(
+                blocked[still], return_index=True, return_counts=True
+            )
+            paged_in.append(
+                self._rearrange(uniq[np.lexsort((first, -count))].tolist())
+            )
 
         return LookupResult(
-            values=values,
-            iterations=iteration,
-            postponed_total=postponed_total,
-            segments_paged_in=segments_paged_in,
+            values=q.values,
+            iterations=len(postponed),
+            postponed_total=sum(postponed),
+            segments_paged_in=sum(paged_in),
             elapsed_seconds=table.ledger.elapsed - start_elapsed,
-            iteration_postponed=per_iteration,
+            iteration_postponed=postponed,
+            iteration_answered=answered,
+            iteration_paged_in=paged_in,
         )
 
     # ------------------------------------------------------------------
-    def _walk_soa(self, key, addr, acc, found, views, stats, values, i):
-        """Advance one chain walk against the struct-of-arrays views.
+    # One pass over rows ``at`` of the open queries ``st``: each returns,
+    # per row, the segment that blocked the walk (-1: answered) and leaves
+    # the resume state in the columns.
+    def _pass_generic(self, at, st, q, stats):
+        """The basic / combining method as one resolve.
 
-        Charges exactly what :meth:`_walk` charges: the basic method pays
-        for each entry up to and including its match; the combining method
-        pays for the whole walked prefix (it must see every residue, and
-        only an intervening tombstone match ends the walk early).  The
-        key resolves in one whole-chain matrix compare; per-entry Python
-        work happens only at actual matches.
+        Charges exactly what :meth:`_walk` charges: a walk that a match
+        closes -- the basic method's newest match, the combining method's
+        first tombstone match -- pays for the entries up to and including
+        it and is answered; every other walk pays for the whole resident
+        prefix and is postponed where that runs on into evicted memory.
         """
-        if addr == NULL:
-            if found:
-                values[i] = acc
-            return None
-        view = views[addr]
+        arena = self.table.heap.pool.arena
         comb = self._combiner
-        mpos = view.match_positions(key)
+        addr, found, acc = st["addr"], st["found"], st["acc"]
+        out = self._stuck(addr)
+        at = at[out < 0]
+        if len(at) < _BATCH_MIN_WALKS:
+            out[at] = self._pass_scalar(at, st, q, stats)
+            return out
+        pend = st["pend"][at]
+        cm = match_resident_chains(
+            self.table.heap, addr[at], "generic", q.keymat[pend], q.klens[pend]
+        )
+        tomb = (cm.flags & E.GFLAG_TOMBSTONE) != 0
         if comb is None:
-            if len(mpos):
-                w = int(mpos[0])
-                stats.bytes_touched += int(view.cum[w])
-                if not (view.flags[w] & E.GFLAG_TOMBSTONE):
-                    values[i] = view.value_bytes(w)  # newest entry wins
-                return None  # a tombstone closes the key either way
+            closer = newest_matches(cm.key)  # newest entry wins, live or dead
+            live = closer[~tomb[closer]]
+            got = E.gather_bytes(arena, cm.vpos[live], cm.vlen[live])
+            for i, value in zip(pend[cm.key[live]].tolist(), got):
+                q.values[i] = value
         else:
-            for w in mpos.tolist():
-                if view.flags[w] & E.GFLAG_TOMBSTONE:
-                    # a tombstone closes the key; every older residue is
-                    # superseded, so the walk is complete here
-                    stats.bytes_touched += int(view.cum[w])
-                    if found:
-                        values[i] = acc
-                    return None
-                v = comb.unpack(view.value_bytes(w))
-                # the walk is newest-first: fold the older residue in from
-                # the left, like GpuHashTable.result()
-                acc = v if not found else comb.combine(v, acc)
-                found = True
-        n = view.n
-        if n:
-            stats.bytes_touched += int(view.cum[n - 1])
-        if view.blocked is not None:
-            seg, baddr = view.blocked
-            return seg, (baddr, acc, found)
-        if found:
-            values[i] = acc
-        return None
+            # tombstone matches of the same key up to and including each
+            # match: the first closes the key, nothing behind it shows
+            dead = np.cumsum(tomb)
+            dead -= (dead - tomb)[np.searchsorted(cm.key, cm.key)]
+            closer = np.flatnonzero(tomb & (dead == 1))
+            shown = np.flatnonzero(dead == 0)
+            row = at[cm.key[shown]]
+            scalars = E.gather_field(
+                arena, cm.vpos[shown], comb.dtype.newbyteorder("<")
+            )
+            # the walk is newest-first: fold the older residue in from the
+            # left, like GpuHashTable.result()
+            if comb.ufunc is not None:
+                starts = newest_matches(row)
+                r = row[starts]
+                acc[r] = comb.fold_segments(
+                    scalars, starts, acc[r], found[r], acc_right=True
+                )
+            else:
+                for r, v in zip(row.tolist(), scalars.tolist()):
+                    if found[r]:
+                        v = comb.combine(v, acc[r].item())
+                    acc[r], found[r] = v, True
+            found[row] = True
+        blocked, charge = cm.blocked_seg, cm.chain_bytes
+        blocked[cm.key[closer]] = -1
+        charge[cm.key[closer]] = cm.cum[closer]
+        stats.bytes_touched += int(charge.sum())
+        addr[at] = cm.blocked_addr
+        if comb is not None:
+            done = at[(blocked < 0) & found[at]]
+            for i, v in zip(st["pend"][done].tolist(), acc[done].tolist()):
+                q.values[i] = v
+        out[at] = blocked
+        return out
+
+    def _pass_mv(self, at, st, q, stats):
+        """The multi-valued method: two batched steps alternate until
+        every walk is answered or blocked -- move every walk to its next
+        admissible key match, then drain the value lists of the matched
+        entries.  Charges what :meth:`_walk_mv` charges.
+        """
+        heap = self.table.heap
+        w64 = heap.pool.arena.view(np.int64)
+        pend, kaddr, vaddr, last = st["pend"], st["kaddr"], st["vaddr"], st["last"]
+        blocked = self._stuck(np.where(vaddr != NULL, vaddr, kaddr))
+        at = at[blocked < 0]  # rows still walking
+        if len(at) >= _BATCH_MIN_WALKS:
+            self._drain(at[vaddr[at] != NULL], st, q, stats, blocked)
+        while len(at):
+            free = blocked[at] < 0
+            done = free & (vaddr[at] == NULL) & (last[at] | (kaddr[at] == NULL))
+            for i in pend[at[done]].tolist():
+                # collected is newest-first walk order; answer oldest-first
+                # to match the dict model's append order
+                q.values[i] = q.collected[i][::-1] or None
+            at = at[free & ~done]
+            if len(at) < _BATCH_MIN_WALKS:
+                blocked[at] = self._pass_scalar(at, st, q, stats)
+                break
+            cm = match_resident_chains(
+                heap, kaddr[at], "key", q.keymat[pend[at]], q.klens[pend[at]]
+            )
+            vhead = w64[(cm.pos >> 3) + 3]
+            # skip empty PENDING entries: unacknowledged
+            born = np.flatnonzero(
+                ~(((cm.flags & E.FLAG_PENDING) != 0) & (vhead == NULL))
+            )
+            hit = born[newest_matches(cm.key[born])]
+            k, flags = cm.key[hit], cm.flags[hit]
+            # deleted: this and every older same-key entry is dead
+            tomb = (flags & E.FLAG_TOMBSTONE) != 0
+            seg, knext, charge = cm.blocked_seg, cm.blocked_addr, cm.chain_bytes
+            seg[k] = -1
+            knext[k] = np.where(tomb, NULL, w64[(cm.pos[hit] >> 3) + 1])
+            charge[k] = cm.cum[hit]
+            stats.bytes_touched += int(charge.sum())
+            kaddr[at] = knext
+            vaddr[at[k]] = np.where(tomb, NULL, vhead[hit])
+            # a SHADOW entry replaces the whole older value list
+            last[at[k]] |= ~tomb & ((flags & E.FLAG_SHADOW) != 0)
+            blocked[at] = seg
+            self._drain(at[vaddr[at] != NULL], st, q, stats, blocked)
+        return blocked
+
+    def _drain(self, rows, st, q, stats, blocked):
+        """Walk the value lists the walks at ``rows`` are inside, all
+        together: collect what is resident, stop where a list ends
+        (``vaddr`` NULL again) or leaves residency (``blocked``)."""
+        heap = self.table.heap
+        cols, counts, (seg, addr) = walk_resident(
+            heap, st["vaddr"][rows], "value"
+        )
+        _, pos, _, vlens, _ = cols
+        stats.bytes_touched += E.VALUE_NODE_HEADER * len(pos) + int(vlens.sum())
+        got = E.gather_bytes(heap.pool.arena, pos + E.VALUE_NODE_HEADER, vlens)
+        ends = np.cumsum(counts)
+        some = np.flatnonzero(counts)  # most reissued walks block at once
+        for i, lo, hi in zip(
+            st["pend"][rows[some]].tolist(),
+            (ends - counts)[some].tolist(), ends[some].tolist(),
+        ):
+            q.collected[i] += got[lo:hi]
+        st["vaddr"][rows] = addr
+        blocked[rows] = seg
+
+    def _stuck(self, resume):
+        """Per walk resuming at ``resume``: the segment it is postponed at
+        again, untouched, because that is still evicted -- most reissued
+        walks, which so never reach a parse -- else -1."""
+        heap = self.table.heap
+        seg = resume // heap.page_size
+        evicted = heap.resident_slot_map()[seg] < 0
+        return np.where((resume != NULL) & evicted, seg, -1)
+
+    def _pass_scalar(self, at, st, q, stats):
+        """The per-query, per-entry loop (the oracle)."""
+        page_size = self.table.heap.page_size
+        blocked = np.full(len(at), -1, dtype=np.int64)
+        for j, (r, i) in enumerate(zip(at.tolist(), st["pend"][at].tolist())):
+            if self._multivalued:
+                out = self._walk_mv(
+                    q.keys[i], int(st["kaddr"][r]), int(st["vaddr"][r]),
+                    q.collected[i], bool(st["last"][r]), page_size=page_size,
+                    stats=stats, values=q.values, i=i,
+                )
+                if out is not None:
+                    blocked[j], (
+                        st["kaddr"][r], st["vaddr"][r], _, st["last"][r]
+                    ) = out
+            else:
+                found = bool(st["found"][r])
+                out = self._walk(
+                    q.keys[i], int(st["addr"][r]),
+                    st["acc"][r].item() if found else None, found, page_size,
+                    stats, q.values, i,
+                )
+                if out is not None:
+                    blocked[j], (st["addr"][r], acc, st["found"][r]) = out
+                    if st["found"][r]:
+                        st["acc"][r] = acc
+        return blocked
 
     def _walk(self, key, addr, acc, found, page_size, stats, values, i):
         """Advance one chain walk.
@@ -329,11 +468,12 @@ class LookupDriver:
                     last = True  # replaces the whole older value list
             kaddr = next_cpu
 
-    def _rearrange(self, demanded: Counter[int]) -> int:
-        """Page the most-demanded segments back in; returns pages moved."""
+    def _rearrange(self, demanded: list[int]) -> int:
+        """Page the demanded segments back in, in order; returns pages
+        moved."""
         heap = self.table.heap
         paged = 0
-        for seg, _count in demanded.most_common():
+        for seg in demanded:
             page = heap.page_in(seg)
             if page is None:
                 if paged == 0:

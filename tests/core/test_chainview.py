@@ -1,8 +1,9 @@
 """Struct-of-arrays chain views: materializer parity, cache invalidation.
 
-The :class:`~repro.core.chainview.ChainViewStore` keeps parsed chain
-views alive across lookup passes, stamped against
-``(heap.residency_epoch, heap.write_epoch)``.  These tests pin down the
+The :class:`~repro.core.chainview.ChainViewStore` keeps the parsed chain
+views a caller fetches through it, stamped against
+``(heap.residency_epoch, heap.write_epoch)`` (no reader in the library
+does: a lookup pass parses fresh).  These tests pin down the
 invalidation contract -- any in-place write or residency change must
 retire every cached view -- and the stale-view detector the paranoid
 sanitizer runs (bulk vs scalar vs cached, field by field).
@@ -213,9 +214,13 @@ def test_match_cpu_chains_matches_a_full_chain_walk(monkeypatch):
         assert cm.chain_bytes.tolist() == want_bytes
         got = [
             (k, at, cum, blob[vp:vp + vl], fl) for k, at, cum, vp, vl, fl in
-            zip(*(c.tolist() for c in cm[2:]))
+            zip(*(c.tolist() for c in (
+                cm.key, cm.at, cm.cum, cm.vpos, cm.vlen, cm.flags
+            )))
         ]
         assert got == want
+        assert (cm.blocked_seg == -1).all()  # the image never blocks
+        assert cm.pos.tolist() == cm.addr.tolist()  # address == offset
 
 
 def test_empty_and_single_entry_chains():
@@ -229,7 +234,8 @@ def test_empty_and_single_entry_chains():
     (view,) = views.values()
     assert view.n == 1
     assert view.key_bytes(0) == KEYS[0]
-    assert view.value_bytes(0) == PAIRS[0][1]
+    vo = int(view.pos[0]) + E.ENTRY_HEADER + int(view.klens[0])
+    assert view.arena[vo:vo + int(view.vlens[0])].tobytes() == PAIRS[0][1]
     assert int(view.cum[0]) == int(view.costs[0])
 
 
@@ -288,10 +294,18 @@ def test_lookup_sees_delete_and_update_through_cache():
 # ----------------------------------------------------------------------
 # sanitizer: stale / corrupt cached views are flagged
 # ----------------------------------------------------------------------
+def fill_store(table):
+    """No reader in the library goes through the store (a lookup pass
+    parses fresh): fill it the way a caller would."""
+    heads = table.buckets.head_cpu
+    return table.chain_views.get_many(heads[heads != NULL], "generic")
+
+
 def test_sanitizer_passes_on_clean_cached_views():
     table, driver, lookups = build()
     insert(table, driver, PAIRS)
     lookups.lookup(KEYS)
+    assert fill_store(table)
     assert check_table(table).ok
 
 
@@ -301,10 +315,11 @@ def test_sanitizer_flags_stale_cached_view():
     table, driver, lookups = build()
     insert(table, driver, PAIRS)
     lookups.lookup(KEYS)
+    fill_store(table)
     store = table.chain_views
-    assert store._views, "lookup should have populated the store"
-    (kind, head), view = next(iter(store._views.items()))
-    assert view.n > 0
+    (kind, head), view = next(
+        item for item in store._views.items() if item[1].n > 0
+    )
     view.klens = view.klens.copy()
     view.klens[0] += 1  # stale length: as if a write skipped note_write
     report = check_table(table, raise_on_violation=False)

@@ -1,20 +1,35 @@
 """SEPO lookups (the Section IV-C 'mental exercise' extension)."""
 
+import struct
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from repro.core import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_UPDATE,
     BasicOrganization,
+    CallbackCombiner,
     CombiningOrganization,
     GpuHashTable,
     MultiValuedOrganization,
+    MutationBatch,
     RecordBatch,
     SepoDriver,
+    SUM_F64,
     SUM_I64,
 )
+from repro.core import combiners, entries as E, lookup as lookup_mod
+from repro.core.chainview import walk_cpu_image
+from repro.core.hashing import fnv1a_batch
 from repro.core.lookup import LookupDriver
+from repro.core.records import pack_byte_rows
 from repro.gpusim import CostCategory, CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
+from repro.memalloc.address import NULL
 
 
 def build_table(heap_bytes=2048, page_size=512, org=None):
@@ -267,3 +282,292 @@ def test_page_in_unknown_segment():
     heap = GpuHeap(512, 256)
     with pytest.raises(KeyError):
         heap.page_in(99)
+
+
+# ----------------------------------------------------------------------
+# differential matrix: the batched pass against the per-entry oracle
+# ----------------------------------------------------------------------
+#: non-commutative and bounded: tells fold orders apart, never overflows
+MOD_CALLBACK = CallbackCombiner(
+    lambda a, b: (3 * a - b) % 1_000_003, scalar="i64", name="3a-b mod p"
+)
+CASES = {
+    "basic": ("basic", None),
+    "sum-i64": ("combining", SUM_I64),
+    "sum-f64": ("combining", SUM_F64),
+    "callback": ("combining", MOD_CALLBACK),
+    "multi-valued": ("multi-valued", None),
+}
+#: keys the byte compare must keep apart: empty, embedded / trailing NULs,
+#: a key that is another key plus ``\0``
+NUL_KEYS = [b"", b"nul", b"nul\x00", b"nul\x00\x00", b"nul\x00mid", b"k0007\x00"]
+NEVER_WRITTEN = [b"k9999", b"\x00", b"nul\x00\x00\x00", b"k000", b"k00070",
+                 b"longer-than-every-key-in-the-table"]
+MATRIX_PAGE = 256
+
+
+def _stream(case, seed, n=260):
+    """Seeded mixed-op triples over 90 keys plus :data:`NUL_KEYS`."""
+    kind, comb = CASES[case]
+    rng = np.random.default_rng([seed, 77])
+    ops = rng.choice([OP_INSERT, OP_UPDATE, OP_DELETE], size=n, p=[.5, .3, .2])
+    pool = [b"k%04d" % i for i in range(90)] + NUL_KEYS
+    keys = [pool[i] for i in rng.integers(0, len(pool), size=n)]
+    if kind != "combining":
+        return [(int(o), k, b"v%d" % i) for i, (o, k) in enumerate(zip(ops, keys))]
+    if comb is SUM_F64:  # mixed magnitudes: the sum depends on the order
+        vals = [(i + 0.1) * 10.0 ** (i % 17 - 8) for i in range(n)]
+    else:
+        vals = rng.integers(-50, 50, size=n).tolist()
+    return [(int(o), k, v) for o, k, v in zip(ops, keys, vals)]
+
+
+def _build(case, heap_bytes, impl, page_size=MATRIX_PAGE):
+    """A table loaded by three seeded mixed-op batches (multi-valued:
+    append, replace, append -- so SHADOW entries occur) run to completion,
+    then a fourth applied *once*: its postponed ops stay unacknowledged,
+    which for the multi-valued method leaves empty PENDING (and
+    SHADOW|PENDING) key entries at chain heads."""
+    kind, comb = CASES[case]
+    org = {
+        "basic": BasicOrganization,
+        "combining": lambda: CombiningOrganization(comb),
+        "multi-valued": MultiValuedOrganization,
+    }[kind]()
+    ledger = CostLedger()
+    table = GpuHashTable(
+        32, org, GpuHeap(heap_bytes, page_size), group_size=8, ledger=ledger,
+        sanitize="paranoid",
+    )
+    kernel, bus = KernelModel(GTX_780TI, ledger), PCIeBus(ledger)
+    dtype = comb.dtype if comb else None
+    for seed, policy in enumerate(("append", "replace", "append", "replace")):
+        batch = MutationBatch.from_ops(
+            _stream(case, seed), numeric_dtype=dtype, update_policy=policy,
+        )
+        if seed < 3:
+            SepoDriver(table, kernel, bus).run([batch])
+        else:
+            table.mutate_batch(batch)
+            table.end_iteration()
+    return table, kernel, bus, LookupDriver(table, kernel, bus, impl=impl)
+
+
+@lru_cache(maxsize=None)
+def _heap_bytes(case, over, page_size=MATRIX_PAGE):
+    """A heap the finished table is ``over`` times as large as."""
+    roomy = _build(case, 1 << 20, "vectorized", page_size)[0]
+    pages = -(-roomy.heap.total_table_bytes // page_size)
+    return max(4, -(-pages // over) + (2 if over == 1 else 0)) * page_size
+
+
+def _queries(case):
+    written = sorted({k for s in range(4) for _, k, _ in _stream(case, s)})
+    rng = np.random.default_rng(5)
+    dup = [written[i] for i in rng.integers(0, len(written), size=120)]
+    return written + NEVER_WRITTEN + dup + NUL_KEYS
+
+
+def _observe(case, heap_bytes, impl, page_size=MATRIX_PAGE):
+    """Everything two lookups show -- one of the evicted table, one of
+    what the first left resident (several residues of a key in one pass):
+    answers, per-pass counters, every ``BatchStats`` handed to the kernel
+    model, every ``bus.bulk`` call, every ledger category."""
+    table, kernel, bus, driver = _build(case, heap_bytes, impl, page_size)
+    passes, bulks = [], []
+    charge, bulk = kernel.charge, bus.bulk
+    kernel.charge = lambda stats: (passes.append(vars(stats).copy()), charge(stats))[1]
+    bus.bulk = lambda nbytes: (bulks.append(nbytes), bulk(nbytes))[1]
+    table.check_invariants()
+    seen = {}
+    for run in ("cold", "warm"):
+        before = table.ledger.breakdown()
+        res = driver.lookup(_queries(case))
+        values = res.values
+        if CASES[case][1] is SUM_F64:
+            values = [v if v is None else struct.pack("<d", v) for v in values]
+        seen.update({f"{run} {name}": value for name, value in {
+            "values": values, "iterations": res.iterations,
+            "postponed_total": res.postponed_total,
+            "iteration_postponed": res.iteration_postponed,
+            "iteration_answered": res.iteration_answered,
+            "iteration_paged_in": res.iteration_paged_in,
+            "segments_paged_in": res.segments_paged_in,
+            "elapsed": res.elapsed_seconds,
+            "passes": passes.copy(), "bulks": bulks.copy(),
+            "ledger": {
+                k: v - before.get(k, 0.0)
+                for k, v in table.ledger.breakdown().items()
+            },
+        }.items()})
+    if CASES[case][0] != "multi-valued":
+        # (paged-in multi-valued key pages keep the stale vhead_gpu words
+        # eviction left them with; lookups read vhead_cpu only)
+        table.check_invariants()
+    return seen, table
+
+
+def _differences(case, over, page_size=MATRIX_PAGE):
+    heap_bytes = _heap_bytes(case, over, page_size)
+    want, table = _observe(case, heap_bytes, "slow_reference", page_size)
+    got, _ = _observe(case, heap_bytes, "vectorized", page_size)
+    # the oracle itself against the finished table's CPU-side read
+    table.org.impl = "slow_reference"
+    truth = table.result()
+    assert want["cold values"] == want["warm values"]
+    for key, value in zip(_queries(case), want["cold values"]):
+        expect = truth.get(key)
+        if CASES[case][0] == "basic" and expect is not None:
+            expect = expect[0]  # result() reads newest first
+        if CASES[case][0] == "multi-valued" and expect is not None:
+            expect = expect[::-1]  # lookups answer oldest first
+        if CASES[case][1] is SUM_F64 and expect is not None:
+            expect = struct.pack("<d", expect)
+        assert value == expect, (key, value, expect)
+    assert sum(want["cold iteration_answered"]) == len(want["cold values"])
+    assert want["cold iteration_postponed"][-1] == 0
+    return [name for name in want if want[name] != got[name]], want
+
+
+@pytest.fixture(params=[0, lookup_mod._BATCH_MIN_WALKS],
+                ids=["batched-always", "shipped-cut-over"])
+def cut_over(request, monkeypatch):
+    monkeypatch.setattr(lookup_mod, "_BATCH_MIN_WALKS", request.param)
+
+
+@pytest.mark.parametrize("over", [1, 2, 6], ids=["fits", "2x", "6x"])
+@pytest.mark.parametrize("case", CASES)
+def test_lookup_matrix_default_is_bit_identical_to_slow_reference(
+    case, over, cut_over
+):
+    differing, want = _differences(case, over)
+    assert differing == []
+    # only a heap the table does not fit pages a segment in twice
+    slots = _heap_bytes(case, over) // MATRIX_PAGE
+    assert (want["cold segments_paged_in"] > slots) == (over > 1)
+    assert want["cold iterations"] > 2  # chains thread through segments
+    assert (want["warm iterations"] == 1) == (over == 1)
+    assert any(v is not None for v in want["cold values"])
+    assert any(v is None for v in want["cold values"])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_lookup_matrix_on_an_odd_page_size(case, cut_over):
+    """``word_aligned`` false: chains parse entry by entry, and the
+    multi-valued walk stays on the loop."""
+    differing, want = _differences(case, 2, page_size=300)
+    assert differing == []
+    assert want["cold iterations"] > 2
+
+
+def test_lookup_matrix_tables_hold_every_entry_kind():
+    """The streams do produce what the matrix claims to cover."""
+    for case, (kind, _) in CASES.items():
+        table = _build(case, _heap_bytes(case, 6), "vectorized")[0]
+        heads = table.buckets.head_cpu[table.buckets.occupied_buckets()]
+        image = np.frombuffer(table.heap.cpu_image(), dtype=np.uint8)
+        layout = "key" if kind == "multi-valued" else "generic"
+        (pos, klens, _, flags), _ = walk_cpu_image(image, heads, layout)
+        header = E.KEY_ENTRY_HEADER if layout == "key" else E.ENTRY_HEADER
+        keys = [image[p + header:p + header + n].tobytes()
+                for p, n in zip(pos.tolist(), klens.tolist())]
+        segments = Counter()
+        for key, seg in {(k, p // MATRIX_PAGE) for k, p in zip(keys, pos.tolist())}:
+            segments[key] += 1
+        assert max(segments.values()) >= 3, "no multi-segment residue"
+        if kind != "multi-valued":
+            assert (flags & E.GFLAG_TOMBSTONE).any()
+            assert (flags & E.GFLAG_SHADOW).any() == (kind == "basic")
+            continue
+        vhead = image.view(np.int64)[(pos >> 3) + 3]
+        unborn = ((flags & E.FLAG_PENDING) != 0) & (vhead == NULL)
+        assert (flags & E.FLAG_TOMBSTONE).any()
+        assert ((flags & E.FLAG_SHADOW) != 0)[~unborn].any()
+        assert unborn.any(), "no empty PENDING key entry"
+        assert (unborn & ((flags & E.FLAG_SHADOW) != 0)).any()
+
+
+# --- the bar: planted faults the matrix must catch ----------------------
+def _tamper_matches(monkeypatch, kind, edit):
+    real = lookup_mod.match_resident_chains
+
+    def faulty(heap, heads, k, keys, key_lens):
+        cm = real(heap, heads, k, keys, key_lens)
+        return edit(cm) if k == kind else cm
+
+    monkeypatch.setattr(lookup_mod, "match_resident_chains", faulty)
+
+
+def _fold_oldest_first(monkeypatch):
+    real = combiners.Combiner.fold_segments
+
+    def faulty(self, values, starts, seeds=None, seeded=None, acc_right=False):
+        ends = np.r_[starts[1:], len(values)]
+        flipped = np.concatenate([values[:0]] + [
+            values[a:b][::-1] for a, b in zip(starts.tolist(), ends.tolist())
+        ])
+        return real(self, flipped, starts, seeds, seeded, acc_right)
+
+    monkeypatch.setattr(combiners.Combiner, "fold_segments", faulty)
+
+
+FAULTS = {
+    "charge the whole prefix on a basic hit": ("basic", lambda mp: _tamper_matches(
+        mp, "generic", lambda cm: cm._replace(cum=cm.chain_bytes[cm.key]))),
+    "fold SUM_F64 residue in the wrong order": ("sum-f64", _fold_oldest_first),
+    "ignore SHADOW": ("multi-valued", lambda mp: _tamper_matches(
+        mp, "key", lambda cm: cm._replace(flags=cm.flags & ~E.FLAG_SHADOW))),
+    "count an empty PENDING entry as a match": ("multi-valued", lambda mp: _tamper_matches(
+        mp, "key", lambda cm: cm._replace(flags=cm.flags & ~E.FLAG_PENDING))),
+    "keep folding past a tombstone": ("sum-i64", lambda mp: _tamper_matches(
+        mp, "generic", lambda cm: cm._replace(flags=cm.flags & ~E.GFLAG_TOMBSTONE))),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_lookup_matrix_catches_planted_faults(fault, monkeypatch):
+    case, plant = FAULTS[fault]
+    monkeypatch.setattr(lookup_mod, "_BATCH_MIN_WALKS", 0)
+    assert [_differences(case, over)[0] for over in (1, 2, 6)] == [[], [], []]
+    plant(monkeypatch)
+    caught = [_differences(case, over)[0] for over in (1, 2, 6)]
+    assert any(caught), f"{fault}: no cell of the matrix differs"
+
+
+@pytest.mark.parametrize("impl", ["slow_reference", "vectorized"])
+@pytest.mark.parametrize("case", ["basic", "sum-i64", "multi-valued"])
+def test_lookup_of_no_queries(case, impl):
+    table, _, _, driver = _build(case, _heap_bytes(case, 2), impl)
+    before = table.ledger.breakdown()
+    res = driver.lookup([])
+    assert (res.values, res.iterations, res.postponed_total) == ([], 0, 0)
+    assert res.iteration_postponed == res.iteration_answered == []
+    assert res.iteration_paged_in == [] and res.segments_paged_in == 0
+    assert table.ledger.breakdown() == before  # no launch, no transfer
+
+
+def test_lookup_equal_demand_pages_in_first_postponed_order():
+    """Two evicted segments, one postponed query each: the one that
+    blocked the earlier query is paged in first (``Counter.most_common``
+    order), not the lower segment id."""
+    for impl in ("slow_reference", "vectorized"):
+        table, driver, _ = build_table(
+            heap_bytes=4 * 512, org=BasicOrganization()
+        )
+        lookups = LookupDriver(table, driver.kernel, driver.bus, impl=impl)
+        cands = [b"tie-%d" % i for i in range(40)]
+        buckets = table.buckets.bucket_of_hash(
+            fnv1a_batch(*pack_byte_rows(cands))
+        ).tolist()
+        first = cands[0]
+        second = next(k for k, b in zip(cands, buckets) if b != buckets[0])
+        for key in (first, second):  # one segment each, evicted in turn
+            driver.run([RecordBatch.from_pairs([(key, b"v")])])
+        order = []
+        page_in = table.heap.page_in
+        table.heap.page_in = lambda seg: (order.append(seg), page_in(seg))[1]
+        res = lookups.lookup([second, first])
+        assert res.values == [b"v", b"v"]
+        assert res.iteration_postponed == [2, 0]
+        assert res.iteration_paged_in == [2, 0]
+        assert order == [1, 0]

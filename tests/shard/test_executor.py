@@ -99,7 +99,8 @@ def test_sharded_matches_unsharded_bit_identical(org_name, n_shards):
 @pytest.mark.parametrize("org_name", sorted(ORGS))
 def test_mutation_stream_lookup_results_match_unsharded(org_name):
     """Per-batch lookup_results re-keyed by the merge map must equal the
-    unsharded driver's answers row for row."""
+    unsharded driver's answers row for row, and ``ex.lookup`` the
+    unsharded ``LookupDriver``'s."""
     org_factory, mode = ORGS[org_name]
     workload = make_op_workload("mixed-uniform", 800, seed=3)
 
@@ -109,13 +110,20 @@ def test_mutation_stream_lookup_results_match_unsharded(org_name):
     ex = make_executor(4, org_factory)
     ex.run(sharded_batches)
 
-    table, driver, _ = unsharded(org_factory)
+    table, driver, lookups = unsharded(org_factory)
     driver.run(plain_batches)
 
     ex.check_shards()
     assert ex.result() == table.result()
     for sb, pb in zip(sharded_batches, plain_batches):
         assert sb.lookup_results == pb.lookup_results
+    # ... and so must the cross-shard SEPO lookups of the finished tables
+    # (tombstones, shadows, keys asked twice, keys never written)
+    written = sorted({key for _, key, _ in workload.ops})
+    probe = written * 2 + [b"never-inserted-1", b"zz-miss"]
+    answers = lookups.lookup(probe).values
+    assert ex.lookup(probe) == answers
+    assert any(a is None for a in answers[:-2]), "no deleted key probed"
 
 
 def test_lookup_empty_and_misses():
