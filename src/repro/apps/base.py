@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.bigkernel.partitioner import partition_lines
 from repro.core.combiners import Combiner
 from repro.core.hashtable import GpuHashTable
@@ -30,7 +32,56 @@ from repro.cpu.cputable import CpuHashTable
 from repro.gpusim.device import DeviceSpec, GTX_780TI, XEON_E5_QUAD
 from repro.mapreduce.api import JobSpec, Mode
 
-__all__ = ["Application", "MapReduceApplication", "RunOutcome"]
+__all__ = [
+    "Application",
+    "MapReduceApplication",
+    "RunOutcome",
+    "find_all",
+    "first_at_or_after",
+    "line_spans",
+]
+
+
+# ----------------------------------------------------------------------
+# chunk scanning: what the parsers share.  A parser views its chunk as one
+# uint8 vector, finds delimiter positions with whole-chunk compares, turns
+# them into (start, length) spans and hands those to
+# ``RecordBatch.from_spans`` -- no ``bytes`` object per record.
+# ----------------------------------------------------------------------
+def line_spans(view: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, ends)`` of a chunk's lines, cut where ``bytes.split`` on
+    the newline byte cuts them: empty lines included, the last one
+    unterminated."""
+    newlines = np.flatnonzero(view == 10)
+    return (
+        np.concatenate(([0], newlines + 1)),
+        np.concatenate((newlines, [len(view)])),
+    )
+
+
+def find_all(
+    view: np.ndarray, pattern: bytes, among: np.ndarray | None = None
+) -> np.ndarray:
+    """Every position at which ``pattern`` occurs in ``view``, ascending
+    (overlapping occurrences included): one compare of the whole chunk for
+    the first byte, the rest checked on the survivors only.  ``among``
+    (ascending, non-negative) narrows the search to those positions."""
+    last = len(view) - len(pattern)
+    if among is None:
+        hits, checked = np.flatnonzero(view[: max(last + 1, 0)] == pattern[0]), 1
+    else:
+        hits, checked = among[among <= last], 0
+    for offset in range(checked, len(pattern)):
+        hits = hits[view[hits + offset] == pattern[offset]]
+    return hits
+
+
+def first_at_or_after(
+    positions: np.ndarray, starts: np.ndarray, none: int
+) -> np.ndarray:
+    """Per start, the first of the ascending ``positions`` at or after it,
+    or ``none`` where there is no such position."""
+    return np.append(positions, none)[np.searchsorted(positions, starts)]
 
 
 @dataclass

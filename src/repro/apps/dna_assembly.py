@@ -6,15 +6,16 @@ that k-mer (bits 0-3: preceding base A/C/G/T, bits 4-7: following base).
 Duplicate k-mers OR their edge masks together -- the de Bruijn graph
 neighbourhood the assembler walks afterwards.
 
-The k-mer extraction is fully vectorized: reads are fixed-length, so a chunk
-reshapes into a matrix and k-mer windows are just column slices.
+The k-mer extraction is fully vectorized: reads are fixed-length lines, so
+every k-mer is a fixed offset from a line start and the key matrix is one
+gather of ``k``-byte windows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.base import Application
+from repro.apps.base import Application, line_spans
 from repro.core.combiners import BITOR_U64
 from repro.core.records import RecordBatch
 from repro.datagen.dna import generate_dna_reads
@@ -63,33 +64,29 @@ class DnaAssembly(Application):
         return range(0, self.read_len - self.k + 1, self.step)
 
     def parse_chunk(self, chunk: bytes) -> RecordBatch:
-        stride = self.read_len + 1  # reads + newline
-        n_reads = len(chunk) // stride
-        if n_reads == 0:
-            return RecordBatch.from_numeric([], np.zeros(0, dtype=np.uint64))
-        arr = np.frombuffer(chunk, dtype=np.uint8)[: n_reads * stride]
-        reads = arr.reshape(n_reads, stride)[:, : self.read_len]
-        kmers = []
-        edges = []
-        for s in self._kmer_starts():
-            kmers.append(reads[:, s : s + self.k])
-            mask = np.zeros(n_reads, dtype=np.uint64)
-            if s > 0:
-                mask |= np.uint64(1) << _BASE_CODE[reads[:, s - 1]]
-            if s + self.k < self.read_len:
-                mask |= np.uint64(16) << _BASE_CODE[reads[:, s + self.k]]
-            edges.append(mask)
-        keys = np.ascontiguousarray(np.concatenate(kmers, axis=0))
-        values = np.concatenate(edges)
-        return RecordBatch(
-            keys=keys,
-            key_lens=np.full(len(keys), self.k, dtype=np.int32),
-            numeric_values=values,
+        view = np.frombuffer(chunk, dtype=np.uint8)
+        starts, ends = line_spans(view)
+        # a read is a line of exactly read_len bases, terminated or not
+        reads = starts[ends - starts == self.read_len]
+        offsets = np.array(self._kmer_starts())
+        # k-mer positions, one row per window offset: all the reads'
+        # first k-mers come before their second ones
+        at = offsets[:, None] + reads
+        edges = np.zeros(at.shape, dtype=np.uint64)
+        preceded = offsets > 0
+        followed = offsets + self.k < self.read_len
+        edges[preceded] |= np.uint64(1) << _BASE_CODE[view[at[preceded] - 1]]
+        edges[followed] |= np.uint64(16) << _BASE_CODE[view[at[followed] + self.k]]
+        return RecordBatch.from_spans(
+            view, at.ravel(), np.full(at.size, self.k, dtype=np.int32),
+            numeric_values=edges.ravel(),
         )
 
     def reference(self, data: bytes) -> dict[bytes, int]:
         out: dict[bytes, int] = {}
-        for read in data.strip().split(b"\n"):
+        for read in data.split(b"\n"):
+            if len(read) != self.read_len:
+                continue  # not a read (blank, cut short, ragged): skip
             for s in self._kmer_starts():
                 kmer = read[s : s + self.k]
                 mask = 0

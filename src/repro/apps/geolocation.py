@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import collections
 
-from repro.apps.base import MapReduceApplication
+import numpy as np
+
+from repro.apps.base import MapReduceApplication, first_at_or_after, line_spans
 from repro.core.records import RecordBatch
 from repro.datagen.wiki import generate_geo_articles
 from repro.mapreduce.api import Mode
@@ -43,7 +45,16 @@ class GeoLocation(MapReduceApplication):
             yield cell, article
 
     def parse_chunk(self, chunk: bytes) -> RecordBatch:
-        return RecordBatch.from_pairs(list(self._emit(chunk)))
+        view = np.frombuffer(chunk, dtype=np.uint8)
+        starts, ends = line_spans(view)
+        # "article<TAB>cell": cut at the line's first tab, and keep the
+        # line only if a non-empty cell follows it
+        cut = first_at_or_after(np.flatnonzero(view == 9), starts, len(view))
+        keep = cut + 1 < ends
+        starts, ends, cut = starts[keep], ends[keep], cut[keep]
+        return RecordBatch.from_spans(
+            view, cut + 1, ends - cut - 1, starts, cut - starts
+        )
 
     def reference(self, data: bytes) -> dict[bytes, list[bytes]]:
         out: dict[bytes, list[bytes]] = collections.defaultdict(list)

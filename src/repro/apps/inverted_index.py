@@ -14,7 +14,9 @@ from __future__ import annotations
 import collections
 import re
 
-from repro.apps.base import Application
+import numpy as np
+
+from repro.apps.base import Application, find_all, first_at_or_after
 from repro.core.records import RecordBatch
 from repro.datagen.html import FILE_MARKER, generate_html_corpus
 from repro.gpusim.divergence import BranchProfile
@@ -92,8 +94,44 @@ class InvertedIndex(Application):
                 yield href, path
 
     def parse_chunk(self, chunk: bytes) -> RecordBatch:
-        pairs = list(self._emit(chunk))
-        return RecordBatch.from_pairs(pairs)
+        view = np.frombuffer(chunk, dtype=np.uint8)
+        # documents lie between markers; a document's path runs to its
+        # first "--" and its links are looked for from there to its end
+        dashes = find_all(view, b"--")
+        marks = find_all(view, FILE_MARKER, among=dashes)
+        paths = np.concatenate(([0], marks + len(FILE_MARKER)))
+        doc_ends = np.concatenate((marks, [len(view)]))
+        bodies = first_at_or_after(dashes, paths, len(view))
+        whole = bodies + 2 <= doc_ends  # no "--": the document is skipped
+        paths, bodies, doc_ends = paths[whole], bodies[whole], doc_ends[whole]
+        # from here on only the quotes matter.  One that ends an ``href="``
+        # inside a body may open a value (``at``: its index among the quotes)
+        quotes = np.flatnonzero(view == 34)
+        opener = quotes >= 5
+        for back, byte in enumerate(b"=ferh", 1):
+            opener &= view[np.maximum(quotes - back, 0)] == byte
+        at = np.flatnonzero(opener)
+        # (``doc`` -1, before the first body, reads the 0 appended here)
+        doc = np.searchsorted(bodies, quotes[at], side="right") - 1
+        doc_end = np.append(doc_ends, 0)[doc]
+        inside = quotes[at] < doc_end
+        at, doc, doc_end = at[inside], doc[inside], doc_end[inside]
+        # but one that is the very next quote after another such quote of
+        # its document closed that one's value instead: of a run of them,
+        # every second one opens nothing
+        chained = np.zeros(len(at), dtype=bool)
+        chained[1:] = (at[1:] == at[:-1] + 1) & (doc[1:] == doc[:-1])
+        index = np.arange(len(at))
+        run_start = np.maximum.accumulate(np.where(chained, 0, index))
+        # the value runs to the next quote, which has to be in the same
+        # document and at least one byte further on
+        links = quotes[at] + 1
+        closes = np.append(quotes, len(view))[at + 1]
+        found = ((index - run_start) % 2 == 0) & (closes < doc_end) & (closes > links)
+        links, closes, doc = links[found], closes[found], doc[found]
+        return RecordBatch.from_spans(
+            view, links, closes - links, paths[doc], bodies[doc] - paths[doc]
+        )
 
     def reference(self, data: bytes) -> dict[bytes, list[bytes]]:
         out: dict[bytes, list[bytes]] = collections.defaultdict(list)

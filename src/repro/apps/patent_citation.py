@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import collections
 
-from repro.apps.base import MapReduceApplication
+import numpy as np
+
+from repro.apps.base import MapReduceApplication, line_spans
 from repro.core.records import RecordBatch
 from repro.datagen.patents import generate_patent_citations
 from repro.mapreduce.api import Mode
@@ -43,7 +45,16 @@ class PatentCitation(MapReduceApplication):
             yield cited, citing
 
     def parse_chunk(self, chunk: bytes) -> RecordBatch:
-        return RecordBatch.from_pairs(list(self._emit(chunk)))
+        view = np.frombuffer(chunk, dtype=np.uint8)
+        starts, ends = line_spans(view)
+        spaces = np.flatnonzero(view == 32)
+        first = np.searchsorted(spaces, starts)
+        # a citation is a line with exactly one space: "citing cited"
+        one = np.searchsorted(spaces, ends) - first == 1
+        starts, ends, cut = starts[one], ends[one], spaces[first[one]]
+        return RecordBatch.from_spans(
+            view, cut + 1, ends - cut - 1, starts, cut - starts
+        )
 
     def reference(self, data: bytes) -> dict[bytes, list[bytes]]:
         out: dict[bytes, list[bytes]] = collections.defaultdict(list)

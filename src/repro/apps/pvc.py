@@ -10,7 +10,7 @@ import collections
 
 import numpy as np
 
-from repro.apps.base import Application
+from repro.apps.base import Application, find_all, first_at_or_after
 from repro.core.combiners import SUM_I64
 from repro.core.records import RecordBatch
 from repro.datagen.weblog import generate_weblog
@@ -46,13 +46,22 @@ class PageViewCount(Application):
         return generate_weblog(size_bytes, seed=seed, n_urls=n_urls, skew=self.skew)
 
     def parse_chunk(self, chunk: bytes) -> RecordBatch:
-        urls = []
-        for line in chunk.split(b"\n"):
-            url = _extract_url(line)
-            if url is not None:
-                urls.append(url)
-        return RecordBatch.from_numeric(
-            urls, np.ones(len(urls), dtype=np.int64)
+        view = np.frombuffer(chunk, dtype=np.uint8)
+        hits = find_all(view, b'"GET ')
+        # the first request of each line: a hit whose line -- numbered by
+        # the newlines before it -- is not the previous hit's
+        newlines = np.flatnonzero(view == 10)
+        line = np.searchsorted(newlines, hits)
+        first = np.ones(len(hits), dtype=bool)
+        first[1:] = line[1:] != line[:-1]
+        starts = hits[first] + 5
+        # the URL ends at the next space, if that is still on the line
+        ends = first_at_or_after(np.flatnonzero(view == 32), starts, len(view))
+        found = ends < np.append(newlines, len(view))[line[first]]
+        starts, ends = starts[found], ends[found]
+        return RecordBatch.from_spans(
+            view, starts, ends - starts,
+            numeric_values=np.ones(len(starts), dtype=np.int64),
         )
 
     def reference(self, data: bytes) -> dict[bytes, int]:

@@ -56,7 +56,12 @@ from repro.core.organizations import (
     MultiValuedOrganization,
     Organization,
 )
-from repro.core.records import RecordBatch, pack_byte_rows, pack_str_keys
+from repro.core.records import (
+    RecordBatch,
+    gather_spans,
+    pack_byte_rows,
+    pack_str_keys,
+)
 from repro.core.sepo import (
     IterationRecord,
     NoProgressError,
@@ -112,6 +117,7 @@ __all__ = [
     "fnv1a",
     "fnv1a_batch",
     "load_table",
+    "gather_spans",
     "pack_byte_rows",
     "pack_str_keys",
     "postponement_profitable",

@@ -51,12 +51,10 @@ def fnv1a_batch(keys: np.ndarray, key_lens: np.ndarray) -> np.ndarray:
         for col in range(full):
             h ^= keys[:, col].astype(np.uint64)
             h *= FNV_PRIME
-        for col in range(full, width):
-            live = lens > col
-            if not live.any():
-                break
-            hv = h[live]
-            hv ^= keys[live, col].astype(np.uint64)
-            hv *= FNV_PRIME
-            h[live] = hv
+        # ragged columns: step every row, keep the step where the key is
+        # still live (cheaper than gathering and scattering the live rows)
+        for col in range(full, int(lens.max()) if n else 0):
+            step = h ^ keys[:, col]
+            step *= FNV_PRIME
+            np.copyto(h, step, where=lens > col)
     return h

@@ -1304,7 +1304,7 @@ class CombiningOrganization(Organization):
     def _insert_vectorized(self, table, batch, idx, buckets, tally):
         """Batched combining insert via in-batch pre-aggregation.
 
-        Records are grouped by distinct key (cached hashes, one lexsort);
+        Records are grouped by distinct key (cached hashes, one sort);
         duplicate values are folded in arrival order
         (:meth:`Combiner.fold_segments`) so each distinct key performs one
         chain probe and one in-place store; misses are bulk-allocated and

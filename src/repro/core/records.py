@@ -1,9 +1,24 @@
 """Record batches: the unit of work between applications and the hash table.
 
-Applications parse raw input chunks into :class:`RecordBatch` objects --
-padded key matrices plus either numeric values (the combining fast path,
-where values are fixed-width scalars updated in place) or padded byte values
-(basic and multi-valued methods, where values are variable-length blobs).
+A :class:`RecordBatch` is columns, not objects: a zero-padded key matrix
+with a length vector, plus either numeric values (the combining fast path,
+where values are fixed-width scalars updated in place) or a padded byte
+value matrix (basic and multi-valued methods, where values are
+variable-length blobs).  There are two ways to build the matrices:
+
+* **from offsets** -- :meth:`RecordBatch.from_spans` / :func:`gather_spans`
+  take one buffer and ``(starts, lens)`` vectors and gather the rows
+  straight out of it.  This is what every application's ``parse_chunk``
+  uses: the chunk is viewed once as ``uint8``, delimiters become spans, and
+  no ``bytes`` object exists per record.
+* **from a list** -- :func:`pack_byte_rows` behind
+  :meth:`RecordBatch.from_pairs`, :meth:`RecordBatch.from_numeric` and
+  ``MutationBatch.from_ops``, for callers that hold their records as
+  Python ``bytes`` (kv workloads, tests, examples).
+
+Both build the same matrix from the same records.  :class:`BatchCache`
+derives what the kernels need from it -- hashes, bucket ids, duplicate-key
+grouping -- once per batch, however often SEPO re-visits it.
 
 Keys are padded to the batch's longest key; this is a *host-side staging*
 convenience and does not inflate the hash table itself, which stores each
@@ -16,6 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.buckets import BucketArray
@@ -24,6 +40,7 @@ __all__ = [
     "BatchCache",
     "BatchGrouping",
     "RecordBatch",
+    "gather_spans",
     "pack_str_keys",
     "pack_byte_rows",
 ]
@@ -132,28 +149,34 @@ class BatchCache:
         if n == 0:
             empty = np.empty(0, np.int64)
             return BatchGrouping(empty, empty, 0, False)
-        # lexsort is stable: equal (bucket, hash) rows keep arrival order
-        # without an explicit positional key
-        order = np.lexsort((h, bids))
-        sb, sh = bids[order], h[order]
-        same = (sb[1:] == sb[:-1]) & (sh[1:] == sh[:-1])
+        # Equal keys have equal hashes, so one unstable sort by hash finds
+        # the groups; neighbours in it that share a hash must share key
+        # bytes (rows are zero-padded: equal keys are equal rows of equal
+        # length), else it is a collision and the run is split there.
+        order = np.argsort(h)
+        sh = h[order]
+        same = sh[1:] == sh[:-1]
         has_collision = False
         cand = np.flatnonzero(same)
         if len(cand):
-            # Same (bucket, hash) neighbours must share key bytes; rows are
-            # zero-padded so equal keys imply equal rows and equal lengths.
             a, p = order[cand + 1], order[cand]
             eq = b.key_lens[a] == b.key_lens[p]
             if b.keys.shape[1]:
                 eq &= (b.keys[a] == b.keys[p]).all(axis=1)
             if not eq.all():
                 has_collision = True
-                same = same.copy()
                 same[cand[~eq]] = False
         boundary = np.r_[True, ~same]
+        # Groups come out in hash order; ids go in (bucket, hash) order, so
+        # rank the groups by bucket with a stable sort of one row each.
+        by_bucket = np.argsort(bids[order[boundary]], kind="stable")
+        rank = np.empty(len(by_bucket), dtype=np.int64)
+        rank[by_bucket] = np.arange(len(by_bucket))
         gid = np.empty(n, dtype=np.int64)
-        gid[order] = np.cumsum(boundary) - 1
-        rep = order[boundary]
+        gid[order] = rank[np.cumsum(boundary) - 1]
+        # first arrival per group: written last when filling back to front
+        rep = np.empty(len(rank), dtype=np.int64)
+        rep[gid[::-1]] = np.arange(n - 1, -1, -1)
         return BatchGrouping(gid, rep, len(rep), has_collision)
 
     def key_bytes_list(self) -> list[bytes]:
@@ -182,23 +205,81 @@ class BatchCache:
 def pack_byte_rows(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """Pack variable-length byte strings into a padded uint8 matrix.
 
-    One ``b"".join`` + flat scatter instead of ``n`` tiny ``frombuffer``
-    copies: the concatenated payload is viewed as one uint8 vector and
-    fancy-indexed into the padded matrix through ragged row offsets.
+    The list path: one fixed-width ``S<width>`` array built from the rows
+    and viewed as bytes, which is the zero-padded matrix (NULs inside or at
+    the end of a row are payload; ``lens`` is what tells them from padding).
     """
     n = len(rows)
     lens = np.fromiter(map(len, rows), dtype=np.int32, count=n)
-    width = int(lens.max()) if n else 0
-    mat = np.zeros((n, max(width, 1)), dtype=np.uint8)
-    total = int(lens.sum())
-    if total:
-        flat = np.frombuffer(b"".join(rows), dtype=np.uint8)
-        starts = np.cumsum(lens, dtype=np.int64) - lens  # exclusive cumsum
-        # destination flat index of every payload byte: row base + column
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
-        dest = np.repeat(np.arange(n, dtype=np.int64) * mat.shape[1], lens)
-        mat.reshape(-1)[dest + within] = flat
+    width = max(int(lens.max()), 1) if n else 1
+    mat = np.array(rows, dtype=f"S{width}").view(np.uint8).reshape(n, width)
     return mat, lens
+
+
+def _byte_view(buf) -> np.ndarray:
+    """``buf`` (bytes-like, or already a uint8 vector) as a 1-D uint8 view."""
+    if isinstance(buf, np.ndarray):
+        if buf.dtype != np.uint8 or buf.ndim != 1:
+            raise ValueError("a span buffer must be a 1-D uint8 array")
+        return buf
+    return np.frombuffer(buf, dtype=np.uint8)
+
+
+def _checked_spans(
+    size: int, starts, lens
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Spans as ``(int64 starts, int32 lens, matrix width)``, every one of
+    them inside a buffer of ``size`` bytes."""
+    starts = np.asarray(starts, dtype=np.int64)
+    lens = np.asarray(lens)
+    if starts.ndim != 1 or starts.shape != lens.shape:
+        raise ValueError("starts and lens must be 1-D and of equal length")
+    if not len(starts):
+        return starts, lens.astype(np.int32), 1
+    ends = starts + lens
+    if starts.min() < 0 or (ends < starts).any() or ends.max() > size:
+        raise ValueError(f"a span lies outside the {size}-byte buffer")
+    lens = lens.astype(np.int32, copy=False)
+    return starts, lens, max(int(lens.max()), 1)
+
+
+def _zero_extended(view: np.ndarray, *spans) -> np.ndarray:
+    """``view``, with a zero tail if a full-width window at some span's
+    start would run off its end (one copy, for all the span sets)."""
+    reach = max((int(s.max()) + w for s, _, w in spans if len(s)), default=0)
+    if reach <= len(view):
+        return view
+    return np.concatenate((view, np.zeros(reach - len(view), np.uint8)))
+
+
+def _span_rows(
+    view: np.ndarray, starts: np.ndarray, lens: np.ndarray, width: int
+) -> np.ndarray:
+    """The zero-padded row matrix of checked spans: every row is read as a
+    ``width``-byte window at its start, then masked to its length."""
+    if not len(starts):
+        return np.zeros((0, width), dtype=np.uint8)
+    mat = sliding_window_view(view, width)[starts]
+    if lens.min() < width:
+        # compared in the narrowest type that holds a column number
+        cols = np.arange(width, dtype=np.min_scalar_type(width))
+        mat *= cols < lens.astype(cols.dtype)[:, None]
+    return mat
+
+
+def gather_spans(buf, starts, lens) -> tuple[np.ndarray, np.ndarray]:
+    """Gather ``buf[starts[i] : starts[i] + lens[i]]`` into a padded matrix.
+
+    The offset-based sibling of :func:`pack_byte_rows`: the same
+    ``(matrix, int32 lens)`` -- as wide as the longest span, at least one
+    column, rows left-justified and zero-padded -- without a ``bytes``
+    object per row.  ``buf`` is anything with the buffer protocol or a 1-D
+    uint8 array; spans may overlap, repeat and be empty, and one that
+    leaves the buffer raises ``ValueError``.
+    """
+    view = _byte_view(buf)
+    span = _checked_spans(len(view), starts, lens)
+    return _span_rows(_zero_extended(view, span), *span), span[1]
 
 
 def _stack_padded(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -422,6 +503,43 @@ class RecordBatch:
     def value_bytes_list(self) -> list[bytes]:
         """All byte values as bytes, computed once and cached."""
         return self.cache.value_bytes_list()
+
+    @classmethod
+    def from_spans(
+        cls,
+        buf,
+        key_starts,
+        key_lens,
+        val_starts=None,
+        val_lens=None,
+        *,
+        numeric_values: np.ndarray | None = None,
+    ) -> "RecordBatch":
+        """Build a batch from byte offsets into one buffer (the parsers).
+
+        Keys are the spans ``buf[key_starts[i] : key_starts[i] +
+        key_lens[i]]``; values are either a second set of spans over the
+        same buffer (byte-valued) or ``numeric_values``.  The matrices are
+        the ones :meth:`from_pairs` / :meth:`from_numeric` build from the
+        same records as ``bytes`` (see :func:`gather_spans`), and the
+        buffer is zero-extended at most once for both gathers.
+        """
+        if (numeric_values is None) == (val_starts is None or val_lens is None):
+            raise ValueError("set exactly one of numeric_values / value spans")
+        view = _byte_view(buf)
+        kspan = _checked_spans(len(view), key_starts, key_lens)
+        if numeric_values is not None:
+            return cls(
+                keys=_span_rows(_zero_extended(view, kspan), *kspan),
+                key_lens=kspan[1],
+                numeric_values=np.asarray(numeric_values),
+            )
+        vspan = _checked_spans(len(view), val_starts, val_lens)
+        view = _zero_extended(view, kspan, vspan)
+        return cls(
+            keys=_span_rows(view, *kspan), key_lens=kspan[1],
+            values=_span_rows(view, *vspan), val_lens=vspan[1],
+        )
 
     @classmethod
     def from_pairs(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.core import RecordBatch
-from repro.core.records import pack_byte_rows, pack_str_keys
+from repro.core.records import gather_spans, pack_byte_rows, pack_str_keys
 
 
 def test_pack_byte_rows_roundtrip():
@@ -18,6 +18,125 @@ def test_pack_empty_list():
     mat, lens = pack_byte_rows([])
     assert mat.shape == (0, 1)
     assert lens.shape == (0,)
+
+
+def _pack_by_scatter(rows):
+    """``pack_byte_rows`` as it was before it became one ``S<width>`` array:
+    join the rows, scatter the bytes to their row base + column."""
+    n = len(rows)
+    lens = np.fromiter(map(len, rows), dtype=np.int32, count=n)
+    width = int(lens.max()) if n else 0
+    mat = np.zeros((n, max(width, 1)), dtype=np.uint8)
+    total = int(lens.sum())
+    if total:
+        flat = np.frombuffer(b"".join(rows), dtype=np.uint8)
+        starts = np.cumsum(lens, dtype=np.int64) - lens
+        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lens)
+        dest = np.repeat(np.arange(n, dtype=np.int64) * mat.shape[1], lens)
+        mat.reshape(-1)[dest + within] = flat
+    return mat, lens
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [b""],
+        [b"", b"", b""],
+        [b"abc", b"", b"dddddd"],
+        [b"a\x00", b"\x00", b"\x00\x00b\x00\x00", b""],  # NULs are payload
+        [b"\xff" * 40, b"x"],
+        [bytes(range(256)), b"", bytes(range(255, -1, -1))],
+    ],
+)
+def test_pack_byte_rows_equals_the_scatter_it_replaced(rows):
+    mat, lens = pack_byte_rows(rows)
+    want_mat, want_lens = _pack_by_scatter(rows)
+    assert mat.dtype == np.uint8 and lens.dtype == np.int32
+    assert mat.flags.c_contiguous and mat.flags.writeable
+    np.testing.assert_array_equal(mat, want_mat)
+    np.testing.assert_array_equal(lens, want_lens)
+
+
+# ----------------------------------------------------------------------
+# gather_spans / from_spans (the offset-based sibling the parsers use)
+# ----------------------------------------------------------------------
+BUF = b"alpha beta\x00gamma!"
+
+
+def test_gather_spans_builds_the_matrix_pack_byte_rows_builds():
+    starts, lens = [0, 6, 6, 11, 16, 3], [5, 4, 5, 5, 1, 0]
+    mat, out_lens = gather_spans(BUF, starts, lens)
+    want, want_lens = pack_byte_rows([BUF[s : s + n] for s, n in zip(starts, lens)])
+    assert mat.dtype == np.uint8 and out_lens.dtype == np.int32
+    assert mat.flags.c_contiguous and mat.flags.writeable
+    np.testing.assert_array_equal(mat, want)
+    np.testing.assert_array_equal(out_lens, want_lens)
+
+
+def test_gather_spans_zero_length_spans_only():
+    mat, lens = gather_spans(BUF, [0, len(BUF), 7], [0, 0, 0])
+    assert mat.shape == (3, 1) and not mat.any()
+    assert lens.tolist() == [0, 0, 0]
+
+
+def test_gather_spans_span_ending_at_the_last_byte():
+    # the short span's full-width window would run past the buffer
+    mat, lens = gather_spans(BUF, [0, len(BUF) - 2], [8, 2])
+    assert mat[1].tobytes() == b"a!" + bytes(6)
+    assert mat[0].tobytes() == b"alpha be"
+
+
+def test_gather_spans_no_spans():
+    for buf in (BUF, b""):
+        mat, lens = gather_spans(buf, [], [])
+        assert mat.shape == (0, 1) and mat.dtype == np.uint8
+        assert lens.shape == (0,) and lens.dtype == np.int32
+
+
+def test_gather_spans_accepts_a_uint8_vector():
+    view = np.frombuffer(BUF, dtype=np.uint8)
+    mat, _ = gather_spans(view, np.array([6]), np.array([4]))
+    assert mat.tobytes() == b"beta"
+    with pytest.raises(ValueError, match="uint8"):
+        gather_spans(view.astype(np.int64), [0], [1])
+
+
+@pytest.mark.parametrize(
+    "starts, lens",
+    [([0], [len(BUF) + 1]), ([len(BUF)], [1]), ([-1], [1]), ([3], [-1]), ([0, 1], [1])],
+)
+def test_gather_spans_rejects_spans_outside_the_buffer(starts, lens):
+    with pytest.raises(ValueError):
+        gather_spans(BUF, starts, lens)
+
+
+def test_from_spans_equals_the_list_path():
+    ks, kl = np.array([0, 6, 11]), np.array([5, 4, 6])
+    vs, vl = np.array([17, 0, 5]), np.array([0, 1, 2])
+    by_bytes = RecordBatch.from_spans(BUF, ks, kl, vs, vl)
+    want = RecordBatch.from_pairs(
+        [(BUF[a : a + b], BUF[c : c + d]) for a, b, c, d in zip(ks, kl, vs, vl)]
+    )
+    for name in ("keys", "key_lens", "values", "val_lens"):
+        np.testing.assert_array_equal(getattr(by_bytes, name), getattr(want, name))
+    assert by_bytes.input_bytes == want.input_bytes
+
+    numeric = RecordBatch.from_spans(
+        BUF, ks, kl, numeric_values=np.array([1.5, 2.5, 3.5])
+    )
+    want = RecordBatch.from_numeric(
+        [BUF[a : a + b] for a, b in zip(ks, kl)], np.array([1.5, 2.5, 3.5])
+    )
+    np.testing.assert_array_equal(numeric.keys, want.keys)
+    assert numeric.numeric_values.dtype == np.float64 and numeric.values is None
+
+
+def test_from_spans_wants_exactly_one_value_kind():
+    with pytest.raises(ValueError, match="exactly one"):
+        RecordBatch.from_spans(BUF, [0], [1])
+    with pytest.raises(ValueError, match="exactly one"):
+        RecordBatch.from_spans(BUF, [0], [1], [0], [1], numeric_values=np.ones(1))
 
 
 def test_pack_str_keys_utf8():
