@@ -23,13 +23,13 @@ order-exact fold had to earn.  A ``result`` cell times the CPU-side read of
 a finished two-iteration table, bulk reader (``impl="vectorized"``) against
 the per-entry merge, in keys/s.  A third
 ``mixed-ops`` cell times interleaved insert/update/delete/lookup
-mutation batches: the two generic-entry organizations run the batched
-mixed-op kernel under ``impl="vectorized"`` (gated at 2x the scalar loop
-in the full 64k tier), the multi-valued one has only the scalar loop and
-carries a scalar arm alone.  The ``mixed_sweep`` tier beside it is the
-evidence for ``organizations.MIXED_KERNEL_MIN_OPS``: the same op stream
-issued in batches of 64 ... 2,048 ops, kernel forced on against the loop,
-on a fresh table and on one several times its heap.  A fourth
+mutation batches: every organization runs its batched mixed-op kernel
+under ``impl="vectorized"`` against the scalar loop (gated per
+organization in the full 64k tier, see ``MIXED_MIN_SPEEDUP``).  The
+``mixed_sweep`` tier beside it is the evidence for
+``organizations.MIXED_KERNEL_MIN_OPS``: the same op stream issued in
+batches of 64 ... 2,048 ops, kernel forced on against the loop, on a fresh
+table and on one several times its heap.  A fourth
 ``integrity-overhead`` cell (tracked, not gated) times the insert +
 iteration-boundary path under ``integrity`` off|verify|scrub, measuring
 what per-page CRC32 sealing and the background scrub sweep cost the host.
@@ -43,7 +43,7 @@ per pass and as the per-entry walk: queries/s, passes, pages paged in.
 
 The pytest entry points double as the CI perf smoke: every organization's
 vectorized insert path (f64 combining included) must beat its scalar
-reference by at least 2x, the batched mixed-op kernel the scalar loop by
+reference by at least 2x, the batched mixed-op kernels the scalar loop by
 2x at 64k ops, the batched lookup pass the per-entry walk by 2.5x basic,
 3x combining and 1.4x multi-valued, and the bulk ``result()`` of the combining table
 its per-entry merge by 1.5x, on the reduced workload (the tracked full-scale speedups are ~8-10x; 2x keeps the
@@ -112,8 +112,9 @@ SMOKE_MIN_SPEEDUP = 2.0
 #: ratio: 2.0-2.7x measured, against 1.0x for any per-entry reader, so
 #: 1.5x tells the two apart without sitting inside the run-to-run noise
 RESULT_MIN_SPEEDUP = 1.5
-#: gate for the batched mixed-op kernel over the scalar loop at 64k ops
-#: (measured 4.3x on both generic-entry organizations)
+#: gate for the batched mixed-op kernels over the scalar loop at 64k ops
+#: (measured 3.9-5.6x on the generic-entry organizations, 4.6-5.3x on the
+#: multi-valued one, so one gate serves all three)
 MIXED_MIN_SPEEDUP = 2.0
 #: gates of the batched lookup pass over the per-entry walk in the lookup
 #: cell.  Measured over seven runs: basic 3.7-4.6x, combining 4.2-6.0x,
@@ -335,11 +336,6 @@ def integrity_rps(kind: str, mode: str, keys, values, repeats: int = 3) -> float
     return best
 
 
-#: organizations whose ``impl="vectorized"`` mutation path is more than
-#: the scalar loop (the batched mixed-op kernel); the multi-valued arm
-#: would time the same function twice
-BATCHED_MUTATION_KINDS = ("basic", "combining")
-
 #: batch sizes of the cut-over sweep, and the ops each cell streams
 SWEEP_SIZES = (64, 128, 256, 512, 768, 1024, 2048)
 SWEEP_OPS = 8192
@@ -404,7 +400,7 @@ def mixed_sweep(repeats: int = 3, sizes=SWEEP_SIZES) -> dict:
     try:
         rows = {}
         for state in SWEEP_HEAP:
-            for kind in BATCHED_MUTATION_KINDS:
+            for kind in KINDS:
                 for size in sizes:
                     loop = sweep_rps(kind, "slow_reference", state, size, repeats)
                     kernel = sweep_rps(kind, "vectorized", state, size, repeats)
@@ -547,14 +543,14 @@ def _insert_cell(kind, keys, values, repeats) -> dict:
 
 
 def _mixed_cell(kind, triples, repeats) -> dict:
-    """One mixed-op cell; see :data:`BATCHED_MUTATION_KINDS`."""
+    """One mixed-op cell: scalar loop vs batched kernel ops/sec."""
     scalar = mutate_rps(kind, "slow_reference", triples, repeats)
-    row = {"scalar_rps": round(scalar)}
-    if kind in BATCHED_MUTATION_KINDS:
-        vectorized = mutate_rps(kind, "vectorized", triples, repeats)
-        row["vectorized_rps"] = round(vectorized)
-        row["speedup"] = round(vectorized / scalar, 2)
-    return row
+    vectorized = mutate_rps(kind, "vectorized", triples, repeats)
+    return {
+        "scalar_rps": round(scalar),
+        "vectorized_rps": round(vectorized),
+        "speedup": round(vectorized / scalar, 2),
+    }
 
 
 #: shard counts of the (tracked, non-gated) weak-scaling cell
@@ -633,7 +629,7 @@ def shard_scaling_cell(
 
 #: the request-router cell: shard count, ops per client batch and the
 #: router's flush threshold (the serving shape of the benchmark of record's
-#: ``kv_sharded``), on the two organizations with a batched mixed-op kernel
+#: ``kv_sharded``)
 ROUTER_SHARDS = 4
 ROUTER_CLIENT_OPS = 256
 ROUTER_CHUNK_RECORDS = 1024
@@ -650,7 +646,7 @@ def router_cell(n: int, repeats: int = 3) -> dict:
     """
     triples = make_mixed_ops(n)
     rows = {}
-    for kind in BATCHED_MUTATION_KINDS:
+    for kind in KINDS:
         batches = [
             make_mutation(kind, triples[i : i + ROUTER_CLIENT_OPS])
             for i in range(0, n, ROUTER_CLIENT_OPS)
@@ -702,9 +698,8 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
     distributions["result"] = {
         kind: result_kps(kind, keys, values, repeats) for kind in KINDS
     }
-    # mixed-op cell: the batched kernel against the scalar loop (gated
-    # by test_mixed_ops_kernel_beats_scalar_loop); multi-valued has only
-    # the loop
+    # mixed-op cell: the batched kernels against the scalar loop (gated
+    # by test_mixed_ops_kernel_beats_scalar_loop)
     triples = make_mixed_ops(n)
     distributions["mixed-ops"] = {
         kind: _mixed_cell(kind, triples, repeats) for kind in KINDS
@@ -882,26 +877,23 @@ def test_mixed_ops_cell_runs():
     triples = make_mixed_ops(2048)
     for kind in KINDS:
         row = _mixed_cell(kind, triples, repeats=1)
-        assert row["scalar_rps"] > 0
-        assert ("vectorized_rps" in row) == (kind in BATCHED_MUTATION_KINDS)
-        assert row.get("vectorized_rps", 1) > 0
+        assert row["scalar_rps"] > 0 and row["vectorized_rps"] > 0
     shipped = organizations.MIXED_KERNEL_MIN_OPS
     sweep = mixed_sweep(repeats=1, sizes=(256,))
     assert organizations.MIXED_KERNEL_MIN_OPS == shipped == sweep["cut_over_ops"]
     assert set(sweep["rows"]) == {
-        f"{state}/{kind}/256"
-        for state in SWEEP_HEAP for kind in BATCHED_MUTATION_KINDS
+        f"{state}/{kind}/256" for state in SWEEP_HEAP for kind in KINDS
     }
     assert all(r["kernel_rps"] > 0 < r["loop_rps"] for r in sweep["rows"].values())
 
 
 def test_mixed_ops_kernel_beats_scalar_loop():
-    """CI gate: at 64k ops the batched mixed-op kernel must sustain
-    :data:`MIXED_MIN_SPEEDUP` x the scalar loop on both generic-entry
-    organizations (measured 4.3x; the loop is the oracle, so a kernel that
-    is not clearly faster has no reason to exist)."""
+    """CI gate: at 64k ops the batched mixed-op kernels must sustain
+    :data:`MIXED_MIN_SPEEDUP` x the scalar loop on every organization
+    (measured 3.9-5.6x; the loop is the oracle, so a kernel that is not
+    clearly faster has no reason to exist)."""
     triples = make_mixed_ops(FULL_N)
-    for kind in BATCHED_MUTATION_KINDS:
+    for kind in KINDS:
         scalar = mutate_rps(kind, "slow_reference", triples, repeats=2)
         vectorized = mutate_rps(kind, "vectorized", triples, repeats=3)
         assert vectorized >= MIXED_MIN_SPEEDUP * scalar, (
@@ -1005,9 +997,10 @@ def test_hostperf_export_roundtrip(tmp_path):
     for row in rows.values():
         assert set(row) == {"scalar_kps", "vectorized_kps", "speedup"}
         assert row["scalar_kps"] > 0 and row["vectorized_kps"] > 0
-    for kind, row in full["distributions"]["mixed-ops"].items():
-        assert row["scalar_rps"] > 0
-        assert ("vectorized_rps" in row) == (kind in BATCHED_MUTATION_KINDS)
+    rows = full["distributions"]["mixed-ops"]
+    assert set(rows) == set(KINDS)
+    for row in rows.values():
+        assert row["scalar_rps"] > 0 and row["vectorized_rps"] > 0
     for row in full["distributions"]["integrity-overhead"].values():
         for mode in INTEGRITY_CELL_MODES:
             assert row[f"{mode}_rps"] > 0
@@ -1015,7 +1008,7 @@ def test_hostperf_export_roundtrip(tmp_path):
     sweep = full["mixed_sweep"]
     assert sweep["cut_over_ops"] == organizations.MIXED_KERNEL_MIN_OPS
     assert len(sweep["rows"]) == (
-        len(SWEEP_HEAP) * len(BATCHED_MUTATION_KINDS) * len(SWEEP_SIZES)
+        len(SWEEP_HEAP) * len(KINDS) * len(SWEEP_SIZES)
     )
     # ... and the (non-gated) shard weak-scaling rows
     scaling = full["shard_scaling"]
@@ -1025,7 +1018,7 @@ def test_hostperf_export_roundtrip(tmp_path):
         assert 0.0 <= row["overlap_efficiency"] <= 1.0
     # ... and the request-router rows: 2,048 roomy-heap ops are two flushes
     # a shard at most, each one merged batch applied in one pass
-    assert set(full["router"]) == set(BATCHED_MUTATION_KINDS)
+    assert set(full["router"]) == set(KINDS)
     for row in full["router"].values():
         assert row["wall_ops_per_second"] > 0 and row["makespan_seconds"] > 0
         assert row["launches_per_flush"] == 1.0
@@ -1102,13 +1095,11 @@ def _print_tier(tier: dict) -> None:
                     f"keys/s   {row['speedup']:.1f}x"
                 )
                 continue
-            line = f"{dist:>8}/{kind:<13} scalar {row['scalar_rps']:>10,} rec/s"
-            if "vectorized_rps" in row:
-                line += (
-                    f"   vectorized {row['vectorized_rps']:>10,} rec/s   "
-                    f"{row['speedup']:.1f}x"
-                )
-            print(line)
+            print(
+                f"{dist:>8}/{kind:<13} scalar {row['scalar_rps']:>10,} rec/s   "
+                f"vectorized {row['vectorized_rps']:>10,} rec/s   "
+                f"{row['speedup']:.1f}x"
+            )
     sweep = tier.get("mixed_sweep")
     if sweep:
         print(f"  mixed-op cut-over sweep (shipped: {sweep['cut_over_ops']} ops)")

@@ -641,13 +641,13 @@ def resolve_keys(heap, heads, kind, keys, key_lens) -> KeyResolve:
     )
 
 
-def match_cpu_chains(image, heads, keys, key_lens) -> ChainMatches:
+def match_cpu_chains(image, heads, kind, keys, key_lens) -> ChainMatches:
     """All-match resolve of a batch of keys against whole chains, read
     through the flat CPU-side image (see :func:`walk_cpu_image`): what an
     in-stream lookup of each key visits, evicted entries included.
     Arguments as for :func:`match_resident_chains`.
     """
-    layout = _LAYOUTS["generic"]
+    layout = _LAYOUTS[kind]
 
     def parse(uniq):
         cols, counts, blocked = _walk(image, uniq, layout, None, 0)

@@ -369,10 +369,11 @@ def write_key_entries_bulk(
     vhead_cpu: np.ndarray,
     keys: np.ndarray,
     klens: np.ndarray,
+    flags: np.ndarray | int = 0,
 ) -> None:
-    """Vectorized :func:`write_key_entry` (flags written as 0) that also
-    stores each entry's final value-list head, so the pre-aggregated
-    multi-valued kernel never rewrites ``vhead`` for keys it creates."""
+    """Vectorized :func:`write_key_entry` that also stores each entry's
+    final value-list head and flag word, so the batched multi-valued
+    kernels never rewrite either for keys they create."""
     m = len(pos)
     if m == 0:
         return
@@ -387,7 +388,7 @@ def write_key_entries_bulk(
         w32 = arena.view(np.uint32)
         p4 = pos >> 2
         w32[p4 + 8] = klens
-        w32[p4 + 9] = 0  # flags
+        w32[p4 + 9] = flags
     else:  # pragma: no cover - exotic platforms / unaligned callers
         hdr = np.empty((m, KEY_ENTRY_HEADER), dtype=np.uint8)
         hdr[:, 0:8] = next_gpu.astype("<i8").reshape(m, 1).view(np.uint8)
@@ -395,7 +396,9 @@ def write_key_entries_bulk(
         hdr[:, 16:24] = vhead_gpu.astype("<i8").reshape(m, 1).view(np.uint8)
         hdr[:, 24:32] = vhead_cpu.astype("<i8").reshape(m, 1).view(np.uint8)
         hdr[:, 32:36] = klens.astype("<u4").reshape(m, 1).view(np.uint8)
-        hdr[:, 36:40] = 0
+        hdr[:, 36:40] = (
+            np.broadcast_to(flags, (m,)).astype("<u4").reshape(m, 1).view(np.uint8)
+        )
         arena[pos[:, None] + np.arange(KEY_ENTRY_HEADER)] = hdr
     kw = _uniform_width(klens)
     if aligned and kw >= 0:

@@ -25,14 +25,15 @@ by the ``impl`` constructor argument:
   organizations group the batch by distinct key and resolve every key
   against its bucket's resident chain prefix in one bulk pass
   (:func:`repro.core.chainview.resolve_keys`).  Mixed
-  insert/update/delete/lookup batches on the two generic-entry
-  organizations run one such kernel too (:func:`_mutate_generic`:
-  resolve -> plan -> allocate -> scatter, exact through allocation
-  failure in mid-batch) once they hold :data:`MIXED_KERNEL_MIN_OPS` ops.
-  Whatever has no closed form -- traced runs, 64-bit hash collisions,
-  callback combiners, pure-insert batches into tables holding tombstones,
-  multi-valued inserts under pool pressure and every multi-valued mixed-op
-  batch -- runs the scalar loop.
+  insert/update/delete/lookup batches run one such kernel too (resolve ->
+  plan -> allocate -> scatter, exact through allocation failure in
+  mid-batch) once they hold :data:`MIXED_KERNEL_MIN_OPS` ops:
+  :func:`_mutate_generic` for the two generic-entry organizations,
+  :func:`_mutate_multivalued` -- the same steps over a request stream of
+  two page kinds -- for the third.  Whatever has no closed form -- traced
+  runs, 64-bit hash collisions, callback combiners, pure-insert batches
+  into tables holding tombstones and multi-valued inserts under pool
+  pressure -- runs the scalar loop.
 * ``"slow_reference"`` -- the one-record-at-a-time loops, always: the
   differential-testing oracle.
 
@@ -44,12 +45,17 @@ by the choice (see docs/cost_model.md, "Host-side performance architecture").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core import entries as E
-from repro.core.chainview import match_cpu_chains, resolve_keys, word_aligned
+from repro.core.chainview import (
+    match_cpu_chains,
+    resolve_keys,
+    walk_cpu_image,
+    word_aligned,
+)
 from repro.core.combiners import Combiner
 from repro.core.mutations import OP_DELETE, OP_INSERT, OP_LOOKUP, OP_UPDATE
 from repro.memalloc.address import NULL
@@ -154,6 +160,21 @@ def _link_heads(buckets, bs, gaddr, caddr) -> tuple[np.ndarray, np.ndarray]:
     return next_gpu, next_cpu
 
 
+def _link_value_lists(gaddr, caddr, first, head_gpu, head_cpu):
+    """Push value nodes onto their key entries' lists; returns the nodes'
+    ``(vnext_gpu, vnext_cpu)`` pointers.
+
+    The nodes (own addresses ``gaddr``/``caddr``) come sorted by (entry,
+    arrival), ``first`` marking each entry's first: that one points at the
+    entry's list head before the batch (``head_gpu``/``head_cpu``, per
+    node, read where ``first``), every other at the node pushed just
+    before it.  An entry's new head is its last node.
+    """
+    vnext_gpu = np.where(first, head_gpu, np.r_[NULL, gaddr[:-1]])
+    vnext_cpu = np.where(first, head_cpu, np.r_[NULL, caddr[:-1]])
+    return vnext_gpu, vnext_cpu
+
+
 class _DistinctKeys:
     """One insert subset grouped by distinct key: the shared front of the
     pre-aggregated kernels.
@@ -195,6 +216,17 @@ class _DistinctKeys:
             created[self.gpos] & ~self.isfirst, self.firstj[self.gpos], -1
         )
         return made, creator
+
+    def makers(self, made, seg0):
+        """``creator`` for :meth:`walk_charges` when any op may prepend an
+        entry (the mixed-op kernels' case): per op, the latest earlier op
+        of ``made`` (m,) with the same key, else -1 (``seg0`` as in
+        :func:`_latest_before`)."""
+        sub = self.sub
+        c_s = _latest_before(made[sub], seg0)
+        creator = np.empty(len(made), dtype=np.int64)
+        creator[sub] = np.where(c_s >= 0, sub[c_s], -1)
+        return creator
 
     def walk_charges(self, res, buckets, klens, made, creator, header):
         """Closed form of what a scalar walk by each of the ``m`` ops costs.
@@ -338,6 +370,81 @@ def _latest_before(mask: np.ndarray, seg0: np.ndarray) -> np.ndarray:
     return np.where(last >= seg0, last, -1)
 
 
+class _KeyStates(NamedTuple):
+    """What each op of a mixed batch finds its key as, key-major (aligned
+    with ``_DistinctKeys.sub``); see :func:`_key_states`."""
+
+    seg0: np.ndarray  # first position of the op's key
+    key: np.ndarray  # the op's distinct key
+    last_up: np.ndarray  # the key's latest earlier upsert, else -1
+    untouched: np.ndarray  # no earlier op of the batch wrote the key
+    live: np.ndarray  # the key's newest copy is resident and not dead
+    unproven: np.ndarray  # a miss against a chain that runs on evicted
+
+
+def _key_states(dk, res, is_up, is_del, tombstone) -> _KeyStates:
+    """The state chain of the mixed-op kernels.
+
+    An op finds its key live, dead, absent, or unproven (a miss against a
+    chain that runs on into evicted memory).  Which depends only on the
+    key's previous write of the batch -- after an upsert the key is live
+    whether or not that op allocated, after a delete it is dead (or still
+    absent) -- and before the first write on what ``res``, one resolve of
+    the distinct keys, found (``tombstone`` is the dead bit of its flag
+    words).  It holds for every op that runs: the ops of a group run up
+    to its first denied request, and a key lives in one group.
+    """
+    sub = dk.sub
+    seg0 = np.repeat(dk.starts, dk.counts)
+    g_s = dk.gpos[sub]
+    last_up = _latest_before(is_up[sub], seg0)
+    last_del = _latest_before(is_del[sub], seg0)
+    untouched = (last_up < 0) & (last_del < 0)
+    hit0 = res.hit >= 0
+    live0 = hit0 & ((res.hit_flags & tombstone) == 0)
+    live = np.where(last_up >= 0, last_del < last_up, untouched & live0[g_s])
+    unproven = untouched & (~hit0 & res.blocked)[g_s]
+    return _KeyStates(seg0, g_s, last_up, untouched, live, unproven)
+
+
+def _sticky_cut(table, groups, owner, sizes, tally, kinds=None):
+    """Plan one kernel call's request stream and cut every group at its
+    first denied request.
+
+    ``owner`` (ascending) names the op behind each request, ``sizes`` /
+    ``kinds`` are the requests as :meth:`plan_page_takes` takes them.  The
+    pool grants page takes in request order; a group stops at its first
+    denied one.  The op owning that request is *refused* -- charged what
+    it did up to there -- every later op of the group postpones at the
+    gate charged its hash alone, every earlier one runs.  Books the
+    attempt and gate counts; returns ``(ran, refused, n_refused, cut)``,
+    masks over the ops and the request index of each failing group's
+    first denied request.
+    """
+    m = len(groups)
+    stop = np.full(table.buckets.n_groups, m)
+    cut = np.zeros(0, dtype=np.int64)
+    if len(owner):
+        rgroups = groups[owner]
+        page_takes = table.alloc.plan_page_takes(rgroups, sizes, kinds=kinds)
+        denied = page_takes[table.heap.pool.n_free:]
+        if len(denied):
+            g_denied, first = np.unique(rgroups[denied], return_index=True)
+            cut = denied[first]
+            stop[g_denied] = owner[cut]
+    stop = stop[groups]
+    ar = np.arange(m)
+    ran = ar < stop
+    refused = ar == stop
+    n_refused = int(refused.sum())
+    n_gated = m - int(ran.sum()) - n_refused
+    tally.attempted += m
+    tally.succeeded += m - n_gated - n_refused
+    tally.postponed += n_gated + n_refused
+    table.mutations.gate_postponed += n_gated
+    return ran, refused, n_refused, cut
+
+
 def _mutate_generic(table, batch, idx, buckets, tally, comb):
     """The batched mixed-op kernel of the two generic-entry organizations:
     resolve -> plan -> allocate -> scatter, bit-identical to their
@@ -374,80 +481,50 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
         width = np.where(is_up, comb.value_size, 0)
 
     # -- resolve: the state each op finds its key in ---------------------
-    # One of: live with a value width, dead, absent, or unproven (a miss
-    # against a chain that runs on into evicted memory).  It depends only
-    # on the key's previous write of the batch -- after an upsert the key
-    # is live at that op's width whether or not it allocated, after a
-    # delete it is dead (or still absent) -- and before the first write on
-    # what one resolve of the distinct keys found.
+    # (:func:`_key_states`; a live copy here also has a value width: the
+    # previous upsert's, or before the first write the resident hit's)
     dk = _DistinctKeys(batch.cache.grouping(table.buckets), idx, buckets)
     res = dk.resolve(table, batch, idx, "generic")
+    st = _key_states(dk, res, is_up, is_del, E.GFLAG_TOMBSTONE)
     sub, gpos = dk.sub, dk.gpos
-    seg0 = np.repeat(dk.starts, dk.counts)
-    g_s = gpos[sub]
-    last_up = _latest_before(is_up[sub], seg0)
-    last_del = _latest_before(is_del[sub], seg0)
-    untouched = (last_up < 0) & (last_del < 0)
-    hit0 = res.hit >= 0
-    live0 = hit0 & ((res.hit_flags & E.GFLAG_TOMBSTONE) == 0)
-    live_s = np.where(
-        last_up >= 0, last_del < last_up, untouched & live0[g_s]
+    found_s = np.where(
+        st.last_up >= 0, width[sub][st.last_up], res.hit_vlen[st.key]
     )
-    found_s = np.where(last_up >= 0, width[sub][last_up], res.hit_vlen[g_s])
-    unproven_s = untouched & (~hit0 & res.blocked)[g_s]
     if comb is None:
-        keeps = is_upd[sub] & live_s & (found_s == width[sub])
+        keeps = is_upd[sub] & st.live & (found_s == width[sub])
     else:
-        keeps = live_s
+        keeps = st.live
     takes = np.empty(m, dtype=bool)  # ops that allocate an entry
-    takes[sub] = np.where(is_del[sub], unproven_s, is_up[sub] & ~keeps)
+    takes[sub] = np.where(is_del[sub], st.unproven, is_up[sub] & ~keeps)
     live = np.empty(m, dtype=bool)
-    live[sub] = live_s
+    live[sub] = st.live
     found = np.empty(m, dtype=np.int64)  # value width of that live copy
     found[sub] = found_s
 
-    # -- plan: the sticky cut -------------------------------------------
-    # The pool grants page takes in request order; a group stops at its
-    # first denied one.  That op postpones charged for its walk and its
-    # INSERT_CYCLES, every later op of the group postpones at the gate,
-    # every earlier one runs -- and since a key lives in one group, the
-    # states above hold for all ops that run.
+    # -- plan: the sticky cut (:func:`_sticky_cut`) -----------------------
+    # An op makes at most one request, so the refused op has done nothing
+    # but its walk and is charged that and its INSERT_CYCLES.
     req = np.flatnonzero(takes)
     size = np.zeros(m, dtype=np.int64)
     size[req] = E.entry_sizes_bulk(klens[req], width[req])
     if len(req) and int(size.max()) > heap.page_size:
         return None
-    stop = np.full(table.buckets.n_groups, m)
-    if len(req):
-        page_takes = alloc.plan_page_takes(groups[req], size[req])
-        denied = req[page_takes[heap.pool.n_free:]]
-        if len(denied):
-            g_denied, first = np.unique(groups[denied], return_index=True)
-            stop[g_denied] = denied[first]
-    stop = stop[groups]
-    ran = ar < stop
-    refused = ar == stop
-    n_gated = m - int(ran.sum()) - int(refused.sum())
+    ran, refused, n_refused, _ = _sticky_cut(
+        table, groups, req, size[req], tally
+    )
     made = takes & ran  # the entries this batch creates
     inplace = ran & is_up & ~takes  # overwrites (basic) / combines
     buried = ran & is_del & live  # live newest copies tombstoned in place
     born_dead = made & is_del
 
     # -- charges ---------------------------------------------------------
-    c_s = _latest_before(made[sub], seg0)
-    creator = np.empty(m, dtype=np.int64)  # op that made the newest copy
-    creator[sub] = np.where(c_s >= 0, sub[c_s], -1)
+    creator = dk.makers(made, st.seg0)  # op that made the newest copy
     probe, walk_bytes, A, S = dk.walk_charges(
         res, buckets, klens, made, creator, E.ENTRY_HEADER
     )
     walks = (ran | refused) & (is_del | (is_upd if comb is None else is_up))
-    n_refused = int(refused.sum())
     n_inplace = int(inplace.sum())
     n_buried = int(buried.sum())
-    tally.attempted += m
-    tally.succeeded += m - n_gated - n_refused
-    tally.postponed += n_gated + n_refused
-    muts.gate_postponed += n_gated
     tally.probe_steps += int(probe[walks].sum())
     tally.bytes_touched += (
         int(walk_bytes[walks].sum())
@@ -483,7 +560,7 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
     if looks.any():
         muts.lookups += int(looks.sum())
         dirty = np.empty(m, dtype=bool)  # an earlier op wrote the same key
-        dirty[sub] = ~untouched
+        dirty[sub] = ~st.untouched
         _answer_lookups(
             table, batch, idx, dk, comb, looks, dirty, ran, made, inplace,
             buried, A, S, tally,
@@ -583,49 +660,74 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
     return ran
 
 
+def _lookup_matches(table, batch, idx, dk, looks, kind):
+    """What the in-stream lookups ``looks`` (m,) of one kernel call read:
+    one flat image of the CPU side as it stood before the batch (released
+    with the caller's frame), the looked-up keys' bucket chains walked
+    through it, every same-key entry matched.
+
+    Returns ``(lk, slot, n_keys, blob, image, cm)``: the lookup ops, each
+    distinct key's row among the ``n_keys`` looked-up ones (-1 for the
+    others), the image as bytes and as uint8, and the
+    :class:`~repro.core.chainview.ChainMatches` of those rows.
+    """
+    lk = np.flatnonzero(looks)
+    slot = np.full(len(dk.starts), -1, dtype=np.int64)
+    slot[dk.gpos[lk]] = 0
+    keys = np.flatnonzero(slot == 0)  # distinct looked-up keys
+    slot[keys] = np.arange(len(keys))
+    rec = idx[dk.firstj[keys]]
+    blob = table.heap.cpu_image()
+    image = np.frombuffer(blob, dtype=np.uint8)
+    cm = match_cpu_chains(
+        image, table.buckets.head_cpu[dk.gbucket[keys]], kind,
+        batch.keys[rec], batch.key_lens[rec],
+    )
+    return lk, slot, len(keys), blob, image, cm
+
+
+def _newest_first(cm, first, closing, dead):
+    """The merge automaton of every reader as a mask over the matches
+    ``cm`` (``first[k]`` is the first match of key ``k``): newest first, a
+    ``dead`` match never shows, a ``closing`` one ends its key's walk, and
+    nothing older than that shows.  Returns the ``shows`` mask and per key
+    the ``(probes, bytes)`` of a walk up to and including the match that
+    closes it, else of the whole chain."""
+    base = np.r_[0, np.cumsum(closing)]
+    older = base[:-1] - base[first][cm.key]  # closing matches before this
+    closer = np.flatnonzero(closing & (older == 0))
+    probes = cm.n_chain.copy()
+    nbytes = cm.chain_bytes.copy()
+    probes[cm.key[closer]] = cm.at[closer] + 1
+    nbytes[cm.key[closer]] = cm.cum[closer]
+    return (older == 0) & ~dead, probes, nbytes
+
+
 def _answer_lookups(
     table, batch, idx, dk, comb, looks, dirty, ran, made, inplace, buried,
     A, S, tally,
 ):
-    """Answer and charge the in-stream lookups of one kernel call.
+    """Answer and charge the in-stream lookups of one generic-entry kernel
+    call.
 
-    Reads only the table as it stood before the batch: one flat image of
-    the CPU side (released on return), the lookups' bucket chains walked
-    through it, every same-key entry matched.  The newest-first automaton
-    of :meth:`Organization._lookup_generic` runs as a mask over those
+    Reads only :func:`_lookup_matches`.  The newest-first automaton of
+    :meth:`Organization._lookup_generic` runs as a mask over those
     matches; a lookup is charged the entries the batch prepended to its
     bucket so far (``A`` / ``S``) plus the chain up to and including the
     match that closes its key, else the whole chain.  The few lookups an
     earlier op of their own batch wrote under replay that key's ops over
     its match list, without touching the heap.
     """
-    heap = table.heap
     results = batch.lookup_results
     gpos = dk.gpos
-    lk = np.flatnonzero(looks)
-    slot = np.full(len(dk.starts), -1, dtype=np.int64)
-    slot[gpos[lk]] = 0
-    keys = np.flatnonzero(slot == 0)  # distinct looked-up keys
-    slot[keys] = np.arange(len(keys))
-    rec = idx[dk.firstj[keys]]
-    blob = heap.cpu_image()
-    image = np.frombuffer(blob, dtype=np.uint8)
-    cm = match_cpu_chains(
-        image, table.buckets.head_cpu[dk.gbucket[keys]],
-        batch.keys[rec], batch.key_lens[rec],
+    lk, slot, n_keys, blob, image, cm = _lookup_matches(
+        table, batch, idx, dk, looks, "generic"
     )
-    # newest-first automaton: a tombstone closes its key unseen, a shadow
-    # shows itself and closes; nothing older shows
-    closing = cm.flags != 0
-    first = np.searchsorted(cm.key, np.arange(len(keys)))
-    base = np.r_[0, np.cumsum(closing)]
-    older = base[:-1] - base[first][cm.key]  # closing matches before this
-    shows = (older == 0) & ((cm.flags & E.GFLAG_TOMBSTONE) == 0)
-    closer = np.flatnonzero(closing & (older == 0))
-    probes = cm.n_chain.copy()
-    nbytes = cm.chain_bytes.copy()
-    probes[cm.key[closer]] = cm.at[closer] + 1
-    nbytes[cm.key[closer]] = cm.cum[closer]
+    first = np.searchsorted(cm.key, np.arange(n_keys))
+    # a tombstone closes its key unseen, a shadow shows itself and closes
+    shows, probes, nbytes = _newest_first(
+        cm, first, cm.flags != 0, (cm.flags & E.GFLAG_TOMBSTONE) != 0
+    )
 
     # every matched entry's value: bytes (basic) or its scalar
     if comb is None:
@@ -644,11 +746,11 @@ def _answer_lookups(
     vis = np.flatnonzero(shows)[::-1]  # keys descending, oldest first
     vkey = cm.key[vis]
     if comb is None:
-        answers: list = [[] for _ in keys]
+        answers: list = [[] for _ in range(n_keys)]
         for k, p in zip(vkey.tolist(), vis.tolist()):
             answers[k].append(old[p])
     else:
-        answers = [None] * len(keys)
+        answers = [None] * n_keys
         if len(vis):
             starts = np.flatnonzero(np.r_[True, vkey[1:] != vkey[:-1]])
             red = comb.fold_segments(scalars[vis], starts)
@@ -752,6 +854,378 @@ def _answer_lookups(
     tally.bytes_touched += nbytes_sum
 
 
+def _mutate_multivalued(table, batch, idx, buckets, tally, org):
+    """The batched mixed-op kernel of the multi-valued organization ``org``:
+    resolve -> plan -> allocate -> scatter, bit-identical to its
+    ``_mutate_impl`` loop through mid-batch allocation failure, under
+    both update policies.
+
+    The multi-valued reading of :func:`_mutate_generic`.  An upsert makes
+    up to two requests of two page kinds -- a key entry unless the key is
+    live, then a value node -- so the request stream has two kinds and an
+    op may be refused *half applied*: its key entry created and linked,
+    its value node denied, and the entry the value was meant for left
+    ``PENDING``.  The gate makes that op the last one its group runs in
+    the call, so no later op reads what it left and the state chain
+    stands.  Preconditions and the None return as for
+    :func:`_mutate_generic`; docs/cost_model.md, "Mutation cycle costs",
+    derives each step.
+    """
+    heap = table.heap
+    alloc = table.alloc
+    muts = table.mutations
+    arena = heap.pool.arena
+    page_size = heap.page_size
+    m = len(idx)
+    ar = np.arange(m)
+    ops = batch.ops[idx]
+    klens = batch.key_lens[idx].astype(np.int64)
+    groups = buckets // table.buckets.group_size
+    is_lk = ops == OP_LOOKUP
+    is_del = ops == OP_DELETE
+    is_upd = ops == OP_UPDATE
+    is_up = ~(is_lk | is_del)
+    vlens = np.where(is_up, batch.val_lens[idx], 0).astype(np.int64)
+    ksizes = E.key_entry_sizes_bulk(klens)
+    vsizes = E.value_node_sizes_bulk(vlens)
+    PENDING, TOMB, SHADOW = E.FLAG_PENDING, E.FLAG_TOMBSTONE, E.FLAG_SHADOW
+
+    # -- resolve: the state each op finds its key in ---------------------
+    dk = _DistinctKeys(batch.cache.grouping(table.buckets), idx, buckets)
+    res = dk.resolve(table, batch, idx, "key")
+    st = _key_states(dk, res, is_up, is_del, TOMB)
+    sub, gpos = dk.sub, dk.gpos
+    G = len(dk.starts)
+    hit_flags = res.hit_flags
+    hits = np.flatnonzero(res.hit >= 0)
+    vhead_gpu = np.full(G, NULL, dtype=np.int64)  # the hits' value lists
+    vhead_cpu = np.full(G, NULL, dtype=np.int64)
+    vhead_gpu[hits] = E.gather_field(arena, res.hit_pos[hits] + 16, "<i8")
+    vhead_cpu[hits] = E.gather_field(arena, res.hit_pos[hits] + 24, "<i8")
+
+    # -- the request stream: [KEY unless kept] + [VALUE] per upsert -------
+    keeps = st.live
+    if batch.update_policy == "replace":
+        # an update prepends a SHADOW entry whatever it finds -- except
+        # that a key's first write completes an earlier pass's refused
+        # replace (an empty SHADOW|PENDING hit) instead of duplicating it
+        unborn = SHADOW | PENDING
+        reuse = ((hit_flags & (unborn | TOMB)) == unborn) & (vhead_cpu == NULL)
+        keeps = np.where(is_upd[sub], st.untouched & reuse[st.key], keeps)
+    needs_key = np.empty(m, dtype=bool)  # a delete's is born dead
+    needs_key[sub] = np.where(is_del[sub], st.unproven, is_up[sub] & ~keeps)
+    live = np.empty(m, dtype=bool)
+    live[sub] = st.live
+    nreq = needs_key.astype(np.int64) + is_up
+    rend = np.cumsum(nreq)
+    kreq = rend - nreq  # an op's KEY request, where it has one
+    vreq = rend - 1  # ... and its VALUE request
+    total = int(rend[-1])
+    owner = np.repeat(ar, nreq)
+    sizes = np.empty(total, dtype=np.int64)
+    codes = np.full(total, KIND_CODES[PageKind.VALUE], dtype=np.int64)
+    sizes[vreq[is_up]] = vsizes[is_up]
+    sizes[kreq[needs_key]] = ksizes[needs_key]
+    codes[kreq[needs_key]] = KIND_CODES[PageKind.KEY]
+    if total and int(sizes.max()) > page_size:
+        return None
+
+    # -- plan: the sticky cut (:func:`_sticky_cut`) -----------------------
+    # Refused at its KEY request an op has done nothing but its walk;
+    # refused at its VALUE request (``half``) its KEY request, if it made
+    # one, was served.
+    ran, refused, _, cut = _sticky_cut(
+        table, groups, owner, sizes, tally, codes
+    )
+    denied = np.full(m, -1)  # a refused op's denied request
+    denied[owner[cut]] = cut
+    half = is_up & (denied == vreq)
+    made = needs_key & (ran | half)  # the key entries this batch creates
+    appended = is_up & ran  # ... and its value nodes, one per op
+    buried = ran & is_del & live  # live newest copies tombstoned in place
+    born_dead = made & is_del
+
+    # -- charges ---------------------------------------------------------
+    creator = dk.makers(made, st.seg0)  # op that made the newest copy
+    probe, walk_bytes, A, S = dk.walk_charges(
+        res, buckets, klens, made, creator, E.KEY_ENTRY_HEADER
+    )
+    executed = ran | refused
+    walks = executed & ~is_lk
+    n_buried = int(buried.sum())
+    tally.probe_steps += int(probe[walks].sum())
+    tally.bytes_touched += (
+        int(walk_bytes[walks].sum())
+        + int((ksizes[made] + 16).sum())
+        + int((vsizes[appended] + 16).sum())
+        + 4 * n_buried
+    )
+    # integer-valued constants: the sum is order-free and lands on the
+    # loop's float
+    tally.table_cycles += float(
+        HASH_CYCLES_PER_BYTE * int(klens.sum())
+        + INSERT_CYCLES * int((executed & (is_up | needs_key)).sum())
+        + TOMBSTONE_CYCLES * n_buried
+    )
+    muts.inserts += int((ran & (ops == OP_INSERT)).sum())
+    muts.updates_inplace += int((ran & is_upd & ~needs_key).sum())
+    muts.updates_entries += int((ran & is_upd & needs_key).sum())
+    muts.value_nodes += int(appended.sum())
+    muts.deletes_inplace += n_buried
+    muts.deletes_tombstones += int(born_dead.sum())
+    muts.deletes_noop += int((ran & is_del & ~buried & ~needs_key).sum())
+    n_tomb = n_buried + int(born_dead.sum())
+    if n_tomb:
+        alloc.note_tombstone(int(ksizes[buried | born_dead].sum()), n_tomb)
+
+    # -- lookups read the table as it stood before the batch -------------
+    looks = ran & is_lk
+    if looks.any():
+        muts.lookups += int(looks.sum())
+        dirty = np.empty(m, dtype=bool)  # an earlier op wrote the same key
+        dirty[sub] = ~st.untouched
+        _answer_lookups_mv(
+            table, batch, idx, dk, looks, dirty, ran, made, buried, A, S,
+            tally,
+        )
+
+    # -- allocate: the request stream the loop would issue ---------------
+    # every request of the ops that ran, a refused op's up to and
+    # including the denied one
+    r = np.arange(total)
+    issued = ran[owner] | (r <= denied[owner])
+    ask = np.flatnonzero(issued)
+    rgroups = groups[owner[ask]]
+    bulk = alloc.allocate_many(rgroups, sizes[ask], kinds=codes[ask])
+    served = ran[owner] | (r < denied[owner])
+    if not np.array_equal(bulk.ok, served[ask]):  # pragma: no cover
+        raise AssertionError("page-take plan and allocator disagree")
+    tally.alloc_groups.extend(rgroups[bulk.ok])
+    at = np.cumsum(issued) - 1  # request -> row of ``bulk``
+
+    # -- scatter: effects collapse per key entry --------------------------
+    # Every value between two key-entry creations of a key lands on one
+    # entry (the resident hit before the first).  ``target`` names it:
+    # the op that made it, or m + key for the resident hit.
+    target = np.where(made, ar, np.where(creator >= 0, creator, m + gpos))
+    new_vhead_gpu = np.full(m, NULL, dtype=np.int64)  # by making op
+    new_vhead_cpu = np.full(m, NULL, dtype=np.int64)
+    rewritten = np.zeros(G, dtype=bool)  # resident hits
+    ups = sub[appended[sub]]  # upserts that ran, key-major
+    if len(ups):
+        t = target[ups]
+        first = np.r_[True, t[1:] != t[:-1]]
+        onto_hit = t >= m
+        g = t[onto_hit] - m
+        head_gpu = np.full(len(ups), NULL, dtype=np.int64)
+        head_cpu = np.full(len(ups), NULL, dtype=np.int64)
+        head_gpu[onto_hit] = vhead_gpu[g]
+        head_cpu[onto_hit] = vhead_cpu[g]
+        row = at[vreq[ups]]
+        node_gpu, node_cpu = bulk.gpu_addr[row], bulk.cpu_addr[row]
+        vnext_gpu, vnext_cpu = _link_value_lists(
+            node_gpu, node_cpu, first, head_gpu, head_cpu
+        )
+        E.write_value_nodes_bulk(
+            arena, bulk.slot[row] * page_size + bulk.offset[row],
+            vnext_gpu, vnext_cpu, batch.values[idx[ups]], vlens[ups],
+        )
+        last = np.r_[first[1:], True]  # each entry's new list head
+        t, node_gpu, node_cpu = t[last], node_gpu[last], node_cpu[last]
+        new = t < m
+        new_vhead_gpu[t[new]] = node_gpu[new]
+        new_vhead_cpu[t[new]] = node_cpu[new]
+        g = t[~new] - m
+        E.scatter_field(
+            arena, res.hit_pos[g] + 16,
+            np.stack((node_gpu[~new], node_cpu[~new]), axis=1),
+        )
+        rewritten[g] = True
+
+    # flags: new entries are written with theirs; a resident hit's word
+    # drops PENDING at its first append or in-place delete, and the entry
+    # a half-applied op meant its value for takes it (back) up
+    nflags = np.zeros(m, dtype=np.int64)  # by making op
+    rflags = np.zeros(G, dtype=np.int64)  # set on resident hits, by key
+    nflags[born_dead] = TOMB
+    if batch.update_policy == "replace":
+        nflags[made & is_upd] = SHADOW
+    t = target[buried]
+    nflags[t[t < m]] |= TOMB
+    rflags[t[t >= m] - m] |= TOMB
+    t = target[appended | buried]
+    completed = np.zeros(G, dtype=bool)
+    completed[t[t >= m] - m] = True
+    cleared = completed & ((hit_flags & PENDING) != 0)
+    t = target[half]
+    pinned_new = t[t < m]
+    nflags[pinned_new] |= PENDING
+    g = t[t >= m] - m
+    pinned_hit = g[cleared[g] | ((hit_flags[g] & PENDING) == 0)]
+    rflags[pinned_hit] |= PENDING
+    changed = np.flatnonzero(cleared | (rflags != 0))
+    E.scatter_field(
+        arena, res.hit_pos[changed] + 36,
+        (
+            (hit_flags[changed] & ~np.where(cleared[changed], PENDING, 0))
+            | rflags[changed]
+        ).astype(np.uint32),
+    )
+    rewritten[changed] = True
+    for seg in np.unique(res.hit_addr[rewritten] // page_size).tolist():
+        heap.note_write(seg)
+    org._settle_pending(
+        heap, res.hit_addr[cleared] // page_size,
+        np.r_[res.hit_addr[pinned_hit] // page_size,
+              bulk.segment[at[kreq[pinned_new]]]],
+    )
+
+    # new key entries: linked newest-first per bucket, written once with
+    # their final value list and flags
+    new = np.flatnonzero(made)
+    if len(new):
+        new = new[_stable_order(buckets[new])]  # by (bucket, arrival)
+        row = at[kreq[new]]
+        next_gpu, next_cpu = _link_heads(
+            table.buckets, buckets[new], bulk.gpu_addr[row], bulk.cpu_addr[row]
+        )
+        E.write_key_entries_bulk(
+            arena, bulk.slot[row] * page_size + bulk.offset[row],
+            next_gpu, next_cpu, new_vhead_gpu[new], new_vhead_cpu[new],
+            batch.keys[idx[new]], klens[new], nflags[new],
+        )
+    return ran
+
+
+def _answer_lookups_mv(
+    table, batch, idx, dk, looks, dirty, ran, made, buried, A, S, tally
+):
+    """Answer and charge the in-stream lookups of one multi-valued kernel
+    call: :func:`_answer_lookups` with value lists.
+
+    A same-key entry is admissible unless it is an empty ``PENDING`` one
+    (unacknowledged).  Over the admissible ones the automaton of
+    :meth:`MultiValuedOrganization._lookup_mv` runs as a mask; the value
+    lists of all entries that show are drained together and returned
+    oldest first, each node read charged one probe and its header + value
+    bytes on top of the key chain's charge.
+    """
+    results = batch.lookup_results
+    gpos = dk.gpos
+    lk, slot, n_keys, blob, image, cm = _lookup_matches(
+        table, batch, idx, dk, looks, "key"
+    )
+    PENDING, TOMB, SHADOW = E.FLAG_PENDING, E.FLAG_TOMBSTONE, E.FLAG_SHADOW
+    vhead = E.gather_field(image, cm.pos + 24, "<i8")
+    unborn = ((cm.flags & PENDING) != 0) & (vhead == NULL)
+    first = np.searchsorted(cm.key, np.arange(n_keys))
+    # a tombstone closes its key unseen, a shadow's list is the last
+    shows, probes, nbytes = _newest_first(
+        cm, first, ((cm.flags & (TOMB | SHADOW)) != 0) & ~unborn,
+        ((cm.flags & TOMB) != 0) | unborn,
+    )
+
+    # every shown entry's value list, newest node first
+    vis = np.flatnonzero(shows)
+    (vpos, _, vlen, _), counts = walk_cpu_image(image, vhead[vis], "value")
+    lo = vpos + E.VALUE_NODE_HEADER
+    values = [blob[a:b] for a, b in zip(lo.tolist(), (lo + vlen).tolist())]
+    of_key = np.repeat(cm.key[vis], counts)
+    n_nodes = np.bincount(of_key, minlength=n_keys)
+    node_bytes = np.bincount(
+        of_key, weights=E.VALUE_NODE_HEADER + vlen, minlength=n_keys
+    ).astype(np.int64)
+
+    clean = lk[~dirty[lk]]
+    ck = slot[gpos[clean]]
+    tally.probe_steps += int((probes[ck] + n_nodes[ck] + A[clean]).sum())
+    tally.bytes_touched += int((nbytes[ck] + node_bytes[ck] + S[clean]).sum())
+    hi = np.cumsum(n_nodes)  # a key's nodes: shown entries newest first
+    lo_l, hi_l = (hi - n_nodes).tolist(), hi.tolist()
+    results.update(
+        (i, values[lo_l[k]:hi_l[k]][::-1])
+        for i, k in zip(idx[clean].tolist(), ck.tolist())
+    )
+
+    stale = lk[dirty[lk]]
+    if not len(stale):
+        return
+    # replay: each such key's ops, in order, over its same-key entries
+    # newest first -- [values oldest first, flags, making op or -1, match,
+    # no value yet]
+    wrote = np.zeros(len(dk.starts), dtype=bool)
+    wrote[gpos[stale]] = True
+    sub = dk.sub
+    j_s = sub[(ran & wrote[gpos])[sub]]  # their ops that ran, key-major
+    rec = idx[j_s]
+    vals = [
+        row[:n].tobytes()
+        for row, n in zip(batch.values[rec], batch.val_lens[rec].tolist())
+    ]
+    ends = np.zeros(len(cm.key), dtype=np.int64)  # match -> its nodes
+    ends[vis] = np.cumsum(counts)
+    n_vals = np.zeros(len(cm.key), dtype=np.int64)
+    n_vals[vis] = counts
+    m_hi, m_lo = ends.tolist(), (ends - n_vals).tolist()
+    m_flags = cm.flags.tolist()
+    m_empty = (vhead == NULL).tolist()
+    m_at = cm.at.tolist()
+    m_cum = cm.cum.tolist()
+    n_chain, chain_bytes = cm.n_chain.tolist(), cm.chain_bytes.tolist()
+    first = first.tolist() + [len(m_flags)]
+    A_l, S_l = A.tolist(), S.tolist()
+    shadow = SHADOW if batch.update_policy == "replace" else 0
+    NODE = E.VALUE_NODE_HEADER
+    probe_steps = nbytes_sum = 0
+    key = -1
+    ents: list = []
+    for j, i, g, op, value, is_made, is_bur, is_dirty in zip(
+        j_s.tolist(), rec.tolist(), slot[gpos[j_s]].tolist(),
+        batch.ops[rec].tolist(), vals, made[j_s].tolist(),
+        buried[j_s].tolist(), dirty[j_s].tolist(),
+    ):
+        if g != key:
+            key = g
+            ents = [
+                [values[m_lo[p]:m_hi[p]][::-1], m_flags[p], -1, p, m_empty[p]]
+                for p in range(first[g], first[g + 1])
+            ]
+        if op == OP_LOOKUP:
+            if not is_dirty:
+                continue
+            shown = []
+            steps, nb = A_l[j] + n_chain[g], S_l[j] + chain_bytes[g]
+            for vs, flags, c, p, empty in ents:
+                if flags & PENDING and empty:
+                    continue
+                if not flags & TOMB:
+                    shown.append(vs)
+                if flags & (TOMB | SHADOW):  # the closing match ends the walk
+                    if c >= 0:
+                        steps, nb = A_l[j] - A_l[c], S_l[j] - S_l[c]
+                    else:
+                        steps, nb = A_l[j] + m_at[p] + 1, S_l[j] + m_cum[p]
+                    break
+            out = [v for vs in reversed(shown) for v in vs]
+            probe_steps += steps + len(out)
+            nbytes_sum += nb + NODE * len(out) + sum(map(len, out))
+            results[i] = out
+        elif op == OP_DELETE:
+            if is_made:
+                ents.insert(0, [[], TOMB, j, -1, True])
+            elif is_bur:  # a pinned key that dies stops pinning
+                ents[0][1] = ents[0][1] & ~PENDING | TOMB
+        else:
+            if is_made:
+                ents.insert(0, [[], shadow if op == OP_UPDATE else 0, j, -1, True])
+            newest = ents[0]
+            newest[0].append(value)
+            newest[1] &= ~PENDING
+            newest[4] = False
+    tally.probe_steps += probe_steps
+    tally.bytes_touched += nbytes_sum
+
+
 class Organization:
     """Base class; see module docstring."""
 
@@ -810,13 +1284,13 @@ class Organization:
 
         ``slow_reference`` runs :meth:`_mutate_impl`, one op at a time, for
         everything.  ``vectorized`` takes the ops of groups that failed
-        before the call out in one masked step (:meth:`_mutate_vectorized`,
-        all three organizations) and hands the rest to
-        :meth:`_mutate_open`: the batched kernel :func:`_mutate_generic`
-        for basic and combining batches of :data:`MIXED_KERNEL_MIN_OPS`
-        ops or more, the same loop otherwise.  Success masks, tallies,
-        lookup answers, counters and table bytes do not depend on the
-        choice.
+        before the call out in one masked step (:meth:`_mutate_vectorized`)
+        and hands the rest to :meth:`_mutate_open`: the organization's
+        batched kernel (:func:`_mutate_generic`,
+        :func:`_mutate_multivalued`) for batches of
+        :data:`MIXED_KERNEL_MIN_OPS` ops or more, the same loop otherwise.
+        Success masks, tallies, lookup answers, counters and table bytes
+        do not depend on the choice.
         """
         if self.impl == "slow_reference":
             return self._mutate_impl(table, batch, idx, buckets, tally)
@@ -860,22 +1334,24 @@ class Organization:
         return self._mutate_open(table, batch, idx, buckets, tally)
 
     def _mutate_open(self, table, batch, idx, buckets, tally) -> np.ndarray:
-        """Apply ops whose groups are all open on entry.  No batched form
-        here: the scalar loop is the kernel."""
+        """Apply ops whose groups are all open on entry.  Organizations
+        override this to rule out what their kernel cannot take and call
+        :meth:`_mutate_batched`; the default is the loop."""
         return self._mutate_impl(table, batch, idx, buckets, tally)
 
-    def _mutate_batched(self, table, batch, idx, buckets, tally, comb):
-        """:func:`_mutate_generic` where it applies, else the loop: small
-        batches (:data:`MIXED_KERNEL_MIN_OPS`), traced runs (per-walk
-        ``on_access`` order), 64-bit hash collisions, and heaps too oddly
-        sized for word views."""
+    def _mutate_batched(self, table, batch, idx, buckets, tally, kernel, policy):
+        """``kernel`` (:func:`_mutate_generic` / :func:`_mutate_multivalued`,
+        with its ``policy`` argument) where it applies, else the loop:
+        small batches (:data:`MIXED_KERNEL_MIN_OPS`), traced runs
+        (per-walk ``on_access`` order), 64-bit hash collisions, and heaps
+        too oddly sized for word views."""
         if (
             len(idx) >= MIXED_KERNEL_MIN_OPS
             and table.trace is None
             and word_aligned(table.heap)
             and not batch.cache.grouping(table.buckets).has_collision
         ):
-            done = _mutate_generic(table, batch, idx, buckets, tally, comb)
+            done = kernel(table, batch, idx, buckets, tally, policy)
             if done is not None:
                 return done
         return self._mutate_impl(table, batch, idx, buckets, tally)
@@ -1158,7 +1634,9 @@ class BasicOrganization(Organization):
     def _mutate_open(self, table, batch, idx, buckets, tally):
         if batch.values is None:  # the loop raises on the first value read
             return self._mutate_impl(table, batch, idx, buckets, tally)
-        return self._mutate_batched(table, batch, idx, buckets, tally, None)
+        return self._mutate_batched(
+            table, batch, idx, buckets, tally, _mutate_generic, None
+        )
 
     def _mutate_impl(self, table, batch, idx, buckets, tally):
         heap = table.heap
@@ -1536,7 +2014,9 @@ class CombiningOrganization(Organization):
             or batch.numeric_values.dtype != comb.dtype
         ):
             return self._mutate_impl(table, batch, idx, buckets, tally)
-        return self._mutate_batched(table, batch, idx, buckets, tally, comb)
+        return self._mutate_batched(
+            table, batch, idx, buckets, tally, _mutate_generic, comb
+        )
 
     def _mutate_impl(self, table, batch, idx, buckets, tally):
         heap = table.heap
@@ -1710,6 +2190,28 @@ class MultiValuedOrganization(Organization):
         else:
             self._pin_counts[seg] = remaining
 
+    def _settle_pending(self, heap, cleared, pinned) -> None:
+        """What one batched kernel call's :meth:`_clear_pending` and
+        :meth:`_set_pending` events leave behind: ``cleared`` / ``pinned``
+        hold the segment of every key entry that lost / took up
+        ``PENDING``.  A key page serves one bucket group and only the last
+        op a group runs in a call can pin, so on any segment the clears
+        come first."""
+        counts = self._pin_counts
+        segs, n = np.unique(cleared, return_counts=True)
+        for seg, k in zip(segs.tolist(), n.tolist()):
+            remaining = counts.get(seg, 0) - k
+            if remaining <= 0:
+                counts.pop(seg, None)
+                page = heap.resident_page(seg)
+                if page is not None:
+                    page.pinned = False
+            else:
+                counts[seg] = remaining
+        for seg in pinned.tolist():
+            counts[seg] = counts.get(seg, 0) + 1
+            heap.resident_page(seg).pinned = True
+
     # -- key-entry chain walk (different header layout) ------------------
     def _find_key_mut(self, table, bufs, addr, key, tally, trace):
         """Like :meth:`Organization._walk_resident_mut` for key entries:
@@ -1874,8 +2376,9 @@ class MultiValuedOrganization(Organization):
         fmask = np.zeros(m, dtype=bool)
         fmask[starts] = True
         gpos_s = np.repeat(np.arange(G), counts)
-        vnext_g_s = np.where(fmask, head0_g[gpos_s], np.r_[NULL, vg_s[:-1]])
-        vnext_c_s = np.where(fmask, head0_c[gpos_s], np.r_[NULL, vc_s[:-1]])
+        vnext_g_s, vnext_c_s = _link_value_lists(
+            vg_s, vc_s, fmask, head0_g[gpos_s], head0_c[gpos_s]
+        )
         lastpos = starts + counts - 1
         vfinal_g = vg_s[lastpos]
         vfinal_c = vc_s[lastpos]
@@ -1993,6 +2496,13 @@ class MultiValuedOrganization(Organization):
         return success
 
     # -- mixed-op mutation path ----------------------------------------
+    def _mutate_open(self, table, batch, idx, buckets, tally):
+        if batch.values is None:  # the loop raises on the first value read
+            return self._mutate_impl(table, batch, idx, buckets, tally)
+        return self._mutate_batched(
+            table, batch, idx, buckets, tally, _mutate_multivalued, self
+        )
+
     def _lookup_mv(self, table, b, key, tally) -> list[bytes]:
         """Full CPU-chain lookup: newest live key entry's values, plus any
         older duplicates (forced evictions split a key's values across

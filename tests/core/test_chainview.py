@@ -209,7 +209,7 @@ def test_match_cpu_chains_matches_a_full_chain_walk(monkeypatch):
     kmat, klens = pack_byte_rows(queries)
     for pairs in (chainview._RESOLVE_PAIRS, 3):
         monkeypatch.setattr(chainview, "_RESOLVE_PAIRS", pairs)
-        cm = match_cpu_chains(image, np.array(heads), kmat, klens)
+        cm = match_cpu_chains(image, np.array(heads), "generic", kmat, klens)
         assert cm.n_chain.tolist() == want_n
         assert cm.chain_bytes.tolist() == want_bytes
         got = [
@@ -221,6 +221,56 @@ def test_match_cpu_chains_matches_a_full_chain_walk(monkeypatch):
         assert got == want
         assert (cm.blocked_seg == -1).all()  # the image never blocks
         assert cm.pos.tolist() == cm.addr.tolist()  # address == offset
+
+
+def test_match_cpu_chains_reads_key_entries():
+    """``kind="key"``: the same all-match read over multi-valued key
+    entries -- flags from the flag word (``PENDING`` included), no value
+    columns -- against a per-entry walk."""
+    table, driver, _ = build(
+        MultiValuedOrganization(), heap_bytes=3 * 512, page_size=512,
+        n_buckets=4,
+    )
+    for r in range(3):
+        ops = [(OP_INSERT, k, b"val-%03d" % r) for k in KEYS[:20] + EDGE_KEYS]
+        ops += [(OP_DELETE, k, b"") for k in KEYS[r:20:5]]
+        ops += [(OP_UPDATE, k, b"upd-%03d" % r) for k in KEYS[r + 1:20:7]]
+        driver.run([MutationBatch.from_ops(ops, update_policy="replace")])
+    # and one pass left unfinished: some key entry is still PENDING
+    table.mutate_batch(MutationBatch.from_ops(
+        [(OP_INSERT, k, b"x" * 200) for k in KEYS[20:40]]
+    ))
+    heap = table.heap
+    queries = KEYS + EDGE_KEYS + ABSENT_KEYS
+    heads = [
+        int(table.buckets.head_cpu[b]) for b in
+        MutationBatch.from_ops([(OP_INSERT, q, b"") for q in queries])
+        .cache.bucket_ids(table.buckets)
+    ]
+    want_n, want_bytes, want = [], [], []
+    for k, (head, q) in enumerate(zip(heads, queries)):
+        addr, at, cum = head, 0, 0
+        while addr != NULL:
+            seg, off = divmod(addr, heap.page_size)
+            buf = heap.segment_view(seg)
+            hdr = E.read_key_entry_header(buf, off)
+            cum += E.KEY_ENTRY_HEADER + hdr[4]
+            if E.key_entry_key(buf, off, hdr[4]) == q:
+                want.append((k, at, cum, addr, hdr[5]))
+            addr, at = hdr[1], at + 1
+        want_n.append(at)
+        want_bytes.append(cum)
+    for flag in (E.FLAG_PENDING, E.FLAG_TOMBSTONE, E.FLAG_SHADOW):
+        assert any(f & flag for *_, f in want)
+    image = np.frombuffer(heap.cpu_image(), dtype=np.uint8)
+    kmat, klens = pack_byte_rows(queries)
+    cm = match_cpu_chains(image, np.array(heads), "key", kmat, klens)
+    assert cm.n_chain.tolist() == want_n
+    assert cm.chain_bytes.tolist() == want_bytes
+    assert list(zip(*(c.tolist() for c in (
+        cm.key, cm.at, cm.cum, cm.pos, cm.flags
+    )))) == want
+    assert not cm.vlen.any()
 
 
 def test_empty_and_single_entry_chains():

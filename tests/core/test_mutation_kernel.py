@@ -1,22 +1,27 @@
 """The batched mixed-op kernel, forced on at every batch size.
 
-``impl="vectorized"`` runs ``organizations._mutate_generic`` only for
-batches of at least ``MIXED_KERNEL_MIN_OPS`` ops, and the differential
-suites use batches far smaller than that.  This module patches the
+``impl="vectorized"`` runs ``organizations._mutate_generic`` (basic,
+combining) and ``_mutate_multivalued`` only for batches of at least
+``MIXED_KERNEL_MIN_OPS`` ops, and the differential suites use batches far
+smaller than that.  This module patches the
 cut-over to 0 for every test it collects (a fixture; the shipped constant
 is untouched) and
 
 * re-collects ``test_mutations.py``, ``test_mutation_readers.py`` and the
   ``MutationMachine`` state machine under it, so each of those suites
   runs at the shipped cut-over in its own module and at 0 here, and
-* adds the cases that need the kernel's own paths: allocation failure in
+* adds the cases that need the kernels' own paths: allocation failure in
   the middle of a batch (several groups at once; the denied op an insert,
-  an allocating update, a born-dead delete), groups already failed on
-  entry, lookups that follow a write to their key in the same batch,
-  width-changing updates, f64 folds across postponement, and a seeded fuzz.
+  an allocating update, a born-dead delete; for the multi-valued method
+  the denied request a key entry or a value node, the latter leaving a
+  half-applied op behind), groups already failed on entry, lookups that
+  follow a write to their key in the same batch, width-changing updates,
+  f64 folds across postponement, a seeded fuzz, and planted faults the
+  cases must catch.
 
 Every new case holds ``vectorized`` to ``slow_reference`` on all the
-observables of ``assert_mut_identical`` plus the allocator's own stats.
+observables of ``assert_mut_identical`` (table bytes and page pins
+included) plus the allocator's own stats.
 """
 
 import struct
@@ -30,6 +35,7 @@ from repro.core import entries as E
 from repro.core import (
     BITOR_U64,
     GpuHashTable,
+    RecordBatch,
     OP_DELETE,
     OP_INSERT,
     OP_LOOKUP,
@@ -38,8 +44,11 @@ from repro.core import (
     SUM_I64,
     organizations,
 )
+from repro.core.chainview import materialize_chains
 from repro.core.hashing import fnv1a
-from repro.memalloc import GpuHeap
+from repro.memalloc import BucketGroupAllocator, GpuHeap
+from repro.memalloc.address import NULL
+from repro.sanitize.sanitizer import SanitizerError
 from tests.core.test_mutations import (
     assert_mut_identical,
     kernel_calls,  # noqa: F401 -- fixture of the re-collected tests
@@ -77,19 +86,23 @@ TestMutationMachineKernel.settings = _MUTATION_SETTINGS
 # a SEPO-shaped driver that records what each kernel call was given
 # ----------------------------------------------------------------------
 def run_passes(kind, impl, op_batches, heap_bytes=2048, page_size=256,
-               n_buckets=32, group_size=8, combiner=SUM_I64, together=True):
+               n_buckets=32, group_size=8, combiner=SUM_I64, together=True,
+               policy="append", pin_limit=None):
     """Like ``run_mutations``, but the way ``SepoDriver`` issues work:
     every batch with pending ops once per pass, *then* the eviction -- so
     later batches of a pass meet groups that already failed
     (``together=False``: one batch at a time, each to completion).  Also
-    records, per call, the ops issued, the groups failed on entry and the
-    mask that came back."""
+    records, per call, the ops issued, the groups failed on entry, the
+    mask that came back and the keys left ``PENDING``; ``pin_limit`` sets
+    the multi-valued ``pin_retention_limit``."""
     table = GpuHashTable(
         n_buckets, make_org(kind, impl, combiner),
         GpuHeap(heap_bytes, page_size), group_size=group_size,
     )
-    batches = [mut_batch(kind, t, combiner=combiner) for t in op_batches]
-    masks, tallies, stats, calls = [], [], [], []
+    if pin_limit is not None:
+        table.org.pin_retention_limit = pin_limit
+    batches = [mut_batch(kind, t, policy, combiner) for t in op_batches]
+    masks, tallies, stats, calls, evictions = [], [], [], [], []
     rounds = [batches] if together else [[b] for b in batches]
     for todo in rounds:
         pending = [np.arange(len(b)) for b in todo]
@@ -102,9 +115,12 @@ def run_passes(kind, impl, op_batches, heap_bytes=2048, page_size=256,
                 masks.append(res.success.copy())
                 tallies.append(res.tally)
                 stats.append(res.stats)
-                calls.append((batch, pending[n], entry_failed, res.success))
+                calls.append((
+                    batch, pending[n], entry_failed, res.success,
+                    pending_keys(table) if kind == "multi-valued" else None,
+                ))
                 pending[n] = pending[n][~res.success]
-            table.end_iteration()
+            evictions.append(table.end_iteration())
             if not any(len(p) for p in pending):
                 break
         else:
@@ -113,6 +129,25 @@ def run_passes(kind, impl, op_batches, heap_bytes=2048, page_size=256,
         "table": table, "masks": masks, "tallies": tallies, "stats": stats,
         "lookups": [dict(b.lookup_results) for b in batches],
         "census": table.check_invariants(), "calls": calls,
+        "evictions": evictions,
+    }
+
+
+def pending_keys(table):
+    """Keys whose newest resident key entry is live and ``PENDING``: what
+    an upsert refused its value node leaves behind (read off the arena)."""
+    heads = table.buckets.head_cpu[table.buckets.occupied_buckets()]
+    block = materialize_chains(table.heap, heads.tolist(), "key")
+    blob = block.keys.tobytes()
+    width = block.keys.shape[1]
+    newest: dict = {}
+    for w, (n, flags) in enumerate(
+        zip(block.klens.tolist(), block.flags.tolist())
+    ):
+        newest.setdefault(blob[w * width:w * width + n], flags)
+    return {
+        key for key, flags in newest.items()
+        if flags & E.FLAG_PENDING and not flags & E.FLAG_TOMBSTONE
     }
 
 
@@ -121,7 +156,7 @@ def what_happened(run):
     observables alone (masks, ops, the allocator's failed groups)."""
     table = run["table"]
     seen = set()
-    for batch, idx, entry_failed, success in run["calls"]:
+    for batch, idx, entry_failed, success, left_pending in run["calls"]:
         groups = (
             batch.cache.bucket_ids(table.buckets)[idx]
             // table.buckets.group_size
@@ -135,10 +170,13 @@ def what_happened(run):
         _, first = np.unique(groups[late], return_index=True)
         if len(first) >= 2:
             seen.add("several-groups-fail")
-        for op in ops[late[first]].tolist():
-            seen.add(f"denied-{('insert', 'update', 'delete')[op]}")
-        # lookups that follow a write to their own key in the same call
         keys = batch.key_bytes_list()
+        for j in late[first].tolist():
+            seen.add(f"denied-{('insert', 'update', 'delete')[ops[j]]}")
+            if left_pending is not None:  # which of its two requests
+                half_applied = keys[idx[j]] in left_pending
+                seen.add("denied-value" if half_applied else "denied-key")
+        # lookups that follow a write to their own key in the same call
         wrote = set()
         for i, op, ok in zip(idx.tolist(), ops.tolist(), success.tolist()):
             if op == OP_LOOKUP:
@@ -191,32 +229,39 @@ def value(kind, v):
 ONE_CHAIN = dict(heap_bytes=2 * 256, page_size=256, n_buckets=1, group_size=1)
 
 
-@pytest.mark.parametrize("kind", ["basic", "combining"])
+@pytest.mark.parametrize("kind", ["basic", "combining", "multi-valued"])
 @pytest.mark.parametrize("denied", ["insert", "update", "delete"])
 def test_cut_at_each_kind_of_denied_op(kind, denied):
-    """Fill both pages exactly, then ask for one more entry: as an insert,
-    as an update of an absent key, and as a delete whose miss is unproven
-    (the chain runs on into the evicted first batch).  The denied op is
+    """Fill both pages exactly (multi-valued: the key page, with room left
+    on the value page), then ask for one more entry: as an insert, as an
+    update of an absent key, and as a delete whose miss is unproven (the
+    chain runs on into the evicted first batch).  The denied op is
     charged its walk and its INSERT_CYCLES; the ops behind it -- a lookup
-    and an in-place update that need no memory at all -- postpone at the
-    gate."""
+    and an update of a live key that needs no page at all -- postpone at
+    the gate."""
     val = (lambda v: v) if kind == "combining" else (lambda v: b"v%02d" % v)
-    per_page = 256 // E.entry_size(5, 8 if kind == "combining" else 3)
+    if kind == "multi-valued":
+        n_fill = 256 // E.key_entry_size(5)
+        assert n_fill * E.value_node_size(3) < 256
+    else:
+        n_fill = 2 * (256 // E.entry_size(5, 8 if kind == "combining" else 3))
     seed = [(OP_INSERT, b"old%02d" % i, val(i)) for i in range(4)]
-    fill = [(OP_INSERT, b"k%04d" % i, val(i)) for i in range(2 * per_page)]
+    fill = [(OP_INSERT, b"k%04d" % i, val(i)) for i in range(n_fill)]
     extra = (
         {"insert": OP_INSERT, "update": OP_UPDATE, "delete": OP_DELETE}[denied],
         b"k9999", val(1),
     )
     tail = [(OP_LOOKUP, b"k0003", val(0)), (OP_UPDATE, b"k0004", val(7))]
     a = both(kind, [seed, fill + [extra] + tail], together=False, **ONE_CHAIN)
-    assert what_happened(a) == {f"denied-{denied}"}
+    assert what_happened(a) == {f"denied-{denied}"} | (
+        {"denied-key"} if kind == "multi-valued" else set()
+    )
     first_try = a["calls"][1][3]
     assert first_try[:len(fill)].all() and not first_try[len(fill):].any()
     assert a["table"].mutations.gate_postponed == 2
 
 
-@pytest.mark.parametrize("kind", ["basic", "combining"])
+@pytest.mark.parametrize("kind", ["basic", "combining", "multi-valued"])
 def test_several_groups_fail_inside_one_batch(kind):
     """Four groups share three pages: the pool runs dry while every group
     still has ops queued, so each stops at its own first denied page take
@@ -241,8 +286,8 @@ def test_several_groups_fail_inside_one_batch(kind):
 @pytest.mark.parametrize("kind", ["basic", "combining", "multi-valued"])
 def test_groups_failed_on_entry_postpone_in_one_step(kind):
     """The second batch of a pass meets the groups the first one
-    exhausted: their ops postpone at the entry gate (for the multi-valued
-    method too, which otherwise stays on the loop), the other groups' run."""
+    exhausted: their ops postpone at the entry gate, one masked step in
+    front of all three organizations' kernels, and the other groups' run."""
     shape = dict(heap_bytes=2 * 256, page_size=256, n_buckets=16, group_size=8)
     g0 = keys_of_group(0, 24, 16, 8)
     g1 = keys_of_group(1, 6, 16, 8)
@@ -258,6 +303,164 @@ def test_groups_failed_on_entry_postpone_in_one_step(kind):
     a = both(kind, [first, second], **shape)
     assert "failed-on-entry" in what_happened(a)
     assert a["table"].mutations.gate_postponed > 0
+
+
+# ----------------------------------------------------------------------
+# the two-request cut of the multi-valued method
+# ----------------------------------------------------------------------
+#: eight 3-byte values over four keys: the value page is full, the key
+#: page has room for one more 5-byte key
+VALUE_PAGE_FULL = [
+    (OP_INSERT, b"k%04d" % (i % 4), b"v%02d" % i) for i in range(8)
+]
+assert 8 * E.value_node_size(3) == 256 > 5 * E.key_entry_size(5)
+
+
+def key_entries(table, key):
+    """``(flags, vhead_cpu)`` of every entry of ``key``, newest first,
+    read off the CPU side of the one-bucket table."""
+    out, addr = [], int(table.buckets.head_cpu[0])
+    while addr != NULL:
+        seg, off = divmod(addr, table.heap.page_size)
+        buf = table.heap.segment_view(seg)
+        hdr = E.read_key_entry_header(buf, off)
+        if E.key_entry_key(buf, off, hdr[4]) == key:
+            out.append((hdr[5], hdr[3]))
+        addr = hdr[1]
+    return out
+
+
+@pytest.mark.parametrize("case", ["insert-new-key", "append-to-hit", "replace"])
+def test_value_denied_leaves_a_half_applied_op(case):
+    """The denied request is a VALUE one: of an insert that just created
+    its key entry (an empty ``PENDING`` entry stays behind), of an append
+    to a resident hit that already holds values (``PENDING`` set on it),
+    of a ``replace`` update (an empty ``SHADOW|PENDING`` entry).  Either
+    way the key page is pinned and the ops behind postpone at the gate; a
+    reader that gets in ahead of the retry sees what was acknowledged and
+    no more; the retry completes the entry it finds instead of making
+    another."""
+    extra, policy = {
+        "insert-new-key": ((OP_INSERT, b"k9999", b"new"), "append"),
+        "append-to-hit": ((OP_INSERT, b"k0001", b"new"), "append"),
+        "replace": ((OP_UPDATE, b"k0001", b"new"), "replace"),
+    }[case]
+    key = extra[1]
+    tail = [(OP_LOOKUP, key, b""), (OP_DELETE, b"k0002", b"")]
+    spec = [VALUE_PAGE_FULL, [extra] + tail, [(OP_LOOKUP, key, b"")]]
+    stops = {}
+
+    def driver(kind, impl, spec):
+        table = GpuHashTable(
+            1, make_org(kind, impl), GpuHeap(2 * 256, 256), group_size=1
+        )
+        fill, batch, reader = (mut_batch(kind, t, policy) for t in spec)
+        out = {"masks": [], "tallies": [], "stats": [], "calls": []}
+
+        def call(batch, idx):
+            entry_failed = table.alloc.failed_groups
+            res = table.mutate_batch(batch, idx)
+            out["masks"].append(res.success)
+            out["tallies"].append(res.tally)
+            out["stats"].append(res.stats)
+            out["calls"].append(
+                (batch, idx, entry_failed, res.success, pending_keys(table))
+            )
+            return res.success
+
+        assert call(fill, np.arange(len(fill))).all()
+        done = call(batch, np.arange(len(batch)))
+        assert not done.any()
+        stops[impl] = (
+            key_entries(table, key), dict(table.org._pin_counts),
+            [p.kind.name for p in table.heap.resident_pages if p.pinned],
+        )
+        table.end_iteration()  # the pinned key page stays
+        assert call(reader, np.arange(1)).all()
+        assert call(batch, np.flatnonzero(~done)).all()
+        table.end_iteration()
+        out.update(
+            table=table, census=table.check_invariants(),
+            lookups=[dict(b.lookup_results) for b in (batch, reader)],
+        )
+        return out
+
+    a = both("multi-valued", spec, driver=driver)
+    assert stops["vectorized"] == stops["slow_reference"]
+    entries, pins, pinned = stops["vectorized"]
+    flags, vhead = entries[0]
+    assert flags & E.FLAG_PENDING and not flags & E.FLAG_TOMBSTONE
+    assert bool(flags & E.FLAG_SHADOW) == (case == "replace")
+    assert (vhead == NULL) == (case != "append-to-hit")
+    assert len(entries) == (2 if case == "replace" else 1)
+    assert list(pins.values()) == [1] and pinned == ["KEY"]
+    assert what_happened(a) == {
+        "denied-value", "lookup-after-write",
+        "denied-update" if case == "replace" else "denied-insert",
+    }
+    table = a["table"]
+    assert len(key_entries(table, key)) == len(entries), "retry duplicated"
+    assert not any(f & E.FLAG_PENDING for f, _ in key_entries(table, key))
+    assert not table.org._pin_counts
+    assert table.mutations.gate_postponed == 2
+    before = [] if case == "insert-new-key" else [b"v01", b"v05"]
+    after = [b"new"] if case == "replace" else before + [b"new"]
+    assert a["lookups"] == [{1: after}, {0: before}]
+    assert sorted(table.result()[key]) == sorted(after)
+
+
+def test_delete_of_a_pending_key_unpins_its_page():
+    """A pure-insert batch leaves ``k0001`` ``PENDING`` (its last value
+    was refused); a mutation batch that deletes the key before the insert
+    is reissued clears the flag with the tombstone, and the page is
+    evictable again.  The lookups around it see the list, then nothing."""
+    def driver(kind, impl, spec, **kw):
+        table = GpuHashTable(
+            1, make_org(kind, impl), GpuHeap(2 * 256, 256), group_size=1
+        )
+        res = table.insert_batch(RecordBatch.from_pairs(
+            [(k, v) for _, k, v in VALUE_PAGE_FULL + [(0, b"k0001", b"new")]]
+        ))
+        assert res.success.tolist() == [True] * 8 + [False]
+        assert list(table.org._pin_counts.values()) == [1]
+        table.end_iteration()  # the pinned key page stays
+        assert len(table.heap.resident_pages) == 1
+        batch = mut_batch(kind, spec[0])
+        res = table.mutate_batch(batch)
+        assert res.success.all()
+        assert not table.org._pin_counts
+        assert not any(p.pinned for p in table.heap.resident_pages)
+        return {
+            "table": table, "masks": [res.success], "tallies": [res.tally],
+            "stats": [res.stats], "lookups": [dict(batch.lookup_results)],
+            "census": table.check_invariants(),
+        }
+
+    look = (OP_LOOKUP, b"k0001", b"")
+    a = both("multi-valued", [[look, (OP_DELETE, b"k0001", b""), look]],
+             driver=driver)
+    assert a["lookups"] == [{0: [b"v01", b"v05"], 2: []}]
+    assert a["table"].mutations.deletes_inplace == 1
+
+
+@pytest.mark.parametrize("policy", ["append", "replace"])
+def test_forced_full_eviction_between_passes(policy):
+    """``pin_retention_limit`` flushes the pinned key pages with their
+    ``PENDING`` entries: the retries find nothing resident, re-create the
+    key entries, and the unborn ones stay invisible on the CPU side."""
+    spec = [
+        _mutations.seeded_ops(30 + i, 150, 40, "multi-valued") for i in range(3)
+    ]
+    a = both("multi-valued", spec, policy=policy, pin_limit=0.05)
+    assert any(r.forced_full_eviction for r in a["evictions"])
+    assert "denied-value" in what_happened(a)
+    flat = [t for triples in spec for t in triples]
+    from repro.core import model_for_ops
+
+    model, _ = model_for_ops(flat, kind="multi-valued", update_policy=policy)
+    assert {k: sorted(v) for k, v in a["table"].result().items()} == {
+        k: sorted(v) for k, v in model.items()
+    }
 
 
 @pytest.mark.parametrize("cycles", [8.0, 2.5], ids=["integer", "fractional"])
@@ -283,12 +486,14 @@ def test_callback_combiners_keep_the_loop(cycles, monkeypatch):
 # ----------------------------------------------------------------------
 # lookups that read their own batch's writes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["basic", "combining"])
+@pytest.mark.parametrize("kind", ["basic", "combining", "multi-valued"])
 def test_lookup_after_same_key_writes_in_one_batch(kind):
     """A lookup preceded in its batch by a write to its key replays that
     key's ops: after an insert, after an in-place update of a resident
     hit, after delete-then-reinsert, after a delete alone -- with older
-    copies of the key both resident and evicted underneath."""
+    copies of the key both resident and evicted underneath.  Multi-valued
+    under both update policies: an update appends to the list, or
+    prepends a shadow that hides it."""
     val = lambda v: value(kind, v)
     k = [b"key-%d" % i for i in range(6)]
     look = lambda key: (OP_LOOKUP, key, val(0))
@@ -307,29 +512,36 @@ def test_lookup_after_same_key_writes_in_one_batch(kind):
     ]
     heap = dict(heap_bytes=8 * 256, page_size=256, n_buckets=2, group_size=2)
 
-    def driver(kind, impl, spec, **kw):
-        """evict ``older``; keep ``resident`` and ``probe`` in one pass"""
-        first = run_mutations(kind, impl, spec[:1], **kw)
-        table = first["table"]
-        out = {"masks": [], "tallies": [], "stats": [], "lookups": []}
-        for triples in spec[1:]:
-            batch = mut_batch(kind, triples)
-            res = table.mutate_batch(batch)
-            assert res.success.all()
-            out["masks"].append(res.success)
-            out["tallies"].append(res.tally)
-            out["stats"].append(res.stats)
-            out["lookups"].append(dict(batch.lookup_results))
-        out.update(table=table, census=table.check_invariants())
-        return out
+    def driver(policy):
+        def run(kind, impl, spec, **kw):
+            """evict ``older``; keep ``resident`` and ``probe`` in one pass"""
+            first = run_mutations(kind, impl, spec[:1], **kw)
+            table = first["table"]
+            out = {"masks": [], "tallies": [], "stats": [], "lookups": []}
+            for triples in spec[1:]:
+                batch = mut_batch(kind, triples, policy)
+                res = table.mutate_batch(batch)
+                assert res.success.all()
+                out["masks"].append(res.success)
+                out["tallies"].append(res.tally)
+                out["stats"].append(res.stats)
+                out["lookups"].append(dict(batch.lookup_results))
+            out.update(table=table, census=table.check_invariants())
+            return out
+        return run
 
-    a = both(kind, [older, resident, probe], driver=driver, **heap)
     from repro.core import model_for_ops
 
     comb = SUM_I64 if kind == "combining" else None
-    _, want = model_for_ops(older + resident + probe, kind=kind, combiner=comb)
     offset = len(older) + len(resident)
-    assert a["lookups"][-1] == {i - offset: v for i, v in want.items()}
+    policies = ("append", "replace") if kind == "multi-valued" else ("append",)
+    for policy in policies:
+        a = both(kind, [older, resident, probe], driver=driver(policy), **heap)
+        _, want = model_for_ops(
+            older + resident + probe, kind=kind, combiner=comb,
+            update_policy=policy,
+        )
+        assert a["lookups"][-1] == {i - offset: v for i, v in want.items()}
 
 
 def test_width_changing_basic_updates():
@@ -384,6 +596,88 @@ def test_f64_sums_across_postponement():
 
 
 # ----------------------------------------------------------------------
+# the bar: planted faults the multi-valued cases must catch
+# ----------------------------------------------------------------------
+def _cut_one_request_late(real):
+    def plan_page_takes(self, groups, sizes, kind=None, kinds=None):
+        takes = real(self, groups, sizes, kinds=kinds)
+        late = takes.copy()
+        late[self.heap.pool.n_free:] += 1
+        return late[late < len(groups)]
+    return plan_page_takes
+
+
+def _forget_pending_on_hits(real):
+    def scatter_field(arena, pos, values):
+        if values.dtype == np.uint32:  # a resident key entry's flag word
+            values = values & ~np.uint32(E.FLAG_PENDING)
+        real(arena, pos, values)
+    return scatter_field
+
+
+def _first_node_to_null(real):
+    def link(gaddr, caddr, first, head_gpu, head_cpu):
+        lost = np.full(len(gaddr), NULL, dtype=np.int64)
+        return real(gaddr, caddr, first, lost, lost)
+    return link
+
+
+def _unborn_entries_match(real):
+    def match_cpu_chains(image, heads, kind, keys, key_lens):
+        cm = real(image, heads, kind, keys, key_lens)
+        return cm._replace(flags=cm.flags & ~E.FLAG_PENDING)
+    return match_cpu_chains
+
+
+def _drop_shadow(real):
+    def write_key_entries_bulk(*args):
+        real(*args[:-1], args[-1] & ~E.FLAG_SHADOW)
+    return write_key_entries_bulk
+
+
+MV_FAULTS = {
+    "cut the group one request late": (
+        BucketGroupAllocator, "plan_page_takes", _cut_one_request_late),
+    "forget PENDING on a VALUE-refused hit": (
+        E, "scatter_field", _forget_pending_on_hits),
+    "link a first value node to NULL": (
+        organizations, "_link_value_lists", _first_node_to_null),
+    "treat an empty PENDING entry as a lookup match": (
+        organizations, "match_cpu_chains", _unborn_entries_match),
+    "drop SHADOW on a replace-made entry": (
+        E, "write_key_entries_bulk", _drop_shadow),
+}
+
+
+def _mv_cases_that_fail():
+    """The fixed multi-valued differential cases of this module, run one
+    by one; returns the ones that do not hold."""
+    cases = {
+        f"value-denied {c}": lambda c=c: test_value_denied_leaves_a_half_applied_op(c)
+        for c in ("insert-new-key", "append-to-hit", "replace")
+    }
+    cases["several groups"] = (
+        lambda: test_several_groups_fail_inside_one_batch("multi-valued"))
+    cases["lookup after write"] = (
+        lambda: test_lookup_after_same_key_writes_in_one_batch("multi-valued"))
+    failed = []
+    for name, case in cases.items():
+        try:
+            case()
+        except (AssertionError, SanitizerError):
+            failed.append(name)
+    return failed
+
+
+@pytest.mark.parametrize("fault", MV_FAULTS)
+def test_multivalued_cases_catch_planted_faults(fault, monkeypatch):
+    assert _mv_cases_that_fail() == []
+    owner, name, edit = MV_FAULTS[fault]
+    monkeypatch.setattr(owner, name, edit(getattr(owner, name)))
+    assert _mv_cases_that_fail(), f"{fault}: every case still holds"
+
+
+# ----------------------------------------------------------------------
 # seeded fuzz
 # ----------------------------------------------------------------------
 def fuzz_stream(rng, kind, comb, n, n_keys):
@@ -413,23 +707,25 @@ def fuzz_stream(rng, kind, comb, n, n_keys):
     return [(int(o), k, v) for o, k, v in zip(ops, keys, vals)]
 
 
-FUZZ_CASES = 36
+FUZZ_CASES = 54
 
 
 def test_seeded_fuzz_matches_the_scalar_reference():
     """Page sizes 128-512, 3-24 pages, group sizes 1-8, variable-width
-    keys and values, i64 / f64 / bit-or combiners; both drivers.  The
-    union of what the cases went through must cover every kernel path."""
+    keys and values, i64 / f64 / bit-or combiners, both multi-valued
+    update policies; both drivers.  The union of what the cases went
+    through must cover every kernel path."""
     seen = set()
     for case in range(FUZZ_CASES):
         rng = np.random.default_rng([2024, case])
-        kind = ("basic", "combining")[case % 2]
-        comb = (SUM_I64, SUM_F64, BITOR_U64)[case // 2 % 3]
+        kind = ("basic", "combining", "multi-valued")[case % 3]
+        comb = (SUM_I64, SUM_F64, BITOR_U64)[case // 3 % 3]
         page = int(rng.choice([128, 256, 512]))
         shape = dict(
             heap_bytes=page * int(rng.integers(3, 25)), page_size=page,
             n_buckets=int(rng.choice([8, 16, 32, 64])),
             group_size=int(rng.choice([1, 2, 4, 8])), combiner=comb,
+            policy=("append", "replace")[case // 3 % 2],
         )
         spec = [
             fuzz_stream(
@@ -449,4 +745,5 @@ def test_seeded_fuzz_matches_the_scalar_reference():
     assert seen >= {
         "failed-on-entry", "several-groups-fail", "lookup-after-write",
         "denied-insert", "denied-update", "denied-delete",
+        "denied-key", "denied-value",
     }

@@ -8,12 +8,13 @@ results, mutation counters, the tombstone census, and final ``result()``
 mappings are *identical*, with the dict model from
 :func:`repro.core.model_for_ops` as ground truth.
 
-Also pins which batches the batched mixed-op kernel
-(``organizations._mutate_generic``) takes once the op-count cut-over lets
-it: ufunc combiners with any op mix -- deletes and lookups included, the
-in-batch duplicates folded in arrival order -- but never a callback
-combiner, which combines one value at a time in the scalar loop.  Either
-way the tallies match the scalar reference bit for bit.
+Also pins which batches the batched mixed-op kernels
+(``organizations._mutate_generic`` / ``_mutate_multivalued``) take once
+the op-count cut-over lets them: ufunc combiners with any op mix --
+deletes and lookups included, the in-batch duplicates folded in arrival
+order -- and multi-valued batches under both update policies, but never a
+callback combiner, which combines one value at a time in the scalar loop.
+Either way the tallies match the scalar reference bit for bit.
 
 Every batch here is smaller than the shipped cut-over, so as written the
 differential cases hold the *dispatch* to the oracle;
@@ -146,6 +147,14 @@ def assert_mut_identical(a, b):
     assert a["census"].dead_bytes == b["census"].dead_bytes
     assert list(ta.cpu_items()) == list(tb.cpu_items())
     assert ta.result() == tb.result()
+    # "table bytes do not depend on the choice": GPU-side pointers, flag
+    # words and pad bytes included, and what pins a page
+    assert ta.heap.cpu_image() == tb.heap.cpu_image()
+    pins = lambda t: (
+        getattr(t.org, "_pin_counts", {}),
+        {p.segment for p in t.heap.resident_pages if p.pinned},
+    )
+    assert pins(ta) == pins(tb)
 
 
 def model_reference(op_batches, kind, policy="append"):
@@ -240,16 +249,20 @@ def test_mixed_ops_through_sepo_driver():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Cut-over at 0, and a count of the batched kernel's entries."""
+    """Cut-over at 0, and a count of the batched kernels' entries."""
     calls = {"n": 0}
-    original = organizations._mutate_generic
 
-    def counting(*a, **kw):
-        calls["n"] += 1
-        return original(*a, **kw)
+    def counting(original):
+        def kernel(*a, **kw):
+            calls["n"] += 1
+            return original(*a, **kw)
+        return kernel
 
     monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", 0)
-    monkeypatch.setattr(organizations, "_mutate_generic", counting)
+    for name in ("_mutate_generic", "_mutate_multivalued"):
+        monkeypatch.setattr(
+            organizations, name, counting(getattr(organizations, name))
+        )
     return calls
 
 
@@ -368,6 +381,18 @@ def test_delete_or_lookup_in_batch_runs_kernel(op, kernel_calls):
         assert batch.lookup_results[len(triples) - 1] == 7
     else:
         assert b"alpha" not in table.result()
+
+
+@pytest.mark.parametrize("policy", ["append", "replace"])
+def test_multivalued_mixed_batch_runs_its_kernel(policy, kernel_calls):
+    """The third organization's mixed-op batches have a batched form too,
+    under both update policies; ``slow_reference`` stays on the loop."""
+    spec = [seeded_ops(5, 200, 40, "multi-valued")]
+    a = run_mutations("multi-valued", "vectorized", spec, policy=policy)
+    assert kernel_calls["n"] == len(a["masks"]) > 1
+    b = run_mutations("multi-valued", "slow_reference", spec, policy=policy)
+    assert kernel_calls["n"] == len(a["masks"])
+    assert_mut_identical(a, b)
 
 
 def test_batches_under_the_cut_over_stay_on_the_loop(monkeypatch):
