@@ -40,12 +40,16 @@ beside them, and a ``router`` cell times small client batches through
 A ``lookup`` cell times ``LookupDriver.lookup`` -- 4,096 queries, half of
 them misses, against a table four times its heap -- as one batched resolve
 per pass and as the per-entry walk: queries/s, passes, pages paged in.
+A ``pressure`` cell times multi-valued inserts where SEPO postpones them:
+one batch that exhausts its heap half way through and one that enters the
+pool dry, insert kernel against the loop, with the share each postpones.
 
 The pytest entry points double as the CI perf smoke: every organization's
 vectorized insert path (f64 combining included) must beat its scalar
 reference by at least 2x, the batched mixed-op kernels the scalar loop by
 2x at 64k ops, the batched lookup pass the per-entry walk by 2.5x basic,
-3x combining and 1.4x multi-valued, and the bulk ``result()`` of the combining table
+3x combining and 1.4x multi-valued, the multi-valued insert kernel the loop
+by 2x on a batch entered with a dry pool, and the bulk ``result()`` of the combining table
 its per-entry merge by 1.5x, on the reduced workload (the tracked full-scale speedups are ~8-10x; 2x keeps the
 gate robust on noisy shared runners).  The 1M tier is gated separately
 (``test_million_tier_*``, a dedicated CI job) with *absolute* vectorized
@@ -463,6 +467,61 @@ def lookup_cell(repeats: int = 3, kinds=KINDS) -> dict:
     return rows
 
 
+#: the pressure cell: two 16k-record multi-valued batches into a heap that
+#: holds about half of the first (the sweep's table shape)
+PRESSURE_RECORDS = 16_384
+PRESSURE_HEAP_PAGES = 160
+#: gate of the insert kernel over the loop on the batch entered dry
+#: (measured 4.2-5.1x over six runs; 6.2-7.4x on the crossing batch)
+PRESSURE_MIN_SPEEDUP = 2.0
+
+
+def pressure_cell(repeats: int = 3) -> dict:
+    """Multi-valued inserts under pool pressure, kernel against loop:
+    best-of-``repeats`` records/sec of one ``insert_batch`` that exhausts
+    the pool in mid-batch (``crossing``) and of the next one, which finds
+    it dry (``dry``; no eviction in between), with the share of its
+    records each postpones -- the same under both implementations."""
+    batches = [
+        make_workload(PRESSURE_RECORDS, "uniform", seed) for seed in (42, 43)
+    ]
+    best = {
+        (state, impl): 0.0 for state in ("crossing", "dry")
+        for impl in ("slow_reference", "vectorized")
+    }
+    postponed = {}
+    for _ in range(repeats):
+        # both arms inside every repeat (see result_kps)
+        for impl in ("slow_reference", "vectorized"):
+            table = GpuHashTable(
+                SWEEP_BUCKETS, make_org("multi-valued", impl),
+                GpuHeap(PRESSURE_HEAP_PAGES * SWEEP_PAGE, SWEEP_PAGE),
+                group_size=64,
+            )
+            for state, (keys, values) in zip(("crossing", "dry"), batches):
+                batch = make_batch("multi-valued", keys, values)
+                dry_on_entry = table.heap.pool.n_free == 0
+                t0 = time.perf_counter()
+                result = table.insert_batch(batch)
+                dt = time.perf_counter() - t0
+                assert dry_on_entry == (state == "dry")
+                assert table.heap.pool.n_free == 0, "the heap must run dry"
+                best[state, impl] = max(best[state, impl], len(keys) / dt)
+                share = 1.0 - float(result.success.mean())
+                assert postponed.setdefault(state, share) == share
+    return {
+        state: {
+            "loop_rps": round(best[state, "slow_reference"]),
+            "kernel_rps": round(best[state, "vectorized"]),
+            "speedup": round(
+                best[state, "vectorized"] / best[state, "slow_reference"], 2
+            ),
+            "postponed_share": round(postponed[state], 3),
+        }
+        for state in ("crossing", "dry")
+    }
+
+
 #: the input-side cell runs every app at the size the benchmark of record
 #: gives it in ``apps_fit`` (paper-scale GB, taken at scale 1/1024)
 INPUT_SIDE_GB = {
@@ -736,6 +795,8 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
         "router": router_cell(n, repeats),
         # the read path: one batched resolve per pass vs the per-entry walk
         "lookup": lookup_cell(repeats),
+        # multi-valued inserts through pool exhaustion: kernel vs loop
+        "pressure": pressure_cell(repeats),
         # the input side: span parsers vs the list path over their oracles
         "input_side": input_side_cell(repeats),
         # the evidence behind organizations.MIXED_KERNEL_MIN_OPS
@@ -914,6 +975,19 @@ def test_batched_lookup_beats_scalar_walk():
         assert row["passes"] > 2 and row["pages_paged_in"] > 0
 
 
+def test_insert_kernel_beats_loop_on_a_dry_pool():
+    """CI gate: a multi-valued insert batch entered with the pool already
+    dry -- nearly all of it postponed -- must run :data:`PRESSURE_MIN_SPEEDUP`
+    x as fast on the kernel as in the loop it used to be handed to."""
+    rows = pressure_cell(repeats=3)
+    assert rows["dry"]["kernel_rps"] >= PRESSURE_MIN_SPEEDUP * rows["dry"]["loop_rps"], (
+        f"dry pool: insert kernel {rows['dry']['kernel_rps']:,} rec/s < "
+        f"{PRESSURE_MIN_SPEEDUP}x the loop {rows['dry']['loop_rps']:,} rec/s"
+    )
+    assert 0.3 < rows["crossing"]["postponed_share"] < 0.7
+    assert rows["dry"]["postponed_share"] > 0.9
+
+
 def test_span_parsers_beat_list_path():
     """CI perf smoke: every span parser builds its batches at least
     ``INPUT_SIDE_MIN_SPEEDUP`` times as fast as the list path builds them
@@ -1027,6 +1101,10 @@ def test_hostperf_export_roundtrip(tmp_path):
     for row in full["lookup"].values():
         assert row["scalar_qps"] > 0 and row["batched_qps"] > 0
         assert 3.8 <= row["table_over_heap"] <= 4.2
+    # ... and the pressure rows: one batch across exhaustion, one after it
+    assert set(full["pressure"]) == {"crossing", "dry"}
+    for row in full["pressure"].values():
+        assert row["loop_rps"] > 0 and row["kernel_rps"] > 0
     # ... and the input-side rows: one per app, both arms but for DNA
     assert set(full["input_side"]) == {cls.name for cls in ALL_APPS}
     for name, row in full["input_side"].items():
@@ -1037,7 +1115,8 @@ def test_hostperf_export_roundtrip(tmp_path):
     assert set(deep["distributions"]) == {"uniform"}
     assert set(deep["distributions"]["uniform"]) == set(KINDS)
     assert not {
-        "shard_scaling", "mixed_sweep", "router", "lookup", "input_side"
+        "shard_scaling", "mixed_sweep", "router", "lookup", "pressure",
+        "input_side",
     } & set(deep)
 
 
@@ -1132,6 +1211,12 @@ def _print_tier(tier: dict) -> None:
                 f"{row['speedup']:.2f}x"
             )
         print(line)
+    for state, row in tier.get("pressure", {}).items():
+        print(
+            f"  pressure/{state:<11} loop {row['loop_rps']:>9,} rec/s   kernel "
+            f"{row['kernel_rps']:>9,} rec/s   {row['speedup']:.2f}x   "
+            f"({row['postponed_share']:.1%} postponed)"
+        )
     for kind, row in tier.get("lookup", {}).items():
         print(
             f"  lookup/{kind:<13} walk {row['scalar_qps']:>9,} queries/s   "

@@ -19,10 +19,15 @@ one node at a time.  The walker serves two address translations:
 
 A parse returns a :class:`ChainBlock`: chain-major flat arrays of addresses,
 byte positions, key/value lengths, mutation flags and walk-charge
-cumsums, one zero-padded key matrix, and per chain the (segment, address)
-where its walk left residency.  Every batched reader -- the insert and
-mixed-op kernels and the lookup driver's pass -- hands all its keys at
-once to the one key matcher (:func:`_match_keys`) and gets back a
+cumsums, and per chain the (segment, address) where its walk left
+residency.  There is no key matrix in a parse: the keys stay where they
+lie, and the one key matcher (:func:`_match_keys`) reads them as 8-byte
+words straight out of the arena / CPU image, for the (key, entry) pairs
+that survive the key-length compare only (``ChainBlock.keys`` builds the
+zero-padded matrix when somebody asks -- the sanitizer's cross-check,
+``ChainSoA.key_bytes``, a heap too oddly sized for word views).  Every
+batched reader -- the insert and mixed-op kernels and the lookup driver's
+pass -- hands all its keys at once to that matcher and gets back a
 :class:`ChainMatches`: every same-key entry of every key's chain.
 :func:`match_resident_chains` reads the *resident* prefixes (one SEPO
 lookup pass: what is not matched there and runs on into evicted memory
@@ -75,6 +80,10 @@ _GFLAG_BITS = ~np.int64(E.GKLEN_MASK)
 #: time; bounds its pair arrays however many keys share one long chain
 _RESOLVE_PAIRS = 1 << 18
 
+#: a whole 8-byte key word; shifted right it cuts a key's last word at the
+#: key's length (little-endian: the key's bytes are the low ones)
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
 #: live walks a level-synchronous round needs to beat the per-node loop:
 #: a round is ~a dozen numpy dispatches whatever its width, a loop step
 #: well under a microsecond
@@ -87,7 +96,7 @@ class ChainSoA:
 
     __slots__ = (
         "head", "arena", "addrs", "pos", "klens", "vlens", "flags",
-        "costs", "cum", "keys", "blocked",
+        "costs", "cum", "_keys", "blocked",
     )
 
     def __init__(self, head, arena, addrs, pos, klens, vlens, flags,
@@ -101,13 +110,20 @@ class ChainSoA:
         self.flags = flags  # raw mutation-flag bits per entry
         self.costs = costs  # bytes a walk is charged for visiting
         self.cum = cum  # inclusive prefix sums of costs, walk order
-        self.keys = keys  # (n, max_klen) zero-padded key bytes
+        self._keys = keys  # the key matrix, or what builds it when asked
         #: (segment, address) where the walk left residency, else None
         self.blocked = blocked
 
     @property
     def n(self) -> int:
         return len(self.addrs)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """(n, width) zero-padded key bytes."""
+        if callable(self._keys):
+            self._keys = self._keys()
+        return self._keys
 
     def key_bytes(self, w: int, blob: bytes | None = None) -> bytes:
         """Key bytes of entry ``w``; pass ``self.keys.tobytes()`` as
@@ -125,13 +141,16 @@ class ChainBlock(Mapping):
     The flat arrays are chain-major: chain ``i`` (the one starting at
     ``heads[i]``) owns rows ``starts[i]:starts[i + 1]`` in walk order.  As
     a mapping it is ``head -> ChainSoA``, each view a zero-copy slice built
-    when asked for, so bulk consumers never pay per-chain Python.
+    when asked for, so bulk consumers never pay per-chain Python.  The
+    keys are not copied out of ``arena``: row ``r``'s lie at
+    ``pos[r] + header``, and :attr:`keys` gathers them when asked.
     """
 
-    def __init__(self, heads, arena, starts, addrs, pos, klens, vlens,
-                 flags, costs, cum, keys, blocked):
-        self.heads = heads  # distinct non-NULL start addresses, in order
+    def __init__(self, heads, arena, header, starts, addrs, pos, klens,
+                 vlens, flags, costs, cum, blocked):
+        self.heads = heads  # distinct non-NULL start addresses (int64)
         self.arena = arena
+        self.header = header  # bytes in front of every entry's key
         self.starts = starts  # (len(heads) + 1,) row bounds per chain
         self.addrs = addrs
         self.pos = pos
@@ -140,28 +159,42 @@ class ChainBlock(Mapping):
         self.flags = flags
         self.costs = costs
         self.cum = cum  # inclusive, restarting at every chain
-        self.keys = keys
         #: per chain: the (segment, address) where its walk left
         #: residency, ``(-1, NULL)`` for a chain that is resident to its end
         self.blocked_seg, self.blocked_addr = blocked
+        self._keys: np.ndarray | None = None  # built when asked
         self._index: dict | None = None  # head -> chain, built when asked
+
+    @property
+    def keys(self) -> np.ndarray:
+        """One zero-padded (rows, longest key) matrix of every entry's key
+        bytes, gathered byte by byte (any alignment) on first use."""
+        if self._keys is None:
+            klens = self.klens
+            width = int(klens.max()) if len(klens) else 0
+            # clamped so short keys never index past the arena end
+            cols = np.arange(width, dtype=np.int64)
+            valid = cols[None, :] < klens[:, None]
+            at = np.where(valid, (self.pos + self.header)[:, None] + cols, 0)
+            self._keys = np.where(valid, self.arena[at], np.uint8(0))
+        return self._keys
 
     def __len__(self) -> int:
         return len(self.heads)
 
     def __iter__(self):
-        return iter(self.heads)
+        return iter(self.heads.tolist())
 
     def __getitem__(self, head: int) -> ChainSoA:
         if self._index is None:
-            self._index = {h: i for i, h in enumerate(self.heads)}
+            self._index = {h: i for i, h in enumerate(self.heads.tolist())}
         i = self._index[head]
         a, b = int(self.starts[i]), int(self.starts[i + 1])
         seg = int(self.blocked_seg[i])
         return ChainSoA(
             head, self.arena, self.addrs[a:b], self.pos[a:b],
             self.klens[a:b], self.vlens[a:b], self.flags[a:b],
-            self.costs[a:b], self.cum[a:b], self.keys[a:b],
+            self.costs[a:b], self.cum[a:b], lambda: self.keys[a:b],
             (seg, int(self.blocked_addr[i])) if seg >= 0 else None,
         )
 
@@ -351,12 +384,11 @@ def _assemble(
     blocked,
 ) -> ChainBlock:
     """Shared tail of both parse paths: chain-major header columns ->
-    :class:`ChainBlock` with walk costs and the key matrix.
+    :class:`ChainBlock` with walk costs.
 
     Inputs must already be chain-major (chain ``i``'s entries contiguous,
     in walk order, ``counts[i]`` long).
     """
-    n = len(addr_s)
     costs_s = header + klen_s
     starts = np.concatenate(([0], np.cumsum(counts)))
 
@@ -364,21 +396,9 @@ def _assemble(
     c = np.cumsum(costs_s)
     excl = np.concatenate(([0], c))
     cum_s = c - np.repeat(excl[starts[:-1]], counts)
-
-    # one zero-padded key matrix for all chains; rows gather from the
-    # arena, clamped so short keys never index past the arena end
-    width = int(klen_s.max()) if n else 0
-    if width:
-        cols = np.arange(width, dtype=np.int64)
-        valid = cols[None, :] < klen_s[:, None]
-        idx = np.where(valid, (pos_s + header)[:, None] + cols, 0)
-        keymat = arena[idx]
-        keymat[~valid] = 0
-    else:
-        keymat = np.zeros((n, 0), dtype=np.uint8)
     return ChainBlock(
-        heads, arena, starts, addr_s, pos_s, klen_s, vlen_s, flags_s,
-        costs_s, cum_s, keymat, blocked,
+        heads, arena, header, starts, addr_s, pos_s, klen_s, vlen_s,
+        flags_s, costs_s, cum_s, blocked,
     )
 
 
@@ -390,16 +410,26 @@ def materialize_chains(heap, heads, kind: str = "generic") -> ChainBlock:
     itself is layout-agnostic.  This is the only chain parser: every
     reader of resident chains outside the scalar oracle loops goes through
     the block it returns.
+
+    ``heads`` is any iterable of start addresses, duplicates and ``NULL``
+    dropped here -- or an int64 array, which is the resolver's
+    (:func:`_chains_of` made it distinct and ``NULL``-free) and is taken
+    as it is.
     """
     if kind not in ("generic", "key"):
         raise ValueError(f"unknown chain kind {kind!r}")
     layout = _LAYOUTS[kind]
     header = layout.header
-    heads = [h for h in dict.fromkeys(map(int, heads)) if h != NULL]
+    if not (isinstance(heads, np.ndarray) and heads.dtype == np.int64):
+        heads = np.array(
+            [h for h in dict.fromkeys(map(int, heads)) if h != NULL],
+            dtype=np.int64,
+        )
     arena = heap.pool.arena
     if not word_aligned(heap):
         views = [
-            _materialize_scalar(heap, h, kind, header, arena) for h in heads
+            _materialize_scalar(heap, h, kind, header, arena)
+            for h in heads.tolist()
         ]
         cols = [
             np.concatenate([getattr(v, name) for v in views])
@@ -492,22 +522,31 @@ def _match_keys(block, first_row, npairs, keys, key_lens):
     Key ``k`` is compared with the ``npairs[k]`` entries of ``block``
     starting at row ``first_row[k]`` (its chain, in walk order).  Pairs
     are expanded :data:`_RESOLVE_PAIRS` at a time and narrowed on key
-    length first, then one 8-byte word column at a time -- the order the
-    scalar walk compares in, so embedded and trailing NULs cannot alias a
-    shorter key.  Returns ``(k, within, row)`` of the matching pairs,
-    ordered by key and then walk position: a key's first pair is its
-    newest same-key entry (what :func:`resolve_keys` keeps), all of them
-    are what a lookup reads.
+    length first -- what the scalar walk compares first, so embedded and
+    trailing NULs cannot alias a shorter key -- then one 8-byte word at a
+    time, the entry's read where it lies: word ``c`` of row ``r``'s key is
+    ``arena`` word ``(pos[r] + header >> 3) + c`` (entries and headers
+    are 8-aligned).  A key's last word comes first and is cut past the
+    key's length on the entry's side (the bytes behind a key are its
+    value): keys that share their leading words are common, keys that
+    share their trailing ones are not, so the whole words in front are
+    read for little more than the true matches.  A heap too oddly sized
+    for word views is read through ``block.keys`` instead.  Returns
+    ``(k, within, row)`` of the matching pairs, ordered by key and then
+    walk position: a key's first pair is its newest same-key entry (what
+    :func:`resolve_keys` keeps), all of them are what a lookup reads.
     """
-    # both matrices cut to the common width, zeroed past each key's
-    # length and packed into 8-byte words: equal-length keys are equal
-    # iff their words are, and one word column of all pairs is a pair
-    # of 1-D gathers
-    width = min(block.keys.shape[1], keys.shape[1])
-    qkeys = keys[:, :width].copy()
-    qkeys[np.arange(width) >= key_lens[:, None]] = 0
-    rwords = _as_words(block.keys[:, :width])
+    # the batch side: zeroed past each key's length and packed into words
+    qkeys = keys.copy()
+    qkeys[np.arange(keys.shape[1]) >= key_lens[:, None]] = 0
     qwords = _as_words(qkeys)
+    # the entry side: word ``c`` of row ``r``'s key is ``ewords[wbase[r] + c]``
+    at = block.pos + block.header
+    if block.arena.nbytes % 8 == 0 and not (at & 7).any():
+        ewords, wbase = block.arena.view(np.uint64), at >> 3
+    else:
+        mat = _as_words(block.keys)
+        ewords, wbase = mat.ravel(), np.arange(len(at)) * mat.shape[1]
     cp = np.cumsum(npairs)
     found: list[tuple] = []
     lo = 0
@@ -521,9 +560,23 @@ def _match_keys(block, first_row, npairs, keys, key_lens):
             np.cumsum(cnt) - cnt, cnt
         )
         row = first_row[rep] + within
+
+        def narrow(cand, last, act, col, cut):
+            """Drop the pairs of ``cand[act]`` whose word ``col`` differs."""
+            a = cand[act]
+            ok = np.ones(len(cand), dtype=bool)
+            ok[act] = (ewords[wbase[row[a]] + col] & cut) == qwords[rep[a], col]
+            return cand[ok], last[ok]
+
         cand = np.flatnonzero(block.klens[row] == key_lens[rep])
-        for c in range(rwords.shape[1]):
-            cand = cand[rwords[row[cand], c] == qwords[rep[cand], c]]
+        n = key_lens[rep[cand]]
+        last = (n - 1) >> 3  # a key's last word; -1: empty, equal on length
+        act = last >= 0
+        tail = last[act]
+        cut = _ALL_ONES >> ((((tail + 1) << 3) - n[act]) << 3).astype(np.uint64)
+        cand, last = narrow(cand, last, act, tail, cut)
+        for c in range(int(last.max(initial=0))):
+            cand, last = narrow(cand, last, last > c, c, _ALL_ONES)
         found.append((rep[cand], within[cand], row[cand]))
         lo = hi
     if len(found) == 1:
@@ -611,7 +664,7 @@ def match_resident_chains(heap, heads, kind, keys, key_lens) -> ChainMatches:
     is parsed once by :func:`materialize_chains`.
     """
     return _match_chains(
-        lambda uniq: materialize_chains(heap, uniq.tolist(), kind),
+        lambda uniq: materialize_chains(heap, uniq, kind),
         _LAYOUTS[kind].header, heads, keys, key_lens,
     )
 
@@ -651,9 +704,7 @@ def match_cpu_chains(image, heads, kind, keys, key_lens) -> ChainMatches:
 
     def parse(uniq):
         cols, counts, blocked = _walk(image, uniq, layout, None, 0)
-        return _assemble(
-            uniq.tolist(), image, layout.header, *cols, counts, blocked
-        )
+        return _assemble(uniq, image, layout.header, *cols, counts, blocked)
 
     return _match_chains(parse, layout.header, heads, keys, key_lens)
 

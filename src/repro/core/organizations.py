@@ -30,10 +30,13 @@ by the ``impl`` constructor argument:
   mid-batch) once they hold :data:`MIXED_KERNEL_MIN_OPS` ops:
   :func:`_mutate_generic` for the two generic-entry organizations,
   :func:`_mutate_multivalued` -- the same steps over a request stream of
-  two page kinds -- for the third.  Whatever has no closed form -- traced
-  runs, 64-bit hash collisions, callback combiners, pure-insert batches
-  into tables holding tombstones and multi-valued inserts under pool
-  pressure -- runs the scalar loop.
+  two page kinds -- for the third.  Pure-insert batches are exact
+  through pool exhaustion as well: the pool empties once, and from there
+  on the multi-valued method's two page kinds decouple
+  (:meth:`MultiValuedOrganization._insert_preagg`).  Whatever has no
+  closed form -- traced runs, 64-bit hash collisions, callback combiners,
+  pure-insert batches into tables holding tombstones, a fault-injected
+  pool whose ``n_free`` cannot be believed -- runs the scalar loop.
 * ``"slow_reference"`` -- the one-record-at-a-time loops, always: the
   differential-testing oracle.
 
@@ -137,6 +140,13 @@ def segmented_exclusive_cumsum(
     out = np.empty(m, dtype=np.int64)
     out[order] = excl - base
     return out
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the positions where a run of equal values of ``x`` begins."""
+    first = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
 
 
 def _link_heads(buckets, bs, gaddr, caddr) -> tuple[np.ndarray, np.ndarray]:
@@ -1074,11 +1084,15 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     rewritten[changed] = True
     for seg in np.unique(res.hit_addr[rewritten] // page_size).tolist():
         heap.note_write(seg)
-    org._settle_pending(
-        heap, res.hit_addr[cleared] // page_size,
-        np.r_[res.hit_addr[pinned_hit] // page_size,
-              bulk.segment[at[kreq[pinned_new]]]],
-    )
+    # a key page serves one bucket group and only the last op a group runs
+    # in the call can pin, so on any segment the clears come first
+    n_cleared = int(cleared.sum())
+    segs = np.r_[
+        res.hit_addr[cleared] // page_size,
+        res.hit_addr[pinned_hit] // page_size,
+        bulk.segment[at[kreq[pinned_new]]],
+    ]
+    org._settle_pending(heap, segs, np.arange(len(segs)) >= n_cleared)
 
     # new key entries: linked newest-first per bucket, written once with
     # their final value list and flags
@@ -2164,16 +2178,32 @@ class MultiValuedOrganization(Organization):
         return []
 
     # -- pending-flag bookkeeping --------------------------------------
+    def _count_pending(self, heap, seg, pin: bool) -> None:
+        """One more (``pin``) or one fewer ``PENDING`` key entry on segment
+        ``seg``: a key page is pinned while it hosts any."""
+        counts = self._pin_counts
+        if pin:
+            counts[seg] = counts.get(seg, 0) + 1
+            page = heap.resident_page(seg)
+            assert page is not None
+            page.pinned = True
+            return
+        remaining = counts.get(seg, 0) - 1
+        if remaining <= 0:
+            counts.pop(seg, None)
+            page = heap.resident_page(seg)
+            if page is not None:
+                page.pinned = False
+        else:
+            counts[seg] = remaining
+
     def _set_pending(self, table, buf, seg, off) -> None:
         flags = E.get_flags(buf, off)
         if flags & E.FLAG_PENDING:
             return
         E.set_flags(buf, off, flags | E.FLAG_PENDING)
         table.heap.note_write(seg)
-        self._pin_counts[seg] = self._pin_counts.get(seg, 0) + 1
-        page = table.heap.resident_page(seg)
-        assert page is not None
-        page.pinned = True
+        self._count_pending(table.heap, seg, True)
 
     def _clear_pending(self, table, buf, seg, off) -> None:
         flags = E.get_flags(buf, off)
@@ -2181,36 +2211,16 @@ class MultiValuedOrganization(Organization):
             return
         E.set_flags(buf, off, flags & ~E.FLAG_PENDING)
         table.heap.note_write(seg)
-        remaining = self._pin_counts.get(seg, 0) - 1
-        if remaining <= 0:
-            self._pin_counts.pop(seg, None)
-            page = table.heap.resident_page(seg)
-            if page is not None:
-                page.pinned = False
-        else:
-            self._pin_counts[seg] = remaining
+        self._count_pending(table.heap, seg, False)
 
-    def _settle_pending(self, heap, cleared, pinned) -> None:
-        """What one batched kernel call's :meth:`_clear_pending` and
-        :meth:`_set_pending` events leave behind: ``cleared`` / ``pinned``
-        hold the segment of every key entry that lost / took up
-        ``PENDING``.  A key page serves one bucket group and only the last
-        op a group runs in a call can pin, so on any segment the clears
-        come first."""
-        counts = self._pin_counts
-        segs, n = np.unique(cleared, return_counts=True)
-        for seg, k in zip(segs.tolist(), n.tolist()):
-            remaining = counts.get(seg, 0) - k
-            if remaining <= 0:
-                counts.pop(seg, None)
-                page = heap.resident_page(seg)
-                if page is not None:
-                    page.pinned = False
-            else:
-                counts[seg] = remaining
-        for seg in pinned.tolist():
-            counts[seg] = counts.get(seg, 0) + 1
-            heap.resident_page(seg).pinned = True
+    def _settle_pending(self, heap, segs, pins) -> None:
+        """The pin bookkeeping of one batched kernel call's
+        :meth:`_set_pending` (``pins[e]``) and :meth:`_clear_pending`
+        events, in the order the loop would have had them: ``segs[e]`` is
+        the segment of the key entry whose ``PENDING`` bit flipped.  The
+        kernels write the flag words themselves."""
+        for seg, pin in zip(segs.tolist(), pins.tolist()):
+            self._count_pending(heap, seg, pin)
 
     # -- key-entry chain walk (different header layout) ------------------
     def _find_key_mut(self, table, bufs, addr, key, tally, trace):
@@ -2264,18 +2274,20 @@ class MultiValuedOrganization(Organization):
         """Batched multi-valued insert via in-batch pre-aggregation.
 
         Records are grouped by distinct key; each distinct key performs one
-        chain probe, new key entries and all value nodes are bulk-allocated
-        in one mixed-kind :meth:`allocate_many` call (KEY and VALUE requests
-        interleaved in arrival order, so pages leave the shared pool exactly
-        as the sequential walk would take them), value chains are linked with
-        grouped scatters, and each key's value-list head is written once.
+        chain probe, new key entries and value nodes are bulk-allocated
+        (KEY and VALUE requests interleaved in arrival order, so pages
+        leave the shared pool exactly as the sequential walk would take
+        them), value chains are linked with grouped scatters, and each
+        key's value-list head is written once.  Exact through pool
+        exhaustion (see :meth:`_insert_preagg`): a batch that crosses it,
+        or enters with the pool already dry, postpones on the kernel.
 
-        The fast path only engages when a read-only allocator pre-flight
-        (:meth:`~repro.memalloc.allocator.BucketGroupAllocator.plan_pages_needed`)
-        proves every allocation will succeed; under pool pressure -- where
-        per-record KEY/VALUE outcomes feed back into later requests -- the
-        scalar loop handles postponement exactly.  Traced runs, hash
-        collisions and tables holding tombstones also fall back.
+        What still runs the scalar loop: traced runs (per-walk
+        ``on_access`` order), 64-bit hash collisions, tables holding
+        tombstones, a request larger than a page (the loop raises), and --
+        the one pressure case left -- a fault-injected pool that denies
+        takes ``n_free`` promised (:meth:`PagePool.can_take
+        <repro.memalloc.pages.PagePool.can_take>`).
         """
         if batch.values is None:
             raise ValueError("the multi-valued method requires byte values")
@@ -2294,17 +2306,45 @@ class MultiValuedOrganization(Organization):
         return self._insert_scalar(table, batch, idx, buckets, tally)
 
     def _insert_preagg(self, table, batch, idx, buckets, tally, dk):
-        """No-postponement fast path; returns None when it does not apply.
+        """The closed form of the insert loop, pool exhaustion included;
+        returns None, having mutated nothing, when it does not apply.
 
-        Mutates nothing before the pre-flight decision: the request plan
-        (one KEY allocation per distinct absent key at its first
-        occurrence, one VALUE allocation per record, interleaved in arrival
-        order) is built up front, and only executed when the planner proves
-        the pool can serve it all.  Walk charges use the same closed form
-        as the combining kernel, with key-entry header costs.
+        The loop's request stream is one KEY request per absent key at
+        each of its occurrences until one is granted, and one VALUE
+        request per record whose key is resident or was just granted.
+        Nothing fails before the first denied page take, so up to there
+        the stream is the *plan* -- KEY at an absent key's first
+        occurrence, VALUE per record, interleaved in arrival order -- and
+        that take is request ``dry = plan_page_takes(plan)[n_free]`` of it
+        (the end of the plan when the pool holds out: the all-granted
+        batch is this body with an empty tail).  From ``dry`` on the pool
+        is empty for the rest of the iteration and a request bump-fits
+        its group's current page or is denied; a group's KEY page and
+        VALUE page are separate bump counters, so the two kinds decouple:
+
+        * a KEY request's fate depends on the KEY requests before it
+          alone, and a denied one is denied again at every later
+          occurrence of its key -- same size, and the page only fills --
+          which :meth:`record_denied_retries
+          <repro.memalloc.allocator.BucketGroupAllocator.record_denied_retries>`
+          books, as the combining kernel does;
+        * a VALUE request is issued iff its key is present by then.
+
+        Two :meth:`allocate_many` calls therefore reproduce the loop: the
+        plan up to ``dry`` with the KEY requests behind it (the same
+        grants in the same order -- a page take behind ``dry`` is denied
+        either way), then the VALUE requests behind ``dry`` of the keys
+        that are present.  The effects follow under those masks: a key
+        entry for every granted KEY request (also when every value of the
+        key was denied: ``PENDING``, empty list, page pinned), value
+        lists linked over the granted nodes only, ``PENDING`` on a key
+        what its last VALUE request left with the pin counts moved flip by
+        flip in arrival order (:meth:`_settle_pending`), walk charges with
+        the granted KEY requests as the creation events.
         """
         heap = table.heap
         alloc = table.alloc
+        pool = heap.pool
         page_size = heap.page_size
         group_size = table.buckets.group_size
         m = len(idx)
@@ -2317,125 +2357,151 @@ class MultiValuedOrganization(Organization):
         if int(vsizes.max()) > page_size or int(ksizes.max()) > page_size:
             return None  # the scalar loop raises the allocator's ValueError
 
-        sub, starts, counts = dk.sub, dk.starts, dk.counts
-        firstj, gpos, gbucket = dk.firstj, dk.gpos, dk.gbucket
+        sub, starts, counts, gpos = dk.sub, dk.starts, dk.counts, dk.gpos
         G = len(starts)
         res = dk.resolve(table, batch, idx, "key")
+        is_hit = res.hit >= 0
 
-        # interleaved request plan: [KEY for first occurrence of an absent
-        # key] then [VALUE] per record, in arrival order
-        newmask_g = res.hit < 0
-        isnewfirst = dk.isfirst & newmask_g[gpos]
+        # the plan: [KEY at the first occurrence of an absent key] then
+        # [VALUE] per record, in arrival order
+        isnewfirst = dk.isfirst & ~is_hit[gpos]
         nf_rec = np.flatnonzero(isnewfirst)
         nreq = 1 + isnewfirst.astype(np.int64)
         rstart = np.cumsum(nreq) - nreq
         total = m + len(nf_rec)
-        groups_rec = buckets // group_size
-        req_groups = np.repeat(groups_rec, nreq)
+        req_groups = np.repeat(buckets // group_size, nreq)
         req_sizes = np.empty(total, dtype=np.int64)
         req_codes = np.full(total, KIND_CODES[PageKind.VALUE], dtype=np.int64)
-        kslots = rstart[isnewfirst]
+        kslots = rstart[nf_rec]
         req_sizes[kslots] = ksizes[nf_rec]
         req_codes[kslots] = KIND_CODES[PageKind.KEY]
         vslots = rstart + nreq - 1
         req_sizes[vslots] = vsizes
 
-        needed = alloc.plan_pages_needed(req_groups, req_sizes, kinds=req_codes)
-        if not heap.pool.can_take(needed):
-            return None  # pressure: the scalar loop postpones exactly
+        takes = alloc.plan_page_takes(req_groups, req_sizes, kinds=req_codes)
+        n_free = pool.n_free
+        if not pool.can_take(min(len(takes), n_free)):
+            return None  # an injected fault: ``n_free`` cannot be believed
+        dry = int(takes[n_free]) if len(takes) > n_free else total
 
-        bulk = alloc.allocate_many(req_groups, req_sizes, kinds=req_codes)
-        assert bool(bulk.ok.all())  # guaranteed by the can_take pre-flight
+        ok = np.zeros(total, dtype=bool)
+        gaddr = np.full(total, NULL, dtype=np.int64)
+        caddr = np.full(total, NULL, dtype=np.int64)
+        apos = np.full(total, -1, dtype=np.int64)  # arena byte positions
 
-        # per-record value node placement (arrival order)
-        vgpu = bulk.gpu_addr[vslots]
-        vcpu = bulk.cpu_addr[vslots]
-        vpos = bulk.slot[vslots] * page_size + bulk.offset[vslots]
-        # per-new-key key entry placement
-        kg = gpos[nf_rec]
-        kaddr_gpu = np.full(G, NULL, dtype=np.int64)
-        kaddr_cpu = np.full(G, NULL, dtype=np.int64)
-        kpos_g = np.full(G, -1, dtype=np.int64)
-        kaddr_gpu[kg] = bulk.gpu_addr[kslots]
-        kaddr_cpu[kg] = bulk.cpu_addr[kslots]
-        kpos_g[kg] = bulk.slot[kslots] * page_size + bulk.offset[kslots]
+        def serve(ask):
+            bulk = alloc.allocate_many(
+                req_groups[ask], req_sizes[ask], kinds=req_codes[ask]
+            )
+            ok[ask] = bulk.ok
+            gaddr[ask] = bulk.gpu_addr
+            caddr[ask] = bulk.cpu_addr
+            apos[ask] = bulk.slot * page_size + bulk.offset
 
-        # link each key's value chain: first node points at the existing
-        # list head (NULL for new keys), later nodes at their predecessor,
-        # and the key's head ends at the last arrival
-        arena = heap.pool.arena
-        hit_g = np.flatnonzero(~newmask_g)
+        head = np.arange(total) < dry
+        head[kslots] = True  # ... with the KEY requests behind it
+        serve(np.flatnonzero(head))
+        made = nf_rec[ok[kslots]]  # records that create their key's entry
+        denied = gpos[nf_rec[~ok[kslots]]]
+        alloc.record_denied_retries(int((counts[denied] - 1).sum()))
+        present = is_hit.copy()
+        present[gpos[made]] = True
+        serve(vslots[(vslots >= dry) & present[gpos]])
+        vok = ok[vslots]  # the success mask: a record's value node is stored
+
+        # value lists: each key's granted nodes, arrival order, pushed onto
+        # the list head the key had (NULL for a key entry of this batch)
+        arena = pool.arena
+        hit_g = np.flatnonzero(is_hit)
         hit_pos = res.hit_pos[hit_g]  # arena offsets of the hit key entries
-        head0_g = np.full(G, NULL, dtype=np.int64)
-        head0_c = np.full(G, NULL, dtype=np.int64)
-        head0_g[hit_g] = E.gather_field(arena, hit_pos + 16, "<i8")
-        head0_c[hit_g] = E.gather_field(arena, hit_pos + 24, "<i8")
-        hit_flags = E.gather_field(arena, hit_pos + 36, "<u4")
-        vg_s = vgpu[sub]
-        vc_s = vcpu[sub]
-        fmask = np.zeros(m, dtype=bool)
-        fmask[starts] = True
-        gpos_s = np.repeat(np.arange(G), counts)
-        vnext_g_s, vnext_c_s = _link_value_lists(
-            vg_s, vc_s, fmask, head0_g[gpos_s], head0_c[gpos_s]
+        vhead_g = np.full(G, NULL, dtype=np.int64)
+        vhead_c = np.full(G, NULL, dtype=np.int64)
+        vhead_g[hit_g] = E.gather_field(arena, hit_pos + 16, "<i8")
+        vhead_c[hit_g] = E.gather_field(arena, hit_pos + 24, "<i8")
+        stored = sub[vok[sub]]  # key-major
+        key_s = gpos[stored]
+        first = _run_starts(key_s)
+        node = vslots[stored]
+        vnext_g, vnext_c = _link_value_lists(
+            gaddr[node], caddr[node], first, vhead_g[key_s], vhead_c[key_s]
         )
-        lastpos = starts + counts - 1
-        vfinal_g = vg_s[lastpos]
-        vfinal_c = vc_s[lastpos]
-        vnext_g = np.empty(m, dtype=np.int64)
-        vnext_c = np.empty(m, dtype=np.int64)
-        vnext_g[sub] = vnext_g_s
-        vnext_c[sub] = vnext_c_s
         E.write_value_nodes_bulk(
-            arena, vpos, vnext_g, vnext_c, batch.values[idx], vlens
+            arena, apos[node], vnext_g, vnext_c,
+            batch.values[idx[stored]], vlens[stored],
         )
+        newest = np.ones(len(stored), dtype=bool)  # each key's new list head
+        newest[:-1] = first[1:]
+        appended = np.zeros(G, dtype=bool)  # keys whose list head moved
+        appended[key_s[newest]] = True
+        vhead_g[key_s[newest]] = gaddr[node[newest]]
+        vhead_c[key_s[newest]] = caddr[node[newest]]
+        # PENDING follows a key's VALUE requests one by one -- set by a
+        # denied one, cleared by a granted one -- and is left as the last
+        key_seg = np.full(G, -1, dtype=np.int64)  # where each key entry is
+        key_seg[hit_g] = res.hit_addr[hit_g] // page_size
+        key_seg[gpos[made]] = caddr[rstart[made]] // page_size
+        was = (res.hit_flags & E.FLAG_PENDING) != 0
+        asked = sub[present[gpos[sub]]]  # key-major
+        key_a = gpos[asked]
+        opens = _run_starts(key_a)  # a key's first request
+        after = ~vok[asked]
+        before = np.empty_like(after)
+        before[1:] = after[:-1]
+        before[opens] = was[key_a[opens]]
+        flips = np.sort(asked[before != after])  # arrival order
+        self._settle_pending(heap, key_seg[gpos[flips]], ~vok[flips])
+        pending = present & ~vok[sub[starts + counts - 1]]
 
-        # new key entries: grouped last-writer-wins bucket heads, final
-        # value-list head written with the entry itself
-        if len(nf_rec):
-            # kg lists the new keys in arrival order of their creation
-            sel = kg[_stable_order(gbucket[kg])]
+        # new key entries: grouped last-writer-wins bucket heads; value-list
+        # head and flag word written with the entry itself
+        if len(made):
+            sel = made[_stable_order(buckets[made])]  # by (bucket, arrival)
+            kg = gpos[sel]
             nxt_g, nxt_c = _link_heads(
-                table.buckets, gbucket[sel], kaddr_gpu[sel], kaddr_cpu[sel]
+                table.buckets, buckets[sel], gaddr[rstart[sel]],
+                caddr[rstart[sel]],
             )
-            rec = idx[firstj[sel]]
             E.write_key_entries_bulk(
-                arena, kpos_g[sel], nxt_g, nxt_c,
-                vfinal_g[sel], vfinal_c[sel],
-                batch.keys[rec], batch.key_lens[rec].astype(np.int64),
+                arena, apos[rstart[sel]], nxt_g, nxt_c,
+                vhead_g[kg], vhead_c[kg],
+                batch.keys[idx[sel]], klens[sel],
+                np.where(pending[kg], E.FLAG_PENDING, 0),
             )
 
-        # resident hit keys: rewrite the value-list head once, un-pin
+        # resident hit keys: the value-list head rewritten once, the flag
+        # word where PENDING flipped
+        moved = appended[hit_g]
         E.scatter_field(
-            arena, hit_pos + 16,
-            np.stack((vfinal_g[hit_g], vfinal_c[hit_g]), axis=1),
+            arena, hit_pos[moved] + 16,
+            np.stack((vhead_g[hit_g[moved]], vhead_c[hit_g[moved]]), axis=1),
         )
-        hit_seg = res.hit_addr[hit_g] // page_size
-        for seg in np.unique(hit_seg).tolist():
+        flip = (was != pending)[hit_g]
+        E.scatter_field(
+            arena, hit_pos[flip] + 36,
+            (res.hit_flags[hit_g[flip]] ^ E.FLAG_PENDING).astype(np.uint32),
+        )
+        for seg in np.unique(key_seg[hit_g[moved | flip]]).tolist():
             heap.note_write(seg)
-        pending = np.flatnonzero(hit_flags & E.FLAG_PENDING)
-        for koff, kseg in zip(
-            hit_pos[pending].tolist(), hit_seg[pending].tolist()
-        ):
-            self._clear_pending(table, arena, kseg, koff)
 
         probe, walk_bytes, _, _ = dk.walk_charges(
-            res, buckets, klens, *dk.first_creates(newmask_g),
+            res, buckets, klens, *dk.first_creates(present & ~is_hit),
             E.KEY_ENTRY_HEADER,
         )
+        n_ok = int(vok.sum())
         tally.attempted += m
-        tally.succeeded += m
+        tally.succeeded += n_ok
+        tally.postponed += m - n_ok
         tally.table_cycles += float(
             HASH_CYCLES_PER_BYTE * int(klens.sum()) + INSERT_CYCLES * m
         )
         tally.probe_steps += int(probe.sum())
         tally.bytes_touched += (
             int(walk_bytes.sum())
-            + int((vsizes + 16).sum())
-            + int((ksizes[nf_rec] + 16).sum())
+            + int((vsizes[vok] + 16).sum())
+            + int((ksizes[made] + 16).sum())
         )
-        tally.alloc_groups.extend(req_groups)
-        return np.ones(m, dtype=bool)
+        tally.alloc_groups.extend(req_groups[ok])
+        return vok
 
     def _insert_scalar(self, table, batch, idx, buckets, tally):
         if batch.values is None:

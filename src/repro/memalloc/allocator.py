@@ -450,8 +450,10 @@ class BucketGroupAllocator:
         group's page takes depend on that group's requests alone, and the
         pool grants them in index order, so with ``n = heap.pool.n_free``
         the first ``n`` indices are the takes a real run is granted and
-        every later one is denied -- the batched mutation kernel cuts each
-        group at its first denied take before it allocates anything.
+        every later one is denied -- the batched mutation kernels cut each
+        group at its first denied take before they allocate anything, and
+        the multi-valued insert kernel reads off index ``n`` where the pool
+        runs dry.
         """
         groups = np.asarray(groups, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
@@ -464,23 +466,6 @@ class BucketGroupAllocator:
         _, triggers = self._plan_spans(order, composite, groups, sizes,
                                        codes, kind)
         return np.sort(np.array([t for t, _ in triggers], dtype=np.int64))
-
-    def plan_pages_needed(
-        self,
-        groups: np.ndarray,
-        sizes: np.ndarray,
-        kind: PageKind = PageKind.GENERIC,
-        kinds: np.ndarray | None = None,
-    ) -> int:
-        """Fresh pages a failure-free sequential run of these requests takes.
-
-        When the result is ``<= heap.pool.n_free``, a subsequent
-        :meth:`allocate_many` of the very same requests is guaranteed to
-        succeed on every request -- the pre-aggregated multi-valued kernel
-        uses this pre-flight to decide whether the no-postponement fast path
-        applies before mutating anything.
-        """
-        return len(self.plan_page_takes(groups, sizes, kind, kinds))
 
     def record_denied_retries(self, count: int, groups=None) -> None:
         """Account ``count`` requests a batched kernel proved would be denied.

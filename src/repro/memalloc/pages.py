@@ -120,15 +120,20 @@ class PagePool:
         return slot
 
     def can_take(self, k: int) -> bool:
-        """Probe whether ``k`` successive takes would succeed, without
-        observably changing the pool.
+        """May ``n_free`` be believed for the next ``k`` takes?  Probes
+        whether ``k`` successive takes would succeed, without observably
+        changing the pool.
 
-        Slots are taken for real and released in reverse order, restoring
-        the exact LIFO stack; zeroing free slots is invisible (their bytes
-        are garbage by contract, and a real take zeroes again).  Going
-        through :meth:`take` matters: fault injectors that deny takes while
-        ``n_free`` still looks healthy are detected, which the pre-flight
-        of the no-postponement insert kernels relies on.
+        The batched multi-valued insert kernel plans a whole batch around
+        ``n_free`` (its first ``n_free`` page takes are granted, the next
+        one runs the pool dry), which holds for the stock pool and for
+        every real exhaustion.  A fault injector may deny takes while
+        ``n_free`` still looks healthy; going through :meth:`take` detects
+        that, and the kernel then leaves the batch to the scalar loop --
+        the one pool-pressure case that still goes there.  Slots are taken
+        for real and released in reverse order, restoring the exact LIFO
+        stack; zeroing free slots is invisible (their bytes are garbage by
+        contract, and a real take zeroes again).
         """
         if type(self).take is PagePool.take and "take" not in self.__dict__:
             # stock pool: a free slot IS a successful take (single-threaded

@@ -314,9 +314,8 @@ def test_input_side_makes_no_per_record_bytes(cls, monkeypatch):
     monkeypatch.setattr(BatchCache, "value_bytes_list", banned)
     monkeypatch.setattr(RecordBatch, "from_pairs", banned)
     monkeypatch.setattr(RecordBatch, "from_numeric", banned)
-    # few bucket groups, so that the table fits the scaled-down heap: under
-    # pool pressure the multi-valued kernel hands a batch to the scalar
-    # loop, which is exact about postponement and reads keys as bytes
+    # few bucket groups, so that the table fits the scaled-down heap and
+    # the run is one iteration
     outcome = app.run_gpu(data, scale=1024, chunk_bytes=8_000, n_buckets=1 << 10)
     assert outcome.iterations == 1
     got = outcome.output()

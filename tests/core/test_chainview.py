@@ -11,6 +11,8 @@ sanitizer runs (bulk vs scalar vs cached, field by field).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BasicOrganization,
@@ -29,8 +31,10 @@ from repro.core import chainview, entries as E
 from repro.core.chainview import (
     ChainViewStore,
     match_cpu_chains,
+    match_resident_chains,
     materialize_chains,
     resolve_keys,
+    word_aligned,
 )
 from repro.core.lookup import LookupDriver
 from repro.core.records import pack_byte_rows
@@ -271,6 +275,75 @@ def test_match_cpu_chains_reads_key_entries():
         cm.key, cm.at, cm.cum, cm.pos, cm.flags
     )))) == want
     assert not cm.vlen.any()
+
+
+# ----------------------------------------------------------------------
+# the key matcher: words read where the keys lie vs a bytes compare
+# ----------------------------------------------------------------------
+#: lengths on both sides of every word boundary, one key a prefix of the
+#: next, pairs that differ in their last byte only, embedded and trailing
+#: NULs (and the 0xff the values below start with)
+WORD_EDGE_KEYS = [
+    b"", b"a" * 7, b"a" * 8, b"a" * 9, b"a" * 16, b"a" * 15 + b"b",
+    b"a" * 8 + b"b", b"a" * 7 + b"b", b"a" * 6 + b"\x00", b"a\x00b", b"a\x00",
+    b"a\x00\x00", b"a" * 7 + b"\xff", b"a" * 23 + b"\x00", b"a" * 24,
+]
+_key_bytes = st.lists(
+    st.sampled_from([0, 0, 1, 97, 97, 98, 255]), max_size=24
+).map(bytes)
+
+
+def bytes_compare(table, queries):
+    """(query, walk position) of every same-key entry of each query's
+    whole chain, by a per-entry ``bytes`` compare."""
+    heap = table.heap
+    buckets = RecordBatch.from_pairs(
+        [(q, b"") for q in queries]
+    ).cache.bucket_ids(table.buckets)
+    heads = table.buckets.head_cpu[buckets]
+    want = []
+    for k, (head, q) in enumerate(zip(heads.tolist(), queries)):
+        addr, at = head, 0
+        while addr != NULL:
+            seg, off = divmod(addr, heap.page_size)
+            buf = heap.segment_view(seg)
+            _, nxt, klen, _ = E.read_entry_header(buf, off)
+            if E.entry_key(buf, off, klen) == q:
+                want.append((k, at))
+            addr, at = nxt, at + 1
+    return heads, want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    extra=st.lists(_key_bytes, max_size=12),
+    absent=st.lists(_key_bytes, max_size=12),
+)
+def test_match_keys_agrees_with_a_per_entry_bytes_compare(extra, absent):
+    """Key lengths 0-24 with 0, 7, 8, 9 and 16 always there; every stored
+    key is followed directly by non-zero value bytes, which the cut of the
+    last word must keep out of the compare.  Through the resident read,
+    the CPU-image read and, on an odd page size, the key-matrix read."""
+    stored = WORD_EDGE_KEYS + extra
+    pairs = [(k, b"\xff\xfe" + b"%d" % i) for i, k in enumerate(stored)]
+    near = [k[:-1] for k in stored if k] + [k + b"\x00" for k in stored]
+    near += [k[:-1] + b"\xff" for k in stored if k]
+    queries = stored + absent + near
+    kmat, klens = pack_byte_rows(queries)
+    for page_size in (512, 250):
+        heap = GpuHeap(40 * page_size, page_size)
+        table = GpuHashTable(2, BasicOrganization(), heap, group_size=1)
+        assert table.insert_batch(RecordBatch.from_pairs(pairs)).success.all()
+        heads, want = bytes_compare(table, queries)
+        assert {k for k, _ in want} >= set(range(len(stored)))
+        cm = match_resident_chains(heap, heads, "generic", kmat, klens)
+        assert list(zip(cm.key.tolist(), cm.at.tolist())) == want
+        if word_aligned(heap):
+            image = np.frombuffer(heap.cpu_image(), dtype=np.uint8)
+            cm = match_cpu_chains(image, heads, "generic", kmat, klens)
+            assert list(zip(cm.key.tolist(), cm.at.tolist())) == want
+        else:  # entries off the word grid: read through ``block.keys``
+            assert (cm.pos & 7).any()
 
 
 def test_empty_and_single_entry_chains():

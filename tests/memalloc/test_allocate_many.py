@@ -210,19 +210,20 @@ def test_mixed_kinds_fuzz_against_sequential(seed):
 # ----------------------------------------------------------------------
 # read-only planning + arithmetic retry accounting (pre-agg kernels)
 # ----------------------------------------------------------------------
-def test_plan_pages_needed_is_read_only_and_exact():
+def test_plan_page_takes_is_read_only_and_exact():
     a, b = make_pair(1 << 14, 512, 4)
     groups = np.array([0, 0, 1, 2, 2, 2], dtype=np.int64)
     sizes = np.array([500, 500, 100, 300, 300, 100], dtype=np.int64)
     before = (a.stats.requests, a.heap.pool.n_free, dict(a._current))
-    needed = a.plan_pages_needed(groups, sizes)
+    takes = a.plan_page_takes(groups, sizes)
     assert (a.stats.requests, a.heap.pool.n_free, dict(a._current)) == before
+    assert takes.tolist() == [0, 1, 2, 3, 4]
     bulk = a.allocate_many(groups, sizes)
     assert bool(bulk.ok.all())
-    assert a.stats.pages_taken == needed
+    assert a.stats.pages_taken == len(takes)
 
 
-def test_plan_pages_needed_mixed_kinds():
+def test_plan_page_takes_mixed_kinds():
     from repro.memalloc.pages import KIND_CODES
 
     a, _ = make_pair(1 << 14, 512, 2)
@@ -230,10 +231,11 @@ def test_plan_pages_needed_mixed_kinds():
     sizes = np.array([400, 400, 200], dtype=np.int64)
     codes = np.array([KIND_CODES[PageKind.KEY], KIND_CODES[PageKind.VALUE],
                       KIND_CODES[PageKind.VALUE]], dtype=np.int64)
-    needed = a.plan_pages_needed(groups, sizes, kinds=codes)
+    takes = a.plan_page_takes(groups, sizes, kinds=codes)
     bulk = a.allocate_many(groups, sizes, kinds=codes)
     assert bool(bulk.ok.all())
-    assert a.stats.pages_taken == needed == 3  # distinct (group, kind) pages
+    # distinct (group, kind) pages
+    assert a.stats.pages_taken == len(takes) == 3
 
 
 def test_record_denied_retries_matches_scalar_repeats():
@@ -296,7 +298,9 @@ def test_plan_page_takes_predicts_the_gated_scalar_replay(seed):
         bulk.ok, np.arange(n)[issued] < stop[groups[issued]]
     )
     np.testing.assert_array_equal(a.failed_groups, np.unique(groups[denied]))
-    assert a.plan_pages_needed(groups, sizes) >= 0  # still read-only after
+    after = (a.stats.requests, a.heap.pool.n_free, dict(a._current))
+    a.plan_page_takes(groups, sizes)  # still read-only after
+    assert (a.stats.requests, a.heap.pool.n_free, dict(a._current)) == after
 
 
 def test_note_tombstone_books_a_batch_as_two_sums():

@@ -96,7 +96,7 @@ def test_page_size_truncation():
 
 
 # ----------------------------------------------------------------------
-# can_take: the no-postponement preflight probe
+# can_take: may the insert kernel believe n_free?
 # ----------------------------------------------------------------------
 def test_can_take_restores_exact_lifo_order():
     pool = PagePool(4 * 256, 256)
