@@ -27,7 +27,7 @@ mutation batches: every organization runs its batched mixed-op kernel
 under ``impl="vectorized"`` against the scalar loop (gated per
 organization in the full 64k tier, see ``MIXED_MIN_SPEEDUP``).  The
 ``mixed_sweep`` tier beside it is the evidence for
-``organizations.MIXED_KERNEL_MIN_OPS``: the same op stream issued in
+``organizations.policy.MIXED_KERNEL_MIN_OPS``: the same op stream issued in
 batches of 64 ... 2,048 ops, kernel forced on against the loop, on a fresh
 table and on one several times its heap.  A fourth
 ``integrity-overhead`` cell (tracked, not gated) times the insert +
@@ -81,8 +81,8 @@ from repro.core import (
     SUM_F64,
     SUM_I64,
     SepoDriver,
-    organizations,
 )
+from repro.core.organizations import policy as org_policy
 from repro.apps import (
     ALL_APPS,
     DnaAssembly,
@@ -399,8 +399,8 @@ def sweep_rps(kind, impl, state, size, repeats: int = 3) -> float:
 def mixed_sweep(repeats: int = 3, sizes=SWEEP_SIZES) -> dict:
     """The cut-over sweep: batched kernel (forced on at every size) against
     the scalar loop, per organization, table state and batch size."""
-    shipped = organizations.MIXED_KERNEL_MIN_OPS
-    organizations.MIXED_KERNEL_MIN_OPS = 0
+    shipped = org_policy.MIXED_KERNEL_MIN_OPS
+    org_policy.MIXED_KERNEL_MIN_OPS = 0
     try:
         rows = {}
         for state in SWEEP_HEAP:
@@ -414,7 +414,7 @@ def mixed_sweep(repeats: int = 3, sizes=SWEEP_SIZES) -> dict:
                         "kernel_over_loop": round(kernel / loop, 2),
                     }
     finally:
-        organizations.MIXED_KERNEL_MIN_OPS = shipped
+        org_policy.MIXED_KERNEL_MIN_OPS = shipped
     return {"cut_over_ops": shipped, "ops_per_cell": SWEEP_OPS, "rows": rows}
 
 
@@ -799,7 +799,7 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
         "pressure": pressure_cell(repeats),
         # the input side: span parsers vs the list path over their oracles
         "input_side": input_side_cell(repeats),
-        # the evidence behind organizations.MIXED_KERNEL_MIN_OPS
+        # the evidence behind organizations.policy.MIXED_KERNEL_MIN_OPS
         "mixed_sweep": mixed_sweep(repeats),
     }
 
@@ -931,17 +931,27 @@ def test_vectorized_multivalued_beats_scalar_smoke():
     _smoke("multi-valued", "zipf")
 
 
-def test_mixed_ops_cell_runs():
+def test_mixed_ops_cell_runs(monkeypatch):
     """Non-gating: the mixed-op mutation cell must complete on every
     organization under every implementation it distinguishes, and so must
-    one column of the cut-over sweep."""
+    one column of the cut-over sweep -- on the kernels: the sweep forces
+    them by patching the module the dispatch reads, and 256-op batches
+    are under the shipped cut-over."""
     triples = make_mixed_ops(2048)
     for kind in KINDS:
         row = _mixed_cell(kind, triples, repeats=1)
         assert row["scalar_rps"] > 0 and row["vectorized_rps"] > 0
-    shipped = organizations.MIXED_KERNEL_MIN_OPS
+    small = []
+    for name in ("_mutate_generic", "_mutate_multivalued"):
+        real = getattr(org_policy, name)
+        monkeypatch.setattr(
+            org_policy, name,
+            lambda *a, real=real: small.append(len(a[2]) <= 256) or real(*a),
+        )
+    shipped = org_policy.MIXED_KERNEL_MIN_OPS
     sweep = mixed_sweep(repeats=1, sizes=(256,))
-    assert organizations.MIXED_KERNEL_MIN_OPS == shipped == sweep["cut_over_ops"]
+    assert org_policy.MIXED_KERNEL_MIN_OPS == shipped == sweep["cut_over_ops"]
+    assert sum(small) >= len(sweep["rows"]), "the kernel column ran the loop"
     assert set(sweep["rows"]) == {
         f"{state}/{kind}/256" for state in SWEEP_HEAP for kind in KINDS
     }
@@ -1080,7 +1090,7 @@ def test_hostperf_export_roundtrip(tmp_path):
             assert row[f"{mode}_rps"] > 0
     # ... the cut-over sweep behind MIXED_KERNEL_MIN_OPS ...
     sweep = full["mixed_sweep"]
-    assert sweep["cut_over_ops"] == organizations.MIXED_KERNEL_MIN_OPS
+    assert sweep["cut_over_ops"] == org_policy.MIXED_KERNEL_MIN_OPS
     assert len(sweep["rows"]) == (
         len(SWEEP_HEAP) * len(KINDS) * len(SWEEP_SIZES)
     )

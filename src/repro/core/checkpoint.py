@@ -29,7 +29,12 @@ from repro.core.combiners import (
     MinCombiner,
     SumCombiner,
 )
-from repro.core.hashtable import GpuHashTable
+from repro.core.hashtable import (
+    GpuHashTable,
+    collect_values,
+    cpu_chain_items,
+    merge_chain_items,
+)
 from repro.core.hashing import fnv1a
 from repro.core.organizations import (
     CombiningOrganization,
@@ -192,77 +197,19 @@ class FrozenTable:
             ) from None
 
     def cpu_items(self) -> Iterator[tuple[bytes, Any]]:
-        """Per-entry payloads, duplicates unmerged (cf. GpuHashTable).
-
-        Mutation flags resolve with the same newest-first automaton the
-        live table uses: a tombstone closes its key (older copies are
-        dead), a shadow entry yields its own payload then closes it.
-        """
-        for b in np.flatnonzero(self.head_cpu != NULL):
-            addr = int(self.head_cpu[b])
-            closed: set[bytes] = set()
-            while addr != NULL:
-                seg, off = divmod(addr, self.page_size)
-                buf = self._buf(seg)
-                if self.organization == "multi-valued":
-                    hdr = E.read_key_entry_header(buf, off)
-                    next_cpu, vhead, klen, flags = (
-                        hdr[1], hdr[3], hdr[4], hdr[5]
-                    )
-                    key = E.key_entry_key(buf, off, klen)
-                    # empty PENDING = allocated but unacknowledged: skip
-                    # (PENDING with values is real data; see GpuHashTable)
-                    unborn = flags & E.FLAG_PENDING and vhead == NULL
-                    if key not in closed and not unborn:
-                        if flags & E.FLAG_TOMBSTONE:
-                            closed.add(key)
-                        else:
-                            yield key, self._values(vhead)
-                            if flags & E.FLAG_SHADOW:
-                                closed.add(key)
-                else:
-                    _, next_cpu, klen, vlen = E.read_entry_header(buf, off)
-                    key = E.entry_key(buf, off, klen)
-                    if key not in closed:
-                        flags = E.entry_flags(buf, off)
-                        if flags & E.GFLAG_TOMBSTONE:
-                            closed.add(key)
-                        else:
-                            raw = E.entry_value(buf, off, klen, vlen)
-                            yield key, (
-                                self.combiner.unpack(raw)
-                                if self.combiner else raw
-                            )
-                            if flags & E.GFLAG_SHADOW:
-                                closed.add(key)
-                addr = next_cpu
-
-    def _values(self, vhead: int) -> list[bytes]:
-        out = []
-        addr = vhead
-        while addr != NULL:
-            seg, off = divmod(addr, self.page_size)
-            buf = self._buf(seg)
-            _, vnext, vlen = E.read_value_node_header(buf, off)
-            out.append(E.value_node_value(buf, off, vlen))
-            addr = vnext
-        return out
+        """Per-entry payloads, duplicates unmerged: the live table's own
+        reader (:func:`~repro.core.hashtable.cpu_chain_items`) over the
+        persisted segments, so mutation flags resolve with the same
+        newest-first automaton."""
+        return cpu_chain_items(
+            self._buf, self.page_size, self.head_cpu, self.organization,
+            self.combiner,
+        )
 
     def result(self) -> dict[bytes, Any]:
-        out: dict[bytes, Any] = {}
-        for key, payload in self.cpu_items():
-            if self.organization == "combining":
-                # older values fold in from the left, as in the live
-                # table's result(): f64 sums must survive a round trip
-                out[key] = (
-                    self.combiner.combine(payload, out[key])
-                    if key in out else payload
-                )
-            elif self.organization == "multi-valued":
-                out.setdefault(key, []).extend(payload)
-            else:
-                out.setdefault(key, []).append(payload)
-        return out
+        return merge_chain_items(
+            self.cpu_items(), self.organization, self.combiner
+        )
 
     def get(self, key: bytes) -> Any:
         """Single-key query via the bucket chain (no full scan)."""
@@ -285,7 +232,9 @@ class FrozenTable:
                 ):
                     if flags & E.FLAG_TOMBSTONE:
                         break  # deleted: older copies are closed
-                    collected.extend(self._values(vhead))
+                    collected.extend(
+                        collect_values(self._buf, self.page_size, vhead)
+                    )
                     found = True
                     if flags & E.FLAG_SHADOW:
                         break  # replaces the whole older value list

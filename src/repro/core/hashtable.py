@@ -104,6 +104,102 @@ def _visible(keys: list[bytes], closing: np.ndarray, dead: np.ndarray):
     return (earlier == 0) & ~dead
 
 
+def cpu_chain_items(
+    segment_view, page_size: int, head_cpu: np.ndarray, kind: str, combiner=None
+) -> Iterator[tuple[bytes, Any]]:
+    """Walk every bucket chain via CPU pointers, without merging: the
+    scalar reader of a live table (:meth:`GpuHashTable.cpu_items`) and of
+    a persisted one (:class:`~repro.core.checkpoint.FrozenTable`).
+
+    ``segment_view(segment)`` returns a segment's bytes, ``kind`` is the
+    organization kind.  Yields raw per-entry payloads: scalars for the
+    combining method (``combiner`` unpacks them), value bytes for the
+    basic method, and ``list[bytes]`` (one key entry's value list) for
+    the multi-valued method.  Duplicate keys may appear when postponement
+    split a key across iterations.
+
+    Mutation flags are resolved here with the newest-first automaton:
+    chains are walked newest-first, so the first tombstone seen for a
+    key closes it (older copies are dead and never yielded), and a
+    shadow entry yields its own payload then closes the key.
+    """
+    multivalued = kind == "multi-valued"
+    fmt = combiner.fmt if kind == "combining" else None
+    for addr in head_cpu[head_cpu != NULL].tolist():
+        closed: set[bytes] = set()
+        while addr != NULL:
+            seg, off = divmod(addr, page_size)
+            buf = segment_view(seg)
+            if multivalued:
+                hdr = E.read_key_entry_header(buf, off)
+                next_cpu, vhead_cpu, klen, flags = hdr[1], hdr[3], hdr[4], hdr[5]
+                key = E.key_entry_key(buf, off, klen)
+                # an *empty* PENDING key entry is allocated but
+                # unacknowledged (its first value append postponed):
+                # invisible to readers.  PENDING with values means a
+                # later append postponed; the values are real data.
+                unborn = flags & E.FLAG_PENDING and vhead_cpu == NULL
+                if key not in closed and not unborn:
+                    if flags & E.FLAG_TOMBSTONE:
+                        closed.add(key)
+                    else:
+                        yield key, collect_values(
+                            segment_view, page_size, vhead_cpu
+                        )
+                        if flags & E.FLAG_SHADOW:
+                            closed.add(key)
+            else:
+                _, next_cpu, klen, vlen = E.read_entry_header(buf, off)
+                key = E.entry_key(buf, off, klen)
+                if key not in closed:
+                    flags = E.entry_flags(buf, off)
+                    if flags & E.GFLAG_TOMBSTONE:
+                        closed.add(key)
+                    elif fmt is not None:
+                        # combining entries never carry SHADOW: an
+                        # update is a combine
+                        vo = off + E.ENTRY_HEADER + klen
+                        yield key, fmt.unpack_from(buf, vo)[0]
+                    else:
+                        yield key, E.entry_value(buf, off, klen, vlen)
+                        if flags & E.GFLAG_SHADOW:
+                            closed.add(key)
+            addr = next_cpu
+
+
+def collect_values(segment_view, page_size: int, vhead_cpu: int) -> list[bytes]:
+    """One key entry's value list, newest node first."""
+    values = []
+    addr = vhead_cpu
+    while addr != NULL:
+        seg, off = divmod(addr, page_size)
+        buf = segment_view(seg)
+        _, vnext_cpu, vlen = E.read_value_node_header(buf, off)
+        values.append(E.value_node_value(buf, off, vlen))
+        addr = vnext_cpu
+    return values
+
+
+def merge_chain_items(items, kind: str, combiner=None) -> dict[bytes, Any]:
+    """The final mapping from :func:`cpu_chain_items`' payloads, entry by
+    entry: combining folds duplicate keys with ``combiner``, multi-valued
+    concatenates their value lists, basic keeps every pair."""
+    out: dict[bytes, Any] = {}
+    for key, payload in items:
+        if kind == "combining":
+            # chains walk newest-first; fold older values in from the
+            # left so non-commutative combiners match the insertion-order
+            # model (and f64 sums survive a checkpoint round trip)
+            out[key] = (
+                combiner.combine(payload, out[key]) if key in out else payload
+            )
+        elif kind == "multi-valued":
+            out.setdefault(key, []).extend(payload)
+        else:
+            out.setdefault(key, []).append(payload)
+    return out
+
+
 class GpuHashTable:
     """Larger-than-memory chained hash table for GPUs (simulated)."""
 
@@ -168,21 +264,7 @@ class GpuHashTable:
         the batch's cost statistics for the kernel model.  The caller (the
         SEPO driver) owns the pending bitmap and the time charging.
         """
-        if indices is None:
-            indices = np.arange(len(batch))
-        tally = InsertTally()
-        if len(indices) == 0:
-            return InsertResult(np.zeros(0, dtype=bool), BatchStats(), tally)
-        # Hash the full batch once (memoized on the batch) and index into
-        # it: reissued pending subsets cost a gather, not a re-hash.
-        bucket_ids = batch.cache.bucket_ids(self.buckets)[indices]
-        success = self.org.insert_indices(self, batch, indices, bucket_ids, tally)
-        stats = self._stats_from(batch, indices, bucket_ids, tally)
-        self.total_inserted += tally.succeeded
-        self.total_postponed += tally.postponed
-        if self.sanitize == "paranoid":
-            self.check_invariants()
-        return InsertResult(success, stats, tally)
+        return self._apply(batch, indices, mutation=False)
 
     def apply_batch(
         self, batch: RecordBatch, indices: np.ndarray | None = None
@@ -209,15 +291,28 @@ class GpuHashTable:
         deposited in ``batch.lookup_results`` keyed by batch-local record
         index.
         """
+        return self._apply(batch, indices, mutation=True)
+
+    def _apply(self, batch, indices, mutation: bool) -> InsertResult:
+        """The one body of :meth:`insert_batch` and :meth:`mutate_batch`:
+        they differ in the organization entry point and in the total the
+        successes are booked under."""
         if indices is None:
             indices = np.arange(len(batch))
         tally = InsertTally()
         if len(indices) == 0:
             return InsertResult(np.zeros(0, dtype=bool), BatchStats(), tally)
+        # Hash the full batch once (memoized on the batch) and index into
+        # it: reissued pending subsets cost a gather, not a re-hash.
         bucket_ids = batch.cache.bucket_ids(self.buckets)[indices]
-        success = self.org.mutate_indices(self, batch, indices, bucket_ids, tally)
+        org = self.org
+        apply = org.mutate_indices if mutation else org.insert_indices
+        success = apply(self, batch, indices, bucket_ids, tally)
+        if mutation:
+            self.total_mutated += tally.succeeded
+        else:
+            self.total_inserted += tally.succeeded
         stats = self._stats_from(batch, indices, bucket_ids, tally)
-        self.total_mutated += tally.succeeded
         self.total_postponed += tally.postponed
         if self.sanitize == "paranoid":
             self.check_invariants()
@@ -352,75 +447,14 @@ class GpuHashTable:
     # CPU-side access (the dual-pointer payoff)
     # ------------------------------------------------------------------
     def cpu_items(self) -> Iterator[tuple[bytes, Any]]:
-        """Walk every bucket chain via CPU pointers, without merging.
-
-        Yields raw per-entry payloads: scalars for the combining method,
-        value bytes for the basic method, and ``list[bytes]`` (one key
-        entry's value list) for the multi-valued method.  Duplicate keys may
-        appear when postponement split a key across iterations.
-
-        Mutation flags are resolved here with the newest-first automaton:
-        chains are walked newest-first, so the first tombstone seen for a
-        key closes it (older copies are dead and never yielded), and a
-        shadow entry yields its own payload then closes the key.
-        """
+        """Per-entry payloads of every bucket chain, walked via CPU
+        pointers across resident and evicted segments alike, duplicates
+        unmerged (:func:`cpu_chain_items`)."""
         heap = self.heap
-        page_size = heap.page_size
-        multivalued = isinstance(self.org, MultiValuedOrganization)
-        combining = isinstance(self.org, CombiningOrganization)
-        fmt = self.org.combiner.fmt if combining else None
-        for b in self.buckets.occupied_buckets():
-            addr = int(self.buckets.head_cpu[b])
-            closed: set[bytes] = set()
-            while addr != NULL:
-                seg, off = divmod(addr, page_size)
-                buf = heap.segment_view(seg)
-                if multivalued:
-                    hdr = E.read_key_entry_header(buf, off)
-                    next_cpu, vhead_cpu, klen, flags = (
-                        hdr[1], hdr[3], hdr[4], hdr[5]
-                    )
-                    key = E.key_entry_key(buf, off, klen)
-                    # an *empty* PENDING key entry is allocated but
-                    # unacknowledged (its first value append postponed):
-                    # invisible to readers.  PENDING with values means a
-                    # later append postponed; the values are real data.
-                    unborn = flags & E.FLAG_PENDING and vhead_cpu == NULL
-                    if key not in closed and not unborn:
-                        if flags & E.FLAG_TOMBSTONE:
-                            closed.add(key)
-                        else:
-                            yield key, self._collect_values(vhead_cpu)
-                            if flags & E.FLAG_SHADOW:
-                                closed.add(key)
-                else:
-                    _, next_cpu, klen, vlen = E.read_entry_header(buf, off)
-                    key = E.entry_key(buf, off, klen)
-                    if key not in closed:
-                        flags = E.entry_flags(buf, off)
-                        if flags & E.GFLAG_TOMBSTONE:
-                            closed.add(key)
-                        elif combining:
-                            vo = off + E.ENTRY_HEADER + klen
-                            yield key, fmt.unpack_from(buf, vo)[0]
-                        else:
-                            yield key, E.entry_value(buf, off, klen, vlen)
-                            if flags & E.GFLAG_SHADOW:
-                                closed.add(key)
-                addr = next_cpu
-
-    def _collect_values(self, vhead_cpu: int) -> list[bytes]:
-        heap = self.heap
-        page_size = heap.page_size
-        values = []
-        addr = vhead_cpu
-        while addr != NULL:
-            seg, off = divmod(addr, page_size)
-            buf = heap.segment_view(seg)
-            vnext_gpu, vnext_cpu, vlen = E.read_value_node_header(buf, off)
-            values.append(E.value_node_value(buf, off, vlen))
-            addr = vnext_cpu
-        return values
+        return cpu_chain_items(
+            heap.segment_view, heap.page_size, self.buckets.head_cpu,
+            self.org.kind, getattr(self.org, "combiner", None),
+        )
 
     def result(self) -> dict[bytes, Any]:
         """The final merged mapping, resolving cross-iteration residue.
@@ -436,23 +470,10 @@ class GpuHashTable:
         """
         if self.org.impl == "vectorized" and word_aligned(self.heap):
             return self._result_bulk()
-        combining = isinstance(self.org, CombiningOrganization)
-        multivalued = isinstance(self.org, MultiValuedOrganization)
-        out: dict[bytes, Any] = {}
-        for key, payload in self.cpu_items():
-            if combining:
-                if key in out:
-                    # chains walk newest-first; fold older values in from
-                    # the left so non-commutative combiners match the
-                    # insertion-order model
-                    out[key] = self.org.combiner.combine(payload, out[key])
-                else:
-                    out[key] = payload
-            elif multivalued:
-                out.setdefault(key, []).extend(payload)
-            else:
-                out.setdefault(key, []).append(payload)
-        return out
+        return merge_chain_items(
+            self.cpu_items(), self.org.kind,
+            getattr(self.org, "combiner", None),
+        )
 
     def _result_bulk(self) -> dict[bytes, Any]:
         """:meth:`result` without per-entry pointer chasing.

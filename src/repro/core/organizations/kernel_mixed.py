@@ -1,0 +1,574 @@
+"""The batched mixed-op kernels: resolve -> plan -> allocate -> scatter.
+
+:func:`_mutate_generic` serves the two generic-entry organizations (its
+``comb`` argument is the whole policy), :func:`_mutate_multivalued` is the
+same steps over a request stream of two page kinds.  They share the state
+chain (:func:`_key_states`) and the sticky cut (:func:`_sticky_cut`), and
+are bit-identical to the organizations' scalar loops through allocation
+failure in mid-batch.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.core import entries as E
+from repro.core.mutations import OP_DELETE, OP_INSERT, OP_LOOKUP, OP_UPDATE
+from repro.core.organizations.costs import (
+    HASH_CYCLES_PER_BYTE,
+    INSERT_CYCLES,
+    TOMBSTONE_CYCLES,
+    UPDATE_CYCLES,
+)
+from repro.core.organizations.kernel_front import (
+    _DistinctKeys,
+    _latest_before,
+    _link_heads,
+    _link_value_lists,
+    _stable_order,
+)
+from repro.core.organizations.kernel_lookup import (
+    _answer_lookups,
+    _answer_lookups_mv,
+)
+from repro.memalloc.address import NULL
+from repro.memalloc.pages import KIND_CODES, PageKind
+
+
+class _KeyStates(NamedTuple):
+    """What each op of a mixed batch finds its key as, key-major (aligned
+    with ``_DistinctKeys.sub``); see :func:`_key_states`."""
+
+    seg0: np.ndarray  # first position of the op's key
+    key: np.ndarray  # the op's distinct key
+    last_up: np.ndarray  # the key's latest earlier upsert, else -1
+    untouched: np.ndarray  # no earlier op of the batch wrote the key
+    live: np.ndarray  # the key's newest copy is resident and not dead
+    unproven: np.ndarray  # a miss against a chain that runs on evicted
+
+
+def _key_states(dk, res, is_up, is_del, tombstone) -> _KeyStates:
+    """The state chain of the mixed-op kernels.
+
+    An op finds its key live, dead, absent, or unproven (a miss against a
+    chain that runs on into evicted memory).  Which depends only on the
+    key's previous write of the batch -- after an upsert the key is live
+    whether or not that op allocated, after a delete it is dead (or still
+    absent) -- and before the first write on what ``res``, one resolve of
+    the distinct keys, found (``tombstone`` is the dead bit of its flag
+    words).  It holds for every op that runs: the ops of a group run up
+    to its first denied request, and a key lives in one group.
+    """
+    sub = dk.sub
+    seg0 = np.repeat(dk.starts, dk.counts)
+    g_s = dk.gpos[sub]
+    last_up = _latest_before(is_up[sub], seg0)
+    last_del = _latest_before(is_del[sub], seg0)
+    untouched = (last_up < 0) & (last_del < 0)
+    hit0 = res.hit >= 0
+    live0 = hit0 & ((res.hit_flags & tombstone) == 0)
+    live = np.where(last_up >= 0, last_del < last_up, untouched & live0[g_s])
+    unproven = untouched & (~hit0 & res.blocked)[g_s]
+    return _KeyStates(seg0, g_s, last_up, untouched, live, unproven)
+
+
+def _sticky_cut(table, groups, owner, sizes, tally, kinds=None):
+    """Plan one kernel call's request stream and cut every group at its
+    first denied request.
+
+    ``owner`` (ascending) names the op behind each request, ``sizes`` /
+    ``kinds`` are the requests as :meth:`plan_page_takes` takes them.  The
+    pool grants page takes in request order; a group stops at its first
+    denied one.  The op owning that request is *refused* -- charged what
+    it did up to there -- every later op of the group postpones at the
+    gate charged its hash alone, every earlier one runs.  Books the
+    attempt and gate counts; returns ``(ran, refused, n_refused, cut)``,
+    masks over the ops and the request index of each failing group's
+    first denied request.
+    """
+    m = len(groups)
+    stop = np.full(table.buckets.n_groups, m)
+    cut = np.zeros(0, dtype=np.int64)
+    if len(owner):
+        rgroups = groups[owner]
+        page_takes = table.alloc.plan_page_takes(rgroups, sizes, kinds=kinds)
+        denied = page_takes[table.heap.pool.n_free:]
+        if len(denied):
+            g_denied, first = np.unique(rgroups[denied], return_index=True)
+            cut = denied[first]
+            stop[g_denied] = owner[cut]
+    stop = stop[groups]
+    ar = np.arange(m)
+    ran = ar < stop
+    refused = ar == stop
+    n_refused = int(refused.sum())
+    n_gated = m - int(ran.sum()) - n_refused
+    tally.attempted += m
+    tally.succeeded += m - n_gated - n_refused
+    tally.postponed += n_gated + n_refused
+    table.mutations.gate_postponed += n_gated
+    return ran, refused, n_refused, cut
+
+
+def _mutate_generic(table, batch, idx, buckets, tally, comb):
+    """The batched mixed-op kernel of the two generic-entry organizations:
+    resolve -> plan -> allocate -> scatter, bit-identical to their
+    scalar loops (:mod:`.oracle`) through mid-batch allocation failure.
+
+    ``comb`` is the whole policy.  ``None`` is the basic method: an insert
+    prepends without probing, an update overwrites a live same-width hit
+    and shadows it.  A :class:`Combiner` is the combining method: inserts
+    and updates are the same upsert, which probes and combines into a live
+    hit.  Deletes and lookups are common to both.
+
+    Every op's group must be open (the caller gates failed groups).
+    Returns the success mask, or None -- before touching anything -- when
+    a request exceeds the page size (the loop raises the allocator's
+    error).  docs/cost_model.md, "Mutation cycle costs", derives each
+    step.
+    """
+    heap = table.heap
+    alloc = table.alloc
+    muts = table.mutations
+    arena = heap.pool.arena
+    m = len(idx)
+    ar = np.arange(m)
+    ops = batch.ops[idx]
+    klens = batch.key_lens[idx].astype(np.int64)
+    groups = buckets // table.buckets.group_size
+    is_lk = ops == OP_LOOKUP
+    is_del = ops == OP_DELETE
+    is_upd = ops == OP_UPDATE
+    is_up = ~(is_lk | is_del)
+    if comb is None:
+        width = np.where(is_up, batch.val_lens[idx], 0).astype(np.int64)
+    else:
+        width = np.where(is_up, comb.value_size, 0)
+
+    # -- resolve: the state each op finds its key in ---------------------
+    # (:func:`_key_states`; a live copy here also has a value width: the
+    # previous upsert's, or before the first write the resident hit's)
+    dk = _DistinctKeys(batch.cache.grouping(table.buckets), idx, buckets)
+    res = dk.resolve(table, batch, idx, "generic")
+    st = _key_states(dk, res, is_up, is_del, E.GFLAG_TOMBSTONE)
+    sub, gpos = dk.sub, dk.gpos
+    found_s = np.where(
+        st.last_up >= 0, width[sub][st.last_up], res.hit_vlen[st.key]
+    )
+    if comb is None:
+        keeps = is_upd[sub] & st.live & (found_s == width[sub])
+    else:
+        keeps = st.live
+    takes = np.empty(m, dtype=bool)  # ops that allocate an entry
+    takes[sub] = np.where(is_del[sub], st.unproven, is_up[sub] & ~keeps)
+    live = np.empty(m, dtype=bool)
+    live[sub] = st.live
+    found = np.empty(m, dtype=np.int64)  # value width of that live copy
+    found[sub] = found_s
+
+    # -- plan: the sticky cut (:func:`_sticky_cut`) -----------------------
+    # An op makes at most one request, so the refused op has done nothing
+    # but its walk and is charged that and its INSERT_CYCLES.
+    req = np.flatnonzero(takes)
+    size = np.zeros(m, dtype=np.int64)
+    size[req] = E.entry_sizes_bulk(klens[req], width[req])
+    if len(req) and int(size.max()) > heap.page_size:
+        return None
+    ran, refused, n_refused, _ = _sticky_cut(
+        table, groups, req, size[req], tally
+    )
+    made = takes & ran  # the entries this batch creates
+    inplace = ran & is_up & ~takes  # overwrites (basic) / combines
+    buried = ran & is_del & live  # live newest copies tombstoned in place
+    born_dead = made & is_del
+
+    # -- charges ---------------------------------------------------------
+    creator = dk.makers(made, st.seg0)  # op that made the newest copy
+    probe, walk_bytes, A, S = dk.walk_charges(
+        res, buckets, klens, made, creator, E.ENTRY_HEADER
+    )
+    walks = (ran | refused) & (is_del | (is_upd if comb is None else is_up))
+    n_inplace = int(inplace.sum())
+    n_buried = int(buried.sum())
+    tally.probe_steps += int(probe[walks].sum())
+    tally.bytes_touched += (
+        int(walk_bytes[walks].sum())
+        + int((size[made] + 16).sum())
+        + 4 * n_buried
+        + (int((width[inplace] + 4).sum()) if comb is None
+           else 2 * comb.value_size * n_inplace)
+    )
+    # integer-valued constants (the caller checked comb.cycles): the sum
+    # is order-free and lands on the loop's float
+    tally.table_cycles += float(
+        HASH_CYCLES_PER_BYTE * int(klens.sum())
+        + INSERT_CYCLES * (int(made.sum()) + n_refused)
+        + (UPDATE_CYCLES if comb is None else comb.cycles) * n_inplace
+        + TOMBSTONE_CYCLES * n_buried
+    )
+    muts.inserts += int((ran & (ops == OP_INSERT)).sum())
+    muts.updates_inplace += int((inplace & is_upd).sum())
+    muts.updates_entries += int((made & is_upd).sum())
+    muts.deletes_inplace += n_buried
+    muts.deletes_tombstones += int(born_dead.sum())
+    muts.deletes_noop += int((ran & is_del & ~buried & ~takes).sum())
+    n_tomb = n_buried + int(born_dead.sum())
+    if n_tomb:
+        alloc.note_tombstone(
+            int(E.entry_sizes_bulk(klens[buried], found[buried]).sum())
+            + int(size[born_dead].sum()),
+            n_tomb,
+        )
+
+    # -- lookups read the table as it stood before the batch -------------
+    looks = ran & is_lk
+    if looks.any():
+        muts.lookups += int(looks.sum())
+        dirty = np.empty(m, dtype=bool)  # an earlier op wrote the same key
+        dirty[sub] = ~st.untouched
+        _answer_lookups(
+            table, batch, idx, dk, comb, looks, dirty, ran, made, inplace,
+            buried, A, S, tally,
+        )
+
+    # -- allocate: the request stream the loop would issue ---------------
+    ask = np.flatnonzero(takes & (ran | refused))
+    bulk = alloc.allocate_many(groups[ask], size[ask], PageKind.GENERIC)
+    if not np.array_equal(bulk.ok, ran[ask]):  # pragma: no cover
+        raise AssertionError("page-take plan and allocator disagree")
+    tally.alloc_groups.extend(groups[ask][bulk.ok])
+
+    # -- scatter: effects collapse per entry -----------------------------
+    # All in-place ops between two allocations of a key land on one entry
+    # (the resident hit before the first): flags OR together, the last
+    # overwrite wins, combines fold in arrival order.  ``target`` names
+    # that entry: the op that made it, or m + key for the resident hit.
+    target = np.where(made, ar, np.where(creator >= 0, creator, m + gpos))
+    nflags = np.zeros(m, dtype=np.int64)  # by making op
+    rflags = np.zeros(len(dk.starts), dtype=np.int64)  # by key (resident)
+    nflags[born_dead] = E.GFLAG_TOMBSTONE
+    t = target[buried]
+    nflags[t[t < m]] |= E.GFLAG_TOMBSTONE
+    rflags[t[t >= m] - m] |= E.GFLAG_TOMBSTONE
+    rewritten = np.zeros(len(dk.starts), dtype=bool)  # resident hits
+    if comb is None:
+        nflags[made & is_upd] |= E.GFLAG_SHADOW
+        source = ar.copy()  # op whose value each new entry ends up with
+        over = sub[inplace[sub]]  # in-place updates, key-major
+        if len(over):
+            t = target[over]
+            nflags[t[t < m]] |= E.GFLAG_SHADOW
+            rflags[t[t >= m] - m] |= E.GFLAG_SHADOW
+            final = np.r_[t[1:] != t[:-1], True]  # last overwrite per entry
+            t, over = t[final], over[final]
+            new = t < m
+            source[t[new]] = over[new]
+            g, over = t[~new] - m, over[~new]
+            E.scatter_rows(
+                arena, res.hit_pos[g] + E.ENTRY_HEADER + klens[over],
+                batch.values[idx[over]], width[over],
+            )
+    else:
+        vdtype = comb.dtype.newbyteorder("<")
+        folded = np.zeros(m, dtype=comb.dtype)  # by making op
+        ups = sub[(ran & is_up)[sub]]  # upserts that ran, key-major
+        if len(ups):
+            t = target[ups]
+            runs = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+            t = t[runs]
+            seeded = t >= m  # runs that start on a resident hit
+            g = t[seeded] - m
+            vo = res.hit_pos[g] + E.ENTRY_HEADER + klens[dk.firstj[g]]
+            seeds = np.zeros(len(runs), dtype=comb.dtype)
+            seeds[seeded] = E.gather_field(arena, vo, vdtype)
+            red = comb.fold_segments(
+                batch.numeric_values[idx[ups]], runs, seeds, seeded
+            )
+            E.scatter_field(arena, vo, red[seeded])
+            rewritten[g] = True
+            folded[t[~seeded]] = red[~seeded]
+    rewritten |= rflags != 0
+    hits = np.flatnonzero(rflags)
+    E.or_entry_flags(arena, res.hit_pos[hits], rflags[hits])
+    for seg in np.unique(res.hit_addr[rewritten] // heap.page_size).tolist():
+        heap.note_write(seg)
+
+    # new entries: linked newest-first per bucket, written once with their
+    # final value and flags
+    order = np.flatnonzero(bulk.ok)
+    if not len(order):
+        return ran
+    order = order[_stable_order(buckets[ask[order]])]
+    new = ask[order]  # the making ops, by (bucket, arrival)
+    at = bulk.slot[order] * heap.page_size + bulk.offset[order]
+    next_gpu, next_cpu = _link_heads(
+        table.buckets, buckets[new], bulk.gpu_addr[order], bulk.cpu_addr[order]
+    )
+    for dead in (False, True):  # entries with a value, then born dead
+        part = is_del[new] == dead
+        j = new[part]
+        if not len(j):
+            continue
+        rec = idx[j]
+        if dead:
+            values = np.zeros((len(j), 0), dtype=np.uint8)
+        elif comb is None:
+            values = batch.values[idx[source[j]]]
+        else:
+            values = folded[j].astype(vdtype).view(np.uint8).reshape(len(j), -1)
+        E.write_entries_bulk(
+            arena, at[part], next_gpu[part], next_cpu[part],
+            batch.keys[rec], klens[j], values, width[j],
+        )
+    flagged = nflags[new] != 0
+    E.or_entry_flags(arena, at[flagged], nflags[new[flagged]])
+    return ran
+
+
+def _mutate_multivalued(table, batch, idx, buckets, tally, org):
+    """The batched mixed-op kernel of the multi-valued organization ``org``:
+    resolve -> plan -> allocate -> scatter, bit-identical to its
+    scalar loop (:func:`.oracle.multivalued_loop`) through mid-batch
+    allocation failure, under both update policies.
+
+    The multi-valued reading of :func:`_mutate_generic`.  An upsert makes
+    up to two requests of two page kinds -- a key entry unless the key is
+    live, then a value node -- so the request stream has two kinds and an
+    op may be refused *half applied*: its key entry created and linked,
+    its value node denied, and the entry the value was meant for left
+    ``PENDING``.  The gate makes that op the last one its group runs in
+    the call, so no later op reads what it left and the state chain
+    stands.  Preconditions and the None return as for
+    :func:`_mutate_generic`; docs/cost_model.md, "Mutation cycle costs",
+    derives each step.
+    """
+    heap = table.heap
+    alloc = table.alloc
+    muts = table.mutations
+    arena = heap.pool.arena
+    page_size = heap.page_size
+    m = len(idx)
+    ar = np.arange(m)
+    ops = batch.ops[idx]
+    klens = batch.key_lens[idx].astype(np.int64)
+    groups = buckets // table.buckets.group_size
+    is_lk = ops == OP_LOOKUP
+    is_del = ops == OP_DELETE
+    is_upd = ops == OP_UPDATE
+    is_up = ~(is_lk | is_del)
+    vlens = np.where(is_up, batch.val_lens[idx], 0).astype(np.int64)
+    ksizes = E.key_entry_sizes_bulk(klens)
+    vsizes = E.value_node_sizes_bulk(vlens)
+    PENDING, TOMB, SHADOW = E.FLAG_PENDING, E.FLAG_TOMBSTONE, E.FLAG_SHADOW
+
+    # -- resolve: the state each op finds its key in ---------------------
+    dk = _DistinctKeys(batch.cache.grouping(table.buckets), idx, buckets)
+    res = dk.resolve(table, batch, idx, "key")
+    st = _key_states(dk, res, is_up, is_del, TOMB)
+    sub, gpos = dk.sub, dk.gpos
+    G = len(dk.starts)
+    hit_flags = res.hit_flags
+    hits = np.flatnonzero(res.hit >= 0)
+    vhead_gpu = np.full(G, NULL, dtype=np.int64)  # the hits' value lists
+    vhead_cpu = np.full(G, NULL, dtype=np.int64)
+    vhead_gpu[hits] = E.gather_field(arena, res.hit_pos[hits] + 16, "<i8")
+    vhead_cpu[hits] = E.gather_field(arena, res.hit_pos[hits] + 24, "<i8")
+
+    # -- the request stream: [KEY unless kept] + [VALUE] per upsert -------
+    keeps = st.live
+    if batch.update_policy == "replace":
+        # an update prepends a SHADOW entry whatever it finds -- except
+        # that a key's first write completes an earlier pass's refused
+        # replace (an empty SHADOW|PENDING hit) instead of duplicating it
+        unborn = SHADOW | PENDING
+        reuse = ((hit_flags & (unborn | TOMB)) == unborn) & (vhead_cpu == NULL)
+        keeps = np.where(is_upd[sub], st.untouched & reuse[st.key], keeps)
+    needs_key = np.empty(m, dtype=bool)  # a delete's is born dead
+    needs_key[sub] = np.where(is_del[sub], st.unproven, is_up[sub] & ~keeps)
+    live = np.empty(m, dtype=bool)
+    live[sub] = st.live
+    nreq = needs_key.astype(np.int64) + is_up
+    rend = np.cumsum(nreq)
+    kreq = rend - nreq  # an op's KEY request, where it has one
+    vreq = rend - 1  # ... and its VALUE request
+    total = int(rend[-1])
+    owner = np.repeat(ar, nreq)
+    sizes = np.empty(total, dtype=np.int64)
+    codes = np.full(total, KIND_CODES[PageKind.VALUE], dtype=np.int64)
+    sizes[vreq[is_up]] = vsizes[is_up]
+    sizes[kreq[needs_key]] = ksizes[needs_key]
+    codes[kreq[needs_key]] = KIND_CODES[PageKind.KEY]
+    if total and int(sizes.max()) > page_size:
+        return None
+
+    # -- plan: the sticky cut (:func:`_sticky_cut`) -----------------------
+    # Refused at its KEY request an op has done nothing but its walk;
+    # refused at its VALUE request (``half``) its KEY request, if it made
+    # one, was served.
+    ran, refused, _, cut = _sticky_cut(
+        table, groups, owner, sizes, tally, codes
+    )
+    denied = np.full(m, -1)  # a refused op's denied request
+    denied[owner[cut]] = cut
+    half = is_up & (denied == vreq)
+    made = needs_key & (ran | half)  # the key entries this batch creates
+    appended = is_up & ran  # ... and its value nodes, one per op
+    buried = ran & is_del & live  # live newest copies tombstoned in place
+    born_dead = made & is_del
+
+    # -- charges ---------------------------------------------------------
+    creator = dk.makers(made, st.seg0)  # op that made the newest copy
+    probe, walk_bytes, A, S = dk.walk_charges(
+        res, buckets, klens, made, creator, E.KEY_ENTRY_HEADER
+    )
+    executed = ran | refused
+    walks = executed & ~is_lk
+    n_buried = int(buried.sum())
+    tally.probe_steps += int(probe[walks].sum())
+    tally.bytes_touched += (
+        int(walk_bytes[walks].sum())
+        + int((ksizes[made] + 16).sum())
+        + int((vsizes[appended] + 16).sum())
+        + 4 * n_buried
+    )
+    # integer-valued constants: the sum is order-free and lands on the
+    # loop's float
+    tally.table_cycles += float(
+        HASH_CYCLES_PER_BYTE * int(klens.sum())
+        + INSERT_CYCLES * int((executed & (is_up | needs_key)).sum())
+        + TOMBSTONE_CYCLES * n_buried
+    )
+    muts.inserts += int((ran & (ops == OP_INSERT)).sum())
+    muts.updates_inplace += int((ran & is_upd & ~needs_key).sum())
+    muts.updates_entries += int((ran & is_upd & needs_key).sum())
+    muts.value_nodes += int(appended.sum())
+    muts.deletes_inplace += n_buried
+    muts.deletes_tombstones += int(born_dead.sum())
+    muts.deletes_noop += int((ran & is_del & ~buried & ~needs_key).sum())
+    n_tomb = n_buried + int(born_dead.sum())
+    if n_tomb:
+        alloc.note_tombstone(int(ksizes[buried | born_dead].sum()), n_tomb)
+
+    # -- lookups read the table as it stood before the batch -------------
+    looks = ran & is_lk
+    if looks.any():
+        muts.lookups += int(looks.sum())
+        dirty = np.empty(m, dtype=bool)  # an earlier op wrote the same key
+        dirty[sub] = ~st.untouched
+        _answer_lookups_mv(
+            table, batch, idx, dk, looks, dirty, ran, made, buried, A, S,
+            tally,
+        )
+
+    # -- allocate: the request stream the loop would issue ---------------
+    # every request of the ops that ran, a refused op's up to and
+    # including the denied one
+    r = np.arange(total)
+    issued = ran[owner] | (r <= denied[owner])
+    ask = np.flatnonzero(issued)
+    rgroups = groups[owner[ask]]
+    bulk = alloc.allocate_many(rgroups, sizes[ask], kinds=codes[ask])
+    served = ran[owner] | (r < denied[owner])
+    if not np.array_equal(bulk.ok, served[ask]):  # pragma: no cover
+        raise AssertionError("page-take plan and allocator disagree")
+    tally.alloc_groups.extend(rgroups[bulk.ok])
+    at = np.cumsum(issued) - 1  # request -> row of ``bulk``
+
+    # -- scatter: effects collapse per key entry --------------------------
+    # Every value between two key-entry creations of a key lands on one
+    # entry (the resident hit before the first).  ``target`` names it:
+    # the op that made it, or m + key for the resident hit.
+    target = np.where(made, ar, np.where(creator >= 0, creator, m + gpos))
+    new_vhead_gpu = np.full(m, NULL, dtype=np.int64)  # by making op
+    new_vhead_cpu = np.full(m, NULL, dtype=np.int64)
+    rewritten = np.zeros(G, dtype=bool)  # resident hits
+    ups = sub[appended[sub]]  # upserts that ran, key-major
+    if len(ups):
+        t = target[ups]
+        first = np.r_[True, t[1:] != t[:-1]]
+        onto_hit = t >= m
+        g = t[onto_hit] - m
+        head_gpu = np.full(len(ups), NULL, dtype=np.int64)
+        head_cpu = np.full(len(ups), NULL, dtype=np.int64)
+        head_gpu[onto_hit] = vhead_gpu[g]
+        head_cpu[onto_hit] = vhead_cpu[g]
+        row = at[vreq[ups]]
+        node_gpu, node_cpu = bulk.gpu_addr[row], bulk.cpu_addr[row]
+        vnext_gpu, vnext_cpu = _link_value_lists(
+            node_gpu, node_cpu, first, head_gpu, head_cpu
+        )
+        E.write_value_nodes_bulk(
+            arena, bulk.slot[row] * page_size + bulk.offset[row],
+            vnext_gpu, vnext_cpu, batch.values[idx[ups]], vlens[ups],
+        )
+        last = np.r_[first[1:], True]  # each entry's new list head
+        t, node_gpu, node_cpu = t[last], node_gpu[last], node_cpu[last]
+        new = t < m
+        new_vhead_gpu[t[new]] = node_gpu[new]
+        new_vhead_cpu[t[new]] = node_cpu[new]
+        g = t[~new] - m
+        E.scatter_field(
+            arena, res.hit_pos[g] + 16,
+            np.stack((node_gpu[~new], node_cpu[~new]), axis=1),
+        )
+        rewritten[g] = True
+
+    # flags: new entries are written with theirs; a resident hit's word
+    # drops PENDING at its first append or in-place delete, and the entry
+    # a half-applied op meant its value for takes it (back) up
+    nflags = np.zeros(m, dtype=np.int64)  # by making op
+    rflags = np.zeros(G, dtype=np.int64)  # set on resident hits, by key
+    nflags[born_dead] = TOMB
+    if batch.update_policy == "replace":
+        nflags[made & is_upd] = SHADOW
+    t = target[buried]
+    nflags[t[t < m]] |= TOMB
+    rflags[t[t >= m] - m] |= TOMB
+    t = target[appended | buried]
+    completed = np.zeros(G, dtype=bool)
+    completed[t[t >= m] - m] = True
+    cleared = completed & ((hit_flags & PENDING) != 0)
+    t = target[half]
+    pinned_new = t[t < m]
+    nflags[pinned_new] |= PENDING
+    g = t[t >= m] - m
+    pinned_hit = g[cleared[g] | ((hit_flags[g] & PENDING) == 0)]
+    rflags[pinned_hit] |= PENDING
+    changed = np.flatnonzero(cleared | (rflags != 0))
+    E.scatter_field(
+        arena, res.hit_pos[changed] + 36,
+        (
+            (hit_flags[changed] & ~np.where(cleared[changed], PENDING, 0))
+            | rflags[changed]
+        ).astype(np.uint32),
+    )
+    rewritten[changed] = True
+    for seg in np.unique(res.hit_addr[rewritten] // page_size).tolist():
+        heap.note_write(seg)
+    # a key page serves one bucket group and only the last op a group runs
+    # in the call can pin, so on any segment the clears come first
+    n_cleared = int(cleared.sum())
+    segs = np.r_[
+        res.hit_addr[cleared] // page_size,
+        res.hit_addr[pinned_hit] // page_size,
+        bulk.segment[at[kreq[pinned_new]]],
+    ]
+    org._settle_pending(heap, segs, np.arange(len(segs)) >= n_cleared)
+
+    # new key entries: linked newest-first per bucket, written once with
+    # their final value list and flags
+    new = np.flatnonzero(made)
+    if len(new):
+        new = new[_stable_order(buckets[new])]  # by (bucket, arrival)
+        row = at[kreq[new]]
+        next_gpu, next_cpu = _link_heads(
+            table.buckets, buckets[new], bulk.gpu_addr[row], bulk.cpu_addr[row]
+        )
+        E.write_key_entries_bulk(
+            arena, bulk.slot[row] * page_size + bulk.offset[row],
+            next_gpu, next_cpu, new_vhead_gpu[new], new_vhead_cpu[new],
+            batch.keys[idx[new]], klens[new], nflags[new],
+        )
+    return ran

@@ -1,0 +1,590 @@
+"""Policy: what each organization is, and which code applies a batch.
+
+The cost tallies and eviction report every path fills in, the three
+organization classes -- constructor, halting rule, tally reconcile, the
+Figure-5 end-of-iteration rearrangement, the multi-valued pin bookkeeping
+-- and the dispatch: two entry points on the base class,
+:meth:`Organization.insert_indices` and :meth:`Organization.mutate_indices`,
+that ask one question (:meth:`Organization._closed_form`) and name one
+kernel, with the organization's scalar loop (:mod:`.oracle`) behind both.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from repro.core import entries as E
+from repro.core.chainview import word_aligned
+from repro.core.combiners import Combiner
+from repro.core.organizations.costs import HASH_CYCLES_PER_BYTE, SPLICE_CYCLES
+from repro.core.organizations.kernel_insert import (
+    _insert_basic,
+    _insert_combining,
+    _insert_multivalued,
+)
+from repro.core.organizations.kernel_mixed import (
+    _mutate_generic,
+    _mutate_multivalued,
+)
+from repro.core.organizations.oracle import (
+    basic_loop,
+    combining_loop,
+    multivalued_loop,
+)
+from repro.memalloc.address import NULL
+from repro.memalloc.pages import PageKind
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.hashtable import GpuHashTable
+    from repro.core.records import BatchGrouping, RecordBatch
+
+#: valid implementations: batched kernels with a scalar fallback, or the
+#: scalar oracle loops only
+IMPLS = ("vectorized", "slow_reference")
+
+#: mixed-op batches of at least this many ops run the batched kernel under
+#: ``impl="vectorized"``; smaller ones run the loop, whose per-op cost is
+#: lower than the kernel's fixed cost of a few hundred numpy dispatches
+#: (the ``mixed_sweep`` tier of BENCH_hostperf.json is the evidence)
+MIXED_KERNEL_MIN_OPS = 512
+
+
+@dataclass
+class EvictionReport:
+    """What an end-of-iteration rearrangement did."""
+
+    bytes_evicted: int = 0
+    pages_evicted: int = 0
+    pages_retained: int = 0
+    entries_spliced: int = 0
+    maintenance_cycles: float = 0.0
+    #: multi-valued deadlock avoidance kicked in: pinned pages were evicted
+    forced_full_eviction: bool = False
+
+
+class GroupLog:
+    """Ordered log of bucket-group ids, one per successful allocation.
+
+    The scalar reference :meth:`append`\\ s one int per success; the
+    vectorized kernels :meth:`extend` whole arrays -- no per-element
+    ``tolist``/``asarray`` conversion on either side.  Readers normalize
+    through :meth:`as_array`, and equality compares normalized contents,
+    so the differential suites keep asserting
+    ``ta.alloc_groups == tb.alloc_groups`` across implementations.
+    """
+
+    __slots__ = ("_chunks", "_n")
+
+    def __init__(self) -> None:
+        self._chunks: list = []  # ints and int64 arrays, in arrival order
+        self._n = 0
+
+    def append(self, group: int) -> None:
+        self._chunks.append(int(group))
+        self._n += 1
+
+    def extend(self, groups) -> None:
+        a = np.asarray(groups, dtype=np.int64)
+        if len(a):
+            self._chunks.append(a)
+            self._n += len(a)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __bool__(self) -> bool:
+        return self._n > 0
+
+    def as_array(self) -> np.ndarray:
+        parts: list[np.ndarray] = []
+        pend: list[int] = []
+        for c in self._chunks:
+            if isinstance(c, int):
+                pend.append(c)
+            else:
+                if pend:
+                    parts.append(np.asarray(pend, dtype=np.int64))
+                    pend = []
+                parts.append(c)
+        if pend:
+            parts.append(np.asarray(pend, dtype=np.int64))
+        if not parts:
+            return np.empty(0, dtype=np.int64)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupLog):
+            return NotImplemented
+        return bool(np.array_equal(self.as_array(), other.as_array()))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"GroupLog({self.as_array().tolist()!r})"
+
+
+@dataclass(eq=False)
+class InsertTally:
+    """Cost counters accumulated by an insert loop."""
+
+    attempted: int = 0
+    succeeded: int = 0
+    postponed: int = 0
+    probe_steps: int = 0
+    bytes_touched: int = 0
+    table_cycles: float = 0.0
+    #: bucket-group id per successful allocation (allocator contention)
+    alloc_groups: GroupLog = field(default_factory=GroupLog)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InsertTally):
+            return NotImplemented
+        return (
+            self.attempted == other.attempted
+            and self.succeeded == other.succeeded
+            and self.postponed == other.postponed
+            and self.probe_steps == other.probe_steps
+            and self.bytes_touched == other.bytes_touched
+            and self.table_cycles == other.table_cycles
+            and self.alloc_groups == other.alloc_groups
+        )
+
+
+class Organization:
+    """Base class: the dispatch and the default eviction policy.
+
+    A subclass names its scalar loop (``_scalar_loop``, bound from
+    :mod:`.oracle`), its insert kernel (:meth:`_insert_kernel`) and its
+    mixed-op kernel (:meth:`_mutate_kernel`), and says which values those
+    kernels can take (:meth:`_kernel_values`).
+    """
+
+    kind: str = "abstract"
+    #: page kinds this organization allocates from
+    page_kinds: tuple[PageKind, ...] = (PageKind.GENERIC,)
+    #: one of :data:`IMPLS`; governs inserts and mixed-op mutations alike
+    impl: str = "vectorized"
+    #: every cycle constant this organization charges is integer-valued, so
+    #: a batch's ``table_cycles`` may be summed in any order
+    _integer_cycles = True
+    #: a pure insert walks its bucket's chain, so its kernel needs the
+    #: closed form.  The basic method's prepends without looking: its
+    #: kernel has none to lose and runs whatever :meth:`_closed_form` says
+    _insert_probes = True
+
+    def _set_impl(self, impl: str) -> None:
+        if impl not in IMPLS:
+            raise ValueError(f"impl must be one of {IMPLS}: {impl!r}")
+        self.impl = impl
+
+    # ------------------------------------------------------------------
+    # dispatch: which code applies a batch
+    # ------------------------------------------------------------------
+    def _kernel_values(self, batch) -> bool:
+        """``batch`` carries values this organization's kernels can take
+        (on the wrong kind the loop raises at the first value it reads)."""
+        return batch.values is not None
+
+    def _closed_form(self, table, batch) -> "BatchGrouping | None":
+        """The one question both entry points ask: do the closed forms of
+        this organization's probing kernels hold for ``batch``?  Returns
+        the batch's key grouping where they do, else None.
+
+        They do not under an access trace (per-walk ``on_access`` order),
+        on values the kernels cannot take (:meth:`_kernel_values`), or
+        when two keys of the batch collide on the 64-bit hash (grouped by
+        hash they would merge; the loop compares full keys).
+        """
+        if table.trace is not None or not self._kernel_values(batch):
+            return None
+        grouping = batch.cache.grouping(table.buckets)
+        return None if grouping.has_collision else grouping
+
+    def insert_indices(
+        self,
+        table: "GpuHashTable",
+        batch: "RecordBatch",
+        idx: np.ndarray,
+        buckets: np.ndarray,
+        tally: InsertTally,
+    ) -> np.ndarray:
+        """Insert ``batch[idx]``: returns the success mask (``False`` =
+        POSTPONE) and accumulates cost statistics in ``tally``.
+
+        ``vectorized`` runs the organization's insert kernel where
+        :meth:`_closed_form` holds and the table holds no tombstones (a
+        probing kernel resolves a key to its newest copy and takes it for
+        live); a kernel may still decline, having mutated nothing, by
+        returning None.  Everything else -- and ``slow_reference``, always
+        -- is the scalar loop run ungated.
+        """
+        if self.impl == "vectorized":
+            grouping = None
+            if self._insert_probes and table.alloc.stats.entries_tombstoned == 0:
+                grouping = self._closed_form(table, batch)
+            if grouping is not None or not self._insert_probes:
+                done = self._insert_kernel(
+                    table, batch, idx, buckets, tally, grouping
+                )
+                if done is not None:
+                    return done
+        return self._scalar_loop(table, batch, idx, buckets, tally, gated=False)
+
+    def mutate_indices(
+        self,
+        table: "GpuHashTable",
+        batch,
+        idx: np.ndarray,
+        buckets: np.ndarray,
+        tally: InsertTally,
+    ) -> np.ndarray:
+        """Apply a mixed insert/update/delete/lookup batch (see
+        :mod:`repro.core.mutations`).
+
+        Mutation batches are *gated*: any op whose bucket group is
+        sticky-failed postpones up front, which preserves per-key issue
+        order across postponement replays (same key -> same bucket -> same
+        group, and a failed allocation poisons the group until the
+        end-of-iteration eviction refills the pool).
+
+        ``slow_reference`` runs the scalar loop for everything.
+        ``vectorized`` first takes the ops of groups that failed before
+        the call out in one masked step: they postpone charged for their
+        hash alone and touch nothing, so what runs sees exactly the ops
+        the loop would let through (integer-valued cycle constants make
+        the charge order-free; a combiner with fractional ``cycles`` keeps
+        the loop's own gate).  The rest runs the organization's batched
+        kernel where :meth:`_closed_form` holds, the batch has
+        :data:`MIXED_KERNEL_MIN_OPS` ops or more and the heap is sized for
+        word views -- unless the kernel declines, before touching
+        anything, by returning None (a request larger than a page: the
+        loop raises the allocator's error) -- and the same loop otherwise.
+        Success masks, tallies, lookup answers, counters and table bytes
+        do not depend on the choice.
+        """
+        if self.impl == "slow_reference":
+            return self._scalar_loop(table, batch, idx, buckets, tally)
+        alloc = table.alloc
+        still_open = None
+        if alloc.has_failures and self._integer_cycles:
+            shut = np.isin(
+                buckets // table.buckets.group_size, alloc.failed_groups
+            )
+            n = int(shut.sum())
+            if n:
+                tally.attempted += n
+                tally.postponed += n
+                tally.table_cycles += HASH_CYCLES_PER_BYTE * int(
+                    batch.key_lens[idx[shut]].sum()
+                )
+                table.mutations.gate_postponed += n
+                if n == len(idx):
+                    return ~shut
+                still_open = ~shut
+                idx, buckets = idx[still_open], buckets[still_open]
+        done = None
+        if (
+            len(idx) >= MIXED_KERNEL_MIN_OPS
+            and word_aligned(table.heap)
+            and self._closed_form(table, batch) is not None
+        ):
+            done = self._mutate_kernel(table, batch, idx, buckets, tally)
+        if done is None:
+            done = self._scalar_loop(table, batch, idx, buckets, tally)
+        if still_open is None:
+            return done
+        success = np.zeros(len(still_open), dtype=bool)
+        success[still_open] = done
+        return success
+
+    def should_halt(self, table: "GpuHashTable") -> bool:
+        return False
+
+    def reconcile_tally(self, table: "GpuHashTable", census) -> list[str]:
+        """Sanitizer hook: organization-specific tally-vs-census checks.
+
+        ``census`` is a :class:`~repro.sanitize.sanitizer.SanitizeReport`
+        holding the reachable-extent walk (``n_entries``,
+        ``n_value_nodes``).  Returns violation messages; an acknowledged
+        record that is not reachable was silently dropped.
+        """
+        return []
+
+    def end_iteration(self, table: "GpuHashTable") -> EvictionReport:
+        """Default policy: evict everything, reset all GPU chain heads."""
+        report = EvictionReport()
+        victims = table.heap.resident_pages
+        report.pages_evicted = len(victims)
+        report.bytes_evicted = table.heap.evict(victims)
+        table.buckets.reset_gpu_heads()
+        table.alloc.drop_stale_pages()
+        table.alloc.reset_failures()
+        return report
+
+
+class BasicOrganization(Organization):
+    """Duplicate keys stored as separate entries; halts at 50% failed groups."""
+
+    kind = "basic"
+    _insert_probes = False
+    _scalar_loop = basic_loop
+
+    def __init__(self, halt_threshold: float = 0.5, impl: str = "vectorized"):
+        if not 0.0 < halt_threshold <= 1.0:
+            raise ValueError(f"halt threshold must be in (0, 1]: {halt_threshold}")
+        self.halt_threshold = halt_threshold
+        self._set_impl(impl)
+
+    def should_halt(self, table) -> bool:
+        return table.alloc.failed_fraction >= self.halt_threshold
+
+    def reconcile_tally(self, table, census) -> list[str]:
+        # One entry per acknowledged success, duplicates kept separately.
+        # Mutations add entries too: insert/update ops that allocated, and
+        # born-dead tombstones; in-place deletes and updates do not.
+        m = table.mutations
+        expected = (
+            table.total_inserted + m.inserts + m.updates_entries
+            + m.deletes_tombstones
+        )
+        if census.n_entries != expected:
+            return [
+                f"basic organization acknowledged {expected} entry-creating "
+                f"operations but {census.n_entries} entries are reachable: "
+                + ("records were silently dropped"
+                   if census.n_entries < expected
+                   else "phantom entries appeared")
+            ]
+        return []
+
+    def _insert_kernel(self, table, batch, idx, buckets, tally, grouping):
+        return _insert_basic(table, batch, idx, buckets, tally)
+
+    def _mutate_kernel(self, table, batch, idx, buckets, tally):
+        return _mutate_generic(table, batch, idx, buckets, tally, None)
+
+
+class CombiningOrganization(Organization):
+    """Duplicate keys combined in place via a callback (Section IV-B)."""
+
+    kind = "combining"
+    _scalar_loop = combining_loop
+
+    def __init__(self, combiner: Combiner, impl: str = "vectorized"):
+        self.combiner = combiner
+        self._set_impl(impl)
+
+    def reconcile_tally(self, table, census) -> list[str]:
+        # In-place combines acknowledge a success without a new entry, so
+        # the census can only be *at most* the entry-creating op count;
+        # more means entries appeared that no operation created.
+        m = table.mutations
+        bound = (
+            table.total_inserted + m.inserts + m.updates_entries
+            + m.deletes_tombstones
+        )
+        if census.n_entries > bound:
+            return [
+                f"combining organization acknowledged at most {bound} "
+                f"entry-creating operations but {census.n_entries} entries "
+                "are reachable: phantom entries appeared"
+            ]
+        return []
+
+    @property
+    def _integer_cycles(self) -> bool:
+        return float(self.combiner.cycles).is_integer()
+
+    def _kernel_values(self, batch) -> bool:
+        # callbacks and foreign dtypes combine one value at a time
+        comb = self.combiner
+        return (
+            comb.supports_vector_reduce
+            and batch.numeric_values is not None
+            and batch.numeric_values.dtype == comb.dtype
+        )
+
+    def _insert_kernel(self, table, batch, idx, buckets, tally, grouping):
+        return _insert_combining(
+            table, batch, idx, buckets, tally, grouping, self.combiner
+        )
+
+    def _mutate_kernel(self, table, batch, idx, buckets, tally):
+        return _mutate_generic(
+            table, batch, idx, buckets, tally, self.combiner
+        )
+
+
+class MultiValuedOrganization(Organization):
+    """Keys carry a linked list of values; keys and values on separate pages."""
+
+    kind = "multi-valued"
+    page_kinds = (PageKind.KEY, PageKind.VALUE)
+    _scalar_loop = multivalued_loop
+
+    def __init__(
+        self, pin_retention_limit: float = 0.5, impl: str = "vectorized"
+    ) -> None:
+        if not 0.0 < pin_retention_limit <= 1.0:
+            raise ValueError(
+                f"pin retention limit must be in (0, 1]: {pin_retention_limit}"
+            )
+        self._set_impl(impl)
+        #: per-segment count of PENDING keys (drives page pinning)
+        self._pin_counts: dict[int, int] = {}
+        #: when pinned pages exceed this fraction of the resident heap at
+        #: iteration end, flush them too.  Not in the paper: without a bound,
+        #: key-heavy workloads (e.g. Patent Citation) accumulate pinned key
+        #: pages until value throughput per pass collapses.  Flushed keys are
+        #: re-created on retry and merged at finalization.
+        self.pin_retention_limit = pin_retention_limit
+
+    def reconcile_tally(self, table, census) -> list[str]:
+        # Every acknowledged insert/update appended exactly one value node
+        # (key entries are created on demand and may be duplicated by
+        # forced evictions, but values are never re-created).
+        expected = table.total_inserted + table.mutations.value_nodes
+        if census.n_value_nodes != expected:
+            return [
+                f"multi-valued organization acknowledged {expected} "
+                f"value-appending operations but {census.n_value_nodes} "
+                "value nodes are reachable: "
+                + ("records were silently dropped"
+                   if census.n_value_nodes < expected
+                   else "phantom value nodes appeared")
+            ]
+        return []
+
+    def _insert_kernel(self, table, batch, idx, buckets, tally, grouping):
+        return _insert_multivalued(
+            table, batch, idx, buckets, tally, grouping, self
+        )
+
+    def _mutate_kernel(self, table, batch, idx, buckets, tally):
+        return _mutate_multivalued(table, batch, idx, buckets, tally, self)
+
+    # -- pending-flag bookkeeping --------------------------------------
+    def _count_pending(self, heap, seg, pin: bool) -> None:
+        """One more (``pin``) or one fewer ``PENDING`` key entry on segment
+        ``seg``: a key page is pinned while it hosts any."""
+        counts = self._pin_counts
+        if pin:
+            counts[seg] = counts.get(seg, 0) + 1
+            page = heap.resident_page(seg)
+            assert page is not None
+            page.pinned = True
+            return
+        remaining = counts.get(seg, 0) - 1
+        if remaining <= 0:
+            counts.pop(seg, None)
+            page = heap.resident_page(seg)
+            if page is not None:
+                page.pinned = False
+        else:
+            counts[seg] = remaining
+
+    def _set_pending(self, table, buf, seg, off) -> None:
+        flags = E.get_flags(buf, off)
+        if flags & E.FLAG_PENDING:
+            return
+        E.set_flags(buf, off, flags | E.FLAG_PENDING)
+        table.heap.note_write(seg)
+        self._count_pending(table.heap, seg, True)
+
+    def _clear_pending(self, table, buf, seg, off) -> None:
+        flags = E.get_flags(buf, off)
+        if not flags & E.FLAG_PENDING:
+            return
+        E.set_flags(buf, off, flags & ~E.FLAG_PENDING)
+        table.heap.note_write(seg)
+        self._count_pending(table.heap, seg, False)
+
+    def _settle_pending(self, heap, segs, pins) -> None:
+        """The pin bookkeeping of one batched kernel call's
+        :meth:`_set_pending` (``pins[e]``) and :meth:`_clear_pending`
+        events, in the order the loop would have had them: ``segs[e]`` is
+        the segment of the key entry whose ``PENDING`` bit flipped.  The
+        kernels write the flag words themselves."""
+        for seg, pin in zip(segs.tolist(), pins.tolist()):
+            self._count_pending(heap, seg, pin)
+
+    # ------------------------------------------------------------------
+    def end_iteration(self, table) -> EvictionReport:
+        """Evict value pages and key pages without pending keys (Fig. 5b)."""
+        report = EvictionReport()
+        heap = table.heap
+        victims = [p for p in heap.resident_pages if not p.pinned]
+        retained = [p for p in heap.resident_pages if p.pinned]
+        resident = len(victims) + len(retained)
+        if retained and resident and (
+            len(retained) / resident > self.pin_retention_limit
+        ):
+            victims, retained = victims + retained, []
+            for p in victims:
+                p.pinned = False
+            self._pin_counts.clear()
+            report.forced_full_eviction = True
+        if not victims and retained:
+            # Deadlock avoidance (not in the paper): every resident page
+            # hosts a pending key, so retaining them all would leave the
+            # pool empty forever.  Evict everything; retried records will
+            # re-create their key entries, and the duplicate entries merge
+            # during CPU-side finalization.
+            victims, retained = retained, []
+            for p in victims:
+                p.pinned = False
+            self._pin_counts.clear()
+            report.forced_full_eviction = True
+        report.pages_evicted = len(victims)
+        report.pages_retained = len(retained)
+        report.bytes_evicted = heap.evict(victims)
+        self._splice_chains(table, report)
+        table.alloc.drop_stale_pages()
+        table.alloc.reset_failures()
+        return report
+
+    def _splice_chains(self, table, report) -> None:
+        """Rebuild GPU chains over retained entries only.
+
+        After a partial eviction, ``next_gpu`` pointers may target recycled
+        slots.  The CPU chain (never broken) is walked to find the entries
+        that are still resident; their ``next_gpu`` pointers are relinked to
+        skip evicted entries, and every retained key's ``vhead_gpu`` is
+        cleared because value pages are always evicted.
+        """
+        heap = table.heap
+        page_size = heap.page_size
+        head_gpu = table.buckets.head_gpu
+        head_cpu = table.buckets.head_cpu
+        for b in table.buckets.resident_buckets():
+            # (gpu, buf, off, seg)
+            resident: list[tuple[int, np.ndarray, int, int]] = []
+            addr = int(head_cpu[b])
+            while addr != NULL:
+                seg, off = divmod(addr, page_size)
+                page = heap.resident_page(seg)
+                buf = heap.segment_view(seg)
+                hdr = E.read_key_entry_header(buf, off)
+                report.entries_spliced += 1
+                if page is not None:
+                    gpu = page.slot * page_size + off
+                    resident.append((gpu, buf, off, seg))
+                    E.set_vhead(buf, off, NULL, hdr[3])
+                    heap.note_write(seg)
+                addr = hdr[1]
+            if not resident:
+                head_gpu[b] = NULL
+                continue
+            head_gpu[b] = resident[0][0]
+            for (g_cur, buf, off, seg), (g_next, _, _, _) in zip(
+                resident, resident[1:]
+            ):
+                hdr = E.read_key_entry_header(buf, off)
+                E.set_next_ptrs(buf, off, g_next, hdr[1])
+                heap.note_write(seg)
+            last_buf, last_off = resident[-1][1], resident[-1][2]
+            hdr = E.read_key_entry_header(last_buf, last_off)
+            E.set_next_ptrs(last_buf, last_off, NULL, hdr[1])
+            heap.note_write(resident[-1][3])
+        report.maintenance_cycles += report.entries_spliced * SPLICE_CYCLES

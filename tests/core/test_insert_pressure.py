@@ -1,11 +1,12 @@
 """The multi-valued insert kernel through pool exhaustion.
 
-``MultiValuedOrganization._insert_preagg`` is the closed form of the
-insert loop with the exhausted pool included: a pure-insert batch that
-crosses exhaustion, or enters with the pool already dry, postpones on the
-kernel.  Every case here runs ``impl="vectorized"`` with ``_insert_scalar``
-patched to raise -- on a stock pool nothing may reach the loop because of
-pool pressure -- and holds it, call by call, to ``slow_reference`` on the
+``kernel_insert._insert_multivalued`` is the closed form of the insert
+loop with the exhausted pool included: a pure-insert batch that crosses
+exhaustion, or enters with the pool already dry, postpones on the kernel.
+Every case here runs ``impl="vectorized"`` with the organization's
+``_scalar_loop`` patched to raise -- on a stock pool nothing may reach the
+loop because of pool pressure -- and holds it, call by call, to
+``slow_reference`` on the
 success mask, the tally (``alloc_groups`` included), the allocator's
 stats and failed groups, the table bytes and the pin state.
 
@@ -16,7 +17,7 @@ must each be caught by a fixed case.
 """
 
 import inspect
-import textwrap
+import sys
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ from repro.core import (
     MultiValuedOrganization,
     RecordBatch,
     SepoDriver,
-    organizations,
 )
 from repro.core import entries as E
+from repro.core.organizations import policy
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 from repro.sanitize.sanitizer import SanitizerError
@@ -94,9 +95,9 @@ def make_table(impl, heap_pages, page_size=PAGE, n_buckets=1, group_size=1,
                ledger=None):
     org = MultiValuedOrganization(impl=impl)
     if impl == "vectorized":
-        def loop_reached(*args):
-            raise AssertionError("the batch was handed to _insert_scalar")
-        org._insert_scalar = loop_reached
+        def loop_reached(*args, **kwargs):
+            raise AssertionError("the batch was handed to the scalar loop")
+        org._scalar_loop = loop_reached
     return GpuHashTable(
         n_buckets, org, GpuHeap(heap_pages * page_size, page_size),
         group_size=group_size, ledger=ledger,
@@ -275,7 +276,7 @@ def test_kernel_matches_the_loop_under_pressure(case):
 
 
 def test_a_pool_that_denies_promised_takes_still_goes_to_the_loop():
-    """The one pressure case left to ``_insert_scalar``: a fault injector
+    """The one pressure case left to the scalar loop: a fault injector
     whose ``take`` returns None while ``n_free`` still looks healthy.  The
     kernel plans around ``n_free``, so ``can_take`` sends the batch to the
     loop -- before anything was mutated, and with the same outcome."""
@@ -290,20 +291,22 @@ def test_a_pool_that_denies_promised_takes_still_goes_to_the_loop():
         # the last three slots are never handed out
         pool.take = lambda: PagePool.take(pool) if pool.n_free > 3 else None
         if impl == "vectorized":
-            loop = org._insert_scalar
-            org._insert_scalar = lambda *a: reached.append(1) or loop(*a)
+            loop = org._scalar_loop
+            org._scalar_loop = (
+                lambda *a, gated: reached.append(gated) or loop(*a, gated=gated)
+            )
         logs[impl] = observed(table)
         res = table.insert_batch(RecordBatch.from_pairs(batch))
         assert not res.success.all() and pool.n_free == 3
-    assert reached == [1]
+    assert reached == [False], "one call, run ungated"
     assert logs["vectorized"] == logs["slow_reference"]
 
 
 # ----------------------------------------------------------------------
 # the bar: planted faults the fixed cases must catch
 # ----------------------------------------------------------------------
-#: one-line edits of ``_insert_preagg``'s source, (the line as it stands,
-#: the line with the fault)
+#: one-line edits of ``_insert_multivalued``'s source, (the line as it
+#: stands, the line with the fault)
 FAULTS = {
     "issue the VALUE request of a key whose KEY was denied": (
         "serve(vslots[(vslots >= dry) & present[gpos]])",
@@ -341,15 +344,13 @@ def cases_that_fail():
 @pytest.mark.parametrize("fault", FAULTS)
 def test_cases_catch_planted_faults(fault, monkeypatch):
     sound, faulty = FAULTS[fault]
-    source = textwrap.dedent(
-        inspect.getsource(MultiValuedOrganization._insert_preagg)
-    )
+    kernel = policy._insert_multivalued  # where the dispatch reads it
+    source = inspect.getsource(kernel)
     assert source.count(sound) == 1, "the kernel no longer reads this way"
     scope: dict = {}
-    exec(source.replace(sound, faulty), vars(organizations), scope)
-    monkeypatch.setattr(
-        MultiValuedOrganization, "_insert_preagg", scope["_insert_preagg"]
-    )
+    home = sys.modules[kernel.__module__]  # the globals its body reads
+    exec(source.replace(sound, faulty), vars(home), scope)
+    monkeypatch.setattr(policy, kernel.__name__, scope[kernel.__name__])
     assert cases_that_fail(), f"{fault}: every case still holds"
 
 

@@ -1,11 +1,13 @@
 """The batched mixed-op kernel, forced on at every batch size.
 
-``impl="vectorized"`` runs ``organizations._mutate_generic`` (basic,
+``impl="vectorized"`` runs ``kernel_mixed._mutate_generic`` (basic,
 combining) and ``_mutate_multivalued`` only for batches of at least
 ``MIXED_KERNEL_MIN_OPS`` ops, and the differential suites use batches far
 smaller than that.  This module patches the
-cut-over to 0 for every test it collects (a fixture; the shipped constant
-is untouched) and
+cut-over to 0 for every test it collects (a fixture on
+``organizations.policy``, where the dispatch reads the constant; the shipped
+value is untouched, and ``test_the_fixture_forces_the_kernel`` proves the
+patch lands) and
 
 * re-collects ``test_mutations.py``, ``test_mutation_readers.py`` and the
   ``MutationMachine`` state machine under it, so each of those suites
@@ -42,10 +44,11 @@ from repro.core import (
     OP_UPDATE,
     SUM_F64,
     SUM_I64,
-    organizations,
 )
 from repro.core.chainview import materialize_chains
 from repro.core.hashing import fnv1a
+from repro.core.organizations import kernel_lookup, kernel_mixed
+from repro.core.organizations import policy as org_policy
 from repro.memalloc import BucketGroupAllocator, GpuHeap
 from repro.memalloc.address import NULL
 from repro.sanitize.sanitizer import SanitizerError
@@ -64,7 +67,31 @@ from tests.core.test_stateful_machine import (
 
 @pytest.fixture(autouse=True)
 def kernel_always(monkeypatch):
-    monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", 0)
+    monkeypatch.setattr(org_policy, "MIXED_KERNEL_MIN_OPS", 0)
+
+
+def test_the_fixture_forces_the_kernel(monkeypatch):
+    """``kernel_always`` patches the namespace the dispatch reads: a
+    four-op batch, far under the shipped cut-over, runs a batched kernel.
+    Without this the re-collected suites could pass on the loop."""
+    sizes = []
+    for name in ("_mutate_generic", "_mutate_multivalued"):
+        real = getattr(org_policy, name)
+        monkeypatch.setattr(
+            org_policy, name,
+            lambda *a, real=real: sizes.append(len(a[2])) or real(*a),
+        )
+    for kind in ("basic", "combining", "multi-valued"):
+        table = GpuHashTable(
+            16, make_org(kind, "vectorized"), GpuHeap(1 << 14, 1 << 10)
+        )
+        val = lambda v: value(kind, v)
+        res = table.mutate_batch(mut_batch(kind, [
+            (OP_INSERT, b"a", val(1)), (OP_UPDATE, b"a", val(2)),
+            (OP_LOOKUP, b"a", val(0)), (OP_DELETE, b"b", val(0)),
+        ]))
+        assert res.success.all()
+    assert sizes == [4, 4, 4]
 
 
 # the existing suites, re-collected under the fixture above
@@ -474,7 +501,7 @@ def test_callback_combiners_keep_the_loop(cycles, monkeypatch):
     def never(*a, **kw):
         raise AssertionError("batched kernel ran for a callback combiner")
 
-    monkeypatch.setattr(organizations, "_mutate_generic", never)
+    monkeypatch.setattr(org_policy, "_mutate_generic", never)
     comb = CallbackCombiner(
         lambda a, b: 3 * a - b, scalar="i64", name="3a-b", cycles=cycles
     )
@@ -641,9 +668,9 @@ MV_FAULTS = {
     "forget PENDING on a VALUE-refused hit": (
         E, "scatter_field", _forget_pending_on_hits),
     "link a first value node to NULL": (
-        organizations, "_link_value_lists", _first_node_to_null),
+        kernel_mixed, "_link_value_lists", _first_node_to_null),
     "treat an empty PENDING entry as a lookup match": (
-        organizations, "match_cpu_chains", _unborn_entries_match),
+        kernel_lookup, "match_cpu_chains", _unborn_entries_match),
     "drop SHADOW on a replace-made entry": (
         E, "write_key_entries_bulk", _drop_shadow),
 }

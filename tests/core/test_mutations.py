@@ -9,7 +9,7 @@ mappings are *identical*, with the dict model from
 :func:`repro.core.model_for_ops` as ground truth.
 
 Also pins which batches the batched mixed-op kernels
-(``organizations._mutate_generic`` / ``_mutate_multivalued``) take once
+(``kernel_mixed._mutate_generic`` / ``_mutate_multivalued``) take once
 the op-count cut-over lets them: ufunc combiners with any op mix --
 deletes and lookups included, the in-batch duplicates folded in arrival
 order -- and multi-valued batches under both update policies, but never a
@@ -25,7 +25,6 @@ patched to 0 and adds the cases that need the kernel's failure paths.
 import numpy as np
 import pytest
 
-from repro.core import organizations
 from repro.core import (
     BITOR_U64,
     BasicOrganization,
@@ -46,6 +45,7 @@ from repro.core import (
     model_for_ops,
     save_table,
 )
+from repro.core.organizations import policy as org_policy
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 
@@ -249,7 +249,8 @@ def test_mixed_ops_through_sepo_driver():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Cut-over at 0, and a count of the batched kernels' entries."""
+    """Cut-over at 0, and a count of the batched kernels' entries --
+    patched in ``organizations.policy``, where the dispatch reads both."""
     calls = {"n": 0}
 
     def counting(original):
@@ -258,24 +259,24 @@ def kernel_calls(monkeypatch):
             return original(*a, **kw)
         return kernel
 
-    monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", 0)
+    monkeypatch.setattr(org_policy, "MIXED_KERNEL_MIN_OPS", 0)
     for name in ("_mutate_generic", "_mutate_multivalued"):
         monkeypatch.setattr(
-            organizations, name, counting(getattr(organizations, name))
+            org_policy, name, counting(getattr(org_policy, name))
         )
     return calls
 
 
 def _count_preagg(org):
-    """Instrument an organization instance's preagg entry point."""
+    """Instrument an organization instance's insert kernel."""
     calls = {"n": 0}
-    original = org._insert_preagg
+    original = org._insert_kernel
 
     def counting(*a, **kw):
         calls["n"] += 1
         return original(*a, **kw)
 
-    org._insert_preagg = counting
+    org._insert_kernel = counting
     return calls
 
 
@@ -400,15 +401,15 @@ def test_batches_under_the_cut_over_stay_on_the_loop(monkeypatch):
     fixed cost loses on a handful of ops -- and at it the kernel runs."""
     triples = UPDATE_TRIPLES + [(OP_LOOKUP, b"alpha", 0)]
     calls = []
-    original = organizations._mutate_generic
+    original = org_policy._mutate_generic
     monkeypatch.setattr(
-        organizations, "_mutate_generic",
+        org_policy, "_mutate_generic",
         lambda *a, **kw: calls.append(1) or original(*a, **kw),
     )
-    monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", len(triples) + 1)
+    monkeypatch.setattr(org_policy, "MIXED_KERNEL_MIN_OPS", len(triples) + 1)
     _run_combining(SUM_I64, triples)
     assert not calls, "batched kernel ran under the cut-over"
-    monkeypatch.setattr(organizations, "MIXED_KERNEL_MIN_OPS", len(triples))
+    monkeypatch.setattr(org_policy, "MIXED_KERNEL_MIN_OPS", len(triples))
     _run_combining(SUM_I64, triples)
     assert calls == [1]
 
@@ -434,3 +435,13 @@ def test_tombstones_gate_insert_preagg():
     assert res.success.all()
     assert calls["n"] == 0, "tombstoned table must use the replay walk"
     assert table.result() == {b"alpha": 5, b"beta": 6}
+    # the instrument does count: the same batch on a table without
+    # tombstones runs the kernel
+    clean = GpuHashTable(
+        16, CombiningOrganization(SUM_I64), GpuHeap(1 << 16, 1 << 12),
+    )
+    calls = _count_preagg(clean.org)
+    clean.insert_batch(RecordBatch.from_numeric(
+        [b"alpha", b"beta"], np.array([5, 6], dtype=np.int64)
+    ))
+    assert calls["n"] == 1
