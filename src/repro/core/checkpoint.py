@@ -227,8 +227,8 @@ class FrozenTable:
                 if (
                     klen == len(key)
                     and E.key_entry_key(buf, off, klen) == key
-                    # skip empty PENDING entries: unacknowledged
-                    and not (flags & E.FLAG_PENDING and vhead == NULL)
+                    # skip unborn entries: unacknowledged
+                    and not E.key_entry_unborn(flags, vhead)
                 ):
                     if flags & E.FLAG_TOMBSTONE:
                         break  # deleted: older copies are closed

@@ -31,7 +31,8 @@ Multi-valued key entry (keys on KEY pages)::
     16  vhead_gpu  i64    head of this key's value list
     24  vhead_cpu  i64
     32  klen       u32
-    36  flags      u32    bit 0: PENDING (a value insert was postponed)
+    36  flags      u32    bit 0: PENDING (a value insert was postponed:
+                          a GPU-side request to pin the page)
                           bit 1: TOMBSTONE   bit 2: SHADOW
     40  key bytes
 
@@ -52,6 +53,8 @@ import struct
 import sys
 
 import numpy as np
+
+from repro.memalloc.address import NULL
 
 __all__ = [
     "ENTRY_HEADER",
@@ -90,6 +93,7 @@ __all__ = [
     "read_key_entry_header",
     "key_entry_key",
     "set_vhead",
+    "key_entry_unborn",
     "get_flags",
     "set_flags",
     "write_value_node",
@@ -453,8 +457,6 @@ def write_key_entry(
     next_cpu: int,
     key: bytes,
 ) -> None:
-    from repro.memalloc.address import NULL
-
     _QQ.pack_into(buf, off, next_gpu, next_cpu)
     _QQ.pack_into(buf, off + 16, NULL, NULL)  # empty value list
     _II.pack_into(buf, off + 32, len(key), 0)
@@ -476,6 +478,15 @@ def key_entry_key(buf: np.ndarray, off: int, klen: int) -> bytes:
 
 def set_vhead(buf: np.ndarray, off: int, vhead_gpu: int, vhead_cpu: int) -> None:
     _QQ.pack_into(buf, off + 16, vhead_gpu, vhead_cpu)
+
+
+def key_entry_unborn(flags, vhead_cpu):
+    """Is a key entry allocated but unacknowledged -- invisible to every
+    reader?  While it has no value list and is not a tombstone: an
+    acknowledged write leaves a value, a delete the flag.  ``PENDING`` does
+    not enter into it: that is a GPU-side pin request, and page-in clears
+    it (DESIGN.md, "Residency and chain maintenance").  Scalars or columns."""
+    return (vhead_cpu == NULL) & ((flags & FLAG_TOMBSTONE) == 0)
 
 
 def get_flags(buf: np.ndarray, off: int) -> int:

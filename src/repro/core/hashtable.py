@@ -134,11 +134,11 @@ def cpu_chain_items(
                 hdr = E.read_key_entry_header(buf, off)
                 next_cpu, vhead_cpu, klen, flags = hdr[1], hdr[3], hdr[4], hdr[5]
                 key = E.key_entry_key(buf, off, klen)
-                # an *empty* PENDING key entry is allocated but
-                # unacknowledged (its first value append postponed):
+                # an *empty* key entry that is no tombstone is allocated
+                # but unacknowledged (its first value append postponed):
                 # invisible to readers.  PENDING with values means a
                 # later append postponed; the values are real data.
-                unborn = flags & E.FLAG_PENDING and vhead_cpu == NULL
+                unborn = E.key_entry_unborn(flags, vhead_cpu)
                 if key not in closed and not unborn:
                     if flags & E.FLAG_TOMBSTONE:
                         closed.add(key)
@@ -534,9 +534,9 @@ class GpuHashTable:
     def _result_multivalued(self, blob, image, heads) -> dict[bytes, list]:
         (pos, klens, _, flags), _ = walk_cpu_image(image, heads, "key")
         vhead = image.view(np.int64)[(pos >> 3) + 3]
-        # an empty PENDING key entry is unacknowledged: invisible, and it
-        # closes nothing (see cpu_items)
-        born = ~(((flags & E.FLAG_PENDING) != 0) & (vhead == NULL))
+        # an unborn key entry is unacknowledged: invisible, and it closes
+        # nothing (see cpu_items)
+        born = ~E.key_entry_unborn(flags, vhead)
         pos, klens, flags, vhead = pos[born], klens[born], flags[born], vhead[born]
         ko = pos + E.KEY_ENTRY_HEADER
         keys = _slices(blob, ko, ko + klens)

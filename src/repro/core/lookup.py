@@ -55,6 +55,7 @@ from repro.core.organizations import (
     HASH_CYCLES_PER_BYTE,
     IMPLS,
 )
+from repro.core.organizations.kernel_splice import _readmit_key_pages
 from repro.core.records import pack_byte_rows
 from repro.gpusim.atomics import hottest_count
 from repro.gpusim.kernel import BatchStats, KernelModel
@@ -167,30 +168,37 @@ class LookupDriver:
         postponed: list[int] = []
         answered: list[int] = []
         paged_in: list[int] = []
-        while len(st["pend"]):
-            if len(postponed) >= self.max_iterations:
-                raise RuntimeError("lookup did not converge; heap too small?")
-            pend = st["pend"]
-            stats = BatchStats(n_records=len(pend), divergence=1.0)
-            # per open query: the segment that blocked it, -1 = answered
-            blocked = one_pass(np.arange(len(pend)), st, q, stats)
-            stats.cycles_per_record = (
-                HASH_CYCLES_PER_BYTE * int(q.klens[pend].sum()) / len(pend)
-            )
-            stats.hottest_bucket = hottest_count(bucket_ids[pend])
-            self.kernel.charge(stats)
-            still = blocked >= 0
-            st = {name: column[still] for name, column in st.items()}
-            postponed.append(len(st["pend"]))
-            answered.append(len(pend) - len(st["pend"]))
-            # demand order: most-demanded segment first, ties to the one
-            # that blocked the earlier query
-            uniq, first, count = np.unique(
-                blocked[still], return_index=True, return_counts=True
-            )
-            paged_in.append(
-                self._rearrange(uniq[np.lexsort((first, -count))].tolist())
-            )
+        readmitted: set[int] = set()
+        try:
+            while len(st["pend"]):
+                if len(postponed) >= self.max_iterations:
+                    raise RuntimeError("lookup did not converge; heap too small?")
+                pend = st["pend"]
+                stats = BatchStats(n_records=len(pend), divergence=1.0)
+                # per open query: the segment that blocked it, -1 = answered
+                blocked = one_pass(np.arange(len(pend)), st, q, stats)
+                stats.cycles_per_record = (
+                    HASH_CYCLES_PER_BYTE * int(q.klens[pend].sum()) / len(pend)
+                )
+                stats.hottest_bucket = hottest_count(bucket_ids[pend])
+                self.kernel.charge(stats)
+                still = blocked >= 0
+                st = {name: column[still] for name, column in st.items()}
+                postponed.append(len(st["pend"]))
+                answered.append(len(pend) - len(st["pend"]))
+                # demand order: most-demanded segment first, ties to the one
+                # that blocked the earlier query
+                uniq, first, count = np.unique(
+                    blocked[still], return_index=True, return_counts=True
+                )
+                demand = uniq[np.lexsort((first, -count))].tolist()
+                paged_in.append(self._rearrange(demand))
+                readmitted.update(demand[: paged_in[-1]])
+        finally:
+            if self._multivalued:
+                # no pass reads a GPU-side field: the page-in rule is
+                # applied once, to what the lookup leaves resident
+                _readmit_key_pages(table, sorted(readmitted))
 
         return LookupResult(
             values=q.values,
@@ -300,10 +308,8 @@ class LookupDriver:
                 heap, kaddr[at], "key", q.keymat[pend[at]], q.klens[pend[at]]
             )
             vhead = w64[(cm.pos >> 3) + 3]
-            # skip empty PENDING entries: unacknowledged
-            born = np.flatnonzero(
-                ~(((cm.flags & E.FLAG_PENDING) != 0) & (vhead == NULL))
-            )
+            # skip unborn entries: unacknowledged
+            born = np.flatnonzero(~E.key_entry_unborn(cm.flags, vhead))
             hit = born[newest_matches(cm.key[born])]
             k, flags = cm.key[hit], cm.flags[hit]
             # deleted: this and every older same-key entry is dead
@@ -456,8 +462,8 @@ class LookupDriver:
             if (
                 klen == len(key)
                 and E.key_entry_key(buf, off, klen) == key
-                # skip empty PENDING entries: unacknowledged
-                and not (flags & E.FLAG_PENDING and vhead_cpu == NULL)
+                # skip unborn entries: unacknowledged
+                and not E.key_entry_unborn(flags, vhead_cpu)
             ):
                 if flags & E.FLAG_TOMBSTONE:
                     # deleted: this and every older same-key entry is dead
@@ -469,26 +475,19 @@ class LookupDriver:
             kaddr = next_cpu
 
     def _rearrange(self, demanded: list[int]) -> int:
-        """Page the demanded segments back in, in order; returns pages
-        moved."""
+        """Page the demanded segments back in, in order, as far as the
+        pool goes (the rest waits a round); returns pages moved."""
         heap = self.table.heap
-        paged = 0
-        for seg in demanded:
-            page = heap.page_in(seg)
-            if page is None:
-                if paged == 0:
-                    # Pool exhausted before any progress: make room by
-                    # evicting everything currently resident (lookups do
-                    # not dirty pages, but evict() re-snapshots them).
-                    heap.evict_all()
-                    self.table.buckets.reset_gpu_heads()
-                    page = heap.page_in(seg)
-                    if page is None:
-                        raise RuntimeError(
-                            "heap cannot hold a single page for lookups"
-                        )
-                else:
-                    break  # pool full; remaining demand waits a round
+        paged = heap.page_in_many(demanded)
+        if demanded and not paged:
+            # Pool exhausted before any progress: make room by evicting
+            # everything currently resident (lookups do not dirty pages,
+            # but evict() re-snapshots them).
+            heap.evict_all()
+            self.table.buckets.reset_gpu_heads()
+            paged = heap.page_in_many(demanded)
+            if not paged:
+                raise RuntimeError("heap cannot hold a single page for lookups")
+        for _ in range(paged):
             self.bus.bulk(heap.page_size)
-            paged += 1
         return paged

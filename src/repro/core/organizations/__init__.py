@@ -34,10 +34,11 @@ The package is split by role, not by class: :mod:`.policy` (tallies, the
 three classes, the dispatch between loop and kernels; :mod:`.costs` holds
 the cycle constants), :mod:`.oracle` (the scalar loops) and the kernels
 (:mod:`.kernel_front`, :mod:`.kernel_insert`, :mod:`.kernel_mixed`,
-:mod:`.kernel_lookup`).  Every public name is importable from here, but a
-test that *patches* a name must patch the module that reads it -- the
-dispatch reads its kernels and ``MIXED_KERNEL_MIN_OPS`` in :mod:`.policy`
--- because assigning to this namespace changes nothing.
+:mod:`.kernel_lookup`, :mod:`.kernel_splice`).  Every public name is
+importable from here, but a test that *patches* a name must patch the
+module that reads it -- the dispatch reads its kernels and
+``MIXED_KERNEL_MIN_OPS`` in :mod:`.policy` -- because assigning to this
+namespace changes nothing.
 """
 
 # ``__all__`` is the one-file module's; the other names imported here stay

@@ -232,7 +232,7 @@ def _answer_lookups_mv(
     )
     PENDING, TOMB, SHADOW = E.FLAG_PENDING, E.FLAG_TOMBSTONE, E.FLAG_SHADOW
     vhead = E.gather_field(image, cm.pos + 24, "<i8")
-    unborn = ((cm.flags & PENDING) != 0) & (vhead == NULL)
+    unborn = E.key_entry_unborn(cm.flags, vhead)
     first = np.searchsorted(cm.key, np.arange(n_keys))
     # a tombstone closes its key unseen, a shadow's list is the last
     shows, probes, nbytes = _newest_first(
@@ -311,7 +311,7 @@ def _answer_lookups_mv(
             shown = []
             steps, nb = A_l[j] + n_chain[g], S_l[j] + chain_bytes[g]
             for vs, flags, c, p, empty in ents:
-                if flags & PENDING and empty:
+                if empty and not flags & TOMB:  # unborn
                     continue
                 if not flags & TOMB:
                     shown.append(vs)

@@ -427,8 +427,8 @@ def _lookup_mv(table, b, key, tally) -> list[bytes]:
         if (
             klen == klen_key
             and E.key_entry_key(buf, off, klen) == key
-            # skip empty PENDING entries: unacknowledged
-            and not (flags & E.FLAG_PENDING and vhead_cpu == NULL)
+            # skip unborn entries: unacknowledged
+            and not E.key_entry_unborn(flags, vhead_cpu)
         ):
             if flags & E.FLAG_TOMBSTONE:
                 break
@@ -537,3 +537,48 @@ def multivalued_loop(org, table, batch, idx, buckets, tally, gated=True):
         return True
 
     return _each_op(table, batch, idx, buckets, tally, gated, apply_op)
+
+
+def splice_chains(table) -> int:
+    """Rebuild the GPU chains over the key entries a partial eviction
+    left resident (``next_gpu`` may target recycled slots afterwards).
+    Every resident bucket's CPU chain (never broken) is walked to find the
+    entries that stayed; their ``next_gpu`` pointers are relinked to skip
+    the evicted ones, and every retained key's ``vhead_gpu`` is cleared
+    because value pages are always evicted.  Returns the entries walked."""
+    heap = table.heap
+    page_size = heap.page_size
+    head_gpu = table.buckets.head_gpu
+    head_cpu = table.buckets.head_cpu
+    walked = 0
+    for b in table.buckets.resident_buckets():
+        # (gpu, buf, off, seg)
+        resident: list[tuple[int, np.ndarray, int, int]] = []
+        addr = int(head_cpu[b])
+        while addr != NULL:
+            seg, off = divmod(addr, page_size)
+            page = heap.resident_page(seg)
+            buf = heap.segment_view(seg)
+            hdr = E.read_key_entry_header(buf, off)
+            walked += 1
+            if page is not None:
+                gpu = page.slot * page_size + off
+                resident.append((gpu, buf, off, seg))
+                E.set_vhead(buf, off, NULL, hdr[3])
+                heap.note_write(seg)
+            addr = hdr[1]
+        if not resident:
+            head_gpu[b] = NULL
+            continue
+        head_gpu[b] = resident[0][0]
+        for (g_cur, buf, off, seg), (g_next, _, _, _) in zip(
+            resident, resident[1:]
+        ):
+            hdr = E.read_key_entry_header(buf, off)
+            E.set_next_ptrs(buf, off, g_next, hdr[1])
+            heap.note_write(seg)
+        last_buf, last_off = resident[-1][1], resident[-1][2]
+        hdr = E.read_key_entry_header(last_buf, last_off)
+        E.set_next_ptrs(last_buf, last_off, NULL, hdr[1])
+        heap.note_write(resident[-1][3])
+    return walked

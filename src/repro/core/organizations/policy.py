@@ -29,12 +29,13 @@ from repro.core.organizations.kernel_mixed import (
     _mutate_generic,
     _mutate_multivalued,
 )
+from repro.core.organizations.kernel_splice import _splice_resident
 from repro.core.organizations.oracle import (
     basic_loop,
     combining_loop,
     multivalued_loop,
+    splice_chains,
 )
-from repro.memalloc.address import NULL
 from repro.memalloc.pages import PageKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -545,46 +546,11 @@ class MultiValuedOrganization(Organization):
         return report
 
     def _splice_chains(self, table, report) -> None:
-        """Rebuild GPU chains over retained entries only.
-
-        After a partial eviction, ``next_gpu`` pointers may target recycled
-        slots.  The CPU chain (never broken) is walked to find the entries
-        that are still resident; their ``next_gpu`` pointers are relinked to
-        skip evicted entries, and every retained key's ``vhead_gpu`` is
-        cleared because value pages are always evicted.
-        """
-        heap = table.heap
-        page_size = heap.page_size
-        head_gpu = table.buckets.head_gpu
-        head_cpu = table.buckets.head_cpu
-        for b in table.buckets.resident_buckets():
-            # (gpu, buf, off, seg)
-            resident: list[tuple[int, np.ndarray, int, int]] = []
-            addr = int(head_cpu[b])
-            while addr != NULL:
-                seg, off = divmod(addr, page_size)
-                page = heap.resident_page(seg)
-                buf = heap.segment_view(seg)
-                hdr = E.read_key_entry_header(buf, off)
-                report.entries_spliced += 1
-                if page is not None:
-                    gpu = page.slot * page_size + off
-                    resident.append((gpu, buf, off, seg))
-                    E.set_vhead(buf, off, NULL, hdr[3])
-                    heap.note_write(seg)
-                addr = hdr[1]
-            if not resident:
-                head_gpu[b] = NULL
-                continue
-            head_gpu[b] = resident[0][0]
-            for (g_cur, buf, off, seg), (g_next, _, _, _) in zip(
-                resident, resident[1:]
-            ):
-                hdr = E.read_key_entry_header(buf, off)
-                E.set_next_ptrs(buf, off, g_next, hdr[1])
-                heap.note_write(seg)
-            last_buf, last_off = resident[-1][1], resident[-1][2]
-            hdr = E.read_key_entry_header(last_buf, last_off)
-            E.set_next_ptrs(last_buf, last_off, NULL, hdr[1])
-            heap.note_write(resident[-1][3])
-        report.maintenance_cycles += report.entries_spliced * SPLICE_CYCLES
+        """Rebuild the GPU chains over the key entries that stayed
+        resident: in bulk where the heap is sized for word views, else
+        entry by entry (:func:`.oracle.splice_chains`).  Every entry
+        walked is charged ``SPLICE_CYCLES``, whichever code walked it."""
+        bulk = self.impl == "vectorized" and word_aligned(table.heap)
+        walked = (_splice_resident if bulk else splice_chains)(table)
+        report.entries_spliced += walked
+        report.maintenance_cycles += walked * SPLICE_CYCLES

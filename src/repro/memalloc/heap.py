@@ -136,28 +136,40 @@ class GpuHeap:
         Used by SEPO lookups (the read-direction analogue of eviction).
         Returns the re-resident page, or None when the pool is exhausted.
         """
-        if segment in self._resident:
-            return self._resident[segment]
-        if segment not in self._store:
-            raise KeyError(f"segment {segment} was never evicted")
-        if self.integrity is not None:
-            # verify the source bytes before they re-enter the GPU arena
-            self.integrity.check_page_in(self, segment)
-        slot = self.pool.take()
-        if slot is None:
-            return None
-        kind, group, used = self._store_meta[segment]
-        self.pool.slot_view(slot)[:] = self._store.pop(segment)
-        del self._store_meta[segment]
-        if self.integrity is not None:
-            self.integrity.on_page_in(segment)
-        page = Page(
-            slot=slot, segment=segment, kind=kind, group=group,
-            page_size=self.page_size, used=used,
-        )
-        self._resident[segment] = page
-        self.residency_epoch += 1
-        return page
+        self.page_in_many((segment,))
+        return self._resident.get(segment)
+
+    def page_in_many(self, segments: Iterable[int]) -> int:
+        """:meth:`page_in` for a demand list, in order, until the pool
+        denies a slot: returns how many leading ``segments`` are resident
+        now (one that was already counts; it is not moved).  Per page this
+        is what a ``page_in`` loop did: the stored bytes verified before
+        they re-enter the arena, one ``pool.take``.
+        """
+        integrity = self.integrity
+        arena, page_size = self.pool.arena, self.page_size
+        resident, store, meta = self._resident, self._store, self._store_meta
+        done = 0
+        for segment in segments:
+            if segment not in resident:
+                if segment not in store:
+                    raise KeyError(f"segment {segment} was never evicted")
+                if integrity is not None:
+                    integrity.check_page_in(self, segment)
+                slot = self.pool.take()
+                if slot is None:
+                    break
+                kind, group, used = meta.pop(segment)
+                start = slot * page_size
+                arena[start : start + page_size] = store.pop(segment)
+                if integrity is not None:
+                    integrity.on_page_in(segment)
+                resident[segment] = Page(
+                    slot, segment, kind, group, page_size, used
+                )
+                self.residency_epoch += 1
+            done += 1
+        return done
 
     def evict_all(self, keep_pinned: bool = False) -> int:
         """Evict every resident page (optionally retaining pinned ones)."""

@@ -490,8 +490,8 @@ def _walk_multivalued(table, arena: _Arena, report: SanitizeReport) -> None:
             value_cpu = _walk_value_list(table, arena, report, b, addr, vhead_cpu)
             # vhead_gpu is only live while the key entry itself is resident:
             # eviction deliberately leaves stale GPU pointers in the CPU copy
-            # (the GPU never reads evicted entries), and _splice_chains
-            # clears vhead_gpu on every *retained* key.
+            # (the GPU never reads evicted entries); _splice_chains clears
+            # vhead_gpu on every *retained* key, a lookup on paged-in ones.
             if vhead_gpu != NULL and heap._resident.get(seg) is not None:
                 _check_gpu_addr_in(
                     table, arena, report, vhead_gpu, value_cpu,

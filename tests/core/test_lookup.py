@@ -400,10 +400,7 @@ def _observe(case, heap_bytes, impl, page_size=MATRIX_PAGE):
                 for k, v in table.ledger.breakdown().items()
             },
         }.items()})
-    if CASES[case][0] != "multi-valued":
-        # (paged-in multi-valued key pages keep the stale vhead_gpu words
-        # eviction left them with; lookups read vhead_cpu only)
-        table.check_invariants()
+    table.check_invariants()
     return seen, table
 
 
@@ -517,8 +514,10 @@ FAULTS = {
     "fold SUM_F64 residue in the wrong order": ("sum-f64", _fold_oldest_first),
     "ignore SHADOW": ("multi-valued", lambda mp: _tamper_matches(
         mp, "key", lambda cm: cm._replace(flags=cm.flags & ~E.FLAG_SHADOW))),
+    # (an entry without a value list counts unless it is a tombstone)
     "count an empty PENDING entry as a match": ("multi-valued", lambda mp: _tamper_matches(
-        mp, "key", lambda cm: cm._replace(flags=cm.flags & ~E.FLAG_PENDING))),
+        mp, "key", lambda cm: cm._replace(flags=np.where(
+            cm.flags & E.FLAG_PENDING, cm.flags | E.FLAG_TOMBSTONE, cm.flags)))),
     "keep folding past a tombstone": ("sum-i64", lambda mp: _tamper_matches(
         mp, "generic", lambda cm: cm._replace(flags=cm.flags & ~E.GFLAG_TOMBSTONE))),
 }
@@ -564,8 +563,8 @@ def test_lookup_equal_demand_pages_in_first_postponed_order():
         for key in (first, second):  # one segment each, evicted in turn
             driver.run([RecordBatch.from_pairs([(key, b"v")])])
         order = []
-        page_in = table.heap.page_in
-        table.heap.page_in = lambda seg: (order.append(seg), page_in(seg))[1]
+        page_in = table.heap.page_in_many
+        table.heap.page_in_many = lambda segs: (order.extend(segs), page_in(segs))[1]
         res = lookups.lookup([second, first])
         assert res.values == [b"v", b"v"]
         assert res.iteration_postponed == [2, 0]

@@ -652,7 +652,9 @@ def _first_node_to_null(real):
 def _unborn_entries_match(real):
     def match_cpu_chains(image, heads, kind, keys, key_lens):
         cm = real(image, heads, kind, keys, key_lens)
-        return cm._replace(flags=cm.flags & ~E.FLAG_PENDING)
+        # (an entry without a value list counts unless it is a tombstone)
+        return cm._replace(flags=np.where(
+            cm.flags & E.FLAG_PENDING, cm.flags | E.FLAG_TOMBSTONE, cm.flags))
     return match_cpu_chains
 
 

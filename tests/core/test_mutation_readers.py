@@ -34,7 +34,6 @@ from repro.core import (
 )
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
-from repro.sanitize.sanitizer import SanitizerError
 
 ORGS = ["basic", "combining", "multi-valued"]
 
@@ -240,20 +239,15 @@ def test_mv_pending_shadow_does_not_mask_older_values():
     assert not report.violations
 
 
-@pytest.mark.xfail(
-    strict=True, raises=SanitizerError,
-    reason="ROADMAP 5(d): key pages a lookup pages back in keep the PENDING "
-    "bits and vhead_gpu pointers they were evicted with",
-)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mv_write_lookup_write_keeps_the_arena_sane(seed):
     """Write, read back through ``LookupDriver``, write again, with the
     sanitizer on.  A forced full eviction stores key pages whose entries
-    are still ``PENDING`` (and clears the pin counts); the lookup pages
-    them back in as they were, and the next batch runs against flags
-    nobody counts and ``vhead_gpu`` pointers nobody spliced
-    (``pin-count``, ``pin-flag``, ``gpu-cpu-divergence``).  ``result()``
-    still equals the model, and the basic and combining methods pass."""
+    are still ``PENDING`` (and clears the pin counts), and a lookup pages
+    them back in byte for byte.  The page-in rule (DESIGN.md, "Residency
+    and chain maintenance") is what keeps the next batch from running
+    against flags nobody counts and ``vhead_gpu`` pointers nobody spliced
+    (``pin-count``, ``pin-flag``, ``gpu-cpu-divergence``)."""
     rng = np.random.default_rng(seed)
     ledger = CostLedger()
     table = GpuHashTable(
@@ -272,11 +266,12 @@ def test_mv_write_lookup_write_keeps_the_arena_sane(seed):
 
     write(triples)
     LookupDriver(table, kernel, bus).lookup(sorted(set(keys)))
+    table.check_invariants()
     again = [
         ((OP_INSERT, OP_UPDATE, OP_DELETE)[i % 3], k, b"w%d" % i)
         for i, k in enumerate(keys[:200])
     ]
-    write(again)  # raises SanitizerError
+    write(again)
     model, _ = model_for_ops(triples + again, kind="multi-valued")
     assert {k: sorted(v) for k, v in table.result().items()} == {
         k: sorted(v) for k, v in model.items()

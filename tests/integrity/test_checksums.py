@@ -139,6 +139,64 @@ def test_result_verifies_each_stored_segment_exactly_once(kind):
         table.result()
 
 
+def _multivalued_mid_run(impl):
+    """A multi-valued table two boundaries in, a third batch applied:
+    key segments in the store, chains of resident buckets running through
+    them, the next ``end_iteration`` about to splice."""
+    from repro.core import MultiValuedOrganization
+    from repro.memalloc.pages import PageKind
+    from tests.core.conftest import byte_batch
+
+    heap = GpuHeap(6 * 512, 512)
+    table = GpuHashTable(
+        16, MultiValuedOrganization(pin_retention_limit=1.0, impl=impl),
+        heap, group_size=4, integrity="verify",
+    )
+    for round_ in range(3):
+        table.insert_batch(byte_batch(
+            [(b"key%03d" % (i % 30), b"v%03d-%d" % (i, round_)) for i in range(60)]
+        ))
+        if round_ < 2:
+            table.end_iteration()
+    stored_keys = [
+        s for s, meta in heap._store_meta.items() if meta[0] is PageKind.KEY
+    ]
+    assert stored_keys and len(table.buckets.resident_buckets())
+    return table, heap, stored_keys
+
+
+def test_end_iteration_verifies_each_stored_segment_exactly_once():
+    """The bulk splice walks the chains through one image of the CPU side:
+    a stored segment is re-CRCed once per boundary, not once per key entry
+    read out of it (what made multi-valued verify runs cost 8x)."""
+    table, heap, _ = _multivalued_mid_run("vectorized")
+    integ = heap.integrity
+    before = integ.verifies
+    report = table.end_iteration()
+    assert report.pages_retained and report.entries_spliced > len(heap._store)
+    # each eviction's transfer is verified on arrival, then every stored
+    # segment once while the image is built
+    assert integ.verifies - before == report.pages_evicted + len(heap._store)
+    assert integ.detected == 0
+
+
+def test_corrupt_stored_key_segment_stops_the_splice_before_it_writes():
+    """One flipped bit in a *stored* key segment: ``end_iteration`` raises
+    before the bulk splice has written a single arena word or GPU head
+    (the per-entry loop notices only when its walk gets there)."""
+    table, heap, stored_keys = _multivalued_mid_run("vectorized")
+    buf = heap._store[stored_keys[-1]].copy()
+    buf[40] ^= 0x04
+    heap._store[stored_keys[-1]] = buf
+    arena = heap.pool.arena.tobytes()
+    head_gpu = table.buckets.head_gpu.copy()
+    with pytest.raises(CorruptionError) as exc_info:
+        table.end_iteration()
+    assert exc_info.value.event.segment == stored_keys[-1]
+    assert heap.pool.arena.tobytes() == arena
+    assert (table.buckets.head_gpu == head_gpu).all()
+
+
 def test_torn_transfer_retried_and_charged():
     table, heap, ledger = make_int_table()
     integ = heap.integrity
