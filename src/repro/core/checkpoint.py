@@ -432,7 +432,7 @@ def restore_table(table: GpuHashTable, payload: dict) -> None:
             int(seg_group[row]),
             int(seg_used[row]),
         )
-    heap.pool._free_slots = [int(s) for s in payload["free_slots"]]
+    heap.pool.set_free_slots(payload["free_slots"])
     c = payload["counters"]
     heap._next_segment = int(c[0])
     heap.bytes_evicted = int(c[1])

@@ -16,7 +16,8 @@ basic method's 50%-halt policy (Section IV-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,15 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     small-cardinality keys (group/kind composites) where ``keys * n + n``
     cannot overflow int64."""
     n = len(keys)
-    return (keys.astype(np.int64) * n + np.arange(n)).argsort()
+    return (keys * n + np.arange(n)).argsort()
+
+
+def _run_bounds(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``keys`` starts, then ``len(keys)``."""
+    edge = np.empty(len(keys) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return edge.nonzero()[0]
 
 
 @dataclass
@@ -74,6 +83,21 @@ class BulkAllocation:
     offset: np.ndarray  # (n,) int64
     cpu_addr: np.ndarray  # (n,) int64
     gpu_addr: np.ndarray  # (n,) int64
+
+
+class _Plan(NamedTuple):
+    """Page spans of one request batch (:meth:`BucketGroupAllocator._plan`):
+    span ``s`` serves the run-sorted positions ``lo[s]:hi[s]`` of run
+    ``run[s]`` from a fresh page or, failing ``fresh[s]``, from the run's
+    current one.  Spans are ordered by ``lo`` and tile the batch."""
+
+    before: np.ndarray  # (n + 1,) bytes requested ahead of each position
+    lo: np.ndarray
+    hi: np.ndarray
+    run: np.ndarray
+    fresh: np.ndarray  # bool
+    keys: list  # per run: (group, PageKind)
+    pages: list  # per run: its current Page, or None
 
 
 class BucketGroupAllocator:
@@ -136,11 +160,16 @@ class BucketGroupAllocator:
         the same requests succeed, the same offsets are handed out, fresh
         pages are taken from the pool in the same order (so segment ids and
         slots match the sequential path exactly), and the allocator's stats
-        and sticky failure set end up identical.  The fast path plans each
-        bucket group's bump allocation with one cumulative sum per page;
-        only the post-pool-exhaustion tail (where a smaller later request
-        can still squeeze into a group's current page) falls back to the
-        scalar loop.
+        and sticky failure set end up identical.  One plan (:meth:`_plan`)
+        cuts every bucket group's requests into page spans, all groups
+        together; what is left per page is the grant itself -- one
+        :meth:`~repro.memalloc.heap.GpuHeap.alloc_page` per fresh page in
+        the order of the requests that trigger them, which is where fault
+        injectors and traces look -- and the watermark, current-page and
+        dirty-page bookkeeping of each span.  Nothing runs per request
+        unless the pool denies a page: the requests behind a denied take
+        are retried against their group's current page, where a smaller
+        later request can still squeeze in.
 
         ``sorted_order`` optionally passes in a precomputed **stable**
         argsort of ``groups``.  It must preserve arrival order within each
@@ -161,103 +190,68 @@ class BucketGroupAllocator:
         if sizes.shape != (n,):
             raise ValueError("groups and sizes must have matching lengths")
         page_size = self.heap.page_size
-        ok = np.zeros(n, dtype=bool)
-        slot = np.full(n, -1, dtype=np.int64)
-        segment = np.full(n, -1, dtype=np.int64)
-        offset = np.full(n, -1, dtype=np.int64)
         if n == 0:
-            addr = np.full(0, -1, dtype=np.int64)
-            return BulkAllocation(ok, slot, segment, offset, addr, addr.copy())
+            none = np.full(0, -1, dtype=np.int64)
+            return BulkAllocation(
+                np.zeros(0, dtype=bool), none, none.copy(), none.copy(),
+                none.copy(), none.copy(),
+            )
         codes, composite = self._validate_bulk(groups, sizes, kinds)
+        order = _stable_order(composite) if sorted_order is None else sorted_order
+        plan = self._plan(order, composite, groups, sizes, codes, kind)
+        lo, hi, run = plan.lo, plan.hi, plan.run.tolist()
 
-        if sorted_order is None:
-            order = _stable_order(composite)
-        else:
-            order = sorted_order
-
-        # Fast path: a run whose total fits in its (group, kind) current
-        # page needs no span planning at all -- every request bump-fits, no
-        # fresh page is taken, so the whole run is one vectorized scatter.
-        # At small batch sizes this is the common case (most runs are one
-        # or two requests) and skipping the per-span binary searches in
-        # _plan_spans is the difference between O(runs) searchsorted calls
-        # and a handful of array ops per batch.
-        sorted_comp = composite[order]
-        run_starts = np.flatnonzero(np.r_[True, sorted_comp[1:] != sorted_comp[:-1]])
-        run_ends = np.r_[run_starts[1:], n]
-        sorted_sizes = sizes[order]
-        c = np.cumsum(sorted_sizes)
-        consumed = np.where(run_starts > 0, c[run_starts - 1], 0)
-        run_totals = c[run_ends - 1] - consumed
-        fit_runs = np.zeros(len(run_starts), dtype=bool)
-        fit_pages = []  # (run index, current page)
-        for r, s0 in enumerate(run_starts.tolist()):
-            p = int(order[s0])
-            g = int(groups[p])
-            kk = kind if codes is None else KIND_BY_CODE[int(codes[p])]
-            page = self._current.get((g, kk))
-            if page is not None and page.free >= run_totals[r]:
-                fit_runs[r] = True
-                fit_pages.append((r, page))
-        fit_elem = np.repeat(fit_runs, run_ends - run_starts)
-        if fit_pages:
-            fit_lens = (run_ends - run_starts)[fit_runs]
-            pos = order[fit_elem]
-            used_rep = np.repeat([pg.used for _r, pg in fit_pages], fit_lens)
-            base_rep = np.repeat(consumed[fit_runs], fit_lens)
-            ok[pos] = True
-            slot[pos] = np.repeat([pg.slot for _r, pg in fit_pages], fit_lens)
-            segment[pos] = np.repeat(
-                [pg.segment for _r, pg in fit_pages], fit_lens
-            )
-            offset[pos] = used_rep + c[fit_elem] - sorted_sizes[fit_elem] - base_rep
-            self.stats.requests += len(pos)
-            self.stats.bytes_allocated += int(sorted_sizes[fit_elem].sum())
-            for r, page in fit_pages:
-                page.used += int(run_totals[r])
-                self.heap.note_write(page.segment)
-
-        if fit_runs.all():
-            spans, triggers = [], []
-        else:
-            spans, triggers = self._plan_spans(
-                order[~fit_elem], composite, groups, sizes, codes, kind
-            )
-
-        # Phase B: grant fresh pages in trigger order.  When the pool runs
-        # out, the remaining spans' requests are replayed through the
-        # scalar path (they can still partially succeed from the group's
-        # current page), which also records the sticky group failures.
-        triggers.sort(key=lambda t: t[0])
-        grantable = min(len(triggers), self.heap.pool.n_free)
-        for _, span in triggers[:grantable]:
-            fresh = self.heap.alloc_page(span[4], span[3])
-            if fresh is None:
-                # fault injection can deny page grants even while n_free
-                # looks healthy; the remaining spans drop to the scalar
-                # fallback, which re-attempts (and re-observes the denial)
-                # request by request exactly like the sequential path.
+        # Grant the fresh pages one take at a time, in the order of the
+        # requests that trigger them, as far as the pool says it can go.
+        pages = [None if f else plan.pages[r]
+                 for r, f in zip(run, plan.fresh.tolist())]
+        fresh = plan.fresh.nonzero()[0]
+        in_turn = fresh[order[lo[fresh]].argsort()]
+        for s in in_turn[: self.heap.pool.n_free].tolist():
+            key = plan.keys[run[s]]
+            page = self.heap.alloc_page(key[1], key[0])
+            if page is None:
+                # fault injection can deny a grant while n_free looks
+                # healthy; every later span stays ungranted and its
+                # requests are replayed one by one below
                 break
             self.stats.pages_taken += 1
-            span[2] = fresh
+            pages[s] = page
 
-        fallback: list[int] = []
-        for pos, offs, page, g, k in spans:
-            if page is None:  # fresh page the pool could not provide
-                fallback.extend(pos.tolist())
-                continue
-            last = len(pos) - 1
-            page.used = int(offs[last]) + int(sizes[pos[last]])
-            self._current[(g, k)] = page
-            ok[pos] = True
-            slot[pos] = page.slot
-            segment[pos] = page.segment
-            offset[pos] = offs
-            self.stats.requests += len(pos)
-            self.stats.bytes_allocated += int(sizes[pos].sum())
-            self.heap.note_write(page.segment)
-        if fallback:
-            fallback.sort()
+        # Per span: where it sits, then the page's watermark, the run's
+        # current page and the dirty note (span order is run by run, a
+        # run's pages in the order it fills them).
+        nbytes = plan.before[hi] - plan.before[lo]
+        where = np.array(
+            [(-1, -1, 0) if p is None else (p.slot, p.segment, p.used)
+             for p in pages],
+            dtype=np.int64,
+        )
+        note_write = self.heap.note_write
+        for page, r, size in zip(pages, run, nbytes.tolist()):
+            if page is not None:
+                page.used += size
+                if page is not plan.pages[r]:
+                    self._current[plan.keys[r]] = page
+                note_write(page.segment)
+
+        span_of = np.repeat(np.arange(len(lo)), hi - lo)
+        slot = np.empty(n, dtype=np.int64)
+        segment = np.empty(n, dtype=np.int64)
+        offset = np.empty(n, dtype=np.int64)
+        slot[order] = where[span_of, 0]
+        segment[order] = where[span_of, 1]
+        # a fresh span's offsets start at its page's start, not the run's
+        rebase = where[:, 2] - plan.before[lo]
+        offset[order] = plan.before[:-1] + rebase[span_of]
+        ok = segment >= 0
+        served = sizes if ok.all() else sizes[ok]
+        self.stats.requests += len(served)
+        self.stats.bytes_allocated += int(served.sum())
+
+        if len(served) < n:
+            fallback = np.flatnonzero(~ok)
+            offset[fallback] = -1
             if self.heap.pool.n_free == 0:
                 self._retry_exhausted(
                     fallback, groups, sizes, codes, kind,
@@ -268,7 +262,7 @@ class BucketGroupAllocator:
                 # (fault injection): replay request by request so every
                 # retry re-observes the injector exactly like the
                 # sequential path would
-                for p in fallback:
+                for p in fallback.tolist():
                     k = kind if codes is None else KIND_BY_CODE[int(codes[p])]
                     a = self.allocate(int(groups[p]), int(sizes[p]), k)
                     if a is not None:
@@ -283,7 +277,7 @@ class BucketGroupAllocator:
 
     def _retry_exhausted(
         self,
-        fallback: list[int],
+        fb: np.ndarray,
         groups: np.ndarray,
         sizes: np.ndarray,
         codes: np.ndarray | None,
@@ -305,15 +299,11 @@ class BucketGroupAllocator:
         sequential replay (the counters are commutative and a denied
         :meth:`~repro.memalloc.heap.GpuHeap.alloc_page` mutates nothing).
         """
-        fb = np.asarray(fallback, dtype=np.int64)  # already in arrival order
         fcodes = np.zeros(len(fb), np.int64) if codes is None else codes[fb]
         comp = groups[fb] * len(KIND_BY_CODE) + fcodes
         run_order = np.argsort(comp, kind="stable")
         sfb = fb[run_order]
-        scomp = comp[run_order]
-        bounds = np.flatnonzero(
-            np.r_[True, scomp[1:] != scomp[:-1]]
-        ).tolist() + [len(sfb)]
+        bounds = _run_bounds(comp[run_order]).tolist()
         for a, b in zip(bounds, bounds[1:]):
             run = sfb[a:b]
             g = int(groups[run[0]])
@@ -372,7 +362,7 @@ class BucketGroupAllocator:
             raise ValueError("a kind code is out of range")
         return codes, groups * len(KIND_BY_CODE) + codes
 
-    def _plan_spans(
+    def _plan(
         self,
         order: np.ndarray,
         composite: np.ndarray,
@@ -380,60 +370,58 @@ class BucketGroupAllocator:
         sizes: np.ndarray,
         codes: np.ndarray | None,
         kind: PageKind,
-    ) -> tuple[list, list]:
-        """Phase A: plan every (group, kind) run's bump allocation assuming
-        the pool is infinite.  Read-only with respect to allocator and heap
-        state.
+    ) -> _Plan:
+        """Cut every (group, kind) run of ``order`` into page spans, were
+        the pool unbounded.  Read-only with respect to allocator and heap.
 
-        A "span" is a maximal run of requests served by one page; a span
-        opening a fresh page records the request index that triggers the
-        page take, so pages can later be granted in the exact order the
-        sequential path would take them.  One global cumulative sum (in
-        run-sorted order) serves every run's bump-pointer arithmetic; page
-        boundaries are binary searches.
+        A span is a maximal stretch of one run served by one page.  All
+        runs step together, a page at a time, the way the device's bucket
+        groups bump their own pages side by side: one binary search over
+        the global cumulative sum of the sizes finds what every run still
+        places on its current page, then each round opens a fresh page for
+        every run with requests left and one more search finds where those
+        pages fill.  Rounds = the most fresh pages any one run takes.
         """
         page_size = self.heap.page_size
         n = len(order)
-        sorted_comp = composite[order]
-        run_starts = np.flatnonzero(
-            np.r_[True, sorted_comp[1:] != sorted_comp[:-1]]
-        ).tolist()
-        run_ends = run_starts[1:] + [n]
-        sorted_sizes = sizes[order]
-        c = np.cumsum(sorted_sizes)
-        spans = []  # [positions, offsets, Page | None (fresh), group, kind]
-        triggers = []  # (triggering request index, span)
-        searchsorted = np.searchsorted
-        for s0, s1 in zip(run_starts, run_ends):
-            g = int(groups[order[s0]])
-            kk = kind if codes is None else KIND_BY_CODE[int(codes[order[s0]])]
-            page = self._current.get((g, kk))
-            cur_used = page.used if page is not None else page_size
-            i0 = s0
-            consumed = int(c[s0 - 1]) if s0 else 0
-            while i0 < s1:
-                free = page_size - cur_used
-                j = min(int(searchsorted(c, consumed + free, "right")), s1)
-                if j == i0:  # next request needs a fresh page
-                    span = [None, None, None, g, kk]
-                    triggers.append((int(order[i0]), span))
-                    spans.append(span)
-                    cur_used = 0
-                    j = min(
-                        int(searchsorted(c, consumed + page_size, "right")), s1
-                    )
-                    span[0] = order[i0:j]
-                    span[1] = c[i0:j] - sorted_sizes[i0:j] - consumed
-                else:
-                    spans.append(
-                        [order[i0:j],
-                         cur_used + (c[i0:j] - sorted_sizes[i0:j] - consumed),
-                         page, g, kk]
-                    )
-                cur_used += int(c[j - 1] - consumed)
-                consumed = int(c[j - 1])
-                i0 = j
-        return spans, triggers
+        bounds = _run_bounds(composite[order])
+        starts, ends = bounds[:-1], bounds[1:]
+        before = np.zeros(n + 1, dtype=np.int64)  # bytes ahead of position i
+        through = before[1:]  # ... and with request i
+        through[:] = sizes[order].cumsum()
+        first = order[starts]
+        run_kinds = (
+            [kind] * len(first) if codes is None
+            else [KIND_BY_CODE[c] for c in codes[first].tolist()]
+        )
+        keys = list(zip(groups[first].tolist(), run_kinds))
+        pages = [self._current.get(key) for key in keys]
+        free = np.array([0 if p is None else p.free for p in pages], np.int64)
+
+        def fill(at, room, end):
+            # requests at..j-1 are the most that fit in ``room`` bytes
+            j = np.searchsorted(through, before[at] + room, "right")
+            return np.minimum(j, end)
+
+        at = fill(starts, free, ends)
+        held = (at > starts).nonzero()[0]  # runs that use their current page
+        lo, hi, run = [starts[held]], [at[held]], [held]
+        live = (at < ends).nonzero()[0]
+        at = at[live]
+        while len(live):
+            end = ends[live]
+            full = fill(at, page_size, end)
+            lo.append(at)
+            hi.append(full)
+            run.append(live)
+            more = full < end
+            live, at = live[more], full[more]
+        lo = np.concatenate(lo)
+        by_lo = lo.argsort()  # run by run, each run's pages in fill order
+        return _Plan(
+            before, lo[by_lo], np.concatenate(hi)[by_lo],
+            np.concatenate(run)[by_lo], by_lo >= len(held), keys, pages,
+        )
 
     def plan_page_takes(
         self,
@@ -446,8 +434,9 @@ class BucketGroupAllocator:
         one at a time in array order from an unbounded pool: their indices,
         ascending.
 
-        Read-only: neither the pool nor any current page is touched.  A
-        group's page takes depend on that group's requests alone, and the
+        This is the plan :meth:`allocate_many` carries out (:meth:`_plan`),
+        read and not acted on: neither the pool nor any current page is
+        touched.  A group's page takes depend on that group's requests alone, and the
         pool grants them in index order, so with ``n = heap.pool.n_free``
         the first ``n`` indices are the takes a real run is granted and
         every later one is denied -- the batched mutation kernels cut each
@@ -463,9 +452,8 @@ class BucketGroupAllocator:
             return np.zeros(0, dtype=np.int64)
         codes, composite = self._validate_bulk(groups, sizes, kinds)
         order = _stable_order(composite)
-        _, triggers = self._plan_spans(order, composite, groups, sizes,
-                                       codes, kind)
-        return np.sort(np.array([t for t, _ in triggers], dtype=np.int64))
+        plan = self._plan(order, composite, groups, sizes, codes, kind)
+        return np.sort(order[plan.lo[plan.fresh]])
 
     def record_denied_retries(self, count: int, groups=None) -> None:
         """Account ``count`` requests a batched kernel proved would be denied.

@@ -86,14 +86,23 @@ class PagePool:
         self.page_size = page_size
         self.n_slots = heap_bytes // page_size
         self.arena = np.zeros(self.n_slots * page_size, dtype=np.uint8)
-        # LIFO reuse keeps the working set of slots small.
-        self._free_slots: list[int] = list(range(self.n_slots - 1, -1, -1))
         #: physical slots retired by the integrity layer (repeated CRC
         #: failures suggest a bad region of device memory); never reissued
         self.quarantined: set[int] = set()
         #: slots flagged for retirement that are still hosting a live page;
         #: they move to :attr:`quarantined` at their next release
         self._retire_pending: set[int] = set()
+        # LIFO reuse keeps the working set of slots small.
+        self.set_free_slots(range(self.n_slots - 1, -1, -1))
+
+    def set_free_slots(self, slots) -> None:
+        """Replace the free stack (its last slot is the next one taken)."""
+        self._free_slots: list[int] = [int(s) for s in slots]
+        #: per slot, 1 while it is on the stack: :meth:`release` and
+        #: :meth:`quarantine_slot` ask this instead of scanning the stack
+        self._is_free = bytearray(self.n_slots)
+        for s in self._free_slots:
+            self._is_free[s] = 1
 
     @property
     def n_free(self) -> int:
@@ -115,6 +124,7 @@ class PagePool:
         if not self._free_slots:
             return None
         slot = self._free_slots.pop()
+        self._is_free[slot] = 0
         start = slot * self.page_size
         self.arena[start : start + self.page_size] = 0
         return slot
@@ -154,7 +164,7 @@ class PagePool:
         """Return a slot to the pool (its bytes are considered garbage)."""
         if not 0 <= slot < self.n_slots:
             raise ValueError(f"slot {slot} out of range")
-        if slot in self._free_slots:
+        if self._is_free[slot]:
             raise ValueError(f"slot {slot} double-released")
         if slot in self.quarantined:
             raise ValueError(f"slot {slot} is quarantined")
@@ -163,6 +173,7 @@ class PagePool:
             self.quarantined.add(slot)
             return
         self._free_slots.append(slot)
+        self._is_free[slot] = 1
 
     def quarantine_slot(self, slot: int) -> None:
         """Retire a physical slot so it is never handed out again.
@@ -177,12 +188,12 @@ class PagePool:
             raise ValueError(f"slot {slot} out of range")
         if slot in self.quarantined:
             return
-        try:
+        if self._is_free[slot]:
             self._free_slots.remove(slot)
-        except ValueError:
-            self._retire_pending.add(slot)
-        else:
+            self._is_free[slot] = 0
             self.quarantined.add(slot)
+        else:
+            self._retire_pending.add(slot)
 
     def slot_view(self, slot: int) -> np.ndarray:
         """The arena bytes backing ``slot`` (a view, not a copy)."""

@@ -131,3 +131,98 @@ def test_can_take_observes_injected_denial():
     assert pool.n_free == 4
     assert pool.can_take(2)
     assert not pool.can_take(3)
+
+
+# ----------------------------------------------------------------------
+# release: the per-slot free flags stay in step with the free stack
+# ----------------------------------------------------------------------
+def assert_in_step(pool):
+    on_stack = set(pool._free_slots)
+    assert len(on_stack) == len(pool._free_slots)
+    assert [bool(f) for f in pool._is_free] == [
+        s in on_stack for s in range(pool.n_slots)
+    ]
+    assert not on_stack & pool.quarantined
+
+
+def test_release_errors_keep_their_precedence():
+    pool = PagePool(4 * 256, 256)
+    with pytest.raises(ValueError, match="out of range"):
+        pool.release(4)
+    with pytest.raises(ValueError, match="double-released"):
+        pool.release(0)  # never taken
+    pool.quarantine_slot(0)  # free: retires at once
+    with pytest.raises(ValueError, match="quarantined"):
+        pool.release(0)
+    assert_in_step(pool)
+    assert sorted(pool._free_slots) == [1, 2, 3]
+
+
+def test_double_release_after_a_quarantine():
+    pool = PagePool(4 * 256, 256)
+    s = pool.take()
+    pool.quarantine_slot(s)  # hosts a live page: pending
+    assert s in pool._retire_pending and s not in pool.quarantined
+    pool.release(s)  # the page leaves: the slot retires, not recycles
+    assert s in pool.quarantined and not pool._retire_pending
+    with pytest.raises(ValueError, match="quarantined"):
+        pool.release(s)
+    assert pool.n_free == 3 and s not in pool._free_slots
+    assert_in_step(pool)
+    assert s not in {pool.take() for _ in range(3)} and pool.take() is None
+
+
+def test_release_of_a_retire_pending_slot_keeps_lifo_order():
+    pool = PagePool(4 * 256, 256)
+    a, b, c = pool.take(), pool.take(), pool.take()
+    pool.quarantine_slot(b)
+    pool.quarantine_slot(b)  # idempotent while pending
+    for s in (a, b, c):
+        pool.release(s)
+    assert_in_step(pool)
+    # b is gone; a and c come back most recently released first
+    assert [pool.take(), pool.take()] == [c, a]
+
+
+def test_take_release_quarantine_stay_in_step():
+    pool = PagePool(8 * 256, 256)
+    held = [pool.take() for _ in range(5)]
+    pool.quarantine_slot(held[1])
+    pool.quarantine_slot(pool._free_slots[0])
+    for s in held[:3]:
+        pool.release(s)
+    assert_in_step(pool)
+    with pytest.raises(ValueError, match="double-released"):
+        pool.release(held[0])
+    pool.set_free_slots([6, 2])  # what a checkpoint restore does
+    assert_in_step(pool)
+    assert pool.take() == 2
+    with pytest.raises(ValueError, match="double-released"):
+        pool.release(6)
+
+
+def test_can_take_with_an_injector_holding_slots():
+    """A fault injector that took every slot (PoolExhaustion's way) and a
+    pool whose ``take`` is wrapped: the probe goes through real takes and
+    releases, and leaves stack and flags as it found them."""
+    pool = PagePool(6 * 256, 256)
+    wrapped = []
+    pool.take = lambda: (wrapped.append(pool.n_free), PagePool.take(pool))[1]
+    held = []
+    while (s := pool.take()) is not None:
+        held.append(s)
+    assert not pool.can_take(1) and pool.can_take(0)
+    assert_in_step(pool)
+    for s in held[:4]:
+        pool.release(s)
+    before = list(pool._free_slots)
+    assert pool.can_take(4) and not pool.can_take(5)
+    assert pool._free_slots == before
+    assert_in_step(pool)
+    for s in held[:4]:  # the probe's releases were not the injector's
+        with pytest.raises(ValueError, match="double-released"):
+            pool.release(s)
+    for s in held[4:]:
+        pool.release(s)
+    assert pool.n_free == 6
+    assert_in_step(pool)
