@@ -5,10 +5,10 @@ cost model), this benchmark times the Python implementation itself -- the
 host-side records/sec of the insert hot path that bounds how fast any
 experiment can run.  It compares each organization's ``slow_reference``
 implementation against the ``vectorized`` default on the same workload and
-exports a *tiered* ``BENCH_hostperf.json`` at the repo root -- keyed by ``n_records`` -- so future PRs can track the perf
-trajectory at both the classic 64k scale and the deep-chain 1M scale::
+exports ``BENCH_hostperf.json`` at the repo root -- keyed by ``n_records`` -- so future PRs can track the perf
+trajectory at the classic 64k scale::
 
-    PYTHONPATH=src python benchmarks/bench_hostperf.py            # all tiers
+    PYTHONPATH=src python benchmarks/bench_hostperf.py            # 64k tier
     PYTHONPATH=src python benchmarks/bench_hostperf.py --n 8192 --repeats 1
     PYTHONPATH=src python benchmarks/bench_hostperf.py --profile  # hotspots
     PYTHONPATH=src python -m pytest benchmarks/bench_hostperf.py -q
@@ -61,11 +61,10 @@ per-entry one by 3x on a partial-retention boundary (and, with integrity
 left on, a multi-valued insert + boundary within 50 % of its time with it
 off), and the bulk ``result()`` of the combining table
 its per-entry merge by 1.5x, on the reduced workload (the tracked full-scale speedups are ~8-10x; 2x keeps the
-gate robust on noisy shared runners).  The 1M tier is gated separately
-(``test_million_tier_*``, a dedicated CI job) with *absolute* vectorized
-records/sec floors seeded at roughly a third of the throughput measured
-when the tier landed -- the scalar reference takes minutes at this scale,
-so relative gates would dominate CI time.
+gate robust on noisy shared runners).  Every gate is a ratio of two arms
+timed back to back: an absolute records/sec floor measures the machine's
+hour, not the code (the 1M-record tier that carried three was deleted for
+it).
 """
 
 import argparse
@@ -113,11 +112,6 @@ EXPORT_PATH = REPO_ROOT / "BENCH_hostperf.json"
 
 #: the classic reference workload: 64k inserts
 FULL_N = 65_536
-#: the deep-chain tier: 1M inserts against the same 4096-bucket table,
-#: so resident chains reach ~150 entries and chain-walk cost dominates
-MILLION_N = 1_048_576
-#: tiers of the exported report (full suite at 64k, insert-only at 1M)
-TIER_NS = (FULL_N, MILLION_N)
 #: reduced scale for the CI smoke (keeps the gate < a few seconds)
 SMOKE_N = 16_384
 SMOKE_MIN_SPEEDUP = 2.0
@@ -151,15 +145,6 @@ INPUT_SIDE_MIN_SPEEDUP = {
     "Page View Count": 1.5,
     "Word Count": 1.5,
 }
-#: absolute vectorized floors for the 1M tier (records/sec), seeded at
-#: ~1/3 of the throughput measured when the tier landed (basic 1.58M,
-#: combining 841k, multi-valued 619k) to stay robust on shared runners
-MILLION_MIN_RPS = {
-    "basic": 500_000,
-    "combining": 250_000,
-    "multi-valued": 200_000,
-}
-
 DISTRIBUTIONS = ("uniform", "zipf")
 KINDS = ("basic", "combining", "multi-valued")
 #: rows of the 64k insert cells: the organizations, plus the combining
@@ -193,7 +178,7 @@ def make_workload(n: int, dist: str = "uniform", seed: int = 42):
 def heap_bytes_for(n: int) -> int:
     """Heap size that keeps a fresh-table insert of ``n`` records
     postponement-free: the classic 48MB up to a few hundred k records,
-    256MB for the million-record tier."""
+    256MB beyond (``--n`` takes any size)."""
     return (48 << 20) if n <= 4 * FULL_N else (256 << 20)
 
 
@@ -885,21 +870,15 @@ def router_cell(n: int, repeats: int = 3) -> dict:
     return rows
 
 
-def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
-    """One tier of the report: the full cell matrix at the classic scale,
-    or just the uniform insert cells (``insert_only``) at scales where
-    the scalar mixed-op/integrity cells would take minutes."""
+def run_suite(n: int, repeats: int = 3) -> dict:
+    """One tier of the report: the full cell matrix at ``n`` records."""
     distributions = {}
-    dists = ("uniform",) if insert_only else DISTRIBUTIONS
-    kinds = KINDS if insert_only else INSERT_KINDS
-    for dist in dists:
+    for dist in DISTRIBUTIONS:
         keys, values = make_workload(n, dist)
         distributions[dist] = {
-            kind: _insert_cell(kind, keys, values, repeats) for kind in kinds
+            kind: _insert_cell(kind, keys, values, repeats)
+            for kind in INSERT_KINDS
         }
-    if insert_only:
-        return {"n_records": n, "repeats": repeats,
-                "distributions": distributions}
     # CPU-side read of the finished table: bulk reader vs per-entry merge
     keys, values = make_workload(n, "uniform")
     distributions["result"] = {
@@ -941,22 +920,6 @@ def run_suite(n: int, repeats: int = 3, insert_only: bool = False) -> dict:
         # the evidence behind organizations.policy.MIXED_KERNEL_MIN_OPS
         "mixed_sweep": mixed_sweep(repeats),
     }
-
-
-def run_tiered(repeats: int = 3) -> dict:
-    """The exported report: every tier keyed by its ``n_records``.
-
-    The 64k tier carries the full cell matrix; the 1M deep-chain tier is
-    insert-only with ``repeats=1`` (its scalar reference alone runs for
-    minutes per organization).
-    """
-    tiers = {}
-    for n in TIER_NS:
-        insert_only = n > FULL_N
-        tiers[str(n)] = run_suite(
-            n, 1 if insert_only else repeats, insert_only=insert_only
-        )
-    return {"schema": "tiered-v2", "tiers": tiers}
 
 
 def export(report: dict, path: Path = EXPORT_PATH) -> None:
@@ -1236,16 +1199,13 @@ def test_hostperf_basic_vectorized(benchmark):
 def test_hostperf_export_roundtrip(tmp_path):
     report = {
         "schema": "tiered-v2",
-        "tiers": {
-            "2048": run_suite(n=2048, repeats=1),
-            "4096": run_suite(n=4096, repeats=1, insert_only=True),
-        },
+        "tiers": {"2048": run_suite(n=2048, repeats=1)},
     }
     out = tmp_path / "BENCH_hostperf.json"
     export(report, out)
     loaded = json.loads(out.read_text())
     assert loaded["schema"] == "tiered-v2"
-    assert set(loaded["tiers"]) == {"2048", "4096"}
+    assert set(loaded["tiers"]) == {"2048"}
     full = loaded["tiers"]["2048"]
     assert full["n_records"] == 2048
     assert set(full["distributions"]) == (
@@ -1309,46 +1269,6 @@ def test_hostperf_export_roundtrip(tmp_path):
     assert set(full["allocator"]) == {f"{n}x{g}" for n, g in ALLOCATOR_SHAPES}
     for row in full["allocator"].values():
         assert row["sequential_rps"] > 0 and row["bulk_rps"] > 0
-    # the insert-only tier carries just the uniform insert cells
-    deep = loaded["tiers"]["4096"]
-    assert set(deep["distributions"]) == {"uniform"}
-    assert set(deep["distributions"]["uniform"]) == set(KINDS)
-    assert not {
-        "shard_scaling", "mixed_sweep", "router", "lookup", "pressure",
-        "end-iteration", "input_side", "allocator",
-    } & set(deep)
-
-
-# ----------------------------------------------------------------------
-# 1M deep-chain tier gates (dedicated CI job, not the default smoke)
-# ----------------------------------------------------------------------
-def _million_gate(kind: str, impl: str):
-    keys, values = make_workload(MILLION_N, "uniform")
-    rps = insert_rps(kind, impl, keys, values, repeats=1)
-    floor = MILLION_MIN_RPS[kind]
-    assert rps >= floor, (
-        f"{kind}/{impl} @ 1M: {rps:,.0f} rec/s is below the "
-        f"{floor:,} rec/s floor seeded when the tier landed"
-    )
-
-
-def test_million_tier_basic_floor():
-    """CI gate (1M tier): vectorized basic insert holds its absolute
-    records/sec floor on the deep-chain workload."""
-    _million_gate("basic", "vectorized")
-
-
-def test_million_tier_combining_floor():
-    """CI gate (1M tier): the pre-aggregating combining kernel holds its
-    floor where chains are ~150 entries deep."""
-    _million_gate("combining", "vectorized")
-
-
-def test_million_tier_multivalued_floor():
-    """CI gate (1M tier): the bulk multi-valued kernel holds its floor at
-    1M records."""
-    _million_gate("multi-valued", "vectorized")
-
 
 # ----------------------------------------------------------------------
 def _print_tier(tier: dict) -> None:
@@ -1445,10 +1365,8 @@ def _print_tier(tier: dict) -> None:
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=None,
-                    help="run a single full-matrix tier at this size "
-                         "(default: the tiered suite, "
-                         f"{' + '.join(f'{n:,}' for n in TIER_NS)})")
+    ap.add_argument("--n", type=int, default=FULL_N,
+                    help=f"records in the tier (default {FULL_N:,})")
     ap.add_argument("--repeats", type=int, default=3,
                     help="best-of repeats per measurement (default 3)")
     ap.add_argument("--profile", action="store_true",
@@ -1460,17 +1378,12 @@ def main(argv=None) -> None:
                          "orchestration path instead of one big insert)")
     args = ap.parse_args(argv)
     if args.profile:
-        profile_hotspots(args.n or FULL_N, batch_records=args.batch_records)
+        profile_hotspots(args.n, batch_records=args.batch_records)
         return
-    if args.n is not None:
-        tier = run_suite(args.n, args.repeats)
-        report = {"schema": "tiered-v2", "tiers": {str(args.n): tier}}
-    else:
-        report = run_tiered(args.repeats)
-    export(report)
+    tier = run_suite(args.n, args.repeats)
+    export({"schema": "tiered-v2", "tiers": {str(args.n): tier}})
     print(f"wrote {EXPORT_PATH}")
-    for tier in report["tiers"].values():
-        _print_tier(tier)
+    _print_tier(tier)
 
 
 if __name__ == "__main__":

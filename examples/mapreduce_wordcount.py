@@ -10,6 +10,9 @@ when the table outgrows GPU memory.
 Run:  python examples/mapreduce_wordcount.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from repro.core.combiners import SUM_I64
@@ -80,3 +83,15 @@ except GpuOutOfMemory as e:
 big = MapReduceRuntime(grouping_job, scale=1 << 14, n_buckets=1 << 10,
                        page_size=2048).run(data)
 print(f"our runtime on the same job: OK in {big.report.iterations} iterations")
+
+# The same run, crash-recoverable: `journal=` is the only difference (every
+# entry point forwards it to repro.core.session.wire; docs/robustness.md).
+with tempfile.TemporaryDirectory() as tmp:
+    journaled = MapReduceRuntime(
+        grouping_job, scale=1 << 14, n_buckets=1 << 10, page_size=2048
+    ).run(data, journal=os.path.join(tmp, "job.npz"), checkpoint_every=2)
+# checkpoints quiesce the table, so value lists may come back reordered
+assert ({k: sorted(v) for k, v in journaled.output().items()}
+        == {k: sorted(v) for k, v in big.output().items()})
+print(f"journaled: {journaled.resilience.checkpoints_written} checkpoints, "
+      f"same {len(journaled.output()):,} keys")

@@ -28,6 +28,8 @@ from repro.apps import (
 )
 from repro.baselines.pinned import PinnedHashTable
 from repro.bench.reporting import fmt_bytes, fmt_seconds
+from repro.integrity import INTEGRITY_MODES
+from repro.sanitize import LEVELS
 
 APPS = {
     "pvc": PageViewCount,
@@ -38,6 +40,10 @@ APPS = {
     "geolocation": GeoLocation,
     "patent-citation": PatentCitation,
 }
+
+#: the flags forwarded to ``run_gpu`` as given (see ``main``)
+RUN_OPTIONS = ("sanitize", "integrity", "scrub_budget", "journal", "resume",
+               "checkpoint_every")
 
 
 def _preview(value) -> str:
@@ -68,26 +74,30 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the reference-implementation check")
     parser.add_argument("--timeline", action="store_true",
                         help="print the per-iteration SEPO timeline (gpu)")
-    parser.add_argument("--sanitize", choices=["off", "cheap", "paranoid"],
-                        default=None,
-                        help="sanitizer level (default: REPRO_SANITIZE)")
-    parser.add_argument("--integrity", choices=["off", "verify", "scrub"],
-                        default=None,
-                        help="checksum/scrub mode (default: REPRO_INTEGRITY, "
-                             "falling back to off; gpu only)")
-    parser.add_argument("--scrub-budget", type=int, default=4, metavar="N",
-                        help="pages the background scrubber sweeps per SEPO "
-                             "iteration (default 4; needs --integrity scrub)")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="journal checkpoints to PATH (enables "
-                             "crash-recoverable execution; gpu only)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from an existing --journal file")
-    parser.add_argument("--checkpoint-every", type=int, default=1,
-                        metavar="N", help="checkpoint every N SEPO "
-                        "iterations (default 1)")
+    # Run options: declared (defaults included) by repro.core.session.wire;
+    # a flag left off the command line is not passed at all.
+    run = parser.add_argument_group(
+        "run options (gpu only)", argument_default=argparse.SUPPRESS
+    )
+    run.add_argument("--sanitize", choices=LEVELS,
+                     help="sanitizer level (default: REPRO_SANITIZE)")
+    run.add_argument("--integrity", choices=INTEGRITY_MODES,
+                     help="checksum/scrub mode (default: REPRO_INTEGRITY, "
+                          "falling back to off)")
+    run.add_argument("--scrub-budget", type=int, metavar="N",
+                     help="pages the background scrubber sweeps per SEPO "
+                          "iteration (default 4; needs --integrity scrub)")
+    run.add_argument("--journal", metavar="PATH",
+                     help="journal checkpoints to PATH (enables "
+                          "crash-recoverable execution)")
+    run.add_argument("--resume", action="store_true",
+                     help="resume from an existing --journal file")
+    run.add_argument("--checkpoint-every", type=int,
+                     metavar="N", help="checkpoint every N SEPO "
+                     "iterations (default 1)")
     args = parser.parse_args(argv)
-    if args.resume and not args.journal:
+    options = {k: getattr(args, k) for k in RUN_OPTIONS if hasattr(args, k)}
+    if "resume" in options and "journal" not in options:
         parser.error("--resume requires --journal")
 
     app = APPS[args.app]()
@@ -97,11 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.device == "gpu":
         outcome = app.run_gpu(data, scale=args.scale, n_buckets=args.buckets,
-                              page_size=4096, sanitize=args.sanitize,
-                              integrity=args.integrity,
-                              scrub_budget=args.scrub_budget,
-                              journal=args.journal, resume=args.resume,
-                              checkpoint_every=args.checkpoint_every)
+                              page_size=4096, **options)
     elif args.device == "cpu":
         outcome = app.run_cpu(data, n_buckets=args.buckets)
     else:
@@ -121,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"time breakdown  : {parts}")
 
-    res = getattr(outcome, "resilience", None)
+    res = outcome.resilience
     if res is not None:
         resumed = (f"resumed at iteration {res.resumed_from_iteration}"
                    if res.resumed_from_iteration is not None else "fresh run")
@@ -131,8 +137,9 @@ def main(argv: list[str] | None = None) -> int:
             detail = f" ({ev.detail})" if ev.detail else ""
             print(f"  degraded @ iter {ev.iteration}: {ev.action}{detail}")
 
-    heap = getattr(getattr(outcome.table, "table", outcome.table), "heap", None)
-    integ = getattr(heap, "integrity", None)
+    # The CPU baseline and a degraded run wrap the core table; unwrap it.
+    inner = getattr(outcome.table, "table", outcome.table)
+    integ = inner.heap.integrity
     if integ is not None:
         print(f"integrity       : mode {integ.mode}, {integ.seals} seals, "
               f"{integ.verifies} verifies, {integ.scrubbed_pages} pages "
@@ -147,8 +154,6 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.core.introspection import collect_stats
 
-    # The CPU baseline wraps the core table; unwrap for introspection.
-    inner = getattr(outcome.table, "table", outcome.table)
     stats = collect_stats(inner)
     print(f"table           : {stats.total_entries:,} entries, "
           f"load factor {stats.load_factor:.2f}, "

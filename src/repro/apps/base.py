@@ -6,30 +6,29 @@ chunks into :class:`~repro.core.records.RecordBatch` objects, the bucket
 organization and combiner, calibrated per-record cost parameters for the
 SIMT model, and a pure-Python reference implementation for verification.
 
-``run_gpu`` executes the app on the simulated GPU under SEPO; ``run_cpu``
-executes the multi-threaded CPU baseline.  Both return a uniform
-:class:`RunOutcome` so the benchmark harness can compute speedups.
+``run_gpu`` executes the app on the simulated GPU under SEPO (DESIGN.md
+"Run path"); ``run_cpu`` executes the multi-threaded CPU baseline.  Both
+return a uniform :class:`~repro.core.session.RunOutcome` so the benchmark
+harness can compute speedups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro.bigkernel.partitioner import partition_lines
 from repro.core.combiners import Combiner
-from repro.core.hashtable import GpuHashTable
 from repro.core.organizations import (
     CombiningOrganization,
     MultiValuedOrganization,
     Organization,
 )
 from repro.core.records import RecordBatch
-from repro.core.session import GpuSession
+from repro.core.session import RunOutcome, map_input, wire
 from repro.cpu.cputable import CpuHashTable
-from repro.gpusim.device import DeviceSpec, GTX_780TI, XEON_E5_QUAD
+from repro.gpusim.device import DeviceSpec, XEON_E5_QUAD
 from repro.mapreduce.api import JobSpec, Mode
 
 __all__ = [
@@ -84,25 +83,6 @@ def first_at_or_after(
     return np.append(positions, none)[np.searchsorted(positions, starts)]
 
 
-@dataclass
-class RunOutcome:
-    """Uniform result of a GPU or CPU application run."""
-
-    app: str
-    device: str
-    elapsed_seconds: float
-    iterations: int
-    table: Any  # GpuHashTable | CpuHashTable | DegradedTable
-    report: Any = None  # SepoReport | CpuRunReport
-    breakdown: dict[str, float] | None = None
-    #: resilience telemetry when the run was journaled (see repro.resilience)
-    resilience: Any = None  # ResilientReport | None
-
-    def output(self) -> dict[bytes, Any]:
-        t = self.table
-        return t.result()
-
-
 class Application:
     """Base class for the four standalone applications."""
 
@@ -145,119 +125,33 @@ class Application:
             return MultiValuedOrganization()
         raise ValueError(f"unknown organization {self.organization!r}")
 
-    def _stamp(self, batch: RecordBatch, raw_len: int) -> RecordBatch:
+    def map_chunk(self, chunk: bytes) -> RecordBatch:
+        """One map instance: the parsed chunk, stamped with the parse
+        kernel's cost parameters."""
+        batch = self.parse_chunk(chunk)
         batch.parse_cycles = self.parse_cycles
         batch.divergence = self.divergence
-        # What crosses the PCIe bus is the raw chunk, not the staged pairs.
-        batch.input_bytes = raw_len
         return batch
 
     def batches(self, data: bytes, chunk_bytes: int | None = None) -> list[RecordBatch]:
-        size = chunk_bytes or self.chunk_bytes
-        return [
-            self._stamp(self.parse_chunk(c), len(c))
-            for c in self.partition(data, size)
-        ]
+        return list(map_input(self, data, chunk_bytes or self.chunk_bytes))
 
     # ------------------------------------------------------------------
     # execution entry points
     # ------------------------------------------------------------------
     def run_gpu(
-        self,
-        data: bytes,
-        device: DeviceSpec = GTX_780TI,
-        scale: int = 1,
-        n_buckets: int = 1 << 14,
-        group_size: int = 64,
-        page_size: int = 16 << 10,
-        chunk_bytes: int | None = None,
-        trace=None,
-        batches: list[RecordBatch] | None = None,
-        backend: str = "analytic",
-        sanitize: str | None = None,
-        integrity: str | None = None,
-        scrub_budget: int = 4,
-        journal=None,
-        checkpoint_every: int = 1,
-        resume: bool = False,
-        degrade: bool = True,
+        self, data: bytes, n_buckets: int = 1 << 14, **options
     ) -> RunOutcome:
         """Run under SEPO on the (scaled) simulated GPU.
 
-        ``batches`` lets callers reuse pre-parsed input (the parse cost is
-        charged per pass by the cost model either way).  Passing a
-        ``journal`` path makes the run crash-recoverable: the driver is
-        wrapped in :class:`~repro.resilience.ResilientDriver`, checkpoints
-        every ``checkpoint_every`` iterations, and with ``resume=True``
-        picks up an existing journal instead of starting over.
+        ``options`` are :func:`~repro.core.session.wire`'s, declared and
+        documented there: where to run (``device``, ``scale``, ``backend``),
+        the geometry (``group_size``, ``page_size``, ``chunk_bytes``),
+        pre-parsed ``batches`` to reuse, the table options (``trace``,
+        ``sanitize``, ``integrity``, ``scrub_budget``) and the journal
+        (``journal``, ``checkpoint_every``, ``resume``).
         """
-        chunk = GpuSession.clamp_chunk(
-            device, scale, chunk_bytes or self.chunk_bytes
-        )
-        if batches is None:
-            batches = self.batches(data, chunk)
-        elif any(b.input_bytes > 2 * chunk for b in batches):
-            raise ValueError(
-                "pre-parsed batches exceed this device's staging buffer; "
-                "re-partition with a smaller chunk size"
-            )
-        n_records = sum(len(b) for b in batches)
-        session = GpuSession(device, scale, chunk, backend=backend)
-        table, driver = session.build_table(
-            n_buckets=n_buckets,
-            organization=self.make_organization(),
-            group_size=group_size,
-            page_size=page_size,
-            n_records=n_records,
-            trace=trace,
-            sanitize=sanitize,
-            integrity=integrity,
-            scrub_budget=scrub_budget,
-        )
-        resilient_report = None
-        if journal is not None:
-            from repro.resilience import ResilientDriver
-
-            resilient = ResilientDriver(
-                driver,
-                journal_path=journal,
-                checkpoint_every=checkpoint_every,
-                degrade=degrade,
-            )
-            resilient_report = resilient.run(batches, resume=resume)
-            report = resilient_report.sepo
-            table = resilient_report.table
-        else:
-            report = driver.run(batches)
-        return RunOutcome(
-            app=self.name,
-            device=session.device.name,
-            elapsed_seconds=report.elapsed_seconds,
-            iterations=report.iterations,
-            table=table,
-            report=report,
-            breakdown=report.breakdown,
-            resilience=resilient_report,
-        )
-
-    def run_resumable(
-        self,
-        data: bytes,
-        journal,
-        checkpoint_every: int = 1,
-        resume: bool = False,
-        degrade: bool = True,
-        **kwargs,
-    ) -> RunOutcome:
-        """Crash-recoverable :meth:`run_gpu` (journal path is mandatory)."""
-        return self.run_gpu(
-            data,
-            journal=journal,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
-            degrade=degrade,
-            **kwargs,
-        )
+        return wire(self, data, n_buckets=n_buckets, **options).run()
 
     def run_cpu(
         self,
@@ -277,16 +171,7 @@ class Application:
             group_size=group_size,
             device=device,
         )
-        report = table.run(batches)
-        return RunOutcome(
-            app=self.name,
-            device=device.name,
-            elapsed_seconds=report.elapsed_seconds,
-            iterations=1,
-            table=table,
-            report=report,
-            breakdown=report.breakdown,
-        )
+        return RunOutcome.of(self.name, device.name, table, table.run(batches))
 
 
 class MapReduceApplication(Application):
@@ -296,14 +181,17 @@ class MapReduceApplication(Application):
 
     @property
     def organization(self) -> str:  # type: ignore[override]
-        return "combining" if self.mode is Mode.MAP_REDUCE else "multi-valued"
+        return self.make_organization().kind
+
+    def make_organization(self) -> Organization:
+        return self.make_job().make_organization()
 
     def make_job(self) -> JobSpec:
         """The job as the MapReduce programmer would write it (Section V)."""
         return JobSpec(
             name=self.name,
             mode=self.mode,
-            map_chunk=lambda chunk: self._stamp(self.parse_chunk(chunk), len(chunk)),
+            map_chunk=self.map_chunk,
             combiner=self.combiner if self.mode is Mode.MAP_REDUCE else None,
             partition=self.partition,
             chunk_bytes=self.chunk_bytes,

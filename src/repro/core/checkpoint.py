@@ -21,7 +21,6 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.core import entries as E
 from repro.core.combiners import (
     BitOrCombiner,
     Combiner,
@@ -31,7 +30,6 @@ from repro.core.combiners import (
 )
 from repro.core.hashtable import (
     GpuHashTable,
-    collect_values,
     cpu_chain_items,
     merge_chain_items,
 )
@@ -40,7 +38,6 @@ from repro.core.organizations import (
     CombiningOrganization,
     MultiValuedOrganization,
 )
-from repro.memalloc.address import NULL
 
 __all__ = [
     "save_table",
@@ -212,58 +209,23 @@ class FrozenTable:
         )
 
     def get(self, key: bytes) -> Any:
-        """Single-key query via the bucket chain (no full scan)."""
-        bucket = fnv1a(key) % len(self.head_cpu)
-        addr = int(self.head_cpu[bucket])
-        acc: Any = None
-        found = False
-        collected: list[bytes] = []
-        while addr != NULL:
-            seg, off = divmod(addr, self.page_size)
-            buf = self._buf(seg)
-            if self.organization == "multi-valued":
-                hdr = E.read_key_entry_header(buf, off)
-                next_cpu, vhead, klen, flags = hdr[1], hdr[3], hdr[4], hdr[5]
-                if (
-                    klen == len(key)
-                    and E.key_entry_key(buf, off, klen) == key
-                    # skip unborn entries: unacknowledged
-                    and not E.key_entry_unborn(flags, vhead)
-                ):
-                    if flags & E.FLAG_TOMBSTONE:
-                        break  # deleted: older copies are closed
-                    collected.extend(
-                        collect_values(self._buf, self.page_size, vhead)
-                    )
-                    found = True
-                    if flags & E.FLAG_SHADOW:
-                        break  # replaces the whole older value list
-            else:
-                _, next_cpu, klen, vlen = E.read_entry_header(buf, off)
-                if klen == len(key) and E.entry_key(buf, off, klen) == key:
-                    flags = E.entry_flags(buf, off)
-                    if flags & E.GFLAG_TOMBSTONE:
-                        break  # deleted: older copies are closed
-                    raw = E.entry_value(buf, off, klen, vlen)
-                    if self.organization == "basic":
-                        collected.append(raw)
-                        found = True
-                    else:
-                        v = self.combiner.unpack(raw)
-                        acc = v if not found else self.combiner.combine(v, acc)
-                        found = True
-                    if flags & E.GFLAG_SHADOW:
-                        break  # supersedes every older same-key entry
-            addr = next_cpu
-        if not found:
-            return None
-        if self.organization == "combining":
-            return acc
-        if self.organization == "multi-valued":
+        """Single-key query via the key's one bucket chain (no full scan),
+        through the same reader as :meth:`result`: ``None`` on a miss or a
+        deleted key."""
+        head = self.head_cpu[fnv1a(key) % len(self.head_cpu)]
+        chain = cpu_chain_items(
+            self._buf, self.page_size, np.array([head]), self.organization,
+            self.combiner,
+        )
+        found = merge_chain_items(
+            (item for item in chain if item[0] == key),
+            self.organization, self.combiner,
+        ).get(key)
+        if found is not None and self.organization == "multi-valued":
             # chain walk collects newest-first; answer oldest-first to
             # match the dict model's append order
-            return collected[::-1]
-        return collected
+            return found[::-1]
+        return found
 
 
 # ----------------------------------------------------------------------

@@ -168,7 +168,7 @@ class SepoDriver:
         self.max_iterations = max_iterations
 
     # ------------------------------------------------------------------
-    # resumable building blocks (the resilient driver drives these too)
+    # the requestor protocol: begin / step / finalize
     # ------------------------------------------------------------------
     def begin(self, batches: Sequence[RecordBatch]) -> RunState:
         """Fresh run state over ``batches`` (everything pending)."""
@@ -265,18 +265,35 @@ class SepoDriver:
             table_bytes=self.table.heap.total_table_bytes,
         )
 
-    def step(self, batches: Sequence[RecordBatch], state: RunState) -> None:
+    def step(
+        self,
+        batches: Sequence[RecordBatch],
+        state: RunState,
+        limit: int | None = None,
+        give_up=None,
+    ) -> None:
         """One whole SEPO iteration: pass, liveness rules, rearrangement.
 
-        The one pass loop body; :meth:`run` and the sharded executor's
-        round-robin both call it while ``state.bitmap`` has pending bits.
+        The one pass loop body: :meth:`run`, the sharded executor's
+        round-robin and the resilient driver all call it while
+        ``state.bitmap`` has pending bits.  ``limit`` is :meth:`run_pass`'s.
+        Where the loop has no move left -- the iteration budget is spent
+        (no pass is made), or a second consecutive pass inserted nothing
+        (before the rearrangement, which then sees what the call-out
+        evicted) -- it raises :class:`NoProgressError`, unless the caller
+        supplies ``give_up(batches, state, reason)`` to run in its place.
         """
+
+        def stalled(reason: str) -> None:
+            if give_up is None:
+                raise NoProgressError(reason)
+            give_up(batches, state, reason)
+
         state.iteration += 1
         if state.iteration > self.max_iterations:
-            raise NoProgressError(
-                f"exceeded {self.max_iterations} SEPO iterations"
-            )
-        rec = self.run_pass(batches, state)
+            stalled(f"exceeded {self.max_iterations} SEPO iterations")
+            return
+        rec = self.run_pass(batches, state, limit)
         if rec.succeeded == 0 and rec.attempted > 0:
             # One stuck pass is recoverable: the end-of-iteration
             # rearrangement (including the multi-valued deadlock
@@ -284,7 +301,7 @@ class SepoDriver:
             # cannot host a single entry.
             state.stuck_passes += 1
             if state.stuck_passes >= 2:
-                raise NoProgressError(
+                stalled(
                     "two consecutive SEPO passes made no progress; the "
                     "heap cannot host the working set"
                 )

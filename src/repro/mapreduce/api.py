@@ -21,6 +21,11 @@ from typing import Callable
 
 from repro.bigkernel.partitioner import partition_lines
 from repro.core.combiners import Combiner
+from repro.core.organizations import (
+    CombiningOrganization,
+    MultiValuedOrganization,
+    Organization,
+)
 from repro.core.records import RecordBatch
 
 __all__ = ["JobSpec", "Mode"]
@@ -54,3 +59,11 @@ class JobSpec:
 
     def chunks(self, data: bytes) -> list[bytes]:
         return self.partition(data, self.chunk_bytes)
+
+    def make_organization(self) -> Organization:
+        """The bucket organization the mode stores its pairs in: combining
+        with the job's reduce/combine callback, or multi-valued.  Every
+        runtime asks here."""
+        if self.mode is Mode.MAP_REDUCE:
+            return CombiningOrganization(self.combiner)
+        return MultiValuedOrganization()

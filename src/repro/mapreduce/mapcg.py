@@ -19,19 +19,11 @@ paper's runtime in the two ways Section VI-C measures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
-from repro.core.hashtable import GpuHashTable
-from repro.core.organizations import (
-    CombiningOrganization,
-    MultiValuedOrganization,
-)
-from repro.core.session import GpuSession
+from repro.core.session import GpuSession, RunOutcome, map_input
 from repro.gpusim.device import DeviceSpec, GTX_780TI
-from repro.mapreduce.api import JobSpec, Mode
+from repro.mapreduce.api import JobSpec
 
-__all__ = ["MapCGRuntime", "MapCGResult", "GpuOutOfMemory", "ALLOC_PARALLELISM"]
+__all__ = ["MapCGRuntime", "GpuOutOfMemory", "ALLOC_PARALLELISM"]
 
 #: Effective concurrency of MapCG's single atomic allocation pointer.
 #: Calibrated so allocation-heavy MAP_GROUP jobs land in Table II's 2-2.5x
@@ -42,15 +34,6 @@ ALLOC_PARALLELISM = 1.25
 
 class GpuOutOfMemory(MemoryError):
     """MapCG cannot grow its table beyond GPU memory (Section VI-C)."""
-
-
-@dataclass
-class MapCGResult:
-    elapsed_seconds: float
-    table: GpuHashTable
-
-    def output(self) -> dict[bytes, Any]:
-        return self.table.result()
 
 
 class MapCGRuntime:
@@ -72,25 +55,18 @@ class MapCGRuntime:
         self.group_size = group_size
         self.page_size = page_size
 
-    def run(self, data: bytes) -> MapCGResult:
-        org = (
-            CombiningOrganization(self.job.combiner)
-            if self.job.mode is Mode.MAP_REDUCE
-            else MultiValuedOrganization()
-        )
+    def run(self, data: bytes) -> RunOutcome:
         chunk_bytes = GpuSession.clamp_chunk(
             self.device, self.scale, self.job.chunk_bytes
         )
         session = GpuSession(self.device, self.scale, chunk_bytes)
-        table, driver = session.build_table(
+        table, _ = session.build_table(
             n_buckets=self.n_buckets,
-            organization=org,
+            organization=self.job.make_organization(),
             group_size=self.group_size,
             page_size=self.page_size,
         )
-        for chunk in self.job.partition(data, chunk_bytes):
-            batch = self.job.map_chunk(chunk)
-            batch.input_bytes = len(chunk)
+        for batch in map_input(self.job, data, chunk_bytes):
             before = session.ledger.elapsed
             result = table.insert_batch(batch)
             if not result.success.all():
@@ -109,4 +85,12 @@ class MapCGRuntime:
             )
         # Copy the finished table back to CPU memory (timed, as in VI-B).
         table.end_iteration(session.bus)
-        return MapCGResult(elapsed_seconds=session.ledger.elapsed, table=table)
+        ledger = session.ledger
+        return RunOutcome(
+            app=self.job.name,
+            device=session.device.name,
+            elapsed_seconds=ledger.elapsed,
+            iterations=1,
+            table=table,
+            breakdown=ledger.breakdown(),
+        )

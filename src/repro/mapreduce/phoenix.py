@@ -10,31 +10,12 @@ multi-valued (MAP_GROUP) container, CPU cost model, no PCIe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
-from repro.cpu.cputable import CpuHashTable, CpuRunReport
-from repro.core.organizations import (
-    CombiningOrganization,
-    MultiValuedOrganization,
-)
+from repro.cpu.cputable import CpuHashTable
+from repro.core.session import RunOutcome, map_input
 from repro.gpusim.device import DeviceSpec, XEON_E5_QUAD
-from repro.mapreduce.api import JobSpec, Mode
+from repro.mapreduce.api import JobSpec
 
-__all__ = ["PhoenixRuntime", "PhoenixResult"]
-
-
-@dataclass
-class PhoenixResult:
-    report: CpuRunReport
-    table: CpuHashTable
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.report.elapsed_seconds
-
-    def output(self) -> dict[bytes, Any]:
-        return self.table.result()
+__all__ = ["PhoenixRuntime"]
 
 
 class PhoenixRuntime:
@@ -52,18 +33,13 @@ class PhoenixRuntime:
         self.n_buckets = n_buckets
         self.group_size = group_size
 
-    def run(self, data: bytes) -> PhoenixResult:
-        org = (
-            CombiningOrganization(self.job.combiner)
-            if self.job.mode is Mode.MAP_REDUCE
-            else MultiValuedOrganization()
-        )
+    def run(self, data: bytes) -> RunOutcome:
+        job = self.job
         table = CpuHashTable(
             n_buckets=self.n_buckets,
-            organization=org,
+            organization=job.make_organization(),
             group_size=self.group_size,
             device=self.device,
         )
-        batches = [self.job.map_chunk(c) for c in self.job.chunks(data)]
-        report = table.run(batches)
-        return PhoenixResult(report=report, table=table)
+        report = table.run(list(map_input(job, data, job.chunk_bytes)))
+        return RunOutcome.of(job.name, self.device.name, table, report)

@@ -9,135 +9,35 @@ the map phase.  In MAP_GROUP mode the table uses the multi-valued method and
 groups values on the fly.
 
 Thanks to SEPO, the runtime processes inputs (and produces tables) larger
-than GPU memory -- the property MapCG lacks (Section VI-C).
+than GPU memory -- the property MapCG lacks (Section VI-C).  The runtime
+itself is the job description plus :func:`repro.core.session.wire`, the run
+path the standalone applications share (DESIGN.md "Run path").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from repro.core.session import RunOutcome, wire
+from repro.mapreduce.api import JobSpec
 
-from repro.core.hashtable import GpuHashTable
-from repro.core.organizations import (
-    CombiningOrganization,
-    MultiValuedOrganization,
-)
-from repro.core.records import RecordBatch
-from repro.core.sepo import SepoReport
-from repro.core.session import GpuSession
-from repro.gpusim.device import DeviceSpec, GTX_780TI
-from repro.mapreduce.api import JobSpec, Mode
-
-__all__ = ["MapReduceRuntime", "MapReduceResult"]
-
-
-@dataclass
-class MapReduceResult:
-    """A finished job: SEPO telemetry plus access to the output table."""
-
-    report: SepoReport
-    table: Any  # GpuHashTable | repro.resilience.DegradedTable
-    #: resilience telemetry when the job ran via :meth:`run_resumable`
-    resilience: Any = None  # repro.resilience.ResilientReport | None
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.report.elapsed_seconds
-
-    def output(self) -> dict[bytes, Any]:
-        """<key, value> (MAP_REDUCE) or <key, values> (MAP_GROUP) pairs."""
-        return self.table.result()
+__all__ = ["MapReduceRuntime"]
 
 
 class MapReduceRuntime:
     """Schedules a :class:`~repro.mapreduce.api.JobSpec` onto the GPU."""
 
-    def __init__(
-        self,
-        job: JobSpec,
-        device: DeviceSpec = GTX_780TI,
-        scale: int = 1,
-        n_buckets: int = 1 << 16,
-        group_size: int = 64,
-        page_size: int = 16 << 10,
-        sanitize: str | None = None,
-        integrity: str | None = None,
-        scrub_budget: int = 4,
-    ):
+    def __init__(self, job: JobSpec, n_buckets: int = 1 << 16, **options):
+        """``options`` are :func:`~repro.core.session.wire`'s, declared and
+        documented there: ``device``, ``scale``, ``group_size``,
+        ``page_size`` and the table options (``sanitize``, ``integrity``,
+        ``scrub_budget``)."""
         self.job = job
-        self.device = device
-        self.scale = scale
-        self.n_buckets = n_buckets
-        self.group_size = group_size
-        self.page_size = page_size
-        #: sanitize level forwarded to the table (None = REPRO_SANITIZE)
-        self.sanitize = sanitize
-        #: integrity mode forwarded to the table (None = REPRO_INTEGRITY)
-        self.integrity = integrity
-        self.scrub_budget = scrub_budget
+        self.options = dict(n_buckets=n_buckets, **options)
 
-    def _organization(self):
-        if self.job.mode is Mode.MAP_REDUCE:
-            return CombiningOrganization(self.job.combiner)
-        return MultiValuedOrganization()
+    def run(self, data: bytes, **journal_options) -> RunOutcome:
+        """Execute the job over ``data`` to completion.
 
-    def _prepare(self, data: bytes):
-        chunk_bytes = GpuSession.clamp_chunk(
-            self.device, self.scale, self.job.chunk_bytes
-        )
-        chunks = self.job.partition(data, chunk_bytes)
-        batches: list[RecordBatch] = []
-        for chunk in chunks:
-            batch = self.job.map_chunk(chunk)
-            batch.input_bytes = len(chunk)
-            batches.append(batch)
-        n_records = sum(len(b) for b in batches)
-        session = GpuSession(self.device, self.scale, chunk_bytes=chunk_bytes)
-        table, driver = session.build_table(
-            n_buckets=self.n_buckets,
-            organization=self._organization(),
-            group_size=self.group_size,
-            page_size=self.page_size,
-            n_records=n_records,
-            sanitize=self.sanitize,
-            integrity=self.integrity,
-            scrub_budget=self.scrub_budget,
-        )
-        return batches, table, driver
-
-    def run(self, data: bytes) -> MapReduceResult:
-        """Execute the job over ``data`` to completion."""
-        batches, table, driver = self._prepare(data)
-        report = driver.run(batches)
-        return MapReduceResult(report=report, table=table)
-
-    def run_resumable(
-        self,
-        data: bytes,
-        journal_path,
-        checkpoint_every: int = 1,
-        resume: bool = False,
-        degrade: bool = True,
-    ) -> MapReduceResult:
-        """Execute the job crash-recoverably (see :mod:`repro.resilience`).
-
-        Checkpoints are journaled to ``journal_path`` every
-        ``checkpoint_every`` iterations; ``resume=True`` replays an
-        existing journal (and starts fresh when there is none, so a
-        supervisor can always pass it).  ``degrade=False`` keeps the
-        stock fail-fast :class:`~repro.core.sepo.NoProgressError`
-        behaviour instead of the degradation ladder.
+        ``journal_options`` are :func:`~repro.core.session.wire`'s
+        (``journal``, ``checkpoint_every``, ``resume``): a ``journal`` path
+        makes the job crash-recoverable.
         """
-        from repro.resilience import ResilientDriver
-
-        batches, table, driver = self._prepare(data)
-        resilient = ResilientDriver(
-            driver,
-            journal_path=journal_path,
-            checkpoint_every=checkpoint_every,
-            degrade=degrade,
-        )
-        rep = resilient.run(batches, resume=resume)
-        return MapReduceResult(
-            report=rep.sepo, table=rep.table, resilience=rep
-        )
+        return wire(self.job, data, **self.options, **journal_options).run()

@@ -37,12 +37,17 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from types import SimpleNamespace
 
 from repro.apps.wordcount import WordCount
-from repro.core.session import GpuSession
-from repro.gpusim.device import GTX_780TI
-from repro.resilience.driver import ResilientDriver
+from repro.core.organizations import BasicOrganization
+from repro.core.session import wire
 from repro.resilience.journal import table_digest
+from repro.sanitize.workloads import (
+    make_mutation_batches,
+    make_op_workload,
+    mutation_oracle,
+)
 
 __all__ = ["SCHEDULES", "main"]
 
@@ -76,68 +81,50 @@ def _result_crc(result: dict) -> int:
     return crc
 
 
-def _build_mutation(args):
-    """Delete-heavy MutationBatch stream over a basic-organization table.
-
-    Returns the same 5-tuple shape as :func:`_build`, with the dict-model
-    reference (already normalized to sorted value lists) in the ``data``
-    slot -- the oracle phase consumes it directly instead of calling an
-    application's ``reference``.
-    """
-    from repro.core.organizations import BasicOrganization
-    from repro.sanitize.workloads import (
-        make_mutation_batches,
-        make_op_workload,
-        mutation_oracle,
-    )
-
+def _mutation_stream(args):
+    """Delete-heavy MutationBatch stream over a basic-organization table,
+    as ``(job, batches, reference)``: the job described the way
+    :func:`~repro.core.session.wire` takes one, and the dict model's answer
+    (sorted value lists) in place of an application's ``reference``."""
     n_ops = max(600, args.size // 40)
-    workload = make_op_workload(
-        "delete-heavy-uniform", n_ops, seed=args.seed
-    )
+    workload = make_op_workload("delete-heavy-uniform", n_ops, seed=args.seed)
     batches = make_mutation_batches(
         workload, "basic", batch_size=max(50, n_ops // 12)
     )
-    session = GpuSession(GTX_780TI, args.scale, 1 << 20)
-    table, driver = session.build_table(
-        n_buckets=args.buckets,
-        organization=BasicOrganization(),
-        page_size=4096,
-        n_records=sum(len(b) for b in batches),
-        integrity=getattr(args, "integrity", None) or "off",
-        scrub_budget=getattr(args, "scrub_budget", 4),
+    job = SimpleNamespace(
+        name="mutation stream", chunk_bytes=1 << 20,
+        make_organization=BasicOrganization,
     )
-    reference = mutation_oracle(workload, "basic")[0]
-    return None, reference, batches, table, driver
+    return job, batches, mutation_oracle(workload, "basic")[0]
 
 
-def _build(args):
-    """WordCount wired exactly like ``Application.run_gpu`` would."""
-    if getattr(args, "mutation", False):
-        return _build_mutation(args)
+def _build(args, journal=None, resume=False):
+    """The schedule's job wired like any other run; returns ``(wired,
+    reference)`` with the wired run still open to instrumentation."""
+    options = dict(
+        scale=args.scale,
+        n_buckets=args.buckets,
+        page_size=4096,
+        integrity="off",
+        journal=journal,
+        checkpoint_every=args.checkpoint_every,
+        resume=resume,
+    )
+    if args.integrity:
+        options.update(
+            integrity=args.integrity, scrub_budget=args.scrub_budget
+        )
+    if args.mutation:
+        job, batches, reference = _mutation_stream(args)
+        return wire(job, batches=batches, **options), reference
     app = WordCount()
     data = app.generate_input(args.size, seed=args.seed)
-    chunk = GpuSession.clamp_chunk(GTX_780TI, args.scale, app.chunk_bytes)
-    batches = app.batches(data, chunk)
-    session = GpuSession(GTX_780TI, args.scale, chunk)
-    table, driver = session.build_table(
-        n_buckets=args.buckets,
-        organization=app.make_organization(),
-        page_size=4096,
-        n_records=sum(len(b) for b in batches),
-        integrity=getattr(args, "integrity", None) or "off",
-        scrub_budget=getattr(args, "scrub_budget", 4),
-    )
-    return app, data, batches, table, driver
+    return wire(app, data, **options), app.reference(data)
 
 
 def _child(args) -> int:
-    _, _, batches, table, driver = _build(args)
-    resilient = ResilientDriver(
-        driver,
-        journal_path=args.journal,
-        checkpoint_every=args.checkpoint_every,
-    )
+    wired, _ = _build(args, args.journal, args.resume)
+    table, resilient = wired.table, wired.driver
     if args.kill_after_checkpoint is not None:
         seen = {"checkpoints": 0, "inserts": 0}
         checkpoint = resilient.checkpoint
@@ -178,12 +165,13 @@ def _child(args) -> int:
             table.insert_batch = killing(table.insert_batch)
             table.mutate_batch = killing(table.mutate_batch)
 
-    report = resilient.run(batches, resume=args.resume)
+    outcome = wired.run()
+    report = outcome.resilience
     print(json.dumps({
-        "digest": table_digest(driver.table),
-        "result_crc": _result_crc(report.table.result()),
-        "elapsed": report.elapsed_seconds,
-        "iterations": report.iterations,
+        "digest": table_digest(table),
+        "result_crc": _result_crc(outcome.output()),
+        "elapsed": outcome.elapsed_seconds,
+        "iterations": outcome.iterations,
         "resumed_from": report.resumed_from_iteration,
         "checkpoints": report.checkpoints_written,
     }))
@@ -203,7 +191,7 @@ def _spawn(args, journal, schedule, resume: bool):
     if schedule.get("integrity"):
         cmd += [
             "--integrity", schedule["integrity"],
-            "--scrub-budget", str(schedule.get("scrub_budget", 4)),
+            "--scrub-budget", str(schedule["scrub_budget"]),
         ]
     if resume:
         cmd.append("--resume")
@@ -218,49 +206,44 @@ def _spawn(args, journal, schedule, resume: bool):
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
-def _oracle(args, cadence: int, workdir: str):
-    """Uninterrupted resilient run with the given checkpoint cadence."""
-    app, data, batches, table, driver = _build(args)
-    mutation = getattr(args, "mutation", False)
-    suffix = "-mut" if mutation else ""
-    if getattr(args, "integrity", None):
+def _oracle(args, workdir: str):
+    """Uninterrupted resilient run on the schedule's checkpoint cadence."""
+    suffix = "-mut" if args.mutation else ""
+    if args.integrity:
         suffix += f"-{args.integrity}"
-    resilient = ResilientDriver(
-        driver,
-        journal_path=os.path.join(workdir, f"oracle-{cadence}{suffix}.npz"),
-        checkpoint_every=cadence,
+    journal = os.path.join(
+        workdir, f"oracle-{args.checkpoint_every}{suffix}.npz"
     )
-    report = resilient.run(batches)
-    if mutation:
-        # data is the dict-model reference (sorted value lists); the
-        # table's chains are newest-first, so normalize before comparing
-        reference = data
-        actual = {k: sorted(v) for k, v in report.table.result().items()}
-    else:
-        reference = app.reference(data)
-        actual = report.table.result()
+    wired, reference = _build(args, journal)
+    outcome = wired.run()
+    # the mutation reference holds sorted value lists; the table's chains
+    # are newest-first, so normalize before comparing
+    actual = {
+        k: sorted(v) if isinstance(v, list) else v
+        for k, v in outcome.output().items()
+    }
     assert actual == reference, (
         "oracle run disagrees with the pure-Python reference"
     )
     return {
-        "digest": table_digest(table),
+        "digest": table_digest(wired.table),
         "result_crc": _result_crc(reference),
-        "elapsed": report.elapsed_seconds,
-        "iterations": report.iterations,
+        "elapsed": outcome.elapsed_seconds,
+        "iterations": outcome.iterations,
     }
 
 
 def _retry_phase(args) -> None:
     from repro.sanitize import TransientTransferFault
 
-    _, _, batches, table, driver = _build(args)
+    wired, _ = _build(args)
     fault = TransientTransferFault(every=5, failures=2)
-    fault.install(table, driver)
-    report = driver.run(batches)
-    retry = report.breakdown.get("retry", 0.0)
-    assert driver.bus.retries > 0, "fault schedule never fired"
+    fault.install(wired.table, wired.driver)
+    retry = wired.run().breakdown.get("retry", 0.0)
+    bus = wired.session.bus
+    assert bus.retries > 0, "fault schedule never fired"
     assert retry > 0.0, "retry time missing from the clock breakdown"
-    print(f"retry phase: {driver.bus.retries} retries, "
+    print(f"retry phase: {bus.retries} retries, "
           f"{retry * 1e6:.2f}us charged to the simulated clock")
 
 
@@ -279,8 +262,7 @@ def main(argv: list[str] | None = None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument("--integrity", default=None,
                         help=argparse.SUPPRESS)
-    parser.add_argument("--scrub-budget", type=int, default=4,
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--scrub-budget", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--kill-mid-scrub", action="store_true",
                         help=argparse.SUPPRESS)
     parser.add_argument("--size", type=int, default=200_000)
@@ -289,22 +271,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--buckets", type=int, default=512)
     args = parser.parse_args(argv)
 
+    os.environ.setdefault("REPRO_SANITIZE", "paranoid")
     if args.child:
-        os.environ.setdefault("REPRO_SANITIZE", "paranoid")
         return _child(args)
 
-    os.environ.setdefault("REPRO_SANITIZE", "paranoid")
-    oracles: dict[tuple[int, bool], dict] = {}
+    oracles: dict[tuple, dict] = {}
     failures = 0
     with tempfile.TemporaryDirectory(prefix="crashtest-") as workdir:
         for i, schedule in enumerate(SCHEDULES, 1):
-            cadence = schedule["checkpoint_every"]
+            args.checkpoint_every = schedule["checkpoint_every"]
             args.mutation = bool(schedule.get("mutation"))
             args.integrity = schedule.get("integrity")
-            args.scrub_budget = schedule.get("scrub_budget", 4)
-            key = (cadence, args.mutation, args.integrity)
+            args.scrub_budget = schedule.get("scrub_budget")
+            key = (args.checkpoint_every, args.mutation, args.integrity)
             if key not in oracles:
-                oracles[key] = _oracle(args, cadence, workdir)
+                oracles[key] = _oracle(args, workdir)
             oracle = oracles[key]
             journal = os.path.join(workdir, f"schedule-{i}.npz")
 

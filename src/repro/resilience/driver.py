@@ -1,7 +1,9 @@
 """Resilient SEPO execution: checkpoint/resume + graceful degradation.
 
 :class:`ResilientDriver` wraps a :class:`~repro.core.sepo.SepoDriver` and
-re-runs its iteration loop with three additions:
+speaks its ``begin`` / ``step`` / ``finalize`` protocol (DESIGN.md "Run
+path"; ``docs/robustness.md`` has the semantics), adding to each
+iteration:
 
 * **Journaled checkpoints.**  Every ``checkpoint_every`` iterations the
   table is quiesced (force-evicted -- after which the whole table is
@@ -14,15 +16,15 @@ re-runs its iteration loop with three additions:
   bare ``SepoDriver``.
 
 * **Degradation ladder.**  Where the stock driver raises
-  :class:`~repro.core.sepo.NoProgressError` after two unproductive
-  passes, this driver escalates: (1) *forced eviction* -- quiesce the
-  heap, flushing even pinned multi-valued key pages; (2) *chunk
-  shrinking* -- cap the pending records attempted per batch, halving
-  down to one, to bound the allocation burst a starved heap must absorb;
-  (3) *CPU-table fallback* -- consume every still-pending record into a
-  host-side dict (charged as HOST time) and merge it into the result.
-  Each escalation emits a structured :class:`DegradationEvent`; progress
-  de-escalates (the cap grows back and the episode resets).
+  :class:`~repro.core.sepo.NoProgressError`, ``SepoDriver.step`` calls
+  out to this driver instead, which escalates: (1) *forced eviction* --
+  quiesce the heap, flushing even pinned multi-valued key pages; (2)
+  *chunk shrinking* -- cap the pending records attempted per batch,
+  halving down to one, to bound the allocation burst a starved heap must
+  absorb; (3) *CPU-table fallback* -- consume every still-pending record
+  into a host-side dict (charged as HOST time) and merge it into the
+  result.  Each escalation emits a structured :class:`DegradationEvent`;
+  progress de-escalates (the cap grows back and the episode resets).
 
 * **Transient-fault visibility.**  PCIe retries happen inside
   :class:`~repro.gpusim.pcie.PCIeBus`; this driver surfaces their count
@@ -79,6 +81,13 @@ CHUNK_SHRINK = "chunk-shrink"
 CPU_FALLBACK = "cpu-fallback"
 #: not a rung: unrepairable integrity damage recorded on the way out
 DATA_CORRUPTION = "data-corruption"
+
+#: the bus's and the pipeline's running totals, journaled and restored by
+#: name (ints and floats, which the journal's JSON meta keeps apart)
+_BUS_COUNTERS = (
+    "bytes_moved", "transactions", "transfer_ops", "retries", "retry_seconds",
+)
+_PIPELINE_COUNTERS = ("chunks_streamed", "exposed_seconds")
 
 
 @dataclass
@@ -178,59 +187,46 @@ class ResilientDriver:
         self._overflow: dict[bytes, Any] = {}
 
     # ------------------------------------------------------------------
-    def run(
+    # the requestor protocol, as SepoDriver spells it
+    # ------------------------------------------------------------------
+    def begin(
         self, batches: Sequence[RecordBatch], resume: bool = False
-    ) -> ResilientReport:
-        """Run to completion; ``resume=True`` replays an existing journal.
+    ) -> RunState:
+        """Fresh run state, or the journaled one when ``resume`` finds a
+        journal.
 
         ``resume`` with no journal on disk starts fresh (so a crash-loop
         supervisor can always pass ``--resume``); whether a journal was
         actually used is reported as ``resumed_from_iteration``.
         """
-        d = self.driver
         if resume and journal_exists(self.journal_path):
-            state = self._restore(batches)
-        else:
-            state = d.begin(batches)
+            return self._restore(batches)
+        return self.driver.begin(batches)
+
+    def step(self, batches: Sequence[RecordBatch], state: RunState) -> None:
+        """The stock iteration with the ladder as its call-out, then
+        de-escalation on progress, then the checkpoint."""
         try:
-            while state.bitmap.any_pending():
-                state.iteration += 1
-                if state.iteration > d.max_iterations:
-                    if not self.degrade:
-                        raise NoProgressError(
-                            f"exceeded {d.max_iterations} SEPO iterations"
-                        )
-                    self._fallback(
-                        batches, state,
-                        f"exceeded {d.max_iterations} SEPO iterations",
-                    )
-                    break
-                rec = d.run_pass(batches, state, limit=self._limit)
-                if rec.succeeded == 0 and rec.attempted > 0:
-                    state.stuck_passes += 1
-                else:
-                    state.stuck_passes = 0
-                    self._deescalate(batches)
-                if state.stuck_passes >= 2:
-                    # the point where the stock driver gives up (see
-                    # SepoDriver.step); the ladder takes over instead
-                    if not self.degrade:
-                        raise NoProgressError(
-                            "two consecutive SEPO passes made no progress; "
-                            "the heap cannot host the working set"
-                        )
-                    self._escalate(batches, state)
-                d.finish_iteration(state, rec)
-                if self._should_checkpoint(state):
-                    self.checkpoint(batches, state)
+            self.driver.step(
+                batches, state, limit=self._limit,
+                give_up=self._escalate if self.degrade else None,
+            )
+            if state.stuck_passes == 0:
+                self._deescalate(batches)
+            if self._should_checkpoint(state):
+                self.checkpoint(batches, state)
         except CorruptionError as exc:
             # unrepairable damage: record a structured event so operators
             # see the ladder bottoming out, then refuse to answer --
             # propagating beats returning a table with garbage bytes
             self._event(DATA_CORRUPTION, state, exc.event.describe())
             raise
+
+    def finalize(
+        self, batches: Sequence[RecordBatch], state: RunState
+    ) -> ResilientReport:
+        d = self.driver
         report = d.finalize(batches, state)
-        bus = d.bus
         table = d.table
         if self._overflow:
             table = DegradedTable(table, self._overflow)
@@ -240,16 +236,29 @@ class ResilientDriver:
             checkpoints_written=self.checkpoints_written,
             resumed_from_iteration=self.resumed_from,
             degradation_events=list(self.events),
-            retries=bus.retries,
-            retry_seconds=bus.retry_seconds,
+            retries=d.bus.retries,
+            retry_seconds=d.bus.retry_seconds,
         )
+
+    def run(
+        self, batches: Sequence[RecordBatch], resume: bool = False
+    ) -> ResilientReport:
+        """Run to completion; ``resume=True`` replays an existing journal."""
+        state = self.begin(batches, resume)
+        while state.bitmap.any_pending():
+            self.step(batches, state)
+        return self.finalize(batches, state)
 
     # ------------------------------------------------------------------
     # degradation ladder
     # ------------------------------------------------------------------
-    def _escalate(self, batches, state: RunState) -> None:
+    def _escalate(self, batches, state: RunState, reason: str) -> None:
+        """``SepoDriver.step``'s call-out: where the stock driver raises."""
         d = self.driver
-        pending = state.bitmap.pending_count
+        if state.iteration > d.max_iterations:
+            # budget spent: no gentler rung buys another iteration
+            self._fallback(batches, state, reason)
+            return
         if not self._episode_evicted:
             # Rung 1: flush everything, pinned pages included.  The stock
             # end_iteration already evicts per policy; what it never does
@@ -392,16 +401,9 @@ class ResilientDriver:
                 "episode_evicted": self._episode_evicted,
             },
             "clock": snapshot_clock(d.table.ledger),
-            "bus": {
-                "bytes_moved": bus.bytes_moved,
-                "transactions": bus.transactions,
-                "transfer_ops": bus.transfer_ops,
-                "retries": bus.retries,
-                "retry_seconds": bus.retry_seconds,
-            },
+            "bus": {k: getattr(bus, k) for k in _BUS_COUNTERS},
             "pipeline": {
-                "chunks_streamed": d.pipeline.chunks_streamed,
-                "exposed_seconds": d.pipeline.exposed_seconds,
+                k: getattr(d.pipeline, k) for k in _PIPELINE_COUNTERS
             },
             "fingerprint": input_fingerprint(batches),
             "events": [asdict(e) for e in self.events],
@@ -451,14 +453,10 @@ class ResilientDriver:
                 table_payload[k[len("table_"):]] = v
         restore_table(d.table, table_payload)
         restore_clock(d.table.ledger, meta["clock"])
-        bus, pipe = d.bus, d.pipeline
-        bus.bytes_moved = int(meta["bus"]["bytes_moved"])
-        bus.transactions = int(meta["bus"]["transactions"])
-        bus.transfer_ops = int(meta["bus"]["transfer_ops"])
-        bus.retries = int(meta["bus"]["retries"])
-        bus.retry_seconds = float(meta["bus"]["retry_seconds"])
-        pipe.chunks_streamed = int(meta["pipeline"]["chunks_streamed"])
-        pipe.exposed_seconds = float(meta["pipeline"]["exposed_seconds"])
+        for k in _BUS_COUNTERS:
+            setattr(d.bus, k, meta["bus"][k])
+        for k in _PIPELINE_COUNTERS:
+            setattr(d.pipeline, k, meta["pipeline"][k])
 
         state = d.begin(batches)
         if state.total != len(arrays["pending"]):

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.apps import WordCount
 from repro.apps.__main__ import APPS, main
+from repro.integrity import INTEGRITY_MODES
+from repro.mapreduce import MapReduceRuntime
+from repro.sanitize import LEVELS
 
 
 def test_all_seven_apps_registered():
@@ -38,3 +42,43 @@ def test_cli_no_verify_skips_check(capsys):
 def test_cli_unknown_app_rejected():
     with pytest.raises(SystemExit):
         main(["not-an-app"])
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_cli_offers_every_sanitize_level_the_table_takes(level, capsys):
+    rc = main(["wordcount", "--size", "20000", "--scale", "8192",
+               "--buckets", "1024", "--sanitize", level])
+    assert rc == 0
+    assert "verified against the reference" in capsys.readouterr().out
+
+
+def test_cli_rejects_a_sanitize_level_the_table_rejects(capsys):
+    with pytest.raises(SystemExit):
+        main(["wordcount", "--sanitize", "cheap"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", INTEGRITY_MODES)
+def test_cli_offers_every_integrity_mode(mode, capsys):
+    rc = main(["wordcount", "--size", "20000", "--scale", "8192",
+               "--buckets", "1024", "--integrity", mode])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert ("integrity       : mode " + mode in out) == (mode != "off")
+
+
+def test_cli_resume_needs_a_journal(capsys):
+    with pytest.raises(SystemExit):
+        main(["wordcount", "--resume"])
+    assert "--resume requires --journal" in capsys.readouterr().err
+
+
+def test_library_resume_needs_a_journal_too():
+    """``run_gpu(data, resume=True)`` used to run fresh without a word."""
+    app = WordCount()
+    data = app.generate_input(5_000, seed=0)
+    with pytest.raises(ValueError, match="journal"):
+        app.run_gpu(data, scale=8192, n_buckets=256, resume=True)
+    job = MapReduceRuntime(app.make_job(), scale=8192, n_buckets=256)
+    with pytest.raises(ValueError, match="journal"):
+        job.run(data, resume=True)

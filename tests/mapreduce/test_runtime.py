@@ -102,20 +102,27 @@ def test_runtime_modes_pick_organizations():
         MultiValuedOrganization,
     )
 
-    wc = MapReduceRuntime(WordCount().make_job())
-    geo = MapReduceRuntime(GeoLocation().make_job())
-    assert isinstance(wc._organization(), CombiningOrganization)
-    assert isinstance(geo._organization(), MultiValuedOrganization)
+    wc, geo = WordCount(), GeoLocation()
+    assert isinstance(wc.make_job().make_organization(), CombiningOrganization)
+    assert isinstance(geo.make_job().make_organization(), MultiValuedOrganization)
+    # the application reads its label off the same choice
+    assert (wc.organization, geo.organization) == ("combining", "multi-valued")
+    tiny = dict(scale=1 << 11, n_buckets=64)
+    for app, org in ((wc, CombiningOrganization), (geo, MultiValuedOrganization)):
+        data = app.generate_input(2_000, seed=1)
+        assert isinstance(MapReduceRuntime(app.make_job(), **tiny).run(data).table.org, org)
+        assert isinstance(MapCGRuntime(app.make_job(), **tiny).run(data).table.org, org)
+        assert isinstance(PhoenixRuntime(app.make_job()).run(data).table.table.org, org)
 
 
-def test_run_resumable_matches_plain_run(tmp_path):
+def test_journaled_run_matches_plain_run(tmp_path):
     app = WordCount()
     data = app.generate_input(SMALL, seed=9)
     tight = dict(scale=1 << 16, n_buckets=1 << 10, page_size=2048)
     journal = tmp_path / "wc.npz"
 
     runtime = MapReduceRuntime(app.make_job(), **tight)
-    result = runtime.run_resumable(data, journal, checkpoint_every=1)
+    result = runtime.run(data, journal=journal, checkpoint_every=1)
     assert normalize(result.output()) == normalize(app.reference(data))
     assert result.resilience is not None
     assert result.resilience.checkpoints_written >= 1
@@ -123,19 +130,19 @@ def test_run_resumable_matches_plain_run(tmp_path):
 
     # the journal left behind holds a mid-run state; resuming replays the
     # tail of the run and converges on the same answer
-    resumed = MapReduceRuntime(app.make_job(), **tight).run_resumable(
-        data, journal, checkpoint_every=1, resume=True
+    resumed = MapReduceRuntime(app.make_job(), **tight).run(
+        data, journal=journal, checkpoint_every=1, resume=True
     )
     assert resumed.resilience.resumed_from_iteration is not None
     assert normalize(resumed.output()) == normalize(result.output())
 
 
-def test_run_resumable_multivalued(tmp_path):
+def test_journaled_run_multivalued(tmp_path):
     app = GeoLocation()
     data = app.generate_input(SMALL, seed=2)
     tight = dict(scale=1 << 16, n_buckets=1 << 10, page_size=2048)
-    result = MapReduceRuntime(app.make_job(), **tight).run_resumable(
-        data, tmp_path / "geo.npz", checkpoint_every=2
+    result = MapReduceRuntime(app.make_job(), **tight).run(
+        data, journal=tmp_path / "geo.npz", checkpoint_every=2
     )
     assert normalize(result.output()) == normalize(app.reference(data))
 

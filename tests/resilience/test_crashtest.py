@@ -47,7 +47,11 @@ def test_sigkill_and_resume_is_byte_identical(tmp_path):
     import argparse
 
     schedule = {"checkpoint_every": 1, "after_checkpoint": 1, "inserts": 3}
-    ns = argparse.Namespace(**parent_args())
+    # what the harness's own parser leaves on a parent's namespace
+    ns = argparse.Namespace(
+        **parent_args(), checkpoint_every=schedule["checkpoint_every"],
+        mutation=False, integrity=None, scrub_budget=None,
+    )
 
     victim = spawn(tmp_path, schedule, resume=False)
     assert victim.returncode == -signal.SIGKILL, victim.stderr
@@ -58,8 +62,7 @@ def test_sigkill_and_resume_is_byte_identical(tmp_path):
     out = json.loads(survivor.stdout)
     assert out["resumed_from"] is not None
 
-    oracle = crashtest._oracle(ns, schedule["checkpoint_every"],
-                               str(tmp_path))
+    oracle = crashtest._oracle(ns, str(tmp_path))
     assert out["digest"] == oracle["digest"]
     assert out["result_crc"] == oracle["result_crc"]
     assert out["elapsed"] == pytest.approx(oracle["elapsed"], abs=1e-12)

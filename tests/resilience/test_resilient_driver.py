@@ -417,3 +417,83 @@ def test_retry_telemetry_in_report():
     assert rep.retries == d.bus.retries
     assert rep.retry_seconds == pytest.approx(rep.breakdown["retry"])
     assert t.result() == expected(workload())
+
+
+# ----------------------------------------------------------------------
+# one requestor loop: begin / step / finalize, whichever driver
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("rule", ["two stuck passes", "budget spent"])
+def test_without_the_ladder_both_drivers_give_up_alike(rule):
+    """``degrade=False`` is the stock driver: the same message, raised at
+    the same iteration, out of the same ``RunState`` and table."""
+    from dataclasses import astuple
+
+    seen = []
+    for wrap in (lambda d: d, lambda d: ResilientDriver(d, degrade=False)):
+        d, t = make_driver(
+            CombiningOrganization(SUM_I64),
+            max_iterations=2 if rule == "budget spent" else 500,
+        )
+        if rule == "two stuck passes":
+            block_pool(t, lambda: True)
+        driver, batches = wrap(d), workload()
+        state = driver.begin(batches)
+        with pytest.raises(NoProgressError) as raised:
+            while state.bitmap.any_pending():
+                driver.step(batches, state)
+        seen.append((
+            str(raised.value), state.iteration, state.stuck_passes,
+            state.streamed, state.bitmap.snapshot().tobytes(),
+            [astuple(rec) for rec in state.log], state.released,
+            state.active, table_digest(t), t.ledger.breakdown(),
+        ))
+    stock, resilient = seen
+    assert stock == resilient
+    want = "exceeded 2" if rule == "budget spent" else "two consecutive"
+    assert want in stock[0]
+    assert stock[1] == (3 if rule == "budget spent" else 2)
+
+
+def test_every_loop_is_step_and_only_step_counts_iterations(monkeypatch):
+    """``SepoDriver.run``, the resilient driver and the sharded executor's
+    round-robin all advance a run through ``SepoDriver.step``, one call an
+    iteration, and nothing outside it moves ``state.iteration``."""
+    from repro.sanitize.workloads import make_batches, make_workload
+    from repro.shard import ShardedExecutor
+
+    steps = []
+    step = SepoDriver.step
+
+    def counting_step(self, batches, state, *args, **kwargs):
+        before = state.iteration
+        step(self, batches, state, *args, **kwargs)
+        steps.append(state.iteration - before)
+
+    monkeypatch.setattr(SepoDriver, "step", counting_step)
+
+    def iterations_of(run):
+        del steps[:]
+        iterations = run()
+        assert steps and set(steps) == {1}
+        return iterations, len(steps)
+
+    d, _ = make_driver(CombiningOrganization(SUM_I64))
+    ran, stepped = iterations_of(lambda: d.run(workload()).iterations)
+    assert ran == stepped > 1
+
+    d, _ = make_driver(CombiningOrganization(SUM_I64))
+    ran, stepped = iterations_of(
+        lambda: ResilientDriver(d).run(workload()).iterations
+    )
+    assert ran == stepped > 1
+
+    ex = ShardedExecutor(
+        2, lambda: CombiningOrganization(SUM_I64), n_buckets=64,
+        heap_bytes=2048, page_size=256, group_size=16,
+    )
+    load = make_batches(make_workload("uniform", 400, seed=4), "combining",
+                        batch_size=100)
+    ran, stepped = iterations_of(
+        lambda: sum(r.iterations for r in ex.run(load).shard_reports)
+    )
+    assert ran == stepped > 2
