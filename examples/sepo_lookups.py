@@ -54,8 +54,8 @@ hits = sum(1 for v in result.values if v is not None)
 print(f"hits / misses     : {hits:,} / {len(queries) - hits:,}")
 
 # Every pass is one batched resolve of the still-open queries; what ran off
-# the resident chains is postponed, and the demand picks the pages to bring
-# back before the next pass.
+# the resident chains is postponed, and the segments that blocked it are
+# paged back in newest first before the next pass.
 print("\n pass   open  answered  postponed  paged in")
 open_queries = len(queries)
 for n, (answered, postponed, paged_in) in enumerate(zip(

@@ -68,7 +68,6 @@ from repro.core.sepo import (
     SepoDriver,
     SepoReport,
     Status,
-    postponement_profitable,
 )
 
 __all__ = [
@@ -120,6 +119,5 @@ __all__ = [
     "gather_spans",
     "pack_byte_rows",
     "pack_str_keys",
-    "postponement_profitable",
     "save_table",
 ]

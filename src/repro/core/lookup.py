@@ -8,8 +8,22 @@ module is the solved exercise.  The same protocol as inserts, read-side:
   (it cannot prove a hit *or* a miss without those entries);
 * the requestor notes which segment blocked each postponed lookup;
 * between iterations the driver *rearranges data* -- it pages the
-  most-demanded evicted segments back into free heap slots (evicting
-  resident lookup pages when the pool runs dry) and reissues.
+  blocking segments back into free heap slots, **newest first**
+  (evicting resident lookup pages when the pool runs dry), and reissues.
+
+Why newest first: every CPU-side link is written once, to what was the
+chain head when the entry was prepended, and a (group, kind) fills its
+pages in segment-id order, so every bucket chain and every value list
+runs strictly downward in CPU address (the sanitizer checks it).  A walk
+therefore only moves from newer segments to older ones, and a sweep from
+the newest demanded segment down reaches each segment when every walk
+that will ever need it is already waiting at or above it: the basic and
+combining methods page a segment in once (twice only if it was resident
+when the lookup began and a full eviction took it).  Ranking by demand
+count instead lets the popular chains run ahead and pages the same
+segments in again for the stragglers.  The one upward move is a multi-valued key
+entry's jump to the head of its value list, which is newer than the
+entry; those walks are what a second sweep serves.
 
 Combining-method semantics deserve care: a key may have residue entries in
 several segments (one per iteration that evicted it), so a lookup only
@@ -23,13 +37,14 @@ every rearrangement moves pages -- and all (query, resident entry) pairs
 go through the one key matcher.  A query is then *answered* or *ran off
 the resident suffix at segment s*: the second set is the postponement
 mask, its (segment, address) columns are the resume state, and its
-segment histogram is the page-in demand.  ``slow_reference`` runs the
-same passes with the per-entry walks (:meth:`LookupDriver._walk`,
-:meth:`LookupDriver._walk_mv`) as the oracle; values, per-pass counters
-and every charge are bit-identical.  The default hands a pass to the
-same loop when fewer than :data:`_BATCH_MIN_WALKS` of its walks can move,
-and the multi-valued method always on a heap too oddly sized for word
-views (:func:`~repro.core.chainview.word_aligned`).
+distinct segments are the page-in demand (:func:`_page_in_order`).
+``slow_reference`` runs the same passes with the per-entry walks
+(:meth:`LookupDriver._walk`, :meth:`LookupDriver._walk_mv`) as the
+oracle; values, per-pass counters and every charge are bit-identical.
+The default hands a pass to the same loop when fewer than
+:data:`_BATCH_MIN_WALKS` of its walks can move, and the multi-valued
+method always on a heap too oddly sized for word views
+(:func:`~repro.core.chainview.word_aligned`).
 """
 
 from __future__ import annotations
@@ -73,6 +88,14 @@ __all__ = ["LookupDriver", "LookupResult"]
 #: passes under the cut-over cost 15 ms batched, 8 ms looped, and moving it
 #: anywhere in 128...1024 changes nothing (reissued walks are short).
 _BATCH_MIN_WALKS = 128
+
+
+def _page_in_order(blocked: np.ndarray) -> list[int]:
+    """The segments that blocked a pass's postponed walks, in the order
+    the rearrangement pages them in: newest first, whatever the demand.
+    Chains run downward in CPU address, so no walk waiting below a segment
+    can come to need it (module docstring)."""
+    return np.unique(blocked)[::-1].tolist()
 
 
 @dataclass
@@ -186,12 +209,7 @@ class LookupDriver:
                 st = {name: column[still] for name, column in st.items()}
                 postponed.append(len(st["pend"]))
                 answered.append(len(pend) - len(st["pend"]))
-                # demand order: most-demanded segment first, ties to the one
-                # that blocked the earlier query
-                uniq, first, count = np.unique(
-                    blocked[still], return_index=True, return_counts=True
-                )
-                demand = uniq[np.lexsort((first, -count))].tolist()
+                demand = _page_in_order(blocked[still])
                 paged_in.append(self._rearrange(demand))
                 readmitted.update(demand[: paged_in[-1]])
         finally:
@@ -485,6 +503,8 @@ class LookupDriver:
             # but evict() re-snapshots them).
             heap.evict_all()
             self.table.buckets.reset_gpu_heads()
+            # an insert pass after this lookup must not fill evicted pages
+            self.table.alloc.drop_stale_pages()
             paged = heap.page_in_many(demanded)
             if not paged:
                 raise RuntimeError("heap cannot hold a single page for lookups")

@@ -309,9 +309,7 @@ def combining_loop(org, table, batch, idx, buckets, tally, gated=True):
             # read + write of the stored scalar, at its actual width
             tally.bytes_touched += 2 * comb.value_size
             if trace is not None:
-                # reported at the bucket head, not at the hit entry:
-                # ROADMAP item 5(e) has the numbers
-                trace.on_access(int(head_cpu[b]), comb.value_size)
+                trace.on_access(hit[5], comb.value_size)
             if op == OP_UPDATE:
                 muts.updates_inplace += 1
             else:

@@ -10,9 +10,6 @@ input.
 input through BigKernel, inserts pending records, honours the organization's
 halt policy (the basic method stops at 50% failed bucket groups), triggers
 the end-of-iteration rearrangement, and repeats until the bitmap is clean.
-
-:func:`postponement_profitable` is the Section III-A condition deciding when
-postponing beats servicing inefficiently.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from repro.gpusim.pcie import PCIeBus
 
 __all__ = [
     "Status",
-    "postponement_profitable",
     "IterationRecord",
     "RunState",
     "SepoReport",
@@ -46,34 +42,6 @@ class Status(Enum):
 
     SUCCESS = auto()
     POSTPONE = auto()
-
-
-def postponement_profitable(
-    t_pre: float,
-    t_postpone: float,
-    t_postponed_service: float,
-    t_inefficient_service: float,
-    t_post: float,
-) -> bool:
-    """Section III-A: is postponing a task cheaper than servicing it badly?
-
-    The postponed path pays the pre-computation twice (once before the
-    decline, once on the reissue) plus the postponement bookkeeping, but
-    services the request efficiently; the direct path services it
-    inefficiently.
-    """
-    for name, t in (
-        ("t_pre", t_pre),
-        ("t_postpone", t_postpone),
-        ("t_postponed_service", t_postponed_service),
-        ("t_inefficient_service", t_inefficient_service),
-        ("t_post", t_post),
-    ):
-        if t < 0:
-            raise ValueError(f"{name} must be non-negative")
-    postponed = (t_pre + t_postpone) + (t_pre + t_postponed_service + t_post)
-    direct = t_pre + t_inefficient_service + t_post
-    return postponed < direct
 
 
 class NoProgressError(RuntimeError):

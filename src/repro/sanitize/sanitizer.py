@@ -31,6 +31,12 @@ Table reachability (:func:`check_table`), on top of the heap checks:
   resolves to a resident page or an evicted segment copy,
 * every reachable entry's extent lies inside its page's bump watermark,
   and no two extents overlap (each extent is reachable exactly once),
+* CPU addresses strictly decrease along every bucket chain and every
+  value list: entries are only ever prepended and a (group, kind) fills
+  its pages in segment order, so a walk moves from newer segments to
+  older ones -- the premise of the lookup's newest-first page-in sweep
+  (:mod:`repro.core.lookup`).  Only a key entry's jump to the head of its
+  value list may go upward,
 * every GPU chain is a *subsequence* of the same bucket's CPU chain whose
   hops all land on resident slots (the dual-pointer contract),
 * every page that was ever taken hosts at least one reachable extent
@@ -414,6 +420,18 @@ def _check_extent(
     return True
 
 
+def _check_descends(report, what: str, addr: int, next_cpu: int) -> None:
+    """A hop along ``next_cpu`` / ``vnext_cpu`` must lead to an older
+    (lower) CPU address: every link is written once, to what was the head
+    when the entry was prepended."""
+    if next_cpu != NULL and next_cpu >= addr:
+        report.flag(
+            "chain-order",
+            f"{what} links to address {next_cpu}, which is not older than "
+            "itself: chains must run strictly downward in CPU address",
+        )
+
+
 def _walk_generic(table, arena: _Arena, report: SanitizeReport) -> None:
     """Census of basic/combining tables: one chain of entries per bucket."""
     heap = table.heap
@@ -444,6 +462,7 @@ def _walk_generic(table, arena: _Arena, report: SanitizeReport) -> None:
                 report.n_dead_entries += 1
                 report.dead_bytes += size
             chain_cpu.append(addr)
+            _check_descends(report, what, addr, next_cpu)
             addr = next_cpu
         _check_gpu_chain(
             table, arena, report, b, chain_cpu,
@@ -497,6 +516,7 @@ def _walk_multivalued(table, arena: _Arena, report: SanitizeReport) -> None:
                     table, arena, report, vhead_gpu, value_cpu,
                     f"bucket {b} key entry {addr} vhead_gpu",
                 )
+            _check_descends(report, what, addr, next_cpu)
             addr = next_cpu
         _check_gpu_chain(
             table, arena, report, b, chain_cpu,
@@ -556,6 +576,7 @@ def _walk_value_list(
             break
         report.n_value_nodes += 1
         addrs.append(addr)
+        _check_descends(report, what, addr, vnext_cpu)
         addr = vnext_cpu
     return addrs
 

@@ -10,6 +10,7 @@ import pytest
 from repro.core import (
     OP_DELETE,
     OP_INSERT,
+    OP_LOOKUP,
     OP_UPDATE,
     BasicOrganization,
     CallbackCombiner,
@@ -110,11 +111,12 @@ def test_lookup_basic_method_returns_newest():
     assert res.values == [b"new", None]
 
 
-def build_mv_table(heap_bytes=2048, page_size=512):
+def build_mv_table(heap_bytes=2048, page_size=512, group_size=4):
     ledger = CostLedger()
     heap = GpuHeap(heap_bytes, page_size)
     table = GpuHashTable(
-        16, MultiValuedOrganization(), heap, group_size=4, ledger=ledger,
+        16, MultiValuedOrganization(), heap, group_size=group_size,
+        ledger=ledger,
     )
     kernel = KernelModel(GTX_780TI, ledger)
     bus = PCIeBus(ledger)
@@ -545,28 +547,115 @@ def test_lookup_of_no_queries(case, impl):
     assert table.ledger.breakdown() == before  # no launch, no transfer
 
 
-def test_lookup_equal_demand_pages_in_first_postponed_order():
-    """Two evicted segments, one postponed query each: the one that
-    blocked the earlier query is paged in first (``Counter.most_common``
-    order), not the lower segment id."""
-    for impl in ("slow_reference", "vectorized"):
-        table, driver, _ = build_table(
-            heap_bytes=4 * 512, org=BasicOrganization()
+@pytest.mark.parametrize("impl", ["slow_reference", "vectorized"])
+def test_lookup_pages_in_newest_first_whatever_the_demand(impl, monkeypatch):
+    """Three evicted key segments blocking 3, 2 and 1 queries, the
+    least-demanded the newest: every rearrangement hands
+    ``heap.page_in_many`` strictly descending segment ids, and the page-in
+    rule is applied to exactly the segments that were paged in."""
+    table, driver, _ = build_mv_table(heap_bytes=2 * 512, group_size=8)
+    lookups = LookupDriver(table, driver.kernel, driver.bus, impl=impl)
+    cands = [b"sweep-%d" % i for i in range(60)]
+    buckets = table.buckets.bucket_of_hash(
+        fnv1a_batch(*pack_byte_rows(cands))
+    ).tolist()
+    # one bucket group, one key a bucket: a walk blocks at its own entry
+    keys = [cands[buckets.index(b)] for b in range(6)]
+    for lo, hi in ((0, 3), (3, 5), (5, 6)):  # a key page + a value page each
+        driver.run([RecordBatch.from_pairs([(k, b"v") for k in keys[lo:hi]])])
+    assert table.heap._next_segment == 6 and not table.heap._resident
+
+    calls, readmitted = [], []
+    page_in = table.heap.page_in_many
+
+    def spy(segs):
+        calls.append((list(segs), page_in(segs)))
+        return calls[-1][1]
+
+    table.heap.page_in_many = spy
+    monkeypatch.setattr(
+        lookup_mod, "_readmit_key_pages",
+        lambda table, segs: readmitted.extend(segs),
+    )
+    res = lookups.lookup(keys)
+    assert res.values == [[b"v"]] * 6
+    first = calls[0][0]
+    assert first == [4, 2, 0]  # demand 1, 2, 3: the count order reversed
+    for segs, _ in calls:
+        assert all(a > b for a, b in zip(segs, segs[1:])), segs
+    paged = {seg for segs, done in calls for seg in segs[:done]}
+    assert paged == set(range(6)) and readmitted == sorted(paged)
+    assert res.segments_paged_in == sum(done for _, done in calls) == 6
+
+
+# ----------------------------------------------------------------------
+# the counted gate: page-ins and passes of the sweep, no wall-clock
+# ----------------------------------------------------------------------
+GATE_KINDS = {
+    "basic": BasicOrganization,
+    "combining": lambda: CombiningOrganization(SUM_I64),
+    "multi-valued": MultiValuedOrganization,
+}
+
+
+def _gate_counts(kind, impl):
+    """One lookup of a ``kv_mixed``-shaped table (the benchmark of
+    record's shape: 24,576 mixed ops over 4,096 keys in 2,048-op batches,
+    1,024 buckets, a 256 KiB heap of 4 KiB pages, 4,096 queries half of
+    them absent): ``(segments, pool slots, page-ins, passes)``."""
+    rng = np.random.default_rng([0, 1])
+    ops = rng.choice(
+        [OP_INSERT, OP_UPDATE, OP_DELETE, OP_LOOKUP], size=24_576,
+        p=[0.45, 0.20, 0.15, 0.20],
+    )
+    ranks = rng.integers(0, 4_096, size=24_576)
+    numeric = kind == "combining"
+    triples = [
+        (int(op), b"key-%08d" % r, i if numeric else b"value-%016d" % i)
+        for i, (op, r) in enumerate(zip(ops, ranks))
+    ]
+    queries = [b"key-%08d" % r for r in rng.integers(0, 8_192, size=4_096)]
+    ledger = CostLedger()
+    kernel, bus = KernelModel(GTX_780TI, ledger), PCIeBus(ledger)
+    table = GpuHashTable(
+        1_024, GATE_KINDS[kind](), GpuHeap(256 << 10, 4 << 10),
+        group_size=64, ledger=ledger,
+    )
+    SepoDriver(table, kernel, bus).run([
+        MutationBatch.from_ops(
+            triples[lo:lo + 2_048], numeric_dtype=np.int64 if numeric else None
         )
-        lookups = LookupDriver(table, driver.kernel, driver.bus, impl=impl)
-        cands = [b"tie-%d" % i for i in range(40)]
-        buckets = table.buckets.bucket_of_hash(
-            fnv1a_batch(*pack_byte_rows(cands))
-        ).tolist()
-        first = cands[0]
-        second = next(k for k, b in zip(cands, buckets) if b != buckets[0])
-        for key in (first, second):  # one segment each, evicted in turn
-            driver.run([RecordBatch.from_pairs([(key, b"v")])])
-        order = []
-        page_in = table.heap.page_in_many
-        table.heap.page_in_many = lambda segs: (order.extend(segs), page_in(segs))[1]
-        res = lookups.lookup([second, first])
-        assert res.values == [b"v", b"v"]
-        assert res.iteration_postponed == [2, 0]
-        assert res.iteration_paged_in == [2, 0]
-        assert order == [1, 0]
+        for lo in range(0, len(triples), 2_048)
+    ])
+    res = LookupDriver(table, kernel, bus, impl=impl).lookup(queries)
+    assert sum(v is None for v in res.values) > 1_500  # the absent half
+    heap = table.heap
+    return heap._next_segment, heap.pool.n_slots, res.segments_paged_in, res.iterations
+
+
+def _within_gate(kind, counts):
+    segments, slots, paged, passes = counts
+    if kind == "multi-valued":  # a second sweep serves the upward jumps
+        return paged <= 2.5 * segments and passes <= 24
+    return paged <= 1.05 * segments and passes <= -(-segments // slots) + 2
+
+
+@pytest.mark.parametrize("impl", ["slow_reference", "vectorized"])
+@pytest.mark.parametrize("kind", GATE_KINDS)
+def test_lookup_sweep_gate(kind, impl):
+    counts = _gate_counts(kind, impl)
+    assert counts[0] > 1.3 * counts[1], "the table was expected to outgrow the heap"
+    assert _within_gate(kind, counts), counts
+
+
+def test_lookup_sweep_gate_catches_the_count_ranking(monkeypatch):
+    """The ranking the sweep replaced -- most-demanded segment first, ties
+    to the one that blocked the earlier query -- fails the gate."""
+    def by_count(blocked):
+        uniq, first, count = np.unique(
+            blocked, return_index=True, return_counts=True
+        )
+        return uniq[np.lexsort((first, -count))].tolist()
+
+    monkeypatch.setattr(lookup_mod, "_page_in_order", by_count)
+    assert not _within_gate("multi-valued", _gate_counts("multi-valued", "vectorized"))

@@ -41,6 +41,7 @@ from repro.core import (
     MutationBatch,
     RecordBatch,
 )
+from repro.core import entries as E
 from repro.memalloc import GpuHeap
 from repro.memalloc.pages import PagePool
 
@@ -211,7 +212,9 @@ GOLDEN = {
     ("basic", "collision"): "6a2f48acddbf9367",
     ("basic", "tombstones"): "d1c90e38ce0abf61",
     ("basic", "faulty-pool"): "f41682e4c12c93c6",
-    ("combining", "traced"): "5f582440607e3dfc",
+    # recorded after the loops were merged, with the one fix that moved it:
+    # a hit's in-place combine is traced at the hit entry (not the head)
+    ("combining", "traced"): "1b06304c2873c2ab",
     ("combining", "collision"): "6583a93449e979f7",
     ("combining", "callback"): "2ac398f7ccf8be74",
     ("combining", "tombstones"): "107ed59ca48cac4a",
@@ -234,6 +237,25 @@ def test_loop_only_regimes_reproduce_the_recorded_digests(kind, regime):
         assert facts["collisions"] > 3, "forged hashes were expected to collide"
     assert got["vectorized"] == got["slow_reference"]
     assert got["vectorized"] == GOLDEN[kind, regime]
+
+
+def test_traced_combine_is_reported_at_the_hit_entry():
+    """A hit's in-place read-modify-write is an access to the hit entry's
+    page, wherever in the chain the entry sits -- not to the bucket head."""
+    table = GpuHashTable(
+        1, CombiningOrganization(SUM_I64), GpuHeap(4 * 256, 256),
+        group_size=1, sanitize="off", trace=AccessLog(),
+    )
+    ones = np.ones(2, dtype=np.int64)
+    table.insert_batch(RecordBatch.from_numeric([b"older", b"newer"], ones))
+    head = int(table.buckets.head_cpu[0])
+    older = E.read_entry_header(table.heap.pool.slot_view(0), 0)
+    assert head > 0 and older[2] == len(b"older")  # "older" sits at address 0
+    del table.trace.events[:]
+    table.insert_batch(RecordBatch.from_numeric([b"older"], ones[:1]))
+    # the walk reads both headers, then combines where it matched
+    assert table.trace.events[-1] == (0, SUM_I64.value_size)
+    assert [addr for addr, _ in table.trace.events] == [head, 0, 0]
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from repro.core import (
     SepoDriver,
     SUM_I64,
     Status,
-    postponement_profitable,
 )
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
@@ -36,20 +35,6 @@ def make_driver(org, heap_bytes=2048, page_size=256, n_buckets=64, group_size=16
 
 def test_status_enum():
     assert Status.SUCCESS is not Status.POSTPONE
-
-
-def test_profitability_condition():
-    # Postponing pays pre-computation twice but services efficiently.
-    assert postponement_profitable(
-        t_pre=1, t_postpone=0.1, t_postponed_service=1,
-        t_inefficient_service=10, t_post=1,
-    )
-    assert not postponement_profitable(
-        t_pre=5, t_postpone=1, t_postponed_service=1,
-        t_inefficient_service=2, t_post=1,
-    )
-    with pytest.raises(ValueError):
-        postponement_profitable(-1, 0, 0, 0, 0)
 
 
 def test_single_iteration_when_table_fits():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import CombiningOrganization, GpuHashTable, RecordBatch, SUM_I64
-from repro.core.sepo import NoProgressError, SepoDriver, postponement_profitable
+from repro.core.sepo import NoProgressError, SepoDriver
 from repro.gpusim.clock import CostLedger
 from repro.gpusim.device import GTX_780TI
 from repro.gpusim.kernel import KernelModel
@@ -103,33 +103,3 @@ def test_attempts_without_postponement_reset_stuck_counter():
     report = driver.run([batch])
     assert report.iterations == 1
     assert report.postponement_rate == 0.0
-
-
-# ----------------------------------------------------------------------
-# the Section III-A profitability condition
-# ----------------------------------------------------------------------
-def test_postponement_profitable_strict_inequality():
-    # postponed = 2*t_pre + t_postpone + t_postponed_service + t_post = 4
-    # direct   = t_pre + t_inefficient_service + t_post
-    args = dict(t_pre=1.0, t_postpone=1.0, t_postponed_service=1.0, t_post=0.0)
-    assert not postponement_profitable(t_inefficient_service=3.0, **args)  # tie
-    assert postponement_profitable(t_inefficient_service=3.0 + 1e-9, **args)
-    assert not postponement_profitable(t_inefficient_service=2.9, **args)
-
-
-def test_postponement_profitable_all_zero_is_not_profitable():
-    assert not postponement_profitable(0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-@pytest.mark.parametrize(
-    "field", ["t_pre", "t_postpone", "t_postponed_service",
-              "t_inefficient_service", "t_post"],
-)
-def test_postponement_profitable_rejects_negative(field):
-    kwargs = dict.fromkeys(
-        ["t_pre", "t_postpone", "t_postponed_service",
-         "t_inefficient_service", "t_post"], 1.0,
-    )
-    kwargs[field] = -0.5
-    with pytest.raises(ValueError, match=field):
-        postponement_profitable(**kwargs)

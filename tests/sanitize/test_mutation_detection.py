@@ -178,3 +178,34 @@ def test_pool_slot_leak_is_caught():
 
     violations, _ = violations_of(table)
     assert any(v.kind == "slot-leak" for v in violations)
+
+
+def test_chain_linked_against_age_is_caught():
+    """A bucket head relinked behind the entry it used to point at: every
+    entry is still reachable exactly once and the GPU chain still mirrors
+    the CPU chain, but a hop now leads to a *newer* address -- the order
+    the lookup's newest-first page-in sweep relies on is gone."""
+    table = filled_table(lambda: CombiningOrganization(SUM_I64), numeric=True)
+    more = RecordBatch.from_numeric(
+        [b"more%02d" % i for i in range(30)], np.ones(30, dtype=np.int64)
+    )
+    assert table.insert_batch(more).success.all()
+    buckets, page_size = table.buckets, table.heap.page_size
+    for b in np.flatnonzero(buckets.head_cpu != NULL).tolist():
+        head = int(buckets.head_cpu[b])
+        buf, off = table.heap.segment_view(head // page_size), head % page_size
+        second_gpu, second, _, _ = E.read_entry_header(buf, off)
+        if second != NULL:
+            break
+    else:
+        pytest.fail("no bucket holds two entries")
+    buf2, off2 = table.heap.segment_view(second // page_size), second % page_size
+    rest_gpu, rest, _, _ = E.read_entry_header(buf2, off2)
+    # head -> second -> rest   becomes   second -> head -> rest
+    E.set_next_ptrs(buf2, off2, int(buckets.head_gpu[b]), head)
+    E.set_next_ptrs(buf, off, rest_gpu, rest)
+    buckets.head_cpu[b], buckets.head_gpu[b] = second, second_gpu
+
+    violations, message = violations_of(table)
+    assert {v.kind for v in violations} == {"chain-order"}, message
+    assert f"bucket {b} " in message and str(head) in message
