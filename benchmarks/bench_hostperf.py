@@ -468,7 +468,8 @@ def lookup_cell(repeats: int = 3, kinds=KINDS) -> dict:
                 table, kernel, bus = _loaded_table(
                     kind, heap_bytes, LOOKUP_LOAD_OPS
                 )
-                driver = LookupDriver(table, kernel, bus, impl=impl)
+                table.org.impl = impl
+                driver = LookupDriver(table, kernel, bus)
                 t0 = time.perf_counter()
                 res = driver.lookup(queries)
                 dt = time.perf_counter() - t0

@@ -25,7 +25,7 @@ lie, and the one key matcher (:func:`_match_keys`) reads them as 8-byte
 words straight out of the arena / CPU image, for the (key, entry) pairs
 that survive the key-length compare only (``ChainBlock.keys`` builds the
 zero-padded matrix when somebody asks -- the sanitizer's cross-check,
-``ChainSoA.key_bytes``, a heap too oddly sized for word views).  Every
+``ChainSoA.key_bytes``).  Every
 batched reader -- the insert and mixed-op kernels and the lookup driver's
 pass -- hands all its keys at once to that matcher and gets back a
 :class:`ChainMatches`: every same-key entry of every key's chain.
@@ -70,7 +70,6 @@ __all__ = [
     "resolve_keys",
     "walk_cpu_image",
     "walk_resident",
-    "word_aligned",
 ]
 
 #: generic-entry flag bits live above GKLEN_MASK in the klen word
@@ -231,12 +230,6 @@ _LAYOUTS = {
 }
 
 
-def word_aligned(heap) -> bool:
-    """May this heap's bytes be read through int64/uint32 word views?
-    Odd page sizes (tiny test heaps) parse entry by entry instead."""
-    return heap.pool.arena.nbytes % 8 == 0 and heap.page_size % 8 == 0
-
-
 def _walk(buf, heads, layout, base, page_size):
     """The level-synchronous walker behind every bulk chain read.
 
@@ -336,12 +329,8 @@ def _walk(buf, heads, layout, base, page_size):
 
 
 def _materialize_scalar(heap, head, kind, header, arena) -> ChainSoA:
-    """Per-entry walk producing the same ChainSoA as the bulk path.
-
-    Feeds :func:`materialize_chains` when the arena or page size is not
-    8-byte aligned, where the int64/uint32 word views of the bulk gathers
-    are unavailable, and is the sanitizer's independent reference parse.
-    """
+    """Per-entry walk producing the same ChainSoA as the bulk path: the
+    sanitizer's independent reference parse."""
     page_size = heap.page_size
     addr = head
     addrs, pos, klens, vlens, flags = [], [], [], [], []
@@ -425,32 +414,14 @@ def materialize_chains(heap, heads, kind: str = "generic") -> ChainBlock:
             [h for h in dict.fromkeys(map(int, heads)) if h != NULL],
             dtype=np.int64,
         )
-    arena = heap.pool.arena
-    if not word_aligned(heap):
-        views = [
-            _materialize_scalar(heap, h, kind, header, arena)
-            for h in heads.tolist()
-        ]
-        cols = [
-            np.concatenate([getattr(v, name) for v in views])
-            if views else np.zeros(0, dtype=np.int64)
-            for name in ("addrs", "pos", "klens", "vlens", "flags")
-        ]
-        blocked = [v.blocked or (-1, NULL) for v in views]
-        return _assemble(
-            heads, arena, header, *cols,
-            np.array([v.n for v in views], dtype=np.int64),
-            tuple(np.array(blocked, dtype=np.int64).reshape(-1, 2).T),
-        )
     cols, counts, blocked = walk_resident(heap, heads, kind)
-    return _assemble(heads, arena, header, *cols, counts, blocked)
+    return _assemble(heads, heap.pool.arena, header, *cols, counts, blocked)
 
 
 def walk_resident(heap, heads, kind: str):
     """:func:`_walk` through the GPU arena under the residency map, one
     walk per head (``"value"`` heads are multi-valued value lists); a walk
-    blocks where its chain leaves the resident segments.  Needs a
-    :func:`word_aligned` heap."""
+    blocks where its chain leaves the resident segments."""
     slot = heap.resident_slot_map()
     base = np.where(slot < 0, -1, slot * heap.page_size)
     return _walk(heap.pool.arena, heads, _LAYOUTS[kind], base, heap.page_size)
@@ -530,8 +501,7 @@ def _match_keys(block, first_row, npairs, keys, key_lens):
     key's length on the entry's side (the bytes behind a key are its
     value): keys that share their leading words are common, keys that
     share their trailing ones are not, so the whole words in front are
-    read for little more than the true matches.  A heap too oddly sized
-    for word views is read through ``block.keys`` instead.  Returns
+    read for little more than the true matches.  Returns
     ``(k, within, row)`` of the matching pairs, ordered by key and then
     walk position: a key's first pair is its newest same-key entry (what
     :func:`resolve_keys` keeps), all of them are what a lookup reads.
@@ -541,12 +511,8 @@ def _match_keys(block, first_row, npairs, keys, key_lens):
     qkeys[np.arange(keys.shape[1]) >= key_lens[:, None]] = 0
     qwords = _as_words(qkeys)
     # the entry side: word ``c`` of row ``r``'s key is ``ewords[wbase[r] + c]``
-    at = block.pos + block.header
-    if block.arena.nbytes % 8 == 0 and not (at & 7).any():
-        ewords, wbase = block.arena.view(np.uint64), at >> 3
-    else:
-        mat = _as_words(block.keys)
-        ewords, wbase = mat.ravel(), np.arange(len(at)) * mat.shape[1]
+    ewords = block.arena.view(np.uint64)
+    wbase = (block.pos + block.header) >> 3
     cp = np.cumsum(npairs)
     found: list[tuple] = []
     lo = 0

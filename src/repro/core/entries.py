@@ -44,13 +44,17 @@ Value node (values on VALUE pages)::
     20  (pad)      u32
     24  value bytes
 
-All allocations are rounded up to 8-byte alignment (:func:`aligned`).
+All allocations are rounded up to 8-byte alignment (:func:`aligned`), and
+heap pages are whole multiples of 8 bytes (the page pool rejects any other
+size), so every entry and value node starts on an 8-byte boundary of the
+arena.  The bulk writers and readers store and gather the header fields
+through native ``int64`` / ``uint32`` views of it, which assumes a
+little-endian host, as the packed records do.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 
 import numpy as np
 
@@ -112,7 +116,6 @@ FLAG_SHADOW = 0x4
 GFLAG_TOMBSTONE = 1 << 31
 GFLAG_SHADOW = 1 << 30
 GKLEN_MASK = (1 << 30) - 1
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 _QQ = struct.Struct("<qq")
 _II = struct.Struct("<II")
@@ -315,37 +318,25 @@ def write_entries_bulk(
 ) -> None:
     """Vectorized :func:`write_entry` for ``m`` entries at flat positions.
 
-    ``pos`` holds each entry's byte position in ``arena`` (for heap pages:
-    ``slot * page_size + offset``); ``keys``/``values`` are padded uint8
-    matrices with true lengths ``klens``/``vlens``.  Headers are assembled
-    as an ``(m, 24)`` byte matrix and scattered in one fancy-indexed store.
+    ``pos`` holds each entry's 8-aligned byte position in ``arena`` (for
+    heap pages: ``slot * page_size + offset``); ``keys``/``values`` are
+    padded uint8 matrices with true lengths ``klens``/``vlens``.  Headers
+    are stored as whole words through wider views of the arena -- 4
+    scatters.
     """
-    m = len(pos)
-    if m == 0:
+    if len(pos) == 0:
         return
-    aligned = _LITTLE_ENDIAN and arena.size % 8 == 0 and not (pos & 7).any()
-    if aligned:
-        # heap allocations are 8-byte aligned, so headers can be stored as
-        # whole words through wider views of the arena -- 4 scatters
-        # instead of a 24-column byte matrix.
-        w64 = arena.view(np.int64)
-        p8 = pos >> 3
-        w64[p8] = next_gpu
-        w64[p8 + 1] = next_cpu
-        w32 = arena.view(np.uint32)
-        p4 = pos >> 2
-        w32[p4 + 4] = klens
-        w32[p4 + 5] = vlens
-    else:  # pragma: no cover - exotic platforms / unaligned callers
-        hdr = np.empty((m, ENTRY_HEADER), dtype=np.uint8)
-        hdr[:, 0:8] = next_gpu.astype("<i8").reshape(m, 1).view(np.uint8)
-        hdr[:, 8:16] = next_cpu.astype("<i8").reshape(m, 1).view(np.uint8)
-        hdr[:, 16:20] = klens.astype("<u4").reshape(m, 1).view(np.uint8)
-        hdr[:, 20:24] = vlens.astype("<u4").reshape(m, 1).view(np.uint8)
-        arena[pos[:, None] + np.arange(ENTRY_HEADER)] = hdr
+    w64 = arena.view(np.int64)
+    p8 = pos >> 3
+    w64[p8] = next_gpu
+    w64[p8 + 1] = next_cpu
+    w32 = arena.view(np.uint32)
+    p4 = pos >> 2
+    w32[p4 + 4] = klens
+    w32[p4 + 5] = vlens
     ko = pos + ENTRY_HEADER
     kw, vw = _uniform_width(klens), _uniform_width(vlens)
-    if aligned and kw >= 0 and vw >= 0:
+    if kw >= 0 and vw >= 0:
         # uniform-width batch: one word-granular scatter covers key, value
         # and alignment pad together (~3x faster than the column loops)
         _scatter_payload_words(arena, ko, keys, kw, values, vw)
@@ -378,34 +369,20 @@ def write_key_entries_bulk(
     """Vectorized :func:`write_key_entry` that also stores each entry's
     final value-list head and flag word, so the batched multi-valued
     kernels never rewrite either for keys they create."""
-    m = len(pos)
-    if m == 0:
+    if len(pos) == 0:
         return
-    aligned = _LITTLE_ENDIAN and arena.size % 8 == 0 and not (pos & 7).any()
-    if aligned:
-        w64 = arena.view(np.int64)
-        p8 = pos >> 3
-        w64[p8] = next_gpu
-        w64[p8 + 1] = next_cpu
-        w64[p8 + 2] = vhead_gpu
-        w64[p8 + 3] = vhead_cpu
-        w32 = arena.view(np.uint32)
-        p4 = pos >> 2
-        w32[p4 + 8] = klens
-        w32[p4 + 9] = flags
-    else:  # pragma: no cover - exotic platforms / unaligned callers
-        hdr = np.empty((m, KEY_ENTRY_HEADER), dtype=np.uint8)
-        hdr[:, 0:8] = next_gpu.astype("<i8").reshape(m, 1).view(np.uint8)
-        hdr[:, 8:16] = next_cpu.astype("<i8").reshape(m, 1).view(np.uint8)
-        hdr[:, 16:24] = vhead_gpu.astype("<i8").reshape(m, 1).view(np.uint8)
-        hdr[:, 24:32] = vhead_cpu.astype("<i8").reshape(m, 1).view(np.uint8)
-        hdr[:, 32:36] = klens.astype("<u4").reshape(m, 1).view(np.uint8)
-        hdr[:, 36:40] = (
-            np.broadcast_to(flags, (m,)).astype("<u4").reshape(m, 1).view(np.uint8)
-        )
-        arena[pos[:, None] + np.arange(KEY_ENTRY_HEADER)] = hdr
+    w64 = arena.view(np.int64)
+    p8 = pos >> 3
+    w64[p8] = next_gpu
+    w64[p8 + 1] = next_cpu
+    w64[p8 + 2] = vhead_gpu
+    w64[p8 + 3] = vhead_cpu
+    w32 = arena.view(np.uint32)
+    p4 = pos >> 2
+    w32[p4 + 8] = klens
+    w32[p4 + 9] = flags
     kw = _uniform_width(klens)
-    if aligned and kw >= 0:
+    if kw >= 0:
         _scatter_payload_words(arena, pos + KEY_ENTRY_HEADER, keys, kw, keys, 0)
     else:
         scatter_rows(arena, pos + KEY_ENTRY_HEADER, keys, klens)
@@ -420,28 +397,18 @@ def write_value_nodes_bulk(
     vlens: np.ndarray,
 ) -> None:
     """Vectorized :func:`write_value_node` for ``m`` nodes at flat positions."""
-    m = len(pos)
-    if m == 0:
+    if len(pos) == 0:
         return
-    aligned = _LITTLE_ENDIAN and arena.size % 8 == 0 and not (pos & 7).any()
-    if aligned:
-        w64 = arena.view(np.int64)
-        p8 = pos >> 3
-        w64[p8] = vnext_gpu
-        w64[p8 + 1] = vnext_cpu
-        w32 = arena.view(np.uint32)
-        p4 = pos >> 2
-        w32[p4 + 4] = vlens
-        w32[p4 + 5] = 0  # pad
-    else:  # pragma: no cover - exotic platforms / unaligned callers
-        hdr = np.empty((m, VALUE_NODE_HEADER), dtype=np.uint8)
-        hdr[:, 0:8] = vnext_gpu.astype("<i8").reshape(m, 1).view(np.uint8)
-        hdr[:, 8:16] = vnext_cpu.astype("<i8").reshape(m, 1).view(np.uint8)
-        hdr[:, 16:20] = vlens.astype("<u4").reshape(m, 1).view(np.uint8)
-        hdr[:, 20:24] = 0
-        arena[pos[:, None] + np.arange(VALUE_NODE_HEADER)] = hdr
+    w64 = arena.view(np.int64)
+    p8 = pos >> 3
+    w64[p8] = vnext_gpu
+    w64[p8 + 1] = vnext_cpu
+    w32 = arena.view(np.uint32)
+    p4 = pos >> 2
+    w32[p4 + 4] = vlens
+    w32[p4 + 5] = 0  # pad
     vw = _uniform_width(vlens)
-    if aligned and vw >= 0:
+    if vw >= 0:
         _scatter_payload_words(arena, pos + VALUE_NODE_HEADER, values, 0, values, vw)
     else:
         scatter_rows(arena, pos + VALUE_NODE_HEADER, values, vlens)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core import entries as E
 from repro.core.buckets import BucketArray
-from repro.core.chainview import ChainViewStore, walk_cpu_image, word_aligned
+from repro.core.chainview import ChainViewStore, walk_cpu_image
 from repro.core.mutations import MutationBatch, MutationCounters
 from repro.core.organizations import (
     CombiningOrganization,
@@ -464,11 +464,10 @@ class GpuHashTable:
         * basic: every pair is kept (``dict[key, list[value]]``).
 
         ``impl="vectorized"`` tables read through the bulk reader;
-        ``impl="slow_reference"`` tables, and heaps too oddly sized for
-        word views, merge :meth:`cpu_items` entry by entry -- the oracle
-        the bulk reader is tested against.
+        ``impl="slow_reference"`` tables merge :meth:`cpu_items` entry by
+        entry -- the oracle the bulk reader is tested against.
         """
-        if self.org.impl == "vectorized" and word_aligned(self.heap):
+        if self.org.impl == "vectorized":
             return self._result_bulk()
         return merge_chain_items(
             self.cpu_items(), self.org.kind,

@@ -38,13 +38,12 @@ go through the one key matcher.  A query is then *answered* or *ran off
 the resident suffix at segment s*: the second set is the postponement
 mask, its (segment, address) columns are the resume state, and its
 distinct segments are the page-in demand (:func:`_page_in_order`).
-``slow_reference`` runs the same passes with the per-entry walks
-(:meth:`LookupDriver._walk`, :meth:`LookupDriver._walk_mv`) as the
+A ``slow_reference`` table (``table.org.impl``, read when
+:meth:`LookupDriver.lookup` runs) runs the same passes with the per-entry
+walks (:meth:`LookupDriver._walk`, :meth:`LookupDriver._walk_mv`) as the
 oracle; values, per-pass counters and every charge are bit-identical.
-The default hands a pass to the same loop when fewer than
-:data:`_BATCH_MIN_WALKS` of its walks can move, and the multi-valued
-method always on a heap too oddly sized for word views
-(:func:`~repro.core.chainview.word_aligned`).
+A ``vectorized`` one hands a pass to the same loop when fewer than
+:data:`_BATCH_MIN_WALKS` of its walks can move.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from repro.core.chainview import (
     match_resident_chains,
     newest_matches,
     walk_resident,
-    word_aligned,
 )
 from repro.core.hashing import fnv1a_batch
 from repro.core.hashtable import GpuHashTable
@@ -68,7 +66,6 @@ from repro.core.organizations import (
     BasicOrganization,
     CombiningOrganization,
     HASH_CYCLES_PER_BYTE,
-    IMPLS,
 )
 from repro.core.organizations.kernel_splice import _readmit_key_pages
 from repro.core.records import pack_byte_rows
@@ -123,13 +120,9 @@ class LookupDriver:
         kernel: KernelModel,
         bus: PCIeBus,
         max_iterations: int = 10_000,
-        impl: str = "vectorized",
     ):
         from repro.core.organizations import MultiValuedOrganization
 
-        if impl not in IMPLS:
-            raise ValueError(f"impl must be one of {IMPLS}: {impl!r}")
-        self.impl = impl
         self._combiner = None
         self._multivalued = False
         if isinstance(table.org, CombiningOrganization):
@@ -183,9 +176,7 @@ class LookupDriver:
                 acc=np.zeros(n, dtype=comb.dtype if comb else np.int64),
             )
             one_pass = self._pass_generic
-        if self.impl == "slow_reference" or (
-            self._multivalued and not word_aligned(table.heap)
-        ):
+        if table.org.impl == "slow_reference":
             one_pass = self._pass_scalar
 
         postponed: list[int] = []

@@ -13,9 +13,9 @@ from repro.memalloc.pages import PageKind
 
 
 def _splice_resident(table) -> int:
-    """:func:`.oracle.splice_chains` in bulk, on a word-aligned heap: the
-    CPU chains of the resident buckets are walked once, through one image
-    of the CPU side (with integrity on, every stored segment is verified
+    """:func:`.oracle.splice_chains` in bulk: the CPU chains of the
+    resident buckets are walked once, through one image of the CPU side
+    (with integrity on, every stored segment is verified
     exactly once, before a word is written), and the rows on resident
     segments are each chain's GPU chain, in order.  One scatter points
     their ``next_gpu`` at the next row of the chain, one clears their

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import entries as E
-from repro.core.chainview import word_aligned
 from repro.core.combiners import Combiner
 from repro.core.organizations.costs import HASH_CYCLES_PER_BYTE, SPLICE_CYCLES
 from repro.core.organizations.kernel_insert import (
@@ -257,10 +256,10 @@ class Organization:
         the charge order-free; a combiner with fractional ``cycles`` keeps
         the loop's own gate).  The rest runs the organization's batched
         kernel where :meth:`_closed_form` holds, the batch has
-        :data:`MIXED_KERNEL_MIN_OPS` ops or more and the heap is sized for
-        word views -- unless the kernel declines, before touching
-        anything, by returning None (a request larger than a page: the
-        loop raises the allocator's error) -- and the same loop otherwise.
+        :data:`MIXED_KERNEL_MIN_OPS` ops or more -- unless the kernel
+        declines, before touching anything, by returning None (a request
+        larger than a page: the loop raises the allocator's error) -- and
+        the same loop otherwise.
         Success masks, tallies, lookup answers, counters and table bytes
         do not depend on the choice.
         """
@@ -287,7 +286,6 @@ class Organization:
         done = None
         if (
             len(idx) >= MIXED_KERNEL_MIN_OPS
-            and word_aligned(table.heap)
             and self._closed_form(table, batch) is not None
         ):
             done = self._mutate_kernel(table, batch, idx, buckets, tally)
@@ -547,10 +545,10 @@ class MultiValuedOrganization(Organization):
 
     def _splice_chains(self, table, report) -> None:
         """Rebuild the GPU chains over the key entries that stayed
-        resident: in bulk where the heap is sized for word views, else
-        entry by entry (:func:`.oracle.splice_chains`).  Every entry
-        walked is charged ``SPLICE_CYCLES``, whichever code walked it."""
-        bulk = self.impl == "vectorized" and word_aligned(table.heap)
-        walked = (_splice_resident if bulk else splice_chains)(table)
+        resident: in bulk under ``impl="vectorized"``, else entry by entry
+        (:func:`.oracle.splice_chains`).  Every entry walked is charged
+        ``SPLICE_CYCLES``, whichever code walked it."""
+        splice = _splice_resident if self.impl == "vectorized" else splice_chains
+        walked = splice(table)
         report.entries_spliced += walked
         report.maintenance_cycles += walked * SPLICE_CYCLES

@@ -72,12 +72,16 @@ class PagePool:
     """Owns the heap arena and hands out physical page slots.
 
     The arena is a single contiguous uint8 buffer, as a real GPU heap would
-    be; views into it are handed around as numpy slices (no copies).
+    be; views into it are handed around as numpy slices (no copies).  Pages
+    are whole 8-byte words, so every 8-aligned entry on a page is 8-aligned
+    in the arena and every reader may use int64/uint32 views of it.
     """
 
     def __init__(self, heap_bytes: int, page_size: int):
-        if page_size <= 0:
-            raise ValueError(f"page size must be positive: {page_size}")
+        if page_size <= 0 or page_size % 8:
+            raise ValueError(
+                f"page size must be a positive multiple of 8: {page_size}"
+            )
         if heap_bytes < page_size:
             raise ValueError(
                 f"heap of {heap_bytes} bytes cannot hold a single "

@@ -31,6 +31,8 @@ Table reachability (:func:`check_table`), on top of the heap checks:
   resolves to a resident page or an evicted segment copy,
 * every reachable entry's extent lies inside its page's bump watermark,
   and no two extents overlap (each extent is reachable exactly once),
+* every reachable entry, key entry and value node starts on an 8-byte
+  boundary, which the word-view bulk readers assume,
 * CPU addresses strictly decrease along every bucket chain and every
   value list: entries are only ever prepended and a (group, kind) fills
   its pages in segment order, so a walk moves from newer segments to
@@ -420,6 +422,18 @@ def _check_extent(
     return True
 
 
+def _check_on_word(report, what: str, addr: int) -> None:
+    """An entry or value node must start on an 8-byte boundary: sizes are
+    rounded up to whole words and pages are whole words, and the bulk
+    readers gather its header through int64 / uint32 views of the arena."""
+    if addr % 8:
+        report.flag(
+            "entry-misaligned",
+            f"{what} does not start on an 8-byte boundary: the word-view "
+            "readers would gather its header out of the wrong bytes",
+        )
+
+
 def _check_descends(report, what: str, addr: int, next_cpu: int) -> None:
     """A hop along ``next_cpu`` / ``vnext_cpu`` must lead to an older
     (lower) CPU address: every link is written once, to what was the head
@@ -451,6 +465,7 @@ def _walk_generic(table, arena: _Arena, report: SanitizeReport) -> None:
                     f"{what}: header crosses the page boundary",
                 )
                 break
+            _check_on_word(report, what, addr)
             _, next_cpu, klen, vlen = E.read_entry_header(buf, off)
             size = E.entry_size(klen, vlen)
             if not _check_extent(report, what, seg, off, size, used):
@@ -490,6 +505,7 @@ def _walk_multivalued(table, arena: _Arena, report: SanitizeReport) -> None:
                     "header-overrun", f"{what}: header crosses the page boundary"
                 )
                 break
+            _check_on_word(report, what, addr)
             hdr = E.read_key_entry_header(buf, off)
             next_cpu, vhead_gpu, vhead_cpu, klen, flags = (
                 hdr[1], hdr[2], hdr[3], hdr[4], hdr[5]
@@ -568,6 +584,7 @@ def _walk_value_list(
                 "header-overrun", f"{what}: header crosses the page boundary"
             )
             break
+        _check_on_word(report, what, addr)
         _, vnext_cpu, vlen = E.read_value_node_header(buf, off)
         size = E.value_node_size(vlen)
         if not _check_extent(report, what, seg, off, size, used):
@@ -715,8 +732,6 @@ def _check_chain_views(table, report: SanitizeReport) -> None:
     from repro.memalloc.address import NULL
 
     heap = table.heap
-    if heap.pool.arena.nbytes % 8 or heap.page_size % 8:
-        return  # bulk gathers inactive on unaligned arenas
     if isinstance(table.org, MultiValuedOrganization):
         kind, header = "key", E.KEY_ENTRY_HEADER
     else:

@@ -82,10 +82,8 @@ class ShardedExecutor:
         max_iterations: int = 1000,
         device: DeviceSpec = GTX_780TI,
         link: PCIeLinkSpec = PCIE_GEN3_X16,
-        lookup_impl: str = "vectorized",
     ):
         self.shard_map = ShardMap(n_shards)
-        self.lookup_impl = lookup_impl
         self.channels: list[ShardChannel] = []
         self.tables: list[GpuHashTable] = []
         self.kernels: list[KernelModel] = []
@@ -216,10 +214,7 @@ class ShardedExecutor:
             if not len(idx):
                 continue
             driver = LookupDriver(
-                self.tables[s],
-                self.kernels[s],
-                self.channels[s].bus,
-                impl=self.lookup_impl,
+                self.tables[s], self.kernels[s], self.channels[s].bus
             )
             result = driver.lookup([keys[int(i)] for i in idx])
             for i, v in zip(idx.tolist(), result.values):

@@ -34,7 +34,6 @@ from repro.core.chainview import (
     match_resident_chains,
     materialize_chains,
     resolve_keys,
-    word_aligned,
 )
 from repro.core.lookup import LookupDriver
 from repro.core.records import pack_byte_rows
@@ -322,28 +321,24 @@ def bytes_compare(table, queries):
 def test_match_keys_agrees_with_a_per_entry_bytes_compare(extra, absent):
     """Key lengths 0-24 with 0, 7, 8, 9 and 16 always there; every stored
     key is followed directly by non-zero value bytes, which the cut of the
-    last word must keep out of the compare.  Through the resident read,
-    the CPU-image read and, on an odd page size, the key-matrix read."""
+    last word must keep out of the compare.  Through the resident read and
+    the CPU-image read."""
     stored = WORD_EDGE_KEYS + extra
     pairs = [(k, b"\xff\xfe" + b"%d" % i) for i, k in enumerate(stored)]
     near = [k[:-1] for k in stored if k] + [k + b"\x00" for k in stored]
     near += [k[:-1] + b"\xff" for k in stored if k]
     queries = stored + absent + near
     kmat, klens = pack_byte_rows(queries)
-    for page_size in (512, 250):
-        heap = GpuHeap(40 * page_size, page_size)
-        table = GpuHashTable(2, BasicOrganization(), heap, group_size=1)
-        assert table.insert_batch(RecordBatch.from_pairs(pairs)).success.all()
-        heads, want = bytes_compare(table, queries)
-        assert {k for k, _ in want} >= set(range(len(stored)))
-        cm = match_resident_chains(heap, heads, "generic", kmat, klens)
-        assert list(zip(cm.key.tolist(), cm.at.tolist())) == want
-        if word_aligned(heap):
-            image = np.frombuffer(heap.cpu_image(), dtype=np.uint8)
-            cm = match_cpu_chains(image, heads, "generic", kmat, klens)
-            assert list(zip(cm.key.tolist(), cm.at.tolist())) == want
-        else:  # entries off the word grid: read through ``block.keys``
-            assert (cm.pos & 7).any()
+    heap = GpuHeap(40 * 512, 512)
+    table = GpuHashTable(2, BasicOrganization(), heap, group_size=1)
+    assert table.insert_batch(RecordBatch.from_pairs(pairs)).success.all()
+    heads, want = bytes_compare(table, queries)
+    assert {k for k, _ in want} >= set(range(len(stored)))
+    cm = match_resident_chains(heap, heads, "generic", kmat, klens)
+    assert list(zip(cm.key.tolist(), cm.at.tolist())) == want
+    image = np.frombuffer(heap.cpu_image(), dtype=np.uint8)
+    cm = match_cpu_chains(image, heads, "generic", kmat, klens)
+    assert list(zip(cm.key.tolist(), cm.at.tolist())) == want
 
 
 def test_empty_and_single_entry_chains():
@@ -448,58 +443,3 @@ def test_sanitizer_flags_stale_cached_view():
     report = check_table(table, raise_on_violation=False)
     assert not report.ok
     assert any(v.kind == "chain-view-mismatch" for v in report.violations)
-
-
-def test_unaligned_heap_falls_back_to_scalar_parse():
-    """page_size not divisible by 8: bulk gathers are unsafe, the
-    materializer must route through the scalar walk (same views)."""
-    table, driver, _ = build(heap_bytes=60 * 300, page_size=300)
-    insert(table, driver, PAIRS[:10])
-    page_in_all(table)
-    heads = table.buckets.head_cpu
-    live = [int(h) for h in heads[heads != NULL]]
-    views = materialize_chains(table.heap, live, "generic")
-    total = sum(v.n for v in views.values())
-    assert total == 10
-    got = {views[h].key_bytes(w) for h in live for w in range(views[h].n)}
-    assert got == set(KEYS[:10])
-
-
-@pytest.mark.parametrize("org_kind", ["combining", "multi-valued"])
-def test_unaligned_heap_resolve_matches_reference(org_kind):
-    """The second batch finds the first one's entries resident, so the
-    insert kernels resolve against chains the per-entry fallback parsed:
-    masks, tallies, simulated clock and contents must equal the oracle."""
-    streams = [
-        [KEYS[i % 12] for i in range(40)],
-        [KEYS[(7 * i) % 20] for i in range(40)],  # old keys and new ones
-    ]
-    outcomes = {}
-    for impl in ("vectorized", "slow_reference"):
-        if org_kind == "combining":
-            org = CombiningOrganization(SUM_I64, impl=impl)
-            batches = [
-                RecordBatch.from_numeric(s, np.arange(len(s), dtype=np.int64))
-                for s in streams
-            ]
-        else:
-            org = MultiValuedOrganization(impl=impl)
-            batches = [
-                RecordBatch.from_pairs(
-                    [(k, b"v%d-%d" % (n, i)) for i, k in enumerate(s)]
-                )
-                for n, s in enumerate(streams)
-            ]
-        table, driver, _ = build(org, heap_bytes=60 * 300, page_size=300)
-        results = [table.insert_batch(b) for b in batches]
-        assert all(r.success.all() for r in results), "heap must not evict"
-        for r in results:
-            driver.kernel.charge(r.stats)  # advance the simulated clock
-        assert table.ledger.elapsed > 0
-        outcomes[impl] = (
-            [r.success.tolist() for r in results],
-            [r.tally for r in results],
-            table.ledger.elapsed,
-            table.result(),
-        )
-    assert outcomes["vectorized"] == outcomes["slow_reference"]

@@ -157,7 +157,8 @@ def _run_lookup(impl, org_factory, make_batch, queries,
     bus = PCIeBus(ledger)
     SepoDriver(table, kernel, bus).run([make_batch()])
     before = ledger.elapsed
-    res = LookupDriver(table, kernel, bus, impl=impl).lookup(queries)
+    table.org.impl = impl
+    res = LookupDriver(table, kernel, bus).lookup(queries)
     return res, ledger.elapsed - before
 
 
@@ -230,13 +231,6 @@ def test_lookup_duplicate_queries_share_one_chain_walk():
     )
     assert vec.values == ref.values == [5] * 8 + [7]
     assert vec_dt == ref_dt
-
-
-def test_lookup_rejects_unknown_impl():
-    table, driver, lookups = build_table()
-    for impl in ("gpu", "compiled"):  # the numba backend is gone for good
-        with pytest.raises(ValueError):
-            LookupDriver(table, lookups.kernel, lookups.bus, impl=impl)
 
 
 def test_lookup_unknown_org_rejected():
@@ -324,43 +318,52 @@ def _stream(case, seed, n=260):
     return [(int(o), k, v) for o, k, v in zip(ops, keys, vals)]
 
 
-def _build(case, heap_bytes, impl, page_size=MATRIX_PAGE):
+def _org(case):
+    kind, comb = CASES[case]
+    return {
+        "basic": BasicOrganization,
+        "combining": lambda: CombiningOrganization(comb),
+        "multi-valued": MultiValuedOrganization,
+    }[kind]()
+
+
+def _batch(case, seed, policy="append"):
+    comb = CASES[case][1]
+    return MutationBatch.from_ops(
+        _stream(case, seed), numeric_dtype=comb.dtype if comb else None,
+        update_policy=policy,
+    )
+
+
+def _build(case, heap_bytes, impl):
     """A table loaded by three seeded mixed-op batches (multi-valued:
     append, replace, append -- so SHADOW entries occur) run to completion,
     then a fourth applied *once*: its postponed ops stay unacknowledged,
     which for the multi-valued method leaves empty PENDING (and
     SHADOW|PENDING) key entries at chain heads."""
-    kind, comb = CASES[case]
-    org = {
-        "basic": BasicOrganization,
-        "combining": lambda: CombiningOrganization(comb),
-        "multi-valued": MultiValuedOrganization,
-    }[kind]()
     ledger = CostLedger()
     table = GpuHashTable(
-        32, org, GpuHeap(heap_bytes, page_size), group_size=8, ledger=ledger,
-        sanitize="paranoid",
+        32, _org(case), GpuHeap(heap_bytes, MATRIX_PAGE), group_size=8,
+        ledger=ledger, sanitize="paranoid",
     )
     kernel, bus = KernelModel(GTX_780TI, ledger), PCIeBus(ledger)
-    dtype = comb.dtype if comb else None
     for seed, policy in enumerate(("append", "replace", "append", "replace")):
-        batch = MutationBatch.from_ops(
-            _stream(case, seed), numeric_dtype=dtype, update_policy=policy,
-        )
+        batch = _batch(case, seed, policy)
         if seed < 3:
             SepoDriver(table, kernel, bus).run([batch])
         else:
             table.mutate_batch(batch)
             table.end_iteration()
-    return table, kernel, bus, LookupDriver(table, kernel, bus, impl=impl)
+    table.org.impl = impl
+    return table, kernel, bus, LookupDriver(table, kernel, bus)
 
 
 @lru_cache(maxsize=None)
-def _heap_bytes(case, over, page_size=MATRIX_PAGE):
+def _heap_bytes(case, over):
     """A heap the finished table is ``over`` times as large as."""
-    roomy = _build(case, 1 << 20, "vectorized", page_size)[0]
-    pages = -(-roomy.heap.total_table_bytes // page_size)
-    return max(4, -(-pages // over) + (2 if over == 1 else 0)) * page_size
+    roomy = _build(case, 1 << 20, "vectorized")[0]
+    pages = -(-roomy.heap.total_table_bytes // MATRIX_PAGE)
+    return max(4, -(-pages // over) + (2 if over == 1 else 0)) * MATRIX_PAGE
 
 
 def _queries(case):
@@ -370,12 +373,12 @@ def _queries(case):
     return written + NEVER_WRITTEN + dup + NUL_KEYS
 
 
-def _observe(case, heap_bytes, impl, page_size=MATRIX_PAGE):
+def _observe(case, heap_bytes, impl):
     """Everything two lookups show -- one of the evicted table, one of
     what the first left resident (several residues of a key in one pass):
     answers, per-pass counters, every ``BatchStats`` handed to the kernel
     model, every ``bus.bulk`` call, every ledger category."""
-    table, kernel, bus, driver = _build(case, heap_bytes, impl, page_size)
+    table, kernel, bus, driver = _build(case, heap_bytes, impl)
     passes, bulks = [], []
     charge, bulk = kernel.charge, bus.bulk
     kernel.charge = lambda stats: (passes.append(vars(stats).copy()), charge(stats))[1]
@@ -406,12 +409,12 @@ def _observe(case, heap_bytes, impl, page_size=MATRIX_PAGE):
     return seen, table
 
 
-def _differences(case, over, page_size=MATRIX_PAGE):
-    heap_bytes = _heap_bytes(case, over, page_size)
-    want, table = _observe(case, heap_bytes, "slow_reference", page_size)
-    got, _ = _observe(case, heap_bytes, "vectorized", page_size)
-    # the oracle itself against the finished table's CPU-side read
-    table.org.impl = "slow_reference"
+def _differences(case, over):
+    heap_bytes = _heap_bytes(case, over)
+    want, table = _observe(case, heap_bytes, "slow_reference")
+    got, _ = _observe(case, heap_bytes, "vectorized")
+    # the oracle itself against the finished table's CPU-side read (a
+    # ``slow_reference`` table: merged entry by entry)
     truth = table.result()
     assert want["cold values"] == want["warm values"]
     for key, value in zip(_queries(case), want["cold values"]):
@@ -448,15 +451,6 @@ def test_lookup_matrix_default_is_bit_identical_to_slow_reference(
     assert (want["warm iterations"] == 1) == (over == 1)
     assert any(v is not None for v in want["cold values"])
     assert any(v is None for v in want["cold values"])
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_lookup_matrix_on_an_odd_page_size(case, cut_over):
-    """``word_aligned`` false: chains parse entry by entry, and the
-    multi-valued walk stays on the loop."""
-    differing, want = _differences(case, 2, page_size=300)
-    assert differing == []
-    assert want["cold iterations"] > 2
 
 
 def test_lookup_matrix_tables_hold_every_entry_kind():
@@ -547,14 +541,53 @@ def test_lookup_of_no_queries(case, impl):
     assert table.ledger.breakdown() == before  # no launch, no transfer
 
 
+@pytest.mark.parametrize("case", ["basic", "sum-i64", "multi-valued"])
+def test_lookups_follow_the_tables_impl(case, monkeypatch):
+    """``table.org.impl`` is the one selector, read when a lookup runs: a
+    ``slow_reference`` table's lookups -- through ``LookupDriver`` and
+    through ``ShardedExecutor`` -- never reach the batched matcher, even
+    with the cut-over at 0, and flipping the tables to ``vectorized``
+    after the drivers were built sends them there."""
+    from repro.core import chainview
+    from repro.shard import ShardedExecutor
+
+    heap_bytes = _heap_bytes(case, 2)
+    table, _, _, driver = _build(case, heap_bytes, "slow_reference")
+    ex = ShardedExecutor(
+        2, lambda: _org(case), n_buckets=32, heap_bytes=heap_bytes // 2,
+        page_size=MATRIX_PAGE, group_size=8,
+    )
+    ex.run([_batch(case, seed) for seed in range(3)])
+    tables = [table, *ex.tables]
+    for t in tables:
+        t.org.impl = "slow_reference"
+    assert all(t.heap._store for t in tables), "nothing for a lookup to page in"
+
+    def batched(*args):
+        raise AssertionError("the batched matcher ran")
+
+    monkeypatch.setattr(lookup_mod, "_BATCH_MIN_WALKS", 0)
+    monkeypatch.setattr(chainview, "match_resident_chains", batched)
+    # the name the lookup module reads
+    monkeypatch.setattr(lookup_mod, "match_resident_chains", batched)
+    queries = _queries(case)
+    assert any(v is not None for v in driver.lookup(queries).values)
+    assert any(v is not None for v in ex.lookup(queries))
+    for t in tables:
+        t.org.impl = "vectorized"
+    for read in (driver.lookup, ex.lookup):
+        with pytest.raises(AssertionError, match="the batched matcher ran"):
+            read(queries)
+
+
 @pytest.mark.parametrize("impl", ["slow_reference", "vectorized"])
 def test_lookup_pages_in_newest_first_whatever_the_demand(impl, monkeypatch):
     """Three evicted key segments blocking 3, 2 and 1 queries, the
     least-demanded the newest: every rearrangement hands
     ``heap.page_in_many`` strictly descending segment ids, and the page-in
     rule is applied to exactly the segments that were paged in."""
-    table, driver, _ = build_mv_table(heap_bytes=2 * 512, group_size=8)
-    lookups = LookupDriver(table, driver.kernel, driver.bus, impl=impl)
+    table, driver, lookups = build_mv_table(heap_bytes=2 * 512, group_size=8)
+    table.org.impl = impl
     cands = [b"sweep-%d" % i for i in range(60)]
     buckets = table.buckets.bucket_of_hash(
         fnv1a_batch(*pack_byte_rows(cands))
@@ -627,7 +660,8 @@ def _gate_counts(kind, impl):
         )
         for lo in range(0, len(triples), 2_048)
     ])
-    res = LookupDriver(table, kernel, bus, impl=impl).lookup(queries)
+    table.org.impl = impl
+    res = LookupDriver(table, kernel, bus).lookup(queries)
     assert sum(v is None for v in res.values) > 1_500  # the absent half
     heap = table.heap
     return heap._next_segment, heap.pool.n_slots, res.segments_paged_in, res.iterations

@@ -46,11 +46,10 @@ def make_org(kind, impl="vectorized"):
     return MultiValuedOrganization(impl=impl)
 
 
-def mutated_table(kind, impl="vectorized", heap_bytes=1 << 16,
-                  page_size=1 << 12):
+def mutated_table(kind):
     """alpha: inserted, updated; beta: deleted; gamma: never touched live."""
-    heap = GpuHeap(heap_bytes, page_size)
-    table = GpuHashTable(32, make_org(kind, impl), heap, group_size=8)
+    heap = GpuHeap(1 << 16, 1 << 12)
+    table = GpuHashTable(32, make_org(kind), heap, group_size=8)
     val = (lambda v: v) if kind == "combining" else (lambda v: b"v%d" % v)
     triples = [
         (OP_INSERT, b"alpha", val(1)),
@@ -107,10 +106,9 @@ GET_EXPECT = {
 @pytest.mark.parametrize("impl", ["vectorized", "slow_reference"])
 def test_lookup_driver_resolves_tombstones_and_shadows(kind, impl):
     table = mutated_table(kind)
+    table.org.impl = impl
     ledger = CostLedger()
-    driver = LookupDriver(
-        table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger), impl=impl,
-    )
+    driver = LookupDriver(table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger))
     keys = list(EXPECT)
     result = driver.lookup(keys)
     col = ORGS.index(kind)
@@ -147,7 +145,7 @@ def test_lookup_driver_folds_residue_in_the_result_order(impl):
     )
     assert table.mutate_batch(probe).success.all()
     assert probe.lookup_results == {0: 0, 1: None}
-    driver = LookupDriver(table, kernel, bus, impl=impl)
+    driver = LookupDriver(table, kernel, bus)
     assert driver.lookup([b"k", b"absent"]).values == [0, None]
 
 
@@ -365,16 +363,3 @@ def test_bulk_reader_past_the_round_cut_over(kind):
         assert {k: sorted(v) for k, v in got.items()} == {
             k: sorted(v) for k, v in want.items()
         }
-
-
-@pytest.mark.parametrize("kind", ORGS)
-def test_odd_page_size_reads_through_the_oracle(kind, monkeypatch):
-    """No word views over a 300-byte page: ``result()`` keeps the
-    per-entry merge, as ``materialize_chains`` keeps its scalar parse."""
-    table = mutated_table(kind, heap_bytes=300 * 16, page_size=300)
-    aligned_twin = both_readers(mutated_table(kind))
-    monkeypatch.setattr(
-        GpuHashTable, "_result_bulk",
-        lambda self: pytest.fail("bulk reader ran on an unaligned heap"),
-    )
-    assert table.result() == aligned_twin

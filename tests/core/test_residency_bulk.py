@@ -4,11 +4,11 @@ forms.
 A multi-valued iteration boundary relinks the GPU chains over what stayed
 resident (``MultiValuedOrganization._splice_chains``): under
 ``impl="vectorized"`` that is one walk of the CPU-side image and two
-scatters (``kernel_splice._splice_resident``), under ``slow_reference`` --
-and on a heap too oddly sized for word views -- the per-entry loop
-(``oracle.splice_chains``).  A lookup's rearrangement pages its demand
-list in through ``GpuHeap.page_in_many``, which must do per page what a
-``page_in`` loop did.  Both pairs are held together here, byte for byte.
+scatters (``kernel_splice._splice_resident``), under ``slow_reference``
+the per-entry loop (``oracle.splice_chains``).  A lookup's rearrangement
+pages its demand list in through ``GpuHeap.page_in_many``, which must do
+per page what a ``page_in`` loop did.  Both pairs are held together here,
+byte for byte.
 """
 
 import inspect
@@ -229,25 +229,6 @@ def test_bulk_splice_cases_hold_every_entry_kind():
             tombstoned += kinds[0]
             unborn += kinds[1]
     assert tombstoned and unborn
-
-
-def test_unaligned_heap_splices_entry_by_entry():
-    """A page size that is no multiple of 8 has no word views:
-    ``impl="vectorized"`` runs the loop there and leaves what
-    ``slow_reference`` leaves."""
-    limit, heap_pages = SHAPES["partial retention"]
-    runs = {}
-    for impl in ("vectorized", "slow_reference"):
-        table = GpuHashTable(
-            16, MultiValuedOrganization(pin_retention_limit=limit, impl=impl),
-            GpuHeap(heap_pages * 300, 300), group_size=4,
-        )
-        table.mutate_batch(MutationBatch.from_ops(_stream(10)))
-        # whatever ``impl`` says, the bulk form must not be reached
-        runs[impl] = _boundary(table, "slow_reference")
-        assert table.org.impl == impl
-    assert runs["vectorized"] == runs["slow_reference"]
-    assert runs["vectorized"]["report"]["entries_spliced"] > 0
 
 
 #: one-line edits of ``_splice_resident``'s source, (the line as it

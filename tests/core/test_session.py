@@ -47,6 +47,12 @@ def test_maintenance_throughput_set_from_device():
     )
 
 
+def test_page_size_off_the_word_grid_rejected():
+    s = GpuSession(GTX_780TI, scale=1024)
+    with pytest.raises(ValueError, match="positive multiple of 8"):
+        s.build_table(1 << 10, CombiningOrganization(SUM_I64), page_size=300)
+
+
 def test_oversized_buckets_rejected():
     s = GpuSession(GTX_780TI, scale=1 << 14)  # ~192 KB device
     with pytest.raises(OutOfDeviceMemory):

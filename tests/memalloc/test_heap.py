@@ -10,6 +10,11 @@ def heap():
     return GpuHeap(heap_bytes=1024, page_size=256)
 
 
+def test_heap_rejects_a_page_size_off_the_word_grid():
+    with pytest.raises(ValueError, match="positive multiple of 8"):
+        GpuHeap(16 * 300, 300)
+
+
 def test_alloc_page_assigns_fresh_segments(heap):
     p0 = heap.alloc_page(PageKind.GENERIC, group=0)
     p1 = heap.alloc_page(PageKind.GENERIC, group=1)

@@ -90,6 +90,12 @@ def test_heap_smaller_than_page_rejected():
         PagePool(100, 256)
 
 
+def test_page_size_off_the_word_grid_rejected():
+    """Pages are whole 8-byte words: the one place page geometry enters."""
+    with pytest.raises(ValueError, match="positive multiple of 8"):
+        PagePool(16 * 250, 250)
+
+
 def test_page_size_truncation():
     pool = PagePool(1000, 256)
     assert pool.n_slots == 3

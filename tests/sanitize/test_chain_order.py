@@ -64,9 +64,8 @@ def run_sequence(kind, heap_pages, impl, steps):
         8, KINDS[kind](), GpuHeap(heap_pages * 256, 256), group_size=2,
         ledger=ledger,
     )
-    lookups = LookupDriver(
-        table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger), impl=impl
-    )
+    table.org.impl = impl
+    lookups = LookupDriver(table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger))
     numeric = kind == "combining"
 
     def value(v):

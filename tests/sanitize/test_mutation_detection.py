@@ -209,3 +209,32 @@ def test_chain_linked_against_age_is_caught():
     violations, message = violations_of(table)
     assert {v.kind for v in violations} == {"chain-order"}, message
     assert f"bucket {b} " in message and str(head) in message
+
+
+def test_entry_off_the_word_grid_is_caught():
+    """The newest entry of a page moved 4 bytes up, with the watermark and
+    both head pointers moved along: every extent still lies inside its
+    page and is reached exactly once, the chain still runs downward and
+    the GPU chain still mirrors the CPU one -- but the entry now starts
+    between two words, where the word-view readers cannot read it."""
+    table = filled_table(BasicOrganization, numeric=False)
+    heap, buckets = table.heap, table.buckets
+    for b in np.flatnonzero(buckets.head_cpu != NULL).tolist():
+        head = int(buckets.head_cpu[b])
+        seg, off = divmod(head, heap.page_size)
+        page = heap.resident_page(seg)
+        buf = heap.pool.slot_view(page.slot)
+        _, _, klen, vlen = E.read_entry_header(buf, off)
+        size = E.entry_size(klen, vlen)
+        if off + size == page.used and page.used + 4 <= page.page_size:
+            break
+    else:
+        pytest.fail("no bucket head is the newest entry of a roomy page")
+    buf[off + 4 : off + 4 + size] = buf[off : off + size].copy()
+    page.used += 4
+    buckets.head_cpu[b] += 4
+    buckets.head_gpu[b] += 4
+
+    violations, message = violations_of(table)
+    assert {v.kind for v in violations} == {"entry-misaligned"}, message
+    assert f"bucket {b} chain entry at address {head + 4}" in message
