@@ -126,9 +126,11 @@ RESULT_MIN_SPEEDUP = 1.5
 MIXED_MIN_SPEEDUP = 2.0
 #: gates of the batched lookup pass over the per-entry walk in the lookup
 #: cell.  Measured over seven runs: basic 3.7-4.6x, combining 4.2-6.0x,
-#: multi-valued 1.7-2.5x -- there the ~1,400 page-ins both arms pay for are
-#: a third of the batched arm's time, and every pass re-parses two kinds of
-#: chain.  Each gate sits a quarter or more under its worst reading.
+#: multi-valued 1.7-2.5x when its lookup paged in 1,420 segments, and
+#: 3.5-3.6x over three runs at the 451 it pages in since every walk runs
+#: downward -- the page-ins both arms pay for, and passes that parse two
+#: kinds of chain, keep it the lowest.  Each gate sits a quarter or more
+#: under its worst reading.
 LOOKUP_MIN_SPEEDUP = {"basic": 2.5, "combining": 3.0, "multi-valued": 1.4}
 #: gates of the span parsers over the list path in the input-side cell
 #: (the oracle's emission through ``from_pairs`` / ``from_numeric``, which

@@ -3,9 +3,11 @@
 
 After a larger-than-memory table is built, later phases want to *query* it.
 Resident keys answer immediately; keys whose chains lead into evicted
-segments are POSTPONEd, the lookup driver pages the hottest missing
-segments back in, and reissues -- the same postpone/rearrange/reissue cycle
-as inserts, now in the read direction.
+segments are POSTPONEd, the lookup driver pages the blocking segments back
+in newest first (chains only run from newer segments to older ones), and
+reissues -- the same postpone/rearrange/reissue cycle as inserts, now in
+the read direction.  A multi-valued table is read the same way, as a walk
+down each key's chain plus one walk down each value list it matched.
 
 Run:  python examples/sepo_lookups.py
 """

@@ -14,6 +14,7 @@ reference implementation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from repro.apps import (
@@ -28,6 +29,7 @@ from repro.apps import (
 )
 from repro.baselines.pinned import PinnedHashTable
 from repro.bench.reporting import fmt_bytes, fmt_seconds
+from repro.core import session
 from repro.integrity import INTEGRITY_MODES
 from repro.sanitize import LEVELS
 
@@ -79,6 +81,10 @@ def main(argv: list[str] | None = None) -> int:
     run = parser.add_argument_group(
         "run options (gpu only)", argument_default=argparse.SUPPRESS
     )
+    wired = {
+        name: p.default
+        for name, p in inspect.signature(session.wire).parameters.items()
+    }
     run.add_argument("--sanitize", choices=LEVELS,
                      help="sanitizer level (default: REPRO_SANITIZE)")
     run.add_argument("--integrity", choices=INTEGRITY_MODES,
@@ -86,7 +92,8 @@ def main(argv: list[str] | None = None) -> int:
                           "falling back to off)")
     run.add_argument("--scrub-budget", type=int, metavar="N",
                      help="pages the background scrubber sweeps per SEPO "
-                          "iteration (default 4; needs --integrity scrub)")
+                          f"iteration (default {wired['scrub_budget']}; "
+                          "needs --integrity scrub)")
     run.add_argument("--journal", metavar="PATH",
                      help="journal checkpoints to PATH (enables "
                           "crash-recoverable execution)")
@@ -94,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="resume from an existing --journal file")
     run.add_argument("--checkpoint-every", type=int,
                      metavar="N", help="checkpoint every N SEPO "
-                     "iterations (default 1)")
+                     f"iterations (default {wired['checkpoint_every']})")
     args = parser.parse_args(argv)
     options = {k: getattr(args, k) for k in RUN_OPTIONS if hasattr(args, k)}
     if "resume" in options and "journal" not in options:

@@ -21,34 +21,46 @@ that will ever need it is already waiting at or above it: the basic and
 combining methods page a segment in once (twice only if it was resident
 when the lookup began and a full eviction took it).  Ranking by demand
 count instead lets the popular chains run ahead and pages the same
-segments in again for the stragglers.  The one upward move is a multi-valued key
-entry's jump to the head of its value list, which is newer than the
-entry; those walks are what a second sweep serves.
+segments in again for the stragglers.
+
+The one upward move in the structure is a multi-valued key entry's jump
+to the head of its value list, which is newer than the entry.  A
+multi-valued lookup therefore never makes that jump inside a walk: it is
+a *key walk* down the key chain, which records every admissible match's
+``vhead_cpu`` as a new *value-list walk* and closes at the first
+tombstone, after the first SHADOW entry or at the chain's end, plus one
+value-list walk per recorded match, each straight down its list.  Every
+walk only moves downward, so the rearrangement sweeps the key segments
+newest first and then the value segments newest first.
 
 Combining-method semantics deserve care: a key may have residue entries in
 several segments (one per iteration that evicted it), so a lookup only
 completes once it has walked its *entire* chain, combining every match on
 the way -- the value returned equals the finalized CPU-side result.
 
-One pass is one batched resolve (:mod:`repro.core.chainview`): the
-pending queries are an index array plus resume-address columns, every
-distinct chain they resume into is parsed once -- fresh each pass, since
-every rearrangement moves pages -- and all (query, resident entry) pairs
-go through the one key matcher.  A query is then *answered* or *ran off
-the resident suffix at segment s*: the second set is the postponement
-mask, its (segment, address) columns are the resume state, and its
-distinct segments are the page-in demand (:func:`_page_in_order`).
+One pass is one batched resolve per kind of walk
+(:mod:`repro.core.chainview`): the open walks are index arrays plus
+resume-address columns, every distinct chain they resume into is parsed
+once -- fresh each pass, since every rearrangement moves pages -- and all
+(query, resident entry) pairs go through the one key matcher.  A walk is
+then *closed* or *ran off the resident suffix at segment s*: the second
+set is the postponement mask, its (segment, address) columns are the
+resume state, and its distinct segments are the page-in demand
+(:func:`_page_in_order`).  A query is answered once all its walks are
+closed.
 A ``slow_reference`` table (``table.org.impl``, read when
 :meth:`LookupDriver.lookup` runs) runs the same passes with the per-entry
-walks (:meth:`LookupDriver._walk`, :meth:`LookupDriver._walk_mv`) as the
-oracle; values, per-pass counters and every charge are bit-identical.
-A ``vectorized`` one hands a pass to the same loop when fewer than
-:data:`_BATCH_MIN_WALKS` of its walks can move.
+walks (:meth:`LookupDriver._walk`, :meth:`LookupDriver._walk_keys`,
+:meth:`LookupDriver._walk_values`) as the oracle; values, per-pass
+counters and every charge are bit-identical.  A ``vectorized`` one hands
+a step to the same loop when fewer than :data:`_BATCH_MIN_WALKS` of its
+walks can move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Any
 
@@ -76,14 +88,16 @@ from repro.memalloc.address import NULL
 
 __all__ = ["LookupDriver", "LookupResult"]
 
-#: walks (pending queries that do not resume in evicted memory) a pass
-#: needs before the batched resolve beats the per-query loop: a resolve is
+#: walks (open walks that do not resume in evicted memory) a step of a pass
+#: needs before the batched resolve beats the per-walk loop: a resolve is
 #: ~150 numpy dispatches (0.3-0.5 ms) whatever its width, a loop step
 #: 3-12 us per walk.  Measured on ``kv_mixed``-shaped tables: resident,
 #: whole-chain walks cross at 64-128 (combining) and 128-256 (basic,
-#: multi-valued) queries; on the 9x-oversubscribed multi-valued table the
-#: passes under the cut-over cost 15 ms batched, 8 ms looped, and moving it
-#: anywhere in 128...1024 changes nothing (reissued walks are short).
+#: multi-valued) queries.  On the multi-valued one (409 segments, 64
+#: slots), where each of the 8 passes is a key step and a value step, a
+#: lookup takes 22-24 ms with the cut-over anywhere in 0...512 (reissued
+#: walks are short) and 84 ms with every step looped (best of five, two
+#: x86 cores, Python 3.11, numpy 2.4).
 _BATCH_MIN_WALKS = 128
 
 
@@ -93,6 +107,14 @@ def _page_in_order(blocked: np.ndarray) -> list[int]:
     Chains run downward in CPU address, so no walk waiting below a segment
     can come to need it (module docstring)."""
     return np.unique(blocked)[::-1].tolist()
+
+
+def _running_count(key: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """Per match of a sorted :attr:`ChainMatches.key` column (or any
+    subset of one): how many ``flag`` matches of the same key come before
+    it or are it, in walk order."""
+    seen = np.cumsum(flag)
+    return seen - (seen - flag)[np.searchsorted(key, key)]
 
 
 @dataclass
@@ -160,15 +182,17 @@ class LookupDriver:
         # resident -- the read-side analogue of the insert bitmap.
         st = {"pend": np.arange(n)}
         if self._multivalued:
-            # kaddr: next key entry; vaddr: position inside a matched
-            # entry's value list (NULL between lists); last: that list
-            # belongs to a SHADOW entry, the walk ends when it drains
-            st.update(
-                kaddr=heads, vaddr=np.full(n, NULL, dtype=np.int64),
-                last=np.zeros(n, dtype=bool),
-            )
-            q.collected = [[] for _ in keys]  # per query, newest first
-            one_pass = self._pass_mv
+            # kaddr: where the query's key walk goes on, NULL once closed
+            st["kaddr"] = heads
+            # the value-list walks the key walks recorded and that have not
+            # drained, row for row: the query (owner), the match ordinal --
+            # numbered as recorded, so one query's run in match order --
+            # and where the walk goes on (vaddr)
+            none = np.zeros(0, dtype=np.int64)
+            q.lists = {"owner": none, "ord": none, "vaddr": none}
+            q.n_lists = 0
+            # per query: (ordinal, values newest first) per stretch drained
+            q.collected = [[] for _ in keys]
         else:
             comb = self._combiner
             st.update(
@@ -176,8 +200,8 @@ class LookupDriver:
                 acc=np.zeros(n, dtype=comb.dtype if comb else np.int64),
             )
             one_pass = self._pass_generic
-        if table.org.impl == "slow_reference":
-            one_pass = self._pass_scalar
+            if table.org.impl == "slow_reference":
+                one_pass = self._pass_scalar
 
         postponed: list[int] = []
         answered: list[int] = []
@@ -189,18 +213,22 @@ class LookupDriver:
                     raise RuntimeError("lookup did not converge; heap too small?")
                 pend = st["pend"]
                 stats = BatchStats(n_records=len(pend), divergence=1.0)
-                # per open query: the segment that blocked it, -1 = answered
-                blocked = one_pass(np.arange(len(pend)), st, q, stats)
+                if self._multivalued:
+                    still, demand = self._pass_mv(st, q, stats)
+                else:
+                    # per open query: the segment that blocked it, -1 =
+                    # answered
+                    blocked = one_pass(np.arange(len(pend)), st, q, stats)
+                    still = blocked >= 0
+                    demand = _page_in_order(blocked[still])
                 stats.cycles_per_record = (
                     HASH_CYCLES_PER_BYTE * int(q.klens[pend].sum()) / len(pend)
                 )
                 stats.hottest_bucket = hottest_count(bucket_ids[pend])
                 self.kernel.charge(stats)
-                still = blocked >= 0
                 st = {name: column[still] for name, column in st.items()}
                 postponed.append(len(st["pend"]))
                 answered.append(len(pend) - len(st["pend"]))
-                demand = _page_in_order(blocked[still])
                 paged_in.append(self._rearrange(demand))
                 readmitted.update(demand[: paged_in[-1]])
         finally:
@@ -221,9 +249,9 @@ class LookupDriver:
         )
 
     # ------------------------------------------------------------------
-    # One pass over rows ``at`` of the open queries ``st``: each returns,
-    # per row, the segment that blocked the walk (-1: answered) and leaves
-    # the resume state in the columns.
+    # One basic / combining pass over rows ``at`` of the open queries
+    # ``st``: each returns, per row, the segment that blocked the walk (-1:
+    # answered) and leaves the resume state in the columns.
     def _pass_generic(self, at, st, q, stats):
         """The basic / combining method as one resolve.
 
@@ -253,10 +281,9 @@ class LookupDriver:
             for i, value in zip(pend[cm.key[live]].tolist(), got):
                 q.values[i] = value
         else:
-            # tombstone matches of the same key up to and including each
-            # match: the first closes the key, nothing behind it shows
-            dead = np.cumsum(tomb)
-            dead -= (dead - tomb)[np.searchsorted(cm.key, cm.key)]
+            # the first tombstone match closes the key, nothing behind it
+            # shows
+            dead = _running_count(cm.key, tomb)
             closer = np.flatnonzero(tomb & (dead == 1))
             shown = np.flatnonzero(dead == 0)
             row = at[cm.key[shown]]
@@ -289,73 +316,116 @@ class LookupDriver:
         out[at] = blocked
         return out
 
-    def _pass_mv(self, at, st, q, stats):
-        """The multi-valued method: two batched steps alternate until
-        every walk is answered or blocked -- move every walk to its next
-        admissible key match, then drain the value lists of the matched
-        entries.  Charges what :meth:`_walk_mv` charges.
-        """
-        heap = self.table.heap
-        w64 = heap.pool.arena.view(np.int64)
-        pend, kaddr, vaddr, last = st["pend"], st["kaddr"], st["vaddr"], st["last"]
-        blocked = self._stuck(np.where(vaddr != NULL, vaddr, kaddr))
-        at = at[blocked < 0]  # rows still walking
-        if len(at) >= _BATCH_MIN_WALKS:
-            self._drain(at[vaddr[at] != NULL], st, q, stats, blocked)
-        while len(at):
-            free = blocked[at] < 0
-            done = free & (vaddr[at] == NULL) & (last[at] | (kaddr[at] == NULL))
-            for i in pend[at[done]].tolist():
-                # collected is newest-first walk order; answer oldest-first
-                # to match the dict model's append order
-                q.values[i] = q.collected[i][::-1] or None
-            at = at[free & ~done]
-            if len(at) < _BATCH_MIN_WALKS:
-                blocked[at] = self._pass_scalar(at, st, q, stats)
-                break
-            cm = match_resident_chains(
-                heap, kaddr[at], "key", q.keymat[pend[at]], q.klens[pend[at]]
-            )
-            vhead = w64[(cm.pos >> 3) + 3]
-            # skip unborn entries: unacknowledged
-            born = np.flatnonzero(~E.key_entry_unborn(cm.flags, vhead))
-            hit = born[newest_matches(cm.key[born])]
-            k, flags = cm.key[hit], cm.flags[hit]
-            # deleted: this and every older same-key entry is dead
-            tomb = (flags & E.FLAG_TOMBSTONE) != 0
-            seg, knext, charge = cm.blocked_seg, cm.blocked_addr, cm.chain_bytes
-            seg[k] = -1
-            knext[k] = np.where(tomb, NULL, w64[(cm.pos[hit] >> 3) + 1])
-            charge[k] = cm.cum[hit]
-            stats.bytes_touched += int(charge.sum())
-            kaddr[at] = knext
-            vaddr[at[k]] = np.where(tomb, NULL, vhead[hit])
-            # a SHADOW entry replaces the whole older value list
-            last[at[k]] |= ~tomb & ((flags & E.FLAG_SHADOW) != 0)
-            blocked[at] = seg
-            self._drain(at[vaddr[at] != NULL], st, q, stats, blocked)
-        return blocked
+    def _pass_mv(self, st, q, stats):
+        """The multi-valued method: every key walk that can move takes one
+        step down its key chain, then every value-list walk -- the ones
+        this step recorded included -- one step down its list.  Charges
+        what :meth:`_walk_keys` and :meth:`_walk_values` charge.
 
-    def _drain(self, rows, st, q, stats, blocked):
-        """Walk the value lists the walks at ``rows`` are inside, all
-        together: collect what is resident, stop where a list ends
-        (``vaddr`` NULL again) or leaves residency (``blocked``)."""
+        A query is answered once its key walk is closed and its lists are
+        drained.  Returns the open-query mask and the page-in demand: the
+        key walks' segments newest first, then the value walks'.
+        """
+        batched = self.table.org.impl != "slow_reference"
+        kseg = self._advance(
+            st["kaddr"], batched, self._key_walks, self._key_walks_scalar,
+            st, q, stats,
+        )
+        vseg = self._advance(
+            q.lists["vaddr"], batched, self._value_walks,
+            self._value_walks_scalar, q, stats,
+        )
+        drained = vseg < 0
+        q.lists = {name: column[~drained] for name, column in q.lists.items()}
+        done = (kseg < 0) & ~np.isin(st["pend"], q.lists["owner"])
+        for i in st["pend"][done].tolist():
+            # the lists in match order, each newest first; answer oldest
+            # first to match the dict model's append order
+            got = sorted(q.collected[i], key=itemgetter(0))
+            q.values[i] = [v for _, values in got for v in values][::-1] or None
+        demand = _page_in_order(kseg[kseg >= 0])
+        return ~done, demand + _page_in_order(vseg[~drained])
+
+    def _advance(self, resume, batched, bulk, loop, *args):
+        """One step of the walks resuming at ``resume`` (NULL: closed):
+        the ones that can move go through ``bulk`` as one resolve, or
+        through the per-entry ``loop`` on a ``slow_reference`` table and
+        when fewer than :data:`_BATCH_MIN_WALKS` can.  Returns per walk the
+        segment it is blocked at, -1 once it is closed."""
+        if batched:
+            seg = self._stuck(resume)
+        else:
+            seg = np.full(len(resume), -1, dtype=np.int64)
+        rows = np.flatnonzero((seg < 0) & (resume != NULL))
+        walk = bulk if batched and len(rows) >= _BATCH_MIN_WALKS else loop
+        seg[rows] = walk(rows, *args)
+        return seg
+
+    def _key_walks(self, rows, st, q, stats):
+        """The key walks at ``rows`` as one resolve.  The first closer of a
+        walk is its first admissible tombstone or SHADOW match; every
+        admissible match before it, and a SHADOW closer itself, records
+        its value list.  A closed walk pays for the entries up to and
+        including its closer, every other one for the whole resident
+        prefix, and waits where that runs on into evicted memory."""
         heap = self.table.heap
+        kaddr, pend = st["kaddr"], st["pend"][rows]
+        cm = match_resident_chains(
+            heap, kaddr[rows], "key", q.keymat[pend], q.klens[pend]
+        )
+        vhead = heap.pool.arena.view(np.int64)[(cm.pos >> 3) + 3]
+        # skip unborn entries: unacknowledged
+        born = np.flatnonzero(~E.key_entry_unborn(cm.flags, vhead))
+        flags = cm.flags[born]
+        # deleted: this and every older same-key entry is dead; a SHADOW
+        # entry replaces the whole older value list
+        tomb = (flags & E.FLAG_TOMBSTONE) != 0
+        closes = tomb | ((flags & E.FLAG_SHADOW) != 0)
+        seen = _running_count(cm.key[born], closes)
+        keep = born[~tomb & (seen == closes)]
+        self._record(q, pend[cm.key[keep]], vhead[keep])
+        closer = born[closes & (seen == 1)]
+        seg, addr, charge = cm.blocked_seg, cm.blocked_addr, cm.chain_bytes
+        closed = cm.key[closer]
+        seg[closed], addr[closed], charge[closed] = -1, NULL, cm.cum[closer]
+        stats.bytes_touched += int(charge.sum())
+        kaddr[rows] = addr
+        return seg
+
+    def _value_walks(self, rows, q, stats):
+        """The value-list walks at ``rows`` of ``q.lists``, all together:
+        collect what is resident, stop where a list ends (``vaddr`` NULL
+        again) or leaves residency."""
+        heap = self.table.heap
+        lists = q.lists
         cols, counts, (seg, addr) = walk_resident(
-            heap, st["vaddr"][rows], "value"
+            heap, lists["vaddr"][rows], "value"
         )
         _, pos, _, vlens, _ = cols
         stats.bytes_touched += E.VALUE_NODE_HEADER * len(pos) + int(vlens.sum())
         got = E.gather_bytes(heap.pool.arena, pos + E.VALUE_NODE_HEADER, vlens)
         ends = np.cumsum(counts)
         some = np.flatnonzero(counts)  # most reissued walks block at once
-        for i, lo, hi in zip(
-            st["pend"][rows[some]].tolist(),
+        for i, o, lo, hi in zip(
+            lists["owner"][rows[some]].tolist(),
+            lists["ord"][rows[some]].tolist(),
             (ends - counts)[some].tolist(), ends[some].tolist(),
         ):
-            q.collected[i] += got[lo:hi]
-        st["vaddr"][rows] = addr
-        blocked[rows] = seg
+            q.collected[i].append((o, got[lo:hi]))
+        lists["vaddr"][rows] = addr
+        return seg
+
+    @staticmethod
+    def _record(q, owner, vhead):
+        """Open one value-list walk per match, at the list's head; the
+        matches come grouped by query, in match order."""
+        n = len(owner)
+        new = {"owner": owner, "ord": q.n_lists + np.arange(n), "vaddr": vhead}
+        q.lists = {
+            name: np.concatenate((column, new[name]))
+            for name, column in q.lists.items()
+        }
+        q.n_lists += n
 
     def _stuck(self, resume):
         """Per walk resuming at ``resume``: the segment it is postponed at
@@ -367,32 +437,58 @@ class LookupDriver:
         return np.where((resume != NULL) & evicted, seg, -1)
 
     def _pass_scalar(self, at, st, q, stats):
-        """The per-query, per-entry loop (the oracle)."""
+        """The per-query, per-entry loop of the basic and combining methods
+        (the oracle)."""
         page_size = self.table.heap.page_size
         blocked = np.full(len(at), -1, dtype=np.int64)
         for j, (r, i) in enumerate(zip(at.tolist(), st["pend"][at].tolist())):
-            if self._multivalued:
-                out = self._walk_mv(
-                    q.keys[i], int(st["kaddr"][r]), int(st["vaddr"][r]),
-                    q.collected[i], bool(st["last"][r]), page_size=page_size,
-                    stats=stats, values=q.values, i=i,
-                )
-                if out is not None:
-                    blocked[j], (
-                        st["kaddr"][r], st["vaddr"][r], _, st["last"][r]
-                    ) = out
-            else:
-                found = bool(st["found"][r])
-                out = self._walk(
-                    q.keys[i], int(st["addr"][r]),
-                    st["acc"][r].item() if found else None, found, page_size,
-                    stats, q.values, i,
-                )
-                if out is not None:
-                    blocked[j], (st["addr"][r], acc, st["found"][r]) = out
-                    if st["found"][r]:
-                        st["acc"][r] = acc
+            found = bool(st["found"][r])
+            out = self._walk(
+                q.keys[i], int(st["addr"][r]),
+                st["acc"][r].item() if found else None, found, page_size,
+                stats, q.values, i,
+            )
+            if out is not None:
+                blocked[j], (st["addr"][r], acc, st["found"][r]) = out
+                if st["found"][r]:
+                    st["acc"][r] = acc
         return blocked
+
+    def _key_walks_scalar(self, rows, st, q, stats):
+        """:meth:`_key_walks` walk by walk, entry by entry (the oracle)."""
+        page_size = self.table.heap.page_size
+        kaddr = st["kaddr"]
+        seg = np.full(len(rows), -1, dtype=np.int64)
+        owner: list[int] = []
+        vheads: list[int] = []
+        for j, (r, i) in enumerate(zip(rows.tolist(), st["pend"][rows].tolist())):
+            before = len(vheads)
+            seg[j], kaddr[r] = self._walk_keys(
+                q.keys[i], int(kaddr[r]), page_size, stats, vheads
+            )
+            owner += [i] * (len(vheads) - before)
+        self._record(
+            q, np.array(owner, dtype=np.int64), np.array(vheads, dtype=np.int64)
+        )
+        return seg
+
+    def _value_walks_scalar(self, rows, q, stats):
+        """:meth:`_value_walks` walk by walk, node by node (the oracle)."""
+        page_size = self.table.heap.page_size
+        lists = q.lists
+        vaddr = lists["vaddr"]
+        seg = np.full(len(rows), -1, dtype=np.int64)
+        for j, (r, i, o) in enumerate(zip(
+            rows.tolist(), lists["owner"][rows].tolist(),
+            lists["ord"][rows].tolist(),
+        )):
+            got: list[bytes] = []
+            seg[j], vaddr[r] = self._walk_values(
+                int(vaddr[r]), page_size, stats, got
+            )
+            if got:
+                q.collected[i].append((o, got))
+        return seg
 
     def _walk(self, key, addr, acc, found, page_size, stats, values, i):
         """Advance one chain walk.
@@ -430,40 +526,22 @@ class LookupDriver:
             values[i] = acc
         return None
 
-    def _walk_mv(self, key, kaddr, vaddr, collected, last, *, page_size,
-                 stats, values, i):
-        """Multi-valued walk: key chain, and each match's value chain.
+    def _walk_keys(self, key, kaddr, page_size, stats, vheads):
+        """Advance one key walk down its key chain.
 
-        ``vaddr`` is NULL while walking key entries, or the current position
-        inside a matched key's value list.  ``last`` is set once the walk
-        enters a *shadow* key entry's value list: that entry supersedes all
-        older same-key entries, so the walk completes when its list drains.
-        A tombstoned key entry completes the walk immediately.  Completes by
-        storing the collected value list (misses collect nothing -> empty
-        list becomes None), or blocks with ``(segment, resume_state)``.
+        Appends the ``vhead_cpu`` of every admissible match to ``vheads``
+        (its value list is walked on its own, :meth:`_walk_values`).  A
+        tombstoned match closes the walk at once, a *shadow* one after
+        recording its list: it supersedes every older same-key entry.
+        Returns ``(-1, NULL)`` once closed, or the segment it blocks at and
+        the address it resumes at.
         """
         heap = self.table.heap
-        while True:
-            # Drain the current value chain first, if we are inside one.
-            while vaddr != NULL:
-                seg, off = divmod(vaddr, page_size)
-                page = heap.resident_page(seg)
-                if page is None:
-                    return seg, (kaddr, vaddr, collected, last)
-                buf = heap.pool.slot_view(page.slot)
-                vnext_gpu, vnext_cpu, vlen = E.read_value_node_header(buf, off)
-                stats.bytes_touched += E.VALUE_NODE_HEADER + vlen
-                collected.append(E.value_node_value(buf, off, vlen))
-                vaddr = vnext_cpu
-            if last or kaddr == NULL:
-                # collected is newest-first walk order; answer oldest-first
-                # to match the dict model's append order
-                values[i] = collected[::-1] if collected else None
-                return None
+        while kaddr != NULL:
             seg, off = divmod(kaddr, page_size)
             page = heap.resident_page(seg)
             if page is None:
-                return seg, (kaddr, NULL, collected, last)
+                return seg, kaddr
             buf = heap.pool.slot_view(page.slot)
             hdr = E.read_key_entry_header(buf, off)
             next_cpu, vhead_cpu, klen, flags = hdr[1], hdr[3], hdr[4], hdr[5]
@@ -476,12 +554,29 @@ class LookupDriver:
             ):
                 if flags & E.FLAG_TOMBSTONE:
                     # deleted: this and every older same-key entry is dead
-                    values[i] = collected[::-1] if collected else None
-                    return None
-                vaddr = vhead_cpu  # collect this entry's values next
+                    break
+                vheads.append(vhead_cpu)
                 if flags & E.FLAG_SHADOW:
-                    last = True  # replaces the whole older value list
+                    break  # replaces the whole older value list
             kaddr = next_cpu
+        return -1, NULL
+
+    def _walk_values(self, vaddr, page_size, stats, got):
+        """Advance one value-list walk, appending each value to ``got``
+        (newest first).  Returns ``(-1, NULL)`` once the list is drained,
+        or the segment it blocks at and the address it resumes at."""
+        heap = self.table.heap
+        while vaddr != NULL:
+            seg, off = divmod(vaddr, page_size)
+            page = heap.resident_page(seg)
+            if page is None:
+                return seg, vaddr
+            buf = heap.pool.slot_view(page.slot)
+            _, vnext_cpu, vlen = E.read_value_node_header(buf, off)
+            stats.bytes_touched += E.VALUE_NODE_HEADER + vlen
+            got.append(E.value_node_value(buf, off, vlen))
+            vaddr = vnext_cpu
+        return -1, NULL
 
     def _rearrange(self, demanded: list[int]) -> int:
         """Page the demanded segments back in, in order, as far as the

@@ -1,9 +1,12 @@
 """The `python -m repro.apps` command-line runner."""
 
+import inspect
+
 import pytest
 
 from repro.apps import WordCount
 from repro.apps.__main__ import APPS, main
+from repro.core import session
 from repro.integrity import INTEGRITY_MODES
 from repro.mapreduce import MapReduceRuntime
 from repro.sanitize import LEVELS
@@ -65,6 +68,25 @@ def test_cli_offers_every_integrity_mode(mode, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert ("integrity       : mode " + mode in out) == (mode != "off")
+
+
+@pytest.mark.parametrize("scrub_budget, checkpoint_every", [(None, None), (7, 3)])
+def test_cli_help_shows_the_defaults_wire_declares(
+    scrub_budget, checkpoint_every, capsys, monkeypatch
+):
+    """The help text reads the run options' defaults off ``wire``, so it
+    follows a change there."""
+    if scrub_budget is not None:
+        monkeypatch.setattr(session.wire, "__kwdefaults__", dict(
+            session.wire.__kwdefaults__, scrub_budget=scrub_budget,
+            checkpoint_every=checkpoint_every,
+        ))
+    params = inspect.signature(session.wire).parameters
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"per SEPO iteration (default {params['scrub_budget'].default};" in text
+    assert f"N SEPO iterations (default {params['checkpoint_every'].default})" in text
 
 
 def test_cli_resume_needs_a_journal(capsys):

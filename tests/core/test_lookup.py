@@ -478,6 +478,19 @@ def test_lookup_matrix_tables_hold_every_entry_kind():
         assert ((flags & E.FLAG_SHADOW) != 0)[~unborn].any()
         assert unborn.any(), "no empty PENDING key entry"
         assert (unborn & ((flags & E.FLAG_SHADOW) != 0)).any()
+        # several value lists to one query: per key, newest first, the
+        # admissible entries (born: a non-empty value list, or a tombstone)
+        # a key walk records before a tombstone or its first SHADOW entry
+        # closes it
+        lists, closed = Counter(), set()
+        for key, fl, vh in zip(keys, flags.tolist(), vhead.tolist()):
+            if key in closed or E.key_entry_unborn(fl, vh):
+                continue
+            if fl & (E.FLAG_TOMBSTONE | E.FLAG_SHADOW):
+                closed.add(key)
+            if not fl & E.FLAG_TOMBSTONE:
+                lists[key] += 1
+        assert max(lists[key] for key in set(_queries(case))) >= 2
 
 
 # --- the bar: planted faults the matrix must catch ----------------------
@@ -504,6 +517,20 @@ def _fold_oldest_first(monkeypatch):
     monkeypatch.setattr(combiners.Combiner, "fold_segments", faulty)
 
 
+def _number_lists_backwards(monkeypatch):
+    """The batched key step numbers the value lists it records last to
+    first, so a query's lists are assembled out of match order."""
+    key_walks = LookupDriver._key_walks
+
+    def faulty(self, rows, st, q, stats):
+        n = len(q.lists["ord"])
+        seg = key_walks(self, rows, st, q, stats)
+        q.lists["ord"][n:] = q.lists["ord"][n:][::-1].copy()
+        return seg
+
+    monkeypatch.setattr(LookupDriver, "_key_walks", faulty)
+
+
 FAULTS = {
     "charge the whole prefix on a basic hit": ("basic", lambda mp: _tamper_matches(
         mp, "generic", lambda cm: cm._replace(cum=cm.chain_bytes[cm.key]))),
@@ -514,6 +541,8 @@ FAULTS = {
     "count an empty PENDING entry as a match": ("multi-valued", lambda mp: _tamper_matches(
         mp, "key", lambda cm: cm._replace(flags=np.where(
             cm.flags & E.FLAG_PENDING, cm.flags | E.FLAG_TOMBSTONE, cm.flags)))),
+    "assemble a query's value lists out of match order": (
+        "multi-valued", _number_lists_backwards),
     "keep folding past a tombstone": ("sum-i64", lambda mp: _tamper_matches(
         mp, "generic", lambda cm: cm._replace(flags=cm.flags & ~E.GFLAG_TOMBSTONE))),
 }
@@ -584,8 +613,11 @@ def test_lookups_follow_the_tables_impl(case, monkeypatch):
 def test_lookup_pages_in_newest_first_whatever_the_demand(impl, monkeypatch):
     """Three evicted key segments blocking 3, 2 and 1 queries, the
     least-demanded the newest: every rearrangement hands
-    ``heap.page_in_many`` strictly descending segment ids, and the page-in
+    ``heap.page_in_many`` the key segments in strictly descending ids,
+    then the value segments in strictly descending ids, and the page-in
     rule is applied to exactly the segments that were paged in."""
+    from repro.memalloc.pages import PageKind
+
     table, driver, lookups = build_mv_table(heap_bytes=2 * 512, group_size=8)
     table.org.impl = impl
     cands = [b"sweep-%d" % i for i in range(60)]
@@ -602,7 +634,8 @@ def test_lookup_pages_in_newest_first_whatever_the_demand(impl, monkeypatch):
     page_in = table.heap.page_in_many
 
     def spy(segs):
-        calls.append((list(segs), page_in(segs)))
+        kinds = [table.heap._store_meta[s][0] for s in segs]
+        calls.append((list(segs), page_in(segs), kinds))
         return calls[-1][1]
 
     table.heap.page_in_many = spy
@@ -614,11 +647,14 @@ def test_lookup_pages_in_newest_first_whatever_the_demand(impl, monkeypatch):
     assert res.values == [[b"v"]] * 6
     first = calls[0][0]
     assert first == [4, 2, 0]  # demand 1, 2, 3: the count order reversed
-    for segs, _ in calls:
-        assert all(a > b for a, b in zip(segs, segs[1:])), segs
-    paged = {seg for segs, done in calls for seg in segs[:done]}
+    for segs, _, kinds in calls:
+        n_key = kinds.count(PageKind.KEY)
+        assert kinds == [PageKind.KEY] * n_key + [PageKind.VALUE] * (len(segs) - n_key)
+        for part in (segs[:n_key], segs[n_key:]):
+            assert all(a > b for a, b in zip(part, part[1:])), segs
+    paged = {seg for segs, done, _ in calls for seg in segs[:done]}
     assert paged == set(range(6)) and readmitted == sorted(paged)
-    assert res.segments_paged_in == sum(done for _, done in calls) == 6
+    assert res.segments_paged_in == sum(done for _, done, _ in calls) == 6
 
 
 # ----------------------------------------------------------------------
@@ -669,9 +705,10 @@ def _gate_counts(kind, impl):
 
 def _within_gate(kind, counts):
     segments, slots, paged, passes = counts
-    if kind == "multi-valued":  # a second sweep serves the upward jumps
-        return paged <= 2.5 * segments and passes <= 24
-    return paged <= 1.05 * segments and passes <= -(-segments // slots) + 2
+    # multi-valued: a key sweep, then a value sweep, every rearrangement;
+    # a few key segments come back once more (26 of 409 here)
+    share = 1.10 if kind == "multi-valued" else 1.05
+    return paged <= share * segments and passes <= -(-segments // slots) + 2
 
 
 @pytest.mark.parametrize("impl", ["slow_reference", "vectorized"])
@@ -692,4 +729,18 @@ def test_lookup_sweep_gate_catches_the_count_ranking(monkeypatch):
         return uniq[np.lexsort((first, -count))].tolist()
 
     monkeypatch.setattr(lookup_mod, "_page_in_order", by_count)
+    assert not _within_gate("multi-valued", _gate_counts("multi-valued", "vectorized"))
+
+
+def test_lookup_sweep_gate_catches_one_sweep_over_both_kinds(monkeypatch):
+    """Key and value demand ranked together, newest first -- one sweep
+    over both kinds of segment instead of the key sweep, then the value
+    sweep -- fails the gate."""
+    one_pass = LookupDriver._pass_mv
+
+    def together(self, st, q, stats):
+        still, demand = one_pass(self, st, q, stats)
+        return still, sorted(demand, reverse=True)
+
+    monkeypatch.setattr(LookupDriver, "_pass_mv", together)
     assert not _within_gate("multi-valued", _gate_counts("multi-valued", "vectorized"))
