@@ -229,8 +229,8 @@ class LookupDriver:
                 st = {name: column[still] for name, column in st.items()}
                 postponed.append(len(st["pend"]))
                 answered.append(len(pend) - len(st["pend"]))
+                readmitted.update(demand)  # before the DMA, which can fail
                 paged_in.append(self._rearrange(demand))
-                readmitted.update(demand[: paged_in[-1]])
         finally:
             if self._multivalued:
                 # no pass reads a GPU-side field: the page-in rule is
@@ -579,21 +579,22 @@ class LookupDriver:
         return -1, NULL
 
     def _rearrange(self, demanded: list[int]) -> int:
-        """Page the demanded segments back in, in order, as far as the
-        pool goes (the rest waits a round); returns pages moved."""
+        """Page the demanded segments in, in order and as one DMA, as far as
+        the pool goes (the rest waits a round); returns how many made it."""
         heap = self.table.heap
+        stored = heap.stored_bytes
         paged = heap.page_in_many(demanded)
         if demanded and not paged:
             # Pool exhausted before any progress: make room by evicting
             # everything currently resident (lookups do not dirty pages,
             # but evict() re-snapshots them).
-            heap.evict_all()
+            stored += heap.evict_all()
             self.table.buckets.reset_gpu_heads()
             # an insert pass after this lookup must not fill evicted pages
             self.table.alloc.drop_stale_pages()
             paged = heap.page_in_many(demanded)
             if not paged:
                 raise RuntimeError("heap cannot hold a single page for lookups")
-        for _ in range(paged):
-            self.bus.bulk(heap.page_size)
+        if heap.stored_bytes < stored:
+            self.bus.bulk(stored - heap.stored_bytes)
         return paged

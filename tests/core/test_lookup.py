@@ -29,8 +29,10 @@ from repro.core.hashing import fnv1a_batch
 from repro.core.lookup import LookupDriver
 from repro.core.records import pack_byte_rows
 from repro.gpusim import CostCategory, CostLedger, GTX_780TI, KernelModel, PCIeBus
+from repro.gpusim.pcie import TransferError
 from repro.memalloc import GpuHeap
 from repro.memalloc.address import NULL
+from repro.sanitize.faults import TransientTransferFault
 
 
 def build_table(heap_bytes=2048, page_size=512, org=None):
@@ -143,6 +145,52 @@ def test_lookup_multivalued_resident():
     driver.run([RecordBatch.from_pairs([(b"k", b"v1"), (b"k", b"v2")])])
     res = lookups.lookup([b"k"])
     assert sorted(res.values[0]) == [b"v1", b"v2"]
+
+
+def _spilled_mv_table():
+    """A multi-valued table of 60 values over 10 keys, spilled across
+    segments, and the lookups to read it with."""
+    table, driver, lookups = build_mv_table()
+    pairs = [(f"link{i % 10}".encode(), f"page{i:02d}".encode())
+             for i in range(60)]
+    assert driver.run([RecordBatch.from_pairs(pairs)]).iterations > 1
+    return table, lookups, [f"link{i}".encode() for i in range(10)]
+
+
+def test_a_failed_page_in_copy_leaves_the_table_sane():
+    """A rearrangement's DMA that keeps failing raises out of the lookup
+    after its pages are in: the page-in rule still reaches them, so no
+    paged-in key page keeps a stale ``vhead_gpu``."""
+    table, lookups, keys = _spilled_mv_table()
+    bus = lookups.bus
+    TransientTransferFault(schedule={bus.transfer_ops: 99}).install(table, lookups)
+    with pytest.raises(TransferError):
+        lookups.lookup(keys)
+    table.check_invariants()
+    bus.set_fault_injector(None)
+    truth = table.result()
+    assert [v[::-1] for v in lookups.lookup(keys).values] == [truth[k] for k in keys]
+
+
+def test_a_retried_page_in_copy_costs_one_attempt_and_changes_nothing():
+    """One failed attempt of a rearrangement's DMA is charged to RETRY as
+    that copy's wire time plus the base backoff; the lookup answers, passes
+    and pages in as a fault-free one does."""
+    seen = {}
+    for run in ("clean", "faulty"):
+        table, lookups, keys = _spilled_mv_table()
+        bus, ledger = lookups.bus, table.ledger
+        first, bulks, bulk = bus.transfer_ops, [], bus.bulk
+        bus.bulk = lambda nbytes: (bulks.append(nbytes), bulk(nbytes))[1]
+        if run == "faulty":
+            TransientTransferFault(schedule={first: 1}).install(table, lookups)
+        retry = ledger.spent(CostCategory.RETRY)
+        res = lookups.lookup(keys)
+        seen[run] = (res.values, res.iteration_paged_in, bulks)
+        retry = ledger.spent(CostCategory.RETRY) - retry
+    assert seen["faulty"] == seen["clean"]
+    assert bus.retries == 1 and len(bulks) > 1
+    assert retry == bus.transfer_time(bulks[0]) + bus.retry_backoff
 
 
 def _run_lookup(impl, org_factory, make_batch, queries,
@@ -671,7 +719,8 @@ def _gate_counts(kind, impl):
     """One lookup of a ``kv_mixed``-shaped table (the benchmark of
     record's shape: 24,576 mixed ops over 4,096 keys in 2,048-op batches,
     1,024 buckets, a 256 KiB heap of 4 KiB pages, 4,096 queries half of
-    them absent): ``(segments, pool slots, page-ins, passes)``."""
+    them absent): ``(segments, pool slots, page-ins, passes)`` and what
+    crossed the bus, ``(DMAs, bytes, passes that paged in, page size)``."""
     rng = np.random.default_rng([0, 1])
     ops = rng.choice(
         [OP_INSERT, OP_UPDATE, OP_DELETE, OP_LOOKUP], size=24_576,
@@ -697,10 +746,15 @@ def _gate_counts(kind, impl):
         for lo in range(0, len(triples), 2_048)
     ])
     table.org.impl = impl
+    ops, moved = bus.transfer_ops, bus.bytes_moved
     res = LookupDriver(table, kernel, bus).lookup(queries)
     assert sum(v is None for v in res.values) > 1_500  # the absent half
     heap = table.heap
-    return heap._next_segment, heap.pool.n_slots, res.segments_paged_in, res.iterations
+    return (
+        (heap._next_segment, heap.pool.n_slots, res.segments_paged_in, res.iterations),
+        (bus.transfer_ops - ops, bus.bytes_moved - moved,
+         sum(map(bool, res.iteration_paged_in)), heap.page_size),
+    )
 
 
 def _within_gate(kind, counts):
@@ -711,12 +765,42 @@ def _within_gate(kind, counts):
     return paged <= share * segments and passes <= -(-segments // slots) + 2
 
 
+def _one_dma_a_rearrangement(counts, dma):
+    """Every rearrangement that pages in is one DMA of exactly the pages
+    it moved (no demanded segment was resident)."""
+    paged, passes = counts[2:]
+    dmas, moved, paging_passes, page_size = dma
+    return dmas == paging_passes <= passes and moved == page_size * paged
+
+
 @pytest.mark.parametrize("impl", ["slow_reference", "vectorized"])
 @pytest.mark.parametrize("kind", GATE_KINDS)
 def test_lookup_sweep_gate(kind, impl):
-    counts = _gate_counts(kind, impl)
+    counts, dma = _gate_counts(kind, impl)
     assert counts[0] > 1.3 * counts[1], "the table was expected to outgrow the heap"
     assert _within_gate(kind, counts), counts
+    assert _one_dma_a_rearrangement(counts, dma), (counts, dma)
+
+
+def test_lookup_sweep_gate_catches_a_dma_per_page(monkeypatch):
+    """The charge the one-DMA rearrangement replaced -- a ``bus.bulk`` of
+    a page per demanded segment -- fails the gate."""
+    def dma_per_page(self, demanded):
+        heap = self.table.heap
+        paged = heap.page_in_many(demanded)
+        if demanded and not paged:
+            heap.evict_all()
+            self.table.buckets.reset_gpu_heads()
+            self.table.alloc.drop_stale_pages()
+            paged = heap.page_in_many(demanded)
+        for _ in range(paged):
+            self.bus.bulk(heap.page_size)
+        return paged
+
+    monkeypatch.setattr(LookupDriver, "_rearrange", dma_per_page)
+    counts, dma = _gate_counts("basic", "vectorized")
+    assert _within_gate("basic", counts)
+    assert not _one_dma_a_rearrangement(counts, dma)
 
 
 def test_lookup_sweep_gate_catches_the_count_ranking(monkeypatch):
@@ -729,7 +813,7 @@ def test_lookup_sweep_gate_catches_the_count_ranking(monkeypatch):
         return uniq[np.lexsort((first, -count))].tolist()
 
     monkeypatch.setattr(lookup_mod, "_page_in_order", by_count)
-    assert not _within_gate("multi-valued", _gate_counts("multi-valued", "vectorized"))
+    assert not _within_gate("multi-valued", _gate_counts("multi-valued", "vectorized")[0])
 
 
 def test_lookup_sweep_gate_catches_one_sweep_over_both_kinds(monkeypatch):
@@ -743,4 +827,4 @@ def test_lookup_sweep_gate_catches_one_sweep_over_both_kinds(monkeypatch):
         return still, sorted(demand, reverse=True)
 
     monkeypatch.setattr(LookupDriver, "_pass_mv", together)
-    assert not _within_gate("multi-valued", _gate_counts("multi-valued", "vectorized"))
+    assert not _within_gate("multi-valued", _gate_counts("multi-valued", "vectorized")[0])
