@@ -145,7 +145,7 @@ class Application:
         """Run under SEPO on the (scaled) simulated GPU.
 
         ``options`` are :func:`~repro.core.session.wire`'s, declared and
-        documented there: where to run (``device``, ``scale``, ``backend``),
+        documented there: where to run (``device``, ``scale``),
         the geometry (``group_size``, ``page_size``, ``chunk_bytes``),
         pre-parsed ``batches`` to reuse, the table options (``trace``,
         ``sanitize``, ``integrity``, ``scrub_budget``) and the journal

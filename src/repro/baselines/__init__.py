@@ -11,18 +11,18 @@ are implemented so their costs can be measured:
   transfer volume lower-bounds the runtime (Table III's methodology).
 * :mod:`.trace` -- the access-trace recorder both studies share (the paper
   "instrumented the code of PVC to record the access pattern").
+
+The paper's other two comparators are not here: the CPU baseline is
+:mod:`repro.cpu.cputable` and MapCG is :mod:`repro.mapreduce.mapcg`.
 """
 
 from repro.baselines.paging import DemandPagingModel, lru_replacements
 from repro.baselines.pinned import PinnedHashTable
-from repro.baselines.sortstore import SortGroupStore, StoreOutOfMemory
 from repro.baselines.trace import AccessTrace
 
 __all__ = [
     "AccessTrace",
     "DemandPagingModel",
     "PinnedHashTable",
-    "SortGroupStore",
-    "StoreOutOfMemory",
     "lru_replacements",
 ]

@@ -199,9 +199,6 @@ class LookupDriver:
                 addr=heads, found=np.zeros(n, dtype=bool),
                 acc=np.zeros(n, dtype=comb.dtype if comb else np.int64),
             )
-            one_pass = self._pass_generic
-            if table.org.impl == "slow_reference":
-                one_pass = self._pass_scalar
 
         postponed: list[int] = []
         answered: list[int] = []
@@ -218,7 +215,10 @@ class LookupDriver:
                 else:
                     # per open query: the segment that blocked it, -1 =
                     # answered
-                    blocked = one_pass(np.arange(len(pend)), st, q, stats)
+                    blocked = self._advance(
+                        st["addr"], self._pass_generic, self._pass_scalar,
+                        st, q, stats,
+                    )
                     still = blocked >= 0
                     demand = _page_in_order(blocked[still])
                 stats.cycles_per_record = (
@@ -249,7 +249,7 @@ class LookupDriver:
         )
 
     # ------------------------------------------------------------------
-    # One basic / combining pass over rows ``at`` of the open queries
+    # One basic / combining step over rows ``at`` of the open queries
     # ``st``: each returns, per row, the segment that blocked the walk (-1:
     # answered) and leaves the resume state in the columns.
     def _pass_generic(self, at, st, q, stats):
@@ -264,11 +264,6 @@ class LookupDriver:
         arena = self.table.heap.pool.arena
         comb = self._combiner
         addr, found, acc = st["addr"], st["found"], st["acc"]
-        out = self._stuck(addr)
-        at = at[out < 0]
-        if len(at) < _BATCH_MIN_WALKS:
-            out[at] = self._pass_scalar(at, st, q, stats)
-            return out
         pend = st["pend"][at]
         cm = match_resident_chains(
             self.table.heap, addr[at], "generic", q.keymat[pend], q.klens[pend]
@@ -313,8 +308,7 @@ class LookupDriver:
             done = at[(blocked < 0) & found[at]]
             for i, v in zip(st["pend"][done].tolist(), acc[done].tolist()):
                 q.values[i] = v
-        out[at] = blocked
-        return out
+        return blocked
 
     def _pass_mv(self, st, q, stats):
         """The multi-valued method: every key walk that can move takes one
@@ -326,14 +320,12 @@ class LookupDriver:
         drained.  Returns the open-query mask and the page-in demand: the
         key walks' segments newest first, then the value walks'.
         """
-        batched = self.table.org.impl != "slow_reference"
         kseg = self._advance(
-            st["kaddr"], batched, self._key_walks, self._key_walks_scalar,
-            st, q, stats,
+            st["kaddr"], self._key_walks, self._key_walks_scalar, st, q, stats
         )
         vseg = self._advance(
-            q.lists["vaddr"], batched, self._value_walks,
-            self._value_walks_scalar, q, stats,
+            q.lists["vaddr"], self._value_walks, self._value_walks_scalar,
+            q, stats,
         )
         drained = vseg < 0
         q.lists = {name: column[~drained] for name, column in q.lists.items()}
@@ -346,12 +338,13 @@ class LookupDriver:
         demand = _page_in_order(kseg[kseg >= 0])
         return ~done, demand + _page_in_order(vseg[~drained])
 
-    def _advance(self, resume, batched, bulk, loop, *args):
-        """One step of the walks resuming at ``resume`` (NULL: closed):
-        the ones that can move go through ``bulk`` as one resolve, or
-        through the per-entry ``loop`` on a ``slow_reference`` table and
-        when fewer than :data:`_BATCH_MIN_WALKS` can.  Returns per walk the
-        segment it is blocked at, -1 once it is closed."""
+    def _advance(self, resume, bulk, loop, *args):
+        """One step of the walks resuming at ``resume`` (NULL: closed, or
+        an empty bucket): the ones that can move go through ``bulk`` as one
+        resolve, or through the per-entry ``loop`` on a ``slow_reference``
+        table and when fewer than :data:`_BATCH_MIN_WALKS` can.  Returns per
+        walk the segment it is blocked at, -1 once it is closed."""
+        batched = self.table.org.impl != "slow_reference"
         if batched:
             seg = self._stuck(resume)
         else:

@@ -52,7 +52,6 @@ class GpuSession:
         device: DeviceSpec = GTX_780TI,
         scale: int = 1,
         chunk_bytes: int = 1 << 20,
-        backend: str = "analytic",
     ):
         self.device = device.scaled(scale) if scale > 1 else device
         self.scale = scale
@@ -60,17 +59,7 @@ class GpuSession:
         self.ledger = CostLedger()
         self.memory = DeviceMemory(self.device)
         self.bus = PCIeBus(self.ledger)
-        if backend == "analytic":
-            self.kernel = KernelModel(self.device, self.ledger)
-        elif backend == "microsim":
-            from repro.gpusim.microsim.backend import MicrosimKernel
-
-            self.kernel = MicrosimKernel(self.device, self.ledger)
-        else:
-            raise ValueError(
-                f"unknown kernel backend {backend!r} "
-                "(expected 'analytic' or 'microsim')"
-            )
+        self.kernel = KernelModel(self.device, self.ledger)
         # Double-buffered input staging (BigKernel).  Each buffer gets 2x
         # slack because record-boundary-preserving partitioners may extend a
         # chunk past the nominal size.
@@ -193,7 +182,6 @@ def wire(
     device: DeviceSpec = GTX_780TI,
     scale: int = 1,
     chunk_bytes: int | None = None,
-    backend: str = "analytic",
     n_buckets: int,
     group_size: int = 64,
     page_size: int = 16 << 10,
@@ -240,7 +228,7 @@ def wire(
             "pre-parsed batches exceed this device's staging buffer; "
             "re-partition with a smaller chunk size"
         )
-    session = GpuSession(device, scale, chunk, backend=backend)
+    session = GpuSession(device, scale, chunk)
     table, driver = session.build_table(
         n_buckets=n_buckets,
         organization=job.make_organization(),

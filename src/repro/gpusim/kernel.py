@@ -87,8 +87,8 @@ class KernelModel:
         tm = self.simt.memory_time(stats.bytes_touched)
         return max(tc, tm, self._contention(stats))
 
-    def charge(self, stats: BatchStats, launches: int = 1) -> float:
-        """Charge one batch (plus launch overhead); returns seconds charged."""
+    def charge(self, stats: BatchStats) -> float:
+        """Charge one batch (plus one launch); returns seconds charged."""
         tc = self.simt.compute_time(
             stats.n_records, stats.cycles_per_record, stats.divergence
         )
@@ -101,6 +101,4 @@ class KernelModel:
             self.ledger.charge(CostCategory.COMPUTE, t)
         else:
             self.ledger.charge(CostCategory.MEMORY, t)
-        if launches:
-            self.simt.charge_launch(launches)
-        return t + launches * self.device.launch_s
+        return t + self.simt.charge_launch()

@@ -75,5 +75,6 @@ class SimtModel:
             return self.ledger.charge(CostCategory.COMPUTE, tc)
         return self.ledger.charge(CostCategory.MEMORY, tm)
 
-    def charge_launch(self, launches: int = 1) -> float:
-        return self.ledger.charge(CostCategory.LAUNCH, launches * self.device.launch_s)
+    def charge_launch(self) -> float:
+        """Charge one kernel launch to the ledger."""
+        return self.ledger.charge(CostCategory.LAUNCH, self.device.launch_s)

@@ -11,8 +11,6 @@ of adapters running
   implementations (vectorized and slow-reference),
 * the CPU baseline (:class:`~repro.cpu.cputable.CpuHashTable`),
 * the pinned-heap baseline (:class:`~repro.baselines.pinned.PinnedHashTable`),
-* Stadium hashing (:class:`~repro.baselines.stadium.StadiumHashTable`),
-* the sort-then-group store (:class:`~repro.baselines.sortstore.SortGroupStore`),
 
 each with the arena sanitizer enabled.  SEPO implementations also run
 fault-injected cases (:mod:`repro.sanitize.faults`) that must *still*
@@ -95,8 +93,9 @@ class ImplSpec:
     #: (batches, sanitize, fault) -> raw result mapping; op-stream specs
     #: return (result mapping, {global record index: lookup result})
     runner: Callable[..., dict]
-    #: fault-injected cases: (fault_name, fault_or_none, expected_exc_or_none)
-    #: -- expected_exc None means the run must recover and match the oracle
+    #: fault-injected cases: (fault_name, fault_or_none, override_or_none),
+    #: an override being (substitute runner, expected_exc_or_none) --
+    #: expected_exc None means the run must recover and match the oracle
     fault_cases: tuple = ()
     #: True: consumes MutationBatch streams (MUTATION_WORKLOAD_NAMES cells)
     op_stream: bool = False
@@ -359,24 +358,6 @@ def _run_pinned(batches, sanitize, fault=None, **overrides):
     return outcome.table.result()
 
 
-def _run_stadium(batches, sanitize, fault=None, **overrides):
-    from repro.baselines.stadium import StadiumHashTable
-    from repro.core.combiners import SUM_I64
-
-    kwargs = dict(n_slots=2048, combiner=SUM_I64, sanitize=sanitize)
-    kwargs.update(overrides)
-    return StadiumHashTable(**kwargs).run(batches).output
-
-
-def _run_sortstore(batches, sanitize, fault=None, **overrides):
-    from repro.baselines.sortstore import SortGroupStore
-    from repro.core.combiners import SUM_I64
-
-    kwargs = dict(combiner=SUM_I64, sanitize=sanitize)
-    kwargs.update(overrides)
-    return SortGroupStore(**kwargs).run(batches).output
-
-
 def _with(runner, **overrides):
     return lambda batches, sanitize, fault=None: runner(
         batches, sanitize, fault, **overrides
@@ -433,29 +414,29 @@ def _sepo_integrity_fault_cases(org_for):
         (
             "torn-persistent",
             lambda: F.TornTransferFault(every=3, failures=20),
-            (plain, CorruptionError, {}),
+            (plain, CorruptionError),
         ),
         # at-rest damage with a checkpoint to heal from: repaired
         (
             "bit-flip-repair",
             lambda: F.BitFlipFault(after_evictions=1),
-            (journaled, None, {}),
+            (journaled, None),
         ),
         (
             "stale-repair",
             lambda: F.StaleSegmentFault(after_evictions=1),
-            (journaled, None, {}),
+            (journaled, None),
         ),
         # the same damage with no journal: quarantine and refuse
         (
             "bit-flip-abort",
             lambda: F.BitFlipFault(after_evictions=1),
-            (plain, CorruptionError, {}),
+            (plain, CorruptionError),
         ),
         (
             "stale-abort",
             lambda: F.StaleSegmentFault(after_evictions=1),
-            (plain, CorruptionError, {}),
+            (plain, CorruptionError),
         ),
     )
 
@@ -488,19 +469,12 @@ def _org_multivalued(impl):
     return factory
 
 
-def _baseline_fault(name, runner_with_tiny_config, expected_exc, **case_kwargs):
-    """Under-provisioned baselines must fail loudly, not drop data.
-
-    ``case_kwargs`` may override the case's ``n``/``batch_size`` (e.g.
-    the sort store needs enough records to overflow its scaled budget).
-    """
-    return (name, None, (runner_with_tiny_config, expected_exc, case_kwargs))
+def _baseline_fault(name, runner_with_tiny_config, expected_exc):
+    """Under-provisioned baselines must fail loudly, not drop data."""
+    return (name, None, (runner_with_tiny_config, expected_exc))
 
 
 def _build_registry() -> tuple[ImplSpec, ...]:
-    from repro.baselines.sortstore import StoreOutOfMemory
-    from repro.baselines.stadium import IndexFull
-
     specs = []
     for org_name, mode, org_for in (
         ("basic", "basic", _org_basic),
@@ -569,34 +543,6 @@ def _build_registry() -> tuple[ImplSpec, ...]:
                     "tiny-heap",
                     _with(_run_pinned, heap_bytes=8192, page_size=4096),
                     MemoryError,
-                ),
-            ),
-        )
-    )
-    specs.append(
-        ImplSpec(
-            name="stadium",
-            mode="combining",
-            runner=_run_stadium,
-            fault_cases=(
-                _baseline_fault(
-                    "tiny-index", _with(_run_stadium, n_slots=64), IndexFull
-                ),
-            ),
-        )
-    )
-    specs.append(
-        ImplSpec(
-            name="sortstore",
-            mode="combining",
-            runner=_run_sortstore,
-            fault_cases=(
-                _baseline_fault(
-                    "tiny-budget",
-                    _with(_run_sortstore, scale=200_000),
-                    StoreOutOfMemory,
-                    n=1500,
-                    batch_size=25,
                 ),
             ),
         )
@@ -697,9 +643,6 @@ def run_case(
         return _run_op_stream_case(
             spec, workload_name, n, seed, sanitize, batch_size, fault_case
         )
-    if fault_case is not None and fault_case[2] is not None:
-        n = fault_case[2][2].get("n", n)
-        batch_size = fault_case[2][2].get("batch_size", batch_size)
     workload = make_workload(workload_name, n, seed)
     batches = make_batches(workload, spec.mode, batch_size)
 
@@ -710,7 +653,7 @@ def run_case(
             # error (under-provisioned baselines, unrepairable corruption)
             # or -- expected_exc None -- recover and match the oracle
             # (e.g. corruption healed from a journal checkpoint).
-            alt_runner, expected_exc, _ = override
+            alt_runner, expected_exc = override
             fault = make_fault() if make_fault is not None else None
             if expected_exc is None:
                 try:

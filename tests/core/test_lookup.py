@@ -348,6 +348,9 @@ NUL_KEYS = [b"", b"nul", b"nul\x00", b"nul\x00\x00", b"nul\x00mid", b"k0007\x00"
 NEVER_WRITTEN = [b"k9999", b"\x00", b"nul\x00\x00\x00", b"k000", b"k00070",
                  b"longer-than-every-key-in-the-table"]
 MATRIX_PAGE = 256
+#: enough buckets that some stay empty, so a few queries start at a NULL
+#: head (a walk closed before its first step)
+MATRIX_BUCKETS = 64
 
 
 def _stream(case, seed, n=260):
@@ -391,8 +394,8 @@ def _build(case, heap_bytes, impl):
     SHADOW|PENDING) key entries at chain heads."""
     ledger = CostLedger()
     table = GpuHashTable(
-        32, _org(case), GpuHeap(heap_bytes, MATRIX_PAGE), group_size=8,
-        ledger=ledger, sanitize="paranoid",
+        MATRIX_BUCKETS, _org(case), GpuHeap(heap_bytes, MATRIX_PAGE),
+        group_size=8, ledger=ledger, sanitize="paranoid",
     )
     kernel, bus = KernelModel(GTX_780TI, ledger), PCIeBus(ledger)
     for seed, policy in enumerate(("append", "replace", "append", "replace")):
@@ -414,11 +417,19 @@ def _heap_bytes(case, over):
     return max(4, -(-pages // over) + (2 if over == 1 else 0)) * MATRIX_PAGE
 
 
+def _bucket(keys):
+    return (fnv1a_batch(*pack_byte_rows(keys)) % np.uint64(MATRIX_BUCKETS)).tolist()
+
+
 def _queries(case):
     written = sorted({k for s in range(4) for _, k, _ in _stream(case, s)})
     rng = np.random.default_rng(5)
     dup = [written[i] for i in rng.integers(0, len(written), size=120)]
-    return written + NEVER_WRITTEN + dup + NUL_KEYS
+    # never-written keys no written key shares a bucket with
+    taken = set(_bucket(written))
+    absent = [b"absent-%d" % i for i in range(64)]
+    empty = [k for k, b in zip(absent, _bucket(absent)) if b not in taken][:3]
+    return written + NEVER_WRITTEN + empty + dup + NUL_KEYS
 
 
 def _observe(case, heap_bytes, impl):
@@ -432,7 +443,8 @@ def _observe(case, heap_bytes, impl):
     kernel.charge = lambda stats: (passes.append(vars(stats).copy()), charge(stats))[1]
     bus.bulk = lambda nbytes: (bulks.append(nbytes), bulk(nbytes))[1]
     table.check_invariants()
-    seen = {}
+    heads = table.buckets.head_cpu[_bucket(_queries(case))]
+    seen = {"null heads": int((heads == NULL).sum())}
     for run in ("cold", "warm"):
         before = table.ledger.breakdown()
         res = driver.lookup(_queries(case))
@@ -492,6 +504,7 @@ def test_lookup_matrix_default_is_bit_identical_to_slow_reference(
 ):
     differing, want = _differences(case, over)
     assert differing == []
+    assert want["null heads"] > 0  # queries whose walk is closed at once
     # only a heap the table does not fit pages a segment in twice
     slots = _heap_bytes(case, over) // MATRIX_PAGE
     assert (want["cold segments_paged_in"] > slots) == (over > 1)

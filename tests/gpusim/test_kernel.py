@@ -17,8 +17,8 @@ def make(device=GTX_780TI):
 
 def test_charge_includes_launch():
     km, led = make()
-    km.charge(BatchStats(n_records=0), launches=2)
-    assert led.spent(CostCategory.LAUNCH) == pytest.approx(2 * GTX_780TI.launch_s)
+    assert km.charge(BatchStats(n_records=0)) == GTX_780TI.launch_s
+    assert led.spent(CostCategory.LAUNCH) == GTX_780TI.launch_s
 
 
 def test_compute_bound_batch():

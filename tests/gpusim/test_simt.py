@@ -59,10 +59,8 @@ def test_charge_phase_books_binding_category():
 
 
 def test_charge_launch(gpu):
-    gpu.charge_launch(3)
-    assert gpu.ledger.spent(CostCategory.LAUNCH) == pytest.approx(
-        3 * GTX_780TI.launch_s
-    )
+    assert gpu.charge_launch() == GTX_780TI.launch_s
+    assert gpu.ledger.spent(CostCategory.LAUNCH) == GTX_780TI.launch_s
 
 
 def test_gpu_faster_than_cpu_on_parallel_work(gpu, cpu):

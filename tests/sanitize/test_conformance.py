@@ -19,8 +19,9 @@ from repro.sanitize.workloads import (
 def test_registry_shape():
     names = [s.name for s in C.IMPLEMENTATIONS]
     assert len(names) == len(set(names))
-    # ISSUE acceptance: at least 8 implementations in the matrix
+    # the SEPO cells plus the CPU and pinned-heap baselines
     assert len(names) >= 8
+    assert {"cpu-table", "pinned"} <= set(names)
     # every implementation has at least one fault-injected case, except
     # the sharded cells (whose extra bar is the cross-shard placement
     # check their runner performs on every run)
