@@ -1,4 +1,4 @@
-"""Persisting finished tables.
+"""Persisting tables: one checksummed archive, one table layout.
 
 The dual-pointer design makes the finished table a *CPU-side data
 structure*: bucket heads (`head_cpu`) plus the segment store, linked by
@@ -7,16 +7,26 @@ pointer rewriting -- and loads back as a read-only :class:`FrozenTable`
 that supports the same CPU-side traversals (``cpu_items``, ``result``,
 single-key ``get``) without any GPU machinery.
 
-Format: an ``.npz`` archive holding the bucket heads, the segment id/byte
-arrays, and a JSON metadata record (organization kind, combiner descriptor,
-page size).  Only the library's named combiners round-trip; tables built
-with ad-hoc :func:`~repro.core.combiners.CallbackCombiner` callbacks refuse
-to save (the callable cannot be serialized faithfully).
+Every file written here is one archive (:func:`write_journal`): a ``.npz``
+of a JSON ``meta`` record plus named arrays, CRC-32 checksummed over the
+arrays and atomically replaced (sibling temporary file, fsync,
+:func:`os.replace`), so a crash mid-write leaves the old file or the new
+one, never a torn one.  A table is ``meta["table"]`` plus the
+``table_head_cpu``, ``table_segment_ids`` and ``table_segment_data``
+arrays: :func:`save_table` writes exactly that, and the resilience
+layer's journal adds the rest of :func:`snapshot_table` and its driver
+state, so :func:`load_table` reads either file.  Only the library's named
+combiners round-trip; a :func:`~repro.core.combiners.CallbackCombiner`
+table refuses to save (the callable cannot be serialized faithfully).
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import zlib
+from dataclasses import fields
 from typing import Any, Iterator
 
 import numpy as np
@@ -34,24 +44,29 @@ from repro.core.hashtable import (
     merge_chain_items,
 )
 from repro.core.hashing import fnv1a
+from repro.core.mutations import MutationCounters
 from repro.core.organizations import (
     CombiningOrganization,
     MultiValuedOrganization,
 )
+from repro.memalloc.pages import KIND_BY_CODE, KIND_CODES
 
 __all__ = [
     "save_table",
     "load_table",
     "FrozenTable",
     "CheckpointError",
+    "JournalError",
+    "write_journal",
+    "read_journal",
     "quiesce_table",
     "snapshot_table",
     "restore_table",
-    "snapshot_clock",
     "restore_clock",
 ]
 
 FORMAT_VERSION = 1
+JOURNAL_VERSION = 1
 
 #: every named combiner must round-trip (name, scalar) -> same combiner
 _COMBINER_FACTORIES = {
@@ -66,12 +81,89 @@ class CheckpointError(RuntimeError):
     """The table cannot be (de)serialized."""
 
 
-def _org_kind(table: GpuHashTable) -> str:
-    return table.org.kind
+class JournalError(CheckpointError):
+    """The archive is missing, corrupt, or inconsistent with the run (a
+    :class:`CheckpointError`, so ``except CheckpointError`` catches it)."""
 
 
-def save_table(table: GpuHashTable, path) -> None:
-    """Serialize a table's CPU-side structure to ``path`` (.npz)."""
+# ----------------------------------------------------------------------
+# the archive
+# ----------------------------------------------------------------------
+def _arrays_checksum(arrays: dict[str, np.ndarray]) -> int:
+    crc = 0
+    for name in sorted(arrays):
+        crc = zlib.crc32(name.encode(), crc)
+        crc = zlib.crc32(np.ascontiguousarray(arrays[name]).tobytes(), crc)
+    return crc
+
+
+def write_journal(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Atomically persist one archive to ``path``.
+
+    ``meta`` must be JSON-serializable; ``arrays`` maps member names to
+    numpy arrays.  The checksum and version are added here.
+    """
+    meta = dict(meta)
+    meta["journal_version"] = JOURNAL_VERSION
+    meta["checksum"] = _arrays_checksum(arrays)
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer,
+        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        **arrays,
+    )
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as f:
+        f.write(buffer.getvalue())
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+
+
+def read_journal(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Load and verify an archive; returns ``(meta, arrays)``.
+
+    Every corruption mode -- truncated archive, tampered member bytes,
+    bad JSON, wrong version, checksum mismatch -- raises
+    :class:`JournalError` with a message naming the problem.
+    """
+    if not os.path.exists(path):
+        raise JournalError(f"no journal at {path!r}")
+    try:
+        archive = np.load(path)
+    except Exception as exc:
+        raise JournalError(f"unreadable journal {path!r}: {exc}") from exc
+    arrays: dict[str, np.ndarray] = {}
+    with archive:
+        try:
+            meta = json.loads(bytes(archive["meta"]).decode())
+            for name in archive.files:
+                if name != "meta":
+                    arrays[name] = archive[name]
+        except KeyError as exc:
+            raise JournalError(
+                f"journal {path!r} is missing member {exc}"
+            ) from None
+        except Exception as exc:  # tampered member bytes / bad JSON
+            raise JournalError(f"corrupt journal {path!r}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise JournalError(f"corrupt journal metadata in {path!r}")
+    version = meta.get("journal_version")
+    if version != JOURNAL_VERSION:
+        raise JournalError(f"unsupported journal version {version!r}")
+    if meta.get("checksum") != _arrays_checksum(arrays):
+        raise JournalError(
+            f"journal {path!r} failed its checksum (torn or tampered write)"
+        )
+    return meta, arrays
+
+
+# ----------------------------------------------------------------------
+# the table layout
+# ----------------------------------------------------------------------
+def _table_meta(table: GpuHashTable) -> dict:
+    """``meta["table"]``: what a reader needs besides the arrays, and what
+    a resume cross-checks against its own run configuration."""
     combiner_meta = None
     if isinstance(table.org, CombiningOrganization):
         comb = table.org.combiner
@@ -81,86 +173,74 @@ def save_table(table: GpuHashTable, path) -> None:
                 "be serialized; finalize with .result() instead"
             )
         combiner_meta = {"name": comb.name, "scalar": comb.scalar}
-
     heap = table.heap
-    # Snapshot every segment (resident pages included) without mutating.
-    segments = sorted(
-        {p.segment for p in heap.resident_pages} | set(heap._store)
-    )
-    seg_data = np.zeros((len(segments), heap.page_size), dtype=np.uint8)
-    for row, seg in enumerate(segments):
-        seg_data[row] = heap.segment_view(seg)
-
-    meta = {
+    return {
         "version": FORMAT_VERSION,
-        "organization": _org_kind(table),
+        "organization": table.org.kind,
+        "impl": table.org.impl,
         "combiner": combiner_meta,
         "page_size": heap.page_size,
         "n_buckets": table.buckets.n_buckets,
-        "total_inserted": table.total_inserted,
+        "group_size": table.buckets.group_size,
+        "n_slots": heap.pool.n_slots,
     }
-    np.savez_compressed(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        head_cpu=table.buckets.head_cpu,
-        segment_ids=np.asarray(segments, dtype=np.int64),
-        segment_data=seg_data,
+
+
+def _segment_data(heap, segments, read) -> np.ndarray:
+    data = np.zeros((len(segments), heap.page_size), dtype=np.uint8)
+    for row, seg in enumerate(segments):
+        data[row] = read(seg)
+    return data
+
+
+def save_table(table: GpuHashTable, path) -> None:
+    """Serialize a table's CPU-side structure to ``path``.
+
+    Resident pages are included and the table is left untouched.
+    """
+    heap = table.heap
+    segments = sorted(
+        {p.segment for p in heap.resident_pages} | set(heap._store)
     )
+    write_journal(path, {"table": _table_meta(table)}, {
+        "table_head_cpu": table.buckets.head_cpu,
+        "table_segment_ids": np.asarray(segments, dtype=np.int64),
+        "table_segment_data": _segment_data(heap, segments, heap.segment_view),
+    })
 
 
 def load_table(path) -> "FrozenTable":
-    """Load a serialized table as a read-only :class:`FrozenTable`.
+    """Load a :func:`save_table` file -- or a journal -- as a read-only
+    :class:`FrozenTable`.
 
-    Any way the file can be bad -- truncated archive, tampered member
-    bytes, non-JSON metadata, missing fields, unknown version or combiner
-    -- surfaces as :class:`CheckpointError`, never a raw numpy/zipfile
-    traceback.
+    Any way the file can be bad surfaces as :class:`CheckpointError`,
+    never a raw numpy/zipfile traceback.
     """
+    meta, arrays = read_journal(path)
     try:
-        archive = np.load(path)
-    except Exception as exc:
-        raise CheckpointError(
-            f"unreadable checkpoint {path!r}: {exc}"
-        ) from exc
-    with archive:
-        try:
-            meta = json.loads(bytes(archive["meta"]).decode())
-            head_cpu = archive["head_cpu"]
-            segment_ids = archive["segment_ids"]
-            segment_data = archive["segment_data"]
-        except KeyError as exc:
-            raise CheckpointError(f"missing field in checkpoint: {exc}")
-        except Exception as exc:  # tampered member bytes / bad JSON
+        table, comb = meta["table"], meta["table"]["combiner"]
+        if table["version"] != FORMAT_VERSION:
             raise CheckpointError(
-                f"corrupt checkpoint {path!r}: {exc}"
-            ) from exc
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"corrupt checkpoint metadata in {path!r}")
-    if meta.get("version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {meta.get('version')!r}"
+                f"unsupported checkpoint version {table['version']!r}"
+            )
+        if comb is not None and comb["name"] not in _COMBINER_FACTORIES:
+            raise CheckpointError(
+                f"checkpoint names unknown combiner {comb['name']!r}"
+            )
+        data = arrays["table_segment_data"]
+        return FrozenTable(
+            table["organization"],
+            None if comb is None
+            else _COMBINER_FACTORIES[comb["name"]](comb["scalar"]),
+            int(table["page_size"]),
+            arrays["table_head_cpu"],
+            {int(s): data[row]
+             for row, s in enumerate(arrays["table_segment_ids"])},
         )
-    combiner = None
-    if meta["combiner"] is not None:
-        name = meta["combiner"]["name"]
-        try:
-            factory = _COMBINER_FACTORIES[name]
-        except KeyError:
-            raise CheckpointError(
-                f"checkpoint names unknown combiner {name!r}"
-            ) from None
-        combiner = factory(meta["combiner"]["scalar"])
-    return FrozenTable(
-        organization=meta["organization"],
-        combiner=combiner,
-        page_size=int(meta["page_size"]),
-        head_cpu=head_cpu,
-        segments={
-            int(seg): segment_data[row]
-            for row, seg in enumerate(segment_ids)
-        },
-        total_inserted=int(meta["total_inserted"]),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"malformed table record in {path!r}: {exc!r}"
+        ) from None
 
 
 class FrozenTable:
@@ -173,14 +253,12 @@ class FrozenTable:
         page_size: int,
         head_cpu: np.ndarray,
         segments: dict[int, np.ndarray],
-        total_inserted: int = 0,
     ):
         self.organization = organization
         self.combiner = combiner
         self.page_size = page_size
         self.head_cpu = head_cpu
         self.segments = segments
-        self.total_inserted = total_inserted
         if organization == "combining" and combiner is None:
             raise CheckpointError("combining tables need their combiner")
 
@@ -241,10 +319,6 @@ class FrozenTable:
 # force-evicted -- so the entire table is CPU-addressable and no arena
 # bytes or bump pointers need to travel.
 
-from repro.memalloc.pages import PageKind  # noqa: E402
-
-_KINDS = (PageKind.GENERIC, PageKind.KEY, PageKind.VALUE)
-
 
 def quiesce_table(table: GpuHashTable, bus=None) -> int:
     """Force-evict every resident page (pinned ones included).
@@ -269,96 +343,80 @@ def quiesce_table(table: GpuHashTable, bus=None) -> int:
     return moved
 
 
-def snapshot_table(table: GpuHashTable) -> dict:
-    """Arrays + metadata capturing a *quiesced* in-progress table.
+#: ``table_counters``, column by column: (owner, attribute), the owner as
+#: :func:`_counter_owners` names it.  The mutation-cycle state (from
+#: ``total_mutated`` on) is there because a crash mid-mutation-pass must
+#: resume with the reclaim ledger and per-op counters intact, or the
+#: sanitizer's tombstone census flags the restored table.
+_COUNTERS = (
+    ("heap", "_next_segment"), ("heap", "bytes_evicted"),
+    ("heap", "fragmented_bytes"), ("table", "total_inserted"),
+    ("table", "total_postponed"), ("table", "iterations_completed"),
+    ("stats", "requests"), ("stats", "postponed"), ("stats", "pages_taken"),
+    ("stats", "bytes_allocated"), ("table", "total_mutated"),
+    ("stats", "entries_tombstoned"), ("stats", "bytes_tombstoned"),
+    *(("mutations", f.name) for f in fields(MutationCounters)),
+)
 
-    The caller (see :mod:`repro.resilience.journal`) owns writing them to
-    disk; this function owns knowing what state matters.
+
+def _counter_owners(table: GpuHashTable) -> dict:
+    return {
+        "table": table, "heap": table.heap, "stats": table.alloc.stats,
+        "mutations": table.mutations,
+    }
+
+
+def snapshot_table(table: GpuHashTable) -> tuple[dict, dict]:
+    """``(meta["table"], table_* arrays)`` capturing a *quiesced*
+    in-progress table.
+
+    The caller (the resilience layer's journal) owns writing them to disk;
+    this function owns knowing what state matters.
     """
     heap = table.heap
     if heap.resident_pages:
         raise CheckpointError(
             "snapshot requires a quiesced table; call quiesce_table first"
         )
+    meta = _table_meta(table)
     segments = sorted(heap._store)
-    seg_data = np.zeros((len(segments), heap.page_size), dtype=np.uint8)
     seg_kind = np.zeros(len(segments), dtype=np.uint8)
     seg_group = np.zeros(len(segments), dtype=np.int64)
     seg_used = np.zeros(len(segments), dtype=np.int64)
     for row, seg in enumerate(segments):
-        seg_data[row] = heap._store[seg]
-        kind, group, used = heap._store_meta[seg]
-        seg_kind[row] = _KINDS.index(kind)
-        seg_group[row] = group
-        seg_used[row] = used
-    stats = table.alloc.stats
+        kind, seg_group[row], seg_used[row] = heap._store_meta[seg]
+        seg_kind[row] = KIND_CODES[kind]
+    owners = _counter_owners(table)
     counters = np.array(
-        [
-            heap._next_segment,
-            heap.bytes_evicted,
-            heap.fragmented_bytes,
-            table.total_inserted,
-            table.total_postponed,
-            table.iterations_completed,
-            stats.requests,
-            stats.postponed,
-            stats.pages_taken,
-            stats.bytes_allocated,
-            # mutation-cycle state: a crash mid-mutation-pass must resume
-            # with the reclaim ledger and per-op counters intact, or the
-            # sanitizer's tombstone census flags the restored table.
-            table.total_mutated,
-            stats.entries_tombstoned,
-            stats.bytes_tombstoned,
-            *table.mutations.snapshot(),
-        ],
+        [getattr(owners[owner], name) for owner, name in _COUNTERS],
         dtype=np.int64,
     )
-    combiner_meta = None
-    if isinstance(table.org, CombiningOrganization):
-        comb = table.org.combiner
-        if comb.name not in _COMBINER_FACTORIES:
-            raise CheckpointError(
-                f"combiner {comb.name!r} is a runtime callback and cannot "
-                "be journaled"
-            )
-        combiner_meta = {"name": comb.name, "scalar": comb.scalar}
-    return {
-        "meta": {
-            "version": FORMAT_VERSION,
-            "organization": _org_kind(table),
-            "impl": table.org.impl,
-            "combiner": combiner_meta,
-            "page_size": heap.page_size,
-            "n_buckets": table.buckets.n_buckets,
-            "group_size": table.buckets.group_size,
-            "n_slots": heap.pool.n_slots,
-        },
-        "head_cpu": table.buckets.head_cpu.copy(),
-        "segment_ids": np.asarray(segments, dtype=np.int64),
-        "segment_data": seg_data,
-        "segment_kind": seg_kind,
-        "segment_group": seg_group,
-        "segment_used": seg_used,
-        "free_slots": np.asarray(heap.pool._free_slots, dtype=np.int64),
-        "counters": counters,
+    return meta, {
+        "table_head_cpu": table.buckets.head_cpu.copy(),
+        "table_segment_ids": np.asarray(segments, dtype=np.int64),
+        "table_segment_data": _segment_data(heap, segments, heap._store.get),
+        "table_segment_kind": seg_kind,
+        "table_segment_group": seg_group,
+        "table_segment_used": seg_used,
+        "table_free_slots": np.asarray(heap.pool._free_slots, dtype=np.int64),
+        "table_counters": counters,
     }
 
 
-def restore_table(table: GpuHashTable, payload: dict) -> None:
-    """Overwrite a freshly-built (empty) table with a snapshot's state.
+def restore_table(table: GpuHashTable, meta: dict, arrays: dict) -> None:
+    """Overwrite a freshly-built (empty) table with a snapshot's state:
+    its ``meta["table"]`` and (at least) its ``table_*`` arrays.
 
     The caller rebuilds the table from its own run configuration; this
     cross-checks that configuration against the snapshot metadata so a
     resume against the wrong geometry fails loudly instead of corrupting
     addresses.
     """
-    meta = payload["meta"]
     heap = table.heap
     mismatches = [
         (k, got, want)
         for k, got, want in [
-            ("organization", _org_kind(table), meta["organization"]),
+            ("organization", table.org.kind, meta["organization"]),
             ("page_size", heap.page_size, meta["page_size"]),
             ("n_buckets", table.buckets.n_buckets, meta["n_buckets"]),
             ("group_size", table.buckets.group_size, meta["group_size"]),
@@ -378,44 +436,26 @@ def restore_table(table: GpuHashTable, payload: dict) -> None:
     ):
         raise CheckpointError("restore target must be a fresh, empty table")
 
-    table.buckets.head_cpu[:] = payload["head_cpu"]
+    table.buckets.head_cpu[:] = arrays["table_head_cpu"]
     table.buckets.reset_gpu_heads()
     heap._store = {}
     heap._store_meta = {}
-    seg_data = payload["segment_data"]
-    seg_kind = payload["segment_kind"]
-    seg_group = payload["segment_group"]
-    seg_used = payload["segment_used"]
-    for row, seg in enumerate(payload["segment_ids"]):
+    seg_data = arrays["table_segment_data"]
+    seg_kind = arrays["table_segment_kind"]
+    seg_group = arrays["table_segment_group"]
+    seg_used = arrays["table_segment_used"]
+    for row, seg in enumerate(arrays["table_segment_ids"]):
         seg = int(seg)
         heap._store[seg] = np.array(seg_data[row], dtype=np.uint8)
         heap._store_meta[seg] = (
-            _KINDS[int(seg_kind[row])],
+            KIND_BY_CODE[int(seg_kind[row])],
             int(seg_group[row]),
             int(seg_used[row]),
         )
-    heap.pool.set_free_slots(payload["free_slots"])
-    c = payload["counters"]
-    heap._next_segment = int(c[0])
-    heap.bytes_evicted = int(c[1])
-    heap.fragmented_bytes = int(c[2])
-    table.total_inserted = int(c[3])
-    table.total_postponed = int(c[4])
-    table.iterations_completed = int(c[5])
-    stats = table.alloc.stats
-    stats.requests = int(c[6])
-    stats.postponed = int(c[7])
-    stats.pages_taken = int(c[8])
-    stats.bytes_allocated = int(c[9])
-    table.total_mutated = int(c[10])
-    stats.entries_tombstoned = int(c[11])
-    stats.bytes_tombstoned = int(c[12])
-    m = table.mutations
-    (
-        m.inserts, m.updates_inplace, m.updates_entries,
-        m.deletes_inplace, m.deletes_noop, m.deletes_tombstones,
-        m.lookups, m.gate_postponed, m.value_nodes,
-    ) = (int(x) for x in c[13:22])
+    heap.pool.set_free_slots(arrays["table_free_slots"])
+    owners = _counter_owners(table)
+    for (owner, name), value in zip(_COUNTERS, arrays["table_counters"]):
+        setattr(owners[owner], name, int(value))
     # Re-seal restored segments: the snapshot's bytes are the new ground
     # truth, and the original seal charges already live in the restored
     # clock, so this recompute is uncharged.
@@ -423,13 +463,9 @@ def restore_table(table: GpuHashTable, payload: dict) -> None:
         heap.integrity.reseal_after_restore(heap)
 
 
-def snapshot_clock(ledger) -> dict:
-    """The ledger's per-category spends (plain floats, journal-ready)."""
-    return ledger.breakdown()
-
-
 def restore_clock(ledger, breakdown: dict) -> None:
-    """Reset ``ledger`` and replay a journaled breakdown into it."""
+    """Reset ``ledger`` and replay a journaled breakdown
+    (``ledger.breakdown()``) into it."""
     from repro.gpusim.clock import CostCategory
 
     ledger.reset()

@@ -48,17 +48,16 @@ class CpuHashTable:
         group_size: int = 64,
         device: DeviceSpec = XEON_E5_QUAD,
         page_size: int = 1 << 16,
-        heap_fraction: float = 0.5,
         max_heap_bytes: int = 1 << 28,
         sanitize: str | None = None,
     ):
         self.device = device
         self.ledger = CostLedger()
         memory = DeviceMemory(device)
-        # The arena is actually materialized, so cap it: the baseline only
-        # needs "never fills", not literal gigabytes.
+        # Half of CPU memory, capped: the arena is actually materialized, and
+        # the baseline only needs "never fills", not literal gigabytes.
         heap_bytes = (
-            min(int(memory.free * heap_fraction), max_heap_bytes)
+            min(memory.free // 2, max_heap_bytes)
             // page_size * page_size
         )
         heap = GpuHeap(heap_bytes, page_size, memory, name="cpu-heap")

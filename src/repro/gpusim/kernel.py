@@ -79,14 +79,6 @@ class KernelModel:
             self.device, stats.hottest_bucket
         ) + ALLOC_LOCK_FACTOR * contention_time(self.device, stats.hottest_alloc)
 
-    def batch_time(self, stats: BatchStats) -> float:
-        """Wall time of one batch, excluding launch overhead."""
-        tc = self.simt.compute_time(
-            stats.n_records, stats.cycles_per_record, stats.divergence
-        )
-        tm = self.simt.memory_time(stats.bytes_touched)
-        return max(tc, tm, self._contention(stats))
-
     def charge(self, stats: BatchStats) -> float:
         """Charge one batch (plus one launch); returns seconds charged."""
         tc = self.simt.compute_time(

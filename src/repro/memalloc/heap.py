@@ -171,12 +171,9 @@ class GpuHeap:
             done += 1
         return done
 
-    def evict_all(self, keep_pinned: bool = False) -> int:
-        """Evict every resident page (optionally retaining pinned ones)."""
-        victims = [
-            p for p in self._resident.values() if not (keep_pinned and p.pinned)
-        ]
-        return self.evict(victims)
+    def evict_all(self) -> int:
+        """Evict every resident page, pinned ones included."""
+        return self.evict(list(self._resident.values()))
 
     # ------------------------------------------------------------------
     # residency and addressing

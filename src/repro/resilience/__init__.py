@@ -30,7 +30,6 @@ from repro.resilience.driver import (
 from repro.resilience.journal import (
     JournalError,
     input_fingerprint,
-    journal_exists,
     read_journal,
     table_digest,
     write_journal,
@@ -43,7 +42,6 @@ __all__ = [
     "ResilientReport",
     "JournalError",
     "input_fingerprint",
-    "journal_exists",
     "read_journal",
     "table_digest",
     "write_journal",

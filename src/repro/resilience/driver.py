@@ -33,16 +33,18 @@ iteration:
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core.checkpoint import (
+    CheckpointError,
+    load_table,
     quiesce_table,
     restore_clock,
     restore_table,
-    snapshot_clock,
     snapshot_table,
 )
 from repro.core.organizations import (
@@ -63,7 +65,6 @@ from repro.integrity import CorruptionError
 from repro.resilience.journal import (
     JournalError,
     input_fingerprint,
-    journal_exists,
     read_journal,
     write_journal,
 )
@@ -169,14 +170,12 @@ class ResilientDriver:
         driver: SepoDriver,
         journal_path=None,
         checkpoint_every: int = 1,
-        degrade: bool = True,
     ):
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0 (0 disables)")
         self.driver = driver
         self.journal_path = journal_path
         self.checkpoint_every = checkpoint_every
-        self.degrade = degrade
         self.events: list[DegradationEvent] = []
         self.checkpoints_written = 0
         self.resumed_from: int | None = None
@@ -199,7 +198,7 @@ class ResilientDriver:
         supervisor can always pass ``--resume``); whether a journal was
         actually used is reported as ``resumed_from_iteration``.
         """
-        if resume and journal_exists(self.journal_path):
+        if resume and self.journal_path and os.path.exists(self.journal_path):
             return self._restore(batches)
         return self.driver.begin(batches)
 
@@ -208,8 +207,7 @@ class ResilientDriver:
         de-escalation on progress, then the checkpoint."""
         try:
             self.driver.step(
-                batches, state, limit=self._limit,
-                give_up=self._escalate if self.degrade else None,
+                batches, state, limit=self._limit, give_up=self._escalate
             )
             if state.stuck_passes == 0:
                 self._deescalate(batches)
@@ -376,10 +374,7 @@ class ResilientDriver:
         """Quiesce and journal the run at an iteration boundary."""
         d = self.driver
         quiesce_table(d.table, d.bus)
-        payload = snapshot_table(d.table)
-        arrays = {
-            f"table_{k}": v for k, v in payload.items() if k != "meta"
-        }
+        table_meta, arrays = snapshot_table(d.table)
         arrays["pending"] = state.bitmap.snapshot()
         arrays["released"] = np.asarray(state.released, dtype=bool)
         arrays["log"] = np.array(
@@ -392,7 +387,7 @@ class ResilientDriver:
         ).reshape(len(state.log), 7)
         bus = d.bus
         meta = {
-            "table": payload["meta"],
+            "table": table_meta,
             "driver": {
                 "iteration": state.iteration,
                 "stuck_passes": state.stuck_passes,
@@ -400,7 +395,7 @@ class ResilientDriver:
                 "limit": self._limit,
                 "episode_evicted": self._episode_evicted,
             },
-            "clock": snapshot_clock(d.table.ledger),
+            "clock": d.table.ledger.breakdown(),
             "bus": {k: getattr(bus, k) for k in _BUS_COUNTERS},
             "pipeline": {
                 k: getattr(d.pipeline, k) for k in _PIPELINE_COUNTERS
@@ -427,17 +422,10 @@ class ResilientDriver:
         is safe -- it simply fails the gate and the page is quarantined.
         """
         try:
-            _, arrays = read_journal(self.journal_path)
-        except (JournalError, OSError):
+            data = load_table(self.journal_path).segments.get(segment)
+        except (CheckpointError, OSError):
             return None
-        ids = arrays.get("table_segment_ids")
-        data = arrays.get("table_segment_data")
-        if ids is None or data is None:
-            return None
-        rows = np.flatnonzero(np.asarray(ids) == segment)
-        if rows.size == 0:
-            return None
-        return bytes(np.ascontiguousarray(data[int(rows[0])]))
+        return None if data is None else bytes(data)
 
     def _restore(self, batches) -> RunState:
         d = self.driver
@@ -447,11 +435,7 @@ class ResilientDriver:
                 "journal was written for different input (fingerprint "
                 "mismatch); refusing to resume"
             )
-        table_payload = {"meta": meta["table"]}
-        for k, v in arrays.items():
-            if k.startswith("table_"):
-                table_payload[k[len("table_"):]] = v
-        restore_table(d.table, table_payload)
+        restore_table(d.table, meta["table"], arrays)
         restore_clock(d.table.ledger, meta["clock"])
         for k in _BUS_COUNTERS:
             setattr(d.bus, k, meta["bus"][k])

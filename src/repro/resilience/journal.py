@@ -1,60 +1,47 @@
 """The on-disk journal of an in-flight SEPO run.
 
 One journal file is one consistent snapshot, taken at an iteration
-boundary with the table quiesced (every page force-evicted).  The format
-is a single ``.npz`` archive:
+boundary with the table quiesced (every page force-evicted).  It is the
+one table archive of :mod:`repro.core.checkpoint` (written atomically by
+:func:`write_journal`, CRC-checked by :func:`read_journal`, which raises
+:class:`JournalError` on any corruption), holding:
 
 * ``meta`` -- a JSON record holding the journal version, the table's
-  configuration (for resume-time validation), every scalar counter
-  (driver progress, simulated clock breakdown, PCIe bus and BigKernel
-  pipeline counters), the input fingerprint, the degradation-event log,
-  and a CRC-32 checksum over all array members;
+  configuration (``meta["table"]``, for resume-time validation), every
+  scalar counter (driver progress, simulated clock breakdown, PCIe bus and
+  BigKernel pipeline counters), the input fingerprint, the
+  degradation-event log, and a CRC-32 checksum over all array members;
 * ``table_*`` -- the quiesced table snapshot from
   :func:`repro.core.checkpoint.snapshot_table` (bucket heads, segment
-  store, pool free-slot order, allocator tallies);
+  store, pool free-slot order, allocator tallies), so
+  :func:`~repro.core.checkpoint.load_table` opens a journal as a
+  :class:`~repro.core.checkpoint.FrozenTable`;
 * ``pending`` -- the postponement bitmap's mask;
 * ``released``/``log`` -- per-chunk cache-release flags and the
   per-iteration telemetry log.
-
-Writes are atomic: the archive is serialized to memory, written to a
-sibling temporary file, fsynced, and :func:`os.replace`\\ d over the
-target, so a crash *during* checkpointing leaves either the previous
-journal or the new one -- never a torn file.  Reads verify the version
-and the checksum and raise :class:`JournalError` on any corruption.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import os
 import zlib
 
 import numpy as np
 
-from repro.core.checkpoint import CheckpointError
+from repro.core.checkpoint import (
+    JOURNAL_VERSION,
+    JournalError,
+    read_journal,
+    write_journal,
+)
 
 __all__ = [
     "JOURNAL_VERSION",
     "JournalError",
     "input_fingerprint",
-    "journal_exists",
     "read_journal",
     "table_digest",
     "write_journal",
 ]
-
-JOURNAL_VERSION = 1
-
-
-class JournalError(CheckpointError):
-    """The journal is missing, corrupt, or inconsistent with the run.
-
-    Subclasses :class:`~repro.core.checkpoint.CheckpointError` so callers
-    guarding any checkpoint read (``except CheckpointError``) also catch
-    journal damage -- truncated tails, interrupted renames, tampered
-    members -- without importing the resilience layer.
-    """
 
 
 def input_fingerprint(batches) -> dict:
@@ -89,76 +76,3 @@ def table_digest(table) -> int:
             np.ascontiguousarray(heap.segment_view(seg)).tobytes(), crc
         )
     return crc
-
-
-def _arrays_checksum(arrays: dict[str, np.ndarray]) -> int:
-    crc = 0
-    for name in sorted(arrays):
-        crc = zlib.crc32(name.encode(), crc)
-        crc = zlib.crc32(np.ascontiguousarray(arrays[name]).tobytes(), crc)
-    return crc
-
-
-def journal_exists(path) -> bool:
-    return path is not None and os.path.exists(path)
-
-
-def write_journal(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Atomically persist one snapshot to ``path``.
-
-    ``meta`` must be JSON-serializable; ``arrays`` maps member names to
-    numpy arrays.  The checksum and version are added here.
-    """
-    meta = dict(meta)
-    meta["journal_version"] = JOURNAL_VERSION
-    meta["checksum"] = _arrays_checksum(arrays)
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **arrays,
-    )
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(buffer.getvalue())
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-
-
-def read_journal(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Load and verify a journal; returns ``(meta, arrays)``.
-
-    Every corruption mode -- truncated archive, tampered member bytes,
-    bad JSON, wrong version, checksum mismatch -- raises
-    :class:`JournalError` with a message naming the problem.
-    """
-    if not os.path.exists(path):
-        raise JournalError(f"no journal at {path!r}")
-    try:
-        archive = np.load(path)
-    except Exception as exc:
-        raise JournalError(f"unreadable journal {path!r}: {exc}") from exc
-    arrays: dict[str, np.ndarray] = {}
-    with archive:
-        try:
-            meta = json.loads(bytes(archive["meta"]).decode())
-            for name in archive.files:
-                if name != "meta":
-                    arrays[name] = archive[name]
-        except KeyError as exc:
-            raise JournalError(
-                f"journal {path!r} is missing member {exc}"
-            ) from None
-        except Exception as exc:  # tampered member bytes / bad JSON
-            raise JournalError(f"corrupt journal {path!r}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise JournalError(f"corrupt journal metadata in {path!r}")
-    version = meta.get("journal_version")
-    if version != JOURNAL_VERSION:
-        raise JournalError(f"unsupported journal version {version!r}")
-    if meta.get("checksum") != _arrays_checksum(arrays):
-        raise JournalError(
-            f"journal {path!r} failed its checksum (torn or tampered write)"
-        )
-    return meta, arrays

@@ -761,34 +761,9 @@ def main(argv: list[str] | None = None) -> int:
         "--impls", default=None,
         help="comma-separated implementation names (default: all)",
     )
-    parser.add_argument(
-        "--mutation-only", action="store_true",
-        help="run only the mutation-batch (sepo-mut-*) cells",
-    )
-    parser.add_argument(
-        "--integrity-only", action="store_true",
-        help="run only the integrity-layer (sepo-int-*) cells",
-    )
-    parser.add_argument(
-        "--shard-only", action="store_true",
-        help="run only the sharded-executor (sepo-shard-*) cells",
-    )
     args = parser.parse_args(argv)
 
     impls = tuple(args.impls.split(",")) if args.impls else None
-    if args.mutation_only:
-        mut = tuple(s.name for s in IMPLEMENTATIONS if s.op_stream)
-        impls = tuple(n for n in impls if n in mut) if impls else mut
-    if args.integrity_only:
-        integ = tuple(
-            s.name for s in IMPLEMENTATIONS if s.name.startswith("sepo-int")
-        )
-        impls = tuple(n for n in impls if n in integ) if impls else integ
-    if args.shard_only:
-        shard = tuple(
-            s.name for s in IMPLEMENTATIONS if s.name.startswith("sepo-shard")
-        )
-        impls = tuple(n for n in impls if n in shard) if impls else shard
 
     # an explicit flag wins, then the environment (CI's REPRO_SANITIZE=
     # paranoid prefix), and a bare invocation still sanitizes at the end

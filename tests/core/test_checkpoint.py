@@ -143,22 +143,67 @@ def test_corrupt_archive_rejected(tmp_path):
         load_table(path)
 
 
-def test_version_checked(tmp_path):
-    t = make_table(CombiningOrganization(SUM_I64))
-    t.insert(b"k", 1)
-    path = tmp_path / "t.npz"
-    save_table(t, path)
-    # Tamper with the version field.
+def rewrite_archive(path, edit_meta=None, edit_arrays=None):
+    """Rewrite a saved table's members in place: a valid zip, any
+    member changed, the stored checksum left as it was."""
     import json
 
     with np.load(path) as a:
         meta = json.loads(bytes(a["meta"]).decode())
-        arrays = {k: a[k] for k in a.files}
-    meta["version"] = 99
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+        arrays = {k: a[k] for k in a.files if k != "meta"}
+    if edit_meta is not None:
+        edit_meta(meta)
+    if edit_arrays is not None:
+        edit_arrays(arrays)
+    np.savez(
+        path,
+        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        **arrays,
+    )
+
+
+def saved(tmp_path):
+    t = make_table(CombiningOrganization(SUM_I64))
+    t.insert(b"k", 1)
+    path = tmp_path / "t.npz"
+    save_table(t, path)
+    return t, path
+
+
+def test_version_checked(tmp_path):
+    _, path = saved(tmp_path)
+    rewrite_archive(path, lambda meta: meta["table"].update(version=99))
     with pytest.raises(CheckpointError):
         load_table(path)
+
+
+def test_tampered_segment_bytes_fail_the_checksum(tmp_path):
+    """A segment rewritten inside a valid zip is refused, not read."""
+    _, path = saved(tmp_path)
+
+    def flip(arrays):
+        arrays["table_segment_data"] = arrays["table_segment_data"] ^ 0xFF
+
+    rewrite_archive(path, edit_arrays=flip)
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_table(path)
+
+
+def test_save_that_dies_before_the_rename_keeps_the_old_file(
+    tmp_path, monkeypatch,
+):
+    import os
+
+    t, path = saved(tmp_path)
+    t.insert(b"k", 41)
+
+    def die(src, dst):
+        raise OSError("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", die)
+    with pytest.raises(OSError, match="killed"):
+        save_table(t, path)
+    assert load_table(path).result() == {b"k": 1}
 
 
 def test_frozen_table_validates_combiner():
@@ -213,21 +258,12 @@ def test_missing_file_rejected(tmp_path):
 
 
 def test_unknown_combiner_rejected(tmp_path):
-    import json
+    _, path = saved(tmp_path)
 
-    t = make_table(CombiningOrganization(SUM_I64))
-    t.insert(b"k", 1)
-    path = tmp_path / "t.npz"
-    save_table(t, path)
-    with np.load(path) as a:
-        meta = json.loads(bytes(a["meta"]).decode())
-        arrays = {k: a[k] for k in a.files if k != "meta"}
-    meta["combiner"]["name"] = "xor"  # not a library combiner
-    np.savez(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **arrays,
-    )
+    def rename(meta):  # not a library combiner
+        meta["table"]["combiner"]["name"] = "xor"
+
+    rewrite_archive(path, rename)
     with pytest.raises(CheckpointError, match="unknown combiner"):
         load_table(path)
 
@@ -283,9 +319,7 @@ def test_quiesce_snapshot_restore_roundtrip():
     src.end_iteration()
     src.insert_batch(numeric_batch([(b"a", 10), (b"c", 3)]))  # resident state
     quiesce_table(src)
-    payload = snapshot_table(src)
-
-    restore_table(dst, payload)
+    restore_table(dst, *snapshot_table(src))
     assert dst.result() == src.result() == {b"a": 11, b"b": 2, b"c": 3}
     assert dst.total_inserted == src.total_inserted
     assert dst.heap.pool._free_slots == src.heap.pool._free_slots
@@ -304,7 +338,7 @@ def test_restore_rejects_config_mismatch():
     payload = snapshot_table(src)
     wrong = make_table(CombiningOrganization(SUM_I64), n_buckets=32)
     with pytest.raises(CheckpointError, match="n_buckets"):
-        restore_table(wrong, payload)
+        restore_table(wrong, *payload)
 
 
 def test_restore_rejects_dirty_target():
@@ -316,7 +350,7 @@ def test_restore_rejects_dirty_target():
     payload = snapshot_table(src)
     dst.insert(b"already", 1)  # not fresh
     with pytest.raises(CheckpointError, match="fresh"):
-        restore_table(dst, payload)
+        restore_table(dst, *payload)
 
 
 def test_quiesce_evicts_pinned_pages():
@@ -332,7 +366,7 @@ def test_quiesce_evicts_pinned_pages():
 
 
 def test_clock_snapshot_restore():
-    from repro.core.checkpoint import restore_clock, snapshot_clock
+    from repro.core.checkpoint import restore_clock
     from repro.gpusim.clock import CostCategory, CostLedger
 
     src = CostLedger()
@@ -340,7 +374,7 @@ def test_clock_snapshot_restore():
     src.charge(CostCategory.ATOMIC, 0.25)
     dst = CostLedger()
     dst.charge(CostCategory.HOST, 9.0)  # must be wiped by restore
-    restore_clock(dst, snapshot_clock(src))
+    restore_clock(dst, src.breakdown())
     assert dst.breakdown() == src.breakdown()
     assert dst.elapsed == pytest.approx(src.elapsed)
 

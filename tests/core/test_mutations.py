@@ -41,9 +41,7 @@ from repro.core import (
     SUM_F64,
     SUM_I64,
     SepoDriver,
-    load_table,
     model_for_ops,
-    save_table,
 )
 from repro.core.organizations import policy as org_policy
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus

@@ -53,9 +53,9 @@ def test_cpu_multivalued_grouping():
 
 
 def test_cpu_raises_when_genuinely_full():
-    tiny = XEON_E5_QUAD.scaled(1 << 22)  # ~4 KB of "CPU memory"
+    tiny = XEON_E5_QUAD.scaled(1 << 21)  # ~8 KB of "CPU memory", 4 KB heap
     t = CpuHashTable(8, CombiningOrganization(SUM_I64), group_size=8,
-                     device=tiny, page_size=1024, heap_fraction=0.9)
+                     device=tiny, page_size=1024)
     pairs = [(f"key-{i:05d}".encode(), 1) for i in range(200)]
     with pytest.raises(MemoryError):
         t.run([batch(pairs)])

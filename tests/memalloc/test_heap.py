@@ -55,15 +55,6 @@ def test_double_evict_rejected(heap):
         heap.evict([p])
 
 
-def test_evict_all_keep_pinned(heap):
-    a = heap.alloc_page(PageKind.KEY, 0)
-    b = heap.alloc_page(PageKind.VALUE, 0)
-    a.pinned = True
-    heap.evict_all(keep_pinned=True)
-    assert heap.is_resident(a.segment)
-    assert not heap.is_resident(b.segment)
-
-
 def test_addressing_roundtrip(heap):
     p = heap.alloc_page(PageKind.GENERIC, 0)
     cpu = heap.cpu_addr(p, 40)

@@ -7,7 +7,6 @@ from repro.core import CombiningOrganization, SUM_I64
 from repro.resilience import (
     JournalError,
     input_fingerprint,
-    journal_exists,
     read_journal,
     table_digest,
     write_journal,
@@ -35,14 +34,6 @@ def test_roundtrip(tmp_path):
     assert np.array_equal(got_arrays["log"], arrays["log"])
 
 
-def test_journal_exists(tmp_path):
-    path = tmp_path / "j.npz"
-    assert not journal_exists(path)
-    assert not journal_exists(None)
-    write_journal(path, *sample())
-    assert journal_exists(path)
-
-
 def test_write_is_atomic_no_tmp_left_behind(tmp_path):
     path = tmp_path / "j.npz"
     write_journal(path, *sample())
@@ -67,9 +58,14 @@ def test_truncated_file_rejected(tmp_path):
 def test_journal_error_is_checkpoint_error():
     # callers that guard checkpoint reads with ``except CheckpointError``
     # must also catch journal damage without importing the resilience layer
+    from repro.core import checkpoint
     from repro.core.checkpoint import CheckpointError
+    from repro.resilience import journal
 
     assert issubclass(JournalError, CheckpointError)
+    # one archive: the journal module's names are the checkpoint module's
+    for name in ("JournalError", "read_journal", "write_journal"):
+        assert getattr(journal, name) is getattr(checkpoint, name)
 
 
 def test_truncated_tail_raises_checkpoint_error(tmp_path):
