@@ -2,8 +2,8 @@
 
 Makes Figure 5's rhythm visible for a concrete run: how many records each
 pass attempted, how many the heap declined, what got evicted, and whether
-the pass halted early (basic method) -- the narrative behind every
-iteration-count annotation in Figure 6.
+the pass halted early (basic method, at its ``halt_threshold``) -- the
+narrative behind every iteration-count annotation in Figure 6.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def render_timeline(report: SepoReport, width: int = 40) -> str:
         bar = "#" * done + "~" * post
         flags = []
         if rec.halted_early:
-            flags.append("halted@50%")
+            flags.append("halted early")
         if rec.pages_retained:
             flags.append(f"{rec.pages_retained} pages retained")
         note = f"  [{', '.join(flags)}]" if flags else ""

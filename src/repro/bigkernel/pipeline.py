@@ -1,9 +1,10 @@
 """Transfer/compute overlap accounting.
 
-Classic double buffering: while the GPU processes chunk *i*, the DMA engine
-streams chunk *i+1*.  Per chunk, the *exposed* transfer time is therefore
-``max(0, t_transfer - t_kernel_prev)``, plus a pipeline-fill cost for the
-first chunk of each pass over the input.
+Double buffering: the DMA engine streams while the GPU computes.  Each
+chunk's transfer is paired with the time its caller charged for *that same*
+chunk (its kernel; the pinned baseline's remote accesses too), so the
+*exposed* transfer time is ``max(0, t_transfer - t_chunk)``, and the first
+chunk of each pass over the input hides behind nothing (pipeline fill).
 
 The pipeline charges only exposed time to the ledger (through
 :meth:`repro.gpusim.pcie.PCIeBus.overlapped`), but still counts the full
@@ -36,8 +37,8 @@ class BigKernelPipeline:
     def account(self, input_bytes: int, kernel_seconds: float) -> float:
         """Account one chunk's transfer against the kernel that hides it.
 
-        ``kernel_seconds`` is the simulated duration of the kernel running
-        concurrently with this transfer (the previous chunk's compute).
+        ``kernel_seconds`` is what the caller charged for this same chunk,
+        which the transfer hides behind (not the first chunk of a pass).
         Returns the exposed (charged) seconds.
         """
         if input_bytes < 0 or kernel_seconds < 0:

@@ -360,6 +360,11 @@ class GpuHashTable:
         """Must the computation stop mid-input? (basic method only)"""
         return self.org.should_halt(self)
 
+    def gate_refuses(self, batch: RecordBatch) -> bool:
+        """Would the gate postpone every op of ``batch`` untouched?  Yes for
+        a mixed-op batch once every bucket group failed this iteration."""
+        return self.alloc.failed_fraction == 1 and not batch.pure_insert
+
     def end_iteration(self, pcie_bus=None) -> EvictionReport:
         """Figure-5 rearrangement: evict per policy, refill the pool.
 

@@ -10,6 +10,8 @@ input.
 input through BigKernel, inserts pending records, honours the organization's
 halt policy (the basic method stops at 50% failed bucket groups), triggers
 the end-of-iteration rearrangement, and repeats until the bitmap is clean.
+A mixed-op chunk the gate would refuse whole (every bucket group has failed)
+is not streamed: its records stay pending, as the gate would leave them.
 """
 
 from __future__ import annotations
@@ -178,6 +180,10 @@ class SepoDriver:
                     state.released[ci] = True
                 continue
             still_active.append(ci)
+            if self.table.gate_refuses(batch):
+                # what the gate would do, for free: no transfer, no launch,
+                # every record pending for the next pass
+                continue
             if limit is not None and pending.size > limit:
                 pending = pending[:limit]
             local = pending - int(start)

@@ -1,10 +1,10 @@
 """SIGKILL-and-resume conformance harness (``python -m repro.resilience.crashtest``).
 
 The parent process runs seeded fault schedules against the WordCount
-application, plus one ``mutation`` schedule that SIGKILLs inside a
-delete-heavy :class:`~repro.core.mutations.MutationBatch` pass (the
-journal must carry tombstone/mutation counters for the resumed run to
-stay byte-identical).  For each schedule it:
+application, plus a basic and a multi-valued ``mutation`` schedule that
+SIGKILL inside a delete-heavy :class:`~repro.core.mutations.MutationBatch`
+pass (the journal must carry tombstone/mutation counters; the multi-valued
+resumed run must skip chunks the gate refuses).  For each schedule it:
 
 1. computes an *uninterrupted oracle* in-process -- a
    :class:`~repro.resilience.ResilientDriver` run with the schedule's
@@ -40,7 +40,7 @@ import zlib
 from types import SimpleNamespace
 
 from repro.apps.wordcount import WordCount
-from repro.core.organizations import BasicOrganization
+from repro.core.organizations import BasicOrganization, MultiValuedOrganization
 from repro.core.session import wire
 from repro.resilience.journal import table_digest
 from repro.sanitize.workloads import (
@@ -52,8 +52,8 @@ from repro.sanitize.workloads import (
 __all__ = ["SCHEDULES", "main"]
 
 #: (checkpoint cadence, kill after Nth checkpoint, + this many batch
-#: calls).  ``mutation`` schedules stream delete-heavy MutationBatches,
-#: so the SIGKILL lands between delete/update passes, mid-mutation-run.
+#: calls).  ``mutation`` schedules stream delete-heavy MutationBatches into
+#: that organization: the SIGKILL lands mid-mutation-run (after a skip).
 #: The ``integrity`` schedule runs with checksums + background scrubbing
 #: on and dies *inside* the scrub sweep -- after CRC work mutated the
 #: scrub cursor but before the charge was drained or checkpointed -- so
@@ -63,9 +63,11 @@ SCHEDULES = [
     {"checkpoint_every": 1, "after_checkpoint": 2, "inserts": 5},
     {"checkpoint_every": 2, "after_checkpoint": 1, "inserts": 7},
     {"checkpoint_every": 1, "after_checkpoint": 1, "inserts": 2,
-     "mutation": True},
+     "mutation": "basic"},
     {"checkpoint_every": 1, "after_checkpoint": 1, "inserts": 0,
      "integrity": "scrub", "scrub_budget": 2, "mid_scrub": True},
+    {"checkpoint_every": 2, "after_checkpoint": 1, "inserts": 8,
+     "mutation": "multi-valued"},
 ]
 
 
@@ -82,20 +84,34 @@ def _result_crc(result: dict) -> int:
 
 
 def _mutation_stream(args):
-    """Delete-heavy MutationBatch stream over a basic-organization table,
+    """Delete-heavy MutationBatch stream over an ``args.mutation`` table,
     as ``(job, batches, reference)``: the job described the way
     :func:`~repro.core.session.wire` takes one, and the dict model's answer
     (sorted value lists) in place of an application's ``reference``."""
     n_ops = max(600, args.size // 40)
     workload = make_op_workload("delete-heavy-uniform", n_ops, seed=args.seed)
     batches = make_mutation_batches(
-        workload, "basic", batch_size=max(50, n_ops // 12)
+        workload, args.mutation, batch_size=max(50, n_ops // 12)
     )
     job = SimpleNamespace(
         name="mutation stream", chunk_bytes=1 << 20,
-        make_organization=BasicOrganization,
+        make_organization={
+            "basic": BasicOrganization, "multi-valued": MultiValuedOrganization,
+        }[args.mutation],
     )
-    return job, batches, mutation_oracle(workload, "basic")[0]
+    return job, batches, mutation_oracle(workload, args.mutation)[0]
+
+
+def _chunk_log(table) -> list:
+    """``(pass, skipped)`` of each chunk the driver asks the gate about."""
+    log, refuses = [], table.gate_refuses
+
+    def logged(batch):
+        log.append((table.iterations_completed, refuses(batch)))
+        return log[-1][1]
+
+    table.gate_refuses = logged
+    return log
 
 
 def _build(args, journal=None, resume=False):
@@ -125,6 +141,7 @@ def _build(args, journal=None, resume=False):
 def _child(args) -> int:
     wired, _ = _build(args, args.journal, args.resume)
     table, resilient = wired.table, wired.driver
+    chunks = _chunk_log(table)
     if args.kill_after_checkpoint is not None:
         seen = {"checkpoints": 0, "inserts": 0}
         checkpoint = resilient.checkpoint
@@ -174,6 +191,7 @@ def _child(args) -> int:
         "iterations": outcome.iterations,
         "resumed_from": report.resumed_from_iteration,
         "checkpoints": report.checkpoints_written,
+        "skipped": sum(skipped for _, skipped in chunks),
     }))
     return 0
 
@@ -187,7 +205,7 @@ def _spawn(args, journal, schedule, resume: bool):
         "--scale", str(args.scale), "--buckets", str(args.buckets),
     ]
     if schedule.get("mutation"):
-        cmd.append("--mutation")
+        cmd += ["--mutation", schedule["mutation"]]
     if schedule.get("integrity"):
         cmd += [
             "--integrity", schedule["integrity"],
@@ -208,7 +226,7 @@ def _spawn(args, journal, schedule, resume: bool):
 
 def _oracle(args, workdir: str):
     """Uninterrupted resilient run on the schedule's checkpoint cadence."""
-    suffix = "-mut" if args.mutation else ""
+    suffix = f"-{args.mutation}" if args.mutation else ""
     if args.integrity:
         suffix += f"-{args.integrity}"
     journal = os.path.join(
@@ -258,8 +276,7 @@ def main(argv: list[str] | None = None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument("--kill-inserts", type=int, default=0,
                         help=argparse.SUPPRESS)
-    parser.add_argument("--mutation", action="store_true",
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--mutation", help=argparse.SUPPRESS)
     parser.add_argument("--integrity", default=None,
                         help=argparse.SUPPRESS)
     parser.add_argument("--scrub-budget", type=int, help=argparse.SUPPRESS)
@@ -280,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="crashtest-") as workdir:
         for i, schedule in enumerate(SCHEDULES, 1):
             args.checkpoint_every = schedule["checkpoint_every"]
-            args.mutation = bool(schedule.get("mutation"))
+            args.mutation = schedule.get("mutation")
             args.integrity = schedule.get("integrity")
             args.scrub_budget = schedule.get("scrub_budget")
             key = (args.checkpoint_every, args.mutation, args.integrity)
@@ -320,6 +337,8 @@ def main(argv: list[str] | None = None) -> int:
                 )
             if out["resumed_from"] is None:
                 problems.append("survivor did not resume from the journal")
+            if schedule.get("mutation") == "multi-valued" and not out["skipped"]:
+                problems.append("the resumed run skipped no chunk")
             if problems:
                 failures += 1
                 print(f"schedule {i}: FAIL ({'; '.join(problems)})")
@@ -329,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"inserts, resumed at iteration {out['resumed_from']}, "
                       f"byte-identical through iteration {out['iterations']}")
 
-    args.mutation = False
+    args.mutation = None
     args.integrity = None
     _retry_phase(args)
     if failures:

@@ -31,8 +31,32 @@ def test_postponement_and_flags_shown():
                         evicted_bytes=4096, pages_retained=3),
     ]))
     assert "~" in out  # postponed bar segment
-    assert "halted@50%" in out
+    assert "halted early" in out
     assert "3 pages retained" in out
+
+
+def test_a_quarter_threshold_halt_is_not_reported_as_fifty_percent():
+    from repro.core import BasicOrganization, GpuHashTable, RecordBatch, SepoDriver
+    from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
+    from repro.memalloc import GpuHeap
+
+    ledger = CostLedger()
+    table = GpuHashTable(
+        64, BasicOrganization(halt_threshold=0.25), GpuHeap(2048, 256),
+        group_size=8, ledger=ledger,
+    )
+    driver = SepoDriver(table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger))
+    batches = [
+        RecordBatch.from_pairs(
+            [(b"k%04d" % i, b"v") for i in range(lo, lo + 50)]
+        )
+        for lo in range(0, 400, 50)
+    ]
+    report = driver.run(batches)
+    assert any(r.halted_early for r in report.iteration_log)
+    out = render_timeline(report)
+    assert "halted early" in out
+    assert "50%" not in out
 
 
 def test_real_run_timeline():

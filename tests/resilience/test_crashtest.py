@@ -50,7 +50,7 @@ def test_sigkill_and_resume_is_byte_identical(tmp_path):
     # what the harness's own parser leaves on a parent's namespace
     ns = argparse.Namespace(
         **parent_args(), checkpoint_every=schedule["checkpoint_every"],
-        mutation=False, integrity=None, scrub_budget=None,
+        mutation=None, integrity=None, scrub_budget=None,
     )
 
     victim = spawn(tmp_path, schedule, resume=False)
@@ -69,14 +69,46 @@ def test_sigkill_and_resume_is_byte_identical(tmp_path):
 
 
 def test_crashtest_schedules_are_defined():
-    assert len(crashtest.SCHEDULES) == 5
+    assert len(crashtest.SCHEDULES) == 6
     for schedule in crashtest.SCHEDULES:
         assert schedule["checkpoint_every"] >= 1
         assert schedule["after_checkpoint"] >= 1
-    # exactly one schedule kills mid-mutation-pass (delete-heavy batches)
-    assert sum(bool(s.get("mutation")) for s in crashtest.SCHEDULES) == 1
+    # one schedule per organization kills mid-mutation-pass (delete-heavy
+    # batches); the multi-valued one reaches every-group-failed
+    assert sorted(
+        s["mutation"] for s in crashtest.SCHEDULES if s.get("mutation")
+    ) == ["basic", "multi-valued"]
     # exactly one dies inside an integrity scrub sweep
     assert sum(bool(s.get("mid_scrub")) for s in crashtest.SCHEDULES) == 1
     for s in crashtest.SCHEDULES:
         if s.get("mid_scrub"):
             assert s["integrity"] == "scrub"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_multivalued_kill_and_resume_both_cross_skipped_chunks(
+    tmp_path, seed
+):
+    """The multi-valued schedule's victim skips a chunk the gate would
+    refuse after its checkpoint and before the batch call it dies on, and
+    the passes a resume replays skip chunks too (the CI seeds)."""
+    import argparse
+
+    schedule = next(
+        s for s in crashtest.SCHEDULES if s.get("mutation") == "multi-valued"
+    )
+    ns = argparse.Namespace(
+        **parent_args(size=200_000, seed=seed),
+        checkpoint_every=schedule["checkpoint_every"],
+        mutation="multi-valued", integrity=None, scrub_budget=None,
+    )
+    wired, _ = crashtest._build(ns, str(tmp_path / "j.npz"))
+    chunks = crashtest._chunk_log(wired.table)
+    wired.run()
+    resumed_at = schedule["after_checkpoint"] * schedule["checkpoint_every"]
+    after = [skipped for p, skipped in chunks if p >= resumed_at]
+    # the victim dies on the batch call after ``inserts`` more
+    died_at = [i for i, skipped in enumerate(after) if not skipped][
+        schedule["inserts"]
+    ]
+    assert any(after[:died_at])
