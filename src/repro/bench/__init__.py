@@ -8,7 +8,8 @@ Run from the command line::
     python -m repro.bench fig7       # Figure 7  vs pinned-CPU-memory heap
     python -m repro.bench table3     # Table III vs demand paging
     python -m repro.bench ablations  # threshold / bucket-group / vocabulary
-    python -m repro.bench all
+    python -m repro.bench sensitivity  # conclusions under 2x perturbations
+    python -m repro.bench all        # every section of results_scale1024.txt
 
 ``REPRO_SCALE`` (default 1024) selects how hard the paper's GB-scale
 experiments are shrunk; see :mod:`repro.bench.config`.

@@ -18,6 +18,7 @@ from repro.bench.config import BenchConfig
 from repro.bench.datasets import render_table1, run_table1
 from repro.bench.fig6 import render_fig6, run_fig6
 from repro.bench.fig7 import render_fig7, run_fig7
+from repro.bench.sensitivity import render_sensitivity, run_sensitivity
 from repro.bench.table2 import render_table2, run_table2
 from repro.bench.table3 import render_table3, run_table3
 
@@ -53,10 +54,15 @@ def _run(name: str, config: BenchConfig) -> tuple[str, object]:
             ]
         )
         return text, sections
+    if name == "sensitivity":
+        rows = run_sensitivity(config)
+        return render_sensitivity(rows), rows
     raise ValueError(f"unknown experiment {name!r}")
 
 
-EXPERIMENTS = ["table1", "fig6", "table2", "fig7", "table3", "ablations"]
+EXPERIMENTS = [
+    "table1", "fig6", "table2", "fig7", "table3", "ablations", "sensitivity",
+]
 
 
 def main(argv: list[str] | None = None) -> int:

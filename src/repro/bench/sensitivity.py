@@ -110,15 +110,17 @@ def run_sensitivity(
 
 
 def render_sensitivity(rows: list[SensitivityRow]) -> str:
+    # Three decimals: Word Count's bound (< 2.2x) lies within a two-decimal
+    # rounding step of the `cpu ipc /2` row.
     table = render_table(
         ["perturbation", "PVC", "Netflix", "Word Count", "PVC sepo/pinned"],
         [
             (
                 r.perturbation,
-                f"{r.pvc_speedup:.2f}x",
-                f"{r.netflix_speedup:.2f}x",
-                f"{r.wordcount_speedup:.2f}x",
-                f"{r.pvc_vs_pinned:.2f}x",
+                f"{r.pvc_speedup:.3f}x",
+                f"{r.netflix_speedup:.3f}x",
+                f"{r.wordcount_speedup:.3f}x",
+                f"{r.pvc_vs_pinned:.3f}x",
             )
             for r in rows
         ],

@@ -1,7 +1,10 @@
 """Smoke tests for every experiment driver at a micro scale.
 
-These verify the drivers produce structurally valid results quickly; the
-shape assertions live in benchmarks/ where the realistic scale runs.
+These verify the drivers produce structurally valid results quickly.  The
+paper's claims are checked on the committed scale-1024 run instead:
+``tests/bench/test_paper_claims.py`` asserts its verdicts, and CI's
+perf-smoke job diffs every section of ``results_scale1024.txt`` against a
+fresh ``python -m repro.bench all --scale 1024``.
 """
 
 import pytest
@@ -21,6 +24,7 @@ from repro.bench.fig6 import render_fig6, run_app_dataset
 from repro.bench.fig7 import Fig7Row, render_fig7
 from repro.bench.table2 import render_table2, run_table2
 from repro.bench.table3 import render_table3, run_table3
+from repro.gpusim import GTX_1080, GTX_780TI
 
 TINY = BenchConfig(scale=1 << 15)  # ~6-180 KB datasets
 
@@ -106,3 +110,17 @@ def test_cli_rejects_unknown():
 
     with pytest.raises(SystemExit):
         main(["nonsense"])
+
+
+def test_gtx1080_needs_fewer_iterations():
+    # The GTX 1080 of the paper's footnote: 8 GB and a higher clock need
+    # fewer (or no) SEPO iterations for the same dataset, and finish sooner.
+    config = BenchConfig(scale=1 << 14)
+    app = PageViewCount()
+    data = app.generate_input(config.dataset_bytes(app.name, 4),
+                              seed=config.seed)
+    old = app.run_gpu(data, device=GTX_780TI, **config.gpu_kwargs())
+    new = app.run_gpu(data, device=GTX_1080, **config.gpu_kwargs())
+    assert new.iterations <= old.iterations
+    assert new.elapsed_seconds <= old.elapsed_seconds
+    assert new.output() == old.output()
