@@ -1,70 +1,43 @@
 """Host-side wall-clock throughput: scalar reference vs vectorized kernels.
 
-Unlike the rest of the suite (which reports *simulated device time* from the
-cost model), this benchmark times the Python implementation itself -- the
-host-side records/sec of the insert hot path that bounds how fast any
-experiment can run.  It compares each organization's ``slow_reference``
-implementation against the ``vectorized`` default on the same workload and
-exports ``BENCH_hostperf.json`` at the repo root -- keyed by ``n_records`` -- so future PRs can track the perf
-trajectory at the classic 64k scale::
+Where the rest of the suite reports *simulated device time*, this
+benchmark times the Python implementation itself: each organization's
+``slow_reference`` loop against its ``vectorized`` default on the same
+workload.  It exports ``BENCH_hostperf.json`` at the repo root, keyed by
+``n_records``, so the perf trajectory can be tracked at the classic 64k
+scale::
 
     PYTHONPATH=src python benchmarks/bench_hostperf.py            # 64k tier
     PYTHONPATH=src python benchmarks/bench_hostperf.py --n 8192 --repeats 1
     PYTHONPATH=src python benchmarks/bench_hostperf.py --profile  # hotspots
     PYTHONPATH=src python -m pytest benchmarks/bench_hostperf.py -q
 
-Two key distributions are measured: ``uniform`` (every key equally likely,
-~keyspace/1 duplication) and ``zipf`` (zipf(1.05) over a reduced keyspace,
-the heavy-duplication regime where the in-batch pre-aggregation kernels
-collapse whole runs of duplicates into one chain probe); the insert cells
-carry a ``combining-f64`` row (``SUM_F64`` over values of mixed magnitude)
-beside the three organizations, because its kernel is the one an
-order-exact fold had to earn.  A ``result`` cell times the CPU-side read of
-a finished two-iteration table, bulk reader (``impl="vectorized"``) against
-the per-entry merge, in keys/s.  A third
-``mixed-ops`` cell times interleaved insert/update/delete/lookup
-mutation batches: every organization runs its batched mixed-op kernel
-under ``impl="vectorized"`` against the scalar loop (gated per
-organization in the full 64k tier, see ``MIXED_MIN_SPEEDUP``).  The
-``mixed_sweep`` tier beside it is the evidence for
-``organizations.policy.MIXED_KERNEL_MIN_OPS``: the same op stream issued in
-batches of 64 ... 2,048 ops, kernel forced on against the loop, on a fresh
-table and on one several times its heap.  A fourth
-``integrity-overhead`` cell times the insert +
-iteration-boundary path under ``integrity`` off|verify|scrub, measuring
-what per-page CRC32 sealing and the background scrub sweep cost the host
-(gated on the multi-valued row, see ``INTEGRITY_MAX_OVERHEAD_PCT``).
-The shard tier carries both clocks: ``shard_scaling`` reports the simulated
-makespan numbers with the host ``wall_rps`` of ``ShardedExecutor.run``
-beside them, and a ``router`` cell times small client batches through
-``ShardRouter`` (host ops/s, launches per flush, simulated makespan).
-A ``lookup`` cell times ``LookupDriver.lookup`` -- 4,096 queries, half of
-them misses, against a table four times its heap -- as one batched resolve
-per pass and as the per-entry walk: queries/s, passes, pages paged in.
-A ``pressure`` cell times multi-valued inserts where SEPO postpones them:
-one batch that exhausts its heap half way through and one that enters the
-pool dry, insert kernel against the loop, with the share each postpones.
-An ``end-iteration`` cell times the multi-valued iteration boundary -- one
-partial-retention ``end_iteration`` of a table four times its heap -- with
-the chain splice in bulk and entry by entry.
-An ``allocator`` cell times the layer under all of them:
-``BucketGroupAllocator.allocate_many`` against one ``allocate`` per request
-at 64 requests x 16 bucket groups, 1,024 x 256 and 16,384 x 1,024.
+The cells: inserts under two key distributions, ``uniform`` and ``zipf``
+(zipf(1.05) over a reduced keyspace, where the pre-aggregating kernels
+collapse runs of duplicates), with a ``combining-f64`` row (``SUM_F64``
+over values of mixed magnitude) beside the three organizations;
+``result``, the CPU-side read of a finished two-iteration table, bulk
+against per-entry merge; ``mixed-ops``, interleaved insert/update/delete/
+lookup batches, batched kernel against the loop, and beside it the
+``mixed_sweep`` behind ``organizations.policy.MIXED_KERNEL_MIN_OPS`` (the
+same stream in batches of 64 ... 2,048 ops, kernel forced on, on a fresh
+table and on one several times its heap); ``integrity-overhead``, insert +
+iteration boundary under ``integrity`` off|verify|scrub; ``shard_scaling``
+(simulated makespan beside the host ``wall_rps`` of
+``ShardedExecutor.run``) and ``router`` (small client batches through
+``ShardRouter``); ``lookup``, 4,096 queries, half misses, on a table four
+times its heap, batched passes against per-entry walks; ``pressure``,
+multi-valued inserts across and after pool exhaustion, kernel against
+loop; ``end-iteration``, one partial-retention multi-valued boundary,
+splice in bulk against entry by entry; ``input_side``, span parsers
+against the list path; and ``allocator``, ``allocate_many`` against one
+``allocate`` a request at 64 x 16, 1,024 x 256 and 16,384 x 1,024.
 
-The pytest entry points double as the CI perf smoke: every organization's
-vectorized insert path (f64 combining included) must beat its scalar
-reference by at least 2x, the batched mixed-op kernels the scalar loop by
-2x at 64k ops, the batched lookup pass the per-entry walk by 2.5x basic,
-3x combining and 1.4x multi-valued, the multi-valued insert kernel the loop
-by 2x on a batch entered with a dry pool, the bulk chain splice the
-per-entry one by 3x on a partial-retention boundary (and, with integrity
-left on, a multi-valued insert + boundary within 50 % of its time with it
-off), and the bulk ``result()`` of the combining table
-its per-entry merge by 1.5x, on the reduced workload (the tracked full-scale speedups are ~8-10x; 2x keeps the
-gate robust on noisy shared runners).  Every gate is a ratio of two arms
-timed back to back: an absolute records/sec floor measures the machine's
-hour, not the code (the 1M-record tier that carried three was deleted for
-it).
+The numbers are tracked, not gated: a ratio of two timed arms moves with
+the machine's hour.  That each batched path beats the loop it replaced is
+gated in tier 1 by ``tests/test_counted_gates.py``, in lines of Python
+counted, not seconds.  The one gate left here,
+:func:`test_shard_scaling_smoke`, reads the simulated clock.
 """
 
 import argparse
@@ -112,64 +85,21 @@ EXPORT_PATH = REPO_ROOT / "BENCH_hostperf.json"
 
 #: the classic reference workload: 64k inserts
 FULL_N = 65_536
-#: reduced scale for the CI smoke (keeps the gate < a few seconds)
-SMOKE_N = 16_384
-SMOKE_MIN_SPEEDUP = 2.0
-#: gate of the bulk ``result()`` reader.  Both readers must create one
-#: ``bytes`` per entry and store every key in a dict, which bounds the
-#: ratio: 2.0-2.7x measured, against 1.0x for any per-entry reader, so
-#: 1.5x tells the two apart without sitting inside the run-to-run noise
-RESULT_MIN_SPEEDUP = 1.5
-#: gate for the batched mixed-op kernels over the scalar loop at 64k ops
-#: (measured 3.9-5.6x on the generic-entry organizations, 4.6-5.3x on the
-#: multi-valued one, so one gate serves all three)
-MIXED_MIN_SPEEDUP = 2.0
-#: gates of the batched lookup pass over the per-entry walk in the lookup
-#: cell.  Measured over seven runs: basic 3.7-4.6x, combining 4.2-6.0x,
-#: multi-valued 1.7-2.5x when its lookup paged in 1,420 segments, and
-#: 3.5-3.6x over three runs at the 451 it pages in since every walk runs
-#: downward -- the page-ins both arms pay for, and passes that parse two
-#: kinds of chain, keep it the lowest.  Each gate sits a quarter or more
-#: under its worst reading.
-LOOKUP_MIN_SPEEDUP = {"basic": 2.5, "combining": 3.0, "multi-valued": 1.4}
-#: gates of the span parsers over the list path in the input-side cell
-#: (the oracle's emission through ``from_pairs`` / ``from_numeric``, which
-#: themselves pack ~2x faster than when the parsers used them).  Measured
-#: over six best-of-seven runs: Patent Citation 4.1-4.6x, Netflix 3.1-4.0x,
-#: Geo Location 2.7-3.1x, Inverted Index 2.4-2.6x, Word Count 2.1-2.4x and
-#: Page View Count 1.8-2.0x -- in the last two the oracle is one C-level
-#: ``split`` / ``find`` per line to begin with.
-INPUT_SIDE_MIN_SPEEDUP = {
-    "Netflix": 2.0,
-    "Inverted Index": 2.0,
-    "Patent Citation": 2.0,
-    "Geo Location": 2.0,
-    "Page View Count": 1.5,
-    "Word Count": 1.5,
-}
 DISTRIBUTIONS = ("uniform", "zipf")
 KINDS = ("basic", "combining", "multi-valued")
 #: rows of the 64k insert cells: the organizations, plus the combining
 #: organization once more under an f64 combiner
 INSERT_KINDS = KINDS + ("combining-f64",)
 
-#: zipf skew of the heavy-duplication workload (matches the sanitize
-#: conformance matrix's ``zipf105`` cell)
-ZIPF_S = 1.05
-
-
-def zipf_choices(rng, n: int, k: int, s: float = ZIPF_S) -> np.ndarray:
-    """``n`` draws from a zipf(``s``) law over ranks ``0..k-1``."""
-    p = 1.0 / np.arange(1, k + 1, dtype=np.float64) ** s
-    return rng.choice(k, size=n, p=p / p.sum())
-
 
 def make_workload(n: int, dist: str = "uniform", seed: int = 42):
     rng = np.random.default_rng(seed)
     if dist == "uniform":
         ranks = rng.integers(0, n, size=n)
-    elif dist == "zipf":
-        ranks = zipf_choices(rng, n, max(16, n // 8))
+    elif dist == "zipf":  # the conformance matrix's zipf105 law, n/8 ranks
+        k = max(16, n // 8)
+        p = 1.0 / np.arange(1, k + 1, dtype=np.float64) ** 1.05
+        ranks = rng.choice(k, size=n, p=p / p.sum())
     else:
         raise ValueError(f"unknown distribution {dist!r}")
     keys = [b"key-%08d" % i for i in ranks]
@@ -309,10 +239,6 @@ def mutate_rps(kind: str, impl: str, triples, repeats: int = 3) -> float:
 
 #: integrity knob settings of the checksum-overhead cell
 INTEGRITY_CELL_MODES = ("off", "verify", "scrub")
-#: gate on the multi-valued row of that cell, per cent over ``off``: 7-25
-#: measured with the splice verifying each stored segment once per
-#: boundary, ~670 when it re-verified a whole segment per key entry
-INTEGRITY_MAX_OVERHEAD_PCT = 50.0
 
 
 def integrity_rps(kind: str, mode: str, keys, values, repeats: int = 3) -> float:
@@ -493,9 +419,6 @@ def lookup_cell(repeats: int = 3, kinds=KINDS) -> dict:
 #: holds about half of the first (the sweep's table shape)
 PRESSURE_RECORDS = 16_384
 PRESSURE_HEAP_PAGES = 160
-#: gate of the insert kernel over the loop on the batch entered dry
-#: (measured 4.2-5.1x over six runs; 6.2-7.4x on the crossing batch)
-PRESSURE_MIN_SPEEDUP = 2.0
 
 
 def pressure_cell(repeats: int = 3) -> dict:
@@ -544,12 +467,6 @@ def pressure_cell(repeats: int = 3) -> dict:
     }
 
 
-#: gate of the bulk chain splice over the per-entry one on the boundary of
-#: the end-iteration cell (measured 3.5-4.6x over a dozen runs: the eviction
-#: both arms pay for is a fifth of the bulk arm's time)
-SPLICE_MIN_SPEEDUP = 3.0
-
-
 def end_iteration_cell(repeats: int = 3) -> dict:
     """The multi-valued iteration boundary, bulk splice against the
     per-entry one: best-of-``repeats`` milliseconds of one
@@ -590,16 +507,6 @@ def end_iteration_cell(repeats: int = 3) -> dict:
 #: the allocator cell's shapes, requests x bucket groups: a router-sized
 #: call, a SEPO chunk, a whole 16k-record batch over a table's groups
 ALLOCATOR_SHAPES = ((64, 16), (1024, 256), (16_384, 1024))
-#: gate of ``allocate_many`` over the sequential ``allocate`` loop at the
-#: largest shape (measured 4.9-5.6x over a dozen runs; the per-page planner
-#: it replaced read 1.6x on this cell)
-ALLOCATOR_MIN_SPEEDUP = 3.0
-#: ... and at the smallest, where a fixed hundred or so array operations
-#: meet 64 calls of a microsecond each, the bulk call must stay level with
-#: the loop: measured 0.92-0.98x (75 us a call against 72; the planner it
-#: replaced, with its fitting-run fast path, read 0.53-0.55x), gated with
-#: the noise of a call that short
-ALLOCATOR_SMALL_MIN_SPEEDUP = 0.8
 
 
 def allocator_cell(repeats: int = 3) -> dict:
@@ -691,7 +598,7 @@ def list_path_batch(app, chunk: bytes) -> RecordBatch:
     return RecordBatch.from_pairs(list(app._emit(chunk)))
 
 
-def input_side_cell(repeats: int = 3, apps=None) -> dict:
+def input_side_cell(repeats: int = 3) -> dict:
     """Chunk in hand to batch built, per application: best-of-``repeats``
     records/sec of ``parse_chunk`` over the app's chunks at its
     ``apps_fit`` size, beside the list path over the oracle's emission
@@ -701,8 +608,6 @@ def input_side_cell(repeats: int = 3, apps=None) -> dict:
     chunk_bytes = GpuSession.clamp_chunk(GTX_780TI, config.scale, config.chunk_bytes)
     rows = {}
     for cls in ALL_APPS:
-        if apps is not None and cls.name not in apps:
-            continue
         app = cls()
         data = app.generate_input(
             int(INPUT_SIDE_GB[app.name] * GB / config.scale), seed=config.seed
@@ -887,15 +792,14 @@ def run_suite(n: int, repeats: int = 3) -> dict:
     distributions["result"] = {
         kind: result_kps(kind, keys, values, repeats) for kind in KINDS
     }
-    # mixed-op cell: the batched kernels against the scalar loop (gated
-    # by test_mixed_ops_kernel_beats_scalar_loop)
+    # mixed-op cell: the batched kernels against the scalar loop
     triples = make_mixed_ops(n)
     distributions["mixed-ops"] = {
         kind: _mixed_cell(kind, triples, repeats) for kind in KINDS
     }
     # integrity-overhead cell -- what the checksum layer costs the host
     # (CRC32 over every evicted page, plus the budgeted background sweep
-    # in scrub mode); gated by test_integrity_can_be_left_on
+    # in scrub mode)
     keys, values = make_workload(n, "uniform")
     distributions["integrity-overhead"] = {
         kind: integrity_row(kind, keys, values, repeats) for kind in KINDS
@@ -956,12 +860,6 @@ def profile_hotspots(
             assert result.success.all(), "workload must not be postponed"
             label = f"n={n:,}"
         else:
-            from repro.core.sepo import SepoDriver
-            from repro.gpusim.clock import CostLedger
-            from repro.gpusim.device import GTX_780TI
-            from repro.gpusim.kernel import KernelModel
-            from repro.gpusim.pcie import PCIeBus
-
             batches = [
                 make_batch(
                     kind,
@@ -985,57 +883,8 @@ def profile_hotspots(
 
 
 # ----------------------------------------------------------------------
-# pytest entry points (CI perf smoke)
+# pytest entry points
 # ----------------------------------------------------------------------
-def _smoke(kind: str, dist: str = "uniform"):
-    keys, values = make_workload(SMOKE_N, dist)
-    scalar = insert_rps(kind, "slow_reference", keys, values)
-    vectorized = insert_rps(kind, "vectorized", keys, values)
-    assert vectorized >= SMOKE_MIN_SPEEDUP * scalar, (
-        f"{kind}/{dist}: vectorized {vectorized:,.0f} rec/s < "
-        f"{SMOKE_MIN_SPEEDUP}x scalar {scalar:,.0f} rec/s"
-    )
-
-
-def test_vectorized_beats_scalar_smoke():
-    """CI gate: vectorized basic insert must sustain >= 2x the scalar
-    reference on the reduced uniform workload."""
-    _smoke("basic")
-
-
-def test_vectorized_combining_beats_scalar_smoke():
-    """CI gate: the pre-aggregating combining kernel must not regress
-    below the scalar reference (>= 2x, uniform and zipf)."""
-    _smoke("combining", "uniform")
-    _smoke("combining", "zipf")
-
-
-def test_vectorized_combining_f64_beats_scalar_smoke():
-    """CI gate: f64 combiners stay in the pre-aggregating kernel -- the
-    order-exact fold must not slide back to one record at a time."""
-    _smoke("combining-f64", "uniform")
-    _smoke("combining-f64", "zipf")
-
-
-def test_result_reader_beats_scalar_smoke():
-    """CI gate: ``result()`` of the combining table through the bulk
-    reader must stay clear of the per-entry merge (see
-    :data:`RESULT_MIN_SPEEDUP`)."""
-    keys, values = make_workload(SMOKE_N, "uniform")
-    row = result_kps("combining", keys, values)
-    assert row["vectorized_kps"] >= RESULT_MIN_SPEEDUP * row["scalar_kps"], (
-        f"result(): bulk reader {row['vectorized_kps']:,} keys/s < "
-        f"{RESULT_MIN_SPEEDUP}x per-entry merge {row['scalar_kps']:,} keys/s"
-    )
-
-
-def test_vectorized_multivalued_beats_scalar_smoke():
-    """CI gate: the bulk multi-valued kernel must not regress below the
-    scalar reference (>= 2x, uniform and zipf)."""
-    _smoke("multi-valued", "uniform")
-    _smoke("multi-valued", "zipf")
-
-
 def test_mixed_ops_cell_runs(monkeypatch):
     """Non-gating: the mixed-op mutation cell must complete on every
     organization under every implementation it distinguishes, and so must
@@ -1063,107 +912,11 @@ def test_mixed_ops_cell_runs(monkeypatch):
     assert all(r["kernel_rps"] > 0 < r["loop_rps"] for r in sweep["rows"].values())
 
 
-def test_mixed_ops_kernel_beats_scalar_loop():
-    """CI gate: at 64k ops the batched mixed-op kernels must sustain
-    :data:`MIXED_MIN_SPEEDUP` x the scalar loop on every organization
-    (measured 3.9-5.6x; the loop is the oracle, so a kernel that is not
-    clearly faster has no reason to exist)."""
-    triples = make_mixed_ops(FULL_N)
-    for kind in KINDS:
-        scalar = mutate_rps(kind, "slow_reference", triples, repeats=2)
-        vectorized = mutate_rps(kind, "vectorized", triples, repeats=3)
-        assert vectorized >= MIXED_MIN_SPEEDUP * scalar, (
-            f"{kind}: batched mixed-op kernel {vectorized:,.0f} ops/s < "
-            f"{MIXED_MIN_SPEEDUP}x scalar loop {scalar:,.0f} ops/s"
-        )
-
-
-def test_batched_lookup_beats_scalar_walk():
-    """CI gate: one batched resolve per lookup pass must stay clear of the
-    per-query, per-entry walk it replaced on every organization (see
-    :data:`LOOKUP_MIN_SPEEDUP`), doing the same passes and page-ins."""
-    for kind, row in lookup_cell(repeats=3).items():
-        assert row["batched_qps"] >= LOOKUP_MIN_SPEEDUP[kind] * row["scalar_qps"], (
-            f"{kind}: batched lookup {row['batched_qps']:,} queries/s < "
-            f"{LOOKUP_MIN_SPEEDUP[kind]}x per-entry walk {row['scalar_qps']:,}"
-        )
-        assert row["passes"] > 2 and row["pages_paged_in"] > 0
-
-
-def test_insert_kernel_beats_loop_on_a_dry_pool():
-    """CI gate: a multi-valued insert batch entered with the pool already
-    dry -- nearly all of it postponed -- must run :data:`PRESSURE_MIN_SPEEDUP`
-    x as fast on the kernel as in the loop it used to be handed to."""
-    rows = pressure_cell(repeats=3)
-    assert rows["dry"]["kernel_rps"] >= PRESSURE_MIN_SPEEDUP * rows["dry"]["loop_rps"], (
-        f"dry pool: insert kernel {rows['dry']['kernel_rps']:,} rec/s < "
-        f"{PRESSURE_MIN_SPEEDUP}x the loop {rows['dry']['loop_rps']:,} rec/s"
-    )
-    assert 0.3 < rows["crossing"]["postponed_share"] < 0.7
-    assert rows["dry"]["postponed_share"] > 0.9
-
-
-def test_bulk_splice_beats_per_entry_splice():
-    """CI gate: a partial-retention multi-valued boundary runs
-    :data:`SPLICE_MIN_SPEEDUP` x as fast with the chains spliced in bulk
-    as entry by entry, relinking the same entries."""
-    row = end_iteration_cell(repeats=5)
-    assert row["loop_ms"] >= SPLICE_MIN_SPEEDUP * row["bulk_ms"], (
-        f"end_iteration: bulk splice {row['bulk_ms']} ms is not "
-        f"{SPLICE_MIN_SPEEDUP}x the per-entry one, {row['loop_ms']} ms"
-    )
-    assert row["entries_spliced"] > 5_000 and row["table_over_heap"] > 3.5
-
-
-def test_bulk_allocation_beats_the_sequential_loop():
-    """CI gate: ``allocate_many`` serves a 16k-request batch over 1,024
-    bucket groups :data:`ALLOCATOR_MIN_SPEEDUP` x as fast as one
-    ``allocate`` per request, and does not lose on a 64-request call
-    (see :data:`ALLOCATOR_SMALL_MIN_SPEEDUP`)."""
-    rows = allocator_cell(repeats=7)
-    for shape, floor in (("16384x1024", ALLOCATOR_MIN_SPEEDUP),
-                         ("64x16", ALLOCATOR_SMALL_MIN_SPEEDUP)):
-        assert rows[shape]["speedup"] >= floor, (
-            f"{shape}: allocate_many {rows[shape]['bulk_rps']:,} requests/s is "
-            f"{rows[shape]['speedup']}x the sequential loop, gate {floor}x"
-        )
-    assert all(row["pages_taken"] > 0 for row in rows.values())
-
-
-def test_integrity_can_be_left_on():
-    """CI gate: multi-valued inserts through an iteration boundary cost at
-    most :data:`INTEGRITY_MAX_OVERHEAD_PCT` per cent more with integrity
-    on (a return to re-verifying a stored segment per key entry trips it
-    by 10x).  At the tracked cell's own scale: on a smaller batch the
-    same 64 KB pages are emptier, and their CRCs weigh more."""
-    keys, values = make_workload(FULL_N, "uniform")
-    row = integrity_row("multi-valued", keys, values, repeats=5)
-    for mode in ("verify", "scrub"):
-        assert row[f"{mode}_overhead_pct"] <= INTEGRITY_MAX_OVERHEAD_PCT, (
-            f"multi-valued integrity={mode}: +{row[f'{mode}_overhead_pct']}% "
-            f"over off, gate {INTEGRITY_MAX_OVERHEAD_PCT}%"
-        )
-
-
-def test_span_parsers_beat_list_path():
-    """CI perf smoke: every span parser builds its batches at least
-    ``INPUT_SIDE_MIN_SPEEDUP`` times as fast as the list path builds them
-    from the oracle's emission, at the benchmark's input sizes."""
-    # best of seven: a pass is milliseconds, and the ratio of two minima
-    # is what survives a machine that changes speed between repeats
-    rows = input_side_cell(repeats=7, apps=set(INPUT_SIDE_MIN_SPEEDUP))
-    for name, floor in INPUT_SIDE_MIN_SPEEDUP.items():
-        assert rows[name]["speedup"] >= floor, (
-            f"{name}: parse_chunk {rows[name]['parse_rps']:,} rec/s is "
-            f"{rows[name]['speedup']}x the list path, gate {floor}x"
-        )
-
-
 def test_integrity_overhead_cell_runs():
     """Non-gating: the checksum-overhead cell must complete on every
     organization in all three integrity modes (the off|verify|scrub
-    throughput is tracked in ``BENCH_hostperf.json``; only the
-    multi-valued row is asserted, by ``test_integrity_can_be_left_on``)."""
+    throughput is tracked in ``BENCH_hostperf.json``; the CRCs a
+    multi-valued boundary computes are gated, counted, in tier 1)."""
     keys, values = make_workload(2048, "uniform")
     for kind in KINDS:
         for mode in INTEGRITY_CELL_MODES:
@@ -1183,20 +936,6 @@ def test_shard_scaling_smoke():
     )
     assert rows["4"]["overlap_efficiency"] > 0
     assert rows["1"]["overlap_efficiency"] > 0
-
-
-def test_hostperf_basic_vectorized(benchmark):
-    keys, values = make_workload(SMOKE_N)
-    batch = make_batch("basic", keys, values)
-    heap = GpuHeap(heap_bytes=48 << 20, page_size=64 << 10)
-    table = GpuHashTable(4096, make_org("basic", "vectorized"), heap,
-                         group_size=64)
-    idx = np.arange(SMOKE_N)
-    result = benchmark.pedantic(
-        lambda: table.insert_batch(batch, idx),
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
-    assert result.success.all()
 
 
 def test_hostperf_export_roundtrip(tmp_path):

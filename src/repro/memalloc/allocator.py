@@ -499,16 +499,6 @@ class BucketGroupAllocator:
         """
         return group in self._failed_groups
 
-    def note_failure(self, group: int) -> None:
-        """Mark ``group`` sticky-failed without an allocation attempt.
-
-        Mutation paths that postpone for a non-allocator reason must still
-        poison the group, or later same-key ops would slip past the gate.
-        """
-        if not 0 <= group < self.n_groups:
-            raise ValueError(f"group {group} out of range [0, {self.n_groups})")
-        self._failed_groups.add(group)
-
     @property
     def has_failures(self) -> bool:
         """Any bucket group sticky-failed this iteration?"""

@@ -286,11 +286,6 @@ class GpuHeap:
     # introspection
     # ------------------------------------------------------------------
     @property
-    def n_free_pages(self) -> int:
-        """Pages the pool can still hand out this iteration."""
-        return self.pool.n_free
-
-    @property
     def resident_pages(self) -> list[Page]:
         return list(self._resident.values())
 

@@ -46,6 +46,7 @@ from repro.core import (
 from repro.core.organizations import policy as org_policy
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
+from tests.counting import counted
 
 ORGS = ["basic", "combining", "multi-valued"]
 IMPLS = ["vectorized", "slow_reference"]
@@ -398,18 +399,16 @@ def test_batches_under_the_cut_over_stay_on_the_loop(monkeypatch):
     """Below the cut-over the loop is the kernel -- the batched kernel's
     fixed cost loses on a handful of ops -- and at it the kernel runs."""
     triples = UPDATE_TRIPLES + [(OP_LOOKUP, b"alpha", 0)]
-    calls = []
-    original = org_policy._mutate_generic
-    monkeypatch.setattr(
-        org_policy, "_mutate_generic",
-        lambda *a, **kw: calls.append(1) or original(*a, **kw),
-    )
+
+    def kernel_calls():
+        run = counted(lambda: _run_combining(SUM_I64, triples),
+                      calls={"kernel": org_policy._mutate_generic})
+        return run.calls["kernel"]
+
     monkeypatch.setattr(org_policy, "MIXED_KERNEL_MIN_OPS", len(triples) + 1)
-    _run_combining(SUM_I64, triples)
-    assert not calls, "batched kernel ran under the cut-over"
+    assert kernel_calls() == 0, "batched kernel ran under the cut-over"
     monkeypatch.setattr(org_policy, "MIXED_KERNEL_MIN_OPS", len(triples))
-    _run_combining(SUM_I64, triples)
-    assert calls == [1]
+    assert kernel_calls() == 1
 
 
 def test_tombstones_gate_insert_preagg():

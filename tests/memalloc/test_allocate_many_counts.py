@@ -11,7 +11,6 @@ run takes, however many runs there are -- and the second grows with runs
 and page spans, never with requests.
 """
 
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,49 +18,29 @@ import pytest
 
 import repro.memalloc.allocator as allocator_module
 from repro.memalloc import BucketGroupAllocator, GpuHeap
+from tests.counting import counted
 
 PAGE = 4096
 
 
-def counted(alloc, groups, sizes):
+def one_call(alloc, groups, sizes):
     """One ``allocate_many``: ``searches`` and allocator.py ``lines`` run,
     with the call's ``bulk`` result and the ``pages`` and ``requests`` it
     added to the allocator's stats."""
-    searches, lines = [0], [0]
-    searchsorted = np.searchsorted
-
-    def counting_searchsorted(*args, **kwargs):
-        searches[0] += 1
-        return searchsorted(*args, **kwargs)
-
-    def count_line(frame, event, arg):
-        if event == "line":
-            lines[0] += 1
-        return count_line
-
-    def trace(frame, event, arg):
-        if frame.f_code.co_filename == allocator_module.__file__:
-            return count_line
-        return None
-
     before = (alloc.stats.pages_taken, alloc.stats.requests)
-    np.searchsorted = counting_searchsorted
-    outer = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        bulk = alloc.allocate_many(groups, sizes)
-    finally:
-        sys.settrace(outer)
-        np.searchsorted = searchsorted
+    run = counted(
+        lambda: alloc.allocate_many(groups, sizes),
+        where=allocator_module, calls={"searches": np.searchsorted},
+    )
     return SimpleNamespace(
-        searches=searches[0], lines=lines[0], bulk=bulk,
+        searches=run.calls["searches"], lines=run.lines, bulk=run.value,
         pages=alloc.stats.pages_taken - before[0],
         requests=alloc.stats.requests - before[1],
     )
 
 
 def counted_call(n_runs, per_run, size, warm=0, pages=None):
-    """:func:`counted` on ``n_runs`` groups x ``per_run`` requests of
+    """:func:`one_call` on ``n_runs`` groups x ``per_run`` requests of
     ``size`` bytes (arrival order round-robin over the groups), each group
     holding a current page with ``warm`` bytes used."""
     need = -(-per_run * size // PAGE) + 1
@@ -71,7 +50,7 @@ def counted_call(n_runs, per_run, size, warm=0, pages=None):
         for g in range(n_runs):
             alloc.allocate(g, warm)
     groups = np.tile(np.arange(n_runs, dtype=np.int64), per_run)
-    return counted(alloc, groups, np.full(len(groups), size, dtype=np.int64))
+    return one_call(alloc, groups, np.full(len(groups), size, dtype=np.int64))
 
 
 def test_searches_do_not_grow_with_the_number_of_runs():
@@ -101,7 +80,7 @@ def test_the_deepest_run_sets_the_rounds():
     """One run five pages deep among 511 that take one page each."""
     alloc = BucketGroupAllocator(GpuHeap(600 * PAGE, PAGE), 512)
     groups = np.r_[np.arange(512), np.zeros(19, np.int64)]
-    call = counted(alloc, groups, np.full(len(groups), 1024))
+    call = one_call(alloc, groups, np.full(len(groups), 1024))
     assert call.bulk.ok.all() and call.pages == 511 + 5
     assert call.searches == 1 + 5
 
