@@ -889,7 +889,7 @@ def test_mixed_ops_cell_runs(monkeypatch):
     """Non-gating: the mixed-op mutation cell must complete on every
     organization under every implementation it distinguishes, and so must
     one column of the cut-over sweep -- on the kernels: the sweep forces
-    them by patching the module the dispatch reads, and 256-op batches
+    them by patching the module the dispatch reads, and 128-op batches
     are under the shipped cut-over."""
     triples = make_mixed_ops(2048)
     for kind in KINDS:
@@ -900,14 +900,14 @@ def test_mixed_ops_cell_runs(monkeypatch):
         real = getattr(org_policy, name)
         monkeypatch.setattr(
             org_policy, name,
-            lambda *a, real=real: small.append(len(a[2]) <= 256) or real(*a),
+            lambda *a, real=real: small.append(len(a[2]) <= 128) or real(*a),
         )
     shipped = org_policy.MIXED_KERNEL_MIN_OPS
-    sweep = mixed_sweep(repeats=1, sizes=(256,))
+    sweep = mixed_sweep(repeats=1, sizes=(128,))
     assert org_policy.MIXED_KERNEL_MIN_OPS == shipped == sweep["cut_over_ops"]
     assert sum(small) >= len(sweep["rows"]), "the kernel column ran the loop"
     assert set(sweep["rows"]) == {
-        f"{state}/{kind}/256" for state in SWEEP_HEAP for kind in KINDS
+        f"{state}/{kind}/128" for state in SWEEP_HEAP for kind in KINDS
     }
     assert all(r["kernel_rps"] > 0 < r["loop_rps"] for r in sweep["rows"].values())
 

@@ -18,12 +18,15 @@ an actual de Bruijn graph.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.hashtable import GpuHashTable
 from repro.core.lookup import LookupDriver, LookupResult
 from repro.gpusim.kernel import KernelModel
 from repro.gpusim.pcie import PCIeBus
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "pvc_watchlist",
@@ -105,6 +108,8 @@ def build_debruijn_graph(kmer_edges: dict[bytes, int]) -> "nx.DiGraph":
     ``K -> K[1:]+c`` exists when K saw following-base ``c`` and the
     successor k-mer is itself in the table.
     """
+    import networkx as nx  # on use: not every importer of the package
+
     g = nx.DiGraph()
     g.add_nodes_from(kmer_edges)
     for kmer, mask in kmer_edges.items():

@@ -117,7 +117,7 @@ class Combiner:
         ufunc = self.ufunc
         if ufunc is None:
             raise ValueError(f"combiner {self.name!r} has no vectorized reduction")
-        counts = np.diff(np.r_[starts, len(values)])
+        counts = np.diff(np.concatenate((starts, [len(values)])))
         if seeds is None:
             acc = values[starts]
             todo = counts - 1

@@ -528,7 +528,8 @@ class GpuHashTable:
         split[label[label != np.arange(len(keys))]] = True
         members = np.flatnonzero(split[label])
         order = members[np.argsort(label[members], kind="stable")]
-        starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
+        starts = np.flatnonzero(
+            np.concatenate(([True], np.diff(label[order]) != 0)))
         values[label[order[starts]]] = comb.fold_segments(
             values[order], starts, acc_right=True
         )

@@ -46,8 +46,8 @@ def segmented_exclusive_cumsum(
     xs = x[order]
     excl = np.cumsum(xs) - xs
     ss = seg[order]
-    st = np.flatnonzero(np.r_[True, ss[1:] != ss[:-1]])
-    base = np.repeat(excl[st], np.diff(np.r_[st, m]))
+    st = np.flatnonzero(_run_starts(ss))
+    base = np.repeat(excl[st], np.diff(np.concatenate((st, [m]))))
     out = np.empty(m, dtype=np.int64)
     out[order] = excl - base
     return out
@@ -72,10 +72,12 @@ def _link_heads(buckets, bs, gaddr, caddr) -> tuple[np.ndarray, np.ndarray]:
     record at a time.
     """
     head_gpu, head_cpu = buckets.head_gpu, buckets.head_cpu
-    first = np.r_[True, bs[1:] != bs[:-1]]
-    next_gpu = np.where(first, head_gpu[bs], np.r_[NULL, gaddr[:-1]])
-    next_cpu = np.where(first, head_cpu[bs], np.r_[NULL, caddr[:-1]])
-    last = np.r_[first[1:], True]
+    first = _run_starts(bs)
+    next_gpu = np.where(
+        first, head_gpu[bs], np.concatenate(([NULL], gaddr[:-1])))
+    next_cpu = np.where(
+        first, head_cpu[bs], np.concatenate(([NULL], caddr[:-1])))
+    last = np.concatenate((first[1:], [True]))
     head_gpu[bs[last]] = gaddr[last]
     head_cpu[bs[last]] = caddr[last]
     return next_gpu, next_cpu
@@ -91,8 +93,8 @@ def _link_value_lists(gaddr, caddr, first, head_gpu, head_cpu):
     node, read where ``first``), every other at the node pushed just
     before it.  An entry's new head is its last node.
     """
-    vnext_gpu = np.where(first, head_gpu, np.r_[NULL, gaddr[:-1]])
-    vnext_cpu = np.where(first, head_cpu, np.r_[NULL, caddr[:-1]])
+    vnext_gpu = np.where(first, head_gpu, np.concatenate(([NULL], gaddr[:-1])))
+    vnext_cpu = np.where(first, head_cpu, np.concatenate(([NULL], caddr[:-1])))
     return vnext_gpu, vnext_cpu
 
 
@@ -101,7 +103,7 @@ def _latest_before(mask: np.ndarray, seg0: np.ndarray) -> np.ndarray:
     the same key where ``mask`` holds, else -1 (``seg0[p]`` is the first
     position of ``p``'s key)."""
     at = np.where(mask, np.arange(len(mask)), -1)
-    last = np.r_[-1, np.maximum.accumulate(at)[:-1]]
+    last = np.concatenate(([-1], np.maximum.accumulate(at)[:-1]))
     return np.where(last >= seg0, last, -1)
 
 
@@ -120,7 +122,7 @@ class _DistinctKeys:
         m = len(idx)
         self.sub, self.starts = grouping.subset(idx)
         G = len(self.starts)
-        self.counts = np.diff(np.r_[self.starts, m])
+        self.counts = np.diff(np.concatenate((self.starts, [m])))
         self.firstj = self.sub[self.starts]
         self.gpos = np.empty(m, dtype=np.int64)
         self.gpos[self.sub] = np.repeat(np.arange(G), self.counts)

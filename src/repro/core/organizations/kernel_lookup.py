@@ -1,21 +1,30 @@
 """In-stream lookups of the mixed-op kernels.
 
 A lookup inside a mutation batch reads the table as it stood before the
-batch: one flat image of the CPU side, the looked-up keys' chains matched
+batch -- one flat image of the CPU side, the looked-up keys' chains matched
 through it, the newest-first automaton of the scalar readers run as a mask
-over the matches.  Only the few lookups whose key an earlier op of their
-own batch wrote replay that key's ops, over the match list and without
-touching the heap.
+over the matches -- plus what the earlier ops of its batch did to its key.
+Both are column operations: a lookup reads what its key showed before the
+batch, oldest first, then the values the batch added to it in op order,
+cut where the newest op before it that closed the key left it
+(:func:`_reads`).  Nothing is replayed op by op.
 """
 
 from __future__ import annotations
 
+from operator import add
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.core import entries as E
-from repro.core.chainview import match_cpu_chains, walk_cpu_image
+from repro.core.chainview import (
+    match_cpu_chains,
+    newest_matches,
+    walk_cpu_image,
+)
 from repro.core.mutations import OP_DELETE, OP_LOOKUP, OP_UPDATE
-from repro.memalloc.address import NULL
+from repro.core.organizations.kernel_front import _latest_before
 
 
 def _lookup_matches(table, batch, idx, dk, looks, kind):
@@ -51,7 +60,7 @@ def _newest_first(cm, first, closing, dead):
     nothing older than that shows.  Returns the ``shows`` mask and per key
     the ``(probes, bytes)`` of a walk up to and including the match that
     closes it, else of the whole chain."""
-    base = np.r_[0, np.cumsum(closing)]
+    base = np.concatenate(([0], np.cumsum(closing)))
     older = base[:-1] - base[first][cm.key]  # closing matches before this
     closer = np.flatnonzero(closing & (older == 0))
     probes = cm.n_chain.copy()
@@ -61,23 +70,144 @@ def _newest_first(cm, first, closing, dead):
     return (older == 0) & ~dead, probes, nbytes
 
 
+def _ranges(lo, n):
+    """``lo[i], lo[i] + 1, ..., lo[i] + n[i] - 1`` for every ``i``, in
+    order."""
+    ends = np.cumsum(n)
+    return np.arange(ends[-1] if len(n) else 0) + np.repeat(lo - ends + n, n)
+
+
+def _slices(seq, lo, hi) -> list:
+    """``[seq[a:b] for a, b in zip(lo, hi)]`` without a Python frame per
+    slice."""
+    return list(map(seq.__getitem__, map(slice, lo.tolist(), hi.tolist())))
+
+
+def _value_bytes(batch, rec) -> list:
+    """The byte values of records ``rec``, exact length."""
+    width = batch.values.shape[1]
+    lo = rec * width
+    return _slices(batch.values.tobytes(), lo, lo + batch.val_lens[rec])
+
+
+class _Reads(NamedTuple):
+    """What the in-stream lookups of one kernel call read; see
+    :func:`_reads`."""
+
+    lk: np.ndarray  # the lookups, key-major
+    row: np.ndarray  # ... their keys' rows among the looked-up ones
+    probe: np.ndarray  # ... and the charges of their key walks
+    nbytes: np.ndarray
+    dirty: np.ndarray  # the ones an earlier op of the batch wrote before
+    pre: np.ndarray  # ... of which these read the pre-batch elements
+    alo: np.ndarray  # ... then ``added[alo:ahi]``
+    ahi: np.ndarray
+    added: np.ndarray  # the ops that add an element, key-major
+    flo: np.ndarray  # ``folded[flo:flo + fn]`` fold into the newest entry
+    fn: np.ndarray
+    folded: np.ndarray  # the ops of ``combines``, key-major
+
+
+def _reads(dk, st, looks, slot, adds, close, made, creator, cm, first,
+           probes, nbytes, A, S, combines=None) -> _Reads:
+    """What each in-stream lookup (``looks``, over the kernel's ``m``
+    ops) of one kernel call reads, and the charge of its key walk.
+
+    A lookup reads what its key showed before the batch, oldest first,
+    then the elements the ops of ``adds`` put on the key before it, in op
+    order -- unless an op of ``close`` before it wrote a tombstone or a
+    shadow on the key's newest entry: every later walk stops there, so
+    the lookup reads only what was added from the newest such op on, that
+    op's own element included.  Two segmented scans over the batch,
+    key-major, find for every position the newest closing op and the
+    number of elements added before it.  ``combines`` (optional) are ops
+    whose value folds into their key's newest entry: a lookup's are the
+    ones since that entry was added, or since the batch began.
+
+    The walk is charged as the scalar walk's: the entries the batch
+    prepended to its bucket so far (``A`` / ``S``), then down to the
+    closed entry -- ``A[j] - A[c]`` when op ``c`` made it, the newest
+    match's ``at + 1`` when it stood before the batch -- else down to what
+    closed the key before the batch (``probes`` / ``nbytes`` by row, of
+    :func:`_newest_first`).
+    """
+    sub, key, seg0 = dk.sub, st.key, st.seg0
+    ql = np.flatnonzero(looks[sub])
+    lk, row = sub[ql], slot[key[ql]]
+    probe, nb = A[lk] + probes[row], S[lk] + nbytes[row]
+    dirty = np.flatnonzero(~st.untouched[ql])
+    dq = ql[dirty]
+    written = np.zeros(len(slot), dtype=bool)  # keys a dirty lookup reads
+    written[key[dq]] = True
+    added = adds[sub] & written[key]
+    before = np.cumsum(added) - added  # elements added earlier, key-major
+    e = _latest_before(close[sub], seg0)[dq]  # the newest closing op
+    closed = e >= 0
+    alo = before[np.where(closed, e, seg0[dq])]
+    if closed.any():
+        i = dirty[closed]
+        j, je = lk[i], sub[e[closed]]
+        c = np.where(made[je], je, creator[je])  # op that made the entry
+        pc, bc = A[j] - A[c], S[j] - S[c]
+        hit = np.flatnonzero(c < 0)  # it stood before the batch
+        p = first[row[i[hit]]]
+        pc[hit] = A[j[hit]] + cm.at[p] + 1
+        bc[hit] = S[j[hit]] + cm.cum[p]
+        probe[i], nb[i] = pc, bc
+    flo = fn = folded = np.zeros(0, dtype=np.int64)
+    if combines is not None:
+        f = combines[sub] & written[key]
+        done = np.cumsum(f) - f  # combines earlier
+        maker = _latest_before(added, seg0)[dq]
+        flo = done[np.where(maker >= 0, maker, seg0[dq])]
+        fn, folded = done[dq] - flo, sub[f]
+    return _Reads(lk, row, probe, nb, dirty, ~closed, alo, before[dq],
+                  sub[added], flo, fn, folded)
+
+
+def _pre_blocks(of_key, n_keys, r):
+    """Each lookup's slice ``[lo, hi)`` of the pre-batch elements, laid
+    out rows descending and oldest first (``of_key``: the row of each);
+    empty for a lookup that does not read them."""
+    n = np.bincount(of_key, minlength=n_keys)
+    lo = (len(of_key) - np.cumsum(n))[r.row]
+    hi = lo + n[r.row]
+    shut = r.dirty[~r.pre]
+    hi[shut] = lo[shut]
+    return lo, hi
+
+
+def _list_answers(results, idx, r, shown, lo, hi, added):
+    """Deposit list answers: ``shown[lo:hi]`` per lookup, and for the
+    dirty ones ``added[alo:ahi]`` after it."""
+    answers = _slices(shown, lo, hi)
+    results.update(zip(idx[r.lk].tolist(), answers))
+    if len(r.dirty):
+        results.update(zip(idx[r.lk[r.dirty]].tolist(), map(
+            add, map(answers.__getitem__, r.dirty.tolist()),
+            _slices(added, r.alo, r.ahi),
+        )))
+
+
 def _answer_lookups(
-    table, batch, idx, dk, comb, looks, dirty, ran, made, inplace, buried,
+    table, batch, idx, dk, st, comb, looks, made, inplace, buried, creator,
     A, S, tally,
 ):
     """Answer and charge the in-stream lookups of one generic-entry kernel
     call.
 
-    Reads only :func:`_lookup_matches`.  The newest-first automaton of
-    :func:`.oracle._lookup_generic` runs as a mask over those
-    matches; a lookup is charged the entries the batch prepended to its
-    bucket so far (``A`` / ``S``) plus the chain up to and including the
-    match that closes its key, else the whole chain.  The few lookups an
-    earlier op of their own batch wrote under replay that key's ops over
-    its match list, without touching the heap.
+    Reads only :func:`_lookup_matches`: the newest-first automaton of
+    :func:`.oracle._lookup_generic` runs as a mask over those matches,
+    and :func:`_reads` adds what the batch did before each lookup.  A
+    basic entry the batch makes adds its op's value, an overwrite in
+    place adds the value it writes; an update (either) shadows, a delete
+    that buries or is born dead is a tombstone.  A combining entry the
+    batch makes adds its op's value, and the combines into it fold in.
+    Basic answers are list slices; combining ones fold each lookup's
+    newest entry with the combines before the lookup, then its entries
+    oldest first, as the loop reads the table.  ``st`` and ``creator``
+    are the kernel's :class:`~.kernel_mixed._KeyStates` and makers.
     """
-    results = batch.lookup_results
-    gpos = dk.gpos
     lk, slot, n_keys, blob, image, cm = _lookup_matches(
         table, batch, idx, dk, looks, "generic"
     )
@@ -86,151 +216,80 @@ def _answer_lookups(
     shows, probes, nbytes = _newest_first(
         cm, first, cm.flags != 0, (cm.flags & E.GFLAG_TOMBSTONE) != 0
     )
-
-    # every matched entry's value: bytes (basic) or its scalar
+    ops = batch.ops[idx]
+    is_del = ops == OP_DELETE
+    is_up = ~is_del & (ops != OP_LOOKUP)
     if comb is None:
-        old: list = [
-            blob[a:b] for a, b in
-            zip(cm.vpos.tolist(), (cm.vpos + cm.vlen).tolist())
-        ]
+        adds = made & is_up | inplace
+        close = made & (is_del | (ops == OP_UPDATE)) | inplace | buried
     else:
-        stored = np.flatnonzero(cm.vlen)  # born-dead entries hold none
-        scalars = np.zeros(len(cm.key), dtype=comb.dtype)
-        scalars[stored] = E.gather_field(
-            image, cm.vpos[stored], comb.dtype.newbyteorder("<")
-        )
-
-    # per-key answers, oldest first
-    vis = np.flatnonzero(shows)[::-1]  # keys descending, oldest first
-    vkey = cm.key[vis]
+        adds = made & is_up
+        close = made & is_del | buried
+    r = _reads(dk, st, looks, slot, adds, close, made, creator, cm, first,
+               probes, nbytes, A, S, None if comb is None else inplace)
+    tally.probe_steps += int(r.probe.sum())
+    tally.bytes_touched += int(r.nbytes.sum())
+    old = np.flatnonzero(shows)[::-1]  # keys descending, oldest first
+    lo, hi = _pre_blocks(cm.key[old], n_keys, r)
     if comb is None:
-        answers: list = [[] for _ in range(n_keys)]
-        for k, p in zip(vkey.tolist(), vis.tolist()):
-            answers[k].append(old[p])
-    else:
-        answers = [None] * n_keys
-        if len(vis):
-            starts = np.flatnonzero(np.r_[True, vkey[1:] != vkey[:-1]])
-            red = comb.fold_segments(scalars[vis], starts)
-            for k, v in zip(vkey[starts].tolist(), red.tolist()):
-                answers[k] = v
-
-    clean = lk[~dirty[lk]]
-    ck = slot[gpos[clean]]
-    tally.probe_steps += int((probes[ck] + A[clean]).sum())
-    tally.bytes_touched += int((nbytes[ck] + S[clean]).sum())
-    if comb is None:
-        results.update(
-            (i, answers[k].copy())
-            for i, k in zip(idx[clean].tolist(), ck.tolist())
+        vpos = cm.vpos[old]
+        _list_answers(
+            batch.lookup_results, idx, r,
+            _slices(blob, vpos, vpos + cm.vlen[old]), lo, hi,
+            _value_bytes(batch, idx[r.added]),
         )
-    else:
-        results.update(
-            (i, answers[k]) for i, k in zip(idx[clean].tolist(), ck.tolist())
-        )
-
-    stale = lk[dirty[lk]]
-    if not len(stale):
         return
-    # replay: each such key's ops, in order, over its same-key entries
-    # newest first -- [value, flags, making op or -1, match]
-    wrote = np.zeros(len(dk.starts), dtype=bool)
-    wrote[gpos[stale]] = True
-    sub = dk.sub
-    j_s = sub[(ran & wrote[gpos])[sub]]  # their ops that ran, key-major
-    rec = idx[j_s]
-    if comb is None:
-        rows = batch.values[rec]
-        vals = [
-            row[:n].tobytes() for row, n in zip(rows, batch.val_lens[rec].tolist())
-        ]
-    else:
-        vals = batch.numeric_values[rec].tolist()
-        old = scalars.tolist()
-    m_flags = cm.flags.tolist()
-    m_at = cm.at.tolist()
-    m_cum = cm.cum.tolist()
-    n_chain, chain_bytes = cm.n_chain.tolist(), cm.chain_bytes.tolist()
-    first = first.tolist() + [len(m_flags)]
-    A_l, S_l = A.tolist(), S.tolist()
-    TOMB, SHADOW = E.GFLAG_TOMBSTONE, E.GFLAG_SHADOW
-    probe_steps = nbytes_sum = 0
-    key = -1
-    ents: list = []
-    for j, i, g, op, value, is_made, is_inpl, is_bur, is_dirty in zip(
-        j_s.tolist(), rec.tolist(), slot[gpos[j_s]].tolist(),
-        batch.ops[rec].tolist(), vals, made[j_s].tolist(),
-        inplace[j_s].tolist(), buried[j_s].tolist(), dirty[j_s].tolist(),
-    ):
-        if g != key:
-            key = g
-            ents = [
-                [old[p], m_flags[p], -1, p]
-                for p in range(first[g], first[g + 1])
-            ]
-        if op == OP_LOOKUP:
-            if not is_dirty:
-                continue
-            out = []
-            steps, nb = A_l[j] + n_chain[g], S_l[j] + chain_bytes[g]
-            for v, flags, c, p in ents:
-                if not flags & TOMB:
-                    out.append(v)
-                if flags:  # the closing match ends the walk
-                    if c >= 0:
-                        steps, nb = A_l[j] - A_l[c], S_l[j] - S_l[c]
-                    else:
-                        steps, nb = A_l[j] + m_at[p] + 1, S_l[j] + m_cum[p]
-                    break
-            probe_steps += steps
-            nbytes_sum += nb
-            out.reverse()
-            if comb is None:
-                results[i] = out
-            elif out:
-                acc = out[0]
-                for v in out[1:]:  # (old . mid) . new, as the loop folds
-                    acc = comb.combine(acc, v)
-                results[i] = acc
-            else:
-                results[i] = None
-        elif is_made:
-            if op == OP_DELETE:
-                ents.insert(0, [None, TOMB, j, -1])
-            else:
-                shadow = SHADOW if comb is None and op == OP_UPDATE else 0
-                ents.insert(0, [value, shadow, j, -1])
-        elif is_inpl:
-            if comb is None:
-                ents[0][0] = value
-                ents[0][1] |= SHADOW
-            else:
-                ents[0][0] = comb.combine(ents[0][0], value)
-        elif is_bur:
-            ents[0][1] |= TOMB
-    tally.probe_steps += probe_steps
-    tally.bytes_touched += nbytes_sum
+
+    # per lookup one segment: its pre-batch scalars, then its added ones
+    n_pre = hi - lo
+    n_add = np.zeros(len(lo), dtype=np.int64)
+    n_add[r.dirty] = r.ahi - r.alo
+    start = np.zeros(len(lo), dtype=np.int64)
+    start[r.dirty] = len(old) + r.alo
+    vals = np.concatenate((
+        E.gather_field(image, cm.vpos[old], comb.dtype.newbyteorder("<")),
+        batch.numeric_values[idx[r.added]],
+    ))[_ranges(np.stack((lo, start), axis=1).ravel(),
+               np.stack((n_pre, n_add), axis=1).ravel())]
+    n = n_pre + n_add
+    ends = np.cumsum(n)
+    some = np.flatnonzero(n)
+    # a dirty lookup's newest entry first takes the combines before it
+    late = np.flatnonzero((r.fn > 0) & (n[r.dirty] > 0))
+    if len(late):
+        fn = r.fn[late]
+        newest = ends[r.dirty[late]] - 1
+        vals[newest] = comb.fold_segments(
+            batch.numeric_values[idx[r.folded]][_ranges(r.flo[late], fn)],
+            np.cumsum(fn) - fn, vals[newest], np.ones(len(fn), dtype=bool),
+        )
+    answers = np.full(len(lo), None, dtype=object)
+    if len(some):
+        answers[some] = comb.fold_segments(vals, (ends - n)[some])
+    batch.lookup_results.update(zip(idx[r.lk].tolist(), answers.tolist()))
 
 
 def _answer_lookups_mv(
-    table, batch, idx, dk, looks, dirty, ran, made, buried, A, S, tally
+    table, batch, idx, dk, st, looks, ran, made, buried, creator, A, S, tally
 ):
     """Answer and charge the in-stream lookups of one multi-valued kernel
     call: :func:`_answer_lookups` with value lists.
 
     A same-key entry is admissible unless it is an empty ``PENDING`` one
     (unacknowledged).  Over the admissible ones the automaton of
-    :func:`.oracle._lookup_mv` runs as a mask; the value
-    lists of all entries that show are drained together and returned
-    oldest first, each node read charged one probe and its header + value
-    bytes on top of the key chain's charge.
+    :func:`.oracle._lookup_mv` runs as a mask; what a key showed before
+    the batch is the value nodes of the entries that show, oldest first,
+    and every upsert of the batch adds its value.  A tombstone the batch
+    writes, a ``replace`` update's ``SHADOW`` entry, and an unborn
+    ``SHADOW`` entry that the batch's first write to its key gives a
+    value, each close the key.  A lookup's answer is a list slice,
+    charged the key walk plus one probe and the header + value bytes of
+    every node it returns.
     """
-    results = batch.lookup_results
-    gpos = dk.gpos
     lk, slot, n_keys, blob, image, cm = _lookup_matches(
         table, batch, idx, dk, looks, "key"
     )
-    PENDING, TOMB, SHADOW = E.FLAG_PENDING, E.FLAG_TOMBSTONE, E.FLAG_SHADOW
+    TOMB, SHADOW = E.FLAG_TOMBSTONE, E.FLAG_SHADOW
     vhead = E.gather_field(image, cm.pos + 24, "<i8")
     unborn = E.key_entry_unborn(cm.flags, vhead)
     first = np.searchsorted(cm.key, np.arange(n_keys))
@@ -239,103 +298,40 @@ def _answer_lookups_mv(
         cm, first, ((cm.flags & (TOMB | SHADOW)) != 0) & ~unborn,
         ((cm.flags & TOMB) != 0) | unborn,
     )
-
-    # every shown entry's value list, newest node first
     vis = np.flatnonzero(shows)
     (vpos, _, vlen, _), counts = walk_cpu_image(image, vhead[vis], "value")
-    lo = vpos + E.VALUE_NODE_HEADER
-    values = [blob[a:b] for a, b in zip(lo.tolist(), (lo + vlen).tolist())]
-    of_key = np.repeat(cm.key[vis], counts)
-    n_nodes = np.bincount(of_key, minlength=n_keys)
-    node_bytes = np.bincount(
-        of_key, weights=E.VALUE_NODE_HEADER + vlen, minlength=n_keys
-    ).astype(np.int64)
 
-    clean = lk[~dirty[lk]]
-    ck = slot[gpos[clean]]
-    tally.probe_steps += int((probes[ck] + n_nodes[ck] + A[clean]).sum())
-    tally.bytes_touched += int((nbytes[ck] + node_bytes[ck] + S[clean]).sum())
-    hi = np.cumsum(n_nodes)  # a key's nodes: shown entries newest first
-    lo_l, hi_l = (hi - n_nodes).tolist(), hi.tolist()
-    results.update(
-        (i, values[lo_l[k]:hi_l[k]][::-1])
-        for i, k in zip(idx[clean].tolist(), ck.tolist())
+    ops = batch.ops[idx]
+    is_del = ops == OP_DELETE
+    adds = ran & ~is_del & (ops != OP_LOOKUP)  # an upsert appends a value
+    close = made & is_del | buried
+    if batch.update_policy == "replace":
+        close |= made & (ops == OP_UPDATE)
+    # an unborn SHADOW entry closes its key once the batch's first write
+    # to the key gives it a value
+    newest = newest_matches(cm.key)
+    newest = newest[unborn[newest] & ((cm.flags[newest] & SHADOW) != 0)]
+    unborn_shadow = np.zeros(len(slot), dtype=bool)
+    unborn_shadow[np.flatnonzero(slot >= 0)[cm.key[newest]]] = True
+    born = np.zeros(len(idx), dtype=bool)
+    born[dk.sub] = st.untouched & unborn_shadow[st.key]
+    r = _reads(dk, st, looks, slot, adds, close | born & adds & ~made, made,
+               creator, cm, first, probes, nbytes, A, S)
+
+    old = slice(None, None, -1)  # keys descending, oldest node first
+    lo, hi = _pre_blocks(np.repeat(cm.key[vis], counts)[old], n_keys, r)
+    node = E.VALUE_NODE_HEADER + vpos[old]
+    rec = idx[r.added]
+    # every node read: one probe, its header and value bytes
+    pre_b = np.concatenate(([0], np.cumsum(E.VALUE_NODE_HEADER + vlen[old])))
+    add_b = np.concatenate(([0], np.cumsum(
+        E.VALUE_NODE_HEADER + batch.val_lens[rec].astype(np.int64))))
+    tally.probe_steps += int(
+        (r.probe + hi - lo).sum() + (r.ahi - r.alo).sum())
+    tally.bytes_touched += int(
+        (r.nbytes + pre_b[hi] - pre_b[lo]).sum()
+        + (add_b[r.ahi] - add_b[r.alo]).sum())
+    _list_answers(
+        batch.lookup_results, idx, r, _slices(blob, node, node + vlen[old]),
+        lo, hi, _value_bytes(batch, rec),
     )
-
-    stale = lk[dirty[lk]]
-    if not len(stale):
-        return
-    # replay: each such key's ops, in order, over its same-key entries
-    # newest first -- [values oldest first, flags, making op or -1, match,
-    # no value yet]
-    wrote = np.zeros(len(dk.starts), dtype=bool)
-    wrote[gpos[stale]] = True
-    sub = dk.sub
-    j_s = sub[(ran & wrote[gpos])[sub]]  # their ops that ran, key-major
-    rec = idx[j_s]
-    vals = [
-        row[:n].tobytes()
-        for row, n in zip(batch.values[rec], batch.val_lens[rec].tolist())
-    ]
-    ends = np.zeros(len(cm.key), dtype=np.int64)  # match -> its nodes
-    ends[vis] = np.cumsum(counts)
-    n_vals = np.zeros(len(cm.key), dtype=np.int64)
-    n_vals[vis] = counts
-    m_hi, m_lo = ends.tolist(), (ends - n_vals).tolist()
-    m_flags = cm.flags.tolist()
-    m_empty = (vhead == NULL).tolist()
-    m_at = cm.at.tolist()
-    m_cum = cm.cum.tolist()
-    n_chain, chain_bytes = cm.n_chain.tolist(), cm.chain_bytes.tolist()
-    first = first.tolist() + [len(m_flags)]
-    A_l, S_l = A.tolist(), S.tolist()
-    shadow = SHADOW if batch.update_policy == "replace" else 0
-    NODE = E.VALUE_NODE_HEADER
-    probe_steps = nbytes_sum = 0
-    key = -1
-    ents: list = []
-    for j, i, g, op, value, is_made, is_bur, is_dirty in zip(
-        j_s.tolist(), rec.tolist(), slot[gpos[j_s]].tolist(),
-        batch.ops[rec].tolist(), vals, made[j_s].tolist(),
-        buried[j_s].tolist(), dirty[j_s].tolist(),
-    ):
-        if g != key:
-            key = g
-            ents = [
-                [values[m_lo[p]:m_hi[p]][::-1], m_flags[p], -1, p, m_empty[p]]
-                for p in range(first[g], first[g + 1])
-            ]
-        if op == OP_LOOKUP:
-            if not is_dirty:
-                continue
-            shown = []
-            steps, nb = A_l[j] + n_chain[g], S_l[j] + chain_bytes[g]
-            for vs, flags, c, p, empty in ents:
-                if empty and not flags & TOMB:  # unborn
-                    continue
-                if not flags & TOMB:
-                    shown.append(vs)
-                if flags & (TOMB | SHADOW):  # the closing match ends the walk
-                    if c >= 0:
-                        steps, nb = A_l[j] - A_l[c], S_l[j] - S_l[c]
-                    else:
-                        steps, nb = A_l[j] + m_at[p] + 1, S_l[j] + m_cum[p]
-                    break
-            out = [v for vs in reversed(shown) for v in vs]
-            probe_steps += steps + len(out)
-            nbytes_sum += nb + NODE * len(out) + sum(map(len, out))
-            results[i] = out
-        elif op == OP_DELETE:
-            if is_made:
-                ents.insert(0, [[], TOMB, j, -1, True])
-            elif is_bur:  # a pinned key that dies stops pinning
-                ents[0][1] = ents[0][1] & ~PENDING | TOMB
-        else:
-            if is_made:
-                ents.insert(0, [[], shadow if op == OP_UPDATE else 0, j, -1, True])
-            newest = ents[0]
-            newest[0].append(value)
-            newest[1] &= ~PENDING
-            newest[4] = False
-    tally.probe_steps += probe_steps
-    tally.bytes_touched += nbytes_sum

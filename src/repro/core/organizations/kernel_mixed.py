@@ -27,6 +27,7 @@ from repro.core.organizations.kernel_front import (
     _latest_before,
     _link_heads,
     _link_value_lists,
+    _run_starts,
     _stable_order,
 )
 from repro.core.organizations.kernel_lookup import (
@@ -226,11 +227,9 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
     looks = ran & is_lk
     if looks.any():
         muts.lookups += int(looks.sum())
-        dirty = np.empty(m, dtype=bool)  # an earlier op wrote the same key
-        dirty[sub] = ~st.untouched
         _answer_lookups(
-            table, batch, idx, dk, comb, looks, dirty, ran, made, inplace,
-            buried, A, S, tally,
+            table, batch, idx, dk, st, comb, looks, made, inplace, buried,
+            creator, A, S, tally,
         )
 
     # -- allocate: the request stream the loop would issue ---------------
@@ -261,7 +260,8 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
             t = target[over]
             nflags[t[t < m]] |= E.GFLAG_SHADOW
             rflags[t[t >= m] - m] |= E.GFLAG_SHADOW
-            final = np.r_[t[1:] != t[:-1], True]  # last overwrite per entry
+            # the last overwrite of each entry
+            final = np.concatenate((t[1:] != t[:-1], [True]))
             t, over = t[final], over[final]
             new = t < m
             source[t[new]] = over[new]
@@ -276,7 +276,7 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
         ups = sub[(ran & is_up)[sub]]  # upserts that ran, key-major
         if len(ups):
             t = target[ups]
-            runs = np.flatnonzero(np.r_[True, t[1:] != t[:-1]])
+            runs = np.flatnonzero(_run_starts(t))
             t = t[runs]
             seeded = t >= m  # runs that start on a resident hit
             g = t[seeded] - m
@@ -455,11 +455,9 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     looks = ran & is_lk
     if looks.any():
         muts.lookups += int(looks.sum())
-        dirty = np.empty(m, dtype=bool)  # an earlier op wrote the same key
-        dirty[sub] = ~st.untouched
         _answer_lookups_mv(
-            table, batch, idx, dk, looks, dirty, ran, made, buried, A, S,
-            tally,
+            table, batch, idx, dk, st, looks, ran, made, buried, creator, A,
+            S, tally,
         )
 
     # -- allocate: the request stream the loop would issue ---------------
@@ -487,7 +485,7 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     ups = sub[appended[sub]]  # upserts that ran, key-major
     if len(ups):
         t = target[ups]
-        first = np.r_[True, t[1:] != t[:-1]]
+        first = _run_starts(t)
         onto_hit = t >= m
         g = t[onto_hit] - m
         head_gpu = np.full(len(ups), NULL, dtype=np.int64)
@@ -503,7 +501,8 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
             arena, bulk.slot[row] * page_size + bulk.offset[row],
             vnext_gpu, vnext_cpu, batch.values[idx[ups]], vlens[ups],
         )
-        last = np.r_[first[1:], True]  # each entry's new list head
+        # each entry's new list head
+        last = np.concatenate((first[1:], [True]))
         t, node_gpu, node_cpu = t[last], node_gpu[last], node_cpu[last]
         new = t < m
         new_vhead_gpu[t[new]] = node_gpu[new]
@@ -550,11 +549,11 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     # a key page serves one bucket group and only the last op a group runs
     # in the call can pin, so on any segment the clears come first
     n_cleared = int(cleared.sum())
-    segs = np.r_[
+    segs = np.concatenate((
         res.hit_addr[cleared] // page_size,
         res.hit_addr[pinned_hit] // page_size,
         bulk.segment[at[kreq[pinned_new]]],
-    ]
+    ))
     org._settle_pending(heap, segs, np.arange(len(segs)) >= n_cleared)
 
     # new key entries: linked newest-first per bucket, written once with

@@ -36,7 +36,8 @@ def _splice_resident(table) -> int:
         gpu = addr[stayed] + (slot[stayed] - seg[stayed]) * page_size
         first = _run_starts(chain)
         w64 = heap.pool.arena.view(np.int64)
-        w64[gpu >> 3] = np.r_[np.where(first[1:], NULL, gpu[1:]), NULL]
+        w64[gpu >> 3] = np.concatenate(
+            (np.where(first[1:], NULL, gpu[1:]), [NULL]))
         w64[(gpu >> 3) + 2] = NULL
         buckets.head_gpu[bs[chain[first]]] = gpu[first]
         for s in np.unique(seg[stayed]).tolist():

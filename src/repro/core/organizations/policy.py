@@ -48,8 +48,12 @@ IMPLS = ("vectorized", "slow_reference")
 #: mixed-op batches of at least this many ops run the batched kernel under
 #: ``impl="vectorized"``; smaller ones run the loop, whose per-op cost is
 #: lower than the kernel's fixed cost of a few hundred numpy dispatches
-#: (the ``mixed_sweep`` tier of BENCH_hostperf.json is the evidence)
-MIXED_KERNEL_MIN_OPS = 512
+#: and one walk of the looked-up chains.  Timed, the two meet here
+#: (0.81-1.26x at 256 ops, ahead everywhere from 384; the ``mixed_sweep``
+#: tier of BENCH_hostperf.json).  Counted, the kernel already runs fewer
+#: lines of ``repro`` at 32 ops: 1,685-2,798 a call against the loop's
+#: 2,466-5,561, in-stream lookups included.
+MIXED_KERNEL_MIN_OPS = 256
 
 
 @dataclass

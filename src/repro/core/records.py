@@ -89,7 +89,7 @@ class BatchGrouping:
         # composite quicksort key beats argsort(kind="stable") ~3x here
         order = (g * m + np.arange(m)).argsort()
         sg = g[order]
-        starts = np.flatnonzero(np.r_[True, sg[1:] != sg[:-1]])
+        starts = np.flatnonzero(np.concatenate(([True], sg[1:] != sg[:-1])))
         return order, starts
 
 
@@ -166,7 +166,7 @@ class BatchCache:
             if not eq.all():
                 has_collision = True
                 same[cand[~eq]] = False
-        boundary = np.r_[True, ~same]
+        boundary = np.concatenate(([True], ~same))
         # Groups come out in hash order; ids go in (bucket, hash) order, so
         # rank the groups by bucket with a stable sort of one row each.
         by_bucket = np.argsort(bids[order[boundary]], kind="stable")

@@ -9,7 +9,6 @@ directory the application builds groups citing patents under each cited key.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["generate_patent_citations"]
@@ -28,6 +27,8 @@ def generate_patent_citations(
     bytes_per_line = 16.0
     n_edges = max(1, int(size_bytes / bytes_per_line))
     n_nodes = max(citations_per_patent + 1, n_edges // citations_per_patent)
+    import networkx as nx  # on use: not every importer of the package
+
     g = nx.barabasi_albert_graph(n_nodes, citations_per_patent, seed=seed)
     rng = np.random.default_rng(seed)
     base = 4_000_000  # USPTO-style 7-digit ids

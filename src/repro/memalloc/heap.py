@@ -17,6 +17,7 @@ allocated -- that is what makes the paper's dual-pointer scheme possible.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -24,6 +25,8 @@ import numpy as np
 from repro.gpusim.memory import DeviceMemory
 from repro.memalloc.address import NULL, decode, encode
 from repro.memalloc.pages import Page, PageKind, PagePool
+
+_SLOT = attrgetter("slot")
 
 __all__ = ["GpuHeap"]
 
@@ -260,13 +263,24 @@ class GpuHeap:
 
         This is the dual-pointer payoff in its most regular form: the
         finished table's bulk reader follows ``*_cpu`` pointers through it
-        with plain gathers and no residency lookups.  Stored segments pass
-        through :meth:`segment_view`, so with integrity on each is
-        verified exactly once, before a single pointer is read out of it.
+        with plain gathers and no residency lookups.  Segments are read as
+        :meth:`segment_view` reads them, so with integrity on each stored
+        one is verified exactly once, in id order, before a single pointer
+        is read out of it; the join list itself is built by C-level maps,
+        with no Python frame per segment.
         """
-        return b"".join(
-            self.segment_view(seg) for seg in range(self._next_segment)
+        resident = self._resident
+        if self.integrity is not None:
+            check = self.integrity.check_read
+            for seg in range(self._next_segment):
+                if seg not in resident:
+                    check(self, seg)
+        rows = self.pool.arena.reshape(-1, self.page_size)
+        parts = dict(self._store)
+        parts.update(
+            zip(resident, map(rows.__getitem__, map(_SLOT, resident.values())))
         )
+        return b"".join(map(parts.__getitem__, range(self._next_segment)))
 
     def note_write(self, segment: int) -> None:
         """Record an in-place write to a *resident* page.

@@ -136,3 +136,19 @@ def test_isolated_cycle_recovered():
     unitigs = assemble_unitigs(table)
     assert len(unitigs) == 1
     assert len(unitigs[0]) == len(seq) + k - 1 - 1 or len(unitigs[0]) >= len(seq)
+
+
+def test_importing_the_apps_leaves_networkx_unloaded():
+    """networkx is imported by the two functions that use it, so the
+    applications and the key-value workloads do not pay for it."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "import sys, repro.apps; sys.exit('networkx' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0

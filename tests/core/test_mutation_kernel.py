@@ -216,10 +216,13 @@ def what_happened(run):
 
 def assert_identical(a, b, f64=False):
     if f64:  # NaN-free here: compare the bits, not the rounded repr
-        bits = lambda t: {
-            k: struct.pack("<d", v) for k, v in t["table"].result().items()
-        }
+        pack = lambda v: None if v is None else struct.pack("<d", v)
+        bits = lambda t: {k: pack(v) for k, v in t["table"].result().items()}
         assert bits(a) == bits(b)
+        answers = lambda r: [
+            {i: pack(v) for i, v in d.items()} for d in r["lookups"]
+        ]
+        assert answers(a) == answers(b)
     assert_mut_identical(a, b)
     assert a["table"].alloc.stats == b["table"].alloc.stats
     np.testing.assert_array_equal(
@@ -436,6 +439,56 @@ def test_value_denied_leaves_a_half_applied_op(case):
     assert sorted(table.result()[key]) == sorted(after)
 
 
+@pytest.mark.parametrize("case", ["insert-new-key", "append-to-hit", "replace"])
+def test_lookups_around_the_retry_that_completes_an_unborn_entry(case):
+    """The half-applied op of :func:`test_value_denied_leaves_a_half_applied_op`
+    retried at the head of its batch, with lookups of the key after each
+    of its writes: the retry that gives the ``PENDING`` entry its value (a
+    ``replace`` one's ``SHADOW`` then closes the key), an append, a
+    ``replace`` update, a delete, a re-insert that needs a new key entry.
+    Against the dict model too."""
+    extra, policy = {
+        "insert-new-key": ((OP_INSERT, b"k9999", b"new"), "append"),
+        "append-to-hit": ((OP_INSERT, b"k0001", b"new"), "append"),
+        "replace": ((OP_UPDATE, b"k0001", b"new"), "replace"),
+    }[case]
+    key = extra[1]
+    look = (OP_LOOKUP, key, b"")
+    batch = [extra, look, (OP_INSERT, key, b"app"), look,
+             (OP_UPDATE, key, b"upd"), look, (OP_DELETE, key, b""), look,
+             (OP_INSERT, b"k0002", b"x"), look, (OP_INSERT, key, b"re"), look]
+
+    def driver(kind, impl, spec):
+        """the fill, then the batch pass by pass to completion"""
+        table = GpuHashTable(
+            1, make_org(kind, impl), GpuHeap(2 * 256, 256), group_size=1
+        )
+        fill, batch = (mut_batch(kind, t, policy) for t in spec)
+        assert table.mutate_batch(fill).success.all()
+        out = {"masks": [], "tallies": [], "stats": [], "calls": []}
+        pending = np.arange(len(batch))
+        for _ in range(8):
+            entry_failed = table.alloc.failed_groups
+            res = table.mutate_batch(batch, pending)
+            out["masks"].append(res.success)
+            out["tallies"].append(res.tally)
+            out["stats"].append(res.stats)
+            out["calls"].append((batch, pending, entry_failed, res.success,
+                                 pending_keys(table)))
+            pending = pending[~res.success]
+            table.end_iteration()
+            if not len(pending):
+                break
+        out.update(table=table, census=table.check_invariants(),
+                   lookups=[dict(batch.lookup_results)])
+        return out
+
+    a = both("multi-valued", [VALUE_PAGE_FULL, batch], driver=driver)
+    assert {"denied-value", "lookup-after-write"} <= what_happened(a)
+    assert a["lookups"][0] == model_lookups(
+        "multi-valued", policy, VALUE_PAGE_FULL, [], batch)
+
+
 def test_delete_of_a_pending_key_unpins_its_page():
     """A pure-insert batch leaves ``k0001`` ``PENDING`` (its last value
     was refused); a mutation batch that deletes the key before the insert
@@ -537,38 +590,117 @@ def test_lookup_after_same_key_writes_in_one_batch(kind):
         (OP_INSERT, k[3], val(25)), (OP_DELETE, k[3], val(0)), look(k[3]),
         look(k[4]),                                      # clean, for contrast
     ]
-    heap = dict(heap_bytes=8 * 256, page_size=256, n_buckets=2, group_size=2)
+    for policy in POLICIES[kind]:
+        a = over_evicted(kind, policy, older, resident, probe)
+        assert a["lookups"][-1] == model_lookups(
+            kind, policy, older, resident, probe)
 
-    def driver(policy):
-        def run(kind, impl, spec, **kw):
-            """evict ``older``; keep ``resident`` and ``probe`` in one pass"""
-            first = run_mutations(kind, impl, spec[:1], **kw)
-            table = first["table"]
-            out = {"masks": [], "tallies": [], "stats": [], "lookups": []}
-            for triples in spec[1:]:
-                batch = mut_batch(kind, triples, policy)
-                res = table.mutate_batch(batch)
-                assert res.success.all()
-                out["masks"].append(res.success)
-                out["tallies"].append(res.tally)
-                out["stats"].append(res.stats)
-                out["lookups"].append(dict(batch.lookup_results))
-            out.update(table=table, census=table.check_invariants())
-            return out
-        return run
 
+POLICIES = {"basic": ("append",), "combining": ("append",),
+            "multi-valued": ("append", "replace")}
+#: two buckets over eight pages: room for every batch in one pass
+OVER_EVICTED = dict(heap_bytes=8 * 256, page_size=256, n_buckets=2,
+                    group_size=2)
+
+
+def over_evicted(kind, policy, older, resident, probe, combiner=SUM_I64):
+    """``older`` run to completion and evicted, then ``resident`` and
+    ``probe`` in one pass, each in one kernel call: the second's lookups
+    read the first's entries resident and ``older``'s evicted.  Both
+    impls, held identical."""
+    def run(kind, impl, spec, **kw):
+        table = run_mutations(kind, impl, spec[:1], combiner=combiner,
+                              **kw)["table"]
+        out = {"masks": [], "tallies": [], "stats": [], "lookups": []}
+        for triples in spec[1:]:
+            batch = mut_batch(kind, triples, policy, combiner)
+            res = table.mutate_batch(batch)
+            assert res.success.all()
+            out["masks"].append(res.success)
+            out["tallies"].append(res.tally)
+            out["stats"].append(res.stats)
+            out["lookups"].append(dict(batch.lookup_results))
+        out.update(table=table, census=table.check_invariants())
+        return out
+
+    return both(kind, [older, resident, probe], driver=run,
+                f64=combiner is SUM_F64, **OVER_EVICTED)
+
+
+def model_lookups(kind, policy, older, resident, probe):
+    """The dict model's answers to ``probe``'s lookups, by op of ``probe``."""
     from repro.core import model_for_ops
 
-    comb = SUM_I64 if kind == "combining" else None
     offset = len(older) + len(resident)
-    policies = ("append", "replace") if kind == "multi-valued" else ("append",)
-    for policy in policies:
-        a = both(kind, [older, resident, probe], driver=driver(policy), **heap)
-        _, want = model_for_ops(
-            older + resident + probe, kind=kind, combiner=comb,
-            update_policy=policy,
-        )
-        assert a["lookups"][-1] == {i - offset: v for i, v in want.items()}
+    _, want = model_for_ops(
+        older + resident + probe, kind=kind,
+        combiner=SUM_I64 if kind == "combining" else None,
+        update_policy=policy,
+    )
+    return {i - offset: v for i, v in want.items()}
+
+
+@pytest.mark.parametrize("kind", ["basic", "combining", "multi-valued"])
+def test_lookups_on_both_sides_of_an_in_place_write_and_a_delete(kind):
+    """Each key has two copies before the batch (one evicted, one
+    resident, both live) and is read before and after every write of one
+    batch: an in-place write (basic: an equal-width overwrite, which
+    shadows; combining: a combine into the resident copy; multi-valued:
+    an append to it), a delete that buries the pre-batch newest copy, a
+    delete that buries a copy the batch made, a delete of a key the batch
+    had already killed."""
+    val = lambda v: value(kind, v)
+    k = [b"key-%d" % i for i in range(4)]
+    look = lambda key: (OP_LOOKUP, key, val(0))
+    older = [(OP_INSERT, key, val(i)) for i, key in enumerate(k)]
+    resident = [(OP_INSERT, key, val(10 + i)) for i, key in enumerate(k)]
+    probe = [
+        look(k[0]), (OP_UPDATE, k[0], val(20)), look(k[0]),
+        (OP_INSERT, k[0], val(21)), look(k[0]),
+        (OP_DELETE, k[0], val(0)), look(k[0]),
+        look(k[1]), (OP_DELETE, k[1], val(0)), look(k[1]),
+        (OP_DELETE, k[1], val(0)), look(k[1]),
+        (OP_INSERT, k[1], val(22)), look(k[1]),
+        (OP_UPDATE, k[1], val(23)), look(k[1]),
+        (OP_DELETE, k[1], val(0)), look(k[1]),
+        look(k[2]), (OP_INSERT, k[2], val(24)), look(k[2]),
+        (OP_UPDATE, k[2], val(25)), look(k[2]),
+        look(k[3]),
+    ]
+    for policy in POLICIES[kind]:
+        a = over_evicted(kind, policy, older, resident, probe)
+        assert a["lookups"][-1] == model_lookups(
+            kind, policy, older, resident, probe)
+        m = a["table"].mutations
+        assert m.deletes_inplace >= 3 and (
+            kind == "multi-valued" and policy == "replace"
+            or m.updates_inplace >= 2)
+
+
+def test_f64_lookups_fold_in_the_loop_order():
+    """``SUM_F64`` lookups over keys with two live copies before the batch
+    and in-place combines between the lookups, at magnitudes where the
+    order of the adds decides the bits: the answer is the oldest copy
+    folded with the newest one, itself folded with every combine before
+    the lookup, as the loop reads the table."""
+    k = [b"f-%d" % i for i in range(3)]
+    look = lambda key: (OP_LOOKUP, key, 0.0)
+    older = [(OP_INSERT, key, 1e16 * (i + 1)) for i, key in enumerate(k)]
+    resident = [(OP_INSERT, key, 1.0 + i) for i, key in enumerate(k)]
+    probe = []
+    for r, key in enumerate(k):
+        probe += [look(key), (OP_UPDATE, key, -1e16 * (r + 1)), look(key),
+                  (OP_INSERT, key, 0.5), (OP_INSERT, key, 2.0 ** -40),
+                  look(key), (OP_DELETE, key, 0.0), look(key),
+                  (OP_INSERT, key, 3.0), (OP_INSERT, key, 1e-17), look(key)]
+    a = over_evicted("combining", "append", older, resident, probe,
+                     combiner=SUM_F64)
+    got = a["lookups"][-1]
+    # old . (((resident . update) . insert) . insert), not the left fold
+    # of the values in arrival order
+    assert got[5] == 1e16 + (1.0 - 1e16 + 0.5 + 2.0 ** -40) == 0.0
+    assert 1e16 + 1.0 - 1e16 + 0.5 + 2.0 ** -40 != 0.0
+    assert got[7] is None and got[10] == 3.0 + 1e-17
 
 
 def test_width_changing_basic_updates():
@@ -664,6 +796,14 @@ def _drop_shadow(real):
     return write_key_entries_bulk
 
 
+def _in_place_onto_a_new_entry(real):
+    def reads(dk, st, looks, slot, add, close, made, *rest):
+        # an append to an existing entry read as one to a new shadow
+        close = close | add & ~made
+        return real(dk, st, looks, slot, add, close, made, *rest)
+    return reads
+
+
 MV_FAULTS = {
     "cut the group one request late": (
         BucketGroupAllocator, "plan_page_takes", _cut_one_request_late),
@@ -675,6 +815,8 @@ MV_FAULTS = {
         kernel_lookup, "match_cpu_chains", _unborn_entries_match),
     "drop SHADOW on a replace-made entry": (
         E, "write_key_entries_bulk", _drop_shadow),
+    "apply an in-place append to a new entry": (
+        kernel_lookup, "_reads", _in_place_onto_a_new_entry),
 }
 
 
@@ -689,6 +831,14 @@ def _mv_cases_that_fail():
         lambda: test_several_groups_fail_inside_one_batch("multi-valued"))
     cases["lookup after write"] = (
         lambda: test_lookup_after_same_key_writes_in_one_batch("multi-valued"))
+    cases["lookups around an in-place write"] = lambda: (
+        test_lookups_on_both_sides_of_an_in_place_write_and_a_delete(
+            "multi-valued"))
+    cases.update({
+        f"lookups around the retry {c}": lambda c=c: (
+            test_lookups_around_the_retry_that_completes_an_unborn_entry(c))
+        for c in ("insert-new-key", "append-to-hit", "replace")
+    })
     failed = []
     for name, case in cases.items():
         try:

@@ -1,9 +1,10 @@
 """Perf gates that count instead of time, in lines of :mod:`repro` run.
 
-Each gate compares two counts taken on one interpreter by :func:`flat` or
-:func:`fraction`, each bound at least 2x from what was measured (the
-table in docs/testing.md), and :data:`GATES` pairs it with a planted
-fault -- the loop run where the batched path should -- that must fail it.
+Each gate compares two counts taken on one interpreter by :func:`flat`,
+:func:`per_op` or :func:`fraction`, each bound at least 2x from what was
+measured (the table in docs/testing.md), and :data:`GATES` pairs it with a
+planted fault -- the loop run where the batched path should -- that must
+fail it.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import repro.core.lookup as lookup_mod
 from repro.apps import ALL_APPS
-from repro.core import GpuHashTable, OP_LOOKUP, RecordBatch, SepoDriver
+from repro.core import GpuHashTable, RecordBatch, SepoDriver
 from repro.core.hashtable import merge_chain_items
 from repro.core.lookup import LookupDriver
 from repro.core.organizations import oracle, policy
@@ -34,6 +35,14 @@ def flat(small: int, big: int, what: str) -> None:
     """The count does not grow with the batch: 8x the input, under 2x."""
     if not big < 2 * small:
         raise GateFailed(f"{what}: {small:,} -> {big:,} for 8x the input")
+
+
+def per_op(small: int, big: int, added: int, k: int, what: str) -> None:
+    """The ``added`` inputs between two counts run at most ``k`` lines
+    each."""
+    if not big - small <= k * added:
+        raise GateFailed(
+            f"{what}: {small:,} -> {big:,} lines, over {k} per added input")
 
 
 def fraction(batched: int, loop: int, k: int, what: str) -> None:
@@ -110,16 +119,15 @@ def result_gate():
 
 
 def mixed_gate():
-    """A lookup-free mixed-op batch on a fresh table (with lookups the
-    kernel's count grows: docs/cost_model.md, "What a count found")."""
+    """A mixed-op batch on a fresh table, its in-stream lookups included
+    (docs/cost_model.md, "What a count found in the kernel")."""
     for kind in KINDS:
         def mutate(n):
-            ops = seeded_ops(42, n, n // 8, kind)
-            batch = mut_batch(kind, [op for op in ops if op[0] != OP_LOOKUP])
+            batch = mut_batch(kind, seeded_ops(42, n, n // 8, kind))
             t = table(kind)
             return lines(lambda: t.mutate_batch(batch))
 
-        flat(mutate(1024), mutate(8192), kind)
+        per_op(mutate(1024), mutate(8192), 7168, 1, kind)
 
 
 def lookup_gate():
