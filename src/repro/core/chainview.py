@@ -84,8 +84,8 @@ _RESOLVE_PAIRS = 1 << 18
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 #: live walks a level-synchronous round needs to beat the per-node loop:
-#: a round is ~a dozen numpy dispatches whatever its width, a loop step
-#: well under a microsecond
+#: a round is 5 (image) to 10 (arena) numpy dispatches whatever its
+#: width, a loop step well under a microsecond
 _ROUND_MIN_LIVE = 32
 
 
@@ -202,12 +202,13 @@ class _Layout(NamedTuple):
     """How the walker reads one kind of linked node.
 
     Every kind keeps ``next_cpu`` at byte 8 and two u32 fields side by
-    side further in; the walker gathers them as raw ``(u, v)`` columns and
+    side in one 8-aligned word further in; the walker gathers that word
+    once, splits it into raw ``(u, v)`` columns (``u`` the low half) and
     :attr:`decode` turns those into ``(klen, vlen, flags)``.
     """
 
     header: int  # bytes in front of the node's payload
-    word: int  # u32 index, from the node start, of ``u`` (``v`` follows)
+    word: int  # int64 index, from the node start, of the (u, v) word
     decode: Callable
 
 
@@ -218,31 +219,44 @@ def _zeros(col):
 _LAYOUTS = {
     # u = klen word (flags in its top bits), v = vlen
     "generic": _Layout(
-        E.ENTRY_HEADER, 4,
+        E.ENTRY_HEADER, 2,
         lambda u, v: (u & np.int64(E.GKLEN_MASK), v, u & _GFLAG_BITS),
     ),
     # multi-valued key entries: u = klen, v = flags
-    "key": _Layout(E.KEY_ENTRY_HEADER, 8, lambda u, v: (u, _zeros(u), v)),
+    "key": _Layout(E.KEY_ENTRY_HEADER, 4, lambda u, v: (u, _zeros(u), v)),
     # value nodes: u = vlen, v = pad
     "value": _Layout(
-        E.VALUE_NODE_HEADER, 4, lambda u, v: (_zeros(u), u, _zeros(u))
+        E.VALUE_NODE_HEADER, 2, lambda u, v: (_zeros(u), u, _zeros(u))
     ),
 }
 
+#: the low half of an int64 word
+_U32 = np.int64(0xFFFFFFFF)
 
-def _walk(buf, heads, layout, base, page_size):
+#: the offset-table entry of a segment that is not resident: any address
+#: plus it is negative, so one sign test tells a walk it has left the arena
+_ABSENT = np.int64(-1 << 62)
+
+
+def _walk(buf, heads, layout, offset, page_size):
     """The level-synchronous walker behind every bulk chain read.
 
     Walks the linked nodes starting at each of ``heads`` (``NULL`` heads
     are empty chains) through ``buf``, a uint8 array, under one of two
-    address translations.  With ``base`` -- byte position in ``buf`` of
-    every segment, ``-1`` when absent -- a walk *blocks* where it leaves
-    the mapped segments (the GPU arena under the residency map).  With
-    ``base=None`` a CPU address *is* the byte offset (the flat CPU-side
-    image) and no walk can block.
+    address translations.  With ``offset`` -- per segment, what a CPU
+    address in it adds to become its byte position in ``buf``, or
+    :data:`_ABSENT` where the segment is not mapped -- a walk *blocks*
+    where it leaves the mapped segments (the GPU arena under the residency
+    map).  With ``offset=None`` a CPU address *is* the byte offset (the
+    flat CPU-side image) and no walk can block.  Either way only the
+    addresses are kept and scattered: through the image they are the
+    positions too, in the arena the positions are translated from them
+    once more, all together, at the end.
 
-    One round steps every live walk to its next node with a handful of
-    gathers.  That pays only while many walks are live: under
+    One round steps every live walk to its next node: a resident round
+    translates with a floor-divide, a gather, an add and a sign test, then
+    steps with a shift, a gather, a test and two compressions; an image
+    round only steps.  That pays only while many walks are live: under
     :data:`_ROUND_MIN_LIVE` the few long ones finish one node at a time.
     Either way only the pointers are chased; the nodes' other fields are
     gathered once, for all of them, at the end.
@@ -254,77 +268,80 @@ def _walk(buf, heads, layout, base, page_size):
     """
     heads = np.asarray(heads, dtype=np.int64)
     nc = len(heads)
-    w64 = buf.view(np.int64)
+    image = offset is None
+    nxt64 = buf.view(np.int64)[1:]  # a node's next_cpu: nxt64[pos >> 3]
     ci = np.flatnonzero(heads != NULL)
     cur = heads[ci]
     blocked = np.full(nc, -1, dtype=np.int64), np.full(nc, NULL, dtype=np.int64)
-    # per batch of visited nodes: chain index, rank in chain, address,
-    # byte position
-    parts: list[tuple] = []
-    depth = 0
+    # per round, then the tail: the walks stepped and their addresses
+    walks: list[np.ndarray] = []
+    addrs: list[np.ndarray] = []
     while len(cur) >= _ROUND_MIN_LIVE:
         pos = cur
-        if base is not None:
+        if not image:
             seg = cur // page_size
-            at = base[seg]
-            dead = at < 0
+            pos = cur + offset[seg]
+            dead = pos < 0
             if dead.any():
                 blocked[0][ci[dead]] = seg[dead]
                 blocked[1][ci[dead]] = cur[dead]
                 live = ~dead
-                ci, cur, seg, at = ci[live], cur[live], seg[live], at[live]
-            pos = at + (cur - seg * page_size)
-        parts.append((ci, np.full(len(ci), depth), cur, pos))
-        depth += 1
-        nxt = w64[(pos >> 3) + 1]
+                ci, cur, pos = ci[live], cur[live], pos[live]
+        walks.append(ci)
+        addrs.append(cur)
+        nxt = nxt64[pos >> 3]
         alive = nxt != NULL
         ci, cur = ci[alive], nxt[alive]
+    rounds = len(walks)
+    rank = np.repeat(np.arange(rounds), [len(w) for w in walks])
 
     if len(cur):
-        m64 = memoryview(buf).cast("q")
-        at = None if base is None else base.tolist()
+        # the few long walks, node by node: one list of addresses
+        step = memoryview(nxt64)
         t_addr: list[int] = []
-        t_pos: list[int] = []
+        append = t_addr.append
         lens = []
-        for c, addr in zip(ci.tolist(), cur.tolist()):
-            before = len(t_addr)
-            while addr != NULL:
-                pos = addr
-                if at is not None:
-                    seg, off = divmod(addr, page_size)
-                    if at[seg] < 0:
+        if image:
+            for addr in cur.tolist():
+                before = len(t_addr)
+                while addr != NULL:
+                    append(addr)
+                    addr = step[addr >> 3]
+                lens.append(len(t_addr) - before)
+        else:
+            off = offset.tolist()
+            for c, addr in zip(ci.tolist(), cur.tolist()):
+                before = len(t_addr)
+                while addr != NULL:
+                    seg = addr // page_size
+                    pos = addr + off[seg]
+                    if pos < 0:
                         blocked[0][c], blocked[1][c] = seg, addr
                         break
-                    pos = at[seg] + off
-                t_addr.append(addr)
-                t_pos.append(pos)
-                addr = m64[(pos >> 3) + 1]
-            lens.append(len(t_addr) - before)
+                    append(addr)
+                    addr = step[pos >> 3]
+                lens.append(len(t_addr) - before)
+        # a tail node's rank: the rounds, then its place in its chain's run
         first = np.cumsum(lens) - lens
-        parts.append((
-            np.repeat(ci, lens),
-            depth + np.arange(len(t_addr)) - np.repeat(first, lens),
-            np.array(t_addr, dtype=np.int64),
-            np.array(t_pos, dtype=np.int64),
+        rank = np.concatenate((
+            rank, rounds + np.arange(len(t_addr)) - np.repeat(first, lens)
         ))
+        walks.append(np.repeat(ci, lens))
+        addrs.append(np.array(t_addr, dtype=np.int64))
 
-    if not parts:
+    if not walks:
         empty = np.zeros(0, dtype=np.int64)
         return (empty,) * 5, np.zeros(nc, dtype=np.int64), blocked
-    ci_all, rank, addr, pos = (np.concatenate(col) for col in zip(*parts))
+    ci_all = np.concatenate(walks)
     counts = np.bincount(ci_all, minlength=nc)
     # chain-major reassembly: a node's row is its chain's first row plus
     # its rank in the walk
     dest = (np.cumsum(counts) - counts)[ci_all] + rank
-    addr_s = np.empty_like(addr)
-    pos_s = np.empty_like(pos)
-    addr_s[dest] = addr
-    pos_s[dest] = pos
-    p4 = (pos_s >> 2) + layout.word
-    w32 = buf.view(np.uint32)
-    fields = layout.decode(
-        w32[p4].astype(np.int64), w32[p4 + 1].astype(np.int64)
-    )
+    addr_s = np.empty(len(dest), dtype=np.int64)
+    addr_s[dest] = np.concatenate(addrs)
+    pos_s = addr_s if image else addr_s + offset[addr_s // page_size]
+    uv = buf.view(np.int64)[layout.word:][pos_s >> 3]
+    fields = layout.decode(uv & _U32, (uv >> 32) & _U32)
     return (addr_s, pos_s, *fields), counts, blocked
 
 
@@ -422,9 +439,13 @@ def walk_resident(heap, heads, kind: str):
     """:func:`_walk` through the GPU arena under the residency map, one
     walk per head (``"value"`` heads are multi-valued value lists); a walk
     blocks where its chain leaves the resident segments."""
+    ps = heap.page_size
     slot = heap.resident_slot_map()
-    base = np.where(slot < 0, -1, slot * heap.page_size)
-    return _walk(heap.pool.arena, heads, _LAYOUTS[kind], base, heap.page_size)
+    # per segment: slot * page_size - seg * page_size, the sentinel if absent
+    offset = np.where(
+        slot < 0, _ABSENT, (slot - np.arange(len(slot))) * ps
+    )
+    return _walk(heap.pool.arena, heads, _LAYOUTS[kind], offset, ps)
 
 
 def walk_cpu_image(image: np.ndarray, heads, kind: str):

@@ -44,17 +44,20 @@ def fnv1a_batch(keys: np.ndarray, key_lens: np.ndarray) -> np.ndarray:
     if n and int(key_lens.max()) > width:
         raise ValueError("a key length exceeds the matrix width")
     h = np.full(n, FNV_OFFSET, dtype=np.uint64)
-    lens = key_lens.astype(np.int64)
-    full = int(lens.min()) if n else 0
-    with np.errstate(over="ignore"):  # uint64 wraparound is the algorithm
-        # columns where every key is still live: no mask, no gather/scatter
-        for col in range(full):
-            h ^= keys[:, col].astype(np.uint64)
-            h *= FNV_PRIME
-        # ragged columns: step every row, keep the step where the key is
-        # still live (cheaper than gathering and scattering the live rows)
-        for col in range(full, int(lens.max()) if n else 0):
-            step = h ^ keys[:, col]
-            step *= FNV_PRIME
-            np.copyto(h, step, where=lens > col)
+    if not n:
+        return h
+    # array integer arithmetic wraps silently: the uint64 wraparound is
+    # the algorithm, and every step writes into ``h`` or ``step`` in place
+    full = int(key_lens.min())
+    # columns where every key is still live: no mask, no gather/scatter
+    for col in range(full):
+        np.bitwise_xor(h, keys[:, col], out=h)
+        np.multiply(h, FNV_PRIME, out=h)
+    # ragged columns: step every row, keep the step where the key is still
+    # live (cheaper than gathering and scattering the live rows)
+    step = np.empty_like(h)
+    for col in range(full, int(key_lens.max())):
+        np.bitwise_xor(h, keys[:, col], out=step)
+        np.multiply(step, FNV_PRIME, out=step)
+        np.copyto(h, step, where=key_lens > col)
     return h

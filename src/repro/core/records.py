@@ -408,10 +408,13 @@ class RecordBatch:
 
         The shard partitioner (:func:`repro.bigkernel.partitioner.
         partition_by_shard`) splits batches with this.  Fancy indexing
-        copies, so the sub-batch owns writable arrays even while the parent
-        is frozen by an attached cache; ``input_bytes`` is recomputed from
-        the sub-batch's own staged payload so per-shard PCIe accounting sums
-        to (at most) the parent's.
+        copies, so the sub-batch owns its arrays; ``input_bytes`` is
+        recomputed from the sub-batch's own staged payload so per-shard
+        PCIe accounting sums to (at most) the parent's.  A row's hash is a
+        function of its key bytes alone, so the rows of a parent whose
+        hashes are computed arrive with them: the sub-batch's cache is
+        attached, seeded with those hashes, and its arrays are frozen
+        until :meth:`invalidate_cache` like any cached batch's.
         """
         idx = np.asarray(indices, dtype=np.int64)
         kwargs: dict = dict(
@@ -426,7 +429,17 @@ class RecordBatch:
             kwargs["values"] = self.values[idx]
             kwargs["val_lens"] = self.val_lens[idx]
         kwargs.update(self._take_extra(idx))
-        return type(self)(**kwargs)
+        sub = type(self)(**kwargs)
+        hashes = self._known_hashes()
+        if hashes is not None:
+            sub.cache._hashes = hashes[idx]
+        return sub
+
+    def _known_hashes(self) -> np.ndarray | None:
+        """The hashes the attached cache has computed, else ``None``
+        (never computes them, never attaches a cache)."""
+        cached = self.__dict__.get("_cache")
+        return None if cached is None else cached._hashes
 
     def _take_extra(self, idx: np.ndarray) -> dict:
         """Subclass hook: extra constructor kwargs for :meth:`take`."""
@@ -449,8 +462,10 @@ class RecordBatch:
         queue of small slices into one kernel launch: key/value matrices
         are zero-padded to the widest part, the per-row vectors are
         concatenated and ``input_bytes`` is summed, so the merged batch
-        costs one transfer of exactly the parts' bytes.  Parts must agree
-        on :attr:`concat_key`; a single part is returned as is.
+        costs one transfer of exactly the parts' bytes.  When every part's
+        hashes are computed the merged batch arrives with them, as
+        :meth:`take`'s sub-batches do.  Parts must agree on
+        :attr:`concat_key`; a single part is returned as is.
         """
         if not parts:
             raise ValueError("concat needs at least one batch")
@@ -478,7 +493,11 @@ class RecordBatch:
             kwargs["values"] = _stack_padded([p.values for p in parts])
             kwargs["val_lens"] = np.concatenate([p.val_lens for p in parts])
         kwargs.update(first._concat_extra(parts))
-        return type(first)(**kwargs)
+        merged = type(first)(**kwargs)
+        hashes = [p._known_hashes() for p in parts]
+        if all(h is not None for h in hashes):
+            merged.cache._hashes = np.concatenate(hashes)
+        return merged
 
     def _concat_extra(self, parts: Sequence["RecordBatch"]) -> dict:
         """Subclass hook: extra constructor kwargs for :meth:`concat`."""

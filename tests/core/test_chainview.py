@@ -9,6 +9,8 @@ retire every cached view -- and the stale-view detector the paranoid
 sanitizer runs (bulk vs scalar vs cached, field by field).
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,14 +106,43 @@ def scalar_resolve(heap, kind, header, heads, queries):
 # ----------------------------------------------------------------------
 # materializer parity: bulk level-sync gathers vs per-entry scalar walk
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("org_kind", ["basic", "combining", "multi-valued"])
-def test_bulk_matches_scalar_materializer(org_kind, monkeypatch):
+#: the walker's two halves forced in turn -- every node in a round, every
+#: node in the tail -- beside the default cut-over (rounds while enough
+#: walks are live, then the tail) the plain tests run
+FORCED = {"all-rounds": 1, "all-tail": 10**9}
+CUT_OVERS = {**FORCED, "default": chainview._ROUND_MIN_LIVE}
+
+#: enough keys that 64 buckets hold more chains than the default cut-over
+MORE_KEYS = [b"cv-more-%03d" % i for i in range(90)]
+
+
+def scalar_value_walk(heap, vhead):
+    """A value list's resident prefix, node by node: ``(addr, pos, vlen)``
+    per node and where the walk left residency (``None`` if it did not)."""
+    page_size = heap.page_size
+    nodes, addr = [], vhead
+    while addr != NULL:
+        seg, off = divmod(addr, page_size)
+        page = heap.resident_page(seg)
+        if page is None:
+            return nodes, (seg, addr)
+        buf = heap.pool.slot_view(page.slot)
+        _, nxt, vlen = E.read_value_node_header(buf, off)
+        nodes.append((addr, page.slot * page_size + off, vlen))
+        addr = nxt
+    return nodes, None
+
+
+def bulk_vs_scalar(org_kind, monkeypatch):
+    """Every chain of a part-evicted table parsed in bulk and entry by
+    entry, field by field; then first-match resolves against the per-entry
+    walks, and (multi-valued) every resident key entry's value list."""
     if org_kind == "combining":
         org, kind, header = (
             CombiningOrganization(SUM_I64), "generic", E.ENTRY_HEADER
         )
-        table, driver, _ = build(org)
-        stream = (KEYS + EDGE_KEYS) * 3
+        table, driver, _ = build(org, page_size=512, n_buckets=64)
+        stream = (KEYS + EDGE_KEYS + MORE_KEYS) * 3
         driver.run([RecordBatch.from_numeric(
             stream, np.ones(len(stream), dtype=np.int64)
         )])
@@ -124,18 +155,31 @@ def test_bulk_matches_scalar_materializer(org_kind, monkeypatch):
             MultiValuedOrganization() if org_kind == "multi-valued"
             else BasicOrganization()
         )
-        table, driver, _ = build(org)
-        insert(table, driver, PAIRS + EDGE_PAIRS)
-    page_in_all(table)
-    # evict one page again: every chain starting in it parses to an empty
-    # view blocked at its head
-    seg = next(iter(table.heap._resident))
-    table.heap.evict([table.heap._resident[seg]])
+        table, driver, _ = build(org, page_size=512, n_buckets=64)
+        more = [(k, b"more-%03d" % i) for i, k in enumerate(MORE_KEYS)]
+        # a second value per key in the same batch: multi-valued lists
+        # two nodes long
+        again = [(k, v + b"+") for k, v in PAIRS]
+        insert(table, driver, PAIRS + EDGE_PAIRS + more + again)
+    # every segment paged back in, newest first: each returns to the slot
+    # it was built in, so an evicted page's slot still holds its bytes at
+    # the page's own addresses -- what a walk that fails to block reads
+    for seg in sorted(table.heap._store, reverse=True):
+        assert table.heap.page_in(seg).slot == seg
     heads = table.buckets.head_cpu
     heads = [int(h) for h in heads[heads != NULL]]
-    assert heads, "populated table must have chains"
-    bulk = materialize_chains(table.heap, heads, kind)
-    assert any(v.n == 0 and v.blocked for v in bulk.values())
+    assert len(heads) > 32, "the default cut-over must run rounds"
+    # evict pages again until some chain is empty, blocked at its head, and
+    # some other one blocks after a resident prefix
+    for seg in sorted(table.heap._resident):
+        table.heap.evict([table.heap._resident[seg]])
+        bulk = materialize_chains(table.heap, heads, kind)
+        if any(v.n == 0 and v.blocked for v in bulk.values()) and any(
+            v.n and v.blocked for v in bulk.values()
+        ):
+            break
+    else:
+        raise AssertionError("no walk blocked both at and below its head")
     assert any(v.n > 1 for v in bulk.values())
     arena = table.heap.pool.arena
     for h in heads:
@@ -148,6 +192,28 @@ def test_bulk_matches_scalar_materializer(org_kind, monkeypatch):
             )
         for w in range(want.n):
             assert got.key_bytes(w) == want.key_bytes(w)
+
+    if kind == "key":
+        vheads = arena.view(np.int64)[(bulk.pos >> 3) + 3]
+        assert (vheads != NULL).all()
+        # and one value page evicted: the lists that start in it block
+        heap = table.heap
+        heap.evict([heap._resident[int(vheads[-1]) // heap.page_size]])
+        (addr, pos, _, vlens, _), counts, (bseg, baddr) = (
+            chainview.walk_resident(table.heap, vheads, "value")
+        )
+        ends = np.cumsum(counts)
+        lists = [
+            list(zip(*(c[e - n:e].tolist() for c in (addr, pos, vlens))))
+            for e, n in zip(ends, counts)
+        ]
+        want = [scalar_value_walk(table.heap, v) for v in vheads.tolist()]
+        assert lists == [nodes for nodes, _ in want]
+        assert [
+            (s, a) if s >= 0 else None
+            for s, a in zip(bseg.tolist(), baddr.tolist())
+        ] == [b for _, b in want]
+        assert max(counts) > 1 and any(b for _, b in want)
 
     # first-match resolve: every query against every chain (and an empty
     # bucket), with the batch key matrix wider and narrower than the
@@ -168,11 +234,57 @@ def test_bulk_matches_scalar_materializer(org_kind, monkeypatch):
             assert list(zip(*(c.tolist() for c in got_cols))) == want_rows
 
 
+ORG_KINDS = ["basic", "combining", "multi-valued"]
+
+
+@pytest.mark.parametrize("org_kind", ORG_KINDS)
+def test_bulk_matches_scalar_materializer(org_kind, monkeypatch):
+    bulk_vs_scalar(org_kind, monkeypatch)
+
+
+@pytest.mark.parametrize("forced", FORCED)
+@pytest.mark.parametrize("org_kind", ORG_KINDS)
+def test_bulk_matches_scalar_materializer_with_the_cut_over_forced(
+    org_kind, forced, monkeypatch
+):
+    monkeypatch.setattr(chainview, "_ROUND_MIN_LIVE", FORCED[forced])
+    bulk_vs_scalar(org_kind, monkeypatch)
+
+
+#: ``walk_resident``'s offset table as it stands, and without the sentinel
+#: that marks a segment absent: a walk that must block reads whatever the
+#: arena holds at the address instead (a stale slot)
+NO_SENTINEL = ("slot < 0, _ABSENT,", "slot < 0, 0,")
+
+
+@pytest.mark.parametrize("cut_over", CUT_OVERS)
+def test_bulk_parity_catches_a_walk_that_does_not_block(cut_over, monkeypatch):
+    sound, faulty = NO_SENTINEL
+    source = inspect.getsource(chainview.walk_resident)
+    assert source.count(sound) == 1, "walk_resident no longer reads this way"
+    scope: dict = {}
+    exec(source.replace(sound, faulty), vars(chainview), scope)
+    monkeypatch.setattr(chainview, "walk_resident", scope["walk_resident"])
+    monkeypatch.setattr(chainview, "_ROUND_MIN_LIVE", CUT_OVERS[cut_over])
+    with pytest.raises(AssertionError):
+        bulk_vs_scalar("basic", monkeypatch)
+
+
 def test_match_cpu_chains_matches_a_full_chain_walk(monkeypatch):
     """The all-match read behind in-stream lookups: every same-key entry
     of a key's *whole* chain -- evicted segments included, tombstones and
     shadows as flagged -- with the walk charge up to each, against a
     per-entry walk through ``segment_view``."""
+    cpu_chains_vs_a_full_chain_walk(monkeypatch)
+
+
+@pytest.mark.parametrize("forced", FORCED)
+def test_match_cpu_chains_with_the_cut_over_forced(forced, monkeypatch):
+    monkeypatch.setattr(chainview, "_ROUND_MIN_LIVE", FORCED[forced])
+    cpu_chains_vs_a_full_chain_walk(monkeypatch)
+
+
+def cpu_chains_vs_a_full_chain_walk(monkeypatch):
     table, driver, _ = build(heap_bytes=2 * 512, page_size=512, n_buckets=4)
     val = lambda i: b"val-%03d" % i
     for r in range(3):  # three iterations: duplicates across segments

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,3 +70,30 @@ def test_dispersion_over_buckets():
     buckets = fnv1a_batch(mat, lens) % np.uint64(256)
     counts = np.bincount(buckets.astype(np.int64), minlength=256)
     assert counts.max() < 4 * counts.mean()
+
+
+#: ragged widths on both sides of the all-live columns, the empty key,
+#: embedded, leading and trailing NULs
+RAGGED_KEYS = [
+    b"", b"\x00", b"a", b"a\x00", b"\x00a", b"ab\x00cd", b"abc\x00\x00",
+    b"x" * 17, b"y" * 3, b"\x00" * 9, b"\xff" * 5,
+]
+
+
+@pytest.mark.parametrize("keys", [
+    RAGGED_KEYS, RAGGED_KEYS[1:], [b"same-width"] * 3, [b""] * 4, [],
+])
+def test_batch_matches_scalar_on_ragged_empty_and_nul_keys(keys):
+    mat, lens = pack_byte_rows(keys)
+    assert fnv1a_batch(mat, lens).tolist() == [fnv1a(k) for k in keys]
+
+
+def test_batch_wraps_without_a_runtime_warning():
+    """uint64 wraparound is the algorithm: every column's multiply
+    overflows, and none of it may warn (the suite may run under
+    ``-W error``)."""
+    mat, lens = pack_byte_rows(RAGGED_KEYS * 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fnv1a_batch(mat, lens)
+        fnv1a_batch(mat[:1], lens[:1])  # a single row: still an array op

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core import RecordBatch
+from repro.core import RecordBatch, fnv1a_batch
 from repro.core.records import gather_spans, pack_byte_rows, pack_str_keys
 
 
@@ -277,3 +277,51 @@ def test_concat_mutation_batches_carry_ops_and_policy():
     for other in (appending, plain):
         with pytest.raises(ValueError, match="incompatible"):
             RecordBatch.concat([a, other])
+
+
+# ----------------------------------------------------------------------
+# hashes travel with their rows through take and concat
+# ----------------------------------------------------------------------
+def _hashed(pairs):
+    batch = RecordBatch.from_pairs(pairs)
+    batch.cache.hashes()
+    return batch
+
+
+def _fresh_hashes(batch):
+    return fnv1a_batch(batch.keys, batch.key_lens)
+
+
+def test_take_carries_computed_hashes():
+    parent = _hashed([(b"k%d" % i * (i % 4), b"v") for i in range(12)])
+    sub = parent.take(np.array([7, 0, 7, 3, 11]))
+    carried = sub.__dict__["_cache"]._hashes
+    assert carried is not None
+    assert carried.tolist() == _fresh_hashes(sub).tolist()
+    # a sub-batch of hashed rows is frozen like any cached batch
+    assert not sub.keys.flags.writeable
+    # a parent never hashed hands nothing on, and stays uncached
+    cold = RecordBatch.from_pairs([(b"a", b"1"), (b"b", b"2")])
+    assert "_cache" not in cold.take(np.array([1])).__dict__
+
+
+def test_concat_carries_hashes_only_when_every_part_has_them():
+    a = _hashed([(b"x", b"1"), (b"a-wider-key", b"2")])
+    b = _hashed([(b"", b"3")])
+    c = RecordBatch.from_pairs([(b"yy", b"4")])
+    merged = RecordBatch.concat([a, b])
+    assert merged.__dict__["_cache"]._hashes.tolist() == (
+        _fresh_hashes(merged).tolist()
+    )
+    assert "_cache" not in RecordBatch.concat([a, c]).__dict__
+
+
+def test_an_invalidated_mutated_sub_batch_rehashes():
+    parent = _hashed([(b"one", b"1"), (b"two", b"2"), (b"six", b"6")])
+    sub = parent.take(np.array([2, 0]))
+    stale = sub.cache.hashes().copy()
+    sub.invalidate_cache()
+    sub.keys[0, :3] = np.frombuffer(b"ten", dtype=np.uint8)
+    fresh = sub.cache.hashes()
+    assert fresh.tolist() == _fresh_hashes(sub).tolist()
+    assert fresh[0] != stale[0] and fresh[1] == stale[1]
