@@ -10,7 +10,9 @@ refill).  It composes
 * one of the three :mod:`~repro.core.organizations`,
 
 and reports every batch's cost statistics (:class:`~repro.gpusim.BatchStats`)
-so a :class:`~repro.gpusim.KernelModel` can charge simulated time.
+so a :class:`~repro.gpusim.KernelModel` can charge simulated time.  A host
+call is not a launch: :meth:`insert_run` inserts a run of chunks with one
+organization call and still returns each chunk's own statistics.
 
 The finished table is readable from the CPU side -- :meth:`cpu_items` walks
 the CPU pointer chains across resident and evicted segments alike, and
@@ -40,6 +42,7 @@ from repro.core.organizations import (
     Organization,
     segmented_exclusive_cumsum,
 )
+from repro.core.organizations.kernel_front import _slices
 from repro.core.records import RecordBatch
 from repro.gpusim.clock import CostCategory, CostLedger
 from repro.gpusim.kernel import BatchStats
@@ -48,7 +51,27 @@ from repro.memalloc.address import NULL
 from repro.memalloc.allocator import BucketGroupAllocator
 from repro.memalloc.heap import GpuHeap
 
-__all__ = ["GpuHashTable", "InsertResult"]
+__all__ = ["GpuHashTable", "InsertResult", "RUN_RECORDS", "run_fits"]
+
+#: records per organization call of a run of insert chunks
+#: (:meth:`GpuHashTable.insert_run`).  A call costs ~2 ms of numpy dispatch
+#: before its first record, so the SEPO passes and the CPU baseline join
+#: consecutive chunks up to this many records; the cap bounds the joined
+#: batch and the kernel's per-op columns.  Swept on the benchmark's
+#: ``apps_ltm`` pass (seed 0, 7 alternating runs of 3 passes, medians,
+#: CPython 3.11 on a 2-core container): 383.8 ms at 8,192 and 379.7 ms at
+#: 16,384 -- inside the noise -- while the largest call's tracemalloc
+#: transient doubles from 5.9 MB to 12.2 MB (``result()`` peaks at
+#: 17.8 MB).  8,192 keeps a call at a third of that.
+RUN_RECORDS = 8192
+
+
+def run_fits(head: RecordBatch, records: int, batch: RecordBatch, n: int) -> bool:
+    """May ``n`` rows of ``batch`` join a run of chunks that starts with
+    ``head`` and holds ``records`` rows?  Only batches that concat together,
+    and at most :data:`RUN_RECORDS` rows a call (a bigger chunk runs alone).
+    """
+    return records + n <= RUN_RECORDS and batch.concat_key == head.concat_key
 
 
 class InsertResult:
@@ -66,10 +89,6 @@ class InsertResult:
     @property
     def n_postponed(self) -> int:
         return len(self.success) - self.n_success
-
-
-def _slices(blob: bytes, lo: np.ndarray, hi: np.ndarray) -> list[bytes]:
-    return [blob[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
 
 
 def _key_groups(keys: list[bytes]):
@@ -262,23 +281,44 @@ class GpuHashTable:
 
         Returns the per-record success mask (aligned with ``indices``) and
         the batch's cost statistics for the kernel model.  The caller (the
-        SEPO driver) owns the pending bitmap and the time charging.
+        SEPO driver) owns the pending bitmap and the time charging.  The
+        run of :meth:`insert_run` with this batch alone.
         """
-        return self._apply(batch, indices, mutation=False)
+        return self.insert_run([(batch, indices)])[0]
 
-    def apply_batch(
-        self, batch: RecordBatch, indices: np.ndarray | None = None
-    ) -> InsertResult:
-        """Apply any batch: the SEPO driver's single dispatch point.
+    def insert_run(self, parts) -> list[InsertResult]:
+        """Insert a run of chunks with one organization call.
 
-        Pure-insert batches (including a :class:`MutationBatch` whose ops
-        are all inserts) take the legacy insert path -- no postponement
-        gate, pre-aggregated kernels fully engaged; mixed batches take the
-        gated mutation path.
+        ``parts`` are ``(batch, indices)`` pairs (``None``: every row) of
+        pure-insert batches that agree on
+        :attr:`~repro.core.records.RecordBatch.concat_key`.  Each batch's
+        rows are hashed in its own cache (reissues in later passes do not
+        re-hash), the selected rows are joined into one batch that carries
+        those hashes (one part is used as is) and inserted by one
+        :meth:`Organization.insert_indices` call, and the outcome comes
+        back as one :class:`InsertResult` per part: the mask, tally and
+        stats :meth:`insert_batch` of that part alone would have returned
+        after the parts before it.  That split is exact because pure
+        inserts are ungated: the insert loop over the joined rows is the
+        loop over the parts in sequence.
         """
-        if not batch.pure_insert:
-            return self.mutate_batch(batch, indices)
-        return self.insert_batch(batch, indices)
+        return self._apply(parts, mutation=False)
+
+    def apply_batch(self, parts) -> list[InsertResult]:
+        """Apply a run of batches: the SEPO driver's single dispatch point.
+
+        ``parts`` are ``(batch, indices)`` pairs.  Pure-insert batches
+        (including a :class:`MutationBatch` whose ops are all inserts) take
+        :meth:`insert_run` -- no postponement gate, pre-aggregated kernels
+        fully engaged; a mixed batch comes alone and takes the gated
+        mutation path.  Returns one :class:`InsertResult` per part.
+        """
+        batch, indices = parts[0]
+        if batch.pure_insert:
+            return self.insert_run(parts)
+        if len(parts) > 1:
+            raise ValueError("a mixed-op batch is applied on its own")
+        return [self.mutate_batch(batch, indices)]
 
     def mutate_batch(
         self, batch: MutationBatch, indices: np.ndarray | None = None
@@ -291,32 +331,60 @@ class GpuHashTable:
         deposited in ``batch.lookup_results`` keyed by batch-local record
         index.
         """
-        return self._apply(batch, indices, mutation=True)
+        return self._apply([(batch, indices)], mutation=True)[0]
 
-    def _apply(self, batch, indices, mutation: bool) -> InsertResult:
-        """The one body of :meth:`insert_batch` and :meth:`mutate_batch`:
-        they differ in the organization entry point and in the total the
-        successes are booked under."""
-        if indices is None:
-            indices = np.arange(len(batch))
-        tally = InsertTally()
-        if len(indices) == 0:
-            return InsertResult(np.zeros(0, dtype=bool), BatchStats(), tally)
-        # Hash the full batch once (memoized on the batch) and index into
-        # it: reissued pending subsets cost a gather, not a re-hash.
-        bucket_ids = batch.cache.bucket_ids(self.buckets)[indices]
-        org = self.org
-        apply = org.mutate_indices if mutation else org.insert_indices
-        success = apply(self, batch, indices, bucket_ids, tally)
-        if mutation:
-            self.total_mutated += tally.succeeded
+    def _apply(self, parts, mutation: bool) -> list[InsertResult]:
+        """The one body of :meth:`insert_run` and :meth:`mutate_batch`
+        (whose one part is gated): they differ in the organization entry
+        point and in the total the successes are booked under."""
+        parts = [
+            (b, np.arange(len(b)) if i is None else i) for b, i in parts
+        ]
+        # each batch hashed once (memoized on it) and indexed into:
+        # reissued pending subsets cost a gather, not a re-hash
+        bucket_ids = [b.cache.bucket_ids(self.buckets)[i] for b, i in parts]
+        bounds = np.cumsum([0] + [len(i) for _, i in parts])
+        tallies = [InsertTally() for _ in parts]
+        if not bounds[-1]:
+            return [
+                InsertResult(np.zeros(0, dtype=bool), BatchStats(), t)
+                for t in tallies
+            ]
+        if len(parts) == 1:
+            (batch, idx), buckets = parts[0], bucket_ids[0]
         else:
-            self.total_inserted += tally.succeeded
-        stats = self._stats_from(batch, indices, bucket_ids, tally)
-        self.total_postponed += tally.postponed
+            batch = RecordBatch.concat(
+                [b for b, _ in parts], [i for _, i in parts])
+            idx, buckets = np.arange(bounds[-1]), np.concatenate(bucket_ids)
+        if mutation:
+            success = self.org.mutate_indices(
+                self, batch, idx, buckets, tallies[0])
+        else:
+            success = self.org.insert_indices(
+                self, batch, idx, buckets, tallies, bounds)
+        if len(parts) > 1:
+            # the joined batch and its cache reference each other: break
+            # the cycle so its arrays go now, not at the next collection
+            batch.invalidate_cache()
+        for tally in tallies:
+            if mutation:
+                self.total_mutated += tally.succeeded
+            else:
+                self.total_inserted += tally.succeeded
+            self.total_postponed += tally.postponed
+        edges = bounds.tolist()
+        results = [
+            InsertResult(
+                success[lo:hi],
+                self._stats_from(b, i, bids, tally) if hi > lo else BatchStats(),
+                tally,
+            )
+            for (b, i), bids, tally, lo, hi in zip(
+                parts, bucket_ids, tallies, edges, edges[1:])
+        ]
         if self.sanitize == "paranoid":
             self.check_invariants()
-        return InsertResult(success, stats, tally)
+        return results
 
     def insert(self, key: bytes, value: Any) -> bool:
         """Scalar convenience insert; returns SUCCESS (True) / POSTPONE."""

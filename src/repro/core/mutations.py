@@ -135,23 +135,18 @@ class MutationBatch(RecordBatch):
         including exemption from the sticky-group postponement gate)."""
         return not (self.ops != OP_INSERT).any()
 
-    def _take_extra(self, idx: np.ndarray) -> dict:
-        """Carry op codes and the update policy into :meth:`~repro.core.
-        records.RecordBatch.take` sub-batches (lookup results start empty:
-        the sub-batch resolves its own, keyed by sub-batch-local index)."""
-        return {"ops": self.ops[idx], "update_policy": self.update_policy}
-
     @property
     def concat_key(self) -> tuple:
         """As the base class, plus the policy updates are applied under."""
         return super().concat_key + (self.update_policy,)
 
-    def _concat_extra(self, parts) -> dict:
+    def _concat_extra(self, parts, rows) -> dict:
         """Carry op codes and the update policy into :meth:`~repro.core.
-        records.RecordBatch.concat` (lookup results start empty, keyed by
-        merged row as the merged batch resolves them)."""
+        records.RecordBatch.concat` and :meth:`~repro.core.records.
+        RecordBatch.take` (lookup results start empty, keyed by merged row
+        as the merged batch resolves them)."""
         return {
-            "ops": np.concatenate([p.ops for p in parts]),
+            "ops": np.concatenate([p.ops[r] for p, r in zip(parts, rows)]),
             "update_policy": self.update_policy,
         }
 

@@ -8,6 +8,11 @@ kernels' sticky cut, so these are separate bodies on the same front
 :func:`_insert_combining` and :func:`_insert_multivalued` group the batch
 by distinct key and resolve each key once.  All three are bit-identical
 to the organizations' scalar loops run ungated, pool exhaustion included.
+
+Ungated, the loop over a run of chunks' rows is the loop over the chunks
+in sequence, so one kernel call may serve a run: each kernel builds its
+costs as per-op columns and :func:`_book` sums them per chunk, each
+chunk's tally what the chunk inserted alone would have booked.
 """
 
 from __future__ import annotations
@@ -27,7 +32,38 @@ from repro.memalloc.address import NULL
 from repro.memalloc.pages import KIND_CODES, PageKind
 
 
-def _insert_basic(table, batch, idx, buckets, tally):
+def _book(tallies, bounds, ok, cycles, touched, probe, alloc_at, alloc_groups):
+    """Book one kernel call's per-op cost columns into one tally per part.
+
+    Part ``p`` is ops ``bounds[p]:bounds[p + 1]``; each of its counters is
+    the sum of a column over those ops: ``ok`` (the success mask),
+    ``cycles``, ``touched`` and ``probe`` (None: no probes).  An
+    allocation is booked to the op that requested it: ``alloc_at``
+    (nondecreasing) holds that op per granted request and
+    ``alloc_groups`` its bucket group.  Cycle columns are integer-valued,
+    so a part's ``table_cycles`` is the float its own call would sum.
+    """
+    lo, hi = bounds[:-1], bounds[1:]
+
+    def per_part(col):
+        acc = np.concatenate(([0], np.cumsum(col)))
+        return (acc[hi] - acc[lo]).tolist()
+
+    n_ok, cyc, byt = per_part(ok), per_part(cycles), per_part(touched)
+    prb = per_part(probe) if probe is not None else [0] * len(tallies)
+    cut = np.searchsorted(alloc_at, bounds).tolist()
+    for p, tally in enumerate(tallies):
+        m = int(hi[p] - lo[p])
+        tally.attempted += m
+        tally.succeeded += n_ok[p]
+        tally.postponed += m - n_ok[p]
+        tally.probe_steps += prb[p]
+        tally.bytes_touched += byt[p]
+        tally.table_cycles += float(cyc[p])
+        tally.alloc_groups.extend(alloc_groups[cut[p]:cut[p + 1]])
+
+
+def _insert_basic(table, batch, idx, buckets, tallies, bounds):
     """Batched basic insert: bulk-reserve, slab-write, scatter chain heads.
 
     No per-record Python work: allocation space for the whole batch is
@@ -44,7 +80,6 @@ def _insert_basic(table, batch, idx, buckets, tally):
         raise ValueError("batch carries numeric values")
     heap = table.heap
     group_size = table.buckets.group_size
-    m = len(idx)
     klens = batch.key_lens[idx].astype(np.int64)
     vlens = batch.val_lens[idx].astype(np.int64)
     sizes = E.entry_sizes_bulk(klens, vlens)
@@ -56,19 +91,13 @@ def _insert_basic(table, batch, idx, buckets, tally):
     bucket_order = _stable_order(buckets)
     bulk = table.alloc.allocate_many(groups, sizes, PageKind.GENERIC)
     ok = bulk.ok
-    n_ok = int(ok.sum())
-    tally.attempted += m
-    # 3 * klen + 30 per record: integer-valued floats, so any summation
-    # order is exact and matches the scalar accumulation bit for bit.
-    tally.table_cycles += float(
-        HASH_CYCLES_PER_BYTE * int(klens.sum()) + INSERT_CYCLES * m
+    _book(
+        tallies, bounds, ok,
+        HASH_CYCLES_PER_BYTE * klens + INSERT_CYCLES,
+        np.where(ok, sizes + 16, 0), None, np.flatnonzero(ok), groups[ok],
     )
-    tally.succeeded += n_ok
-    tally.postponed += m - n_ok
-    if n_ok == 0:
+    if not ok.any():
         return ok
-    tally.bytes_touched += int((sizes[ok] + 16).sum())
-    tally.alloc_groups.extend(groups[ok])
 
     sel = bucket_order[ok[bucket_order]]  # successes in (bucket, arrival) order
     next_gpu, next_cpu = _link_heads(
@@ -90,7 +119,9 @@ def _insert_basic(table, batch, idx, buckets, tally):
     return ok
 
 
-def _insert_combining(table, batch, idx, buckets, tally, grouping, comb):
+def _insert_combining(
+    table, batch, idx, buckets, tallies, bounds, grouping, comb
+):
     """Batched combining insert via in-batch pre-aggregation: one probe +
     one combine per distinct key, scalar-exact tallies.
 
@@ -148,28 +179,18 @@ def _insert_combining(table, batch, idx, buckets, tally, grouping, comb):
         res, buckets, klens, made, creator, E.ENTRY_HEADER
     )
     hit_res = (res.hit >= 0)[gpos]
-    hit_new = creator >= 0
-    r_ins = ins[gpos]
-    n_hits = int(hit_res.sum()) + int(hit_new.sum())
-    n_miss = m - n_hits
-    n_post = int((~hit_res & ~r_ins).sum())
-    tally.attempted += m
-    tally.succeeded += m - n_post
-    tally.postponed += n_post
-    tally.probe_steps += int(probe.sum())
-    tally.bytes_touched += (
-        int(walk_bytes.sum())
-        + 2 * comb.value_size * n_hits
-        + int((sizes[okpos] + 16).sum())
-    )
-    # integer-valued floats (supports_vector_reduce guarantees integer
+    hits = hit_res | (creator >= 0)
+    touched = walk_bytes + 2 * comb.value_size * hits
+    alloc_at = req_first[okpos]  # each entry, booked to its key's first op
+    touched[alloc_at] += sizes[okpos] + 16
+    # integer-valued cycles (supports_vector_reduce guarantees integer
     # comb.cycles), so any summation order matches the scalar path
-    tally.table_cycles += float(
-        HASH_CYCLES_PER_BYTE * int(klens.sum())
-        + comb.cycles * n_hits
-        + INSERT_CYCLES * n_miss
+    _book(
+        tallies, bounds, hit_res | ins[gpos],
+        HASH_CYCLES_PER_BYTE * klens
+        + np.where(hits, comb.cycles, INSERT_CYCLES),
+        touched, probe, alloc_at, rgroups[okpos],
     )
-    tally.alloc_groups.extend(rgroups[okpos])
 
     # fold every key's values in arrival order, a resident hit's onto
     # the scalar it already stores
@@ -210,10 +231,12 @@ def _insert_combining(table, batch, idx, buckets, tally, grouping, comb):
     for seg in np.unique(res.hit_addr[hit_g] // page_size).tolist():
         heap.note_write(seg)
 
-    return hit_res | r_ins
+    return hit_res | ins[gpos]
 
 
-def _insert_multivalued(table, batch, idx, buckets, tally, grouping, org):
+def _insert_multivalued(
+    table, batch, idx, buckets, tallies, bounds, grouping, org
+):
     """Batched multi-valued insert: the closed form of the insert loop of
     organization ``org``, pool exhaustion included; returns None, having
     mutated nothing, when it does not apply (a request larger than a
@@ -402,18 +425,10 @@ def _insert_multivalued(table, batch, idx, buckets, tally, grouping, org):
         res, buckets, klens, *dk.first_creates(present & ~is_hit),
         E.KEY_ENTRY_HEADER,
     )
-    n_ok = int(vok.sum())
-    tally.attempted += m
-    tally.succeeded += n_ok
-    tally.postponed += m - n_ok
-    tally.table_cycles += float(
-        HASH_CYCLES_PER_BYTE * int(klens.sum()) + INSERT_CYCLES * m
+    touched = walk_bytes + np.where(vok, vsizes + 16, 0)
+    touched[made] += ksizes[made] + 16
+    _book(
+        tallies, bounds, vok, HASH_CYCLES_PER_BYTE * klens + INSERT_CYCLES,
+        touched, probe, np.repeat(np.arange(m), nreq)[ok], req_groups[ok],
     )
-    tally.probe_steps += int(probe.sum())
-    tally.bytes_touched += (
-        int(walk_bytes.sum())
-        + int((vsizes[vok] + 16).sum())
-        + int((ksizes[made] + 16).sum())
-    )
-    tally.alloc_groups.extend(req_groups[ok])
     return vok

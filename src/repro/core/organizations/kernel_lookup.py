@@ -24,7 +24,7 @@ from repro.core.chainview import (
     walk_cpu_image,
 )
 from repro.core.mutations import OP_DELETE, OP_LOOKUP, OP_UPDATE
-from repro.core.organizations.kernel_front import _latest_before
+from repro.core.organizations.kernel_front import _latest_before, _slices
 
 
 def _lookup_matches(table, batch, idx, dk, looks, kind):
@@ -75,12 +75,6 @@ def _ranges(lo, n):
     order."""
     ends = np.cumsum(n)
     return np.arange(ends[-1] if len(n) else 0) + np.repeat(lo - ends + n, n)
-
-
-def _slices(seq, lo, hi) -> list:
-    """``[seq[a:b] for a, b in zip(lo, hi)]`` without a Python frame per
-    slice."""
-    return list(map(seq.__getitem__, map(slice, lo.tolist(), hi.tolist())))
 
 
 def _value_bytes(batch, rec) -> list:

@@ -172,6 +172,9 @@ class Organization:
     #: every cycle constant this organization charges is integer-valued, so
     #: a batch's ``table_cycles`` may be summed in any order
     _integer_cycles = True
+    #: :meth:`should_halt` may stop a pass mid-input, so the driver checks
+    #: it after every chunk (and gives each chunk a call of its own)
+    halts = False
     #: a pure insert walks its bucket's chain, so its kernel needs the
     #: closed form.  The basic method's prepends without looking: its
     #: kernel has none to lose and runs whatever :meth:`_closed_form` says
@@ -211,29 +214,53 @@ class Organization:
         batch: "RecordBatch",
         idx: np.ndarray,
         buckets: np.ndarray,
-        tally: InsertTally,
+        tallies: list[InsertTally],
+        bounds: np.ndarray,
     ) -> np.ndarray:
         """Insert ``batch[idx]``: returns the success mask (``False`` =
-        POSTPONE) and accumulates cost statistics in ``tally``.
+        POSTPONE) and accumulates cost statistics per part: ``bounds``
+        (k + 1 offsets into ``idx``) cut the call into k parts, and part
+        ``p`` books into ``tallies[p]`` what its rows alone would have
+        booked inserted after the parts before it.
 
         ``vectorized`` runs the organization's insert kernel where
         :meth:`_closed_form` holds and the table holds no tombstones (a
         probing kernel resolves a key to its newest copy and takes it for
         live); a kernel may still decline, having mutated nothing, by
-        returning None.  Everything else -- and ``slow_reference``, always
-        -- is the scalar loop run ungated.
+        returning None, and the parts then run one by one, each by the
+        kernel or the loop.  Everything else -- and ``slow_reference``,
+        always -- is the scalar loop run ungated, part by part.
         """
-        if self.impl == "vectorized":
-            grouping = None
-            if self._insert_probes and table.alloc.stats.entries_tombstoned == 0:
-                grouping = self._closed_form(table, batch)
-            if grouping is not None or not self._insert_probes:
-                done = self._insert_kernel(
-                    table, batch, idx, buckets, tally, grouping
-                )
-                if done is not None:
-                    return done
-        return self._scalar_loop(table, batch, idx, buckets, tally, gated=False)
+        done = self._insert_kernel_run(
+            table, batch, idx, buckets, tallies, bounds)
+        if done is not None:
+            return done
+        masks = []
+        edges = bounds.tolist()
+        for tally, lo, hi in zip(tallies, edges, edges[1:]):
+            part, pb = idx[lo:hi], buckets[lo:hi]
+            done = None
+            if len(tallies) > 1 and hi > lo:
+                done = self._insert_kernel_run(
+                    table, batch, part, pb, [tally], np.array([0, hi - lo]))
+            if done is None:
+                done = self._scalar_loop(
+                    table, batch, part, pb, tally, gated=False)
+            masks.append(done)
+        return np.concatenate(masks)
+
+    def _insert_kernel_run(self, table, batch, idx, buckets, tallies, bounds):
+        """The insert kernel over ``batch[idx]`` where ``vectorized`` may
+        run it, else (or when it declines) None, having mutated nothing."""
+        if self.impl != "vectorized":
+            return None
+        grouping = None
+        if self._insert_probes and table.alloc.stats.entries_tombstoned == 0:
+            grouping = self._closed_form(table, batch)
+        if grouping is None and self._insert_probes:
+            return None
+        return self._insert_kernel(
+            table, batch, idx, buckets, tallies, bounds, grouping)
 
     def mutate_indices(
         self,
@@ -330,6 +357,7 @@ class BasicOrganization(Organization):
     """Duplicate keys stored as separate entries; halts at 50% failed groups."""
 
     kind = "basic"
+    halts = True
     _insert_probes = False
     _scalar_loop = basic_loop
 
@@ -361,8 +389,9 @@ class BasicOrganization(Organization):
             ]
         return []
 
-    def _insert_kernel(self, table, batch, idx, buckets, tally, grouping):
-        return _insert_basic(table, batch, idx, buckets, tally)
+    def _insert_kernel(self, table, batch, idx, buckets, tallies, bounds,
+                       grouping):
+        return _insert_basic(table, batch, idx, buckets, tallies, bounds)
 
     def _mutate_kernel(self, table, batch, idx, buckets, tally):
         return _mutate_generic(table, batch, idx, buckets, tally, None)
@@ -408,9 +437,11 @@ class CombiningOrganization(Organization):
             and batch.numeric_values.dtype == comb.dtype
         )
 
-    def _insert_kernel(self, table, batch, idx, buckets, tally, grouping):
+    def _insert_kernel(self, table, batch, idx, buckets, tallies, bounds,
+                       grouping):
         return _insert_combining(
-            table, batch, idx, buckets, tally, grouping, self.combiner
+            table, batch, idx, buckets, tallies, bounds, grouping,
+            self.combiner,
         )
 
     def _mutate_kernel(self, table, batch, idx, buckets, tally):
@@ -459,9 +490,10 @@ class MultiValuedOrganization(Organization):
             ]
         return []
 
-    def _insert_kernel(self, table, batch, idx, buckets, tally, grouping):
+    def _insert_kernel(self, table, batch, idx, buckets, tallies, bounds,
+                       grouping):
         return _insert_multivalued(
-            table, batch, idx, buckets, tally, grouping, self
+            table, batch, idx, buckets, tallies, bounds, grouping, self
         )
 
     def _mutate_kernel(self, table, batch, idx, buckets, tally):

@@ -283,7 +283,10 @@ def gather_spans(buf, starts, lens) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stack_padded(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack padded uint8 row matrices, zero-padded to the widest."""
+    """Stack padded uint8 row matrices, zero-padded to the widest (one
+    matrix is returned as is)."""
+    if len(mats) == 1:
+        return mats[0]
     out = np.zeros(
         (sum(m.shape[0] for m in mats), max(m.shape[1] for m in mats)),
         dtype=np.uint8,
@@ -407,43 +410,20 @@ class RecordBatch:
         """A fresh batch holding rows ``indices``, in the given order.
 
         The shard partitioner (:func:`repro.bigkernel.partitioner.
-        partition_by_shard`) splits batches with this.  Fancy indexing
+        partition_by_shard`) splits batches with this: :meth:`concat` of
+        this batch alone with ``indices`` as its rows.  Fancy indexing
         copies, so the sub-batch owns its arrays; ``input_bytes`` is
         recomputed from the sub-batch's own staged payload so per-shard
-        PCIe accounting sums to (at most) the parent's.  A row's hash is a
-        function of its key bytes alone, so the rows of a parent whose
-        hashes are computed arrive with them: the sub-batch's cache is
-        attached, seeded with those hashes, and its arrays are frozen
-        until :meth:`invalidate_cache` like any cached batch's.
+        PCIe accounting sums to (at most) the parent's, and rows whose
+        hashes are computed arrive with them.
         """
-        idx = np.asarray(indices, dtype=np.int64)
-        kwargs: dict = dict(
-            keys=self.keys[idx],
-            key_lens=self.key_lens[idx],
-            parse_cycles=self.parse_cycles,
-            divergence=self.divergence,
-        )
-        if self.numeric_values is not None:
-            kwargs["numeric_values"] = self.numeric_values[idx]
-        else:
-            kwargs["values"] = self.values[idx]
-            kwargs["val_lens"] = self.val_lens[idx]
-        kwargs.update(self._take_extra(idx))
-        sub = type(self)(**kwargs)
-        hashes = self._known_hashes()
-        if hashes is not None:
-            sub.cache._hashes = hashes[idx]
-        return sub
+        return RecordBatch.concat([self], [np.asarray(indices, dtype=np.int64)])
 
     def _known_hashes(self) -> np.ndarray | None:
         """The hashes the attached cache has computed, else ``None``
         (never computes them, never attaches a cache)."""
         cached = self.__dict__.get("_cache")
         return None if cached is None else cached._hashes
-
-    def _take_extra(self, idx: np.ndarray) -> dict:
-        """Subclass hook: extra constructor kwargs for :meth:`take`."""
-        return {}
 
     # ------------------------------------------------------------------
     @property
@@ -455,22 +435,28 @@ class RecordBatch:
         return (type(self), dtype, self.parse_cycles, self.divergence)
 
     @staticmethod
-    def concat(parts: Sequence["RecordBatch"]) -> "RecordBatch":
-        """One batch holding every row of ``parts``, in order.
+    def concat(
+        parts: Sequence["RecordBatch"],
+        rows: Sequence[np.ndarray] | None = None,
+    ) -> "RecordBatch":
+        """One batch holding every row of ``parts``, in order -- or, with
+        ``rows``, rows ``rows[p]`` of part ``p`` (in that order).
 
-        The inverse of :meth:`take`, and how the request router turns a
-        queue of small slices into one kernel launch: key/value matrices
-        are zero-padded to the widest part, the per-row vectors are
-        concatenated and ``input_bytes`` is summed, so the merged batch
-        costs one transfer of exactly the parts' bytes.  When every part's
-        hashes are computed the merged batch arrives with them, as
-        :meth:`take`'s sub-batches do.  Parts must agree on
-        :attr:`concat_key`; a single part is returned as is.
+        How the request router turns a queue of small slices into one
+        kernel launch, how the table joins a run of chunks into one
+        organization call, and (one part with rows) :meth:`take`: key/value
+        matrices are zero-padded to the widest part and the per-row
+        vectors are concatenated.  Whole parts sum their ``input_bytes``,
+        so the merged batch costs one transfer of exactly the parts'
+        bytes; selected rows count their own staged payload.  When every
+        part's hashes are computed the merged batch arrives with them.
+        Parts must agree on :attr:`concat_key`; a single whole part is
+        returned as is.
         """
         if not parts:
             raise ValueError("concat needs at least one batch")
         first = parts[0]
-        if len(parts) == 1:
+        if len(parts) == 1 and rows is None:
             return first
         key = first.concat_key
         for part in parts:
@@ -478,29 +464,39 @@ class RecordBatch:
                 raise ValueError(
                     f"cannot concat incompatible batches: {part.concat_key} != {key}"
                 )
+        whole = rows is None
+        if whole:
+            rows = [slice(None)] * len(parts)
+
+        def joined(name):
+            return np.concatenate(
+                [getattr(p, name)[r] for p, r in zip(parts, rows)])
+
         kwargs: dict = dict(
-            keys=_stack_padded([p.keys for p in parts]),
-            key_lens=np.concatenate([p.key_lens for p in parts]),
-            input_bytes=sum(p.input_bytes for p in parts),
+            keys=_stack_padded([p.keys[r] for p, r in zip(parts, rows)]),
+            key_lens=joined("key_lens"),
             parse_cycles=first.parse_cycles,
             divergence=first.divergence,
         )
+        if whole:
+            kwargs["input_bytes"] = sum(p.input_bytes for p in parts)
         if first.numeric_values is not None:
-            kwargs["numeric_values"] = np.concatenate(
-                [p.numeric_values for p in parts]
-            )
+            kwargs["numeric_values"] = joined("numeric_values")
         else:
-            kwargs["values"] = _stack_padded([p.values for p in parts])
-            kwargs["val_lens"] = np.concatenate([p.val_lens for p in parts])
-        kwargs.update(first._concat_extra(parts))
+            kwargs["values"] = _stack_padded(
+                [p.values[r] for p, r in zip(parts, rows)])
+            kwargs["val_lens"] = joined("val_lens")
+        kwargs.update(first._concat_extra(parts, rows))
         merged = type(first)(**kwargs)
         hashes = [p._known_hashes() for p in parts]
         if all(h is not None for h in hashes):
-            merged.cache._hashes = np.concatenate(hashes)
+            merged.cache._hashes = np.concatenate(
+                [h[r] for h, r in zip(hashes, rows)])
         return merged
 
-    def _concat_extra(self, parts: Sequence["RecordBatch"]) -> dict:
-        """Subclass hook: extra constructor kwargs for :meth:`concat`."""
+    def _concat_extra(self, parts, rows) -> dict:
+        """Subclass hook: extra constructor kwargs for :meth:`concat`
+        (part ``p`` contributes its rows ``rows[p]``)."""
         return {}
 
     def key_bytes(self, i: int) -> bytes:

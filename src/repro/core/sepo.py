@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.bigkernel.pipeline import BigKernelPipeline
 from repro.core.bitmap import PendingBitmap
-from repro.core.hashtable import GpuHashTable
+from repro.core.hashtable import GpuHashTable, run_fits
 from repro.core.records import RecordBatch
 from repro.gpusim.kernel import KernelModel
 from repro.gpusim.pcie import PCIeBus
@@ -159,16 +159,21 @@ class SepoDriver:
     ) -> IterationRecord:
         """One pass over every still-pending record (no rearrangement).
 
-        ``limit`` caps the pending records attempted per batch -- the
-        graceful-degradation "chunk shrinking" rung, which bounds the
-        per-pass allocation burst on a starved heap.
+        Consecutive pure-insert chunks of an organization that never halts
+        are inserted by one table call (:func:`~repro.core.hashtable.
+        run_fits` says how many); every chunk is still charged as its own
+        launch, in order.  ``limit`` caps the pending records attempted
+        per batch -- the graceful-degradation "chunk shrinking" rung,
+        which bounds the per-pass allocation burst on a starved heap.
         """
-        ledger = self.table.ledger
+        table = self.table
         rec = IterationRecord(index=state.iteration)
         self.pipeline.begin_pass()
         if state.active is None:
             state.active = list(range(len(batches)))
         still_active: list[int] = []
+        run: list[tuple[int, np.ndarray]] = []  # (chunk, pending) to insert
+        records = 0
         for ai, ci in enumerate(state.active):
             batch, start = batches[ci], state.starts[ci]
             pending = state.bitmap.pending_in(int(start), int(start) + len(batch))
@@ -180,30 +185,52 @@ class SepoDriver:
                     state.released[ci] = True
                 continue
             still_active.append(ci)
-            if self.table.gate_refuses(batch):
+            if limit is not None and pending.size > limit:
+                pending = pending[:limit]
+            fuses = batch.pure_insert and not table.org.halts
+            if run and not (
+                fuses and run_fits(batches[run[0][0]], records, batch, pending.size)
+            ):
+                # a run holds fusing chunks only: its organization never halts
+                self._apply_run(batches, state, run, rec)
+                run, records = [], 0
+            if table.gate_refuses(batch):
                 # what the gate would do, for free: no transfer, no launch,
                 # every record pending for the next pass
                 continue
-            if limit is not None and pending.size > limit:
-                pending = pending[:limit]
-            local = pending - int(start)
+            run.append((ci, pending))
+            records += pending.size
+            if fuses:
+                continue
+            self._apply_run(batches, state, run, rec)
+            run, records = [], 0
+            if table.should_halt():
+                rec.halted_early = True
+                # unvisited chunks stay active for the next pass
+                still_active.extend(state.active[ai + 1:])
+                break
+        if run:
+            self._apply_run(batches, state, run, rec)
+        state.active = still_active
+        return rec
+
+    def _apply_run(self, batches, state: RunState, run, rec) -> None:
+        """One table call over ``run``'s (chunk, pending) pairs, then per
+        chunk, in order: its launch, its transfer, its bitmap bits."""
+        ledger = self.table.ledger
+        results = self.table.apply_batch(
+            [(batches[ci], pending - int(state.starts[ci])) for ci, pending in run]
+        )
+        for (ci, pending), result in zip(run, results):
+            batch = batches[ci]
             before = ledger.elapsed
-            result = self.table.apply_batch(batch, local)
             self.kernel.charge(result.stats)
-            kernel_seconds = ledger.elapsed - before
-            self.pipeline.account(batch.input_bytes, kernel_seconds)
+            self.pipeline.account(batch.input_bytes, ledger.elapsed - before)
             state.streamed += batch.input_bytes
             state.bitmap.mark_done(pending[result.success])
             rec.attempted += len(pending)
             rec.succeeded += result.n_success
             rec.postponed += result.n_postponed
-            if self.table.should_halt():
-                rec.halted_early = True
-                # unvisited chunks stay active for the next pass
-                still_active.extend(state.active[ai + 1:])
-                break
-        state.active = still_active
-        return rec
 
     def finish_iteration(self, state: RunState, rec: IterationRecord):
         """Figure-5 rearrangement + telemetry; returns the eviction report."""

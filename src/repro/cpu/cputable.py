@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.hashtable import GpuHashTable
+from repro.core.hashtable import GpuHashTable, run_fits
 from repro.core.organizations import Organization
 from repro.core.records import RecordBatch
 from repro.gpusim.clock import CostLedger
@@ -74,24 +74,37 @@ class CpuHashTable:
 
     # ------------------------------------------------------------------
     def run(self, batches: Sequence[RecordBatch]) -> CpuRunReport:
-        """Process the whole input in one pass (the heap cannot fill)."""
-        total = 0
+        """Process the whole input in one pass (the heap cannot fill):
+        consecutive chunks inserted by one table call as far as
+        :func:`~repro.core.hashtable.run_fits` lets them join, each still
+        charged as its own parallel section."""
+        run: list[RecordBatch] = []
+        records = 0
         for batch in batches:
-            result = self.table.insert_batch(batch)
+            if run and not run_fits(run[0], records, batch, len(batch)):
+                self._insert(run)
+                run, records = [], 0
+            run.append(batch)
+            records += len(batch)
+        if run:
+            self._insert(run)
+        self.table.sanitize_check("end")
+        return CpuRunReport(
+            total_records=sum(len(b) for b in batches),
+            elapsed_seconds=self.ledger.elapsed,
+            breakdown=self.ledger.breakdown(),
+            table_bytes=self.table.heap.resident_bytes,
+        )
+
+    def _insert(self, run: list[RecordBatch]) -> None:
+        results = self.table.insert_run([(batch, None) for batch in run])
+        for result in results:
             if not result.success.all():
                 raise MemoryError(
                     "CPU heap exhausted: the baseline assumes the table "
                     "fits in CPU memory (Section VI-B)"
                 )
             self.kernel.charge(result.stats)
-            total += len(batch)
-        self.table.sanitize_check("end")
-        return CpuRunReport(
-            total_records=total,
-            elapsed_seconds=self.ledger.elapsed,
-            breakdown=self.ledger.breakdown(),
-            table_bytes=self.table.heap.resident_bytes,
-        )
 
     def result(self) -> dict[bytes, Any]:
         return self.table.result()

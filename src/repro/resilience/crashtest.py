@@ -11,8 +11,8 @@ resumed run must skip chunks the gate refuses).  For each schedule it:
    ``checkpoint_every`` (checkpointing quiesces the table, so the oracle
    must checkpoint on the same cadence as the victim);
 2. spawns a child that runs the same job journaled, and ``SIGKILL``\\ s
-   itself mid-iteration -- a configurable number of ``insert_batch``
-   calls after the Nth checkpoint lands, so the journal is guaranteed to
+   itself mid-iteration -- a configurable number of chunks (insert or
+   mutate) after the Nth checkpoint lands, so the journal is guaranteed to
    exist and the death is guaranteed to be mid-pass;
 3. spawns a second child that resumes from the journal and prints its
    final table digest, result checksum, and simulated clock;
@@ -150,12 +150,18 @@ def _child(args) -> int:
             checkpoint(batches_, state)
             seen["checkpoints"] += 1
 
-        def killing(original):
+        def killing(original, chunks):
             def wrapped(*a, **kw):
                 if seen["checkpoints"] >= args.kill_after_checkpoint:
-                    seen["inserts"] += 1
-                    if seen["inserts"] > args.kill_inserts:
-                        # Die the hard way: no atexit, no cleanup, no flush.
+                    room = args.kill_inserts - seen["inserts"]
+                    n = chunks(*a)
+                    seen["inserts"] += n
+                    if n > room:
+                        # the kill lands inside this call: the chunks
+                        # before it run, then die the hard way (no
+                        # atexit, no cleanup, no flush)
+                        if room > 0:
+                            original(a[0][:room])
                         os.kill(os.getpid(), signal.SIGKILL)
                 return original(*a, **kw)
 
@@ -178,9 +184,10 @@ def _child(args) -> int:
             integ.scrub = scrub_and_die
         else:
             # mutation batches route through mutate_batch; wrap both entry
-            # points so the kill lands mid-pass either way
-            table.insert_batch = killing(table.insert_batch)
-            table.mutate_batch = killing(table.mutate_batch)
+            # points so the kill lands mid-pass either way, counting the
+            # chunks of a fused insert run one by one
+            table.insert_run = killing(table.insert_run, len)
+            table.mutate_batch = killing(table.mutate_batch, lambda *a: 1)
 
     outcome = wired.run()
     report = outcome.resilience

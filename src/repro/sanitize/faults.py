@@ -75,44 +75,33 @@ class PoolExhaustion(Fault):
     def install(self, table, driver=None) -> None:
         heap = table.heap
         pool = heap.pool
-        original_insert = table.insert_batch
-        original_mutate = table.mutate_batch
-        state = {"batch": 0}
         held: list[int] = []
 
-        # One shared batch counter: mutation batches stress the same pool,
-        # so the denial window counts insert and mutate calls alike.
-        def gate():
-            i = state["batch"]
-            state["batch"] += 1
-            if i == self.after_batches and not held:
-                while True:
-                    slot = pool.take()
-                    if slot is None:
-                        break
-                    held.append(slot)
-                heap.fault_reserved_slots = set(held)
-            elif i >= self.after_batches + self.deny_batches and held:
-                for slot in held:
-                    pool.release(slot)
-                held.clear()
-                heap.fault_reserved_slots = set()
+        def deny():
+            while True:
+                slot = pool.take()
+                if slot is None:
+                    break
+                held.append(slot)
+            heap.fault_reserved_slots = set(held)
 
-        def insert_batch(batch, indices=None):
-            gate()
-            return original_insert(batch, indices)
+        def restore():
+            for slot in held:
+                pool.release(slot)
+            held.clear()
+            heap.fault_reserved_slots = set()
 
-        def mutate_batch(batch, indices=None):
-            gate()
-            return original_mutate(batch, indices)
-
-        table.insert_batch = insert_batch
-        table.mutate_batch = mutate_batch
+        # mutation batches stress the same pool, so the denial window
+        # counts insert and mutate chunks alike
+        _per_chunk(table, before={
+            self.after_batches: deny,
+            self.after_batches + self.deny_batches: restore,
+        })
 
 
 class MidIterationEviction(Fault):
     """Trigger a full end-of-iteration rearrangement right after the
-    ``at_batch``-th batch call (insert and mutate batches both count)."""
+    ``at_batch``-th batch (insert and mutate chunks both count)."""
 
     name = "mid-iteration-eviction"
 
@@ -125,24 +114,52 @@ class MidIterationEviction(Fault):
         return f"{self.name}(at_batch={self.at_batch})"
 
     def install(self, table, driver=None) -> None:
-        original_insert = table.insert_batch
-        original_mutate = table.mutate_batch
-        state = {"calls": 0}
+        _per_chunk(table, after={self.at_batch - 1: lambda: table.end_iteration()})
 
-        def after_call(result):
-            state["calls"] += 1
-            if state["calls"] == self.at_batch:
-                table.end_iteration()
-            return result
 
-        def insert_batch(batch, indices=None):
-            return after_call(original_insert(batch, indices))
+def _per_chunk(table, before=None, after=None) -> None:
+    """Fire a fault's actions at chunk numbers, not call numbers.
 
-        def mutate_batch(batch, indices=None):
-            return after_call(original_mutate(batch, indices))
+    Wraps the table's insert and mutate entry points so that
+    ``before[i]()`` runs before chunk ``i`` and ``after[i]()`` after it,
+    chunks counted from 0 across both entry points.  A run of chunks
+    inserted by one call (:meth:`~repro.core.hashtable.GpuHashTable.
+    insert_run`) is cut wherever an action falls inside it, so a chunk
+    meets the table in the state it would have met one call a chunk.
+    """
+    before, after = before or {}, after or {}
+    insert_run, mutate_batch = table.insert_run, table.mutate_batch
+    seen = [0]  # chunks so far
 
-        table.insert_batch = insert_batch
-        table.mutate_batch = mutate_batch
+    def fire(actions, i):
+        action = actions.get(i)
+        if action is not None:
+            action()
+
+    def run(parts):
+        first = seen[0]
+        seen[0] += len(parts)
+        cuts = [
+            p for p in range(1, len(parts))
+            if first + p in before or first + p - 1 in after
+        ]
+        results = []
+        for lo, hi in zip([0] + cuts, cuts + [len(parts)]):
+            fire(before, first + lo)
+            results += insert_run(parts[lo:hi])
+            fire(after, first + hi - 1)
+        return results
+
+    def mutate(batch, indices=None):
+        i = seen[0]
+        seen[0] += 1
+        fire(before, i)
+        result = mutate_batch(batch, indices)
+        fire(after, i)
+        return result
+
+    table.insert_run = run
+    table.mutate_batch = mutate
 
 
 class ZeroCapacityStart(Fault):

@@ -110,7 +110,8 @@ def should_check(level: str, point: str) -> bool:
     """Does ``level`` require a check at hook ``point``?
 
     Points: ``"end"`` (run completed), ``"iteration"`` (end-of-iteration
-    rearrangement done), ``"batch"`` (after every insert_batch).
+    rearrangement done), ``"batch"`` (after every table call; a run of
+    insert chunks joined into one call is one).
     """
     return _LEVEL_RANK[level] >= _POINT_RANK[point]
 

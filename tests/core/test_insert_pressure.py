@@ -18,6 +18,7 @@ must each be caught by a fixed case.
 
 import inspect
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.core import (
     SepoDriver,
 )
 from repro.core import entries as E
+from repro.core import hashtable
 from repro.core.organizations import policy
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
@@ -48,8 +50,9 @@ def val(node_bytes: int, tag: int = 0) -> bytes:
 
 
 def observed(table):
-    """A table with every ``insert_batch`` / ``end_iteration`` call logged:
-    what came back, and the state it left."""
+    """A table with every insert call and ``end_iteration`` logged: what
+    came back -- one entry per part of an ``insert_run`` (``insert_batch``
+    is a run of one part) -- and the state the call left."""
     log = []
     org = table.org
 
@@ -64,19 +67,21 @@ def observed(table):
             n_free=table.heap.pool.n_free,
         )
 
-    insert_batch, end_iteration = table.insert_batch, table.end_iteration
+    insert_run, end_iteration = table.insert_run, table.end_iteration
 
-    def logged_insert(batch, indices=None):
-        res = insert_batch(batch, indices)
-        t = res.tally
-        log.append(dict(
-            call="insert", mask=res.success.tolist(),
-            tally=(t.attempted, t.succeeded, t.postponed, t.probe_steps,
-                   t.bytes_touched, t.table_cycles),
-            alloc_groups=t.alloc_groups.as_array().tolist(),
-            hottest_alloc=res.stats.hottest_alloc, **state(),
-        ))
-        return res
+    def logged_insert(parts):
+        results = insert_run(parts)
+        after = state()
+        for part, res in enumerate(results):
+            t = res.tally
+            log.append(dict(
+                call="insert", part=part, mask=res.success.tolist(),
+                tally=(t.attempted, t.succeeded, t.postponed, t.probe_steps,
+                       t.bytes_touched, t.table_cycles),
+                alloc_groups=t.alloc_groups.as_array().tolist(),
+                hottest_alloc=res.stats.hottest_alloc, **after,
+            ))
+        return results
 
     def logged_end(*args):
         report = end_iteration(*args)
@@ -87,7 +92,7 @@ def observed(table):
         ))
         return report
 
-    table.insert_batch, table.end_iteration = logged_insert, logged_end
+    table.insert_run, table.end_iteration = logged_insert, logged_end
     return log
 
 
@@ -393,7 +398,10 @@ def test_kernel_matches_the_loop_on_stale_paged_in_key_pages():
     assert stale >= 10, "forced evictions were expected to leave stale pages"
 
 
-def run_sepo(impl, spec, heap_pages, page_size, n_buckets, group_size):
+def run_sepo(impl, spec, heap_pages, page_size, n_buckets, group_size,
+             per_chunk=False):
+    """A whole ``SepoDriver`` run; ``per_chunk`` gives every chunk a call
+    of its own (a run cap of 0 records)."""
     ledger = CostLedger()
     table = make_table(
         impl, heap_pages, page_size, n_buckets, group_size, ledger
@@ -403,7 +411,9 @@ def run_sepo(impl, spec, heap_pages, page_size, n_buckets, group_size):
         table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger),
         max_iterations=400,
     )
-    report = driver.run([RecordBatch.from_pairs(pairs) for pairs in spec])
+    with mock.patch.object(hashtable, "RUN_RECORDS", 0 if per_chunk else
+                           hashtable.RUN_RECORDS):
+        report = driver.run([RecordBatch.from_pairs(pairs) for pairs in spec])
     return log, report, ledger.breakdown(), table.result()
 
 
@@ -413,8 +423,10 @@ FUZZ_CASES = 30
 def test_seeded_fuzz_through_whole_sepo_runs():
     """Page sizes 128-512, 2-10 pages, 1-8 buckets per group, value
     lengths spread over 1, 8 or 60 bytes, one to three batches: every
-    ``insert_batch`` and ``end_iteration`` call of a ``SepoDriver`` run
-    that takes at least two iterations, kernel against loop."""
+    insert call (each chunk's part of it) and ``end_iteration`` call of a
+    ``SepoDriver`` run that takes at least two iterations, kernel against
+    loop -- with the pass's chunks inserted by one call, and one call a
+    chunk."""
     ran = dry_entries = 0
     for case in range(FUZZ_CASES):
         rng = np.random.default_rng([19, case])
@@ -436,26 +448,29 @@ def test_seeded_fuzz_through_whole_sepo_runs():
             ]
             for _ in range(int(rng.integers(1, 4)))
         ]
-        try:
-            a = run_sepo("vectorized", spec, **shape)
-        except RuntimeError:  # heap too small for this stream
-            with pytest.raises(RuntimeError):
-                run_sepo("slow_reference", spec, **shape)
-            continue
-        b = run_sepo("slow_reference", spec, **shape)
-        assert a[1].iterations == b[1].iterations
-        assert a[1].elapsed_seconds == b[1].elapsed_seconds
-        assert a[2:] == b[2:], f"fuzz case {case}: {shape}"
-        for n, (x, y) in enumerate(zip(a[0], b[0])):
-            assert x == y, f"fuzz case {case}: {shape}: call {n} ({x['call']})"
-        if a[1].iterations >= 2:
-            ran += 1
-        # an insert call that found the pool dry: n_free after the call
-        # before it was 0 and no eviction came between
-        calls = a[0]
-        dry_entries += sum(
-            1 for prev, cur in zip(calls, calls[1:])
-            if prev["call"] == cur["call"] == "insert" and prev["n_free"] == 0
-        )
+        for per_chunk in (False, True):
+            try:
+                a = run_sepo("vectorized", spec, **shape, per_chunk=per_chunk)
+            except RuntimeError:  # heap too small for this stream
+                with pytest.raises(RuntimeError):
+                    run_sepo("slow_reference", spec, **shape,
+                             per_chunk=per_chunk)
+                continue
+            b = run_sepo("slow_reference", spec, **shape, per_chunk=per_chunk)
+            assert a[1].iterations == b[1].iterations
+            assert a[1].elapsed_seconds == b[1].elapsed_seconds
+            assert a[2:] == b[2:], f"fuzz case {case}: {shape}"
+            for n, (x, y) in enumerate(zip(a[0], b[0])):
+                assert x == y, f"fuzz case {case}: {shape}: call {n} ({x['call']})"
+            if per_chunk:
+                ran += a[1].iterations >= 2
+                # an insert call that found the pool dry: n_free after the
+                # call before it was 0 and no eviction came between
+                calls = a[0]
+                dry_entries += sum(
+                    1 for prev, cur in zip(calls, calls[1:])
+                    if prev["call"] == cur["call"] == "insert"
+                    and prev["n_free"] == 0
+                )
     assert ran >= FUZZ_CASES // 2, "the fuzz was expected to need evictions"
     assert dry_entries >= 10, "batches were expected to enter a dry pool"

@@ -173,7 +173,7 @@ def _run(table, rounds, seen, facts):
                 if table.trace is None:
                     facts["collisions"] += batch.cache.grouping(
                         table.buckets).has_collision
-                res = table.apply_batch(batch, pending[n])
+                res, = table.apply_batch([(batch, pending[n])])
                 t = res.tally
                 seen.append((
                     "apply", res.success.tolist(),

@@ -141,3 +141,19 @@ def test_compiled_impl_no_longer_exists():
     ):
         with pytest.raises(ValueError, match="impl must be one of"):
             make(impl="compiled")
+
+
+def test_slices_cuts_bytes_and_lists_alike():
+    """The one slicing helper of the bulk readers and the in-stream
+    lookups: empty ranges, list input and NUL bytes are sliced as Python
+    slices them."""
+    from repro.core.organizations.kernel_front import _slices
+
+    blob = b"ab\x00cd\x00\x00ef"
+    lo, hi = np.array([0, 2, 3, 5, 9, 4]), np.array([2, 3, 3, 9, 9, 1])
+    want = [blob[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+    assert _slices(blob, lo, hi) == want == [
+        b"ab", b"\x00", b"", b"\x00\x00ef", b"", b""]
+    items = list(blob)
+    assert _slices(items, lo, hi) == [list(w) for w in want]
+    assert _slices(blob, lo[:0], hi[:0]) == []

@@ -30,6 +30,7 @@ from repro.core import (
     SepoDriver,
     SUM_I64,
 )
+from repro.core import hashtable
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 from repro.resilience import ResilientDriver
@@ -74,18 +75,20 @@ def build(org, n_buckets, heap_bytes, page_size, group_size):
 
 
 def watch(table, batches):
-    """Record every ``apply_batch`` call as ``(chunk, gated, all groups
-    failed)`` and every chunk the rule skips as ``(iteration, chunk)``."""
+    """Record every chunk an ``apply_batch`` call applies as ``(chunk,
+    gated, all groups failed as the call began)`` and every chunk the rule
+    skips as ``(iteration, chunk)``."""
     calls, skipped = [], []
     chunk = {id(b): i for i, b in enumerate(batches)}
     apply, refuses = table.apply_batch, table.gate_refuses
 
-    def watched_apply(batch, indices=None):
-        calls.append((
-            chunk[id(batch)], not batch.pure_insert,
-            table.alloc.failed_fraction == 1,
-        ))
-        return apply(batch, indices)
+    def watched_apply(parts):
+        shut = table.alloc.failed_fraction == 1
+        calls.extend(
+            (chunk[id(batch)], not batch.pure_insert, shut)
+            for batch, _ in parts
+        )
+        return apply(parts)
 
     def watched_refuses(batch):
         if refuses(batch):
@@ -213,6 +216,9 @@ def test_a_pure_insert_chunk_after_every_group_failed_is_applied(
             GpuHashTable, "gate_refuses",
             lambda self, batch: self.alloc.failed_fraction == 1,
         )
+    # one call a chunk: the second chunk meets the gate after the first
+    # failed every group (joined into one call, it would be asked before)
+    monkeypatch.setattr(hashtable, "RUN_RECORDS", 0)
     table, driver = build(
         CombiningOrganization(SUM_I64), n_buckets=16, heap_bytes=1024,
         page_size=512, group_size=8,

@@ -165,19 +165,23 @@ def _run_rung(rung, tmp_path, monkeypatch):
 
         monkeypatch.setattr(resilient_driver, "quiesce_table", unblocking_quiesce)
     elif rung == "chunk-shrink":
-        # a heap that only absorbs bursts of 30 records
+        # a heap that only absorbs bursts of 30 records a chunk: a run of
+        # chunks is inserted chunk by chunk
         burst = {"n": 0}
         block_pool(t, lambda: burst["n"] > 30)
-        insert = t.insert_batch
+        insert_run = t.insert_run
 
-        def gated_insert(batch, local):
-            burst["n"] = len(local)
-            try:
-                return insert(batch, local)
-            finally:
-                burst["n"] = 0
+        def gated_run(parts):
+            results = []
+            for batch, local in parts:
+                burst["n"] = len(local)
+                try:
+                    results += insert_run([(batch, local)])
+                finally:
+                    burst["n"] = 0
+            return results
 
-        t.insert_batch = gated_insert
+        t.insert_run = gated_run
     elif rung == "cpu-fallback":
         # four pages, then starved for good: partial table plus overflow
         taken = {"n": 0}

@@ -293,16 +293,19 @@ def test_chunk_shrink_rung_recovers():
     burst = {"n": 0}
     block_pool(t, lambda: burst["n"] > 30)
 
-    real_insert = t.insert_batch
+    real_run = t.insert_run
 
-    def gated_insert(batch, local):
-        burst["n"] = len(local)
-        try:
-            return real_insert(batch, local)
-        finally:
-            burst["n"] = 0
+    def gated_run(parts):  # bursts a chunk: a run goes chunk by chunk
+        results = []
+        for batch, local in parts:
+            burst["n"] = len(local)
+            try:
+                results += real_run([(batch, local)])
+            finally:
+                burst["n"] = 0
+        return results
 
-    t.insert_batch = gated_insert
+    t.insert_run = gated_run
 
     r = ResilientDriver(d)
     rep = r.run(workload())

@@ -297,7 +297,8 @@ def test_homogeneous_traffic_is_one_launch_per_flush_per_pass(monkeypatch, heap_
     apply_batch, run = GpuHashTable.apply_batch, SepoDriver.run
     monkeypatch.setattr(
         GpuHashTable, "apply_batch",
-        lambda self, batch, idx: launches.append(len(idx)) or apply_batch(self, batch, idx),
+        lambda self, parts: launches.extend(len(i) for _, i in parts)
+        or apply_batch(self, parts),
     )
 
     def counted_run(self, merged):

@@ -13,6 +13,7 @@ import pytest
 import repro.core.lookup as lookup_mod
 from repro.apps import ALL_APPS
 from repro.core import GpuHashTable, RecordBatch, SepoDriver
+from repro.core import hashtable
 from repro.core.hashtable import merge_chain_items
 from repro.core.lookup import LookupDriver
 from repro.core.organizations import oracle, policy
@@ -101,6 +102,24 @@ def insert_gate(kind):
         what = f"{kind}/{dist}"
         kernel_vs_loop(insert, 10, what)
         flat(insert("vectorized"), insert("vectorized", 8192), what)
+
+
+def insert_pass_gate():
+    """A SEPO run of k combining chunks of 512 records inserts them with
+    one ``insert_indices`` call per ``RUN_RECORDS`` records, not one a
+    chunk: 4 and 32 chunks (2,048 and 16,384 records)."""
+    for k in (4, 32):
+        batches = [records("combining", 512, seed=s) for s in range(k)]
+        t = table("combining", ledger=CostLedger())
+        driver = SepoDriver(t, KernelModel(GTX_780TI, t.ledger),
+                            PCIeBus(t.ledger))
+        run = counted(lambda: driver.run(batches),
+                      calls={"insert": policy.Organization.insert_indices})
+        assert run.value.iterations == 1
+        want = -(-k * 512 // hashtable.RUN_RECORDS)
+        if run.calls["insert"] != want:
+            raise GateFailed(f"{k} chunks: {run.calls['insert']} insert "
+                             f"calls, not {want}")
 
 
 def result_gate():
@@ -252,6 +271,7 @@ _per_entry_splice = _patch(policy, "_splice_resident", oracle.splice_chains)
 GATES = {
     **{f"insert-{k}": (lambda k=k: insert_gate(k), _kernels_decline)
        for k in (*KINDS, "combining-f64")},
+    "insert-pass": (insert_pass_gate, _patch(hashtable, "RUN_RECORDS", 1)),
     "result": (result_gate, _patch(
         GpuHashTable, "_result_bulk", _merge_per_entry)),
     "mixed-ops": (mixed_gate, _patch(policy, "MIXED_KERNEL_MIN_OPS", 1 << 62)),
