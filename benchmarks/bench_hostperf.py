@@ -9,7 +9,6 @@ scale::
 
     PYTHONPATH=src python benchmarks/bench_hostperf.py            # 64k tier
     PYTHONPATH=src python benchmarks/bench_hostperf.py --n 8192 --repeats 1
-    PYTHONPATH=src python benchmarks/bench_hostperf.py --profile  # hotspots
     PYTHONPATH=src python -m pytest benchmarks/bench_hostperf.py -q
 
 The cells: inserts under two key distributions, ``uniform`` and ``zipf``
@@ -41,9 +40,7 @@ counted, not seconds.  The one gate left here,
 """
 
 import argparse
-import cProfile
 import json
-import pstats
 import time
 from pathlib import Path
 
@@ -833,55 +830,6 @@ def export(report: dict, path: Path = EXPORT_PATH) -> None:
     path.write_text(json.dumps(report, indent=2) + "\n")
 
 
-def profile_hotspots(
-    n: int = FULL_N, top: int = 12, batch_records: int | None = None
-) -> None:
-    """--profile: per-organization cProfile of one vectorized insert,
-    printing the top cumulative-time hotspots (satellite of the
-    struct-of-arrays chain-kernel work: what is still interpreter-bound).
-
-    With ``--batch-records B`` the profile instead drives a full
-    :class:`~repro.core.sepo.SepoDriver` run over ``n`` records split
-    into ``B``-record batches -- the per-batch *orchestration* cost the
-    one-big-batch profile cannot see.  This mode is what located the
-    small-batch hotspot in ``BucketGroupAllocator.allocate_many`` (span
-    planning ran per tiny run; see docs/cost_model.md) rather than in
-    the driver loop itself.
-    """
-    for kind in KINDS:
-        keys, values = make_workload(n, "uniform")
-        prof = cProfile.Profile()
-        if batch_records is None:
-            batch = make_batch(kind, keys, values)
-            table = make_table(kind, "vectorized", n)
-            prof.enable()
-            result = table.insert_batch(batch)
-            prof.disable()
-            assert result.success.all(), "workload must not be postponed"
-            label = f"n={n:,}"
-        else:
-            batches = [
-                make_batch(
-                    kind,
-                    keys[i : i + batch_records],
-                    values[i : i + batch_records],
-                )
-                for i in range(0, n, batch_records)
-            ]
-            ledger = CostLedger()
-            table = make_table(kind, "vectorized", n, ledger=ledger)
-            driver = SepoDriver(
-                table, KernelModel(GTX_780TI, ledger), PCIeBus(ledger)
-            )
-            prof.enable()
-            driver.run(batches)
-            prof.disable()
-            label = f"n={n:,}, {batch_records}-record batches"
-        print(f"\n=== {kind}: top {top} by cumulative time ({label}) ===")
-        stats = pstats.Stats(prof)
-        stats.sort_stats("cumulative").print_stats(top)
-
-
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
@@ -1111,17 +1059,7 @@ def main(argv=None) -> None:
                     help=f"records in the tier (default {FULL_N:,})")
     ap.add_argument("--repeats", type=int, default=3,
                     help="best-of repeats per measurement (default 3)")
-    ap.add_argument("--profile", action="store_true",
-                    help="print cProfile hotspots of one vectorized insert "
-                         "per organization instead of benchmarking")
-    ap.add_argument("--batch-records", type=int, default=None,
-                    help="with --profile: drive a SepoDriver run in batches "
-                         "of this many records (profiles the per-batch "
-                         "orchestration path instead of one big insert)")
     args = ap.parse_args(argv)
-    if args.profile:
-        profile_hotspots(args.n, batch_records=args.batch_records)
-        return
     tier = run_suite(args.n, args.repeats)
     export({"schema": "tiered-v2", "tiers": {str(args.n): tier}})
     print(f"wrote {EXPORT_PATH}")

@@ -24,10 +24,9 @@ class GeoLocation(MapReduceApplication):
     mode = Mode.MAP_GROUP
     parse_cycles = 1200.0
     divergence = 1.1
-
-    def __init__(self, n_locations: int = 6000, skew: float = 0.7):
-        self.n_locations = n_locations
-        self.skew = skew
+    # Generator shape: distinct locations and their Zipf skew.
+    n_locations = 6000
+    skew = 0.7
 
     def generate_input(self, size_bytes: int, seed: int = 0) -> bytes:
         return generate_geo_articles(

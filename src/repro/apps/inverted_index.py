@@ -51,10 +51,9 @@ class InvertedIndex(Application):
     # factor is derived from the branch profile above (~6x at warp 32).
     parse_cycles = 1800.0
     divergence = TOKENIZER_PROFILE.divergence_factor(warp_size=32)
-
-    def __init__(self, links_per_byte: float = 1 / 250, links_per_doc: int = 25):
-        self.links_per_byte = links_per_byte
-        self.links_per_doc = links_per_doc
+    # Generator shape: one distinct link per 250 input bytes, 25 per page.
+    links_per_byte = 1 / 250
+    links_per_doc = 25
 
     def generate_input(self, size_bytes: int, seed: int = 0) -> bytes:
         n_links = max(100, int(size_bytes * self.links_per_byte))

@@ -59,12 +59,10 @@ class Netflix(Application):
     # Pair formation + float math per emitted pair.
     parse_cycles = 560.0
     divergence = 1.2
-
-    def __init__(self, pair_window: int = 2, raters_per_movie: int = 24):
-        if pair_window < 1:
-            raise ValueError("pair window must be >= 1")
-        self.pair_window = pair_window
-        self.raters_per_movie = raters_per_movie
+    # Each rater pairs with the next ``pair_window`` raters of its movie.
+    pair_window = 2
+    # Generator shape: raters per movie.
+    raters_per_movie = 24
 
     def generate_input(self, size_bytes: int, seed: int = 0) -> bytes:
         # Distinct user pairs bound table growth; scale the user pool so the

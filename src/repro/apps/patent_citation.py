@@ -24,9 +24,8 @@ class PatentCitation(MapReduceApplication):
     mode = Mode.MAP_GROUP
     parse_cycles = 1100.0
     divergence = 1.05
-
-    def __init__(self, citations_per_patent: int = 16):
-        self.citations_per_patent = citations_per_patent
+    # Generator shape: citations per patent.
+    citations_per_patent = 16
 
     def generate_input(self, size_bytes: int, seed: int = 0) -> bytes:
         return generate_patent_citations(

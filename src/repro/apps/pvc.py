@@ -36,10 +36,9 @@ class PageViewCount(Application):
     # Log-line scan + URL copy: a few hundred cycles per ~60-byte record.
     parse_cycles = 1600.0
     divergence = 1.15
-
-    def __init__(self, n_urls_per_byte: float = 1 / 40, skew: float = 0.5):
-        self.n_urls_per_byte = n_urls_per_byte
-        self.skew = skew
+    # Generator shape: one distinct URL per 40 input bytes, Zipf skew 0.5.
+    n_urls_per_byte = 1 / 40
+    skew = 0.5
 
     def generate_input(self, size_bytes: int, seed: int = 0) -> bytes:
         n_urls = max(200, int(size_bytes * self.n_urls_per_byte))

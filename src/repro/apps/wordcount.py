@@ -29,13 +29,14 @@ class WordCount(MapReduceApplication):
     # Tokenizing ~6-byte words is cheap per record...
     parse_cycles = 260.0
     divergence = 1.1
+    # Generator shape: the Zipf skew of word popularity.
+    skew = 1.0
 
-    def __init__(self, vocab_size: int = 3500, skew: float = 1.0):
+    def __init__(self, vocab_size: int = 3500):
         # Vocabulary does NOT grow with input size: "text documents ...
         # contain a limited number of distinct words no matter how large
         # the document is" (Section VI-B).
         self.vocab_size = vocab_size
-        self.skew = skew
 
     def generate_input(self, size_bytes: int, seed: int = 0) -> bytes:
         return generate_text(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.trace import AccessTrace
-from repro.gpusim.pcie import PCIE_GEN3_X16, PCIeLinkSpec
+from repro.gpusim.pcie import PCIE_GEN3_X16
 
 __all__ = ["lru_replacements", "DemandPagingModel", "PagingEstimate"]
 
@@ -60,11 +60,12 @@ class PagingEstimate:
 
 
 class DemandPagingModel:
-    """Replays a trace against assumed memory sizes and page sizes."""
+    """Replays a trace against assumed memory sizes and page sizes; every
+    replacement moves one page over :data:`~repro.gpusim.pcie.
+    PCIE_GEN3_X16`."""
 
-    def __init__(self, trace: AccessTrace, link: PCIeLinkSpec = PCIE_GEN3_X16):
+    def __init__(self, trace: AccessTrace):
         self.trace = trace
-        self.link = link
 
     def estimate(self, memory_bytes: int, page_size: int) -> PagingEstimate:
         if memory_bytes <= 0:
@@ -79,5 +80,5 @@ class DemandPagingModel:
             page_size=page_size,
             replacements=replacements,
             transferred_bytes=transferred,
-            transfer_seconds=transferred / self.link.bandwidth,
+            transfer_seconds=transferred / PCIE_GEN3_X16.bandwidth,
         )

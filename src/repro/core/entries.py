@@ -33,7 +33,8 @@ Multi-valued key entry (keys on KEY pages)::
     32  klen       u32
     36  flags      u32    bit 0: PENDING (a value insert was postponed:
                           a GPU-side request to pin the page)
-                          bit 1: TOMBSTONE   bit 2: SHADOW
+                          bit 1: TOMBSTONE   bit 2: SHADOW (read
+                          as a closer; no write sets it any more)
     40  key bytes
 
 Value node (values on VALUE pages)::

@@ -33,7 +33,12 @@ import numpy as np
 from repro.core import entries as E
 from repro.core.buckets import BucketArray
 from repro.core.chainview import ChainViewStore, walk_cpu_image
-from repro.core.mutations import MutationBatch, MutationCounters
+from repro.core.mutations import (
+    OP_DELETE,
+    OP_LOOKUP,
+    MutationBatch,
+    MutationCounters,
+)
 from repro.core.organizations import (
     CombiningOrganization,
     EvictionReport,
@@ -72,6 +77,29 @@ def run_fits(head: RecordBatch, records: int, batch: RecordBatch, n: int) -> boo
     and at most :data:`RUN_RECORDS` rows a call (a bigger chunk runs alone).
     """
     return records + n <= RUN_RECORDS and batch.concat_key == head.concat_key
+
+
+def _largest_requests(org, batch, idx, mutation: bool) -> np.ndarray:
+    """Per op of ``batch[idx]`` that may allocate, the largest extent it
+    can ask for: its entry (a delete's tombstone carries no value), or
+    under the multi-valued method its key entry or value node.  Lookups
+    allocate nothing; an insert call reads every row as an insert."""
+    ups = True
+    if mutation:
+        idx = idx[batch.ops[idx] != OP_LOOKUP]
+        ups = batch.ops[idx] != OP_DELETE
+    klens = batch.key_lens[idx].astype(np.int64)
+    if isinstance(org, CombiningOrganization):
+        vlens = org.combiner.value_size
+    elif batch.val_lens is None:
+        vlens = 0  # numeric values: the organization raises reading one
+    else:
+        vlens = batch.val_lens[idx].astype(np.int64)
+    vlens = np.where(ups, vlens, 0)
+    if isinstance(org, MultiValuedOrganization):
+        return np.maximum(
+            E.key_entry_sizes_bulk(klens), E.value_node_sizes_bulk(vlens))
+    return E.entry_sizes_bulk(klens, vlens)
 
 
 class InsertResult:
@@ -336,10 +364,16 @@ class GpuHashTable:
     def _apply(self, parts, mutation: bool) -> list[InsertResult]:
         """The one body of :meth:`insert_run` and :meth:`mutate_batch`
         (whose one part is gated): they differ in the organization entry
-        point and in the total the successes are booked under."""
+        point and in the total the successes are booked under.  A call
+        holding a record larger than a page raises the allocator's
+        ``ValueError`` before any op runs (mid-call, the ops ahead of it
+        would have stored and booked records nobody acknowledges)."""
         parts = [
             (b, np.arange(len(b)) if i is None else i) for b, i in parts
         ]
+        for b, i in parts:
+            self.alloc.check_sizes(
+                _largest_requests(self.org, b, i, mutation))
         # each batch hashed once (memoized on it) and indexed into:
         # reissued pending subsets cost a gather, not a re-hash
         bucket_ids = [b.cache.bucket_ids(self.buckets)[i] for b, i in parts]

@@ -13,9 +13,9 @@ Semantics (all organizations):
 * ``OP_INSERT`` -- exactly the organization's insert semantics.
 * ``OP_UPDATE`` -- upsert: combining re-combines in place (identical to
   insert); basic replaces the key's value (a *shadow* entry supersedes all
-  older same-key entries); multi-valued either appends (policy
-  ``"append"``, identical to insert) or replaces the whole value list
-  (policy ``"replace"``, a shadow key entry).
+  older same-key entries); multi-valued appends one value, identical to
+  insert.  To replace a multi-valued key's whole list, issue ``OP_DELETE``
+  then ``OP_INSERT`` of the key: the gate keeps the two in order.
 * ``OP_DELETE`` -- upsert-style tombstone: deleting an absent key is a
   successful no-op.  A resident newest match is tombstoned in place; when
   the chain continues into evicted memory, a tombstone *entry* is prepended
@@ -53,7 +53,6 @@ __all__ = [
     "OP_DELETE",
     "OP_LOOKUP",
     "OP_NAMES",
-    "UPDATE_POLICIES",
     "MutationBatch",
     "MutationCounters",
     "apply_op_to_model",
@@ -65,8 +64,6 @@ OP_UPDATE = 1
 OP_DELETE = 2
 OP_LOOKUP = 3
 OP_NAMES = ("insert", "update", "delete", "lookup")
-
-UPDATE_POLICIES = ("append", "replace")
 
 
 @dataclass
@@ -102,14 +99,13 @@ class MutationBatch(RecordBatch):
     """A record batch whose records carry per-record operation codes.
 
     ``ops[i]`` is one of the ``OP_*`` codes; deletes and lookups carry a
-    placeholder value (their payload is the key alone).  ``update_policy``
-    only matters to the multi-valued organization.  ``lookup_results`` maps
-    a record's index *within this batch* to its resolved value; a reissued
-    (postponed) lookup simply overwrites its slot on the later pass.
+    placeholder value (their payload is the key alone).  ``lookup_results``
+    maps a record's index *within this batch* to its resolved value; a
+    reissued (postponed) lookup simply overwrites its slot on the later
+    pass.
     """
 
     ops: np.ndarray | None = None  # (n,) int8 OP_* codes
-    update_policy: str = "append"
     lookup_results: dict[int, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -123,11 +119,6 @@ class MutationBatch(RecordBatch):
             int(self.ops.min()) < OP_INSERT or int(self.ops.max()) > OP_LOOKUP
         ):
             raise ValueError("unknown operation code in ops")
-        if self.update_policy not in UPDATE_POLICIES:
-            raise ValueError(
-                f"update_policy must be one of {UPDATE_POLICIES}: "
-                f"{self.update_policy!r}"
-            )
 
     @property
     def pure_insert(self) -> bool:
@@ -135,19 +126,13 @@ class MutationBatch(RecordBatch):
         including exemption from the sticky-group postponement gate)."""
         return not (self.ops != OP_INSERT).any()
 
-    @property
-    def concat_key(self) -> tuple:
-        """As the base class, plus the policy updates are applied under."""
-        return super().concat_key + (self.update_policy,)
-
     def _concat_extra(self, parts, rows) -> dict:
-        """Carry op codes and the update policy into :meth:`~repro.core.
-        records.RecordBatch.concat` and :meth:`~repro.core.records.
-        RecordBatch.take` (lookup results start empty, keyed by merged row
-        as the merged batch resolves them)."""
+        """Carry op codes into :meth:`~repro.core.records.RecordBatch.
+        concat` and :meth:`~repro.core.records.RecordBatch.take` (lookup
+        results start empty, keyed by merged row as the merged batch
+        resolves them)."""
         return {
             "ops": np.concatenate([p.ops[r] for p, r in zip(parts, rows)]),
-            "update_policy": self.update_policy,
         }
 
     @classmethod
@@ -156,7 +141,6 @@ class MutationBatch(RecordBatch):
         ops: list[tuple[int, bytes, Any]],
         *,
         numeric_dtype=None,
-        update_policy: str = "append",
         input_bytes: int = 0,
         parse_cycles: float = 50.0,
         divergence: float = 1.0,
@@ -179,8 +163,7 @@ class MutationBatch(RecordBatch):
             kwargs["values"] = vals
             kwargs["val_lens"] = vlens
         return cls(
-            keys=keys, key_lens=klens, ops=codes,
-            update_policy=update_policy, input_bytes=input_bytes,
+            keys=keys, key_lens=klens, ops=codes, input_bytes=input_bytes,
             parse_cycles=parse_cycles, divergence=divergence, **kwargs,
         )
 
@@ -196,7 +179,6 @@ def apply_op_to_model(
     *,
     kind: str,
     combiner=None,
-    update_policy: str = "append",
 ) -> Any:
     """Apply one operation to the plain-dict model; returns lookup results.
 
@@ -221,11 +203,7 @@ def apply_op_to_model(
     # basic and multi-valued hold lists of values
     if op == OP_LOOKUP:
         return list(model.get(key, []))
-    replace = (
-        op == OP_UPDATE
-        and (kind == "basic" or update_policy == "replace")
-    )
-    if replace:
+    if op == OP_UPDATE and kind == "basic":
         model[key] = [value]
     else:
         model.setdefault(key, []).append(value)
@@ -237,15 +215,13 @@ def model_for_ops(
     *,
     kind: str,
     combiner=None,
-    update_policy: str = "append",
 ) -> tuple[dict, dict[int, Any]]:
     """Run an op stream through the model; returns (final dict, lookups)."""
     model: dict = {}
     lookups: dict[int, Any] = {}
     for i, (op, key, value) in enumerate(ops):
         out = apply_op_to_model(
-            model, op, key, value,
-            kind=kind, combiner=combiner, update_policy=update_policy,
+            model, op, key, value, kind=kind, combiner=combiner
         )
         if op == OP_LOOKUP:
             lookups[i] = out

@@ -239,9 +239,8 @@ def _insert_multivalued(
 ):
     """Batched multi-valued insert: the closed form of the insert loop of
     organization ``org``, pool exhaustion included; returns None, having
-    mutated nothing, when it does not apply (a request larger than a
-    page: the loop raises; a fault-injected pool that denies takes
-    ``n_free`` promised, :meth:`PagePool.can_take
+    mutated nothing, when it does not apply (a fault-injected pool that
+    denies takes ``n_free`` promised, :meth:`PagePool.can_take
     <repro.memalloc.pages.PagePool.can_take>`).
 
     Records are grouped by distinct key (``grouping``) and each key
@@ -291,8 +290,6 @@ def _insert_multivalued(
     vlens = batch.val_lens[idx].astype(np.int64)
     vsizes = E.value_node_sizes_bulk(vlens)
     ksizes = E.key_entry_sizes_bulk(klens)
-    if int(vsizes.max()) > page_size or int(ksizes.max()) > page_size:
-        return None  # the scalar loop raises the allocator's ValueError
 
     dk = _DistinctKeys(grouping, idx, buckets)
     sub, starts, counts, gpos = dk.sub, dk.starts, dk.counts, dk.gpos

@@ -18,11 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core import entries as E
-from repro.core.chainview import (
-    match_cpu_chains,
-    newest_matches,
-    walk_cpu_image,
-)
+from repro.core.chainview import match_cpu_chains, walk_cpu_image
 from repro.core.mutations import OP_DELETE, OP_LOOKUP, OP_UPDATE
 from repro.core.organizations.kernel_front import _latest_before, _slices
 
@@ -274,11 +270,9 @@ def _answer_lookups_mv(
     :func:`.oracle._lookup_mv` runs as a mask; what a key showed before
     the batch is the value nodes of the entries that show, oldest first,
     and every upsert of the batch adds its value.  A tombstone the batch
-    writes, a ``replace`` update's ``SHADOW`` entry, and an unborn
-    ``SHADOW`` entry that the batch's first write to its key gives a
-    value, each close the key.  A lookup's answer is a list slice,
-    charged the key walk plus one probe and the header + value bytes of
-    every node it returns.
+    writes closes the key.  A lookup's answer is a list slice, charged
+    the key walk plus one probe and the header + value bytes of every
+    node it returns.
     """
     lk, slot, n_keys, blob, image, cm = _lookup_matches(
         table, batch, idx, dk, looks, "key"
@@ -299,18 +293,8 @@ def _answer_lookups_mv(
     is_del = ops == OP_DELETE
     adds = ran & ~is_del & (ops != OP_LOOKUP)  # an upsert appends a value
     close = made & is_del | buried
-    if batch.update_policy == "replace":
-        close |= made & (ops == OP_UPDATE)
-    # an unborn SHADOW entry closes its key once the batch's first write
-    # to the key gives it a value
-    newest = newest_matches(cm.key)
-    newest = newest[unborn[newest] & ((cm.flags[newest] & SHADOW) != 0)]
-    unborn_shadow = np.zeros(len(slot), dtype=bool)
-    unborn_shadow[np.flatnonzero(slot >= 0)[cm.key[newest]]] = True
-    born = np.zeros(len(idx), dtype=bool)
-    born[dk.sub] = st.untouched & unborn_shadow[st.key]
-    r = _reads(dk, st, looks, slot, adds, close | born & adds & ~made, made,
-               creator, cm, first, probes, nbytes, A, S)
+    r = _reads(dk, st, looks, slot, adds, close, made, creator, cm, first,
+               probes, nbytes, A, S)
 
     old = slice(None, None, -1)  # keys descending, oldest node first
     lo, hi = _pre_blocks(np.repeat(cm.key[vis], counts)[old], n_keys, r)

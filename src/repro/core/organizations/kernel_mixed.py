@@ -124,11 +124,10 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
     and updates are the same upsert, which probes and combines into a live
     hit.  Deletes and lookups are common to both.
 
-    Every op's group must be open (the caller gates failed groups).
-    Returns the success mask, or None -- before touching anything -- when
-    a request exceeds the page size (the loop raises the allocator's
-    error).  docs/cost_model.md, "Mutation cycle costs", derives each
-    step.
+    Every op's group must be open (the caller gates failed groups), and
+    every request fits a page (the table refuses a call with one).
+    Returns the success mask.  docs/cost_model.md, "Mutation cycle
+    costs", derives each step.
     """
     heap = table.heap
     alloc = table.alloc
@@ -175,8 +174,6 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
     req = np.flatnonzero(takes)
     size = np.zeros(m, dtype=np.int64)
     size[req] = E.entry_sizes_bulk(klens[req], width[req])
-    if len(req) and int(size.max()) > heap.page_size:
-        return None
     ran, refused, n_refused, _ = _sticky_cut(
         table, groups, req, size[req], tally
     )
@@ -331,7 +328,7 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     """The batched mixed-op kernel of the multi-valued organization ``org``:
     resolve -> plan -> allocate -> scatter, bit-identical to its
     scalar loop (:func:`.oracle.multivalued_loop`) through mid-batch
-    allocation failure, under both update policies.
+    allocation failure.
 
     The multi-valued reading of :func:`_mutate_generic`.  An upsert makes
     up to two requests of two page kinds -- a key entry unless the key is
@@ -340,9 +337,8 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     its value node denied, and the entry the value was meant for left
     ``PENDING``.  The gate makes that op the last one its group runs in
     the call, so no later op reads what it left and the state chain
-    stands.  Preconditions and the None return as for
-    :func:`_mutate_generic`; docs/cost_model.md, "Mutation cycle costs",
-    derives each step.
+    stands.  Preconditions and the return as for :func:`_mutate_generic`;
+    docs/cost_model.md, "Mutation cycle costs", derives each step.
     """
     heap = table.heap
     alloc = table.alloc
@@ -361,7 +357,7 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     vlens = np.where(is_up, batch.val_lens[idx], 0).astype(np.int64)
     ksizes = E.key_entry_sizes_bulk(klens)
     vsizes = E.value_node_sizes_bulk(vlens)
-    PENDING, TOMB, SHADOW = E.FLAG_PENDING, E.FLAG_TOMBSTONE, E.FLAG_SHADOW
+    PENDING, TOMB = E.FLAG_PENDING, E.FLAG_TOMBSTONE
 
     # -- resolve: the state each op finds its key in ---------------------
     dk = _DistinctKeys(batch.cache.grouping(table.buckets), idx, buckets)
@@ -376,17 +372,9 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     vhead_gpu[hits] = E.gather_field(arena, res.hit_pos[hits] + 16, "<i8")
     vhead_cpu[hits] = E.gather_field(arena, res.hit_pos[hits] + 24, "<i8")
 
-    # -- the request stream: [KEY unless kept] + [VALUE] per upsert -------
-    keeps = st.live
-    if batch.update_policy == "replace":
-        # an update prepends a SHADOW entry whatever it finds -- except
-        # that a key's first write completes an earlier pass's refused
-        # replace (an empty SHADOW|PENDING hit) instead of duplicating it
-        unborn = SHADOW | PENDING
-        reuse = ((hit_flags & (unborn | TOMB)) == unborn) & (vhead_cpu == NULL)
-        keeps = np.where(is_upd[sub], st.untouched & reuse[st.key], keeps)
+    # -- the request stream: [KEY unless live] + [VALUE] per upsert -------
     needs_key = np.empty(m, dtype=bool)  # a delete's is born dead
-    needs_key[sub] = np.where(is_del[sub], st.unproven, is_up[sub] & ~keeps)
+    needs_key[sub] = np.where(is_del[sub], st.unproven, is_up[sub] & ~st.live)
     live = np.empty(m, dtype=bool)
     live[sub] = st.live
     nreq = needs_key.astype(np.int64) + is_up
@@ -400,8 +388,6 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     sizes[vreq[is_up]] = vsizes[is_up]
     sizes[kreq[needs_key]] = ksizes[needs_key]
     codes[kreq[needs_key]] = KIND_CODES[PageKind.KEY]
-    if total and int(sizes.max()) > page_size:
-        return None
 
     # -- plan: the sticky cut (:func:`_sticky_cut`) -----------------------
     # Refused at its KEY request an op has done nothing but its walk;
@@ -520,8 +506,6 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     nflags = np.zeros(m, dtype=np.int64)  # by making op
     rflags = np.zeros(G, dtype=np.int64)  # set on resident hits, by key
     nflags[born_dead] = TOMB
-    if batch.update_policy == "replace":
-        nflags[made & is_upd] = SHADOW
     t = target[buried]
     nflags[t[t < m]] |= TOMB
     rflags[t[t >= m] - m] |= TOMB

@@ -17,8 +17,8 @@ order across postponement replays.  Run with ``gated=False`` it is the
 pure-insert path: every record is an ``OP_INSERT`` whatever the batch's
 ``ops`` say (a plain :class:`~repro.core.records.RecordBatch` has none),
 nothing postpones at the gate -- after a denied request a group keeps
-going, a smaller record may still fit -- ``update_policy`` is not read
-and ``table.mutations`` is not counted.
+going, a smaller record may still fit -- and ``table.mutations`` is not
+counted.
 """
 
 from __future__ import annotations
@@ -449,13 +449,11 @@ def _lookup_mv(table, b, key, tally) -> list[bytes]:
 def multivalued_loop(org, table, batch, idx, buckets, tally, gated=True):
     """The multi-valued method, one op at a time (see module docstring):
     inserts and updates both append one value node, to the key's newest
-    live entry or to a key entry created for it; under the ``replace``
-    policy an update's entry is a shadow that hides the older list."""
+    live entry or to a key entry created for it."""
     heap = table.heap
     alloc = table.alloc
     head_cpu = table.buckets.head_cpu
     trace = table.trace
-    replace = gated and batch.update_policy == "replace"
     bufs: dict[int, np.ndarray] = {}
 
     def apply_op(op, i, b, key, muts) -> bool:
@@ -501,21 +499,9 @@ def multivalued_loop(org, table, batch, idx, buckets, tally, gated=True):
         )
         if hit is not None and hit[3] & E.FLAG_TOMBSTONE:
             hit = None  # deleted key: a fresh key entry supersedes it
-        shadow = 0
-        if op == OP_UPDATE and replace and not (
-            # an earlier pass's failed replace (our own empty pending
-            # shadow) is completed instead of duplicated
-            hit is not None
-            and hit[3] & E.FLAG_SHADOW
-            and hit[3] & E.FLAG_PENDING
-            and E.read_key_entry_header(hit[0], hit[1])[3] == NULL
-        ):
-            # a shadow key entry replaces the whole value list
-            hit = None
-            shadow = E.FLAG_SHADOW
         created = hit is None
         if created:
-            hit = _prepend_key_entry(table, tally, bufs, b, key, shadow)
+            hit = _prepend_key_entry(table, tally, bufs, b, key)
             if hit is None:
                 return False
         kbuf, koff, kseg = hit[0], hit[1], hit[2]

@@ -286,13 +286,10 @@ class Organization:
         the loop would let through (integer-valued cycle constants make
         the charge order-free; a combiner with fractional ``cycles`` keeps
         the loop's own gate).  The rest runs the organization's batched
-        kernel where :meth:`_closed_form` holds, the batch has
-        :data:`MIXED_KERNEL_MIN_OPS` ops or more -- unless the kernel
-        declines, before touching anything, by returning None (a request
-        larger than a page: the loop raises the allocator's error) -- and
-        the same loop otherwise.
-        Success masks, tallies, lookup answers, counters and table bytes
-        do not depend on the choice.
+        kernel where :meth:`_closed_form` holds and the batch has
+        :data:`MIXED_KERNEL_MIN_OPS` ops or more, and the same loop
+        otherwise.  Success masks, tallies, lookup answers, counters and
+        table bytes do not depend on the choice.
         """
         if self.impl == "slow_reference":
             return self._scalar_loop(table, batch, idx, buckets, tally)
@@ -314,13 +311,12 @@ class Organization:
                     return ~shut
                 still_open = ~shut
                 idx, buckets = idx[still_open], buckets[still_open]
-        done = None
         if (
             len(idx) >= MIXED_KERNEL_MIN_OPS
             and self._closed_form(table, batch) is not None
         ):
             done = self._mutate_kernel(table, batch, idx, buckets, tally)
-        if done is None:
+        else:
             done = self._scalar_loop(table, batch, idx, buckets, tally)
         if still_open is None:
             return done
@@ -456,23 +452,17 @@ class MultiValuedOrganization(Organization):
     kind = "multi-valued"
     page_kinds = (PageKind.KEY, PageKind.VALUE)
     _scalar_loop = multivalued_loop
+    #: when pinned pages exceed this fraction of the resident heap at
+    #: iteration end, flush them too.  Not in the paper: without a bound,
+    #: key-heavy workloads (e.g. Patent Citation) accumulate pinned key
+    #: pages until value throughput per pass collapses.  Flushed keys are
+    #: re-created on retry and merged at finalization.
+    pin_retention_limit = 0.5
 
-    def __init__(
-        self, pin_retention_limit: float = 0.5, impl: str = "vectorized"
-    ) -> None:
-        if not 0.0 < pin_retention_limit <= 1.0:
-            raise ValueError(
-                f"pin retention limit must be in (0, 1]: {pin_retention_limit}"
-            )
+    def __init__(self, impl: str = "vectorized") -> None:
         self._set_impl(impl)
         #: per-segment count of PENDING keys (drives page pinning)
         self._pin_counts: dict[int, int] = {}
-        #: when pinned pages exceed this fraction of the resident heap at
-        #: iteration end, flush them too.  Not in the paper: without a bound,
-        #: key-heavy workloads (e.g. Patent Citation) accumulate pinned key
-        #: pages until value throughput per pass collapses.  Flushed keys are
-        #: re-created on retry and merged at finalization.
-        self.pin_retention_limit = pin_retention_limit
 
     def reconcile_tally(self, table, census) -> list[str]:
         # Every acknowledged insert/update appended exactly one value node

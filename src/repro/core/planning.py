@@ -87,24 +87,23 @@ def estimate_table_bytes(stats: StreamStats, organization: str) -> int:
     raise ValueError(f"unknown organization {organization!r}")
 
 
+#: the share of the heap a table can fill: it absorbs bucket-group
+#: fragmentation and retained pages; 0.8 matches the benchmark geometries
+#: (each group strands part of its current page at eviction time)
+PACKING_EFFICIENCY = 0.80
+
+
 def plan(
     stats: StreamStats,
     heap_bytes: int,
     organization: str = "combining",
-    packing_efficiency: float = 0.80,
 ) -> PlanEstimate:
-    """Predict whether/how a stream fits a heap, and the SEPO passes needed.
-
-    ``packing_efficiency`` absorbs bucket-group fragmentation and retained
-    pages; 0.8 matches the benchmark geometries (each group strands part of
-    its current page at eviction time).
-    """
+    """Predict whether/how a stream fits a heap, and the SEPO passes needed
+    (at :data:`PACKING_EFFICIENCY`)."""
     if heap_bytes <= 0:
         raise ValueError("heap must be positive")
-    if not 0.0 < packing_efficiency <= 1.0:
-        raise ValueError("packing efficiency must be in (0, 1]")
     table = estimate_table_bytes(stats, organization)
-    usable = heap_bytes * packing_efficiency
+    usable = heap_bytes * PACKING_EFFICIENCY
     iterations = max(1, math.ceil(table / usable)) if table else 1
     return PlanEstimate(
         table_bytes=table,

@@ -71,21 +71,16 @@ class PCIeBus:
     volume separately from time.
     """
 
-    def __init__(
-        self,
-        ledger: CostLedger,
-        spec: PCIeLinkSpec = PCIE_GEN3_X16,
-        max_retries: int = 8,
-        retry_backoff: float = 10e-6,
-    ):
+    #: retry budget per DMA operation before :class:`TransferError`
+    max_retries = 8
+    #: base backoff, seconds; attempt ``k`` waits ``retry_backoff << k``
+    retry_backoff = 10e-6
+
+    def __init__(self, ledger: CostLedger, spec: PCIeLinkSpec = PCIE_GEN3_X16):
         self.ledger = ledger
         self.spec = spec
         self.bytes_moved = 0
         self.transactions = 0
-        #: retry budget per DMA operation before :class:`TransferError`
-        self.max_retries = max_retries
-        #: base backoff, seconds; attempt ``k`` waits ``retry_backoff << k``
-        self.retry_backoff = retry_backoff
         #: DMA operations issued (bulk / small / overlapped), fault-injector
         #: op index space
         self.transfer_ops = 0

@@ -151,7 +151,6 @@ class BucketGroupAllocator:
         groups: np.ndarray,
         sizes: np.ndarray,
         kind: PageKind = PageKind.GENERIC,
-        sorted_order: np.ndarray | None = None,
         kinds: np.ndarray | None = None,
     ) -> BulkAllocation:
         """Bulk equivalent of calling :meth:`allocate` once per request.
@@ -171,18 +170,11 @@ class BucketGroupAllocator:
         are retried against their group's current page, where a smaller
         later request can still squeeze in.
 
-        ``sorted_order`` optionally passes in a precomputed **stable**
-        argsort of ``groups``.  It must preserve arrival order within each
-        group -- page-fill boundaries depend on it -- so an argsort by
-        bucket id does *not* qualify even though it groups correctly.
-
         ``kinds`` optionally gives a per-request page kind as an int64 array
         of :data:`repro.memalloc.pages.KIND_CODES` codes; the multi-valued
         organization interleaves KEY and VALUE requests in one call so fresh
         pages are pulled from the shared pool in exactly the order the
-        sequential walk would pull them.  When set, ``kind`` is ignored and
-        ``sorted_order`` (if given) must be a stable sort of the
-        (group, kind) pairs.
+        sequential walk would pull them.  When set, ``kind`` is ignored.
         """
         groups = np.asarray(groups, dtype=np.int64)
         sizes = np.asarray(sizes, dtype=np.int64)
@@ -197,7 +189,7 @@ class BucketGroupAllocator:
                 none.copy(), none.copy(),
             )
         codes, composite = self._validate_bulk(groups, sizes, kinds)
-        order = _stable_order(composite) if sorted_order is None else sorted_order
+        order = _stable_order(composite)
         plan = self._plan(order, composite, groups, sizes, codes, kind)
         lo, hi, run = plan.lo, plan.hi, plan.run.tolist()
 
@@ -336,6 +328,16 @@ class BucketGroupAllocator:
                 self.stats.bytes_allocated += int(sizes[tp].sum())
                 self.heap.note_write(page.segment)
 
+    def check_sizes(self, sizes: np.ndarray) -> None:
+        """Raise ValueError unless every request size is positive and fits
+        a page (a table refuses a call with one before any op runs)."""
+        if len(sizes) and int(sizes.min()) <= 0:
+            raise ValueError("allocation sizes must be positive")
+        if len(sizes) and int(sizes.max()) > self.heap.page_size:
+            raise ValueError(
+                f"an allocation exceeds the page size {self.heap.page_size}"
+            )
+
     def _validate_bulk(
         self,
         groups: np.ndarray,
@@ -345,12 +347,7 @@ class BucketGroupAllocator:
         """Shared request validation; returns (codes, composite run key)."""
         if int(groups.min()) < 0 or int(groups.max()) >= self.n_groups:
             raise ValueError("a group index is out of range")
-        if int(sizes.min()) <= 0:
-            raise ValueError("allocation sizes must be positive")
-        if int(sizes.max()) > self.heap.page_size:
-            raise ValueError(
-                f"an allocation exceeds the page size {self.heap.page_size}"
-            )
+        self.check_sizes(sizes)
         if kinds is None:
             return None, groups
         codes = np.asarray(kinds, dtype=np.int64)

@@ -320,35 +320,31 @@ class BitFlipFault(Fault):
     end-of-iteration rearrangement.
 
     Models an at-rest single-event upset in the CPU segment store.  The
-    victim is the ``segment_index``-th lowest stored segment id (the
-    oldest eviction, which a checkpoint taken on any earlier iteration
-    has journaled -- making the flip *repairable* when a ResilientDriver
-    supplies a repair source).  The flipped bit lands in the last used
-    byte of the segment, so entry headers and chain pointers stay intact:
-    only the integrity layer, not the structural sanitizer, can see it.
+    victim is the lowest stored segment id (the oldest eviction, which a
+    checkpoint taken on any earlier iteration has journaled -- making the
+    flip *repairable* when a ResilientDriver supplies a repair source).
+    The flipped bit lands in the last used byte of the segment, so entry
+    headers and chain pointers stay intact: only the integrity layer, not
+    the structural sanitizer, can see it.
     """
 
     name = "bit-flip"
 
-    def __init__(self, after_evictions: int = 1, segment_index: int = 0):
+    def __init__(self, after_evictions: int = 1):
         if after_evictions <= 0:
             raise ValueError("after_evictions must be positive")
         self.after_evictions = after_evictions
-        self.segment_index = segment_index
         #: (segment, byte_offset) actually corrupted, for assertions
         self.injected: list[tuple[int, int]] = []
 
     def describe(self) -> str:
-        return (
-            f"{self.name}(after={self.after_evictions}, "
-            f"segment_index={self.segment_index})"
-        )
+        return f"{self.name}(after={self.after_evictions})"
 
     def _corrupt(self, heap) -> None:
         stored = sorted(heap._store)
         if not stored:
             return
-        seg = stored[self.segment_index % len(stored)]
+        seg = stored[0]
         used = heap._store_meta[seg][2]
         off = max(0, used - 1)
         heap._store[seg][off] ^= 0x01
@@ -366,42 +362,27 @@ class StaleSegmentFault(Fault):
     bytes are internally plausible (they are a real page image and even
     carry a valid CRC -- of the *donor*), so only per-segment seals catch
     it.  Fires after the ``after``-th end-of-iteration rearrangement;
-    victim and donor are the lowest and second-lowest stored segment ids
-    by default.
+    the victim is the lowest stored segment id, the donor the second
+    lowest.
     """
 
     name = "stale-segment"
 
-    def __init__(
-        self,
-        after_evictions: int = 1,
-        victim_index: int = 0,
-        donor_index: int = 1,
-    ):
+    def __init__(self, after_evictions: int = 1):
         if after_evictions <= 0:
             raise ValueError("after_evictions must be positive")
-        if victim_index == donor_index:
-            raise ValueError("victim and donor must differ")
         self.after_evictions = after_evictions
-        self.victim_index = victim_index
-        self.donor_index = donor_index
         #: (victim_segment, donor_segment) pairs, for assertions
         self.injected: list[tuple[int, int]] = []
 
     def describe(self) -> str:
-        return (
-            f"{self.name}(after={self.after_evictions}, "
-            f"victim={self.victim_index}, donor={self.donor_index})"
-        )
+        return f"{self.name}(after={self.after_evictions})"
 
     def _corrupt(self, heap) -> None:
         stored = sorted(heap._store)
         if len(stored) < 2:
             return
-        victim = stored[self.victim_index % len(stored)]
-        donor = stored[self.donor_index % len(stored)]
-        if victim == donor:
-            return
+        victim, donor = stored[0], stored[1]
         heap._store[victim] = heap._store[donor].copy()
         self.injected.append((victim, donor))
 

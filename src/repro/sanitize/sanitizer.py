@@ -167,11 +167,12 @@ class SanitizeReport:
 # ----------------------------------------------------------------------
 # heap / pool structure
 # ----------------------------------------------------------------------
-def check_heap(heap, raise_on_violation: bool = True) -> SanitizeReport:
-    """Verify pool/residency/store structure (no chain knowledge needed)."""
+def check_heap(heap) -> SanitizeReport:
+    """Verify pool/residency/store structure (no chain knowledge needed);
+    raises :class:`SanitizerError` on any violation."""
     report = SanitizeReport()
     _check_heap(heap, report)
-    if raise_on_violation and report.violations:
+    if report.violations:
         raise SanitizerError(report.violations)
     return report
 
@@ -343,8 +344,9 @@ class _Arena:
         return None
 
 
-def check_table(table, raise_on_violation: bool = True) -> SanitizeReport:
-    """Full sanitize pass over a :class:`~repro.core.hashtable.GpuHashTable`."""
+def check_table(table) -> SanitizeReport:
+    """Full sanitize pass over a :class:`~repro.core.hashtable.GpuHashTable`;
+    raises :class:`SanitizerError` on any violation."""
     report = SanitizeReport()
     _check_heap(table.heap, report)
     arena = _Arena(table.heap)
@@ -364,7 +366,7 @@ def check_table(table, raise_on_violation: bool = True) -> SanitizeReport:
         # meaningful (or safe: garbage headers imply garbage lengths)
         # once the structural walk above has vouched for every extent
         _check_chain_views(table, report)
-    if raise_on_violation and report.violations:
+    if report.violations:
         raise SanitizerError(report.violations)
     return report
 
@@ -826,9 +828,7 @@ def _reconcile_tallies(table, report: SanitizeReport) -> None:
 # ----------------------------------------------------------------------
 # cross-shard placement (sharded executor)
 # ----------------------------------------------------------------------
-def check_shard_placement(
-    shard_map, tables, raise_on_violation: bool = True
-) -> int:
+def check_shard_placement(shard_map, tables) -> int:
     """Cross-shard invariant: every key lives in exactly its home shard.
 
     Walks every shard table's CPU chains (:meth:`GpuHashTable.cpu_items`)
@@ -839,7 +839,8 @@ def check_shard_placement(
     map would then silently miss data, so this is the sharded analogue of
     the dual-pointer check.
 
-    Returns the number of distinct keys seen across all shards.
+    Returns the number of distinct keys seen across all shards; raises
+    :class:`SanitizerError` on any violation.
     """
     violations: list[Violation] = []
     home: dict[bytes, int] = {}
@@ -863,6 +864,6 @@ def check_shard_placement(
                         f"shard {s}",
                     )
                 )
-    if violations and raise_on_violation:
+    if violations:
         raise SanitizerError(violations)
     return len(home)

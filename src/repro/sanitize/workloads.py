@@ -234,7 +234,6 @@ def make_mutation_batches(
     workload: OpWorkload,
     mode: str,
     batch_size: int = 128,
-    update_policy: str = "append",
 ) -> list[MutationBatch]:
     """Chunk an op stream into mutation batches for a given table mode."""
     triples = _mode_triples(workload, mode)
@@ -242,14 +241,13 @@ def make_mutation_batches(
         MutationBatch.from_ops(
             triples[lo : lo + batch_size],
             numeric_dtype=np.int64 if mode == "combining" else None,
-            update_policy=update_policy,
         )
         for lo in range(0, len(triples), batch_size)
     ]
 
 
 def mutation_oracle(
-    workload: OpWorkload, mode: str, update_policy: str = "append"
+    workload: OpWorkload, mode: str
 ) -> tuple[dict, dict[int, object]]:
     """Dict-model ground truth: (final mapping, per-index lookup results).
 
@@ -263,7 +261,6 @@ def mutation_oracle(
         _mode_triples(workload, mode),
         kind=mode,
         combiner=SUM_I64 if mode == "combining" else None,
-        update_policy=update_policy,
     )
     if mode == "combining":
         return dict(model), lookups

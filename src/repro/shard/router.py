@@ -8,10 +8,10 @@ directly: the router splits each batch by key-space shard and *coalesces*
 the per-shard slices until a shard has accumulated a SEPO-sized chunk
 (``chunk_records``).  A flush then merges every maximal run of
 compatible neighbouring slices (same :attr:`~repro.core.records.
-RecordBatch.concat_key`: class, value kind, ``update_policy``, parse
-costs) into one batch with :meth:`~repro.core.records.RecordBatch.
-concat` and runs that shard's driver over the merged batches.  Arrival
-order never changes; an incompatible neighbour starts the next batch.
+RecordBatch.concat_key`: class, value kind, parse costs) into one batch
+with :meth:`~repro.core.records.RecordBatch.concat` and runs that
+shard's driver over the merged batches.  Arrival order never changes;
+an incompatible neighbour starts the next batch.
 Tiny client batches therefore never reach a device as tiny kernel
 launches -- homogeneous traffic is one launch per flush per SEPO pass,
 the whole point of the router -- and since per-key order, the

@@ -18,6 +18,7 @@ from repro.apps import (
     PatentCitation,
     WordCount,
 )
+from tests.apps.test_span_parsers import netflix
 
 
 @pytest.mark.parametrize("cls", ALL_APPS, ids=lambda c: c.name)
@@ -77,8 +78,8 @@ def test_netflix_single_rater_movie_emits_no_pairs():
 
 def test_netflix_pairs_scale_with_window():
     lines = b"".join(b"0,%d,3\n" % u for u in range(6))
-    w1 = Netflix(pair_window=1).parse_chunk(lines)
-    w3 = Netflix(pair_window=3).parse_chunk(lines)
+    w1 = netflix(1).parse_chunk(lines)
+    w3 = netflix(3).parse_chunk(lines)
     assert len(w1) == 5
     assert len(w3) == 3 * 6 - (3 + 2 + 1)  # windowed pairs
 

@@ -29,6 +29,13 @@ from repro.core.records import BatchCache, RecordBatch
 DNA = DnaAssembly(read_len=8, k=4, step=2)
 
 
+def netflix(window: int) -> Netflix:
+    """Netflix pairing each rater with the next ``window`` raters."""
+    app = Netflix()
+    app.pair_window = window
+    return app
+
+
 # ----------------------------------------------------------------------
 # the oracle's emission through the list path
 # ----------------------------------------------------------------------
@@ -114,7 +121,7 @@ ALPHABETS = [
         chunks(b",", b",", b"1", b"01", b"7", b"30", b"0", b"+", b" ", b"_",
                b"1234567890123456789", b"1,2,3\n", b"1,3,5\n", b"1,4,1\n"),
     ),
-    (Netflix(pair_window=3), chunks(b"1,", b"2,", b"9,", b"4\n", b"1\n", b"0", b",")),
+    (netflix(3), chunks(b"1,", b"2,", b"9,", b"4\n", b"1\n", b"0", b",")),
     (
         InvertedIndex(),
         chunks(b"--FILE:", b"--", b"-", b'href="', b'href=', b'"', b'""',
@@ -241,13 +248,13 @@ def test_netflix_movie_ids_compare_bytewise():
 
 def test_netflix_group_longer_than_window():
     lines = b"".join(b"9,%d,%d\n" % (u, u % 5 + 1) for u in range(10, 0, -1))
-    batch = check(Netflix(pair_window=3), lines)
+    batch = check(netflix(3), lines)
     assert len(batch) == 9 + 8 + 7
     assert keys_of(batch)[:4] == [b"9&10", b"8&10", b"7&10", b"8&9"]
 
 
 def test_netflix_malformed_line_does_not_cut_its_group():
-    batch = check(Netflix(pair_window=1), b"5,1,1\n5,x,1\n5,2\n\n5,3,5\n6,4,1\n")
+    batch = check(netflix(1), b"5,1,1\n5,x,1\n5,2\n\n5,3,5\n6,4,1\n")
     assert keys_of(batch) == [b"1&3"]
     assert batch.numeric_values.tolist() == [0.0]
 

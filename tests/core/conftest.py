@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_UPDATE,
     BasicOrganization,
     CombiningOrganization,
     GpuHashTable,
@@ -29,6 +32,14 @@ def make_table(
         group_size=group_size,
         trace=trace,
     )
+
+
+def multivalued_org(limit, impl="vectorized"):
+    """A multi-valued organization that flushes its pinned key pages once
+    they exceed ``limit`` of the resident heap (the class sets 0.5)."""
+    org = MultiValuedOrganization(impl=impl)
+    org.pin_retention_limit = limit
+    return org
 
 
 @pytest.fixture
@@ -59,3 +70,16 @@ def byte_batch(pairs):
     from repro.core import RecordBatch
 
     return RecordBatch.from_pairs(pairs)
+
+
+def replaced(triples):
+    """``triples`` with every update a replace of its key's value list:
+    an ``OP_DELETE`` immediately followed by an ``OP_INSERT`` of the key,
+    the way a multi-valued list is replaced (an update appends)."""
+    out = []
+    for op, key, value in triples:
+        if op == OP_UPDATE:
+            out += [(OP_DELETE, key, b""), (OP_INSERT, key, value)]
+        else:
+            out.append((op, key, value))
+    return out

@@ -42,7 +42,8 @@ from repro.core.records import pack_byte_rows
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 from repro.memalloc.address import NULL
-from repro.sanitize import check_table
+from repro.sanitize import SanitizerError, check_table
+from tests.core.conftest import replaced
 
 
 def build(org=None, heap_bytes=1 << 16, page_size=4096, n_buckets=16):
@@ -350,7 +351,7 @@ def test_match_cpu_chains_reads_key_entries():
         ops = [(OP_INSERT, k, b"val-%03d" % r) for k in KEYS[:20] + EDGE_KEYS]
         ops += [(OP_DELETE, k, b"") for k in KEYS[r:20:5]]
         ops += [(OP_UPDATE, k, b"upd-%03d" % r) for k in KEYS[r + 1:20:7]]
-        driver.run([MutationBatch.from_ops(ops, update_policy="replace")])
+        driver.run([MutationBatch.from_ops(replaced(ops))])
     # and one pass left unfinished: some key entry is still PENDING
     table.mutate_batch(MutationBatch.from_ops(
         [(OP_INSERT, k, b"x" * 200) for k in KEYS[20:40]]
@@ -375,7 +376,7 @@ def test_match_cpu_chains_reads_key_entries():
             addr, at = hdr[1], at + 1
         want_n.append(at)
         want_bytes.append(cum)
-    for flag in (E.FLAG_PENDING, E.FLAG_TOMBSTONE, E.FLAG_SHADOW):
+    for flag in (E.FLAG_PENDING, E.FLAG_TOMBSTONE):
         assert any(f & flag for *_, f in want)
     image = np.frombuffer(heap.cpu_image(), dtype=np.uint8)
     kmat, klens = pack_byte_rows(queries)
@@ -513,7 +514,6 @@ def test_lookup_sees_delete_and_update_through_cache():
     dead, changed = KEYS[3], KEYS[7]
     driver.run([MutationBatch.from_ops(
         [(OP_DELETE, dead, b""), (OP_UPDATE, changed, b"NEW")],
-        update_policy="replace",
     )])
     res = lookups.lookup([dead, changed, KEYS[0]])
     assert res.values[0] is None
@@ -552,6 +552,6 @@ def test_sanitizer_flags_stale_cached_view():
     )
     view.klens = view.klens.copy()
     view.klens[0] += 1  # stale length: as if a write skipped note_write
-    report = check_table(table, raise_on_violation=False)
-    assert not report.ok
-    assert any(v.kind == "chain-view-mismatch" for v in report.violations)
+    with pytest.raises(SanitizerError) as err:
+        check_table(table)
+    assert any(v.kind == "chain-view-mismatch" for v in err.value.violations)

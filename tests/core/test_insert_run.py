@@ -150,12 +150,11 @@ def test_a_fused_run_splits_into_what_each_chunk_returns_alone(kind, impl):
         assert facts["denied key asks again"] >= 3, facts
 
 
-def test_an_oversize_record_falls_back_chunk_by_chunk():
-    """A value node larger than a page: the multi-valued kernel declines
-    the run, the chunks before it still take the kernel one by one, and
-    the one that holds it raises the allocator's error, as it would
-    alone, having stored the same records.  (A call that raises books no
-    totals: a table an insert raised in is left to be discarded.)"""
+def test_an_oversize_record_refuses_the_whole_run():
+    """A value node larger than a page in the last chunk of a run: the
+    call raises the allocator's error, as that chunk alone would, before
+    any op runs -- no kernel is entered and the chunks ahead of it store
+    nothing, so the table is the one it was before the call."""
     page = 256
     fine = [make_batch("multi-valued", [b"a%d" % i for i in range(12)],
                        [b"x" * 20] * 12) for _ in range(2)]
@@ -163,6 +162,7 @@ def test_an_oversize_record_falls_back_chunk_by_chunk():
     parts = [(fine[0], None), (fine[1], None), (big, None)]
     fused = twin("multi-valued", "vectorized", 8, page, 4, 2)
     alone = twin("multi-valued", "vectorized", 8, page, 4, 2)
+    before = state(fused)
     kernel_runs = []
     run = fused.org._insert_kernel_run
     fused.org._insert_kernel_run = lambda *a: kernel_runs.append(
@@ -170,15 +170,10 @@ def test_an_oversize_record_falls_back_chunk_by_chunk():
     with pytest.raises(ValueError) as fused_error:
         fused.apply_batch(parts)
     with pytest.raises(ValueError) as alone_error:
-        for batch, idx in parts:
-            alone.insert_batch(batch, idx)
+        alone.insert_batch(big)
     assert str(fused_error.value) == str(alone_error.value)
-    # the run, then each chunk on its own
-    assert kernel_runs == [26, 12, 12, 2]
-    stored, alone_stored = state(fused), state(alone)
-    stored.pop("totals")
-    alone_stored.pop("totals")
-    assert stored == alone_stored
+    assert kernel_runs == []
+    assert state(fused) == state(alone) == before
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.gpusim import CostCategory, CostLedger, GTX_780TI, KernelModel, PCIeB
 from repro.gpusim.pcie import TransferError
 from repro.memalloc import GpuHeap
 from repro.memalloc.address import NULL
+from tests.core.conftest import replaced
 from repro.sanitize.faults import TransientTransferFault
 
 
@@ -378,33 +379,73 @@ def _org(case):
     }[kind]()
 
 
-def _batch(case, seed, policy="append"):
-    comb = CASES[case][1]
+def _batch(case, seed, replace=False):
+    """Seed ``seed``'s batch; ``replace``: each update of a multi-valued
+    stream a DELETE then an INSERT of its key."""
+    kind, comb = CASES[case]
+    stream = _stream(case, seed)
+    if replace and kind == "multi-valued":
+        stream = replaced(stream)
     return MutationBatch.from_ops(
-        _stream(case, seed), numeric_dtype=comb.dtype if comb else None,
-        update_policy=policy,
+        stream, numeric_dtype=comb.dtype if comb else None,
     )
 
 
+def _shadow_as_an_earlier_build_did(table):
+    """Give a multi-valued table the ``FLAG_SHADOW`` key entries an
+    earlier build's replacing updates wrote: every unborn entry (a replace
+    refused its value), and on every other key whose newest born entry is
+    live above an older live one, that newest entry (it hides the older
+    list).  Nothing writes the flag any more, but readers must read a
+    table saved back then as they did."""
+    heap = table.heap
+    eligible = 0
+    for b in table.buckets.occupied_buckets().tolist():
+        addr, newest = int(table.buckets.head_cpu[b]), {}
+        while addr != NULL:
+            seg, off = divmod(addr, heap.page_size)
+            buf = heap.segment_view(seg)
+            _, addr, _, vhead, klen, flags = E.read_key_entry_header(buf, off)
+            key = E.key_entry_key(buf, off, klen)
+            hit = None
+            if E.key_entry_unborn(flags, vhead):
+                hit = (buf, off, seg, flags)
+            elif key not in newest:
+                live = not flags & E.FLAG_TOMBSTONE
+                newest[key] = (buf, off, seg, flags) if live else None
+            elif newest[key] is not None:
+                if not flags & E.FLAG_TOMBSTONE:  # an older live list
+                    hit = newest[key] if eligible % 2 == 0 else None
+                    eligible += 1
+                newest[key] = None
+            if hit is not None:
+                buf, off, seg, flags = hit
+                E.set_flags(buf, off, flags | E.FLAG_SHADOW)
+                heap.note_write(seg)
+
+
 def _build(case, heap_bytes, impl):
-    """A table loaded by three seeded mixed-op batches (multi-valued:
-    append, replace, append -- so SHADOW entries occur) run to completion,
-    then a fourth applied *once*: its postponed ops stay unacknowledged,
-    which for the multi-valued method leaves empty PENDING (and
-    SHADOW|PENDING) key entries at chain heads."""
+    """A table loaded by three seeded mixed-op batches (multi-valued: the
+    second with every update a replace) run to completion, then a fourth
+    (replaces too) applied *once*: its postponed ops stay unacknowledged,
+    which for the multi-valued method leaves empty PENDING key entries at
+    chain heads.  A multi-valued table then takes the SHADOW entries an
+    earlier build wrote (:func:`_shadow_as_an_earlier_build_did`)."""
     ledger = CostLedger()
     table = GpuHashTable(
         MATRIX_BUCKETS, _org(case), GpuHeap(heap_bytes, MATRIX_PAGE),
         group_size=8, ledger=ledger, sanitize="paranoid",
     )
     kernel, bus = KernelModel(GTX_780TI, ledger), PCIeBus(ledger)
-    for seed, policy in enumerate(("append", "replace", "append", "replace")):
-        batch = _batch(case, seed, policy)
+    for seed in range(4):
+        batch = _batch(case, seed, replace=seed % 2 == 1)
         if seed < 3:
             SepoDriver(table, kernel, bus).run([batch])
         else:
             table.mutate_batch(batch)
             table.end_iteration()
+    if CASES[case][0] == "multi-valued":
+        _shadow_as_an_earlier_build_did(table)
     table.org.impl = impl
     return table, kernel, bus, LookupDriver(table, kernel, bus)
 

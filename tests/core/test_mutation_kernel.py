@@ -52,6 +52,7 @@ from repro.core.organizations import policy as org_policy
 from repro.memalloc import BucketGroupAllocator, GpuHeap
 from repro.memalloc.address import NULL
 from repro.sanitize.sanitizer import SanitizerError
+from tests.core.conftest import replaced
 from tests.core.test_mutations import (
     assert_mut_identical,
     kernel_calls,  # noqa: F401 -- fixture of the re-collected tests
@@ -114,7 +115,7 @@ TestMutationMachineKernel.settings = _MUTATION_SETTINGS
 # ----------------------------------------------------------------------
 def run_passes(kind, impl, op_batches, heap_bytes=2048, page_size=256,
                n_buckets=32, group_size=8, combiner=SUM_I64, together=True,
-               policy="append", pin_limit=None):
+               pin_limit=None):
     """Like ``run_mutations``, but the way ``SepoDriver`` issues work:
     every batch with pending ops once per pass, *then* the eviction -- so
     later batches of a pass meet groups that already failed
@@ -128,7 +129,7 @@ def run_passes(kind, impl, op_batches, heap_bytes=2048, page_size=256,
     )
     if pin_limit is not None:
         table.org.pin_retention_limit = pin_limit
-    batches = [mut_batch(kind, t, policy, combiner) for t in op_batches]
+    batches = [mut_batch(kind, t, combiner) for t in op_batches]
     masks, tallies, stats, calls, evictions = [], [], [], [], []
     rounds = [batches] if together else [[b] for b in batches]
     for todo in rounds:
@@ -360,31 +361,38 @@ def key_entries(table, key):
     return out
 
 
+#: the writes before the lookup of the half-applied op's key: an insert
+#: of a new key, an append to a resident hit, a replace (DELETE then
+#: INSERT of a resident key); the last one is denied its VALUE request
+HALF_APPLIED = {
+    "insert-new-key": [(OP_INSERT, b"k9999", b"new")],
+    "append-to-hit": [(OP_INSERT, b"k0001", b"new")],
+    "replace": [(OP_DELETE, b"k0001", b""), (OP_INSERT, b"k0001", b"new")],
+}
+
+
 @pytest.mark.parametrize("case", ["insert-new-key", "append-to-hit", "replace"])
 def test_value_denied_leaves_a_half_applied_op(case):
     """The denied request is a VALUE one: of an insert that just created
     its key entry (an empty ``PENDING`` entry stays behind), of an append
     to a resident hit that already holds values (``PENDING`` set on it),
-    of a ``replace`` update (an empty ``SHADOW|PENDING`` entry).  Either
-    way the key page is pinned and the ops behind postpone at the gate; a
-    reader that gets in ahead of the retry sees what was acknowledged and
-    no more; the retry completes the entry it finds instead of making
-    another."""
-    extra, policy = {
-        "insert-new-key": ((OP_INSERT, b"k9999", b"new"), "append"),
-        "append-to-hit": ((OP_INSERT, b"k0001", b"new"), "append"),
-        "replace": ((OP_UPDATE, b"k0001", b"new"), "replace"),
-    }[case]
-    key = extra[1]
+    of the insert of a replace (the delete is acknowledged, the fresh key
+    entry stays empty and ``PENDING``).  Either way the key page is
+    pinned and the ops behind postpone at the gate; a reader that gets in
+    ahead of the retry sees what was acknowledged and no more; the retry
+    completes the entry it finds instead of making another."""
+    extra = HALF_APPLIED[case]
+    key = extra[-1][1]
     tail = [(OP_LOOKUP, key, b""), (OP_DELETE, b"k0002", b"")]
-    spec = [VALUE_PAGE_FULL, [extra] + tail, [(OP_LOOKUP, key, b"")]]
+    spec = [VALUE_PAGE_FULL, extra + tail, [(OP_LOOKUP, key, b"")]]
+    ran = len(extra) - 1  # ops acknowledged ahead of the denied one
     stops = {}
 
     def driver(kind, impl, spec):
         table = GpuHashTable(
             1, make_org(kind, impl), GpuHeap(2 * 256, 256), group_size=1
         )
-        fill, batch, reader = (mut_batch(kind, t, policy) for t in spec)
+        fill, batch, reader = (mut_batch(kind, t) for t in spec)
         out = {"masks": [], "tallies": [], "stats": [], "calls": []}
 
         def call(batch, idx):
@@ -400,7 +408,7 @@ def test_value_denied_leaves_a_half_applied_op(case):
 
         assert call(fill, np.arange(len(fill))).all()
         done = call(batch, np.arange(len(batch)))
-        assert not done.any()
+        assert done.tolist() == [True] * ran + [False] * (len(batch) - ran)
         stops[impl] = (
             key_entries(table, key), dict(table.org._pin_counts),
             [p.kind.name for p in table.heap.resident_pages if p.pinned],
@@ -420,22 +428,20 @@ def test_value_denied_leaves_a_half_applied_op(case):
     entries, pins, pinned = stops["vectorized"]
     flags, vhead = entries[0]
     assert flags & E.FLAG_PENDING and not flags & E.FLAG_TOMBSTONE
-    assert bool(flags & E.FLAG_SHADOW) == (case == "replace")
     assert (vhead == NULL) == (case != "append-to-hit")
     assert len(entries) == (2 if case == "replace" else 1)
     assert list(pins.values()) == [1] and pinned == ["KEY"]
     assert what_happened(a) == {
-        "denied-value", "lookup-after-write",
-        "denied-update" if case == "replace" else "denied-insert",
+        "denied-value", "lookup-after-write", "denied-insert",
     }
     table = a["table"]
     assert len(key_entries(table, key)) == len(entries), "retry duplicated"
     assert not any(f & E.FLAG_PENDING for f, _ in key_entries(table, key))
     assert not table.org._pin_counts
     assert table.mutations.gate_postponed == 2
-    before = [] if case == "insert-new-key" else [b"v01", b"v05"]
-    after = [b"new"] if case == "replace" else before + [b"new"]
-    assert a["lookups"] == [{1: after}, {0: before}]
+    before = [b"v01", b"v05"] if case == "append-to-hit" else []
+    after = before + [b"new"]
+    assert a["lookups"] == [{len(extra): after}, {0: before}]
     assert sorted(table.result()[key]) == sorted(after)
 
 
@@ -443,27 +449,24 @@ def test_value_denied_leaves_a_half_applied_op(case):
 def test_lookups_around_the_retry_that_completes_an_unborn_entry(case):
     """The half-applied op of :func:`test_value_denied_leaves_a_half_applied_op`
     retried at the head of its batch, with lookups of the key after each
-    of its writes: the retry that gives the ``PENDING`` entry its value (a
-    ``replace`` one's ``SHADOW`` then closes the key), an append, a
-    ``replace`` update, a delete, a re-insert that needs a new key entry.
-    Against the dict model too."""
-    extra, policy = {
-        "insert-new-key": ((OP_INSERT, b"k9999", b"new"), "append"),
-        "append-to-hit": ((OP_INSERT, b"k0001", b"new"), "append"),
-        "replace": ((OP_UPDATE, b"k0001", b"new"), "replace"),
-    }[case]
-    key = extra[1]
+    of its writes: the retry that gives the ``PENDING`` entry its value,
+    an append, an update (which appends too), a delete, a re-insert that
+    needs a new key entry.  Against the dict model too."""
+    extra = HALF_APPLIED[case]
+    key = extra[-1][1]
     look = (OP_LOOKUP, key, b"")
-    batch = [extra, look, (OP_INSERT, key, b"app"), look,
-             (OP_UPDATE, key, b"upd"), look, (OP_DELETE, key, b""), look,
-             (OP_INSERT, b"k0002", b"x"), look, (OP_INSERT, key, b"re"), look]
+    batch = extra + [
+        look, (OP_INSERT, key, b"app"), look, (OP_UPDATE, key, b"upd"), look,
+        (OP_DELETE, key, b""), look, (OP_INSERT, b"k0002", b"x"), look,
+        (OP_INSERT, key, b"re"), look,
+    ]
 
     def driver(kind, impl, spec):
         """the fill, then the batch pass by pass to completion"""
         table = GpuHashTable(
             1, make_org(kind, impl), GpuHeap(2 * 256, 256), group_size=1
         )
-        fill, batch = (mut_batch(kind, t, policy) for t in spec)
+        fill, batch = (mut_batch(kind, t) for t in spec)
         assert table.mutate_batch(fill).success.all()
         out = {"masks": [], "tallies": [], "stats": [], "calls": []}
         pending = np.arange(len(batch))
@@ -486,7 +489,7 @@ def test_lookups_around_the_retry_that_completes_an_unborn_entry(case):
     a = both("multi-valued", [VALUE_PAGE_FULL, batch], driver=driver)
     assert {"denied-value", "lookup-after-write"} <= what_happened(a)
     assert a["lookups"][0] == model_lookups(
-        "multi-valued", policy, VALUE_PAGE_FULL, [], batch)
+        "multi-valued", VALUE_PAGE_FULL, [], batch)
 
 
 def test_delete_of_a_pending_key_unpins_its_page():
@@ -523,21 +526,25 @@ def test_delete_of_a_pending_key_unpins_its_page():
     assert a["table"].mutations.deletes_inplace == 1
 
 
-@pytest.mark.parametrize("policy", ["append", "replace"])
-def test_forced_full_eviction_between_passes(policy):
+@pytest.mark.parametrize("updates", ["append", "replace"])
+def test_forced_full_eviction_between_passes(updates):
     """``pin_retention_limit`` flushes the pinned key pages with their
     ``PENDING`` entries: the retries find nothing resident, re-create the
-    key entries, and the unborn ones stay invisible on the CPU side."""
+    key entries, and the unborn ones stay invisible on the CPU side --
+    with updates that append, and with each a replace (DELETE then
+    INSERT)."""
     spec = [
         _mutations.seeded_ops(30 + i, 150, 40, "multi-valued") for i in range(3)
     ]
-    a = both("multi-valued", spec, policy=policy, pin_limit=0.05)
+    if updates == "replace":
+        spec = [replaced(triples) for triples in spec]
+    a = both("multi-valued", spec, pin_limit=0.05)
     assert any(r.forced_full_eviction for r in a["evictions"])
     assert "denied-value" in what_happened(a)
     flat = [t for triples in spec for t in triples]
     from repro.core import model_for_ops
 
-    model, _ = model_for_ops(flat, kind="multi-valued", update_policy=policy)
+    model, _ = model_for_ops(flat, kind="multi-valued")
     assert {k: sorted(v) for k, v in a["table"].result().items()} == {
         k: sorted(v) for k, v in model.items()
     }
@@ -572,8 +579,7 @@ def test_lookup_after_same_key_writes_in_one_batch(kind):
     key's ops: after an insert, after an in-place update of a resident
     hit, after delete-then-reinsert, after a delete alone -- with older
     copies of the key both resident and evicted underneath.  Multi-valued
-    under both update policies: an update appends to the list, or
-    prepends a shadow that hides it."""
+    also with every update a replace (DELETE then INSERT)."""
     val = lambda v: value(kind, v)
     k = [b"key-%d" % i for i in range(6)]
     look = lambda key: (OP_LOOKUP, key, val(0))
@@ -590,20 +596,23 @@ def test_lookup_after_same_key_writes_in_one_batch(kind):
         (OP_INSERT, k[3], val(25)), (OP_DELETE, k[3], val(0)), look(k[3]),
         look(k[4]),                                      # clean, for contrast
     ]
-    for policy in POLICIES[kind]:
-        a = over_evicted(kind, policy, older, resident, probe)
+    for stream in variants(kind, probe):
+        a = over_evicted(kind, older, resident, stream)
         assert a["lookups"][-1] == model_lookups(
-            kind, policy, older, resident, probe)
+            kind, older, resident, stream)
 
 
-POLICIES = {"basic": ("append",), "combining": ("append",),
-            "multi-valued": ("append", "replace")}
+def variants(kind, probe):
+    """``probe``, and under the multi-valued method also ``probe`` with
+    every update a replace."""
+    return [probe] + ([replaced(probe)] if kind == "multi-valued" else [])
+
 #: two buckets over eight pages: room for every batch in one pass
 OVER_EVICTED = dict(heap_bytes=8 * 256, page_size=256, n_buckets=2,
                     group_size=2)
 
 
-def over_evicted(kind, policy, older, resident, probe, combiner=SUM_I64):
+def over_evicted(kind, older, resident, probe, combiner=SUM_I64):
     """``older`` run to completion and evicted, then ``resident`` and
     ``probe`` in one pass, each in one kernel call: the second's lookups
     read the first's entries resident and ``older``'s evicted.  Both
@@ -613,7 +622,7 @@ def over_evicted(kind, policy, older, resident, probe, combiner=SUM_I64):
                               **kw)["table"]
         out = {"masks": [], "tallies": [], "stats": [], "lookups": []}
         for triples in spec[1:]:
-            batch = mut_batch(kind, triples, policy, combiner)
+            batch = mut_batch(kind, triples, combiner)
             res = table.mutate_batch(batch)
             assert res.success.all()
             out["masks"].append(res.success)
@@ -627,7 +636,7 @@ def over_evicted(kind, policy, older, resident, probe, combiner=SUM_I64):
                 f64=combiner is SUM_F64, **OVER_EVICTED)
 
 
-def model_lookups(kind, policy, older, resident, probe):
+def model_lookups(kind, older, resident, probe):
     """The dict model's answers to ``probe``'s lookups, by op of ``probe``."""
     from repro.core import model_for_ops
 
@@ -635,7 +644,6 @@ def model_lookups(kind, policy, older, resident, probe):
     _, want = model_for_ops(
         older + resident + probe, kind=kind,
         combiner=SUM_I64 if kind == "combining" else None,
-        update_policy=policy,
     )
     return {i - offset: v for i, v in want.items()}
 
@@ -667,14 +675,13 @@ def test_lookups_on_both_sides_of_an_in_place_write_and_a_delete(kind):
         (OP_UPDATE, k[2], val(25)), look(k[2]),
         look(k[3]),
     ]
-    for policy in POLICIES[kind]:
-        a = over_evicted(kind, policy, older, resident, probe)
+    for stream in variants(kind, probe):
+        a = over_evicted(kind, older, resident, stream)
         assert a["lookups"][-1] == model_lookups(
-            kind, policy, older, resident, probe)
+            kind, older, resident, stream)
         m = a["table"].mutations
         assert m.deletes_inplace >= 3 and (
-            kind == "multi-valued" and policy == "replace"
-            or m.updates_inplace >= 2)
+            stream is not probe or m.updates_inplace >= 2)
 
 
 def test_f64_lookups_fold_in_the_loop_order():
@@ -693,8 +700,7 @@ def test_f64_lookups_fold_in_the_loop_order():
                   (OP_INSERT, key, 0.5), (OP_INSERT, key, 2.0 ** -40),
                   look(key), (OP_DELETE, key, 0.0), look(key),
                   (OP_INSERT, key, 3.0), (OP_INSERT, key, 1e-17), look(key)]
-    a = over_evicted("combining", "append", older, resident, probe,
-                     combiner=SUM_F64)
+    a = over_evicted("combining", older, resident, probe, combiner=SUM_F64)
     got = a["lookups"][-1]
     # old . (((resident . update) . insert) . insert), not the left fold
     # of the values in arrival order
@@ -790,12 +796,6 @@ def _unborn_entries_match(real):
     return match_cpu_chains
 
 
-def _drop_shadow(real):
-    def write_key_entries_bulk(*args):
-        real(*args[:-1], args[-1] & ~E.FLAG_SHADOW)
-    return write_key_entries_bulk
-
-
 def _in_place_onto_a_new_entry(real):
     def reads(dk, st, looks, slot, add, close, made, *rest):
         # an append to an existing entry read as one to a new shadow
@@ -813,8 +813,6 @@ MV_FAULTS = {
         kernel_mixed, "_link_value_lists", _first_node_to_null),
     "treat an empty PENDING entry as a lookup match": (
         kernel_lookup, "match_cpu_chains", _unborn_entries_match),
-    "drop SHADOW on a replace-made entry": (
-        E, "write_key_entries_bulk", _drop_shadow),
     "apply an in-place append to a new entry": (
         kernel_lookup, "_reads", _in_place_onto_a_new_entry),
 }
@@ -891,8 +889,8 @@ FUZZ_CASES = 54
 
 def test_seeded_fuzz_matches_the_scalar_reference():
     """Page sizes 128-512, 3-24 pages, group sizes 1-8, variable-width
-    keys and values, i64 / f64 / bit-or combiners, both multi-valued
-    update policies; both drivers.  The union of what the cases went
+    keys and values, i64 / f64 / bit-or combiners, multi-valued updates
+    that append and replaces (DELETE then INSERT); both drivers.  The union of what the cases went
     through must cover every kernel path."""
     seen = set()
     for case in range(FUZZ_CASES):
@@ -904,7 +902,6 @@ def test_seeded_fuzz_matches_the_scalar_reference():
             heap_bytes=page * int(rng.integers(3, 25)), page_size=page,
             n_buckets=int(rng.choice([8, 16, 32, 64])),
             group_size=int(rng.choice([1, 2, 4, 8])), combiner=comb,
-            policy=("append", "replace")[case // 3 % 2],
         )
         spec = [
             fuzz_stream(
@@ -913,6 +910,8 @@ def test_seeded_fuzz_matches_the_scalar_reference():
             )
             for _ in range(int(rng.integers(1, 5)))
         ]
+        if kind == "multi-valued" and case // 3 % 2:
+            spec = [replaced(triples) for triples in spec]
         f64 = kind == "combining" and comb is SUM_F64
         try:
             a = both(kind, spec, f64=f64, **shape)

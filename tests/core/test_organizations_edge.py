@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    OP_INSERT,
+    OP_UPDATE,
     BasicOrganization,
     CombiningOrganization,
     MultiValuedOrganization,
+    MutationBatch,
     RecordBatch,
     SUM_I64,
 )
-from tests.core.conftest import byte_batch, make_table, numeric_batch
+from tests.core.conftest import (
+    byte_batch,
+    make_table,
+    multivalued_org,
+    numeric_batch,
+)
 
 
 def test_empty_key_is_storable(combining_table):
@@ -26,6 +34,57 @@ def test_key_larger_than_page_raises():
                    page_size=256)
     with pytest.raises(ValueError):
         t.insert_batch(numeric_batch([(b"x" * 300, 1)]))
+
+
+def _oversize_call(kind, call):
+    """A call whose last record does not fit a 256-byte page, and the
+    records it follows: a key (combining) or value (basic, multi-valued)
+    of 300 bytes.  ``insert``: a pure-insert batch of two; ``mutate``: a
+    ``MutationBatch`` of 300 inserts -- at the mixed-op kernel's cut-over
+    -- ending in an update."""
+    numeric = kind == "combining"
+    big_key, big_val = (b"b" * 300, 1) if numeric else (b"b1", b"x" * 300)
+    if call == "insert":
+        pairs = [(b"b0", 2 if numeric else b"x" * 10), (big_key, big_val)]
+        if numeric:
+            return numeric_batch(pairs)
+        return byte_batch(pairs)
+    triples = [(OP_INSERT, b"k%03d" % i, i if numeric else b"v%d" % i)
+               for i in range(299)] + [(OP_UPDATE, big_key, big_val)]
+    return MutationBatch.from_ops(
+        triples, numeric_dtype=np.int64 if numeric else None)
+
+
+@pytest.mark.parametrize("call", ["insert", "mutate"])
+@pytest.mark.parametrize("impl", ["vectorized", "slow_reference"])
+@pytest.mark.parametrize("kind", ["basic", "combining", "multi-valued"])
+def test_a_record_too_big_for_a_page_is_refused_before_any_op_runs(
+    kind, impl, call
+):
+    """The call raises the allocator's ``ValueError`` and leaves the table
+    as it found it: nothing stored, counted or allocated, invariants
+    intact -- not the records ahead of the big one stored and booked."""
+    org = {
+        "basic": lambda: BasicOrganization(impl=impl),
+        "combining": lambda: CombiningOrganization(SUM_I64, impl=impl),
+        "multi-valued": lambda: MultiValuedOrganization(impl=impl),
+    }[kind]()
+    t = make_table(org, heap_bytes=64 * 256, page_size=256)
+    first = (numeric_batch if kind == "combining" else byte_batch)(
+        [(b"old", 7 if kind == "combining" else b"v")])
+    assert t.insert_batch(first).success.all()
+
+    def state():
+        return (t.result(), t.total_inserted, t.total_mutated,
+                t.mutations.snapshot(), t.alloc.stats)
+
+    before = state()
+    batch = _oversize_call(kind, call)
+    apply = t.insert_batch if call == "insert" else t.mutate_batch
+    with pytest.raises(ValueError, match="exceeds the page size"):
+        apply(batch)
+    t.check_invariants()
+    assert state() == before
 
 
 def test_value_exactly_filling_page():
@@ -72,15 +131,8 @@ def test_forced_full_eviction_flag():
     assert report.pages_evicted >= 1
 
 
-def test_pin_retention_limit_validation():
-    with pytest.raises(ValueError):
-        MultiValuedOrganization(pin_retention_limit=0.0)
-    with pytest.raises(ValueError):
-        MultiValuedOrganization(pin_retention_limit=1.5)
-
-
 def test_pin_retention_limit_forces_flush():
-    org = MultiValuedOrganization(pin_retention_limit=0.01)
+    org = multivalued_org(0.01)
     t = make_table(org, heap_bytes=1024, page_size=256, n_buckets=8,
                    group_size=8)
     big = b"v" * 150

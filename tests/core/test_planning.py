@@ -61,8 +61,6 @@ def test_plan_validation():
     stats = StreamStats(1, 1, 1.0)
     with pytest.raises(ValueError):
         plan(stats, heap_bytes=0)
-    with pytest.raises(ValueError):
-        plan(stats, heap_bytes=10, packing_efficiency=0.0)
 
 
 @pytest.mark.parametrize("cls,org", [

@@ -258,25 +258,20 @@ def test_concat_rejects_incompatible_parts():
             RecordBatch.concat([raw, other])
 
 
-def test_concat_mutation_batches_carry_ops_and_policy():
+def test_concat_mutation_batches_carry_ops():
     from repro.core.mutations import OP_DELETE, OP_INSERT, OP_LOOKUP, MutationBatch
 
-    a = MutationBatch.from_ops(
-        [(OP_INSERT, b"k", b"v"), (OP_LOOKUP, b"k", b"")], update_policy="replace"
-    )
-    b = MutationBatch.from_ops([(OP_DELETE, b"longer", b"")], update_policy="replace")
+    a = MutationBatch.from_ops([(OP_INSERT, b"k", b"v"), (OP_LOOKUP, b"k", b"")])
+    b = MutationBatch.from_ops([(OP_DELETE, b"longer", b"")])
     a.lookup_results[1] = [b"stale"]
     merged = RecordBatch.concat([a, b])
     assert type(merged) is MutationBatch
     assert merged.ops.tolist() == [OP_INSERT, OP_LOOKUP, OP_DELETE]
-    assert merged.update_policy == "replace"
     assert merged.lookup_results == {}  # answers belong to the merged rows
 
-    appending = MutationBatch.from_ops([(OP_INSERT, b"k", b"v")])
     plain = RecordBatch.from_pairs([(b"k", b"v")])
-    for other in (appending, plain):
-        with pytest.raises(ValueError, match="incompatible"):
-            RecordBatch.concat([a, other])
+    with pytest.raises(ValueError, match="incompatible"):
+        RecordBatch.concat([a, plain])
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,7 @@ from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.integrity import CorruptionError
 from repro.memalloc import GpuHeap, NULL
 from repro.memalloc.pages import Page, PagePool
+from tests.core.conftest import multivalued_org, replaced
 
 PAGE = 256
 
@@ -88,18 +89,21 @@ def _boundary(table, impl):
     )
 
 
-def _run(streams, policy_, limit, heap_pages, page_size=PAGE,
+def _run(streams, updates, limit, heap_pages, page_size=PAGE,
          splice="vectorized", n_buckets=16, group_size=4):
-    """Mixed-op batches (one per list of triples in ``streams``) run to
+    """Mixed-op batches (one per list of triples in ``streams``; with
+    ``updates="replace"`` each update a DELETE then an INSERT) run to
     completion on a small heap; returns the table and what every boundary
     left."""
     table = GpuHashTable(
-        n_buckets, MultiValuedOrganization(pin_retention_limit=limit),
+        n_buckets, multivalued_org(limit),
         GpuHeap(heap_pages * page_size, page_size), group_size=group_size,
     )
     seen = []
     for triples in streams:
-        batch = MutationBatch.from_ops(triples, update_policy=policy_)
+        if updates == "replace":
+            triples = replaced(triples)
+        batch = MutationBatch.from_ops(triples)
         pending = np.arange(len(batch))
         for _ in range(200):
             if not len(pending):
@@ -146,16 +150,16 @@ def _differences(got, want):
     ]
 
 
-def _splice_differences(shape, policy_, seeds=range(4)):
+def _splice_differences(shape, updates, seeds=range(4)):
     """Boundaries where the bulk splice and the loop left different
     things, and what the runs covered."""
     limit, heap_pages = SHAPES[shape]
     differing = []
     covered = dict(partial=0, forced=0, emptied=0, spliced=0)
     for seed in seeds:
-        _, got = _run(_seeded(seed), policy_, limit, heap_pages)
+        _, got = _run(_seeded(seed), updates, limit, heap_pages)
         _, want = _run(
-            _seeded(seed), policy_, limit, heap_pages, splice="slow_reference"
+            _seeded(seed), updates, limit, heap_pages, splice="slow_reference"
         )
         differing += [(seed, *d) for d in _differences(got, want)]
         for y in want:
@@ -168,13 +172,13 @@ def _splice_differences(shape, policy_, seeds=range(4)):
     return differing, covered
 
 
-@pytest.mark.parametrize("policy_", ["append", "replace"])
+@pytest.mark.parametrize("updates", ["append", "replace"])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_bulk_splice_leaves_what_the_loop_leaves(shape, policy_):
+def test_bulk_splice_leaves_what_the_loop_leaves(shape, updates):
     """Arena bytes, ``head_gpu``, the ``EvictionReport`` (``entries_spliced``
     and ``maintenance_cycles`` included), the segments ``note_write`` saw
     and the pin map, after every boundary."""
-    differing, covered = _splice_differences(shape, policy_)
+    differing, covered = _splice_differences(shape, updates)
     assert differing == []
     if shape == "partial retention":
         assert covered["partial"] and not covered["forced"]
@@ -215,14 +219,15 @@ def test_bulk_splice_cases_hold_every_entry_kind():
     what it spliced is still resident)."""
     tombstoned = unborn = 0
     limit, heap_pages = SHAPES["partial retention"]
-    for policy_ in ("append", "replace"):
+    for updates in ("append", "replace"):
         for seed in range(4):
             table = GpuHashTable(
-                16, MultiValuedOrganization(pin_retention_limit=limit),
+                16, multivalued_org(limit),
                 GpuHeap(heap_pages * PAGE, PAGE), group_size=4,
             )
+            stream = _stream(seed * 10)
             table.mutate_batch(MutationBatch.from_ops(
-                _stream(seed * 10), update_policy=policy_
+                replaced(stream) if updates == "replace" else stream
             ))
             _boundary(table, "vectorized")
             kinds = _retained_entry_kinds(table)

@@ -41,6 +41,7 @@ from repro.core import (
     apply_op_to_model,
 )
 from repro.memalloc import GpuHeap
+from tests.core.conftest import replaced
 
 KEY = st.binary(min_size=1, max_size=12)
 
@@ -175,7 +176,7 @@ class MutationMachine(RuleBasedStateMachine):
             sanitize="paranoid",
         )
         self.model: dict = {}
-        self.backlog: list[tuple[int, bytes, object, str]] = []
+        self.backlog: list[tuple[int, bytes, object]] = []
 
     # ------------------------------------------------------------------
     def _triple(self, op, key, value):
@@ -183,22 +184,20 @@ class MutationMachine(RuleBasedStateMachine):
             return (op, key, int(value))
         return (op, key, b"v%d" % value)
 
-    def _batch(self, triples, policy):
+    def _batch(self, triples):
         return MutationBatch.from_ops(
             triples,
             numeric_dtype=np.int64 if self.kind == "combining" else None,
-            update_policy=policy,
         )
 
-    def _apply_acknowledged(self, batch, triples, policy, success):
+    def _apply_acknowledged(self, batch, triples, success):
         comb = SUM_I64 if self.kind == "combining" else None
         for i, ((op, k, v), ok) in enumerate(zip(triples, success)):
             if not ok:
-                self.backlog.append((op, k, v, policy))
+                self.backlog.append((op, k, v))
                 continue
             want = apply_op_to_model(
-                self.model, op, k, v,
-                kind=self.kind, combiner=comb, update_policy=policy,
+                self.model, op, k, v, kind=self.kind, combiner=comb,
             )
             if op == OP_LOOKUP:
                 assert batch.lookup_results.get(i) == want, (
@@ -210,13 +209,17 @@ class MutationMachine(RuleBasedStateMachine):
     @rule(
         ops=st.lists(st.tuples(OP, MKEY, st.integers(-50, 50)),
                      min_size=1, max_size=15),
-        policy=st.sampled_from(["append", "replace"]),
+        replace=st.booleans(),
     )
-    def mutate_batch(self, ops, policy):
+    def mutate_batch(self, ops, replace):
+        """``replace``: each update of a byte-valued table becomes a
+        DELETE then an INSERT of its key, which replaces the key's list."""
         triples = [self._triple(op, k, v) for op, k, v in ops]
-        batch = self._batch(triples, policy)
+        if replace and self.kind != "combining":
+            triples = replaced(triples)
+        batch = self._batch(triples)
         result = self.table.mutate_batch(batch)
-        self._apply_acknowledged(batch, triples, policy, result.success)
+        self._apply_acknowledged(batch, triples, result.success)
 
     @precondition(lambda self: self.backlog)
     @rule()
@@ -224,11 +227,10 @@ class MutationMachine(RuleBasedStateMachine):
         """End the iteration, then replay the backlog in issue order."""
         self.table.end_iteration()
         pending, self.backlog = self.backlog, []
-        for op, k, v, policy in pending:
-            batch = self._batch([(op, k, v)], policy)
+        for op, k, v in pending:
+            batch = self._batch([(op, k, v)])
             result = self.table.mutate_batch(batch)
-            self._apply_acknowledged(batch, [(op, k, v)], policy,
-                                     result.success)
+            self._apply_acknowledged(batch, [(op, k, v)], result.success)
 
     # ------------------------------------------------------------------
     @invariant()

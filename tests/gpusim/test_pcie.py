@@ -99,7 +99,8 @@ def test_retry_charges_backoff_and_recovers():
 def test_persistent_fault_raises_transfer_error():
     from repro.gpusim.pcie import TransferError
 
-    bus = PCIeBus(CostLedger(), max_retries=3)
+    bus = PCIeBus(CostLedger())
+    bus.max_retries = 3
     bus.set_fault_injector(lambda op, attempt: True)
     with pytest.raises(TransferError):
         bus.bulk(1024)

@@ -143,13 +143,12 @@ def _multivalued_mid_run(impl):
     """A multi-valued table two boundaries in, a third batch applied:
     key segments in the store, chains of resident buckets running through
     them, the next ``end_iteration`` about to splice."""
-    from repro.core import MultiValuedOrganization
     from repro.memalloc.pages import PageKind
-    from tests.core.conftest import byte_batch
+    from tests.core.conftest import byte_batch, multivalued_org
 
     heap = GpuHeap(6 * 512, 512)
     table = GpuHashTable(
-        16, MultiValuedOrganization(pin_retention_limit=1.0, impl=impl),
+        16, multivalued_org(1.0, impl),
         heap, group_size=4, integrity="verify",
     )
     for round_ in range(3):

@@ -121,16 +121,6 @@ def test_fresh_pages_granted_in_request_order():
     assert_equivalent(a, bulk, b, scalar, sizes)
 
 
-def test_sorted_order_fast_path():
-    a, b = make_pair(1 << 12, 256, 4)
-    groups = np.array([3, 1, 1, 0, 3, 2, 1], dtype=np.int64)
-    sizes = np.array([16, 24, 8, 40, 16, 8, 64], dtype=np.int64)
-    order = np.argsort(groups, kind="stable")
-    bulk = a.allocate_many(groups, sizes, sorted_order=order)
-    scalar = replay_scalar(b, groups, sizes)
-    assert_equivalent(a, bulk, b, scalar, sizes)
-
-
 def test_multiple_kinds_are_independent():
     a, b = make_pair(1 << 12, 256, 2)
     groups = np.array([0, 0, 1], dtype=np.int64)

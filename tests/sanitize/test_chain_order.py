@@ -22,7 +22,6 @@ from repro.core import (
     BasicOrganization,
     CombiningOrganization,
     GpuHashTable,
-    MultiValuedOrganization,
     MutationBatch,
     RecordBatch,
     SUM_I64,
@@ -32,12 +31,13 @@ from repro.core.organizations.kernel_splice import _readmit_key_pages
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 from repro.sanitize import check_table
+from tests.core.conftest import multivalued_org
 
 KINDS = {
     "basic": BasicOrganization,
     "combining": lambda: CombiningOrganization(SUM_I64),
     # retain almost nothing: pending keys force full evictions
-    "multi-valued": lambda: MultiValuedOrganization(pin_retention_limit=0.05),
+    "multi-valued": lambda: multivalued_org(0.05),
 }
 KEY = st.sampled_from([b"k%02d" % i for i in range(24)])
 PAIRS = st.lists(st.tuples(KEY, st.integers(0, 60)), min_size=1, max_size=40)

@@ -245,19 +245,20 @@ def test_lookup_sees_a_write_from_an_earlier_ticket_of_the_same_flush(mode):
 
 
 def test_runs_split_exactly_at_incompatible_neighbours():
-    """A queue of plain, mutation/append and mutation/replace slices merges
-    per maximal compatible run, never across one, never out of order."""
+    """A queue of plain slices and mutation slices at two parse costs
+    merges per maximal compatible run, never across one, never out of
+    order."""
     plain = lambda *keys: RecordBatch.from_pairs([(k, b"p-" + k) for k in keys])
-    muts = lambda policy, *keys: MutationBatch.from_ops(
-        [(OP_UPDATE, k, policy.encode() + b"-" + k) for k in keys],
-        update_policy=policy,
+    muts = lambda cost, *keys: MutationBatch.from_ops(
+        [(OP_UPDATE, k, b"%d-%s" % (cost, k)) for k in keys],
+        parse_cycles=float(cost),
     )
     submitted = [
         plain(b"a", b"b"),
         plain(b"c"),
-        muts("append", b"a", b"d"),
-        muts("append", b"b"),
-        muts("replace", b"a", b"c"),
+        muts(50, b"a", b"d"),
+        muts(50, b"b"),
+        muts(80, b"a", b"c"),
         plain(b"a"),
         plain(b"e", b"d"),
     ]
@@ -274,15 +275,15 @@ def test_runs_split_exactly_at_incompatible_neighbours():
     assert [(type(b), len(b)) for b in merged] == [
         (RecordBatch, 3), (MutationBatch, 3), (MutationBatch, 2), (RecordBatch, 3),
     ]
-    assert [b.update_policy for b in merged[1:3]] == ["append", "replace"]
+    assert [b.parse_cycles for b in merged[1:3]] == [50.0, 80.0]
     assert [k for b in merged for k in b.key_bytes_list()] == [
         k for b in submitted for k in b.key_bytes_list()
     ]
     assert {k: sorted(v) for k, v in ex.result().items()} == {
-        b"a": [b"p-a", b"replace-a"],
-        b"b": [b"append-b", b"p-b"],
-        b"c": [b"replace-c"],
-        b"d": [b"append-d", b"p-d"],
+        b"a": [b"50-a", b"80-a", b"p-a", b"p-a"],
+        b"b": [b"50-b", b"p-b"],
+        b"c": [b"80-c", b"p-c"],
+        b"d": [b"50-d", b"p-d"],
         b"e": [b"p-e"],
     }
 
