@@ -38,23 +38,11 @@ class PendingBitmap:
     def any_pending(self) -> bool:
         return bool(self._pending.any())
 
-    def first_pending(self) -> int | None:
-        """Index of the first pending record (where iterations resume)."""
-        idx = np.flatnonzero(self._pending)
-        return int(idx[0]) if idx.size else None
-
     # ------------------------------------------------------------------
     def mark_done(self, indices: np.ndarray) -> None:
         """Clear the pending bit of the given (global) record indices."""
         self._check(indices)
         self._pending[indices] = False
-
-    def mark_pending(self, indices: np.ndarray) -> None:
-        self._check(indices)
-        self._pending[indices] = True
-
-    def is_pending(self, index: int) -> bool:
-        return bool(self._pending[index])
 
     def pending_in(self, start: int, stop: int) -> np.ndarray:
         """Global indices of pending records within ``[start, stop)``."""

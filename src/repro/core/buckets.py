@@ -47,9 +47,6 @@ class BucketArray:
         self.head_cpu = np.full(n_buckets, NULL, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def group_of(self, bucket: int | np.ndarray) -> int | np.ndarray:
-        return bucket // self.group_size
-
     def bucket_of_hash(self, h: int | np.ndarray):
         """Map hash values to bucket indices."""
         return h % np.uint64(self.n_buckets)

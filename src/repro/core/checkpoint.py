@@ -65,8 +65,10 @@ __all__ = [
     "restore_clock",
 ]
 
-FORMAT_VERSION = 1
-JOURNAL_VERSION = 1
+#: the one version of a table file, checked by :func:`read_journal` alone.
+#: Version 1 files may hold multi-valued key entries flagged SHADOW (bit 2),
+#: which no reader interprets any more: they are refused.
+JOURNAL_VERSION = 2
 
 #: every named combiner must round-trip (name, scalar) -> same combiner
 _COMBINER_FACTORIES = {
@@ -175,7 +177,6 @@ def _table_meta(table: GpuHashTable) -> dict:
         combiner_meta = {"name": comb.name, "scalar": comb.scalar}
     heap = table.heap
     return {
-        "version": FORMAT_VERSION,
         "organization": table.org.kind,
         "impl": table.org.impl,
         "combiner": combiner_meta,
@@ -219,10 +220,6 @@ def load_table(path) -> "FrozenTable":
     meta, arrays = read_journal(path)
     try:
         table, comb = meta["table"], meta["table"]["combiner"]
-        if table["version"] != FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {table['version']!r}"
-            )
         if comb is not None and comb["name"] not in _COMBINER_FACTORIES:
             raise CheckpointError(
                 f"checkpoint names unknown combiner {comb['name']!r}"

@@ -33,8 +33,7 @@ Multi-valued key entry (keys on KEY pages)::
     32  klen       u32
     36  flags      u32    bit 0: PENDING (a value insert was postponed:
                           a GPU-side request to pin the page)
-                          bit 1: TOMBSTONE   bit 2: SHADOW (read
-                          as a closer; no write sets it any more)
+                          bit 1: TOMBSTONE   bit 2: unused
     40  key bytes
 
 Value node (values on VALUE pages)::
@@ -67,7 +66,6 @@ __all__ = [
     "VALUE_NODE_HEADER",
     "FLAG_PENDING",
     "FLAG_TOMBSTONE",
-    "FLAG_SHADOW",
     "GFLAG_TOMBSTONE",
     "GFLAG_SHADOW",
     "GKLEN_MASK",
@@ -112,7 +110,6 @@ VALUE_NODE_HEADER = 24
 FLAG_PENDING = 0x1
 #: multi-valued key-entry mutation flags (flags u32 at offset 36)
 FLAG_TOMBSTONE = 0x2
-FLAG_SHADOW = 0x4
 #: generic-entry mutation flags, carried in the top bits of the klen word
 GFLAG_TOMBSTONE = 1 << 31
 GFLAG_SHADOW = 1 << 30

@@ -143,7 +143,7 @@ def _visible(keys: list[bytes], closing: np.ndarray, dead: np.ndarray):
     """The newest-first automaton of :meth:`GpuHashTable.cpu_items` over
     entries in walk order: an entry shows unless it is ``dead`` (a
     tombstone) or an earlier entry of its key was ``closing`` (a tombstone,
-    or a shadow -- which shows itself, then closes)."""
+    or a generic shadow -- which shows itself, then closes)."""
     _, label = _key_groups(keys)
     if label is None:
         return ~dead
@@ -168,7 +168,7 @@ def cpu_chain_items(
     Mutation flags are resolved here with the newest-first automaton:
     chains are walked newest-first, so the first tombstone seen for a
     key closes it (older copies are dead and never yielded), and a
-    shadow entry yields its own payload then closes the key.
+    generic shadow entry yields its own payload then closes the key.
     """
     multivalued = kind == "multi-valued"
     fmt = combiner.fmt if kind == "combining" else None
@@ -193,8 +193,6 @@ def cpu_chain_items(
                         yield key, collect_values(
                             segment_view, page_size, vhead_cpu
                         )
-                        if flags & E.FLAG_SHADOW:
-                            closed.add(key)
             else:
                 _, next_cpu, klen, vlen = E.read_entry_header(buf, off)
                 key = E.entry_key(buf, off, klen)
@@ -647,9 +645,9 @@ class GpuHashTable:
         pos, klens, flags, vhead = pos[born], klens[born], flags[born], vhead[born]
         ko = pos + E.KEY_ENTRY_HEADER
         keys = _slices(blob, ko, ko + klens)
-        closing = (flags & (E.FLAG_TOMBSTONE | E.FLAG_SHADOW)) != 0
-        if closing.any():
-            show = _visible(keys, closing, (flags & E.FLAG_TOMBSTONE) != 0)
+        tomb = (flags & E.FLAG_TOMBSTONE) != 0
+        if tomb.any():
+            show = _visible(keys, tomb, tomb)
             keys = list(compress(keys, show.tolist()))
             vhead = vhead[show]
         # every visible key entry's value list, walked together

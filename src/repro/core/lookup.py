@@ -28,10 +28,10 @@ to the head of its value list, which is newer than the entry.  A
 multi-valued lookup therefore never makes that jump inside a walk: it is
 a *key walk* down the key chain, which records every admissible match's
 ``vhead_cpu`` as a new *value-list walk* and closes at the first
-tombstone, after the first SHADOW entry or at the chain's end, plus one
-value-list walk per recorded match, each straight down its list.  Every
-walk only moves downward, so the rearrangement sweeps the key segments
-newest first and then the value segments newest first.
+tombstone or at the chain's end, plus one value-list walk per recorded
+match, each straight down its list.  Every walk only moves downward, so
+the rearrangement sweeps the key segments newest first and then the
+value segments newest first.
 
 Combining-method semantics deserve care: a key may have residue entries in
 several segments (one per iteration that evicted it), so a lookup only
@@ -356,11 +356,11 @@ class LookupDriver:
 
     def _key_walks(self, rows, st, q, stats):
         """The key walks at ``rows`` as one resolve.  The first closer of a
-        walk is its first admissible tombstone or SHADOW match; every
-        admissible match before it, and a SHADOW closer itself, records
-        its value list.  A closed walk pays for the entries up to and
-        including its closer, every other one for the whole resident
-        prefix, and waits where that runs on into evicted memory."""
+        walk is its first tombstone match; every admissible match before
+        it records its value list.  A closed walk pays for the entries up
+        to and including its closer, every other one for the whole
+        resident prefix, and waits where that runs on into evicted
+        memory."""
         heap = self.table.heap
         kaddr, pend = st["kaddr"], st["pend"][rows]
         cm = match_resident_chains(
@@ -370,14 +370,12 @@ class LookupDriver:
         # skip unborn entries: unacknowledged
         born = np.flatnonzero(~E.key_entry_unborn(cm.flags, vhead))
         flags = cm.flags[born]
-        # deleted: this and every older same-key entry is dead; a SHADOW
-        # entry replaces the whole older value list
+        # deleted: this and every older same-key entry is dead
         tomb = (flags & E.FLAG_TOMBSTONE) != 0
-        closes = tomb | ((flags & E.FLAG_SHADOW) != 0)
-        seen = _running_count(cm.key[born], closes)
-        keep = born[~tomb & (seen == closes)]
+        seen = _running_count(cm.key[born], tomb)
+        keep = born[seen == 0]
         self._record(q, pend[cm.key[keep]], vhead[keep])
-        closer = born[closes & (seen == 1)]
+        closer = born[tomb & (seen == 1)]
         seg, addr, charge = cm.blocked_seg, cm.blocked_addr, cm.chain_bytes
         closed = cm.key[closer]
         seg[closed], addr[closed], charge[closed] = -1, NULL, cm.cum[closer]
@@ -524,10 +522,8 @@ class LookupDriver:
 
         Appends the ``vhead_cpu`` of every admissible match to ``vheads``
         (its value list is walked on its own, :meth:`_walk_values`).  A
-        tombstoned match closes the walk at once, a *shadow* one after
-        recording its list: it supersedes every older same-key entry.
-        Returns ``(-1, NULL)`` once closed, or the segment it blocks at and
-        the address it resumes at.
+        tombstoned match closes the walk.  Returns ``(-1, NULL)`` once
+        closed, or the segment it blocks at and the address it resumes at.
         """
         heap = self.table.heap
         while kaddr != NULL:
@@ -549,8 +545,6 @@ class LookupDriver:
                     # deleted: this and every older same-key entry is dead
                     break
                 vheads.append(vhead_cpu)
-                if flags & E.FLAG_SHADOW:
-                    break  # replaces the whole older value list
             kaddr = next_cpu
         return -1, NULL
 

@@ -26,9 +26,9 @@ from repro.core.organizations.kernel_front import (
     _link_heads,
     _link_value_lists,
     _run_starts,
-    _stable_order,
 )
 from repro.memalloc.address import NULL
+from repro.memalloc.allocator import _stable_order
 from repro.memalloc.pages import KIND_CODES, PageKind
 
 

@@ -277,14 +277,12 @@ def _answer_lookups_mv(
     lk, slot, n_keys, blob, image, cm = _lookup_matches(
         table, batch, idx, dk, looks, "key"
     )
-    TOMB, SHADOW = E.FLAG_TOMBSTONE, E.FLAG_SHADOW
     vhead = E.gather_field(image, cm.pos + 24, "<i8")
-    unborn = E.key_entry_unborn(cm.flags, vhead)
+    tomb = (cm.flags & E.FLAG_TOMBSTONE) != 0
     first = np.searchsorted(cm.key, np.arange(n_keys))
-    # a tombstone closes its key unseen, a shadow's list is the last
+    # a tombstone closes its key unseen
     shows, probes, nbytes = _newest_first(
-        cm, first, ((cm.flags & (TOMB | SHADOW)) != 0) & ~unborn,
-        ((cm.flags & TOMB) != 0) | unborn,
+        cm, first, tomb, tomb | E.key_entry_unborn(cm.flags, vhead)
     )
     vis = np.flatnonzero(shows)
     (vpos, _, vlen, _), counts = walk_cpu_image(image, vhead[vis], "value")

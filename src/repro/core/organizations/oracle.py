@@ -408,7 +408,7 @@ def _append_value(table, tally, kbuf, koff, kseg, b, value) -> bool:
 def _lookup_mv(table, b, key, tally) -> list[bytes]:
     """Full CPU-chain lookup: newest live key entry's values, plus any
     older duplicates (forced evictions split a key's values across
-    entries) until a shadow or tombstone closes the key.  Returned
+    entries) until a tombstone closes the key.  Returned
     oldest-first to match the dict-model's append order."""
     heap = table.heap
     page_size = heap.page_size
@@ -439,8 +439,6 @@ def _lookup_mv(table, b, key, tally) -> list[bytes]:
                 tally.bytes_touched += E.VALUE_NODE_HEADER + vh[2]
                 out.append(E.value_node_value(vbuf, voff, vh[2]))
                 vaddr = vh[1]
-            if flags & E.FLAG_SHADOW:
-                break
         addr = next_cpu
     out.reverse()
     return out

@@ -128,7 +128,7 @@ class GroupLog:
         return f"GroupLog({self.as_array().tolist()!r})"
 
 
-@dataclass(eq=False)
+@dataclass
 class InsertTally:
     """Cost counters accumulated by an insert loop."""
 
@@ -140,19 +140,6 @@ class InsertTally:
     table_cycles: float = 0.0
     #: bucket-group id per successful allocation (allocator contention)
     alloc_groups: GroupLog = field(default_factory=GroupLog)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InsertTally):
-            return NotImplemented
-        return (
-            self.attempted == other.attempted
-            and self.succeeded == other.succeeded
-            and self.postponed == other.postponed
-            and self.probe_steps == other.probe_steps
-            and self.bytes_touched == other.bytes_touched
-            and self.table_cycles == other.table_cycles
-            and self.alloc_groups == other.alloc_groups
-        )
 
 
 class Organization:

@@ -62,10 +62,6 @@ class CostLedger:
         for c in CostCategory:
             self._spent[c] = 0.0
 
-    def fork(self) -> "CostLedger":
-        """A fresh ledger (used to measure a sub-phase in isolation)."""
-        return CostLedger()
-
     def merge(self, other: "CostLedger") -> None:
         """Fold another ledger's charges into this one."""
         for c in CostCategory:

@@ -47,34 +47,7 @@ class SimtModel:
             raise ValueError("negative bytes")
         return nbytes / self.device.effective_bandwidth
 
-    def phase_time(
-        self,
-        n_records: int,
-        cycles_per_record: float,
-        nbytes: int,
-        divergence: float = 1.0,
-    ) -> float:
-        """Roofline max of the compute and memory estimates (not charged)."""
-        return max(
-            self.compute_time(n_records, cycles_per_record, divergence),
-            self.memory_time(nbytes),
-        )
-
     # ------------------------------------------------------------------
-    def charge_phase(
-        self,
-        n_records: int,
-        cycles_per_record: float,
-        nbytes: int,
-        divergence: float = 1.0,
-    ) -> float:
-        """Charge a roofline phase to the ledger, split by binding resource."""
-        tc = self.compute_time(n_records, cycles_per_record, divergence)
-        tm = self.memory_time(nbytes)
-        if tc >= tm:
-            return self.ledger.charge(CostCategory.COMPUTE, tc)
-        return self.ledger.charge(CostCategory.MEMORY, tm)
-
     def charge_launch(self) -> float:
         """Charge one kernel launch to the ledger."""
         return self.ledger.charge(CostCategory.LAUNCH, self.device.launch_s)

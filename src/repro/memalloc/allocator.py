@@ -28,11 +28,13 @@ __all__ = ["AllocationStats", "BucketGroupAllocator", "BulkAllocation"]
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``argsort(kind="stable")`` via a composite quicksort key; valid for
-    small-cardinality keys (group/kind composites) where ``keys * n + n``
-    cannot overflow int64."""
+    """``argsort(kind="stable")`` via a composite quicksort key: fusing the
+    arrival position into one unique int64 key lets the default introsort
+    produce exactly the stable permutation ~3x faster than mergesort.
+    Valid for small-cardinality keys (bucket ids, group/kind composites)
+    where ``keys * n + n`` cannot overflow int64."""
     n = len(keys)
-    return (keys * n + np.arange(n)).argsort()
+    return (keys.astype(np.int64, copy=False) * n + np.arange(n)).argsort()
 
 
 def _run_bounds(keys: np.ndarray) -> np.ndarray:

@@ -206,12 +206,6 @@ class GpuHeap:
     def is_resident(self, segment: int) -> bool:
         return segment in self._resident
 
-    def addr_resident(self, cpu_addr: int) -> bool:
-        if cpu_addr == NULL:
-            return False
-        segment, _ = decode(cpu_addr, self.page_size)
-        return segment in self._resident
-
     def gpu_addr(self, cpu_addr: int) -> int:
         """Translate a CPU address to the current GPU address, or NULL."""
         if cpu_addr == NULL:

@@ -10,25 +10,14 @@ def test_starts_all_pending():
     bm = PendingBitmap(10)
     assert bm.pending_count == 10
     assert bm.any_pending()
-    assert bm.first_pending() == 0
+    assert list(bm.pending_in(0, 10)) == list(range(10))
 
 
 def test_mark_done_clears():
     bm = PendingBitmap(8)
     bm.mark_done(np.array([0, 3, 7]))
     assert bm.pending_count == 5
-    assert not bm.is_pending(3)
-    assert bm.is_pending(1)
-    assert bm.first_pending() == 1
-
-
-def test_mark_pending_reinstates():
-    bm = PendingBitmap(4)
-    bm.mark_done(np.arange(4))
-    assert not bm.any_pending()
-    assert bm.first_pending() is None
-    bm.mark_pending(np.array([2]))
-    assert bm.first_pending() == 2
+    assert list(bm.pending_in(0, 8)) == [1, 2, 4, 5, 6]
 
 
 def test_pending_in_window():

@@ -15,14 +15,7 @@ def test_heads_start_null():
 def test_group_partitioning():
     ba = BucketArray(10, group_size=4)
     assert ba.n_groups == 3
-    assert ba.group_of(0) == 0
-    assert ba.group_of(7) == 1
-    assert ba.group_of(9) == 2
-
-
-def test_group_of_vectorized():
-    ba = BucketArray(8, group_size=2)
-    assert list(ba.group_of(np.array([0, 3, 7]))) == [0, 1, 3]
+    assert BucketArray(8, group_size=4).n_groups == 2
 
 
 def test_bucket_of_hash():

@@ -171,9 +171,11 @@ def saved(tmp_path):
 
 
 def test_version_checked(tmp_path):
+    """A saved table has one version, the archive's: a file relabelled
+    with another is refused."""
     _, path = saved(tmp_path)
-    rewrite_archive(path, lambda meta: meta["table"].update(version=99))
-    with pytest.raises(CheckpointError):
+    rewrite_archive(path, lambda meta: meta.update(journal_version=1))
+    with pytest.raises(CheckpointError, match="version 1"):
         load_table(path)
 
 

@@ -391,46 +391,12 @@ def _batch(case, seed, replace=False):
     )
 
 
-def _shadow_as_an_earlier_build_did(table):
-    """Give a multi-valued table the ``FLAG_SHADOW`` key entries an
-    earlier build's replacing updates wrote: every unborn entry (a replace
-    refused its value), and on every other key whose newest born entry is
-    live above an older live one, that newest entry (it hides the older
-    list).  Nothing writes the flag any more, but readers must read a
-    table saved back then as they did."""
-    heap = table.heap
-    eligible = 0
-    for b in table.buckets.occupied_buckets().tolist():
-        addr, newest = int(table.buckets.head_cpu[b]), {}
-        while addr != NULL:
-            seg, off = divmod(addr, heap.page_size)
-            buf = heap.segment_view(seg)
-            _, addr, _, vhead, klen, flags = E.read_key_entry_header(buf, off)
-            key = E.key_entry_key(buf, off, klen)
-            hit = None
-            if E.key_entry_unborn(flags, vhead):
-                hit = (buf, off, seg, flags)
-            elif key not in newest:
-                live = not flags & E.FLAG_TOMBSTONE
-                newest[key] = (buf, off, seg, flags) if live else None
-            elif newest[key] is not None:
-                if not flags & E.FLAG_TOMBSTONE:  # an older live list
-                    hit = newest[key] if eligible % 2 == 0 else None
-                    eligible += 1
-                newest[key] = None
-            if hit is not None:
-                buf, off, seg, flags = hit
-                E.set_flags(buf, off, flags | E.FLAG_SHADOW)
-                heap.note_write(seg)
-
-
 def _build(case, heap_bytes, impl):
     """A table loaded by three seeded mixed-op batches (multi-valued: the
     second with every update a replace) run to completion, then a fourth
     (replaces too) applied *once*: its postponed ops stay unacknowledged,
     which for the multi-valued method leaves empty PENDING key entries at
-    chain heads.  A multi-valued table then takes the SHADOW entries an
-    earlier build wrote (:func:`_shadow_as_an_earlier_build_did`)."""
+    chain heads."""
     ledger = CostLedger()
     table = GpuHashTable(
         MATRIX_BUCKETS, _org(case), GpuHeap(heap_bytes, MATRIX_PAGE),
@@ -444,8 +410,6 @@ def _build(case, heap_bytes, impl):
         else:
             table.mutate_batch(batch)
             table.end_iteration()
-    if CASES[case][0] == "multi-valued":
-        _shadow_as_an_earlier_build_did(table)
     table.org.impl = impl
     return table, kernel, bus, LookupDriver(table, kernel, bus)
 
@@ -577,20 +541,17 @@ def test_lookup_matrix_tables_hold_every_entry_kind():
         vhead = image.view(np.int64)[(pos >> 3) + 3]
         unborn = ((flags & E.FLAG_PENDING) != 0) & (vhead == NULL)
         assert (flags & E.FLAG_TOMBSTONE).any()
-        assert ((flags & E.FLAG_SHADOW) != 0)[~unborn].any()
         assert unborn.any(), "no empty PENDING key entry"
-        assert (unborn & ((flags & E.FLAG_SHADOW) != 0)).any()
         # several value lists to one query: per key, newest first, the
         # admissible entries (born: a non-empty value list, or a tombstone)
-        # a key walk records before a tombstone or its first SHADOW entry
-        # closes it
+        # a key walk records before a tombstone closes it
         lists, closed = Counter(), set()
         for key, fl, vh in zip(keys, flags.tolist(), vhead.tolist()):
             if key in closed or E.key_entry_unborn(fl, vh):
                 continue
-            if fl & (E.FLAG_TOMBSTONE | E.FLAG_SHADOW):
+            if fl & E.FLAG_TOMBSTONE:
                 closed.add(key)
-            if not fl & E.FLAG_TOMBSTONE:
+            else:
                 lists[key] += 1
         assert max(lists[key] for key in set(_queries(case))) >= 2
 
@@ -637,8 +598,6 @@ FAULTS = {
     "charge the whole prefix on a basic hit": ("basic", lambda mp: _tamper_matches(
         mp, "generic", lambda cm: cm._replace(cum=cm.chain_bytes[cm.key]))),
     "fold SUM_F64 residue in the wrong order": ("sum-f64", _fold_oldest_first),
-    "ignore SHADOW": ("multi-valued", lambda mp: _tamper_matches(
-        mp, "key", lambda cm: cm._replace(flags=cm.flags & ~E.FLAG_SHADOW))),
     # (an entry without a value list counts unless it is a tombstone)
     "count an empty PENDING entry as a match": ("multi-valued", lambda mp: _tamper_matches(
         mp, "key", lambda cm: cm._replace(flags=np.where(

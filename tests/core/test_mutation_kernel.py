@@ -492,6 +492,48 @@ def test_lookups_around_the_retry_that_completes_an_unborn_entry(case):
         "multi-valued", VALUE_PAGE_FULL, [], batch)
 
 
+def test_bit_2_of_a_key_entry_closes_nothing(kernel_calls):
+    """Bit 2 of a key entry's flags is read by no reader.  Set by hand on
+    the empty ``PENDING`` entry that a denied insert leaves above an older
+    live entry of its key, then a batch appends to that entry and looks
+    the key up: the kernel (``vectorized``) and the loop
+    (``slow_reference``) answer both lists, as ``result()`` holds them
+    read either way."""
+    key = b"k9999"
+    answers = {}
+    for impl in ("vectorized", "slow_reference"):
+        table = GpuHashTable(
+            1, make_org("multi-valued", impl), GpuHeap(2 * 256, 256),
+            group_size=1,
+        )
+        old = mut_batch("multi-valued", [(OP_INSERT, key, b"old")])
+        assert table.mutate_batch(old).success.all()
+        table.end_iteration()  # the older entry leaves for the store
+        fill = mut_batch("multi-valued",
+                         VALUE_PAGE_FULL + [(OP_INSERT, key, b"new")])
+        assert table.mutate_batch(fill).success.tolist() == [True] * 8 + [False]
+        table.end_iteration()  # the pinned key page stays
+        (flags, vhead), (_, older) = key_entries(table, key)
+        assert flags & E.FLAG_PENDING and vhead == NULL and older != NULL
+        seg, off = divmod(int(table.buckets.head_cpu[0]), 256)
+        buf = table.heap.segment_view(seg)
+        assert E.key_entry_key(buf, off, len(key)) == key
+        E.set_flags(buf, off, flags | 0x4)
+        table.heap.note_write(seg)
+
+        calls = kernel_calls["n"]
+        batch = mut_batch("multi-valued",
+                          [(OP_INSERT, key, b"new"), (OP_LOOKUP, key, b"")])
+        assert table.mutate_batch(batch).success.all()
+        assert kernel_calls["n"] - calls == (impl == "vectorized")
+        answers[impl] = batch.lookup_results[1]
+        table.end_iteration()
+        for reader in ("vectorized", "slow_reference"):
+            table.org.impl = reader
+            assert sorted(table.result()[key]) == sorted(answers[impl])
+    assert answers == {impl: [b"old", b"new"] for impl in answers}
+
+
 def test_delete_of_a_pending_key_unpins_its_page():
     """A pure-insert batch leaves ``k0001`` ``PENDING`` (its last value
     was refused); a mutation batch that deletes the key before the insert

@@ -48,15 +48,6 @@ def test_merge_folds_charges():
     assert a.spent(CostCategory.LAUNCH) == pytest.approx(0.1)
 
 
-def test_fork_is_independent():
-    a = CostLedger()
-    a.charge(CostCategory.COMPUTE, 1.0)
-    f = a.fork()
-    assert f.elapsed == 0.0
-    f.charge(CostCategory.COMPUTE, 5.0)
-    assert a.elapsed == pytest.approx(1.0)
-
-
 def test_charge_returns_seconds():
     led = CostLedger()
     assert led.charge(CostCategory.MAINTENANCE, 0.75) == 0.75

@@ -42,22 +42,6 @@ def test_memory_time_uses_effective_bandwidth(gpu):
     )
 
 
-def test_phase_time_is_roofline_max(gpu):
-    n, cyc = 1_000_000, 1000.0
-    tc = gpu.compute_time(n, cyc)
-    tm = gpu.memory_time(64)
-    assert gpu.phase_time(n, cyc, 64) == pytest.approx(max(tc, tm))
-
-
-def test_charge_phase_books_binding_category():
-    led = CostLedger()
-    m = SimtModel(GTX_780TI, led)
-    # Huge memory traffic, trivial compute: memory binds.
-    m.charge_phase(1, 1.0, 1 << 30)
-    assert led.spent(CostCategory.MEMORY) > 0
-    assert led.spent(CostCategory.COMPUTE) == 0
-
-
 def test_charge_launch(gpu):
     assert gpu.charge_launch() == GTX_780TI.launch_s
     assert gpu.ledger.spent(CostCategory.LAUNCH) == GTX_780TI.launch_s

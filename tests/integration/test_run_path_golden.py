@@ -73,8 +73,18 @@ def _facts(table, report, resilience=None, journal=None):
             (resilience.checkpoints_written, resilience.resumed_from_iteration),
         ]
         meta, _arrays = read_journal(journal)
-        seen.append(json.dumps(meta, sort_keys=True))
+        seen.append(json.dumps(_as_recorded(meta), sort_keys=True))
     return seen
+
+
+def _as_recorded(meta):
+    """A journal's meta in the layout :data:`GOLDEN` was recorded under:
+    archive version 1, whose table record carried a ``"version": 1`` of
+    its own.  The version is the file format's, not the run's; every
+    other key is digested as written."""
+    assert meta["journal_version"] == 2 and "version" not in meta["table"]
+    return {**meta, "journal_version": 1,
+            "table": {**meta["table"], "version": 1}}
 
 
 def _run_gpu(cls, tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim import DeviceMemory, GTX_780TI
-from repro.memalloc import GpuHeap, NULL, PageKind
+from repro.memalloc import GpuHeap, NULL, PageKind, decode
 
 
 @pytest.fixture
@@ -58,12 +58,14 @@ def test_double_evict_rejected(heap):
 def test_addressing_roundtrip(heap):
     p = heap.alloc_page(PageKind.GENERIC, 0)
     cpu = heap.cpu_addr(p, 40)
-    assert heap.addr_resident(cpu)
+    seg, off = decode(cpu, 256)
+    assert (seg, off) == (p.segment, 40)
+    assert heap.resident_page(seg) is p
     gpu = heap.gpu_addr(cpu)
     assert gpu == p.slot * 256 + 40
     heap.evict([p])
     assert heap.gpu_addr(cpu) == NULL
-    assert not heap.addr_resident(cpu)
+    assert heap.resident_page(seg) is None
 
 
 def test_gpu_addr_of_null(heap):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core import CombiningOrganization, SUM_I64
+from repro.core.checkpoint import CheckpointError, load_table
 from repro.resilience import (
     JournalError,
+    ResilientDriver,
     input_fingerprint,
     read_journal,
     table_digest,
     write_journal,
 )
 from tests.core.conftest import make_table, numeric_batch
+from tests.resilience.test_resilient_driver import make_driver, workload
 
 
 def sample():
@@ -29,7 +32,7 @@ def test_roundtrip(tmp_path):
     write_journal(path, meta, arrays)
     got_meta, got_arrays = read_journal(path)
     assert got_meta["driver"] == meta["driver"]
-    assert got_meta["journal_version"] == 1
+    assert got_meta["journal_version"] == 2
     assert np.array_equal(got_arrays["pending"], arrays["pending"])
     assert np.array_equal(got_arrays["log"], arrays["log"])
 
@@ -137,21 +140,33 @@ def test_tampered_array_fails_checksum(tmp_path):
 
 
 def test_wrong_version_rejected(tmp_path):
+    """A run's journal relabelled version 1 (the files whose multi-valued
+    key entries may carry the SHADOW flag no reader interprets) or 99 is
+    refused by the one version check, :func:`read_journal`, whichever way
+    it is opened: read, loaded as a table, or resumed."""
     path = tmp_path / "j.npz"
-    write_journal(path, *sample())
+    d, _ = make_driver(CombiningOrganization(SUM_I64))
+    ResilientDriver(d, journal_path=path).run(workload())
     import json
 
     with np.load(path) as a:
         meta = json.loads(bytes(a["meta"]).decode())
         arrays = {k: a[k] for k in a.files if k != "meta"}
-    meta["journal_version"] = 99
-    np.savez(
-        path,
-        meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        **arrays,
-    )
-    with pytest.raises(JournalError, match="version"):
-        read_journal(path)
+    for version in (1, 99):
+        meta["journal_version"] = version
+        np.savez(
+            path,
+            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            **arrays,
+        )
+        named = rf"unsupported journal version {version}$"
+        with pytest.raises(JournalError, match=named):
+            read_journal(path)
+        with pytest.raises(CheckpointError, match=named):
+            load_table(path)
+        d, _ = make_driver(CombiningOrganization(SUM_I64))
+        with pytest.raises(JournalError, match=named):
+            ResilientDriver(d, journal_path=path).run(workload(), resume=True)
 
 
 def test_missing_meta_member_rejected(tmp_path):
