@@ -11,8 +11,9 @@ refill).  It composes
 
 and reports every batch's cost statistics (:class:`~repro.gpusim.BatchStats`)
 so a :class:`~repro.gpusim.KernelModel` can charge simulated time.  A host
-call is not a launch: :meth:`insert_run` inserts a run of chunks with one
-organization call and still returns each chunk's own statistics.
+call is not a launch: :meth:`apply_batch` applies a run of chunks -- pure
+inserts, or mixed ops -- with one organization call and still returns each
+chunk's own statistics.
 
 The finished table is readable from the CPU side -- :meth:`cpu_items` walks
 the CPU pointer chains across resident and evicted segments alike, and
@@ -58,8 +59,8 @@ from repro.memalloc.heap import GpuHeap
 
 __all__ = ["GpuHashTable", "InsertResult", "RUN_RECORDS", "run_fits"]
 
-#: records per organization call of a run of insert chunks
-#: (:meth:`GpuHashTable.insert_run`).  A call costs ~2 ms of numpy dispatch
+#: records per organization call of a run of chunks, pure-insert or mixed
+#: (:meth:`GpuHashTable.apply_batch`).  A call costs ~2 ms of numpy dispatch
 #: before its first record, so the SEPO passes and the CPU baseline join
 #: consecutive chunks up to this many records; the cap bounds the joined
 #: batch and the kernel's per-op columns.  Swept on the benchmark's
@@ -73,10 +74,16 @@ RUN_RECORDS = 8192
 
 def run_fits(head: RecordBatch, records: int, batch: RecordBatch, n: int) -> bool:
     """May ``n`` rows of ``batch`` join a run of chunks that starts with
-    ``head`` and holds ``records`` rows?  Only batches that concat together,
+    ``head`` and holds ``records`` rows?  Only batches that concat together
+    and are of one kind -- pure inserts, or mixed ops (an all-insert
+    :class:`MutationBatch` concats with mixed ones but is a pure insert) --
     and at most :data:`RUN_RECORDS` rows a call (a bigger chunk runs alone).
     """
-    return records + n <= RUN_RECORDS and batch.concat_key == head.concat_key
+    return (
+        records + n <= RUN_RECORDS
+        and batch.concat_key == head.concat_key
+        and batch.pure_insert == head.pure_insert
+    )
 
 
 def _largest_requests(org, batch, idx, mutation: bool) -> np.ndarray:
@@ -100,6 +107,18 @@ def _largest_requests(org, batch, idx, mutation: bool) -> np.ndarray:
         return np.maximum(
             E.key_entry_sizes_bulk(klens), E.value_node_sizes_bulk(vlens))
     return E.entry_sizes_bulk(klens, vlens)
+
+
+def _hand_back_answers(answers: dict, parts, bounds) -> None:
+    """Deposit a joined run's lookup ``answers`` (keyed by joined row) in
+    each part's own ``lookup_results``, keyed by the part's own row."""
+    if not answers:
+        return
+    rows = np.fromiter(answers, np.int64, len(answers))
+    owner = np.searchsorted(bounds, rows, "right") - 1
+    local = np.concatenate([i for _, i in parts])[rows]
+    for p, i, value in zip(owner.tolist(), local.tolist(), answers.values()):
+        parts[p][0].lookup_results[i] = value
 
 
 class InsertResult:
@@ -333,18 +352,19 @@ class GpuHashTable:
     def apply_batch(self, parts) -> list[InsertResult]:
         """Apply a run of batches: the SEPO driver's single dispatch point.
 
-        ``parts`` are ``(batch, indices)`` pairs.  Pure-insert batches
-        (including a :class:`MutationBatch` whose ops are all inserts) take
+        ``parts`` are ``(batch, indices)`` pairs of one kind
+        (:func:`run_fits`).  Pure-insert batches (including a
+        :class:`MutationBatch` whose ops are all inserts) take
         :meth:`insert_run` -- no postponement gate, pre-aggregated kernels
-        fully engaged; a mixed batch comes alone and takes the gated
-        mutation path.  Returns one :class:`InsertResult` per part.
+        fully engaged; mixed batches take the gated mutation path with one
+        call too, which stops where a pass of one call a chunk would stop
+        (:meth:`Organization.mutate_indices`).  Returns one
+        :class:`InsertResult` per part that ran, in order: the parts after
+        a stop are not applied.
         """
-        batch, indices = parts[0]
-        if batch.pure_insert:
+        if parts[0][0].pure_insert:
             return self.insert_run(parts)
-        if len(parts) > 1:
-            raise ValueError("a mixed-op batch is applied on its own")
-        return [self.mutate_batch(batch, indices)]
+        return self._apply(parts, mutation=True)
 
     def mutate_batch(
         self, batch: MutationBatch, indices: np.ndarray | None = None
@@ -355,17 +375,20 @@ class GpuHashTable:
         Same contract as :meth:`insert_batch`: a per-record success mask
         aligned with ``indices`` plus cost statistics.  Lookup results are
         deposited in ``batch.lookup_results`` keyed by batch-local record
-        index.
+        index.  The gated run of :meth:`apply_batch` with this batch alone.
         """
         return self._apply([(batch, indices)], mutation=True)[0]
 
     def _apply(self, parts, mutation: bool) -> list[InsertResult]:
-        """The one body of :meth:`insert_run` and :meth:`mutate_batch`
-        (whose one part is gated): they differ in the organization entry
-        point and in the total the successes are booked under.  A call
-        holding a record larger than a page raises the allocator's
-        ``ValueError`` before any op runs (mid-call, the ops ahead of it
-        would have stored and booked records nobody acknowledges)."""
+        """The one body of :meth:`insert_run` and of a mixed run of
+        :meth:`apply_batch`: they differ in the organization entry point,
+        in the total the successes are booked under, and in that a gated
+        run may stop before its last part -- results come back for the
+        parts that ran, each part's lookup answers in its own batch under
+        its own rows.  A call holding a record larger than a page raises
+        the allocator's ``ValueError`` before any op runs (mid-call, the
+        ops ahead of it would have stored and booked records nobody
+        acknowledges)."""
         parts = [
             (b, np.arange(len(b)) if i is None else i) for b, i in parts
         ]
@@ -388,16 +411,20 @@ class GpuHashTable:
             batch = RecordBatch.concat(
                 [b for b, _ in parts], [i for _, i in parts])
             idx, buckets = np.arange(bounds[-1]), np.concatenate(bucket_ids)
+        reached = len(parts)
         if mutation:
-            success = self.org.mutate_indices(
-                self, batch, idx, buckets, tallies[0])
+            success, reached = self.org.mutate_indices(
+                self, batch, idx, buckets, tallies, bounds)
         else:
             success = self.org.insert_indices(
                 self, batch, idx, buckets, tallies, bounds)
         if len(parts) > 1:
+            if mutation:
+                _hand_back_answers(batch.lookup_results, parts, bounds)
             # the joined batch and its cache reference each other: break
             # the cycle so its arrays go now, not at the next collection
             batch.invalidate_cache()
+        parts, tallies = parts[:reached], tallies[:reached]
         for tally in tallies:
             if mutation:
                 self.total_mutated += tally.succeeded

@@ -3,9 +3,11 @@
 The organizations are one chained table that differ in what a hit does.
 Each one answers
 
-* ``insert_indices`` / ``mutate_indices`` -- apply a pure-insert or a
-  mixed insert/update/delete/lookup batch, returning a success mask
-  (``False`` = POSTPONE) and accumulating cost statistics,
+* ``insert_indices`` / ``mutate_indices`` -- apply a run of pure-insert or
+  of mixed insert/update/delete/lookup chunks, returning a success mask
+  (``False`` = POSTPONE) and accumulating cost statistics per chunk; a
+  mixed-op run stops after the chunk where the gate would start refusing
+  or the basic method would halt (``stop_fraction``),
 * ``end_iteration`` -- the Figure-5 halt/rearrange step: which pages are
   evicted, which are retained, and what chain maintenance is required,
 * ``should_halt`` -- whether the computation must stop mid-input (only the

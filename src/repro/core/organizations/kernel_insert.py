@@ -46,6 +46,8 @@ def _book(tallies, bounds, ok, cycles, touched, probe, alloc_at, alloc_groups):
     lo, hi = bounds[:-1], bounds[1:]
 
     def per_part(col):
+        if len(tallies) == 1:  # a call a chunk: one plain sum
+            return [col[lo[0]:hi[0]].sum().item()]
         acc = np.concatenate(([0], np.cumsum(col)))
         return (acc[hi] - acc[lo]).tolist()
 

@@ -181,10 +181,11 @@ def _list_answers(results, idx, r, shown, lo, hi, added):
 
 def _answer_lookups(
     table, batch, idx, dk, st, comb, looks, made, inplace, buried, creator,
-    A, S, tally,
+    A, S, probe, touched,
 ):
     """Answer and charge the in-stream lookups of one generic-entry kernel
-    call.
+    call: each lookup's probes and bytes are added to its op's row of the
+    kernel's ``probe`` and ``touched`` columns.
 
     Reads only :func:`_lookup_matches`: the newest-first automaton of
     :func:`.oracle._lookup_generic` runs as a mask over those matches,
@@ -217,8 +218,8 @@ def _answer_lookups(
         close = made & is_del | buried
     r = _reads(dk, st, looks, slot, adds, close, made, creator, cm, first,
                probes, nbytes, A, S, None if comb is None else inplace)
-    tally.probe_steps += int(r.probe.sum())
-    tally.bytes_touched += int(r.nbytes.sum())
+    probe[r.lk] += r.probe
+    touched[r.lk] += r.nbytes
     old = np.flatnonzero(shows)[::-1]  # keys descending, oldest first
     lo, hi = _pre_blocks(cm.key[old], n_keys, r)
     if comb is None:
@@ -260,7 +261,8 @@ def _answer_lookups(
 
 
 def _answer_lookups_mv(
-    table, batch, idx, dk, st, looks, ran, made, buried, creator, A, S, tally
+    table, batch, idx, dk, st, looks, ran, made, buried, creator, A, S,
+    probe, touched,
 ):
     """Answer and charge the in-stream lookups of one multi-valued kernel
     call: :func:`_answer_lookups` with value lists.
@@ -302,11 +304,11 @@ def _answer_lookups_mv(
     pre_b = np.concatenate(([0], np.cumsum(E.VALUE_NODE_HEADER + vlen[old])))
     add_b = np.concatenate(([0], np.cumsum(
         E.VALUE_NODE_HEADER + batch.val_lens[rec].astype(np.int64))))
-    tally.probe_steps += int(
-        (r.probe + hi - lo).sum() + (r.ahi - r.alo).sum())
-    tally.bytes_touched += int(
-        (r.nbytes + pre_b[hi] - pre_b[lo]).sum()
-        + (add_b[r.ahi] - add_b[r.alo]).sum())
+    probe[r.lk] += r.probe + hi - lo
+    touched[r.lk] += r.nbytes + pre_b[hi] - pre_b[lo]
+    dirty = r.lk[r.dirty]
+    probe[dirty] += r.ahi - r.alo
+    touched[dirty] += add_b[r.ahi] - add_b[r.alo]
     _list_answers(
         batch.lookup_results, idx, r, _slices(blob, node, node + vlen[old]),
         lo, hi, _value_bytes(batch, rec),

@@ -6,6 +6,14 @@ same steps over a request stream of two page kinds.  They share the state
 chain (:func:`_key_states`) and the sticky cut (:func:`_sticky_cut`), and
 are bit-identical to the organizations' scalar loops through allocation
 failure in mid-batch.
+
+One call may serve a run of chunks (parts): the loop over their joined ops
+is the loop over the parts in sequence, except that the driver would stop
+after the part that brings the failed bucket groups to the organization's
+:attr:`~.policy.Organization.stop_fraction`.  The sticky cut's plan says
+where that is before anything is allocated, and the ops past it do not
+run.  Costs are per-op columns that :func:`~.kernel_insert._book` sums per
+part.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from repro.core.organizations.kernel_front import (
     _link_value_lists,
     _run_starts,
 )
+from repro.core.organizations.kernel_insert import _book
 from repro.core.organizations.kernel_lookup import (
     _answer_lookups,
     _answer_lookups_mv,
@@ -75,7 +84,7 @@ def _key_states(dk, res, is_up, is_del, tombstone) -> _KeyStates:
     return _KeyStates(seg0, g_s, last_up, untouched, live, unproven)
 
 
-def _sticky_cut(table, groups, owner, sizes, tally, kinds=None):
+def _sticky_cut(table, groups, owner, sizes, bounds, kinds=None):
     """Plan one kernel call's request stream and cut every group at its
     first denied request.
 
@@ -84,10 +93,16 @@ def _sticky_cut(table, groups, owner, sizes, tally, kinds=None):
     pool grants page takes in request order; a group stops at its first
     denied one.  The op owning that request is *refused* -- charged what
     it did up to there -- every later op of the group postpones at the
-    gate charged its hash alone, every earlier one runs.  Books the
-    attempt and gate counts; returns ``(ran, refused, n_refused, cut)``,
-    masks over the ops and the request index of each failing group's
-    first denied request.
+    gate charged its hash alone, every earlier one runs.
+
+    ``bounds`` cut the ops into parts; the run goes as far as the first
+    part after which the failed groups reach the organization's
+    ``stop_fraction`` (groups failed before the call count too).  Every
+    op decides on earlier ops alone, so the ops past that part are simply
+    not run: neither ``ran`` nor ``refused``, and no ``cut`` is theirs.
+    Books nothing; returns ``(ran, refused, cut, reached)``: masks over
+    the ops, the request index of each failing group's first denied
+    request, and the number of parts the run reaches.
     """
     m = len(groups)
     stop = np.full(table.buckets.n_groups, m)
@@ -100,20 +115,19 @@ def _sticky_cut(table, groups, owner, sizes, tally, kinds=None):
             g_denied, first = np.unique(rgroups[denied], return_index=True)
             cut = denied[first]
             stop[g_denied] = owner[cut]
+    alloc = table.alloc
+    failed = len(alloc.failed_groups) + np.searchsorted(
+        np.sort(owner[cut]), bounds[1:])
+    stops = failed / alloc.n_groups >= table.org.stop_fraction
+    reached = int(stops.argmax()) + 1 if stops.any() else len(bounds) - 1
+    end = bounds[reached]
     stop = stop[groups]
     ar = np.arange(m)
-    ran = ar < stop
-    refused = ar == stop
-    n_refused = int(refused.sum())
-    n_gated = m - int(ran.sum()) - n_refused
-    tally.attempted += m
-    tally.succeeded += m - n_gated - n_refused
-    tally.postponed += n_gated + n_refused
-    table.mutations.gate_postponed += n_gated
-    return ran, refused, n_refused, cut
+    return (ar < np.minimum(stop, end), (ar == stop) & (ar < end),
+            cut[owner[cut] < end], reached)
 
 
-def _mutate_generic(table, batch, idx, buckets, tally, comb):
+def _mutate_generic(table, batch, idx, buckets, tallies, bounds, comb):
     """The batched mixed-op kernel of the two generic-entry organizations:
     resolve -> plan -> allocate -> scatter, bit-identical to their
     scalar loops (:mod:`.oracle`) through mid-batch allocation failure.
@@ -126,8 +140,10 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
 
     Every op's group must be open (the caller gates failed groups), and
     every request fits a page (the table refuses a call with one).
-    Returns the success mask.  docs/cost_model.md, "Mutation cycle
-    costs", derives each step.
+    ``bounds`` cut the ops into the parts ``tallies`` book (the module
+    docstring).  Returns ``(success, reached)``: the parts the run reaches
+    and the success mask over their ops.  docs/cost_model.md, "Mutation
+    cycle costs", derives each step.
     """
     heap = table.heap
     alloc = table.alloc
@@ -174,9 +190,11 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
     req = np.flatnonzero(takes)
     size = np.zeros(m, dtype=np.int64)
     size[req] = E.entry_sizes_bulk(klens[req], width[req])
-    ran, refused, n_refused, _ = _sticky_cut(
-        table, groups, req, size[req], tally
+    ran, refused, _, reached = _sticky_cut(
+        table, groups, req, size[req], bounds
     )
+    end = int(bounds[reached])  # the ops of the parts the run reaches
+    muts.gate_postponed += end - int(ran.sum()) - int(refused.sum())
     made = takes & ran  # the entries this batch creates
     inplace = ran & is_up & ~takes  # overwrites (basic) / combines
     buried = ran & is_del & live  # live newest copies tombstoned in place
@@ -188,23 +206,20 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
         res, buckets, klens, made, creator, E.ENTRY_HEADER
     )
     walks = (ran | refused) & (is_del | (is_upd if comb is None else is_up))
-    n_inplace = int(inplace.sum())
     n_buried = int(buried.sum())
-    tally.probe_steps += int(probe[walks].sum())
-    tally.bytes_touched += (
-        int(walk_bytes[walks].sum())
-        + int((size[made] + 16).sum())
-        + 4 * n_buried
-        + (int((width[inplace] + 4).sum()) if comb is None
-           else 2 * comb.value_size * n_inplace)
+    probe = np.where(walks, probe, 0)  # the in-stream lookups add theirs
+    touched = (
+        np.where(walks, walk_bytes, 0) + np.where(made, size + 16, 0)
+        + 4 * buried
+        + np.where(inplace, width + 4 if comb is None
+                   else 2 * comb.value_size, 0)
     )
-    # integer-valued constants (the caller checked comb.cycles): the sum
-    # is order-free and lands on the loop's float
-    tally.table_cycles += float(
-        HASH_CYCLES_PER_BYTE * int(klens.sum())
-        + INSERT_CYCLES * (int(made.sum()) + n_refused)
-        + (UPDATE_CYCLES if comb is None else comb.cycles) * n_inplace
-        + TOMBSTONE_CYCLES * n_buried
+    # integer-valued constants (the caller checked comb.cycles): a part's
+    # sum is order-free and lands on the loop's float
+    cycles = (
+        HASH_CYCLES_PER_BYTE * klens + INSERT_CYCLES * (made | refused)
+        + np.where(inplace, UPDATE_CYCLES if comb is None else comb.cycles, 0)
+        + TOMBSTONE_CYCLES * buried
     )
     muts.inserts += int((ran & (ops == OP_INSERT)).sum())
     muts.updates_inplace += int((inplace & is_upd).sum())
@@ -226,7 +241,7 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
         muts.lookups += int(looks.sum())
         _answer_lookups(
             table, batch, idx, dk, st, comb, looks, made, inplace, buried,
-            creator, A, S, tally,
+            creator, A, S, probe, touched,
         )
 
     # -- allocate: the request stream the loop would issue ---------------
@@ -234,7 +249,9 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
     bulk = alloc.allocate_many(groups[ask], size[ask], PageKind.GENERIC)
     if not np.array_equal(bulk.ok, ran[ask]):  # pragma: no cover
         raise AssertionError("page-take plan and allocator disagree")
-    tally.alloc_groups.extend(groups[ask][bulk.ok])
+    granted = ask[bulk.ok]
+    _book(tallies[:reached], bounds[:reached + 1], ran, cycles, touched,
+          probe, granted, groups[granted])
 
     # -- scatter: effects collapse per entry -----------------------------
     # All in-place ops between two allocations of a key land on one entry
@@ -296,7 +313,7 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
     # final value and flags
     order = np.flatnonzero(bulk.ok)
     if not len(order):
-        return ran
+        return ran[:end], reached
     order = order[_stable_order(buckets[ask[order]])]
     new = ask[order]  # the making ops, by (bucket, arrival)
     at = bulk.slot[order] * heap.page_size + bulk.offset[order]
@@ -321,10 +338,10 @@ def _mutate_generic(table, batch, idx, buckets, tally, comb):
         )
     flagged = nflags[new] != 0
     E.or_entry_flags(arena, at[flagged], nflags[new[flagged]])
-    return ran
+    return ran[:end], reached
 
 
-def _mutate_multivalued(table, batch, idx, buckets, tally, org):
+def _mutate_multivalued(table, batch, idx, buckets, tallies, bounds, org):
     """The batched mixed-op kernel of the multi-valued organization ``org``:
     resolve -> plan -> allocate -> scatter, bit-identical to its
     scalar loop (:func:`.oracle.multivalued_loop`) through mid-batch
@@ -336,8 +353,9 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     op may be refused *half applied*: its key entry created and linked,
     its value node denied, and the entry the value was meant for left
     ``PENDING``.  The gate makes that op the last one its group runs in
-    the call, so no later op reads what it left and the state chain
-    stands.  Preconditions and the return as for :func:`_mutate_generic`;
+    the call -- later parts included -- so no later op reads what it left
+    and the state chain stands.  Preconditions, ``bounds`` and the return
+    as for :func:`_mutate_generic`;
     docs/cost_model.md, "Mutation cycle costs", derives each step.
     """
     heap = table.heap
@@ -393,9 +411,11 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     # Refused at its KEY request an op has done nothing but its walk;
     # refused at its VALUE request (``half``) its KEY request, if it made
     # one, was served.
-    ran, refused, _, cut = _sticky_cut(
-        table, groups, owner, sizes, tally, codes
+    ran, refused, cut, reached = _sticky_cut(
+        table, groups, owner, sizes, bounds, codes
     )
+    end = int(bounds[reached])  # the ops of the parts the run reaches
+    muts.gate_postponed += end - int(ran.sum()) - int(refused.sum())
     denied = np.full(m, -1)  # a refused op's denied request
     denied[owner[cut]] = cut
     half = is_up & (denied == vreq)
@@ -412,19 +432,17 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     executed = ran | refused
     walks = executed & ~is_lk
     n_buried = int(buried.sum())
-    tally.probe_steps += int(probe[walks].sum())
-    tally.bytes_touched += (
-        int(walk_bytes[walks].sum())
-        + int((ksizes[made] + 16).sum())
-        + int((vsizes[appended] + 16).sum())
-        + 4 * n_buried
+    probe = np.where(walks, probe, 0)  # the in-stream lookups add theirs
+    touched = (
+        np.where(walks, walk_bytes, 0) + np.where(made, ksizes + 16, 0)
+        + np.where(appended, vsizes + 16, 0) + 4 * buried
     )
-    # integer-valued constants: the sum is order-free and lands on the
-    # loop's float
-    tally.table_cycles += float(
-        HASH_CYCLES_PER_BYTE * int(klens.sum())
-        + INSERT_CYCLES * int((executed & (is_up | needs_key)).sum())
-        + TOMBSTONE_CYCLES * n_buried
+    # integer-valued constants: a part's sum is order-free and lands on
+    # the loop's float
+    cycles = (
+        HASH_CYCLES_PER_BYTE * klens
+        + INSERT_CYCLES * (executed & (is_up | needs_key))
+        + TOMBSTONE_CYCLES * buried
     )
     muts.inserts += int((ran & (ops == OP_INSERT)).sum())
     muts.updates_inplace += int((ran & is_upd & ~needs_key).sum())
@@ -443,7 +461,7 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
         muts.lookups += int(looks.sum())
         _answer_lookups_mv(
             table, batch, idx, dk, st, looks, ran, made, buried, creator, A,
-            S, tally,
+            S, probe, touched,
         )
 
     # -- allocate: the request stream the loop would issue ---------------
@@ -457,7 +475,8 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
     served = ran[owner] | (r < denied[owner])
     if not np.array_equal(bulk.ok, served[ask]):  # pragma: no cover
         raise AssertionError("page-take plan and allocator disagree")
-    tally.alloc_groups.extend(rgroups[bulk.ok])
+    _book(tallies[:reached], bounds[:reached + 1], ran, cycles, touched,
+          probe, owner[ask][bulk.ok], rgroups[bulk.ok])
     at = np.cumsum(issued) - 1  # request -> row of ``bulk``
 
     # -- scatter: effects collapse per key entry --------------------------
@@ -554,4 +573,4 @@ def _mutate_multivalued(table, batch, idx, buckets, tally, org):
             next_gpu, next_cpu, new_vhead_gpu[new], new_vhead_cpu[new],
             batch.keys[idx[new]], klens[new], nflags[new],
         )
-    return ran
+    return ran[:end], reached

@@ -20,6 +20,7 @@ from repro.core import entries as E
 from repro.core.combiners import Combiner
 from repro.core.organizations.costs import HASH_CYCLES_PER_BYTE, SPLICE_CYCLES
 from repro.core.organizations.kernel_insert import (
+    _book,
     _insert_basic,
     _insert_combining,
     _insert_multivalued,
@@ -160,8 +161,13 @@ class Organization:
     #: a batch's ``table_cycles`` may be summed in any order
     _integer_cycles = True
     #: :meth:`should_halt` may stop a pass mid-input, so the driver checks
-    #: it after every chunk (and gives each chunk a call of its own)
+    #: it after every pure-insert chunk and gives each such chunk a call of
+    #: its own (a run of mixed-op chunks stops at :attr:`stop_fraction`)
     halts = False
+    #: a run of mixed-op parts goes no further than the part after which
+    #: this fraction of the bucket groups has failed: past it the gate
+    #: refuses every mixed-op chunk (and the basic method halts earlier)
+    stop_fraction = 1.0
     #: a pure insert walks its bucket's chain, so its kernel needs the
     #: closed form.  The basic method's prepends without looking: its
     #: kernel has none to lose and runs whatever :meth:`_closed_form` says
@@ -255,61 +261,85 @@ class Organization:
         batch,
         idx: np.ndarray,
         buckets: np.ndarray,
-        tally: InsertTally,
-    ) -> np.ndarray:
-        """Apply a mixed insert/update/delete/lookup batch (see
-        :mod:`repro.core.mutations`).
+        tallies: list[InsertTally],
+        bounds: np.ndarray,
+    ) -> tuple[np.ndarray, int]:
+        """Apply a run of mixed insert/update/delete/lookup parts (see
+        :mod:`repro.core.mutations`): ``bounds`` cut ``batch[idx]`` into
+        parts as for :meth:`insert_indices`, and part ``p`` books into
+        ``tallies[p]`` what it alone would have booked after the parts
+        before it.
 
         Mutation batches are *gated*: any op whose bucket group is
         sticky-failed postpones up front, which preserves per-key issue
         order across postponement replays (same key -> same bucket -> same
         group, and a failed allocation poisons the group until the
-        end-of-iteration eviction refills the pool).
+        end-of-iteration eviction refills the pool).  The run stops where
+        the driver would stop a pass of one call a part: after the first
+        part that leaves :attr:`stop_fraction` of the groups failed (the
+        gate refuses every later mixed-op chunk; the basic method halts).
+        Returns ``(success, reached)``: the parts that ran, and the
+        success mask over their ops.
 
-        ``slow_reference`` runs the scalar loop for everything.
         ``vectorized`` first takes the ops of groups that failed before
         the call out in one masked step: they postpone charged for their
         hash alone and touch nothing, so what runs sees exactly the ops
         the loop would let through (integer-valued cycle constants make
         the charge order-free; a combiner with fractional ``cycles`` keeps
         the loop's own gate).  The rest runs the organization's batched
-        kernel where :meth:`_closed_form` holds and the batch has
-        :data:`MIXED_KERNEL_MIN_OPS` ops or more, and the same loop
-        otherwise.  Success masks, tallies, lookup answers, counters and
-        table bytes do not depend on the choice.
+        kernel, which finds the stop from its allocation plan, where
+        :meth:`_closed_form` holds and the run has
+        :data:`MIXED_KERNEL_MIN_OPS` such ops or more.  Otherwise -- and
+        under ``slow_reference``, always -- the parts run one by one
+        through the scalar loop, with the stop checked between them.
+        Success masks, tallies, lookup answers, counters and table bytes
+        do not depend on the choice.
         """
-        if self.impl == "slow_reference":
-            return self._scalar_loop(table, batch, idx, buckets, tally)
         alloc = table.alloc
-        still_open = None
-        if alloc.has_failures and self._integer_cycles:
-            shut = np.isin(
-                buckets // table.buckets.group_size, alloc.failed_groups
-            )
-            n = int(shut.sum())
-            if n:
-                tally.attempted += n
-                tally.postponed += n
-                tally.table_cycles += HASH_CYCLES_PER_BYTE * int(
-                    batch.key_lens[idx[shut]].sum()
-                )
-                table.mutations.gate_postponed += n
-                if n == len(idx):
-                    return ~shut
-                still_open = ~shut
-                idx, buckets = idx[still_open], buckets[still_open]
+        opened = np.ones(len(idx), dtype=bool)
         if (
-            len(idx) >= MIXED_KERNEL_MIN_OPS
+            self.impl == "vectorized" and self._integer_cycles
+            and alloc.has_failures
+        ):
+            opened = ~np.isin(
+                buckets // table.buckets.group_size, alloc.failed_groups)
+        open_idx, open_buckets = idx[opened], buckets[opened]
+        open_bounds = np.concatenate(([0], np.cumsum(opened)))[bounds]
+        n_open = len(open_idx)
+        if (
+            self.impl == "vectorized" and n_open
+            and n_open >= MIXED_KERNEL_MIN_OPS
             and self._closed_form(table, batch) is not None
         ):
-            done = self._mutate_kernel(table, batch, idx, buckets, tally)
+            done, reached = self._mutate_kernel(
+                table, batch, open_idx, open_buckets, tallies, open_bounds)
         else:
-            done = self._scalar_loop(table, batch, idx, buckets, tally)
-        if still_open is None:
-            return done
-        success = np.zeros(len(still_open), dtype=bool)
-        success[still_open] = done
-        return success
+            masks = []
+            edges = open_bounds.tolist()
+            for tally, lo, hi in zip(tallies, edges, edges[1:]):
+                if masks and self.run_stops(table):
+                    break
+                masks.append(self._scalar_loop(
+                    table, batch, open_idx[lo:hi], open_buckets[lo:hi], tally)
+                    if hi > lo else np.zeros(0, dtype=bool))
+            done, reached = np.concatenate(masks), len(masks)
+        # the masked step's ops of the parts that ran
+        shut_bounds = (bounds - open_bounds)[:reached + 1]
+        gated = idx[~opened][:shut_bounds[-1]]
+        if len(gated):
+            none = np.zeros(len(gated), dtype=np.int64)
+            _book(tallies[:reached], shut_bounds, none,
+                  HASH_CYCLES_PER_BYTE * batch.key_lens[gated].astype(np.int64),
+                  none, None, none[:0], none[:0])
+            table.mutations.gate_postponed += len(gated)
+        end = bounds[reached]
+        success = np.zeros(end, dtype=bool)
+        success[opened[:end]] = done
+        return success, reached
+
+    def run_stops(self, table: "GpuHashTable") -> bool:
+        """Does a run of mixed-op parts stop here (:attr:`stop_fraction`)?"""
+        return table.alloc.failed_fraction >= self.stop_fraction
 
     def should_halt(self, table: "GpuHashTable") -> bool:
         return False
@@ -353,6 +383,10 @@ class BasicOrganization(Organization):
     def should_halt(self, table) -> bool:
         return table.alloc.failed_fraction >= self.halt_threshold
 
+    @property
+    def stop_fraction(self) -> float:
+        return self.halt_threshold
+
     def reconcile_tally(self, table, census) -> list[str]:
         # One entry per acknowledged success, duplicates kept separately.
         # Mutations add entries too: insert/update ops that allocated, and
@@ -376,8 +410,9 @@ class BasicOrganization(Organization):
                        grouping):
         return _insert_basic(table, batch, idx, buckets, tallies, bounds)
 
-    def _mutate_kernel(self, table, batch, idx, buckets, tally):
-        return _mutate_generic(table, batch, idx, buckets, tally, None)
+    def _mutate_kernel(self, table, batch, idx, buckets, tallies, bounds):
+        return _mutate_generic(
+            table, batch, idx, buckets, tallies, bounds, None)
 
 
 class CombiningOrganization(Organization):
@@ -427,10 +462,9 @@ class CombiningOrganization(Organization):
             self.combiner,
         )
 
-    def _mutate_kernel(self, table, batch, idx, buckets, tally):
+    def _mutate_kernel(self, table, batch, idx, buckets, tallies, bounds):
         return _mutate_generic(
-            table, batch, idx, buckets, tally, self.combiner
-        )
+            table, batch, idx, buckets, tallies, bounds, self.combiner)
 
 
 class MultiValuedOrganization(Organization):
@@ -473,8 +507,9 @@ class MultiValuedOrganization(Organization):
             table, batch, idx, buckets, tallies, bounds, grouping, self
         )
 
-    def _mutate_kernel(self, table, batch, idx, buckets, tally):
-        return _mutate_multivalued(table, batch, idx, buckets, tally, self)
+    def _mutate_kernel(self, table, batch, idx, buckets, tallies, bounds):
+        return _mutate_multivalued(
+            table, batch, idx, buckets, tallies, bounds, self)
 
     # -- pending-flag bookkeeping --------------------------------------
     def _count_pending(self, heap, seg, pin: bool) -> None:

@@ -12,6 +12,13 @@ halt policy (the basic method stops at 50% failed bucket groups), triggers
 the end-of-iteration rearrangement, and repeats until the bitmap is clean.
 A mixed-op chunk the gate would refuse whole (every bucket group has failed)
 is not streamed: its records stay pending, as the gate would leave them.
+
+What is launched and charged is one chunk; a host call is not a launch.
+Consecutive chunks of one kind -- pure inserts, or mixed ops -- go to the
+table in one call, and each chunk the call applied is then charged,
+streamed and marked as its own launch.  A call over mixed-op chunks stops
+after the chunk where the gate would start refusing or the basic method
+would halt; the chunks after it stay pending and uncharged.
 """
 
 from __future__ import annotations
@@ -159,12 +166,18 @@ class SepoDriver:
     ) -> IterationRecord:
         """One pass over every still-pending record (no rearrangement).
 
-        Consecutive pure-insert chunks of an organization that never halts
-        are inserted by one table call (:func:`~repro.core.hashtable.
-        run_fits` says how many); every chunk is still charged as its own
-        launch, in order.  ``limit`` caps the pending records attempted
-        per batch -- the graceful-degradation "chunk shrinking" rung,
-        which bounds the per-pass allocation burst on a starved heap.
+        Consecutive chunks of one kind are applied by one table call
+        (:func:`~repro.core.hashtable.run_fits` says how many): mixed-op
+        chunks under every organization, pure-insert chunks under an
+        organization that never halts (the basic method's each take a
+        call, and :meth:`GpuHashTable.should_halt` is asked after each).
+        Every chunk the call applied is still charged as its own launch,
+        in order.  A mixed-op call stops where one call a chunk would have
+        stopped -- after the chunk that leaves the gate refusing, or the
+        basic method halting -- and the halt rule is asked after it.
+        ``limit`` caps the pending records attempted per batch -- the
+        graceful-degradation "chunk shrinking" rung, which bounds the
+        per-pass allocation burst on a starved heap.
         """
         table = self.table
         rec = IterationRecord(index=state.iteration)
@@ -172,7 +185,7 @@ class SepoDriver:
         if state.active is None:
             state.active = list(range(len(batches)))
         still_active: list[int] = []
-        run: list[tuple[int, np.ndarray]] = []  # (chunk, pending) to insert
+        run: list[tuple[int, np.ndarray]] = []  # (chunk, pending) to apply
         records = 0
         for ai, ci in enumerate(state.active):
             batch, start = batches[ci], state.starts[ci]
@@ -187,26 +200,27 @@ class SepoDriver:
             still_active.append(ci)
             if limit is not None and pending.size > limit:
                 pending = pending[:limit]
-            fuses = batch.pure_insert and not table.org.halts
+            joins = not (batch.pure_insert and table.org.halts)
             if run and not (
-                fuses and run_fits(batches[run[0][0]], records, batch, pending.size)
+                joins and run_fits(batches[run[0][0]], records, batch, pending.size)
             ):
-                # a run holds fusing chunks only: its organization never halts
                 self._apply_run(batches, state, run, rec)
                 run, records = [], 0
+                if rec.halted_early:
+                    # unvisited chunks stay active for the next pass
+                    still_active.extend(state.active[ai + 1:])
+                    break
             if table.gate_refuses(batch):
                 # what the gate would do, for free: no transfer, no launch,
                 # every record pending for the next pass
                 continue
             run.append((ci, pending))
             records += pending.size
-            if fuses:
+            if joins:
                 continue
             self._apply_run(batches, state, run, rec)
             run, records = [], 0
-            if table.should_halt():
-                rec.halted_early = True
-                # unvisited chunks stay active for the next pass
+            if rec.halted_early:
                 still_active.extend(state.active[ai + 1:])
                 break
         if run:
@@ -216,7 +230,9 @@ class SepoDriver:
 
     def _apply_run(self, batches, state: RunState, run, rec) -> None:
         """One table call over ``run``'s (chunk, pending) pairs, then per
-        chunk, in order: its launch, its transfer, its bitmap bits."""
+        chunk it applied, in order: its launch, its transfer, its bitmap
+        bits.  The chunks a mixed-op call stopped before stay pending (they
+        were already kept active).  Then the halt rule."""
         ledger = self.table.ledger
         results = self.table.apply_batch(
             [(batches[ci], pending - int(state.starts[ci])) for ci, pending in run]
@@ -231,6 +247,8 @@ class SepoDriver:
             rec.attempted += len(pending)
             rec.succeeded += result.n_success
             rec.postponed += result.n_postponed
+        if self.table.should_halt():
+            rec.halted_early = True
 
     def finish_iteration(self, state: RunState, rec: IterationRecord):
         """Figure-5 rearrangement + telemetry; returns the eviction report."""

@@ -103,14 +103,27 @@ def _mutation_stream(args):
 
 
 def _chunk_log(table) -> list:
-    """``(pass, skipped)`` of each chunk the driver asks the gate about."""
-    log, refuses = [], table.gate_refuses
+    """``(pass, skipped)`` of each chunk a pass applies or skips: the
+    chunks the gate refuses, and those a mixed-op run stopped before
+    without halting the pass (the gate refuses them from there on)."""
+    log, refuses, apply = [], table.gate_refuses, table.apply_batch
 
-    def logged(batch):
-        log.append((table.iterations_completed, refuses(batch)))
-        return log[-1][1]
+    def logged_refuses(batch):
+        if refuses(batch):
+            log.append((table.iterations_completed, True))
+            return True
+        return False
 
-    table.gate_refuses = logged
+    def logged_apply(parts):
+        results = apply(parts)
+        log.extend((table.iterations_completed, False) for _ in results)
+        if not table.should_halt():
+            log.extend(
+                (table.iterations_completed, True)
+                for _ in parts[len(results):])
+        return results
+
+    table.gate_refuses, table.apply_batch = logged_refuses, logged_apply
     return log
 
 
@@ -150,22 +163,20 @@ def _child(args) -> int:
             checkpoint(batches_, state)
             seen["checkpoints"] += 1
 
-        def killing(original, chunks):
-            def wrapped(*a, **kw):
-                if seen["checkpoints"] >= args.kill_after_checkpoint:
-                    room = args.kill_inserts - seen["inserts"]
-                    n = chunks(*a)
-                    seen["inserts"] += n
-                    if n > room:
-                        # the kill lands inside this call: the chunks
-                        # before it run, then die the hard way (no
-                        # atexit, no cleanup, no flush)
-                        if room > 0:
-                            original(a[0][:room])
-                        os.kill(os.getpid(), signal.SIGKILL)
-                return original(*a, **kw)
+        apply = table.apply_batch
 
-            return wrapped
+        def killing(parts):
+            armed = seen["checkpoints"] >= args.kill_after_checkpoint
+            room = args.kill_inserts - seen["inserts"] if armed else len(parts)
+            results = apply(parts[:room]) if room else []
+            if armed:
+                seen["inserts"] += len(results)
+                if len(results) == room < len(parts):
+                    # the kill lands inside this call: the chunks before
+                    # it ran, now die the hard way (no atexit, no
+                    # cleanup, no flush)
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return results  # short where a mixed-op run stopped
 
         resilient.checkpoint = counting_checkpoint
         if args.kill_mid_scrub:
@@ -183,11 +194,9 @@ def _child(args) -> int:
 
             integ.scrub = scrub_and_die
         else:
-            # mutation batches route through mutate_batch; wrap both entry
-            # points so the kill lands mid-pass either way, counting the
-            # chunks of a fused insert run one by one
-            table.insert_run = killing(table.insert_run, len)
-            table.mutate_batch = killing(table.mutate_batch, lambda *a: 1)
+            # every run goes through apply_batch: the kill lands mid-pass,
+            # counting the chunks of a joined run one by one
+            table.apply_batch = killing
 
     outcome = wired.run()
     report = outcome.resilience

@@ -92,7 +92,7 @@ class PoolExhaustion(Fault):
             heap.fault_reserved_slots = set()
 
         # mutation batches stress the same pool, so the denial window
-        # counts insert and mutate chunks alike
+        # counts insert and mixed-op chunks alike
         _per_chunk(table, before={
             self.after_batches: deny,
             self.after_batches + self.deny_batches: restore,
@@ -120,16 +120,17 @@ class MidIterationEviction(Fault):
 def _per_chunk(table, before=None, after=None) -> None:
     """Fire a fault's actions at chunk numbers, not call numbers.
 
-    Wraps the table's insert and mutate entry points so that
-    ``before[i]()`` runs before chunk ``i`` and ``after[i]()`` after it,
-    chunks counted from 0 across both entry points.  A run of chunks
-    inserted by one call (:meth:`~repro.core.hashtable.GpuHashTable.
-    insert_run`) is cut wherever an action falls inside it, so a chunk
-    meets the table in the state it would have met one call a chunk.
+    Wraps the table's one run entry point (:meth:`~repro.core.hashtable.
+    GpuHashTable.apply_batch`) so that ``before[i]()`` runs before chunk
+    ``i`` and ``after[i]()`` after it, chunks applied counted from 0 across
+    pure-insert and mixed-op runs.  A run is cut wherever an action falls
+    inside it, so a chunk meets the table in the state it would have met
+    one call a chunk; a mixed-op run goes on after a cut only where such a
+    pass would (:meth:`~repro.core.organizations.Organization.run_stops`).
     """
     before, after = before or {}, after or {}
-    insert_run, mutate_batch = table.insert_run, table.mutate_batch
-    seen = [0]  # chunks so far
+    apply_batch = table.apply_batch
+    seen = [0]  # chunks applied so far
 
     def fire(actions, i):
         action = actions.get(i)
@@ -137,29 +138,27 @@ def _per_chunk(table, before=None, after=None) -> None:
             action()
 
     def run(parts):
-        first = seen[0]
-        seen[0] += len(parts)
-        cuts = [
-            p for p in range(1, len(parts))
-            if first + p in before or first + p - 1 in after
-        ]
+        gated = not parts[0][0].pure_insert
         results = []
-        for lo, hi in zip([0] + cuts, cuts + [len(parts)]):
-            fire(before, first + lo)
-            results += insert_run(parts[lo:hi])
-            fire(after, first + hi - 1)
+        while len(results) < len(parts):
+            lo, first = len(results), seen[0]
+            if lo and gated and table.org.run_stops(table):
+                break
+            hi = next(
+                (p for p in range(lo + 1, len(parts))
+                 if first + p - lo in before or first + p - lo - 1 in after),
+                len(parts),
+            )
+            fire(before, first)
+            done = apply_batch(parts[lo:hi])
+            seen[0] += len(done)
+            results += done
+            fire(after, seen[0] - 1)
+            if len(done) < hi - lo:
+                break
         return results
 
-    def mutate(batch, indices=None):
-        i = seen[0]
-        seen[0] += 1
-        fire(before, i)
-        result = mutate_batch(batch, indices)
-        fire(after, i)
-        return result
-
-    table.insert_run = run
-    table.mutate_batch = mutate
+    table.apply_batch = run
 
 
 class ZeroCapacityStart(Fault):

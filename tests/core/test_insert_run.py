@@ -18,8 +18,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.bigkernel.pipeline import BigKernelPipeline
-from repro.core import GpuHashTable, RecordBatch, SepoDriver
+from repro.core import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_LOOKUP,
+    OP_UPDATE,
+    GpuHashTable,
+    MutationBatch,
+    RecordBatch,
+    SepoDriver,
+)
+from repro.core import hashtable
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.memalloc import GpuHeap
 from repro.sanitize import MidIterationEviction, PoolExhaustion
@@ -179,15 +188,29 @@ def test_an_oversize_record_refuses_the_whole_run():
 # ----------------------------------------------------------------------
 # faults count chunks, not calls
 # ----------------------------------------------------------------------
-def six_chunks():
+def six_chunks(mixed):
+    """Six combining chunks of 64 records; ``mixed``: of 64 mixed ops,
+    mostly inserts, over keys the earlier chunks wrote too."""
     rng = np.random.default_rng(6)
-    return [
-        RecordBatch.from_numeric(
-            [b"key-%03d" % k for k in rng.integers(0, 400, size=64)],
-            np.arange(64, dtype=np.int64),
-        )
-        for _ in range(6)
-    ]
+    chunks = []
+    for _ in range(6):
+        keys = [b"key-%03d" % k for k in rng.integers(0, 400, size=64)]
+        if not mixed:
+            chunks.append(RecordBatch.from_numeric(
+                keys, np.arange(64, dtype=np.int64)))
+            continue
+        ops = rng.choice([OP_INSERT, OP_UPDATE, OP_DELETE, OP_LOOKUP],
+                         size=64, p=[0.55, 0.15, 0.15, 0.15])
+        chunks.append(MutationBatch.from_ops(
+            [(int(op), k, i) for i, (op, k) in enumerate(zip(ops, keys))],
+            numeric_dtype=np.int64))
+    return chunks
+
+
+def every_group_failed_in_chunk_3(table, results):
+    """Chunks 2 and 3 fail every group: the gate refuses 4 and 5."""
+    assert [r.success.all() for r in results] == [True, True, False, False]
+    assert table.alloc.failed_fraction == 1
 
 
 def denied_in_chunks_2_and_3(table, results):
@@ -199,45 +222,61 @@ def evicted_once(table, results):
     assert table.eviction_reports[0].pages_evicted
 
 
-@pytest.mark.parametrize("fault, fired", [
-    (lambda: PoolExhaustion(after_batches=2, deny_batches=2),
-     denied_in_chunks_2_and_3),
-    (lambda: MidIterationEviction(at_batch=3), evicted_once),
-], ids=["pool-exhaustion", "mid-iteration-eviction"])
-def test_a_fault_fires_at_its_chunk_inside_a_fused_pass(fault, fired):
+def pool_exhaustion():
+    return PoolExhaustion(after_batches=2, deny_batches=2)
+
+
+def mid_iteration_eviction():
+    return MidIterationEviction(at_batch=3)
+
+
+@pytest.mark.parametrize("fault, fired, mixed", [
+    (pool_exhaustion, denied_in_chunks_2_and_3, False),
+    (mid_iteration_eviction, evicted_once, False),
+    (pool_exhaustion, every_group_failed_in_chunk_3, True),
+    (mid_iteration_eviction, evicted_once, True),
+], ids=["pool-exhaustion", "mid-iteration-eviction", "pool-exhaustion-mixed",
+        "mid-iteration-eviction-mixed"])
+def test_a_fault_fires_at_its_chunk_inside_a_fused_pass(
+        fault, fired, mixed, monkeypatch):
     """A SEPO pass over six combining chunks makes one table call; the
-    fault cuts it at its chunk.  A twin fed the six chunks through
-    ``insert_batch`` one at a time, charged as the driver charges them,
-    ends with the same masks, tallies and ledger."""
+    fault cuts it at its chunk.  A twin whose driver makes one call a
+    chunk ends with the same masks, tallies and ledger: the chunks it
+    applies are charged as the driver charges them.  Mixed, the denied
+    pages fail every group, so the gate refuses the chunks after that."""
     def table():
-        return GpuHashTable(64, make_org("combining", "vectorized"),
-                            GpuHeap(48 * 512, 512), group_size=8,
-                            ledger=CostLedger())
+        t = GpuHashTable(64, make_org("combining", "vectorized"),
+                         GpuHeap(48 * 512, 512), group_size=8,
+                         ledger=CostLedger())
+        fault().install(t)
+        return t
+
+    def one_pass(t):
+        calls, got = [], []
+        apply = t.apply_batch
+        t.apply_batch = lambda parts: (
+            calls.append(len(parts)) or got.extend(apply(parts))
+            or got[-len(parts):])
+        driver = SepoDriver(t, KernelModel(GTX_780TI, t.ledger),
+                            PCIeBus(t.ledger))
+        batches = six_chunks(mixed)
+        driver.run_pass(batches, driver.begin(batches))
+        return calls, got, batches
 
     fused, alone = table(), table()
-    fault().install(fused)
-    fault().install(alone)
-    calls, got = [], []
-    apply = fused.apply_batch
-    fused.apply_batch = lambda parts: (
-        calls.append(len(parts)) or got.extend(apply(parts)) or got[-len(parts):])
-    driver = SepoDriver(fused, KernelModel(GTX_780TI, fused.ledger),
-                        PCIeBus(fused.ledger))
-    batches = six_chunks()
-    driver.run_pass(batches, driver.begin(batches))
+    calls, got, batches = one_pass(fused)
     assert calls == [6]
     fired(fused, got)
-
-    kernel = KernelModel(GTX_780TI, alone.ledger)
-    pipeline = BigKernelPipeline(PCIeBus(alone.ledger))
-    pipeline.begin_pass()
-    want = []
-    for batch in batches:
-        res = alone.insert_batch(batch)
-        before = alone.ledger.elapsed
-        kernel.charge(res.stats)
-        pipeline.account(batch.input_bytes, alone.ledger.elapsed - before)
-        want.append(res)
+    with monkeypatch.context() as m:
+        m.setattr(hashtable, "RUN_RECORDS", 0)  # one call a chunk
+        calls, want, alone_batches = one_pass(alone)
+    assert calls == [1] * len(want)
     assert_same(got, want)
     assert fused.ledger.breakdown() == alone.ledger.breakdown()
     assert state(fused) == state(alone)
+    assert fused.mutations == alone.mutations
+    assert fused.iterations_completed == alone.iterations_completed
+    assert [vars(r) for r in fused.eviction_reports] == [
+        vars(r) for r in alone.eviction_reports]
+    assert [getattr(b, "lookup_results", None) for b in batches] == [
+        getattr(b, "lookup_results", None) for b in alone_batches]

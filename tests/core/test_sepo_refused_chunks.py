@@ -4,7 +4,9 @@ Once every bucket group has failed in an iteration, the sticky-group gate
 postpones every op of a gated (mixed-op) batch before it touches anything.
 :meth:`SepoDriver.run_pass` therefore asks
 :meth:`GpuHashTable.gate_refuses` first and leaves such a chunk pending
-without streaming or launching it.  These tests count what that saves on a
+without streaming or launching it, and a call over a run of mixed-op
+chunks stops after the chunk that fails the last group, leaving the rest of
+the run as the gate would.  These tests count what that saves on a
 ``kv_mixed``-shaped multi-valued table (24,576 mixed ops over 4,096 keys in
 2,048-op batches, 1,024 buckets, a 256 KiB heap of 4 KiB pages) and pin
 that nothing else moves: table bytes, answers, iterations, per-iteration
@@ -42,9 +44,11 @@ SHAPE = dict(n_buckets=1_024, heap_bytes=256 << 10, page_size=4 << 10,
              group_size=64)
 
 
-def parent_rule(self, batch):
-    """The loop before the rule: every chunk is applied."""
-    return False
+def parent_rule(m):
+    """The loop before the rule: every chunk is applied, one call a chunk
+    (joined, a run would still stop where the gate closes)."""
+    m.setattr(GpuHashTable, "gate_refuses", lambda self, batch: False)
+    m.setattr(hashtable, "RUN_RECORDS", 0)
 
 
 def kv_batches():
@@ -77,18 +81,25 @@ def build(org, n_buckets, heap_bytes, page_size, group_size):
 def watch(table, batches):
     """Record every chunk an ``apply_batch`` call applies as ``(chunk,
     gated, all groups failed as the call began)`` and every chunk the rule
-    skips as ``(iteration, chunk)``."""
+    skips as ``(iteration, chunk)``: those the gate refuses, and those a
+    run stopped before without halting the pass."""
     calls, skipped = [], []
     chunk = {id(b): i for i, b in enumerate(batches)}
     apply, refuses = table.apply_batch, table.gate_refuses
 
     def watched_apply(parts):
         shut = table.alloc.failed_fraction == 1
+        results = apply(parts)
         calls.extend(
             (chunk[id(batch)], not batch.pure_insert, shut)
-            for batch, _ in parts
+            for batch, _ in parts[:len(results)]
         )
-        return apply(parts)
+        if not table.should_halt():
+            skipped.extend(
+                (table.iterations_completed, chunk[id(batch)])
+                for batch, _ in parts[len(results):]
+            )
+        return results
 
     def watched_refuses(batch):
         if refuses(batch):
@@ -158,7 +169,7 @@ def test_a_chunk_the_gate_refuses_costs_no_launch(impl, monkeypatch):
     # one launch per chunk applied, and none into a closed gate
     assert round(ours.breakdown["launch"] / LAUNCH_S) == len(ours.calls)
     with monkeypatch.context() as m:
-        m.setattr(GpuHashTable, "gate_refuses", parent_rule)
+        parent_rule(m)
         parent = sepo_run(impl)
     # the planted fault: the loop without the rule fails the count
     assert refused_calls(parent.calls) > 0
@@ -179,7 +190,7 @@ def test_a_shrunk_chunk_and_a_skipped_chunk_compose(monkeypatch):
     capped prefix and a refused one attempts nothing and stays whole."""
     ours = sepo_run(limit=512)
     with monkeypatch.context() as m:
-        m.setattr(GpuHashTable, "gate_refuses", parent_rule)
+        parent_rule(m)
         parent = sepo_run(limit=512)
     assert_saves_launches_only(ours, parent)
     assert ours.skipped != sepo_run().skipped  # the cap moved the passes
@@ -270,7 +281,7 @@ def test_a_journaled_resilient_run_skips_alike_and_resumes_across_it(
 
     ours = resilient()
     with monkeypatch.context() as m:
-        m.setattr(GpuHashTable, "gate_refuses", parent_rule)
+        parent_rule(m)
         parent = resilient()
     assert_saves_launches_only(ours, parent)
     assert ours.skipped != sepo_run().skipped  # the quiesce moved the passes
@@ -319,7 +330,7 @@ def test_each_shard_skips_what_its_own_sepo_run_skips(monkeypatch):
     for driver, chunks in zip(solo.drivers, solo.partition(kv_batches())[0]):
         driver.run(chunks)
     with monkeypatch.context() as m:
-        m.setattr(GpuHashTable, "gate_refuses", parent_rule)
+        parent_rule(m)
         parent, parent_watched = sharded()
         parent.run(kv_batches())
     assert ex.result() == parent.result() == solo.result()

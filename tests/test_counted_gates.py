@@ -13,7 +13,7 @@ import pytest
 import repro.core.lookup as lookup_mod
 from repro.apps import ALL_APPS
 from repro.core import GpuHashTable, RecordBatch, SepoDriver
-from repro.core import hashtable
+from repro.core import hashtable, sepo
 from repro.core.hashtable import merge_chain_items
 from repro.core.lookup import LookupDriver
 from repro.core.organizations import oracle, policy
@@ -119,6 +119,25 @@ def insert_pass_gate():
         want = -(-k * 512 // hashtable.RUN_RECORDS)
         if run.calls["insert"] != want:
             raise GateFailed(f"{k} chunks: {run.calls['insert']} insert "
+                             f"calls, not {want}")
+
+
+def mixed_pass_gate():
+    """A SEPO run of k combining chunks of 512 mixed ops that never fail
+    a group applies them with one ``mutate_indices`` call per
+    ``RUN_RECORDS`` ops, not one a chunk: 4 and 32 chunks."""
+    for k in (4, 32):
+        batches = [mut_batch("combining", seeded_ops(s, 512, 4096, "combining"))
+                   for s in range(k)]
+        t = table("combining", ledger=CostLedger())
+        driver = SepoDriver(t, KernelModel(GTX_780TI, t.ledger),
+                            PCIeBus(t.ledger))
+        run = counted(lambda: driver.run(batches),
+                      calls={"mutate": policy.Organization.mutate_indices})
+        assert run.value.iterations == 1 and not t.alloc.has_failures
+        want = -(-k * 512 // hashtable.RUN_RECORDS)
+        if run.calls["mutate"] != want:
+            raise GateFailed(f"{k} chunks: {run.calls['mutate']} mutate "
                              f"calls, not {want}")
 
 
@@ -272,6 +291,9 @@ GATES = {
     **{f"insert-{k}": (lambda k=k: insert_gate(k), _kernels_decline)
        for k in (*KINDS, "combining-f64")},
     "insert-pass": (insert_pass_gate, _patch(hashtable, "RUN_RECORDS", 1)),
+    "mixed-pass": (mixed_pass_gate, _patch(
+        sepo, "run_fits", lambda head, records, batch, n:
+        batch.pure_insert and hashtable.run_fits(head, records, batch, n))),
     "result": (result_gate, _patch(
         GpuHashTable, "_result_bulk", _merge_per_entry)),
     "mixed-ops": (mixed_gate, _patch(policy, "MIXED_KERNEL_MIN_OPS", 1 << 62)),
