@@ -837,8 +837,8 @@ def test_mixed_ops_cell_runs(monkeypatch):
     """Non-gating: the mixed-op mutation cell must complete on every
     organization under every implementation it distinguishes, and so must
     one column of the cut-over sweep -- on the kernels: the sweep forces
-    them by patching the module the dispatch reads, and 128-op batches
-    are under the shipped cut-over."""
+    them by patching the module the dispatch reads (128-op batches are
+    over the shipped cut-over of 64 as well)."""
     triples = make_mixed_ops(2048)
     for kind in KINDS:
         row = _mixed_cell(kind, triples, repeats=1)

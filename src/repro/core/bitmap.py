@@ -48,7 +48,7 @@ class PendingBitmap:
         """Global indices of pending records within ``[start, stop)``."""
         if not 0 <= start <= stop <= self.n_records:
             raise ValueError(f"range [{start}, {stop}) out of bounds")
-        return start + np.flatnonzero(self._pending[start:stop])
+        return start + self._pending[start:stop].nonzero()[0]
 
     # ------------------------------------------------------------------
     def snapshot(self) -> np.ndarray:
@@ -69,5 +69,6 @@ class PendingBitmap:
         if len(indices) == 0:
             return
         indices = np.asarray(indices)
-        if indices.min() < 0 or indices.max() >= self.n_records:
+        if (np.minimum.reduce(indices) < 0
+                or np.maximum.reduce(indices) >= self.n_records):
             raise IndexError("record index out of range")

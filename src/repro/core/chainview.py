@@ -270,7 +270,7 @@ def _walk(buf, heads, layout, offset, page_size):
     nc = len(heads)
     image = offset is None
     nxt64 = buf.view(np.int64)[1:]  # a node's next_cpu: nxt64[pos >> 3]
-    ci = np.flatnonzero(heads != NULL)
+    ci = (heads != NULL).nonzero()[0]
     cur = heads[ci]
     blocked = np.full(nc, -1, dtype=np.int64), np.full(nc, NULL, dtype=np.int64)
     # per round, then the tail: the walks stepped and their addresses
@@ -293,7 +293,7 @@ def _walk(buf, heads, layout, offset, page_size):
         alive = nxt != NULL
         ci, cur = ci[alive], nxt[alive]
     rounds = len(walks)
-    rank = np.repeat(np.arange(rounds), [len(w) for w in walks])
+    rank = np.arange(rounds).repeat([len(w) for w in walks])
 
     if len(cur):
         # the few long walks, node by node: one list of addresses
@@ -324,9 +324,9 @@ def _walk(buf, heads, layout, offset, page_size):
         # a tail node's rank: the rounds, then its place in its chain's run
         first = np.cumsum(lens) - lens
         rank = np.concatenate((
-            rank, rounds + np.arange(len(t_addr)) - np.repeat(first, lens)
+            rank, rounds + np.arange(len(t_addr)) - first.repeat(lens)
         ))
-        walks.append(np.repeat(ci, lens))
+        walks.append(ci.repeat(lens))
         addrs.append(np.array(t_addr, dtype=np.int64))
 
     if not walks:
@@ -336,7 +336,7 @@ def _walk(buf, heads, layout, offset, page_size):
     counts = np.bincount(ci_all, minlength=nc)
     # chain-major reassembly: a node's row is its chain's first row plus
     # its rank in the walk
-    dest = (np.cumsum(counts) - counts)[ci_all] + rank
+    dest = (counts.cumsum() - counts)[ci_all] + rank
     addr_s = np.empty(len(dest), dtype=np.int64)
     addr_s[dest] = np.concatenate(addrs)
     pos_s = addr_s if image else addr_s + offset[addr_s // page_size]
@@ -381,7 +381,7 @@ def _materialize_scalar(heap, head, kind, header, arena) -> ChainSoA:
         head, arena, np.array(addrs, dtype=np.int64),
         np.array(pos, dtype=np.int64), klen_a,
         np.array(vlens, dtype=np.int64), np.array(flags, dtype=np.int64),
-        costs, np.cumsum(costs), keymat, blocked,
+        costs, costs.cumsum(), keymat, blocked,
     )
 
 
@@ -396,12 +396,12 @@ def _assemble(
     in walk order, ``counts[i]`` long).
     """
     costs_s = header + klen_s
-    starts = np.concatenate(([0], np.cumsum(counts)))
+    starts = np.concatenate(([0], counts.cumsum()))
 
     # inclusive per-chain cumsum: global cumsum minus each chain's base
-    c = np.cumsum(costs_s)
+    c = costs_s.cumsum()
     excl = np.concatenate(([0], c))
-    cum_s = c - np.repeat(excl[starts[:-1]], counts)
+    cum_s = c - excl[starts[:-1]].repeat(counts)
     return ChainBlock(
         heads, arena, header, starts, addr_s, pos_s, klen_s, vlen_s,
         flags_s, costs_s, cum_s, blocked,
@@ -497,14 +497,14 @@ def _chains_of(heads):
     """``(live, uniq, chain)``: the keys whose bucket is not empty, the
     distinct chain heads among them, and each live key's index into those
     (many keys share a chain)."""
-    live = np.flatnonzero(heads != NULL)
+    live = (heads != NULL).nonzero()[0]
     h = heads[live]
     order = np.argsort(h)
     hs = h[order]
     first = np.ones(len(hs), dtype=bool)
     np.not_equal(hs[1:], hs[:-1], out=first[1:])
     chain = np.empty(len(h), dtype=np.int64)
-    chain[order] = np.cumsum(first) - 1
+    chain[order] = first.cumsum() - 1
     return live, hs[first], chain
 
 
@@ -534,7 +534,7 @@ def _match_keys(block, first_row, npairs, keys, key_lens):
     # the entry side: word ``c`` of row ``r``'s key is ``ewords[wbase[r] + c]``
     ewords = block.arena.view(np.uint64)
     wbase = (block.pos + block.header) >> 3
-    cp = np.cumsum(npairs)
+    cp = npairs.cumsum()
     found: list[tuple] = []
     lo = 0
     while lo < len(npairs):
@@ -542,7 +542,7 @@ def _match_keys(block, first_row, npairs, keys, key_lens):
         hi = max(lo + 1, int(np.searchsorted(cp, budget, side="right")))
         cnt = npairs[lo:hi]
         # pair p = (key rep[p], walk position within[p])
-        rep = np.repeat(np.arange(lo, hi), cnt)
+        rep = np.arange(lo, hi).repeat(cnt)
         within = np.arange(int(cnt.sum())) - np.repeat(
             np.cumsum(cnt) - cnt, cnt
         )
@@ -555,7 +555,7 @@ def _match_keys(block, first_row, npairs, keys, key_lens):
             ok[act] = (ewords[wbase[row[a]] + col] & cut) == qwords[rep[a], col]
             return cand[ok], last[ok]
 
-        cand = np.flatnonzero(block.klens[row] == key_lens[rep])
+        cand = (block.klens[row] == key_lens[rep]).nonzero()[0]
         n = key_lens[rep[cand]]
         last = (n - 1) >> 3  # a key's last word; -1: empty, equal on length
         act = last >= 0
@@ -603,7 +603,7 @@ def newest_matches(key: np.ndarray) -> np.ndarray:
     :attr:`ChainMatches.key` column, or any filtered subset of one."""
     first = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
-    return np.flatnonzero(first)
+    return first.nonzero()[0]
 
 
 def _match_chains(parse, header, heads, keys, key_lens) -> ChainMatches:
@@ -617,17 +617,19 @@ def _match_chains(parse, header, heads, keys, key_lens) -> ChainMatches:
     blocked_seg = np.full(G, -1, dtype=np.int64)
     blocked_addr = np.full(G, NULL, dtype=np.int64)
     live, uniq, chain = _chains_of(heads)
-    if not len(live):
+    sel = live
+    if len(live):
+        block = parse(uniq)
+        n_chain[live] = np.diff(block.starts)[chain]
+        blocked_seg[live] = block.blocked_seg[chain]
+        blocked_addr[live] = block.blocked_addr[chain]
+        walkable = n_chain[live] > 0
+        sel = live[walkable]  # keys with something to walk, ascending
+    if not len(sel):
         none = np.zeros(0, dtype=np.int64)
         return ChainMatches(
             n_chain, chain_bytes, blocked_seg, blocked_addr, *(none,) * 8
         )
-    block = parse(uniq)
-    n_chain[live] = np.diff(block.starts)[chain]
-    blocked_seg[live] = block.blocked_seg[chain]
-    blocked_addr[live] = block.blocked_addr[chain]
-    walkable = n_chain[live] > 0
-    sel = live[walkable]  # keys with something to walk, ascending
     first_row = block.starts[chain[walkable]]
     npairs = n_chain[sel]
     chain_bytes[sel] = block.cum[first_row + npairs - 1]
@@ -648,8 +650,20 @@ def match_resident_chains(heap, heads, kind, keys, key_lens) -> ChainMatches:
     ``heads[g]`` is where key ``g``'s walk starts (``NULL`` for an empty
     bucket; many keys may share one), ``keys`` the zero-padded (G, width)
     key matrix and ``key_lens`` the exact lengths.  Every distinct chain
-    is parsed once by :func:`materialize_chains`.
+    is parsed once by :func:`materialize_chains`.  With nothing resident
+    -- a call after a boundary that evicted everything -- every walk
+    blocks at its head and nothing is parsed.
     """
+    if not heap.resident_bytes:
+        heads = np.asarray(heads, dtype=np.int64)
+        live = heads != NULL
+        none = np.zeros(0, dtype=np.int64)
+        return ChainMatches(
+            np.zeros(len(heads), dtype=np.int64),
+            np.zeros(len(heads), dtype=np.int64),
+            np.where(live, heads // heap.page_size, -1),
+            np.where(live, heads, NULL), *(none,) * 8,
+        )
     return _match_chains(
         lambda uniq: materialize_chains(heap, uniq, kind),
         _LAYOUTS[kind].header, heads, keys, key_lens,
@@ -661,23 +675,18 @@ def resolve_keys(heap, heads, kind, keys, key_lens) -> KeyResolve:
     :func:`match_resident_chains`' (same arguments)."""
     cm = match_resident_chains(heap, heads, kind, keys, key_lens)
     G = len(cm.n_chain)
-    hit = np.full(G, -1, dtype=np.int64)
-    hit_bytes = np.zeros(G, dtype=np.int64)
-    hit_pos = np.full(G, NULL, dtype=np.int64)
-    hit_addr = np.full(G, NULL, dtype=np.int64)
-    hit_flags = np.zeros(G, dtype=np.int64)
-    hit_vlen = np.zeros(G, dtype=np.int64)
-    newest = newest_matches(cm.key)
-    gm = cm.key[newest]
-    hit[gm] = cm.at[newest]
-    hit_bytes[gm] = cm.cum[newest]
-    hit_pos[gm] = cm.pos[newest]
-    hit_addr[gm] = cm.addr[newest]
-    hit_flags[gm] = cm.flags[newest]
-    hit_vlen[gm] = cm.vlen[newest]
+    # per key: hit, hit_bytes, hit_pos, hit_addr, hit_flags, hit_vlen
+    cols = np.zeros((6, G), dtype=np.int64)
+    cols[0] = -1
+    cols[2:4] = NULL
+    if len(cm.key):
+        newest = newest_matches(cm.key)
+        cols[:, cm.key[newest]] = (
+            cm.at[newest], cm.cum[newest], cm.pos[newest], cm.addr[newest],
+            cm.flags[newest], cm.vlen[newest],
+        )
     return KeyResolve(
-        cm.n_chain, cm.chain_bytes, hit, hit_bytes, hit_pos, hit_addr,
-        hit_flags, hit_vlen, cm.blocked_seg >= 0,
+        cm.n_chain, cm.chain_bytes, *cols, cm.blocked_seg >= 0,
     )
 
 

@@ -313,12 +313,14 @@ def write_entries_bulk(
     klens: np.ndarray,
     values: np.ndarray,
     vlens: np.ndarray,
+    flags: np.ndarray | int = 0,
 ) -> None:
     """Vectorized :func:`write_entry` for ``m`` entries at flat positions.
 
     ``pos`` holds each entry's 8-aligned byte position in ``arena`` (for
     heap pages: ``slot * page_size + offset``); ``keys``/``values`` are
-    padded uint8 matrices with true lengths ``klens``/``vlens``.  Headers
+    padded uint8 matrices with true lengths ``klens``/``vlens``, and
+    ``flags`` the mutation flag bits of each entry's klen word.  Headers
     are stored as whole words through wider views of the arena -- 4
     scatters.
     """
@@ -330,7 +332,7 @@ def write_entries_bulk(
     w64[p8 + 1] = next_cpu
     w32 = arena.view(np.uint32)
     p4 = pos >> 2
-    w32[p4 + 4] = klens
+    w32[p4 + 4] = klens | flags
     w32[p4 + 5] = vlens
     ko = pos + ENTRY_HEADER
     kw, vw = _uniform_width(klens), _uniform_width(vlens)

@@ -26,19 +26,20 @@ def segmented_exclusive_cumsum(
     with ``x`` holding per-record "a new entry was prepended here" event
     weights and ``seg`` the bucket ids, the result at record ``j`` is
     exactly how much the bucket's chain grew before ``j``'s walk started
-    -- what the scalar reference observes record by record.  ``order`` is
-    ``_stable_order(seg)`` when the caller already has it.
+    -- what the scalar reference observes record by record.  ``x`` may
+    stack several such rows over the same records (the sums run along its
+    last axis); ``order`` is ``_stable_order(seg)`` when the caller
+    already has it.
     """
-    m = len(x)
     if order is None:
         order = _stable_order(seg)
-    xs = x[order]
-    excl = np.cumsum(xs) - xs
-    ss = seg[order]
-    st = np.flatnonzero(_run_starts(ss))
-    base = np.repeat(excl[st], np.diff(np.concatenate((st, [m]))))
-    out = np.empty(m, dtype=np.int64)
-    out[order] = excl - base
+    xs = x[..., order]
+    excl = xs.cumsum(axis=-1) - xs
+    # each position's segment start, and the sum the segment starts from
+    start = np.maximum.accumulate(
+        np.where(_run_starts(seg[order]), np.arange(len(order)), 0))
+    out = np.empty_like(excl)
+    out[..., order] = excl - excl[..., start]
     return out
 
 
@@ -101,9 +102,11 @@ def _link_value_lists(gaddr, caddr, first, head_gpu, head_cpu):
 def _latest_before(mask: np.ndarray, seg0: np.ndarray) -> np.ndarray:
     """Per position of a key-major array, the latest *earlier* position of
     the same key where ``mask`` holds, else -1 (``seg0[p]`` is the first
-    position of ``p``'s key)."""
-    at = np.where(mask, np.arange(len(mask)), -1)
-    last = np.concatenate(([-1], np.maximum.accumulate(at)[:-1]))
+    position of ``p``'s key).  ``mask`` may stack several rows."""
+    at = np.where(mask, np.arange(mask.shape[-1]), -1)
+    last = np.maximum.accumulate(at, axis=-1)
+    last[..., 1:] = last[..., :-1].copy()
+    last[..., 0] = -1
     return np.where(last >= seg0, last, -1)
 
 
@@ -122,13 +125,15 @@ class _DistinctKeys:
         m = len(idx)
         self.sub, self.starts = grouping.subset(idx)
         G = len(self.starts)
-        self.counts = np.diff(np.concatenate((self.starts, [m])))
+        self.counts = np.concatenate((self.starts[1:], [m])) - self.starts
         self.firstj = self.sub[self.starts]
         self.gpos = np.empty(m, dtype=np.int64)
-        self.gpos[self.sub] = np.repeat(np.arange(G), self.counts)
+        self.gpos[self.sub] = np.arange(G).repeat(self.counts)
         self.isfirst = np.zeros(m, dtype=bool)
         self.isfirst[self.firstj] = True
         self.gbucket = buckets[self.firstj]
+        #: the records by (bucket, arrival): how walks see their chains grow
+        self.by_bucket = _stable_order(buckets)
 
     def resolve(self, table, batch, idx, kind):
         """Look every distinct key up in its bucket's resident prefix."""
@@ -179,15 +184,14 @@ class _DistinctKeys:
         over the ops that do walk.
         """
         gpos = self.gpos
-        order = _stable_order(buckets)
-        ev = made.astype(np.int64)
-        A = segmented_exclusive_cumsum(ev, buckets, order)
-        S = segmented_exclusive_cumsum(ev * (header + klens), buckets, order)
+        ev = np.array((made, made * (header + klens)), dtype=np.int64)
+        A, S = segmented_exclusive_cumsum(ev, buckets, self.by_bucket)
         hit = res.hit[gpos]
-        probe = A + np.where(hit >= 0, hit + 1, res.n_resident[gpos])
-        btv = S + np.where(hit >= 0, res.hit_bytes[gpos], res.walk_bytes[gpos])
-        new = creator >= 0
-        if new.any():
+        found = hit >= 0
+        probe = A + np.where(found, hit + 1, res.n_resident[gpos])
+        btv = S + np.where(found, res.hit_bytes[gpos], res.walk_bytes[gpos])
+        new = (creator >= 0).nonzero()[0]
+        if len(new):
             c = creator[new]
             probe[new] = A[new] - A[c]
             btv[new] = S[new] - S[c]

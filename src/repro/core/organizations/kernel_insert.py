@@ -44,24 +44,25 @@ def _book(tallies, bounds, ok, cycles, touched, probe, alloc_at, alloc_groups):
     so a part's ``table_cycles`` is the float its own call would sum.
     """
     lo, hi = bounds[:-1], bounds[1:]
-
-    def per_part(col):
-        if len(tallies) == 1:  # a call a chunk: one plain sum
-            return [col[lo[0]:hi[0]].sum().item()]
-        acc = np.concatenate(([0], np.cumsum(col)))
-        return (acc[hi] - acc[lo]).tolist()
-
-    n_ok, cyc, byt = per_part(ok), per_part(cycles), per_part(touched)
-    prb = per_part(probe) if probe is not None else [0] * len(tallies)
-    cut = np.searchsorted(alloc_at, bounds).tolist()
+    cols = np.array((
+        ok, cycles, touched, np.zeros(len(ok)) if probe is None else probe,
+    ), dtype=np.float64)
+    if len(tallies) == 1:  # a call a chunk: one plain sum a column
+        sums = cols[:, lo[0]:hi[0]].sum(axis=1)[:, None]
+    else:
+        acc = np.zeros((4, cols.shape[1] + 1))
+        acc[:, 1:] = cols.cumsum(axis=1)
+        sums = acc[:, hi] - acc[:, lo]
+    n_ok, cyc, byt, prb = sums.tolist()
+    cut = alloc_at.searchsorted(bounds).tolist()
     for p, tally in enumerate(tallies):
         m = int(hi[p] - lo[p])
         tally.attempted += m
-        tally.succeeded += n_ok[p]
-        tally.postponed += m - n_ok[p]
-        tally.probe_steps += prb[p]
-        tally.bytes_touched += byt[p]
-        tally.table_cycles += float(cyc[p])
+        tally.succeeded += int(n_ok[p])
+        tally.postponed += m - int(n_ok[p])
+        tally.probe_steps += int(prb[p])
+        tally.bytes_touched += int(byt[p])
+        tally.table_cycles += cyc[p]
         tally.alloc_groups.extend(alloc_groups[cut[p]:cut[p + 1]])
 
 
@@ -96,7 +97,7 @@ def _insert_basic(table, batch, idx, buckets, tallies, bounds):
     _book(
         tallies, bounds, ok,
         HASH_CYCLES_PER_BYTE * klens + INSERT_CYCLES,
-        np.where(ok, sizes + 16, 0), None, np.flatnonzero(ok), groups[ok],
+        np.where(ok, sizes + 16, 0), None, ok.nonzero()[0], groups[ok],
     )
     if not ok.any():
         return ok
@@ -116,7 +117,7 @@ def _insert_basic(table, batch, idx, buckets, tallies, bounds):
     )
     trace = table.trace
     if trace is not None:  # replay accesses in arrival order
-        for j in np.flatnonzero(ok).tolist():
+        for j in ok.nonzero()[0].tolist():
             trace.on_access(int(bulk.cpu_addr[j]), int(sizes[j]))
     return ok
 
@@ -158,7 +159,7 @@ def _insert_combining(
     res = dk.resolve(table, batch, idx, "generic")
 
     # one optimistic allocation per distinct absent key, arrival order
-    newg = np.flatnonzero(res.hit < 0)
+    newg = (res.hit < 0).nonzero()[0]
     req = newg[np.argsort(firstj[newg])]  # first positions are unique
     req_first = firstj[req]
     sizes = E.entry_sizes_bulk(
@@ -166,8 +167,8 @@ def _insert_combining(
     )
     rgroups = gbucket[req] // group_size
     bulk = alloc.allocate_many(rgroups, sizes, PageKind.GENERIC)
-    okpos = np.flatnonzero(bulk.ok)
-    failpos = np.flatnonzero(~bulk.ok)
+    okpos = bulk.ok.nonzero()[0]
+    failpos = (~bulk.ok).nonzero()[0]
     succ = req[okpos]  # inserted keys, arrival order
     ins = np.zeros(len(starts), dtype=bool)
     ins[succ] = True
@@ -197,7 +198,7 @@ def _insert_combining(
     # fold every key's values in arrival order, a resident hit's onto
     # the scalar it already stores
     is_hit = res.hit >= 0
-    hit_g = np.flatnonzero(is_hit)
+    hit_g = is_hit.nonzero()[0]
     vdtype = comb.dtype.newbyteorder("<")
     arena = heap.pool.arena
     vo = res.hit_pos[hit_g] + E.ENTRY_HEADER + klens[firstj[hit_g]]
@@ -253,7 +254,7 @@ def _insert_multivalued(
     Nothing fails before the first denied page take, so up to there
     the stream is the *plan* -- KEY at an absent key's first
     occurrence, VALUE per record, interleaved in arrival order -- and
-    that take is request ``dry = plan_page_takes(plan)[n_free]`` of it
+    that take is request ``dry = takes[n_free]`` of it
     (the end of the plan when the pool holds out: the all-granted
     batch is this body with an empty tail).  From ``dry`` on the pool
     is empty for the rest of the iteration and a request bump-fits
@@ -302,11 +303,11 @@ def _insert_multivalued(
     # the plan: [KEY at the first occurrence of an absent key] then
     # [VALUE] per record, in arrival order
     isnewfirst = dk.isfirst & ~is_hit[gpos]
-    nf_rec = np.flatnonzero(isnewfirst)
+    nf_rec = isnewfirst.nonzero()[0]
     nreq = 1 + isnewfirst.astype(np.int64)
-    rstart = np.cumsum(nreq) - nreq
+    rstart = nreq.cumsum() - nreq
     total = m + len(nf_rec)
-    req_groups = np.repeat(buckets // group_size, nreq)
+    req_groups = (buckets // group_size).repeat(nreq)
     req_sizes = np.empty(total, dtype=np.int64)
     req_codes = np.full(total, KIND_CODES[PageKind.VALUE], dtype=np.int64)
     kslots = rstart[nf_rec]
@@ -315,7 +316,8 @@ def _insert_multivalued(
     vslots = rstart + nreq - 1
     req_sizes[vslots] = vsizes
 
-    takes = alloc.plan_page_takes(req_groups, req_sizes, kinds=req_codes)
+    plan = alloc.plan(req_groups, req_sizes, kinds=req_codes)
+    takes = plan.takes
     n_free = pool.n_free
     if not pool.can_take(min(len(takes), n_free)):
         return None  # an injected fault: ``n_free`` cannot be believed
@@ -326,9 +328,9 @@ def _insert_multivalued(
     caddr = np.full(total, NULL, dtype=np.int64)
     apos = np.full(total, -1, dtype=np.int64)  # arena byte positions
 
-    def serve(ask):
+    def serve(ask, plan=None):
         bulk = alloc.allocate_many(
-            req_groups[ask], req_sizes[ask], kinds=req_codes[ask]
+            req_groups[ask], req_sizes[ask], kinds=req_codes[ask], plan=plan
         )
         ok[ask] = bulk.ok
         gaddr[ask] = bulk.gpu_addr
@@ -337,7 +339,7 @@ def _insert_multivalued(
 
     head = np.arange(total) < dry
     head[kslots] = True  # ... with the KEY requests behind it
-    serve(np.flatnonzero(head))
+    serve(head.nonzero()[0], plan.restrict(head))  # a prefix of each run
     made = nf_rec[ok[kslots]]  # records that create their key's entry
     denied = gpos[nf_rec[~ok[kslots]]]
     alloc.record_denied_retries(int((counts[denied] - 1).sum()))
@@ -349,7 +351,7 @@ def _insert_multivalued(
     # value lists: each key's granted nodes, arrival order, pushed onto
     # the list head the key had (NULL for a key entry of this batch)
     arena = pool.arena
-    hit_g = np.flatnonzero(is_hit)
+    hit_g = is_hit.nonzero()[0]
     hit_pos = res.hit_pos[hit_g]  # arena offsets of the hit key entries
     vhead_g = np.full(G, NULL, dtype=np.int64)
     vhead_c = np.full(G, NULL, dtype=np.int64)
@@ -428,6 +430,6 @@ def _insert_multivalued(
     touched[made] += ksizes[made] + 16
     _book(
         tallies, bounds, vok, HASH_CYCLES_PER_BYTE * klens + INSERT_CYCLES,
-        touched, probe, np.repeat(np.arange(m), nreq)[ok], req_groups[ok],
+        touched, probe, np.arange(m).repeat(nreq)[ok], req_groups[ok],
     )
     return vok

@@ -34,10 +34,10 @@ def _lookup_matches(table, batch, idx, dk, looks, kind):
     others), the image as bytes and as uint8, and the
     :class:`~repro.core.chainview.ChainMatches` of those rows.
     """
-    lk = np.flatnonzero(looks)
+    lk = looks.nonzero()[0]
     slot = np.full(len(dk.starts), -1, dtype=np.int64)
     slot[dk.gpos[lk]] = 0
-    keys = np.flatnonzero(slot == 0)  # distinct looked-up keys
+    keys = (slot == 0).nonzero()[0]  # distinct looked-up keys
     slot[keys] = np.arange(len(keys))
     rec = idx[dk.firstj[keys]]
     blob = table.heap.cpu_image()
@@ -56,9 +56,9 @@ def _newest_first(cm, first, closing, dead):
     nothing older than that shows.  Returns the ``shows`` mask and per key
     the ``(probes, bytes)`` of a walk up to and including the match that
     closes it, else of the whole chain."""
-    base = np.concatenate(([0], np.cumsum(closing)))
+    base = np.concatenate(([0], closing.cumsum()))
     older = base[:-1] - base[first][cm.key]  # closing matches before this
-    closer = np.flatnonzero(closing & (older == 0))
+    closer = (closing & (older == 0)).nonzero()[0]
     probes = cm.n_chain.copy()
     nbytes = cm.chain_bytes.copy()
     probes[cm.key[closer]] = cm.at[closer] + 1
@@ -69,8 +69,8 @@ def _newest_first(cm, first, closing, dead):
 def _ranges(lo, n):
     """``lo[i], lo[i] + 1, ..., lo[i] + n[i] - 1`` for every ``i``, in
     order."""
-    ends = np.cumsum(n)
-    return np.arange(ends[-1] if len(n) else 0) + np.repeat(lo - ends + n, n)
+    ends = n.cumsum()
+    return np.arange(ends[-1] if len(n) else 0) + (lo - ends + n).repeat(n)
 
 
 def _value_bytes(batch, rec) -> list:
@@ -122,15 +122,15 @@ def _reads(dk, st, looks, slot, adds, close, made, creator, cm, first,
     :func:`_newest_first`).
     """
     sub, key, seg0 = dk.sub, st.key, st.seg0
-    ql = np.flatnonzero(looks[sub])
+    ql = looks[sub].nonzero()[0]
     lk, row = sub[ql], slot[key[ql]]
     probe, nb = A[lk] + probes[row], S[lk] + nbytes[row]
-    dirty = np.flatnonzero(~st.untouched[ql])
+    dirty = (~st.untouched[ql]).nonzero()[0]
     dq = ql[dirty]
     written = np.zeros(len(slot), dtype=bool)  # keys a dirty lookup reads
     written[key[dq]] = True
     added = adds[sub] & written[key]
-    before = np.cumsum(added) - added  # elements added earlier, key-major
+    before = added.cumsum() - added  # elements added earlier, key-major
     e = _latest_before(close[sub], seg0)[dq]  # the newest closing op
     closed = e >= 0
     alo = before[np.where(closed, e, seg0[dq])]
@@ -139,7 +139,7 @@ def _reads(dk, st, looks, slot, adds, close, made, creator, cm, first,
         j, je = lk[i], sub[e[closed]]
         c = np.where(made[je], je, creator[je])  # op that made the entry
         pc, bc = A[j] - A[c], S[j] - S[c]
-        hit = np.flatnonzero(c < 0)  # it stood before the batch
+        hit = (c < 0).nonzero()[0]  # it stood before the batch
         p = first[row[i[hit]]]
         pc[hit] = A[j[hit]] + cm.at[p] + 1
         bc[hit] = S[j[hit]] + cm.cum[p]
@@ -147,7 +147,7 @@ def _reads(dk, st, looks, slot, adds, close, made, creator, cm, first,
     flo = fn = folded = np.zeros(0, dtype=np.int64)
     if combines is not None:
         f = combines[sub] & written[key]
-        done = np.cumsum(f) - f  # combines earlier
+        done = f.cumsum() - f  # combines earlier
         maker = _latest_before(added, seg0)[dq]
         flo = done[np.where(maker >= 0, maker, seg0[dq])]
         fn, folded = done[dq] - flo, sub[f]
@@ -160,7 +160,7 @@ def _pre_blocks(of_key, n_keys, r):
     out rows descending and oldest first (``of_key``: the row of each);
     empty for a lookup that does not read them."""
     n = np.bincount(of_key, minlength=n_keys)
-    lo = (len(of_key) - np.cumsum(n))[r.row]
+    lo = (len(of_key) - n.cumsum())[r.row]
     hi = lo + n[r.row]
     shut = r.dirty[~r.pre]
     hi[shut] = lo[shut]
@@ -220,7 +220,7 @@ def _answer_lookups(
                probes, nbytes, A, S, None if comb is None else inplace)
     probe[r.lk] += r.probe
     touched[r.lk] += r.nbytes
-    old = np.flatnonzero(shows)[::-1]  # keys descending, oldest first
+    old = shows.nonzero()[0][::-1]  # keys descending, oldest first
     lo, hi = _pre_blocks(cm.key[old], n_keys, r)
     if comb is None:
         vpos = cm.vpos[old]
@@ -243,16 +243,16 @@ def _answer_lookups(
     ))[_ranges(np.stack((lo, start), axis=1).ravel(),
                np.stack((n_pre, n_add), axis=1).ravel())]
     n = n_pre + n_add
-    ends = np.cumsum(n)
-    some = np.flatnonzero(n)
+    ends = n.cumsum()
+    some = n.nonzero()[0]
     # a dirty lookup's newest entry first takes the combines before it
-    late = np.flatnonzero((r.fn > 0) & (n[r.dirty] > 0))
+    late = ((r.fn > 0) & (n[r.dirty] > 0)).nonzero()[0]
     if len(late):
         fn = r.fn[late]
         newest = ends[r.dirty[late]] - 1
         vals[newest] = comb.fold_segments(
             batch.numeric_values[idx[r.folded]][_ranges(r.flo[late], fn)],
-            np.cumsum(fn) - fn, vals[newest], np.ones(len(fn), dtype=bool),
+            fn.cumsum() - fn, vals[newest], np.ones(len(fn), dtype=bool),
         )
     answers = np.full(len(lo), None, dtype=object)
     if len(some):
@@ -286,7 +286,7 @@ def _answer_lookups_mv(
     shows, probes, nbytes = _newest_first(
         cm, first, tomb, tomb | E.key_entry_unborn(cm.flags, vhead)
     )
-    vis = np.flatnonzero(shows)
+    vis = shows.nonzero()[0]
     (vpos, _, vlen, _), counts = walk_cpu_image(image, vhead[vis], "value")
 
     ops = batch.ops[idx]
@@ -297,13 +297,13 @@ def _answer_lookups_mv(
                probes, nbytes, A, S)
 
     old = slice(None, None, -1)  # keys descending, oldest node first
-    lo, hi = _pre_blocks(np.repeat(cm.key[vis], counts)[old], n_keys, r)
+    lo, hi = _pre_blocks(cm.key[vis].repeat(counts)[old], n_keys, r)
     node = E.VALUE_NODE_HEADER + vpos[old]
     rec = idx[r.added]
     # every node read: one probe, its header and value bytes
-    pre_b = np.concatenate(([0], np.cumsum(E.VALUE_NODE_HEADER + vlen[old])))
-    add_b = np.concatenate(([0], np.cumsum(
-        E.VALUE_NODE_HEADER + batch.val_lens[rec].astype(np.int64))))
+    pre_b = np.concatenate(([0], (E.VALUE_NODE_HEADER + vlen[old]).cumsum()))
+    add_b = np.concatenate(([0], (
+        E.VALUE_NODE_HEADER + batch.val_lens[rec].astype(np.int64)).cumsum()))
     probe[r.lk] += r.probe + hi - lo
     touched[r.lk] += r.nbytes + pre_b[hi] - pre_b[lo]
     dirty = r.lk[r.dirty]

@@ -43,7 +43,6 @@ from repro.core.organizations.kernel_lookup import (
     _answer_lookups_mv,
 )
 from repro.memalloc.address import NULL
-from repro.memalloc.allocator import _stable_order
 from repro.memalloc.pages import KIND_CODES, PageKind
 
 
@@ -72,10 +71,10 @@ def _key_states(dk, res, is_up, is_del, tombstone) -> _KeyStates:
     to its first denied request, and a key lives in one group.
     """
     sub = dk.sub
-    seg0 = np.repeat(dk.starts, dk.counts)
+    seg0 = dk.starts.repeat(dk.counts)
     g_s = dk.gpos[sub]
-    last_up = _latest_before(is_up[sub], seg0)
-    last_del = _latest_before(is_del[sub], seg0)
+    last_up, last_del = _latest_before(
+        np.array((is_up[sub], is_del[sub])), seg0)
     untouched = (last_up < 0) & (last_del < 0)
     hit0 = res.hit >= 0
     live0 = hit0 & ((res.hit_flags & tombstone) == 0)
@@ -89,42 +88,58 @@ def _sticky_cut(table, groups, owner, sizes, bounds, kinds=None):
     first denied request.
 
     ``owner`` (ascending) names the op behind each request, ``sizes`` /
-    ``kinds`` are the requests as :meth:`plan_page_takes` takes them.  The
-    pool grants page takes in request order; a group stops at its first
-    denied one.  The op owning that request is *refused* -- charged what
-    it did up to there -- every later op of the group postpones at the
-    gate charged its hash alone, every earlier one runs.
+    ``kinds`` are the requests as :meth:`~repro.memalloc.allocator.
+    BucketGroupAllocator.plan` takes them.  The pool grants page takes in
+    request order; a group stops at its first denied one.  The op owning
+    that request is *refused* -- charged what it did up to there -- every
+    later op of the group postpones at the gate charged its hash alone,
+    every earlier one runs.
 
     ``bounds`` cut the ops into parts; the run goes as far as the first
     part after which the failed groups reach the organization's
     ``stop_fraction`` (groups failed before the call count too).  Every
     op decides on earlier ops alone, so the ops past that part are simply
-    not run: neither ``ran`` nor ``refused``, and no ``cut`` is theirs.
-    Books nothing; returns ``(ran, refused, cut, reached)``: masks over
-    the ops, the request index of each failing group's first denied
-    request, and the number of parts the run reaches.
+    not run: neither ``ran`` nor ``refused``.  Books nothing; returns
+    ``(ran, refused, denied, reached, issued, plan)``: masks over the ops,
+    each refused op's denied request (else -1), the parts the run reaches,
+    the mask of the requests issued (a ran op's, a refused op's up to its
+    denied one) and the allocator's plan cut to those -- the one plan of
+    the call (each group's issued requests are a prefix of its own).
+    None when a fault injector denies takes while ``n_free`` looks healthy.
     """
+    alloc, pool = table.alloc, table.heap.pool
     m = len(groups)
-    stop = np.full(table.buckets.n_groups, m)
-    cut = np.zeros(0, dtype=np.int64)
-    if len(owner):
-        rgroups = groups[owner]
-        page_takes = table.alloc.plan_page_takes(rgroups, sizes, kinds=kinds)
-        denied = page_takes[table.heap.pool.n_free:]
-        if len(denied):
-            g_denied, first = np.unique(rgroups[denied], return_index=True)
-            cut = denied[first]
-            stop[g_denied] = owner[cut]
-    alloc = table.alloc
-    failed = len(alloc.failed_groups) + np.searchsorted(
-        np.sort(owner[cut]), bounds[1:])
-    stops = failed / alloc.n_groups >= table.org.stop_fraction
-    reached = int(stops.argmax()) + 1 if stops.any() else len(bounds) - 1
-    end = bounds[reached]
-    stop = stop[groups]
     ar = np.arange(m)
-    return (ar < np.minimum(stop, end), (ar == stop) & (ar < end),
-            cut[owner[cut] < end], reached)
+    plan = alloc.plan(groups[owner], sizes, kinds=kinds)
+    takes = plan.takes
+    if len(takes) and not pool.can_take(min(len(takes), pool.n_free)):
+        return None  # an injected fault: ``n_free`` cannot be believed
+    denied = takes[pool.n_free:]
+    at = np.full(m, -1)
+    if not len(denied):  # every request is granted
+        stops = table.org.run_stops(table)
+        reached = 1 if stops else len(bounds) - 1
+        ran = ar < bounds[reached]
+        refused = np.zeros(m, dtype=bool)
+    else:
+        g_denied, first = np.unique(plan.groups[denied], return_index=True)
+        cut = denied[first]
+        failed = len(alloc.failed_groups) + np.searchsorted(
+            np.sort(owner[cut]), bounds[1:])
+        stops = failed / alloc.n_groups >= table.org.stop_fraction
+        reached = int(stops.argmax()) + 1 if stops.any() else len(bounds) - 1
+        end = bounds[reached]
+        stop = np.full(alloc.n_groups, m)
+        stop[g_denied] = owner[cut]
+        stop = stop[groups]
+        ran = ar < np.minimum(stop, end)
+        refused = (ar == stop) & (ar < end)
+        cut = cut[owner[cut] < end]
+        at[owner[cut]] = cut
+    issued = ran[owner] | (np.arange(len(owner)) <= at[owner])
+    if not issued.all():
+        plan = plan.restrict(issued)
+    return ran, refused, at, reached, issued, plan
 
 
 def _mutate_generic(table, batch, idx, buckets, tallies, bounds, comb):
@@ -142,8 +157,9 @@ def _mutate_generic(table, batch, idx, buckets, tallies, bounds, comb):
     every request fits a page (the table refuses a call with one).
     ``bounds`` cut the ops into the parts ``tallies`` book (the module
     docstring).  Returns ``(success, reached)``: the parts the run reaches
-    and the success mask over their ops.  docs/cost_model.md, "Mutation
-    cycle costs", derives each step.
+    and the success mask over their ops -- or None, having mutated
+    nothing, on a pool whose ``n_free`` cannot be believed (:func:`_sticky_cut`).
+    docs/cost_model.md, "Mutation cycle costs", derives each step.
     """
     heap = table.heap
     alloc = table.alloc
@@ -187,18 +203,19 @@ def _mutate_generic(table, batch, idx, buckets, tallies, bounds, comb):
     # -- plan: the sticky cut (:func:`_sticky_cut`) -----------------------
     # An op makes at most one request, so the refused op has done nothing
     # but its walk and is charged that and its INSERT_CYCLES.
-    req = np.flatnonzero(takes)
+    req = takes.nonzero()[0]
     size = np.zeros(m, dtype=np.int64)
     size[req] = E.entry_sizes_bulk(klens[req], width[req])
-    ran, refused, _, reached = _sticky_cut(
-        table, groups, req, size[req], bounds
-    )
+    cut = _sticky_cut(table, groups, req, size[req], bounds)
+    if cut is None:
+        return None
+    ran, refused, _, reached, issued, plan = cut
     end = int(bounds[reached])  # the ops of the parts the run reaches
-    muts.gate_postponed += end - int(ran.sum()) - int(refused.sum())
     made = takes & ran  # the entries this batch creates
     inplace = ran & is_up & ~takes  # overwrites (basic) / combines
     buried = ran & is_del & live  # live newest copies tombstoned in place
     born_dead = made & is_del
+    looks = ran & is_lk
 
     # -- charges ---------------------------------------------------------
     creator = dk.makers(made, st.seg0)  # op that made the newest copy
@@ -206,7 +223,6 @@ def _mutate_generic(table, batch, idx, buckets, tallies, bounds, comb):
         res, buckets, klens, made, creator, E.ENTRY_HEADER
     )
     walks = (ran | refused) & (is_del | (is_upd if comb is None else is_up))
-    n_buried = int(buried.sum())
     probe = np.where(walks, probe, 0)  # the in-stream lookups add theirs
     touched = (
         np.where(walks, walk_bytes, 0) + np.where(made, size + 16, 0)
@@ -221,33 +237,38 @@ def _mutate_generic(table, batch, idx, buckets, tallies, bounds, comb):
         + np.where(inplace, UPDATE_CYCLES if comb is None else comb.cycles, 0)
         + TOMBSTONE_CYCLES * buried
     )
-    muts.inserts += int((ran & (ops == OP_INSERT)).sum())
-    muts.updates_inplace += int((inplace & is_upd).sum())
-    muts.updates_entries += int((made & is_upd).sum())
+    (n_ran, n_refused, n_ins, n_upd_in, n_upd_new, n_buried, n_dead, n_noop,
+     n_looks) = np.array((
+        ran, refused, ran & (ops == OP_INSERT), inplace & is_upd,
+        made & is_upd, buried, born_dead, ran & is_del & ~buried & ~takes,
+        looks,
+    )).sum(axis=1).tolist()
+    muts.gate_postponed += end - n_ran - n_refused
+    muts.inserts += n_ins
+    muts.updates_inplace += n_upd_in
+    muts.updates_entries += n_upd_new
     muts.deletes_inplace += n_buried
-    muts.deletes_tombstones += int(born_dead.sum())
-    muts.deletes_noop += int((ran & is_del & ~buried & ~takes).sum())
-    n_tomb = n_buried + int(born_dead.sum())
-    if n_tomb:
+    muts.deletes_tombstones += n_dead
+    muts.deletes_noop += n_noop
+    if n_buried + n_dead:
         alloc.note_tombstone(
             int(E.entry_sizes_bulk(klens[buried], found[buried]).sum())
             + int(size[born_dead].sum()),
-            n_tomb,
+            n_buried + n_dead,
         )
 
     # -- lookups read the table as it stood before the batch -------------
-    looks = ran & is_lk
-    if looks.any():
-        muts.lookups += int(looks.sum())
+    if n_looks:
+        muts.lookups += n_looks
         _answer_lookups(
             table, batch, idx, dk, st, comb, looks, made, inplace, buried,
             creator, A, S, probe, touched,
         )
 
     # -- allocate: the request stream the loop would issue ---------------
-    ask = np.flatnonzero(takes & (ran | refused))
-    bulk = alloc.allocate_many(groups[ask], size[ask], PageKind.GENERIC)
-    if not np.array_equal(bulk.ok, ran[ask]):  # pragma: no cover
+    ask = req[issued]
+    bulk = alloc.allocate_many(groups[ask], size[ask], plan=plan)
+    if (bulk.ok != ran[ask]).any():  # pragma: no cover
         raise AssertionError("page-take plan and allocator disagree")
     granted = ask[bulk.ok]
     _book(tallies[:reached], bounds[:reached + 1], ran, cycles, touched,
@@ -290,7 +311,7 @@ def _mutate_generic(table, batch, idx, buckets, tallies, bounds, comb):
         ups = sub[(ran & is_up)[sub]]  # upserts that ran, key-major
         if len(ups):
             t = target[ups]
-            runs = np.flatnonzero(_run_starts(t))
+            runs = _run_starts(t).nonzero()[0]
             t = t[runs]
             seeded = t >= m  # runs that start on a resident hit
             g = t[seeded] - m
@@ -304,40 +325,37 @@ def _mutate_generic(table, batch, idx, buckets, tallies, bounds, comb):
             rewritten[g] = True
             folded[t[~seeded]] = red[~seeded]
     rewritten |= rflags != 0
-    hits = np.flatnonzero(rflags)
-    E.or_entry_flags(arena, res.hit_pos[hits], rflags[hits])
-    for seg in np.unique(res.hit_addr[rewritten] // heap.page_size).tolist():
-        heap.note_write(seg)
+    if rewritten.any():
+        hits = rflags.nonzero()[0]
+        E.or_entry_flags(arena, res.hit_pos[hits], rflags[hits])
+        for seg in np.unique(res.hit_addr[rewritten] // heap.page_size).tolist():
+            heap.note_write(seg)
 
     # new entries: linked newest-first per bucket, written once with their
     # final value and flags
-    order = np.flatnonzero(bulk.ok)
-    if not len(order):
+    new = dk.by_bucket[made[dk.by_bucket]]  # by (bucket, arrival)
+    if not len(new):
         return ran[:end], reached
-    order = order[_stable_order(buckets[ask[order]])]
-    new = ask[order]  # the making ops, by (bucket, arrival)
-    at = bulk.slot[order] * heap.page_size + bulk.offset[order]
+    row = ask.searchsorted(new)  # each one's row of ``bulk``
+    at = bulk.slot[row] * heap.page_size + bulk.offset[row]
     next_gpu, next_cpu = _link_heads(
-        table.buckets, buckets[new], bulk.gpu_addr[order], bulk.cpu_addr[order]
+        table.buckets, buckets[new], bulk.gpu_addr[row], bulk.cpu_addr[row]
     )
-    for dead in (False, True):  # entries with a value, then born dead
-        part = is_del[new] == dead
+    if comb is None:
+        values = batch.values[idx[source[new]]]
+    else:
+        values = folded[new].astype(vdtype).view(np.uint8).reshape(len(new), -1)
+    dead = is_del[new]
+    # written apart from the born-dead ones, so that each write is of one
+    # width wherever the batch's records are
+    for part in (~dead, dead) if dead.any() else (slice(None),):
         j = new[part]
-        if not len(j):
-            continue
-        rec = idx[j]
-        if dead:
-            values = np.zeros((len(j), 0), dtype=np.uint8)
-        elif comb is None:
-            values = batch.values[idx[source[j]]]
-        else:
-            values = folded[j].astype(vdtype).view(np.uint8).reshape(len(j), -1)
-        E.write_entries_bulk(
-            arena, at[part], next_gpu[part], next_cpu[part],
-            batch.keys[rec], klens[j], values, width[j],
-        )
-    flagged = nflags[new] != 0
-    E.or_entry_flags(arena, at[flagged], nflags[new[flagged]])
+        if len(j):
+            E.write_entries_bulk(
+                arena, at[part], next_gpu[part], next_cpu[part],
+                batch.keys[idx[j]], klens[j], values[part], width[j],
+                nflags[j],
+            )
     return ran[:end], reached
 
 
@@ -384,7 +402,7 @@ def _mutate_multivalued(table, batch, idx, buckets, tallies, bounds, org):
     sub, gpos = dk.sub, dk.gpos
     G = len(dk.starts)
     hit_flags = res.hit_flags
-    hits = np.flatnonzero(res.hit >= 0)
+    hits = (res.hit >= 0).nonzero()[0]
     vhead_gpu = np.full(G, NULL, dtype=np.int64)  # the hits' value lists
     vhead_cpu = np.full(G, NULL, dtype=np.int64)
     vhead_gpu[hits] = E.gather_field(arena, res.hit_pos[hits] + 16, "<i8")
@@ -396,11 +414,11 @@ def _mutate_multivalued(table, batch, idx, buckets, tallies, bounds, org):
     live = np.empty(m, dtype=bool)
     live[sub] = st.live
     nreq = needs_key.astype(np.int64) + is_up
-    rend = np.cumsum(nreq)
+    rend = nreq.cumsum()
     kreq = rend - nreq  # an op's KEY request, where it has one
     vreq = rend - 1  # ... and its VALUE request
     total = int(rend[-1])
-    owner = np.repeat(ar, nreq)
+    owner = ar.repeat(nreq)
     sizes = np.empty(total, dtype=np.int64)
     codes = np.full(total, KIND_CODES[PageKind.VALUE], dtype=np.int64)
     sizes[vreq[is_up]] = vsizes[is_up]
@@ -411,13 +429,12 @@ def _mutate_multivalued(table, batch, idx, buckets, tallies, bounds, org):
     # Refused at its KEY request an op has done nothing but its walk;
     # refused at its VALUE request (``half``) its KEY request, if it made
     # one, was served.
-    ran, refused, cut, reached = _sticky_cut(
-        table, groups, owner, sizes, bounds, codes
-    )
+    cut = _sticky_cut(table, groups, owner, sizes, bounds, codes)
+    if cut is None:
+        return None
+    ran, refused, denied, reached, issued, plan = cut
     end = int(bounds[reached])  # the ops of the parts the run reaches
     muts.gate_postponed += end - int(ran.sum()) - int(refused.sum())
-    denied = np.full(m, -1)  # a refused op's denied request
-    denied[owner[cut]] = cut
     half = is_up & (denied == vreq)
     made = needs_key & (ran | half)  # the key entries this batch creates
     appended = is_up & ran  # ... and its value nodes, one per op
@@ -467,17 +484,15 @@ def _mutate_multivalued(table, batch, idx, buckets, tallies, bounds, org):
     # -- allocate: the request stream the loop would issue ---------------
     # every request of the ops that ran, a refused op's up to and
     # including the denied one
-    r = np.arange(total)
-    issued = ran[owner] | (r <= denied[owner])
-    ask = np.flatnonzero(issued)
+    ask = issued.nonzero()[0]
     rgroups = groups[owner[ask]]
-    bulk = alloc.allocate_many(rgroups, sizes[ask], kinds=codes[ask])
-    served = ran[owner] | (r < denied[owner])
+    bulk = alloc.allocate_many(rgroups, sizes[ask], plan=plan)
+    served = ran[owner] | (np.arange(total) < denied[owner])
     if not np.array_equal(bulk.ok, served[ask]):  # pragma: no cover
         raise AssertionError("page-take plan and allocator disagree")
     _book(tallies[:reached], bounds[:reached + 1], ran, cycles, touched,
           probe, owner[ask][bulk.ok], rgroups[bulk.ok])
-    at = np.cumsum(issued) - 1  # request -> row of ``bulk``
+    at = issued.cumsum() - 1  # request -> row of ``bulk``
 
     # -- scatter: effects collapse per key entry --------------------------
     # Every value between two key-entry creations of a key lands on one
@@ -538,7 +553,7 @@ def _mutate_multivalued(table, batch, idx, buckets, tallies, bounds, org):
     g = t[t >= m] - m
     pinned_hit = g[cleared[g] | ((hit_flags[g] & PENDING) == 0)]
     rflags[pinned_hit] |= PENDING
-    changed = np.flatnonzero(cleared | (rflags != 0))
+    changed = (cleared | (rflags != 0)).nonzero()[0]
     E.scatter_field(
         arena, res.hit_pos[changed] + 36,
         (
@@ -561,9 +576,8 @@ def _mutate_multivalued(table, batch, idx, buckets, tallies, bounds, org):
 
     # new key entries: linked newest-first per bucket, written once with
     # their final value list and flags
-    new = np.flatnonzero(made)
+    new = dk.by_bucket[made[dk.by_bucket]]  # by (bucket, arrival)
     if len(new):
-        new = new[_stable_order(buckets[new])]  # by (bucket, arrival)
         row = at[kreq[new]]
         next_gpu, next_cpu = _link_heads(
             table.buckets, buckets[new], bulk.gpu_addr[row], bulk.cpu_addr[row]

@@ -47,14 +47,15 @@ if TYPE_CHECKING:  # pragma: no cover
 IMPLS = ("vectorized", "slow_reference")
 
 #: mixed-op batches of at least this many ops run the batched kernel under
-#: ``impl="vectorized"``; smaller ones run the loop, whose per-op cost is
-#: lower than the kernel's fixed cost of a few hundred numpy dispatches
-#: and one walk of the looked-up chains.  Timed, the two meet here
-#: (0.81-1.26x at 256 ops, ahead everywhere from 384; the ``mixed_sweep``
-#: tier of BENCH_hostperf.json).  Counted, the kernel already runs fewer
-#: lines of ``repro`` at 32 ops: 1,685-2,798 a call against the loop's
-#: 2,466-5,561, in-stream lookups included.
-MIXED_KERNEL_MIN_OPS = 256
+#: ``impl="vectorized"``; smaller ones run the loop.  The kernel's cost a
+#: call does not shrink with its ops: at 64 ops on a shard-sized table it
+#: makes 780-980 Python and C calls (in-stream lookups included; the
+#: ``mixed-call`` counted gate), the loop 2,800-3,900.  Timed, it still
+#: runs 0.3-0.5x the loop at 64 ops and about even at 256 (``mixed_sweep``
+#: of bench_hostperf.py): the cut-over is held at 64, so that test
+#: batches, conformance cells and shard sub-batches run the kernel, and
+#: only smaller calls the loop.
+MIXED_KERNEL_MIN_OPS = 64
 
 
 @dataclass
@@ -289,30 +290,34 @@ class Organization:
         the loop's own gate).  The rest runs the organization's batched
         kernel, which finds the stop from its allocation plan, where
         :meth:`_closed_form` holds and the run has
-        :data:`MIXED_KERNEL_MIN_OPS` such ops or more.  Otherwise -- and
+        :data:`MIXED_KERNEL_MIN_OPS` such ops or more (it declines, having
+        mutated nothing, on a fault-injected pool).  Otherwise -- and
         under ``slow_reference``, always -- the parts run one by one
         through the scalar loop, with the stop checked between them.
         Success masks, tallies, lookup answers, counters and table bytes
         do not depend on the choice.
         """
         alloc = table.alloc
-        opened = np.ones(len(idx), dtype=bool)
+        opened = None  # every op's group is open
+        open_idx, open_buckets, open_bounds = idx, buckets, bounds
         if (
             self.impl == "vectorized" and self._integer_cycles
             and alloc.has_failures
         ):
             opened = ~np.isin(
                 buckets // table.buckets.group_size, alloc.failed_groups)
-        open_idx, open_buckets = idx[opened], buckets[opened]
-        open_bounds = np.concatenate(([0], np.cumsum(opened)))[bounds]
-        n_open = len(open_idx)
+            open_idx, open_buckets = idx[opened], buckets[opened]
+            open_bounds = np.concatenate(([0], opened.cumsum()))[bounds]
+        ran = None  # what the kernel did, or None: the loop runs
         if (
-            self.impl == "vectorized" and n_open
-            and n_open >= MIXED_KERNEL_MIN_OPS
+            self.impl == "vectorized" and len(open_idx)
+            and len(open_idx) >= MIXED_KERNEL_MIN_OPS
             and self._closed_form(table, batch) is not None
         ):
-            done, reached = self._mutate_kernel(
+            ran = self._mutate_kernel(
                 table, batch, open_idx, open_buckets, tallies, open_bounds)
+        if ran is not None:
+            done, reached = ran
         else:
             masks = []
             edges = open_bounds.tolist()
@@ -323,6 +328,8 @@ class Organization:
                     table, batch, open_idx[lo:hi], open_buckets[lo:hi], tally)
                     if hi > lo else np.zeros(0, dtype=bool))
             done, reached = np.concatenate(masks), len(masks)
+        if opened is None:
+            return done, reached
         # the masked step's ops of the parts that ran
         shut_bounds = (bounds - open_bounds)[:reached + 1]
         gated = idx[~opened][:shut_bounds[-1]]

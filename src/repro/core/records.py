@@ -33,6 +33,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.memalloc.allocator import _stable_order
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.buckets import BucketArray
 
@@ -77,19 +79,16 @@ class BatchGrouping:
         Returns ``(order, starts)``: ``order`` permutes subset *positions*
         group-major while preserving arrival order inside each group, and
         ``starts`` are the segment start offsets into the ordered subset
-        (directly usable as ``fold_segments`` bounds).  Cost is one O(m log m)
-        lexsort over the cached group ids -- reissued SEPO subsets never
+        (directly usable as ``fold_segments`` bounds).  Cost is one stable
+        sort over the cached group ids -- reissued SEPO subsets never
         re-hash or re-compare keys.
         """
-        m = len(idx)
-        if m == 0:
+        if len(idx) == 0:
             return np.empty(0, np.int64), np.empty(0, np.int64)
         g = self.gid[idx]
-        # lexsort is stable, so a positional tiebreak key is redundant; a
-        # composite quicksort key beats argsort(kind="stable") ~3x here
-        order = (g * m + np.arange(m)).argsort()
+        order = _stable_order(g)
         sg = g[order]
-        starts = np.flatnonzero(np.concatenate(([True], sg[1:] != sg[:-1])))
+        starts = np.concatenate(([True], sg[1:] != sg[:-1])).nonzero()[0]
         return order, starts
 
 
@@ -149,31 +148,31 @@ class BatchCache:
         if n == 0:
             empty = np.empty(0, np.int64)
             return BatchGrouping(empty, empty, 0, False)
-        # Equal keys have equal hashes, so one unstable sort by hash finds
-        # the groups; neighbours in it that share a hash must share key
-        # bytes (rows are zero-padded: equal keys are equal rows of equal
-        # length), else it is a collision and the run is split there.
-        order = np.argsort(h)
+        # Equal keys have equal hashes, so one sort by hash finds the
+        # groups; neighbours in it that share a hash must share key bytes
+        # (compared as 8-byte words: length first, then the zero-padded
+        # rows), else it is a collision and the run is split there.
+        order = h.argsort()
         sh = h[order]
         same = sh[1:] == sh[:-1]
         has_collision = False
-        cand = np.flatnonzero(same)
+        cand = same.nonzero()[0]
         if len(cand):
             a, p = order[cand + 1], order[cand]
             eq = b.key_lens[a] == b.key_lens[p]
-            if b.keys.shape[1]:
-                eq &= (b.keys[a] == b.keys[p]).all(axis=1)
+            for col in _word_columns(b.keys):
+                eq &= col[a] == col[p]
             if not eq.all():
                 has_collision = True
                 same[cand[~eq]] = False
         boundary = np.concatenate(([True], ~same))
         # Groups come out in hash order; ids go in (bucket, hash) order, so
         # rank the groups by bucket with a stable sort of one row each.
-        by_bucket = np.argsort(bids[order[boundary]], kind="stable")
+        by_bucket = _stable_order(bids[order[boundary]])
         rank = np.empty(len(by_bucket), dtype=np.int64)
         rank[by_bucket] = np.arange(len(by_bucket))
         gid = np.empty(n, dtype=np.int64)
-        gid[order] = rank[np.cumsum(boundary) - 1]
+        gid[order] = rank[boundary.cumsum() - 1]
         # first arrival per group: written last when filling back to front
         rep = np.empty(len(rank), dtype=np.int64)
         rep[gid[::-1]] = np.arange(n - 1, -1, -1)
@@ -200,6 +199,20 @@ class BatchCache:
                 rows[i, : lens[i]].tobytes() for i in range(len(lens))
             ]
         return self._values
+
+
+def _word_columns(mat: np.ndarray) -> list[np.ndarray]:
+    """Every byte of a uint8 matrix's rows as columns of 8-byte words: a
+    word at byte 0, 8, ... and, where the width is no multiple of 8, one
+    more ending at the last byte (overlapping the one before it).  Two
+    rows are equal iff all their words are; from 8 bytes wide on the
+    columns are views, not copies."""
+    w = mat.shape[1]
+    if 0 < w < 8:
+        mat, w = np.pad(mat, ((0, 0), (0, 8 - w))), 8
+    mat = np.ascontiguousarray(mat)
+    at = list(range(0, w - 7, 8)) + ([w - 8] if w % 8 else [])
+    return [mat[:, s:s + 8].view(np.uint64)[:, 0] for s in at]
 
 
 def pack_byte_rows(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray]:

@@ -35,12 +35,12 @@ def hottest_count(bucket_ids: np.ndarray, n_buckets: int | None = None) -> int:
     """
     if bucket_ids.size == 0:
         return 0
-    if bucket_ids.min(initial=0) < 0:
+    if np.minimum.reduce(bucket_ids) < 0:
         raise ValueError("bucket ids must be non-negative")
     counts = np.bincount(
         bucket_ids, minlength=n_buckets if n_buckets is not None else 0
     )
-    return int(counts.max())
+    return int(np.maximum.reduce(counts))
 
 
 def contention_time(device: DeviceSpec, hottest: int) -> float:

@@ -28,12 +28,16 @@ __all__ = ["AllocationStats", "BucketGroupAllocator", "BulkAllocation"]
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``argsort(kind="stable")`` via a composite quicksort key: fusing the
-    arrival position into one unique int64 key lets the default introsort
-    produce exactly the stable permutation ~3x faster than mergesort.
-    Valid for small-cardinality keys (bucket ids, group/kind composites)
-    where ``keys * n + n`` cannot overflow int64."""
+    """``argsort(kind="stable")`` of non-negative keys (bucket ids, group /
+    kind composites, group ids), the fastest way there is: numpy's radix
+    sort where the keys fit 16 bits (10x its int64 mergesort at 8k keys),
+    else a composite quicksort key -- the arrival position fused into one
+    unique int64 key, ~3x faster than mergesort, valid where ``keys * n +
+    n`` cannot overflow int64.  Under 512 keys the plain call is quickest."""
     n = len(keys)
+    if n < 512 or np.maximum.reduce(keys) < 1 << 16:
+        small = np.uint16 if n >= 512 else keys.dtype
+        return keys.astype(small, copy=False).argsort(kind="stable")
     return (keys.astype(np.int64, copy=False) * n + np.arange(n)).argsort()
 
 
@@ -88,11 +92,16 @@ class BulkAllocation:
 
 
 class _Plan(NamedTuple):
-    """Page spans of one request batch (:meth:`BucketGroupAllocator._plan`):
+    """Page spans of one request stream (:meth:`BucketGroupAllocator.plan`):
     span ``s`` serves the run-sorted positions ``lo[s]:hi[s]`` of run
     ``run[s]`` from a fresh page or, failing ``fresh[s]``, from the run's
-    current one.  Spans are ordered by ``lo`` and tile the batch."""
+    current one.  Spans are ordered by ``lo`` and tile the stream."""
 
+    groups: np.ndarray  # the requests, as planned (validated)
+    sizes: np.ndarray
+    codes: np.ndarray | None
+    kind: PageKind
+    order: np.ndarray  # the requests run by run, arrival order in a run
     before: np.ndarray  # (n + 1,) bytes requested ahead of each position
     lo: np.ndarray
     hi: np.ndarray
@@ -100,6 +109,31 @@ class _Plan(NamedTuple):
     fresh: np.ndarray  # bool
     keys: list  # per run: (group, PageKind)
     pages: list  # per run: its current Page, or None
+
+    @property
+    def takes(self) -> np.ndarray:
+        """The requests that take a fresh page: their indices, ascending."""
+        return np.sort(self.order[self.lo[self.fresh]])
+
+    def restrict(self, keep: np.ndarray) -> "_Plan":
+        """The plan of the requests ``keep`` (a mask over the stream)
+        holds, when those are a prefix of every run: each span cut at the
+        prefix's end -- the plan the kept requests get on their own, since
+        a run is planned from its own requests alone."""
+        kept = keep[self.order]  # run-sorted
+        at = np.concatenate(([0], np.cumsum(kept)))  # old position -> new
+        lo, hi = at[self.lo], at[self.hi]
+        span = lo < hi
+        sizes = self.sizes[keep]
+        order = (np.cumsum(keep) - 1)[self.order[kept]]
+        return self._replace(
+            groups=self.groups[keep], sizes=sizes,
+            codes=None if self.codes is None else self.codes[keep],
+            order=order,
+            before=np.concatenate(([0], sizes[order].cumsum())),
+            lo=lo[span], hi=hi[span], run=self.run[span],
+            fresh=self.fresh[span],
+        )
 
 
 class BucketGroupAllocator:
@@ -154,6 +188,7 @@ class BucketGroupAllocator:
         sizes: np.ndarray,
         kind: PageKind = PageKind.GENERIC,
         kinds: np.ndarray | None = None,
+        plan: _Plan | None = None,
     ) -> BulkAllocation:
         """Bulk equivalent of calling :meth:`allocate` once per request.
 
@@ -161,7 +196,7 @@ class BucketGroupAllocator:
         the same requests succeed, the same offsets are handed out, fresh
         pages are taken from the pool in the same order (so segment ids and
         slots match the sequential path exactly), and the allocator's stats
-        and sticky failure set end up identical.  One plan (:meth:`_plan`)
+        and sticky failure set end up identical.  One plan (:meth:`plan`)
         cuts every bucket group's requests into page spans, all groups
         together; what is left per page is the grant itself -- one
         :meth:`~repro.memalloc.heap.GpuHeap.alloc_page` per fresh page in
@@ -177,12 +212,14 @@ class BucketGroupAllocator:
         organization interleaves KEY and VALUE requests in one call so fresh
         pages are pulled from the shared pool in exactly the order the
         sequential walk would pull them.  When set, ``kind`` is ignored.
+        ``plan`` is the plan of these requests when the caller already has
+        it: a mixed-op kernel plans its request stream once, cuts it where
+        the pool runs dry, and allocates the cut (:meth:`_Plan.restrict`).
         """
-        groups = np.asarray(groups, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
+        if plan is None:
+            plan = self.plan(groups, sizes, kind, kinds)
+        groups, sizes, codes, kind = plan.groups, plan.sizes, plan.codes, plan.kind
         n = len(groups)
-        if sizes.shape != (n,):
-            raise ValueError("groups and sizes must have matching lengths")
         page_size = self.heap.page_size
         if n == 0:
             none = np.full(0, -1, dtype=np.int64)
@@ -190,10 +227,7 @@ class BucketGroupAllocator:
                 np.zeros(0, dtype=bool), none, none.copy(), none.copy(),
                 none.copy(), none.copy(),
             )
-        codes, composite = self._validate_bulk(groups, sizes, kinds)
-        order = _stable_order(composite)
-        plan = self._plan(order, composite, groups, sizes, codes, kind)
-        lo, hi, run = plan.lo, plan.hi, plan.run.tolist()
+        order, lo, hi, run = plan.order, plan.lo, plan.hi, plan.run.tolist()
 
         # Grant the fresh pages one take at a time, in the order of the
         # requests that trigger them, as far as the pool says it can go.
@@ -229,21 +263,21 @@ class BucketGroupAllocator:
                     self._current[plan.keys[r]] = page
                 note_write(page.segment)
 
-        span_of = np.repeat(np.arange(len(lo)), hi - lo)
-        slot = np.empty(n, dtype=np.int64)
-        segment = np.empty(n, dtype=np.int64)
-        offset = np.empty(n, dtype=np.int64)
-        slot[order] = where[span_of, 0]
-        segment[order] = where[span_of, 1]
-        # a fresh span's offsets start at its page's start, not the run's
+        # per request, run-sorted: its span's (slot, segment, offset); a
+        # fresh span's offsets start at its page's start, not the run's
         rebase = where[:, 2] - plan.before[lo]
-        offset[order] = plan.before[:-1] + rebase[span_of]
+        where[:, 2] = rebase
+        got = where[np.arange(len(lo)).repeat(hi - lo)]
+        got[:, 2] += plan.before[:-1]
+        slot, segment, offset = np.empty((3, n), dtype=np.int64)
+        slot[order], segment[order], offset[order] = got.T
         ok = segment >= 0
-        served = sizes if ok.all() else sizes[ok]
-        self.stats.requests += len(served)
-        self.stats.bytes_allocated += int(served.sum())
+        n_ok = int(np.count_nonzero(ok))
+        served = sizes if n_ok == n else sizes[ok]
+        self.stats.requests += n_ok
+        self.stats.bytes_allocated += int(np.add.reduce(served))
 
-        if len(served) < n:
+        if n_ok < n:
             fallback = np.flatnonzero(~ok)
             offset[fallback] = -1
             if self.heap.pool.n_free == 0:
@@ -265,8 +299,10 @@ class BucketGroupAllocator:
                         segment[p] = a.page.segment
                         offset[p] = a.offset
 
-        cpu_addr = np.where(ok, segment * page_size + offset, -1)
-        gpu_addr = np.where(ok, slot * page_size + offset, -1)
+        cpu_addr = segment * page_size + offset
+        gpu_addr = slot * page_size + offset
+        if n_ok < n:
+            cpu_addr[~ok] = gpu_addr[~ok] = -1
         return BulkAllocation(ok, slot, segment, offset, cpu_addr, gpu_addr)
 
     def _retry_exhausted(
@@ -333,45 +369,23 @@ class BucketGroupAllocator:
     def check_sizes(self, sizes: np.ndarray) -> None:
         """Raise ValueError unless every request size is positive and fits
         a page (a table refuses a call with one before any op runs)."""
-        if len(sizes) and int(sizes.min()) <= 0:
+        if len(sizes) and np.minimum.reduce(sizes) <= 0:
             raise ValueError("allocation sizes must be positive")
-        if len(sizes) and int(sizes.max()) > self.heap.page_size:
+        if len(sizes) and np.maximum.reduce(sizes) > self.heap.page_size:
             raise ValueError(
                 f"an allocation exceeds the page size {self.heap.page_size}"
             )
 
-    def _validate_bulk(
+    def plan(
         self,
         groups: np.ndarray,
         sizes: np.ndarray,
-        kinds: np.ndarray | None,
-    ) -> tuple[np.ndarray | None, np.ndarray]:
-        """Shared request validation; returns (codes, composite run key)."""
-        if int(groups.min()) < 0 or int(groups.max()) >= self.n_groups:
-            raise ValueError("a group index is out of range")
-        self.check_sizes(sizes)
-        if kinds is None:
-            return None, groups
-        codes = np.asarray(kinds, dtype=np.int64)
-        if codes.shape != groups.shape:
-            raise ValueError("kinds must match groups in length")
-        if len(codes) and (
-            int(codes.min()) < 0 or int(codes.max()) >= len(KIND_BY_CODE)
-        ):
-            raise ValueError("a kind code is out of range")
-        return codes, groups * len(KIND_BY_CODE) + codes
-
-    def _plan(
-        self,
-        order: np.ndarray,
-        composite: np.ndarray,
-        groups: np.ndarray,
-        sizes: np.ndarray,
-        codes: np.ndarray | None,
-        kind: PageKind,
+        kind: PageKind = PageKind.GENERIC,
+        kinds: np.ndarray | None = None,
     ) -> _Plan:
-        """Cut every (group, kind) run of ``order`` into page spans, were
-        the pool unbounded.  Read-only with respect to allocator and heap.
+        """Cut every (group, kind) run of these requests into page spans,
+        were the pool unbounded.  Read-only with respect to allocator and
+        heap; :meth:`allocate_many` carries the plan out.
 
         A span is a maximal stretch of one run served by one page.  All
         runs step together, a page at a time, the way the device's bucket
@@ -379,9 +393,30 @@ class BucketGroupAllocator:
         the global cumulative sum of the sizes finds what every run still
         places on its current page, then each round opens a fresh page for
         every run with requests left and one more search finds where those
-        pages fill.  Rounds = the most fresh pages any one run takes.
+        pages fill.  Rounds = the most fresh pages any one run takes.  The
+        pool grants :attr:`_Plan.takes` in request order: the first
+        ``heap.pool.n_free`` are granted, every later one is denied.
         """
+        groups = np.asarray(groups, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.shape != groups.shape:
+            raise ValueError("groups and sizes must have matching lengths")
+        codes, composite = None, groups
+        if kinds is not None:
+            codes = np.asarray(kinds, dtype=np.int64)
+            if codes.shape != groups.shape:
+                raise ValueError("kinds must match groups in length")
+            composite = groups * len(KIND_BY_CODE) + codes
+        if len(groups):
+            if (np.minimum.reduce(groups) < 0
+                    or np.maximum.reduce(groups) >= self.n_groups):
+                raise ValueError("a group index is out of range")
+            self.check_sizes(sizes)
+            if codes is not None and not 0 <= np.minimum.reduce(
+                    codes) <= np.maximum.reduce(codes) < len(KIND_BY_CODE):
+                raise ValueError("a kind code is out of range")
         page_size = self.heap.page_size
+        order = _stable_order(composite)
         n = len(order)
         bounds = _run_bounds(composite[order])
         starts, ends = bounds[:-1], bounds[1:]
@@ -418,41 +453,10 @@ class BucketGroupAllocator:
         lo = np.concatenate(lo)
         by_lo = lo.argsort()  # run by run, each run's pages in fill order
         return _Plan(
-            before, lo[by_lo], np.concatenate(hi)[by_lo],
-            np.concatenate(run)[by_lo], by_lo >= len(held), keys, pages,
+            groups, sizes, codes, kind, order, before, lo[by_lo],
+            np.concatenate(hi)[by_lo], np.concatenate(run)[by_lo],
+            by_lo >= len(held), keys, pages,
         )
-
-    def plan_page_takes(
-        self,
-        groups: np.ndarray,
-        sizes: np.ndarray,
-        kind: PageKind = PageKind.GENERIC,
-        kinds: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Which of these requests would take a fresh page, were they served
-        one at a time in array order from an unbounded pool: their indices,
-        ascending.
-
-        This is the plan :meth:`allocate_many` carries out (:meth:`_plan`),
-        read and not acted on: neither the pool nor any current page is
-        touched.  A group's page takes depend on that group's requests alone, and the
-        pool grants them in index order, so with ``n = heap.pool.n_free``
-        the first ``n`` indices are the takes a real run is granted and
-        every later one is denied -- the batched mutation kernels cut each
-        group at its first denied take before they allocate anything, and
-        the multi-valued insert kernel reads off index ``n`` where the pool
-        runs dry.
-        """
-        groups = np.asarray(groups, dtype=np.int64)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if sizes.shape != groups.shape:
-            raise ValueError("groups and sizes must have matching lengths")
-        if len(groups) == 0:
-            return np.zeros(0, dtype=np.int64)
-        codes, composite = self._validate_bulk(groups, sizes, kinds)
-        order = _stable_order(composite)
-        plan = self._plan(order, composite, groups, sizes, codes, kind)
-        return np.sort(order[plan.lo[plan.fresh]])
 
     def record_denied_retries(self, count: int, groups=None) -> None:
         """Account ``count`` requests a batched kernel proved would be denied.

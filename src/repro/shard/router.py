@@ -4,13 +4,15 @@ Clients :meth:`~ShardRouter.submit` small op batches (inserts, updates,
 deletes, lookups -- anything a :class:`~repro.core.mutations.
 MutationBatch` or plain :class:`~repro.core.records.RecordBatch`
 carries) from interleaved streams.  Submitting never answers anything
-directly: the router splits each batch by key-space shard and *coalesces*
-the per-shard slices until a shard has accumulated a SEPO-sized chunk
-(``chunk_records``).  A flush then merges every maximal run of
+directly: the router hashes each batch once, keeps one copy of it that
+it owns (the client may reuse its arrays as soon as ``submit`` returns),
+and queues per key-space shard the rows of that copy the shard owns,
+*coalescing* them until a shard has accumulated a SEPO-sized chunk
+(``chunk_records``).  A flush then gathers every maximal run of
 compatible neighbouring slices (same :attr:`~repro.core.records.
 RecordBatch.concat_key`: class, value kind, parse costs) into one batch
-with :meth:`~repro.core.records.RecordBatch.concat` and runs that
-shard's driver over the merged batches.  Arrival order never changes;
+with one :meth:`~repro.core.records.RecordBatch.concat` of their rows and
+runs that shard's driver over the merged batches.  Arrival order never changes;
 an incompatible neighbour starts the next batch.
 Tiny client batches therefore never reach a device as tiny kernel
 launches -- homogeneous traffic is one launch per flush per SEPO pass,
@@ -50,7 +52,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.bigkernel.partitioner import partition_by_shard
 from repro.core.records import RecordBatch
 
 __all__ = ["Ticket", "ShardRouter"]
@@ -94,7 +95,7 @@ class ShardRouter:
         self.executor = executor
         self.chunk_records = chunk_records
         self.max_pending_records = max_pending_records
-        #: per-shard FIFO of (ticket, sub_batch, parent_indices)
+        #: per-shard FIFO of (ticket, owned copy of its batch, rows)
         self._queues: list[list[tuple]] = [
             [] for _ in range(executor.n_shards)
         ]
@@ -135,13 +136,15 @@ class ShardRouter:
             )
             self._flush_shard(fullest, cause="backpressure_flushes")
         if len(batch):
-            for s, (sub, idx) in sorted(
-                partition_by_shard(batch, self.executor.shard_map).items()
-            ):
-                self._queues[s].append((ticket, sub, idx))
-                self._queued_records[s] += len(sub)
+            # the copy carries any hashes the batch already has; hashing
+            # it (once) freezes the copy, never the client's arrays
+            own = batch.take(np.arange(len(batch)))
+            shard_ids = self.executor.shard_map.shard_of_hash(own.cache.hashes())
+            for s in np.unique(shard_ids).tolist():
+                rows = np.flatnonzero(shard_ids == s)
+                self._queues[s].append((ticket, own, rows))
+                self._queued_records[s] += len(rows)
                 ticket.pending_parts += 1
-            batch.invalidate_cache()  # partition froze the parent arrays
         # Coalescing trigger: any shard that now holds a SEPO-sized chunk
         # executes immediately.
         for s in range(len(self._queues)):
@@ -172,22 +175,26 @@ class ShardRouter:
         runs = [
             list(run) for _key, run in groupby(queue, lambda q: q[1].concat_key)
         ]
-        merged = [RecordBatch.concat([sub for _t, sub, _i in run]) for run in runs]
+        merged = [
+            RecordBatch.concat([own for _t, own, _r in run],
+                               [rows for _t, _o, rows in run])
+            for run in runs
+        ]
         try:
             self.executor.drivers[s].run(merged)
         except Exception as exc:
             # Part of the flush may have been applied: replaying it would
             # double-apply, so nothing is re-queued; the tickets say why
             # they will never be done.
-            for ticket, _sub, _idx in queue:
+            for ticket, _own, _rows in queue:
                 ticket.error = exc
             raise
         self.executor.total_records += n
         for run, batch in zip(runs, merged):
             # merged row -> the ticket it came from, and its row there
-            owner = [ticket for ticket, sub, _i in run for _ in range(len(sub))]
-            parent = np.concatenate([idx for _t, _sub, idx in run]).tolist()
+            owner = [ticket for ticket, _o, rows in run for _ in range(len(rows))]
+            parent = np.concatenate([rows for _t, _o, rows in run]).tolist()
             for j, v in getattr(batch, "lookup_results", {}).items():
                 owner[j].results[parent[j]] = v
-            for ticket, _sub, _idx in run:
+            for ticket, _own, _rows in run:
                 ticket.pending_parts -= 1

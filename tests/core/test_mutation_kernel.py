@@ -49,8 +49,9 @@ from repro.core.chainview import materialize_chains
 from repro.core.hashing import fnv1a
 from repro.core.organizations import kernel_lookup, kernel_mixed
 from repro.core.organizations import policy as org_policy
-from repro.memalloc import BucketGroupAllocator, GpuHeap
+from repro.memalloc import GpuHeap
 from repro.memalloc.address import NULL
+from repro.memalloc.allocator import _Plan
 from repro.sanitize.sanitizer import SanitizerError
 from tests.core.conftest import replaced
 from tests.core.test_mutations import (
@@ -806,12 +807,10 @@ def test_f64_sums_across_postponement():
 # the bar: planted faults the multi-valued cases must catch
 # ----------------------------------------------------------------------
 def _cut_one_request_late(real):
-    def plan_page_takes(self, groups, sizes, kind=None, kinds=None):
-        takes = real(self, groups, sizes, kinds=kinds)
-        late = takes.copy()
-        late[self.heap.pool.n_free:] += 1
-        return late[late < len(groups)]
-    return plan_page_takes
+    def takes(plan):
+        late = real.fget(plan) + 1
+        return late[late < len(plan.groups)]
+    return property(takes)
 
 
 def _forget_pending_on_hits(real):
@@ -848,7 +847,7 @@ def _in_place_onto_a_new_entry(real):
 
 MV_FAULTS = {
     "cut the group one request late": (
-        BucketGroupAllocator, "plan_page_takes", _cut_one_request_late),
+        _Plan, "takes", _cut_one_request_late),
     "forget PENDING on a VALUE-refused hit": (
         E, "scatter_field", _forget_pending_on_hits),
     "link a first value node to NULL": (

@@ -166,15 +166,32 @@ def test_grouping_subset_empty():
 
 
 def test_grouping_hash_collision_sets_flag():
-    b = RecordBatch.from_pairs([(b"x", b"1"), (b"y", b"2")])
-    cache = b.cache
-    real = cache.hashes()
-    # forge a 64-bit collision between two different keys
-    cache._hashes = np.full_like(real, 12345)
-    g = cache.grouping(BucketArray(16, 4))
-    assert g.has_collision
-    # colliding records must NOT be merged into one group
-    assert g.n_groups == 2
+    for x, y in (
+        (b"x", b"y"),
+        # equal in their first word, apart in the last byte of the second
+        (b"same-8b!tail-16X", b"same-8b!tail-16Y"),
+        # a key matrix 11 bytes wide: the last word is padded
+        (b"eleven-keyX", b"eleven-keyY"),
+    ):
+        b = RecordBatch.from_pairs([(x, b"1"), (y, b"2")])
+        cache = b.cache
+        real = cache.hashes()
+        # forge a 64-bit collision between two different keys
+        cache._hashes = np.full_like(real, 12345)
+        g = cache.grouping(BucketArray(16, 4))
+        assert g.has_collision, (x, y)
+        # colliding records must NOT be merged into one group
+        assert g.n_groups == 2
+
+
+@pytest.mark.parametrize("width", [5, 11, 16])
+def test_grouping_equal_keys_are_no_collision(width):
+    """Keys as wide as the matrix, or padded in their last word, that are
+    equal group together with no collision flagged."""
+    keys = [b"%0*d" % (width, i % 3) for i in range(9)]
+    b = RecordBatch.from_pairs([(k, b"v") for k in keys])
+    g = b.cache.grouping(BucketArray(16, 4))
+    assert not g.has_collision and g.n_groups == 3
 
 
 def test_grouping_empty_batch():

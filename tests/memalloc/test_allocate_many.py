@@ -205,7 +205,7 @@ def test_plan_page_takes_is_read_only_and_exact():
     groups = np.array([0, 0, 1, 2, 2, 2], dtype=np.int64)
     sizes = np.array([500, 500, 100, 300, 300, 100], dtype=np.int64)
     before = (a.stats.requests, a.heap.pool.n_free, dict(a._current))
-    takes = a.plan_page_takes(groups, sizes)
+    takes = a.plan(groups, sizes).takes
     assert (a.stats.requests, a.heap.pool.n_free, dict(a._current)) == before
     assert takes.tolist() == [0, 1, 2, 3, 4]
     bulk = a.allocate_many(groups, sizes)
@@ -221,7 +221,7 @@ def test_plan_page_takes_mixed_kinds():
     sizes = np.array([400, 400, 200], dtype=np.int64)
     codes = np.array([KIND_CODES[PageKind.KEY], KIND_CODES[PageKind.VALUE],
                       KIND_CODES[PageKind.VALUE]], dtype=np.int64)
-    takes = a.plan_page_takes(groups, sizes, kinds=codes)
+    takes = a.plan(groups, sizes, kinds=codes).takes
     bulk = a.allocate_many(groups, sizes, kinds=codes)
     assert bool(bulk.ok.all())
     # distinct (group, kind) pages
@@ -266,7 +266,7 @@ def test_plan_page_takes_predicts_the_gated_scalar_replay(seed):
     groups = rng.integers(0, 5, size=n)
     sizes = rng.integers(1, 12, size=n) * 8
     before = (a.stats.requests, a.heap.pool.n_free, dict(a._current))
-    takes = a.plan_page_takes(groups, sizes)
+    takes = a.plan(groups, sizes).takes
     assert (a.stats.requests, a.heap.pool.n_free, dict(a._current)) == before
     assert (np.diff(takes) > 0).all()
     denied = takes[a.heap.pool.n_free:]
@@ -289,7 +289,7 @@ def test_plan_page_takes_predicts_the_gated_scalar_replay(seed):
     )
     np.testing.assert_array_equal(a.failed_groups, np.unique(groups[denied]))
     after = (a.stats.requests, a.heap.pool.n_free, dict(a._current))
-    a.plan_page_takes(groups, sizes)  # still read-only after
+    a.plan(groups, sizes).takes  # still read-only after
     assert (a.stats.requests, a.heap.pool.n_free, dict(a._current)) == after
 
 

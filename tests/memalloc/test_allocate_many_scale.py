@@ -144,7 +144,7 @@ def run_scenario(seed, dry, mixed, again, inject):
 
     # size the pool off a dry run on an unbounded one
     probe, _ = _twin(page, len(warm) + n, n_groups, warm)
-    takes = len(probe.plan_page_takes(groups, sizes, kind, kinds=codes))
+    takes = len(probe.plan(groups, sizes, kind, kinds=codes).takes)
     granted = int(takes * rng.uniform(0.3, 0.8)) if dry else takes + 8
     # deny the later half of the takes, or hold the last slots back
     k = int(rng.integers(granted // 2, granted))

@@ -244,6 +244,35 @@ def test_lookup_sees_a_write_from_an_earlier_ticket_of_the_same_flush(mode):
     assert res_b[0] and res_c[0] != res_b[0] and not res_c[1]
 
 
+@pytest.mark.parametrize("mode", sorted(ORGS))
+def test_a_client_may_reuse_its_batch_once_submit_returns(mode):
+    """The router queues rows of its own copy of a batch: a client that
+    overwrites its arrays after ``submit`` (they come back writeable)
+    changes neither the flushed table nor the routed answers."""
+    workload = make_op_workload("mixed-uniform", 600, seed=9)
+    batches = make_mutation_batches(workload, mode, batch_size=50)
+    want_map, want_lookups = mutation_oracle(workload, mode)
+
+    ex = make_executor(4, mode)
+    router = ShardRouter(ex, chunk_records=256, max_pending_records=1024)
+    for batch in batches:
+        router.submit(batch)
+        arrays = [batch.keys, batch.key_lens, batch.ops,
+                  batch.values, batch.val_lens, batch.numeric_values]
+        for a in arrays:
+            if a is not None:
+                assert a.flags.writeable
+                a[...] = 0
+    results = router.drain()
+
+    got_lookups = {
+        b * 50 + j: v for b, res in enumerate(results) for j, v in res.items()
+    }
+    assert got_lookups == want_lookups
+    assert _normalize(ex.result(), mode) == want_map
+    ex.check_shards()
+
+
 def test_runs_split_exactly_at_incompatible_neighbours():
     """A queue of plain slices and mutation slices at two parse costs
     merges per maximal compatible run, never across one, never out of

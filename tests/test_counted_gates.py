@@ -1,7 +1,9 @@
-"""Perf gates that count instead of time, in lines of :mod:`repro` run.
+"""Perf gates that count instead of time, in lines of :mod:`repro` run
+or in calls made.
 
 Each gate compares two counts taken on one interpreter by :func:`flat`,
-:func:`per_op` or :func:`fraction`, each bound at least 2x from what was
+:func:`per_op` or :func:`fraction`, or bounds one by :func:`capped`,
+each bound at least 2x from what was
 measured (the table in docs/testing.md), and :data:`GATES` pairs it with a
 planted fault -- the loop run where the batched path should -- that must
 fail it.
@@ -20,6 +22,7 @@ from repro.core.organizations import oracle, policy
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.integrity.checksums import _crc
 from repro.memalloc import BucketGroupAllocator, GpuHeap
+from repro.memalloc.pages import PageKind
 from tests.core.test_differential_vectorized import make_batch, make_org
 from tests.core.test_mutations import mut_batch, seeded_ops
 from tests.counting import counted
@@ -39,11 +42,16 @@ def flat(small: int, big: int, what: str) -> None:
 
 
 def per_op(small: int, big: int, added: int, k: int, what: str) -> None:
-    """The ``added`` inputs between two counts run at most ``k`` lines
-    each."""
+    """The ``added`` inputs between two counts add at most ``k`` each."""
     if not big - small <= k * added:
         raise GateFailed(
-            f"{what}: {small:,} -> {big:,} lines, over {k} per added input")
+            f"{what}: {small:,} -> {big:,}, over {k} per added input")
+
+
+def capped(count: int, cap: int, what: str) -> None:
+    """The count stays under a fixed cap."""
+    if not count <= cap:
+        raise GateFailed(f"{what}: {count:,}, over the cap of {cap:,}")
 
 
 def fraction(batched: int, loop: int, k: int, what: str) -> None:
@@ -139,6 +147,55 @@ def mixed_pass_gate():
         if run.calls["mutate"] != want:
             raise GateFailed(f"{k} chunks: {run.calls['mutate']} mutate "
                              f"calls, not {want}")
+
+
+#: per organization, what a 64-op mixed-op call on a shard-sized table
+#: may make in Python and C calls, and what each further 64-op part of the
+#: same call may add (2x the counts in docs/testing.md)
+MIXED_CALL_CAP = {"basic": 1600, "combining": 1800, "multi-valued": 2000}
+MIXED_CALL_PER_PART = 190
+
+
+def shard_table(kind, pages=256):
+    """``kv_sharded``'s shard shape -- 256 buckets in groups of 64, 4 KB
+    pages -- with room for 4,096 more ops, loaded by 2,048 mixed ops and
+    evicted whole: the state a router flush finds its shard in."""
+    t = table(kind, pages=pages, page=PAGE, buckets=256)
+    t.mutate_batch(mut_batch(kind, seeded_ops(3, 2048, 4096, kind)))
+    t.end_iteration()
+    return t
+
+
+def mixed_call_gate():
+    """One mixed-op call (``apply_batch``) on a shard-sized table, its
+    in-stream lookups included: at 64 ops in one part its Python and C
+    calls stay under a cap, and 64 parts of 64 ops add no more than a
+    per-part term (docs/cost_model.md, "A mixed-op call's fixed cost")."""
+    for kind in KINDS:
+        def made(n_parts):
+            t = shard_table(kind)
+            parts = [(mut_batch(kind, seeded_ops(10 + p, 64, 4096, kind)), None)
+                     for p in range(n_parts)]
+            return counted(lambda: t.apply_batch(parts)).made
+
+        one = made(1)
+        capped(one, MIXED_CALL_CAP[kind], f"{kind}: calls of a 64-op call")
+        per_op(one, made(64), 63, MIXED_CALL_PER_PART, f"{kind}: calls")
+
+
+def one_plan_gate():
+    """A mixed-op kernel call plans its request stream once: the cut and
+    the allocation read the same ``BucketGroupAllocator.plan``, with room
+    to spare and through a pool that runs dry mid-call."""
+    for kind in KINDS:
+        for pages in (256, 8):
+            t = shard_table(kind, pages)
+            batch = mut_batch(kind, seeded_ops(5, 512, 4096, kind))
+            run = counted(lambda: t.mutate_batch(batch),
+                          calls={"plan": BucketGroupAllocator.plan})
+            if run.calls["plan"] != 1:
+                raise GateFailed(f"{kind}, {pages} pages: "
+                                 f"{run.calls['plan']} plans, not 1")
 
 
 def result_gate():
@@ -284,6 +341,19 @@ def _bytes_per_record(*args, **kwargs):
     return batch
 
 
+def _plan_again(mp):
+    """``allocate_many`` that plans the requests it is handed again."""
+    real = BucketGroupAllocator.allocate_many
+
+    def allocate_many(self, groups, sizes, kind=PageKind.GENERIC, kinds=None,
+                      plan=None):
+        if plan is not None:
+            kind, kinds = plan.kind, plan.codes
+        return real(self, groups, sizes, kind, kinds)
+
+    mp.setattr(BucketGroupAllocator, "allocate_many", allocate_many)
+
+
 _per_entry_splice = _patch(policy, "_splice_resident", oracle.splice_chains)
 
 #: gate -> (the gate, the planted fault that must fail it)
@@ -297,6 +367,9 @@ GATES = {
     "result": (result_gate, _patch(
         GpuHashTable, "_result_bulk", _merge_per_entry)),
     "mixed-ops": (mixed_gate, _patch(policy, "MIXED_KERNEL_MIN_OPS", 1 << 62)),
+    "mixed-call": (mixed_call_gate,
+                   _patch(policy, "MIXED_KERNEL_MIN_OPS", 1 << 62)),
+    "one-plan": (one_plan_gate, _plan_again),
     "lookup": (lookup_gate, _patch(lookup_mod, "_BATCH_MIN_WALKS", 1 << 62)),
     "dry-pool": (dry_pool_gate, _kernels_decline),
     "splice": (splice_gate, _per_entry_splice),
