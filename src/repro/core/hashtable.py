@@ -39,6 +39,7 @@ from repro.core.mutations import (
     OP_LOOKUP,
     MutationBatch,
     MutationCounters,
+    split_answers,
 )
 from repro.core.organizations import (
     CombiningOrganization,
@@ -48,13 +49,14 @@ from repro.core.organizations import (
     Organization,
     segmented_exclusive_cumsum,
 )
-from repro.core.organizations.kernel_front import _slices
-from repro.core.records import RecordBatch
+from repro.core.hashing import fnv1a_batch
+from repro.core.organizations.kernel_front import _run_starts, _slices
+from repro.core.records import RecordBatch, gather_spans, hash_groups
 from repro.gpusim.clock import CostCategory, CostLedger
 from repro.gpusim.kernel import BatchStats
 from repro.gpusim.memory import DeviceMemory
 from repro.memalloc.address import NULL
-from repro.memalloc.allocator import BucketGroupAllocator
+from repro.memalloc.allocator import BucketGroupAllocator, _stable_order
 from repro.memalloc.heap import GpuHeap
 
 __all__ = ["GpuHashTable", "InsertResult", "RUN_RECORDS", "run_fits"]
@@ -109,18 +111,6 @@ def _largest_requests(org, batch, idx, mutation: bool) -> np.ndarray:
     return E.entry_sizes_bulk(klens, vlens)
 
 
-def _hand_back_answers(answers: dict, parts, bounds) -> None:
-    """Deposit a joined run's lookup ``answers`` (keyed by joined row) in
-    each part's own ``lookup_results``, keyed by the part's own row."""
-    if not answers:
-        return
-    rows = np.fromiter(answers, np.int64, len(answers))
-    owner = np.searchsorted(bounds, rows, "right") - 1
-    local = np.concatenate([i for _, i in parts])[rows]
-    for p, i, value in zip(owner.tolist(), local.tolist(), answers.values()):
-        parts[p][0].lookup_results[i] = value
-
-
 class InsertResult:
     """Outcome of a batched insert: per-record mask + cost statistics."""
 
@@ -158,16 +148,44 @@ def _key_groups(keys: list[bytes]):
     return last, label
 
 
-def _visible(keys: list[bytes], closing: np.ndarray, dead: np.ndarray):
+def _visible(label, closing: np.ndarray, dead: np.ndarray, order=None):
     """The newest-first automaton of :meth:`GpuHashTable.cpu_items` over
     entries in walk order: an entry shows unless it is ``dead`` (a
     tombstone) or an earlier entry of its key was ``closing`` (a tombstone,
-    or a generic shadow -- which shows itself, then closes)."""
-    _, label = _key_groups(keys)
+    or a generic shadow -- which shows itself, then closes).  ``label``
+    holds one id per key (``None``: the keys are all distinct); ``order``
+    is ``_stable_order(label)`` when the caller has it."""
     if label is None:
         return ~dead
-    earlier = segmented_exclusive_cumsum(closing.astype(np.int64), label)
+    earlier = segmented_exclusive_cumsum(closing.astype(np.int64), label, order)
     return (earlier == 0) & ~dead
+
+
+def _key_labels(image: np.ndarray, ko: np.ndarray, klens: np.ndarray):
+    """Per walked entry, the walk index of its key's first entry -- one
+    label per key, with no ``bytes`` object per entry: the keys are
+    gathered out of the image, hashed and grouped as a batch's are
+    (:func:`~repro.core.records.hash_groups`).  ``None`` when two
+    different keys share a 64-bit hash."""
+    mat, lens = gather_spans(image, ko, klens)
+    gid, first, collision = hash_groups(fnv1a_batch(mat, lens), mat, lens)
+    return None if collision else first[gid]
+
+
+def _live_groups(image, ko, klens, closing, dead):
+    """The entries that show, grouped by key: ``(idx, starts)``, or
+    ``None`` on a 64-bit hash collision.  ``idx`` lists them key by key,
+    keys in the order their first entries are walked and each key's
+    entries in walk order; ``starts`` are the keys' offsets into it.
+    That is the dict path's key and list order, because a key shows iff
+    its first (newest) entry does: a first entry that is dead closes its
+    key."""
+    label = _key_labels(image, ko, klens)
+    if label is None:
+        return None
+    order = _stable_order(label)
+    idx = order[_visible(label, closing, dead, order)[order]]
+    return idx, np.flatnonzero(_run_starts(label[idx]))
 
 
 def cpu_chain_items(
@@ -420,7 +438,10 @@ class GpuHashTable:
                 self, batch, idx, buckets, tallies, bounds)
         if len(parts) > 1:
             if mutation:
-                _hand_back_answers(batch.lookup_results, parts, bounds)
+                answers = split_answers(
+                    batch.lookup_results, [rows for _, rows in parts])
+                for p, row, value in answers:
+                    parts[p][0].lookup_results[row] = value
             # the joined batch and its cache reference each other: break
             # the cycle so its arrays go now, not at the next collection
             batch.invalidate_cache()
@@ -611,9 +632,12 @@ class GpuHashTable:
 
         Every bucket chain is walked level-synchronously through one flat
         image of the CPU side; keys and byte values are slices of that
-        image, mutation flags resolve as one mask (computed only when a
-        flag bit is set anywhere), and what is left per entry is the
-        ``bytes`` slice and the dict store the mapping itself requires.
+        image.  Where a flag bit is set anywhere, the entries are grouped
+        by key in numpy and the flags resolve as one mask over the groups
+        (:func:`_live_groups`), so only the keys that show and their
+        values become ``bytes``; a table without one (every insert-only
+        table) slices every key and merges them through a dict, which is
+        quicker there.
         """
         heads = self.buckets.head_cpu[self.buckets.occupied_buckets()]
         if not len(heads):
@@ -624,13 +648,23 @@ class GpuHashTable:
             return self._result_multivalued(blob, image, heads)
         combining = isinstance(self.org, CombiningOrganization)
         (pos, klens, vlens, flags), _ = walk_cpu_image(image, heads, "generic")
-        vo = pos + E.ENTRY_HEADER + klens
-        keys = _slices(blob, pos + E.ENTRY_HEADER, vo)
+        ko = pos + E.ENTRY_HEADER
+        vo = ko + klens
         dead = (flags & E.GFLAG_TOMBSTONE) != 0
         # combining entries never carry SHADOW: an update is a combine
         closing = dead if combining else flags != 0
-        if closing.any():
-            show = _visible(keys, closing, dead)
+        flagged = closing.any()
+        if flagged:
+            groups = _live_groups(image, ko, klens, closing, dead)
+            if groups is not None:
+                idx, starts = groups
+                first = idx[starts]
+                keys = _slices(blob, ko[first], vo[first])
+                return self._merge_groups(blob, image, keys, vo[idx],
+                                          vlens[idx], starts)
+        keys = _slices(blob, ko, vo)
+        if flagged:  # a 64-bit hash collision: the dict labels the keys
+            show = _visible(_key_groups(keys)[1], closing, dead)
             keys = list(compress(keys, show.tolist()))
             vo, vlens = vo[show], vlens[show]
         if not combining:
@@ -663,6 +697,29 @@ class GpuHashTable:
         at = np.fromiter(last.values(), np.int64, len(last))
         return dict(zip(last, values[at].tolist()))
 
+    def _merge_groups(self, blob, image, keys, vo, vlens, starts) -> dict:
+        """The mapping of :func:`_live_groups`' output: one distinct key a
+        group, the values that show laid out group after group (walk
+        order within one) at ``vo``, ``starts`` where each group begins."""
+        bounds = np.append(starts, len(vo)).tolist()
+        spans = zip(keys, bounds, bounds[1:])
+        if not isinstance(self.org, CombiningOrganization):
+            values = _slices(blob, vo, vo + vlens)
+            return {key: values[lo:hi] for key, lo, hi in spans}
+        comb = self.org.combiner
+        values = E.gather_field(image, vo, comb.dtype.newbyteorder("<"))
+        if comb.ufunc is not None:
+            folded = comb.fold_segments(values, starts, acc_right=True)
+            return dict(zip(keys, folded.tolist()))
+        values = values.tolist()  # callbacks: newest first, acc on the right
+        out: dict[bytes, Any] = {}
+        for key, lo, hi in spans:
+            acc = values[lo]
+            for value in values[lo + 1:hi]:
+                acc = comb.combine(value, acc)
+            out[key] = acc
+        return out
+
     def _result_multivalued(self, blob, image, heads) -> dict[bytes, list]:
         (pos, klens, _, flags), _ = walk_cpu_image(image, heads, "key")
         vhead = image.view(np.int64)[(pos >> 3) + 3]
@@ -671,17 +728,28 @@ class GpuHashTable:
         born = ~E.key_entry_unborn(flags, vhead)
         pos, klens, flags, vhead = pos[born], klens[born], flags[born], vhead[born]
         ko = pos + E.KEY_ENTRY_HEADER
-        keys = _slices(blob, ko, ko + klens)
         tomb = (flags & E.FLAG_TOMBSTONE) != 0
-        if tomb.any():
-            show = _visible(keys, tomb, tomb)
-            keys = list(compress(keys, show.tolist()))
-            vhead = vhead[show]
+        groups = _live_groups(image, ko, klens, tomb, tomb) if tomb.any() else None
+        if groups is not None:
+            idx, starts = groups
+            first = idx[starts]
+            keys = _slices(blob, ko[first], ko[first] + klens[first])
+            vhead = vhead[idx]
+        else:
+            keys = _slices(blob, ko, ko + klens)
+            if tomb.any():  # a 64-bit hash collision: the dict labels them
+                show = _visible(_key_groups(keys)[1], tomb, tomb)
+                keys = list(compress(keys, show.tolist()))
+                vhead = vhead[show]
         # every visible key entry's value list, walked together
         (vpos, _, vlens, _), counts = walk_cpu_image(image, vhead, "value")
         vo = vpos + E.VALUE_NODE_HEADER
         values = _slices(blob, vo, vo + vlens)
         ends = np.cumsum(counts)
+        if groups is not None:  # a key's entries are neighbours: one span
+            bounds = np.append(0, ends)[np.append(starts, len(counts))].tolist()
+            return {key: values[lo:hi]
+                    for key, lo, hi in zip(keys, bounds, bounds[1:])}
         out: dict[bytes, list[bytes]] = {}
         for key, lo, hi in zip(keys, (ends - counts).tolist(), ends.tolist()):
             chunk = values[lo:hi]

@@ -41,7 +41,7 @@ realizes the issue-order semantics :func:`apply_op_to_model` defines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "MutationCounters",
     "apply_op_to_model",
     "model_for_ops",
+    "split_answers",
 ]
 
 OP_INSERT = 0
@@ -151,21 +152,35 @@ class MutationBatch(RecordBatch):
         (combining method); otherwise as byte strings.  Deletes and lookups
         may pass any placeholder value (``0`` / ``b""``).
         """
-        codes = np.array([op for op, _, _ in ops], dtype=np.int8)
-        keys, klens = pack_byte_rows([k for _, k, _ in ops])
+        codes, keys, values = zip(*ops) if ops else ((), (), ())
+        keys, klens = pack_byte_rows(keys)
         kwargs: dict[str, Any] = {}
         if numeric_dtype is not None:
-            kwargs["numeric_values"] = np.array(
-                [v for _, _, v in ops], dtype=numeric_dtype
-            )
+            kwargs["numeric_values"] = np.array(values, dtype=numeric_dtype)
         else:
-            vals, vlens = pack_byte_rows([v for _, _, v in ops])
+            vals, vlens = pack_byte_rows(values)
             kwargs["values"] = vals
             kwargs["val_lens"] = vlens
         return cls(
-            keys=keys, key_lens=klens, ops=codes, input_bytes=input_bytes,
-            parse_cycles=parse_cycles, divergence=divergence, **kwargs,
+            keys=keys, key_lens=klens, ops=np.array(codes, dtype=np.int8),
+            input_bytes=input_bytes, parse_cycles=parse_cycles,
+            divergence=divergence, **kwargs,
         )
+
+
+def split_answers(
+    answers: dict[int, Any] | None, rows: Sequence[np.ndarray]
+) -> Iterator[tuple[int, int, Any]]:
+    """``(part, row, value)`` for each of a joined batch's lookup
+    ``answers`` (keyed by joined row; ``None`` or empty: none): the joined
+    batch holds rows ``rows[p]`` of part ``p``, part after part, so one
+    search of the parts' cumulative lengths finds every answer's part."""
+    if not answers:
+        return iter(())
+    at = np.fromiter(answers, np.int64, len(answers))
+    part = np.searchsorted(np.cumsum([len(r) for r in rows]), at, "right")
+    local = np.concatenate(rows)[at]
+    return zip(part.tolist(), local.tolist(), answers.values())
 
 
 # ----------------------------------------------------------------------

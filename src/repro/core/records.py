@@ -27,7 +27,7 @@ key at its exact length (Section IV, third advantage of dynamic allocation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ __all__ = [
     "BatchGrouping",
     "RecordBatch",
     "gather_spans",
+    "hash_groups",
     "pack_str_keys",
     "pack_byte_rows",
 ]
@@ -148,34 +149,14 @@ class BatchCache:
         if n == 0:
             empty = np.empty(0, np.int64)
             return BatchGrouping(empty, empty, 0, False)
-        # Equal keys have equal hashes, so one sort by hash finds the
-        # groups; neighbours in it that share a hash must share key bytes
-        # (compared as 8-byte words: length first, then the zero-padded
-        # rows), else it is a collision and the run is split there.
-        order = h.argsort()
-        sh = h[order]
-        same = sh[1:] == sh[:-1]
-        has_collision = False
-        cand = same.nonzero()[0]
-        if len(cand):
-            a, p = order[cand + 1], order[cand]
-            eq = b.key_lens[a] == b.key_lens[p]
-            for col in _word_columns(b.keys):
-                eq &= col[a] == col[p]
-            if not eq.all():
-                has_collision = True
-                same[cand[~eq]] = False
-        boundary = np.concatenate(([True], ~same))
+        gid, first, has_collision = hash_groups(h, b.keys, b.key_lens)
         # Groups come out in hash order; ids go in (bucket, hash) order, so
         # rank the groups by bucket with a stable sort of one row each.
-        by_bucket = _stable_order(bids[order[boundary]])
+        by_bucket = _stable_order(bids[first])
         rank = np.empty(len(by_bucket), dtype=np.int64)
         rank[by_bucket] = np.arange(len(by_bucket))
-        gid = np.empty(n, dtype=np.int64)
-        gid[order] = rank[boundary.cumsum() - 1]
-        # first arrival per group: written last when filling back to front
-        rep = np.empty(len(rank), dtype=np.int64)
-        rep[gid[::-1]] = np.arange(n - 1, -1, -1)
+        gid = rank[gid]
+        rep = first[by_bucket]
         return BatchGrouping(gid, rep, len(rep), has_collision)
 
     def key_bytes_list(self) -> list[bytes]:
@@ -199,6 +180,42 @@ class BatchCache:
                 rows[i, : lens[i]].tobytes() for i in range(len(lens))
             ]
         return self._values
+
+
+def hash_groups(
+    h: np.ndarray, keys: np.ndarray, key_lens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Rows grouped by key: ``(gid, first, has_collision)``.
+
+    ``gid[i]`` is row ``i``'s group, groups numbered in the order of their
+    hashes ``h``, and ``first[g]`` is group ``g``'s first row.  Equal keys
+    have equal hashes, so one sort by hash finds the groups; neighbours in
+    it that share a hash must share key bytes (compared as 8-byte words:
+    length first, then the zero-padded rows of ``keys``), else it is a
+    64-bit collision and the run is split there -- which leaves the
+    grouping unusable, as the sort need not keep one key's rows together
+    across the other key.  Needs at least one row.
+    """
+    order = h.argsort()
+    sh = h[order]
+    same = sh[1:] == sh[:-1]
+    has_collision = False
+    cand = same.nonzero()[0]
+    if len(cand):
+        a, p = order[cand + 1], order[cand]
+        eq = key_lens[a] == key_lens[p]
+        for col in _word_columns(keys):
+            eq &= col[a] == col[p]
+        if not eq.all():
+            has_collision = True
+            same[cand[~eq]] = False
+    n = len(h)
+    gid = np.empty(n, dtype=np.int64)
+    gid[order] = np.concatenate(([0], (~same).cumsum()))
+    # first row per group: written last when filling back to front
+    first = np.empty(int(gid[order[-1]]) + 1, dtype=np.int64)
+    first[gid[::-1]] = np.arange(n - 1, -1, -1)
+    return gid, first, has_collision
 
 
 def _word_columns(mat: np.ndarray) -> list[np.ndarray]:
@@ -297,13 +314,13 @@ def gather_spans(buf, starts, lens) -> tuple[np.ndarray, np.ndarray]:
 
 def _stack_padded(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Stack padded uint8 row matrices, zero-padded to the widest (one
-    matrix is returned as is)."""
+    matrix is returned as is, equally wide ones are one concatenate)."""
     if len(mats) == 1:
         return mats[0]
-    out = np.zeros(
-        (sum(m.shape[0] for m in mats), max(m.shape[1] for m in mats)),
-        dtype=np.uint8,
-    )
+    width = max(m.shape[1] for m in mats)
+    if all(m.shape[1] == width for m in mats):
+        return np.concatenate(mats)
+    out = np.zeros((sum(m.shape[0] for m in mats), width), dtype=np.uint8)
     row = 0
     for m in mats:
         out[row : row + m.shape[0], : m.shape[1]] = m
@@ -431,6 +448,27 @@ class RecordBatch:
         hashes are computed arrive with them.
         """
         return RecordBatch.concat([self], [np.asarray(indices, dtype=np.int64)])
+
+    def copy(self) -> "RecordBatch":
+        """This batch with a copy of every array it holds, as it is: no
+        re-padding, no re-validation, none of :meth:`concat`'s work.  Of
+        the cache only the computed hashes come along (copied); per-batch
+        state with a default (a ``MutationBatch``'s ``lookup_results``)
+        starts fresh.  The copy owns its arrays, so the router keeps one
+        of every client batch and the client may reuse its own at once.
+        """
+        out = object.__new__(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+            elif f.default_factory is not MISSING:
+                value = f.default_factory()
+            setattr(out, f.name, value)
+        hashes = self._known_hashes()
+        if hashes is not None:
+            out.cache._hashes = hashes.copy()
+        return out
 
     def _known_hashes(self) -> np.ndarray | None:
         """The hashes the attached cache has computed, else ``None``

@@ -50,9 +50,9 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Any
 
-import numpy as np
-
+from repro.core.mutations import split_answers
 from repro.core.records import RecordBatch
+from repro.memalloc.allocator import _run_bounds, _stable_order
 
 __all__ = ["Ticket", "ShardRouter"]
 
@@ -138,12 +138,15 @@ class ShardRouter:
         if len(batch):
             # the copy carries any hashes the batch already has; hashing
             # it (once) freezes the copy, never the client's arrays
-            own = batch.take(np.arange(len(batch)))
+            own = batch.copy()
             shard_ids = self.executor.shard_map.shard_of_hash(own.cache.hashes())
-            for s in np.unique(shard_ids).tolist():
-                rows = np.flatnonzero(shard_ids == s)
-                self._queues[s].append((ticket, own, rows))
-                self._queued_records[s] += len(rows)
+            # one stable sort: each shard's rows, in arrival order
+            order = _stable_order(shard_ids)
+            bounds = _run_bounds(shard_ids[order]).tolist()
+            for lo, hi in zip(bounds, bounds[1:]):
+                s = int(shard_ids[order[lo]])
+                self._queues[s].append((ticket, own, order[lo:hi]))
+                self._queued_records[s] += hi - lo
                 ticket.pending_parts += 1
         # Coalescing trigger: any shard that now holds a SEPO-sized chunk
         # executes immediately.
@@ -192,9 +195,10 @@ class ShardRouter:
         self.executor.total_records += n
         for run, batch in zip(runs, merged):
             # merged row -> the ticket it came from, and its row there
-            owner = [ticket for ticket, _o, rows in run for _ in range(len(rows))]
-            parent = np.concatenate([rows for _t, _o, rows in run]).tolist()
-            for j, v in getattr(batch, "lookup_results", {}).items():
-                owner[j].results[parent[j]] = v
+            answers = split_answers(
+                getattr(batch, "lookup_results", None),
+                [rows for _t, _o, rows in run])
+            for p, row, value in answers:
+                run[p][0].results[row] = value
             for ticket, _own, _rows in run:
                 ticket.pending_parts -= 1

@@ -83,3 +83,21 @@ def replaced(triples):
         else:
             out.append((op, key, value))
     return out
+
+
+@pytest.fixture
+def grouped_calls(monkeypatch):
+    """Counts of ``result()`` calls that took the grouped path (``"grouped"``)
+    and that found a 64-bit collision there (``"fallback"``)."""
+    from repro.core import hashtable
+
+    calls = {"grouped": 0, "fallback": 0}
+    real = hashtable._live_groups
+
+    def spy(*args):
+        out = real(*args)
+        calls["grouped" if out is not None else "fallback"] += 1
+        return out
+
+    monkeypatch.setattr(hashtable, "_live_groups", spy)
+    return calls

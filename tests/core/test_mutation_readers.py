@@ -11,9 +11,14 @@ reader an ``impl="vectorized"`` table uses, and the per-entry merge it must
 agree with on the very same bytes.
 """
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core import entries as E, hashtable, records
+from repro.core.chainview import walk_cpu_image
 from repro.core import (
     BasicOrganization,
     CallbackCombiner,
@@ -26,6 +31,7 @@ from repro.core import (
     OP_INSERT,
     OP_LOOKUP,
     OP_UPDATE,
+    RecordBatch,
     SUM_I64,
     SepoDriver,
     load_table,
@@ -327,3 +333,225 @@ def test_bulk_reader_past_the_round_cut_over(kind):
         assert {k: sorted(v) for k, v in got.items()} == {
             k: sorted(v) for k, v in want.items()
         }
+
+
+# ----------------------------------------------------------------------
+# the grouped bulk reader: mutated tables, many entries a key
+# ----------------------------------------------------------------------
+#: order-sensitive and bounded, so forty folds of a key never overflow
+MOD_CALLBACK = CallbackCombiner(
+    lambda a, b: (3 * a - b) % 1009, scalar="i64", name="3a-b mod 1009")
+
+GROUPED_KINDS = ORGS + ["combining-callback"]
+
+
+def grouped_org(kind):
+    if kind == "combining-callback":
+        return CombiningOrganization(MOD_CALLBACK)
+    return make_org(kind)
+
+
+def unborn_entries(table) -> int:
+    """Multi-valued key entries allocated for a postponed op and not yet
+    acknowledged: walked, never shown."""
+    heads = table.buckets.head_cpu[table.buckets.occupied_buckets()]
+    if not len(heads):
+        return 0
+    image = np.frombuffer(table.heap.cpu_image(), dtype=np.uint8)
+    (pos, _, _, flags), _ = walk_cpu_image(image, heads, "key")
+    vhead = image.view(np.int64)[(pos >> 3) + 3]
+    return int(E.key_entry_unborn(flags, vhead).sum())
+
+
+def run_mutated(kind, seed, check):
+    """Three 160-op batches over 12 keys (~40 entries a key) through an
+    8-page heap, the last one without deletes, ``check(table)`` after
+    every call and every iteration boundary: tombstones, basic shadows,
+    keys split across iterations and (multi-valued) unborn key entries of
+    postponed ops.  Returns what the run went through."""
+    table = GpuHashTable(32, grouped_org(kind), GpuHeap(2048, 256),
+                         group_size=8)
+    numeric = kind.startswith("combining")
+    facts = {"unborn": 0, "split keys": 0}
+    for b in range(3):
+        stream = mixed_stream(seed * 10 + b, 160, 12,
+                              "combining" if numeric else kind)
+        if b == 2:  # no deletes: older iterations' entries stay live
+            stream = [(OP_UPDATE if op == OP_DELETE else op, k, v)
+                      for op, k, v in stream]
+        batch = MutationBatch.from_ops(
+            stream, numeric_dtype=np.int64 if numeric else None)
+        pending = np.arange(len(batch))
+        while len(pending):
+            res = table.mutate_batch(batch, pending)
+            pending = pending[~res.success]
+            if kind == "multi-valued":
+                facts["unborn"] = max(facts["unborn"], unborn_entries(table))
+            check(table)
+            table.end_iteration()
+            check(table)
+            entries = [key for key, _ in table.cpu_items()]
+            facts["split keys"] = max(facts["split keys"],
+                                      len(entries) - len(set(entries)))
+    facts["tombstones"] = table.alloc.stats.entries_tombstoned
+    facts["shadows"] = table.mutations.updates_entries
+    facts["iterations"] = table.iterations_completed
+    return facts
+
+
+@pytest.mark.parametrize("kind", GROUPED_KINDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grouped_reader_matches_oracle_on_mutated_tables(
+        kind, seed, grouped_calls):
+    """The grouped path against the per-entry merge, key order and list
+    order included, at every point of a seeded mixed-op run."""
+    facts = run_mutated(kind, seed, both_readers)
+    assert facts["iterations"] >= 3 and facts["tombstones"] > 0, facts
+    assert facts["split keys"] > 0, facts
+    if kind == "basic":
+        assert facts["shadows"] > 0, facts
+    if kind == "multi-valued":
+        assert facts["unborn"] > 0, facts
+    assert grouped_calls["grouped"] > 0 and not grouped_calls["fallback"]
+
+
+@pytest.mark.parametrize("kind", GROUPED_KINDS)
+def test_a_table_whose_every_key_is_deleted_reads_empty(kind, grouped_calls):
+    table = GpuHashTable(8, grouped_org(kind), GpuHeap(1 << 14, 1 << 12))
+    numeric = kind.startswith("combining")
+    keys = [b"k%d" % i for i in range(3)]
+    for op in (OP_INSERT, OP_DELETE):  # the deletes in a later iteration
+        batch = MutationBatch.from_ops(
+            [(op, k, 1 if numeric else b"v") for k in keys],
+            numeric_dtype=np.int64 if numeric else None)
+        assert table.mutate_batch(batch).success.all()
+        table.end_iteration()
+    assert both_readers(table) == {}
+    assert grouped_calls == {"grouped": 1, "fallback": 0}
+
+
+#: the two keys the forged hash gives one 64-bit hash
+TWIN, OTHER = b"k003", b"k007"
+
+
+def forge_twin_hashes(monkeypatch):
+    """The reader hashes ``OTHER`` as ``TWIN``: a 64-bit collision."""
+    real = hashtable.fnv1a_batch
+
+    def forged(keys, key_lens):
+        h = real(keys, key_lens)
+        rows = [k[:n].tobytes() for k, n in zip(keys, key_lens.tolist())]
+        if TWIN in rows:
+            h[[r == OTHER for r in rows]] = h[rows.index(TWIN)]
+        return h
+
+    monkeypatch.setattr(hashtable, "fnv1a_batch", forged)
+
+
+def collided_table(kind):
+    """One bucket chain holding both twins live, beside a tombstone."""
+    table = GpuHashTable(1, grouped_org(kind), GpuHeap(1 << 14, 1 << 12))
+    val = (lambda v: v) if kind.startswith("combining") else (
+        lambda v: b"v%d" % v)
+    triples = [(OP_INSERT, k, val(i))
+               for i, k in enumerate([TWIN, OTHER, b"k001", TWIN, OTHER])]
+    triples += [(OP_DELETE, b"k001", val(0)), (OP_UPDATE, OTHER, val(9)),
+                (OP_INSERT, TWIN, val(8))]
+    for lo in (0, 4):  # two iterations: split keys
+        batch = MutationBatch.from_ops(
+            triples[lo:lo + 4],
+            numeric_dtype=np.int64 if kind.startswith("combining") else None)
+        assert table.mutate_batch(batch).success.all()
+        table.end_iteration()
+    return table
+
+
+@pytest.mark.parametrize("kind", GROUPED_KINDS)
+def test_a_forged_hash_collision_takes_the_dict_and_still_matches(
+        kind, monkeypatch, grouped_calls):
+    table = collided_table(kind)
+    forge_twin_hashes(monkeypatch)
+    labelled = []
+    real = hashtable._key_groups
+    monkeypatch.setattr(hashtable, "_key_groups",
+                        lambda keys: labelled.append(len(keys)) or real(keys))
+    got = both_readers(table)
+    assert grouped_calls == {"grouped": 0, "fallback": 1}
+    assert labelled, "the collision never reached the dict labels"
+    assert TWIN in got and OTHER in got and b"k001" not in got
+
+
+def planted(monkeypatch, fn, sound, faulty, where):
+    """Run ``fn`` with one line of its source edited, as ``where`` (the
+    module that reads the name) sees it."""
+    source = inspect.getsource(fn)
+    assert source.count(sound) == 1, f"{fn.__name__} no longer reads this way"
+    scope: dict = {}
+    exec(source.replace(sound, faulty), vars(sys.modules[fn.__module__]), scope)
+    monkeypatch.setattr(where, fn.__name__, scope[fn.__name__])
+
+
+def readers_disagree(table) -> bool:
+    try:
+        both_readers(table)
+    except AssertionError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", GROUPED_KINDS)
+def test_grouping_on_the_hash_alone_is_caught(kind, monkeypatch):
+    """Planted fault: the grouping skips the byte compare, so the forged
+    twins read as one key."""
+    table = collided_table(kind)
+    forge_twin_hashes(monkeypatch)
+    planted(monkeypatch, records.hash_groups, "if len(cand):", "if False:",
+            hashtable)
+    assert readers_disagree(table)
+
+
+@pytest.mark.parametrize("kind", GROUPED_KINDS)
+def test_a_grouped_path_without_the_newest_first_mask_is_caught(
+        kind, monkeypatch):
+    """Planted fault: every entry that is not itself a tombstone shows."""
+    planted(monkeypatch, hashtable._live_groups,
+            "_visible(label, closing, dead, order)[order]", "~dead[order]",
+            hashtable)
+    seen = []
+    run_mutated(kind, 0, lambda table: seen.append(readers_disagree(table)))
+    assert any(seen)
+
+
+@pytest.mark.parametrize("kind", GROUPED_KINDS)
+def test_an_insert_only_table_never_takes_the_grouped_path(
+        kind, monkeypatch):
+    """No flag, no grouping: an all-insert mixed-op batch, then a plain
+    insert batch in a later iteration (keys split across entries), read
+    through the dict path."""
+    def never(*args):
+        raise AssertionError("an insert-only table took the grouped path")
+
+    monkeypatch.setattr(hashtable, "_live_groups", never)
+    table = GpuHashTable(32, grouped_org(kind), GpuHeap(2048, 256),
+                         group_size=8)
+    numeric = kind.startswith("combining")
+    for b in range(2):
+        pairs = [(k, v) for _, k, v in
+                 mixed_stream(b, 160, 12, "combining" if numeric else kind)]
+        if b == 0:
+            batch = MutationBatch.from_ops(
+                [(OP_INSERT, k, v) for k, v in pairs],
+                numeric_dtype=np.int64 if numeric else None)
+            apply = table.mutate_batch
+        else:
+            batch = RecordBatch.from_numeric(
+                [k for k, _ in pairs],
+                np.array([v for _, v in pairs], dtype=np.int64),
+            ) if numeric else RecordBatch.from_pairs(pairs)
+            apply = table.insert_batch
+        pending = np.arange(len(batch))
+        while len(pending):
+            pending = pending[~apply(batch, pending).success]
+            table.end_iteration()
+    assert table.iterations_completed >= 2
+    assert both_readers(table)

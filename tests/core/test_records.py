@@ -274,6 +274,59 @@ def test_concat_mutation_batches_carry_ops():
         RecordBatch.concat([a, plain])
 
 
+def test_concat_of_selected_rows_gathers_them_in_order():
+    """Rows taken out of parts of three widths come out with their ops,
+    zero padding and hashes in the order asked."""
+    from repro.core.mutations import OP_INSERT, OP_LOOKUP, MutationBatch
+
+    rng = np.random.default_rng(4)
+    parts = [
+        MutationBatch.from_ops([
+            (OP_LOOKUP if i % 3 else OP_INSERT, b"k%d" % i * w, b"v" * (i % w))
+            for i in range(20)
+        ])
+        for w in (1, 3, 2)
+    ]
+    for part in parts:
+        part.cache.hashes()
+    rows = [rng.choice(20, size, replace=False) for size in (6, 1, 9)]
+    merged = RecordBatch.concat(parts, rows)
+
+    pick = lambda f: [f(p)[i] for p, r in zip(parts, rows) for i in r]
+    assert merged.key_bytes_list() == pick(lambda p: p.key_bytes_list())
+    assert merged.value_bytes_list() == pick(lambda p: p.value_bytes_list())
+    assert merged.ops.tolist() == pick(lambda p: p.ops.tolist())
+    assert merged.keys.shape[1] == max(p.keys.shape[1] for p in parts)
+    for row, n in zip(merged.keys, merged.key_lens):
+        assert not row[n:].any()
+    assert merged.cache.hashes().tolist() == pick(lambda p: p.cache.hashes())
+    assert merged.input_bytes == merged.staged_bytes
+
+
+def test_copy_owns_its_arrays_and_carries_hashes_only():
+    from repro.core.mutations import OP_INSERT, OP_LOOKUP, MutationBatch
+
+    batch = MutationBatch.from_ops(
+        [(OP_INSERT, b"key", b"value"), (OP_LOOKUP, b"k", b"")],
+        input_bytes=99, parse_cycles=80.0,
+    )
+    batch.cache.hashes()
+    batch.lookup_results[1] = [b"the client's"]
+    own = batch.copy()
+    assert type(own) is MutationBatch and own.concat_key == batch.concat_key
+    assert own.input_bytes == 99
+    for name in ("keys", "key_lens", "values", "val_lens", "ops"):
+        mine, theirs = getattr(own, name), getattr(batch, name)
+        assert np.array_equal(mine, theirs) and not np.shares_memory(mine, theirs)
+    assert own.lookup_results == {} and batch.lookup_results == {1: [b"the client's"]}
+    assert own.__dict__["_cache"]._hashes.tolist() == batch.cache.hashes().tolist()
+    assert not np.shares_memory(own.cache.hashes(), batch.cache.hashes())
+    # a batch never hashed hands nothing on, and its copy starts uncached
+    cold = RecordBatch.from_pairs([(b"a", b"1")])
+    assert "_cache" not in cold.copy().__dict__
+    assert "_cache" not in cold.__dict__
+
+
 # ----------------------------------------------------------------------
 # hashes travel with their rows through take and concat
 # ----------------------------------------------------------------------

@@ -248,22 +248,42 @@ def test_lookup_sees_a_write_from_an_earlier_ticket_of_the_same_flush(mode):
 def test_a_client_may_reuse_its_batch_once_submit_returns(mode):
     """The router queues rows of its own copy of a batch: a client that
     overwrites its arrays after ``submit`` (they come back writeable)
-    changes neither the flushed table nor the routed answers."""
+    changes neither the flushed table nor the routed answers.  A client
+    batch that already carries hashes and lookup results of its own gets
+    both back untouched: its arrays, their (frozen) flags, its
+    ``lookup_results``."""
     workload = make_op_workload("mixed-uniform", 600, seed=9)
     batches = make_mutation_batches(workload, mode, batch_size=50)
     want_map, want_lookups = mutation_oracle(workload, mode)
 
+    def arrays(batch):
+        return [a for a in (batch.keys, batch.key_lens, batch.ops,
+                            batch.values, batch.val_lens, batch.numeric_values)
+                if a is not None]
+
+    kept = {}  # batch number -> (its arrays' bytes and flags, its answers)
+    for b in range(0, len(batches), 2):
+        batch = batches[b]
+        batch.cache.hashes()  # freezes the arrays
+        batch.lookup_results = {0: f"the client's own answer {b}"}
+        kept[b] = ([(a.tobytes(), a.flags.writeable) for a in arrays(batch)],
+                   dict(batch.lookup_results), batch.lookup_results)
+
     ex = make_executor(4, mode)
     router = ShardRouter(ex, chunk_records=256, max_pending_records=1024)
-    for batch in batches:
+    for b, batch in enumerate(batches):
         router.submit(batch)
-        arrays = [batch.keys, batch.key_lens, batch.ops,
-                  batch.values, batch.val_lens, batch.numeric_values]
-        for a in arrays:
-            if a is not None:
+        if b not in kept:
+            for a in arrays(batch):
                 assert a.flags.writeable
                 a[...] = 0
     results = router.drain()
+
+    for b, (state, answers, same) in kept.items():
+        batch = batches[b]
+        assert [(a.tobytes(), a.flags.writeable)
+                for a in arrays(batch)] == state
+        assert batch.lookup_results is same and same == answers
 
     got_lookups = {
         b * 50 + j: v for b, res in enumerate(results) for j, v in res.items()
