@@ -435,15 +435,13 @@ def restore_table(table: GpuHashTable, meta: dict, arrays: dict) -> None:
 
     table.buckets.head_cpu[:] = arrays["table_head_cpu"]
     table.buckets.reset_gpu_heads()
-    heap._store = {}
-    heap._store_meta = {}
     seg_data = arrays["table_segment_data"]
     seg_kind = arrays["table_segment_kind"]
     seg_group = arrays["table_segment_group"]
     seg_used = arrays["table_segment_used"]
     for row, seg in enumerate(arrays["table_segment_ids"]):
         seg = int(seg)
-        heap._store[seg] = np.array(seg_data[row], dtype=np.uint8)
+        heap.set_stored(seg, np.array(seg_data[row], dtype=np.uint8))
         heap._store_meta[seg] = (
             KIND_BY_CODE[int(seg_kind[row])],
             int(seg_group[row]),

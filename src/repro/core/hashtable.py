@@ -52,6 +52,7 @@ from repro.core.organizations import (
 from repro.core.hashing import fnv1a_batch
 from repro.core.organizations.kernel_front import _run_starts, _slices
 from repro.core.records import RecordBatch, gather_spans, hash_groups
+from repro.core.suffixes import SuffixCache
 from repro.gpusim.clock import CostCategory, CostLedger
 from repro.gpusim.kernel import BatchStats
 from repro.gpusim.memory import DeviceMemory
@@ -318,6 +319,13 @@ class GpuHashTable:
         #: per-head cache of struct-of-arrays chain views, invalidated by
         #: the heap's residency/write epochs (no library reader uses it)
         self.chain_views = ChainViewStore(heap)
+        #: the stored suffixes of the bucket chains, as in-stream lookups
+        #: parsed them (kept until a segment under one is stored again)
+        self.suffixes = SuffixCache(
+            heap, n_buckets,
+            "key" if isinstance(organization, MultiValuedOrganization)
+            else "generic",
+        )
         self.alloc = BucketGroupAllocator(heap, self.buckets.n_groups)
         self.org = organization
         self.ledger = ledger if ledger is not None else CostLedger()

@@ -365,7 +365,7 @@ class PageIntegrity:
         if blob is None:
             self.quarantined.add(segment)
             raise CorruptionError(event)
-        heap._store[segment] = np.frombuffer(blob, dtype=np.uint8).copy()
+        heap.set_stored(segment, np.frombuffer(blob, dtype=np.uint8).copy())
         event.repaired = True
         self.repaired += 1
 

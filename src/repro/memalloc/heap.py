@@ -10,6 +10,14 @@
 * the *segment store*: CPU memory receiving page bytes on eviction, indexed
   by segment id, where they stay addressable through CPU pointers forever.
 
+Every write into the store -- an eviction, a page-in taking a segment
+back, a checkpoint restore, an integrity repair, a fault injector -- goes
+through :meth:`GpuHeap.set_stored`, which bumps the segment's *store
+version* (:attr:`GpuHeap.versions`).  A reader that keeps something it
+parsed out of stored bytes -- the flat image of :meth:`GpuHeap.image`, a
+table's :class:`~repro.core.chainview.SuffixCache` -- keeps it while the
+versions under it hold.
+
 Because a page's segment id is assigned when the page is taken from the pool
 and never reused, the CPU address of every entry is known the moment it is
 allocated -- that is what makes the paper's dual-pointer scheme possible.
@@ -29,6 +37,13 @@ from repro.memalloc.pages import Page, PageKind, PagePool
 _SLOT = attrgetter("slot")
 
 __all__ = ["GpuHeap"]
+
+
+def _grown(a: np.ndarray, n: int) -> np.ndarray:
+    """``a`` zero-extended to ``n`` elements."""
+    out = np.zeros(n, dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 class GpuHeap:
@@ -68,6 +83,15 @@ class GpuHeap:
         self.write_epoch = 0
         self._slot_map: np.ndarray | None = None
         self._slot_map_epoch = -1
+        #: segment id -> store version, bumped by every :meth:`set_stored`
+        self._versions = np.zeros(1 << 10, dtype=np.int64)
+        #: the flat CPU-side image :meth:`image` keeps between calls, and
+        #: per segment the store version its row was copied at
+        self._image = np.zeros(0, dtype=np.uint8)
+        self._image_versions = np.zeros(0, dtype=np.int64)
+        #: the stored segments whose bytes the store holds as their row of
+        #: the image (segment -> that row), so the two share one copy
+        self._in_image: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # page lifecycle
@@ -115,14 +139,14 @@ class GpuHeap:
                 raise ValueError(f"segment {page.segment} is not resident")
             src = self.pool.slot_view(page.slot)
             if integrity is None:
-                self._store[page.segment] = src.copy()
+                self.set_stored(page.segment, src.copy())
             else:
                 # checksum-carrying transfer: seal the source, copy, and
                 # verify on arrival (a torn DMA is re-copied with the
                 # retry cost charged at the next iteration boundary)
-                self._store[page.segment] = integrity.checked_transfer(
+                self.set_stored(page.segment, integrity.checked_transfer(
                     page.segment, src
-                )
+                ))
             self._store_meta[page.segment] = (page.kind, page.group, page.used)
             del self._resident[page.segment]
             self.pool.release(page.slot)
@@ -164,7 +188,7 @@ class GpuHeap:
                     break
                 kind, group, used = meta.pop(segment)
                 start = slot * page_size
-                arena[start : start + page_size] = store.pop(segment)
+                arena[start : start + page_size] = self.set_stored(segment)
                 if integrity is not None:
                     integrity.on_page_in(segment)
                 resident[segment] = Page(
@@ -220,6 +244,34 @@ class GpuHeap:
         return encode(page.segment, offset, self.page_size)
 
     # ------------------------------------------------------------------
+    # the segment store
+    # ------------------------------------------------------------------
+    def set_stored(
+        self, segment: int, data: np.ndarray | None = None
+    ) -> np.ndarray | None:
+        """The one writer of the segment store: make ``data`` the stored
+        bytes of ``segment``, or with ``None`` take them out (and return
+        them).  Either way the segment's store version goes up."""
+        if segment >= len(self._versions):
+            self._versions = _grown(self._versions, 2 * segment + 2)
+        self._versions[segment] += 1
+        self._in_image.pop(segment, None)
+        if data is None:
+            return self._store.pop(segment)
+        self._store[segment] = data
+        return None
+
+    @property
+    def versions(self) -> np.ndarray:
+        """Per segment id below the segment counter, its store version: a
+        copy of stored bytes, or anything parsed out of them, is current
+        while the version it was taken at is."""
+        n = self._next_segment
+        if n > len(self._versions):
+            self._versions = _grown(self._versions, 2 * n)
+        return self._versions[:n]
+
+    # ------------------------------------------------------------------
     # data access
     # ------------------------------------------------------------------
     def resolve(self, cpu_addr: int) -> tuple[np.ndarray, int]:
@@ -263,18 +315,62 @@ class GpuHeap:
         is read out of it; the join list itself is built by C-level maps,
         with no Python frame per segment.
         """
+        self._verify_store()
         resident = self._resident
-        if self.integrity is not None:
-            check = self.integrity.check_read
-            for seg in range(self._next_segment):
-                if seg not in resident:
-                    check(self, seg)
         rows = self.pool.arena.reshape(-1, self.page_size)
         parts = dict(self._store)
         parts.update(
             zip(resident, map(rows.__getitem__, map(_SLOT, resident.values())))
         )
         return b"".join(map(parts.__getitem__, range(self._next_segment)))
+
+    def image(self) -> np.ndarray:
+        """What :meth:`cpu_image` joins, as a uint8 array the heap keeps
+        between calls: a call copies in the resident rows and the rows of
+        the segments whose store version moved since the last call, and
+        nothing else.  The array is the caller's until the next call.  A
+        row copied in from the store becomes the store's copy of the
+        segment, so the image costs no memory twice.
+
+        Verified as :meth:`cpu_image` is: with integrity on, every stored
+        segment once, in id order, before the rows are copied (a repair
+        is a store write, so its row is copied too).
+        """
+        self._verify_store()
+        n, ps = self._next_segment, self.page_size
+        store, shared = self._store, self._in_image
+        if n > len(self._image_versions):
+            cap = 2 * max(len(self._image_versions), n)
+            self._image = _grown(self._image, cap * ps)
+            self._image_versions = _grown(self._image_versions, cap)
+            rows = self._image.reshape(-1, ps)
+            for seg, row in shared.items():  # the store's rows move too
+                if store.get(seg) is row:
+                    store[seg] = shared[seg] = rows[seg]
+        rows = self._image.reshape(-1, ps)
+        versions, seen = self.versions, self._image_versions[:n]
+        moved = np.flatnonzero(versions != seen)
+        if len(moved):
+            segs = [seg for seg in moved.tolist() if seg in store]
+            if segs:
+                rows[segs] = [store[seg] for seg in segs]
+                kept = list(zip(segs, map(rows.__getitem__, segs)))
+                store.update(kept)
+                shared.update(kept)
+            seen[moved] = versions[moved]
+        if self._resident:
+            slot = self.resident_slot_map()[:n]
+            resident = np.flatnonzero(slot >= 0)
+            rows[resident] = self.pool.arena.reshape(-1, ps)[slot[resident]]
+        return self._image[: n * ps]
+
+    def _verify_store(self) -> None:
+        """With integrity on, verify every stored segment, in id order."""
+        if self.integrity is not None:
+            check, resident = self.integrity.check_read, self._resident
+            for seg in range(self._next_segment):
+                if seg not in resident:
+                    check(self, seg)
 
     def note_write(self, segment: int) -> None:
         """Record an in-place write to a *resident* page.

@@ -346,7 +346,9 @@ class BitFlipFault(Fault):
         seg = stored[0]
         used = heap._store_meta[seg][2]
         off = max(0, used - 1)
-        heap._store[seg][off] ^= 0x01
+        buf = heap._store[seg].copy()
+        buf[off] ^= 0x01
+        heap.set_stored(seg, buf)
         self.injected.append((seg, off))
 
     def install(self, table, driver=None) -> None:
@@ -382,7 +384,7 @@ class StaleSegmentFault(Fault):
         if len(stored) < 2:
             return
         victim, donor = stored[0], stored[1]
-        heap._store[victim] = heap._store[donor].copy()
+        heap.set_stored(victim, heap._store[donor].copy())
         self.injected.append((victim, donor))
 
     def install(self, table, driver=None) -> None:

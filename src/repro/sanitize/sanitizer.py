@@ -43,6 +43,10 @@ Table reachability (:func:`check_table`), on top of the heap checks:
   hops all land on resident slots (the dual-pointer contract),
 * every page that was ever taken hosts at least one reachable extent
   (no leaked pages),
+* what is kept of the CPU side between reads still matches it: the
+  heap's image holds each stored segment's bytes under an unchanged
+  store version, and every chain suffix the table's in-stream lookups
+  cached reads, field by field, as a fresh walk from its start does,
 * tombstoned entries count as reachable (never a leak) but dead (never
   live data), and the dead census must equal the allocator's reclaim
   ledger (``entries_tombstoned`` / ``bytes_tombstoned``),
@@ -366,6 +370,8 @@ def check_table(table) -> SanitizeReport:
         # meaningful (or safe: garbage headers imply garbage lengths)
         # once the structural walk above has vouched for every extent
         _check_chain_views(table, report)
+        _check_cpu_image(table.heap, report)
+        _check_suffixes(table, report)
     if report.violations:
         raise SanitizerError(report.violations)
     return report
@@ -766,6 +772,95 @@ def _check_chain_views(table, report: SanitizeReport) -> None:
                     f"{label} SoA view of chain @{h} disagrees with the "
                     f"scalar walk: {mismatch}",
                 )
+
+
+def _check_cpu_image(heap, report: SanitizeReport) -> None:
+    """The heap's kept CPU-side image (:meth:`GpuHeap.image`) holds every
+    stored segment's bytes under the store version it copied them at: a
+    row whose version still holds must equal the store.  A write to the
+    store that did not bump its segment's version leaves a row that does
+    not."""
+    seen, versions = heap._image_versions, heap.versions
+    rows = heap._image.reshape(-1, heap.page_size)
+    for seg, data in heap._store.items():
+        # a segment the image has no row for yet reads as zeros, seen at 0
+        kept = seg < len(seen)
+        same = np.array_equal(rows[seg], data) if kept else not data.any()
+        if versions[seg] == (seen[seg] if kept else 0) and not same:
+            report.flag("cpu-image", f"stored segment {seg} differs from "
+                        "its row in the kept image under the same version")
+
+
+def _check_suffixes(table, report: SanitizeReport) -> None:
+    """Cross-check the chain suffixes the table's in-stream lookups cached
+    (:class:`~repro.core.suffixes.SuffixCache`).
+
+    Every suffix still cached once the store versions are read
+    (:meth:`~repro.core.suffixes.SuffixCache.sync`, what a lookup runs
+    first) is re-parsed from its start through a fresh
+    :meth:`GpuHeap.cpu_image` and compared field by field: its nodes'
+    addresses, lengths and flags, and each node's depth and tail charge.
+    It must lie in stored segments only, and the key index must hold
+    exactly the live rows, in order, under their keys.  A write to the
+    store that did not bump its segment's version leaves a suffix parsed
+    from bytes that are gone.
+    """
+    from repro.core import chainview
+    from repro.core import suffixes as S
+
+    cache = getattr(table, "suffixes", None)
+    if cache is None:
+        return
+    cache.sync()
+    buckets = np.flatnonzero(cache.start != NULL)
+    if not len(buckets):
+        return
+    heap, header = table.heap, cache.layout.header
+    image = np.frombuffer(heap.cpu_image(), dtype=np.uint8)
+    (addr, _, klen, vlen, flags), counts, _ = chainview._walk(
+        image, cache.start[buckets], cache.layout, None, 0)
+    cost = header + klen
+    ends = counts.cumsum()
+    walked = np.arange(len(addr))
+    depth = (ends - 1).repeat(counts) - walked
+    tail = np.concatenate(([0], cost.cumsum()))
+    tail = tail[ends.repeat(counts)] - tail[walked]
+    want = (addr, klen, vlen, flags, depth, tail)
+    rows = cache.rows()
+    cols = cache._cols[:, rows]
+    have = np.bincount(cols[S._BUCKET], minlength=len(cache.start))[buckets]
+    for b, n_want, n_have in zip(buckets.tolist(), counts.tolist(),
+                                 have.tolist()):
+        if n_want != n_have:
+            report.flag("suffix-cache", f"bucket {b}: {n_have} cached "
+                        f"nodes, a fresh walk reads {n_want}")
+    if report.violations:
+        return
+    names = ("addr", "klen", "vlen", "flags", "depth", "tail")
+    for name, w, got in zip(names, want, cols):
+        bad = np.flatnonzero(w != got)
+        if len(bad):
+            b = int(cols[S._BUCKET, bad[0]])
+            report.flag("suffix-cache", f"bucket {b}: cached {name} "
+                        f"{int(got[bad[0]])}, a fresh walk reads "
+                        f"{int(w[bad[0]])}")
+    segs = np.unique(cols[S._ADDR] // heap.page_size).tolist()
+    for seg in segs:
+        if seg not in heap._store:
+            report.flag("suffix-cache",
+                        f"a cached suffix lies on unstored segment {seg}")
+    index = S.key_index(S.entry_words(
+        image.view(np.uint64), (cols[S._ADDR] + header) >> 3,
+        cols[S._KLEN], heap.page_size >> 3), cols[S._KLEN])
+    at = np.full(cache._cols.shape[1], -1, dtype=np.int64)
+    at[rows] = np.arange(len(rows))
+    held = at[cache.index_rows()]
+    if (len(held) != len(rows) or (held < 0).any()
+            or len(np.unique(held)) != len(held)
+            or (cache._index[1:] < cache._index[:-1]).any()
+            or ((index[held] ^ cache._index) & S._KEYS).any()):
+        report.flag("suffix-cache", "the key index does not hold the "
+                    "cached rows in order under their keys")
 
 
 def _diff_chain_views(want, got) -> str | None:

@@ -18,7 +18,9 @@ from repro.core import GpuHashTable, RecordBatch, SepoDriver
 from repro.core import hashtable, sepo
 from repro.core.hashtable import merge_chain_items
 from repro.core.lookup import LookupDriver
+from repro.core.mutations import OP_LOOKUP
 from repro.core.organizations import oracle, policy
+from repro.core.suffixes import SuffixCache
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
 from repro.integrity.checksums import _crc
 from repro.memalloc import BucketGroupAllocator, GpuHeap
@@ -240,6 +242,25 @@ def lookup_gate():
         kernel_vs_loop(lookup, k, kind)
 
 
+def warm_lookup_gate():
+    """Two mixed-op calls with the same in-stream lookups and nothing
+    stored in between: the second parses the resident prefixes, not the
+    stored chains behind them, so its nodes parsed stay flat as the
+    chains grow 8x (1,024 against 8,192 ops loaded)."""
+    for kind in KINDS:
+        def parsed(n_ops):
+            t = loaded(kind, 24, n_ops)[0]
+            t.mutate_batch(mut_batch(kind, seeded_ops(8, 256, 4096, kind)))
+            looks = mut_batch(kind, [(OP_LOOKUP, k, v) for _, k, v in
+                                     seeded_ops(9, 512, 4096, kind)])
+            t.mutate_batch(looks)
+            before = t.suffixes.parsed
+            t.mutate_batch(looks)
+            return t.suffixes.parsed - before
+
+        flat(parsed(1024), parsed(8192), f"{kind}: nodes parsed")
+
+
 def dry_pool_gate():
     """A multi-valued insert that enters a dry pool (not flat: behind a
     denied page the allocator retries request by request)."""
@@ -354,6 +375,15 @@ def _plan_again(mp):
     mp.setattr(BucketGroupAllocator, "allocate_many", allocate_many)
 
 
+_sync = SuffixCache.sync
+
+
+def _forget_every_suffix(self):
+    """``sync`` that drops every cached suffix: the cache disabled."""
+    _sync(self)
+    self._forget(np.arange(len(self.start)))
+
+
 _per_entry_splice = _patch(policy, "_splice_resident", oracle.splice_chains)
 
 #: gate -> (the gate, the planted fault that must fail it)
@@ -371,6 +401,8 @@ GATES = {
                    _patch(policy, "MIXED_KERNEL_MIN_OPS", 1 << 62)),
     "one-plan": (one_plan_gate, _plan_again),
     "lookup": (lookup_gate, _patch(lookup_mod, "_BATCH_MIN_WALKS", 1 << 62)),
+    "warm-lookup": (warm_lookup_gate, _patch(
+        SuffixCache, "sync", _forget_every_suffix)),
     "dry-pool": (dry_pool_gate, _kernels_decline),
     "splice": (splice_gate, _per_entry_splice),
     "allocator": (allocator_gate, _patch(
