@@ -238,7 +238,7 @@ _U32 = np.int64(0xFFFFFFFF)
 _ABSENT = np.int64(-1 << 62)
 
 
-def _walk(buf, heads, layout, offset, page_size, stop=None):
+def _walk(buf, heads, layout, offset, page_size):
     """The level-synchronous walker behind every bulk chain read.
 
     Walks the linked nodes starting at each of ``heads`` (``NULL`` heads
@@ -248,13 +248,10 @@ def _walk(buf, heads, layout, offset, page_size, stop=None):
     :data:`_ABSENT` where the segment is not mapped -- a walk *blocks*
     where it leaves the mapped segments (the GPU arena under the residency
     map).  With ``offset=None`` a CPU address *is* the byte offset (the
-    flat CPU-side image), and a walk blocks only where ``stop`` gives one
-    address per head: chains run strictly downward in CPU address (the
-    sanitizer checks it), so the walk ends before the first node at or
-    below its stop, and no corrupt link can send it round a cycle.
-    Either way only the addresses are kept and scattered: through the
-    image they are the positions too, in the arena the positions are
-    translated from them once more, all together, at the end.
+    flat CPU-side image) and no walk can block.  Either way only the
+    addresses are kept and scattered: through the image they are the
+    positions too, in the arena the positions are translated from them
+    once more, all together, at the end.
 
     One round steps every live walk to its next node: a resident round
     translates with a floor-divide, a gather, an add and a sign test, then
@@ -279,7 +276,6 @@ def _walk(buf, heads, layout, offset, page_size, stop=None):
     # per round, then the tail: the walks stepped and their addresses
     walks: list[np.ndarray] = []
     addrs: list[np.ndarray] = []
-    end = None if stop is None else stop[ci]  # each live walk's stop
     while len(cur) >= _ROUND_MIN_LIVE:
         pos = cur
         if not image:
@@ -294,11 +290,7 @@ def _walk(buf, heads, layout, offset, page_size, stop=None):
         walks.append(ci)
         addrs.append(cur)
         nxt = nxt64[pos >> 3]
-        if end is None:
-            alive = nxt != NULL
-        else:
-            alive = nxt > end
-            end = end[alive]
+        alive = nxt != NULL
         ci, cur = ci[alive], nxt[alive]
     rounds = len(walks)
     rank = np.arange(rounds).repeat([len(w) for w in walks])
@@ -309,17 +301,10 @@ def _walk(buf, heads, layout, offset, page_size, stop=None):
         t_addr: list[int] = []
         append = t_addr.append
         lens = []
-        if image and stop is None:
+        if image:
             for addr in cur.tolist():
                 before = len(t_addr)
                 while addr != NULL:
-                    append(addr)
-                    addr = step[addr >> 3]
-                lens.append(len(t_addr) - before)
-        elif image:
-            for addr, last in zip(cur.tolist(), end.tolist()):
-                before = len(t_addr)
-                while addr > last:
                     append(addr)
                     addr = step[addr >> 3]
                 lens.append(len(t_addr) - before)
@@ -355,8 +340,6 @@ def _walk(buf, heads, layout, offset, page_size, stop=None):
     addr_s = np.empty(len(dest), dtype=np.int64)
     addr_s[dest] = np.concatenate(addrs)
     pos_s = addr_s if image else addr_s + offset[addr_s // page_size]
-    if stop is not None:  # where each walk ended: its last node's next
-        blocked[1][:] = nxt64[addr_s[counts.cumsum() - 1] >> 3]
     uv = buf.view(np.int64)[layout.word:][pos_s >> 3]
     fields = layout.decode(uv & _U32, (uv >> 32) & _U32)
     return (addr_s, pos_s, *fields), counts, blocked
@@ -526,46 +509,31 @@ def _chains_of(heads):
 
 
 def _match_keys(block, first_row, npairs, keys, key_lens):
-    """All same-key entries of G keys among a :class:`ChainBlock`'s rows.
+    """The one key matcher: every (key, entry) pair with equal key bytes.
 
     Key ``k`` is compared with the ``npairs[k]`` entries of ``block``
-    starting at row ``first_row[k]`` (its chain, in walk order); see
-    :func:`_match_pairs`.
+    starting at row ``first_row[k]`` (its chain, in walk order).  Pairs
+    are expanded :data:`_RESOLVE_PAIRS` at a time and narrowed on key
+    length first -- what the scalar walk compares first, so embedded and
+    trailing NULs cannot alias a shorter key -- then one 8-byte word at a
+    time, the entry's read where it lies: word ``c`` of row ``r``'s key is
+    ``arena`` word ``(pos[r] + header >> 3) + c`` (entries and headers
+    are 8-aligned).  A key's last word comes first and is cut past the
+    key's length on the entry's side (the bytes behind a key are its
+    value): keys that share their leading words are common, keys that
+    share their trailing ones are not, so the whole words in front are
+    read for little more than the true matches.  Returns
+    ``(k, within, row)`` of the matching pairs, ordered by key and then
+    walk position: a key's first pair is its newest same-key entry (what
+    :func:`resolve_keys` keeps), all of them are what a lookup reads.
     """
-    return _match_pairs(
-        block.arena.view(np.uint64), (block.pos + block.header) >> 3,
-        block.klens, first_row, npairs, _key_words(keys, key_lens), key_lens,
-    )
-
-
-def _key_words(keys, key_lens):
-    """The batch side of a key compare: each key zeroed past its length
-    and packed into 8-byte words."""
+    # the batch side: zeroed past each key's length and packed into words
     qkeys = keys.copy()
     qkeys[np.arange(keys.shape[1]) >= key_lens[:, None]] = 0
-    return _as_words(qkeys)
-
-
-def _match_pairs(ewords, wbase, klens, first_row, npairs, qwords, key_lens):
-    """All same-key entries of G keys among entries given as columns: word
-    ``c`` of entry ``r``'s key is ``ewords[wbase[r] + c]`` (entries and
-    headers are 8-aligned), its length ``klens[r]``; key ``k``'s words are
-    ``qwords[k]`` (:func:`_key_words`).
-
-    Key ``k`` is compared with the ``npairs[k]`` entries starting at row
-    ``first_row[k]``.  Pairs are expanded :data:`_RESOLVE_PAIRS` at a
-    time and narrowed on key length first -- what the scalar walk compares
-    first, so embedded and trailing NULs cannot alias a shorter key --
-    then one 8-byte word at a time, the entry's read where it lies.  A
-    key's last word comes first and is cut past the key's length on the
-    entry's side (the bytes behind a key are its value): keys that share
-    their leading words are common, keys that share their trailing ones
-    are not, so the whole words in front are read for little more than
-    the true matches.  Returns ``(k, within, row)`` of the matching pairs,
-    ordered by key and then walk position: a key's first pair is its
-    newest same-key entry (what :func:`resolve_keys` keeps), all of them
-    are what a lookup reads.
-    """
+    qwords = _as_words(qkeys)
+    # the entry side: word ``c`` of row ``r``'s key is ``ewords[wbase[r] + c]``
+    ewords = block.arena.view(np.uint64)
+    wbase = (block.pos + block.header) >> 3
     cp = npairs.cumsum()
     found: list[tuple] = []
     lo = 0
@@ -587,7 +555,7 @@ def _match_pairs(ewords, wbase, klens, first_row, npairs, qwords, key_lens):
             ok[act] = (ewords[wbase[row[a]] + col] & cut) == qwords[rep[a], col]
             return cand[ok], last[ok]
 
-        cand = (klens[row] == key_lens[rep]).nonzero()[0]
+        cand = (block.klens[row] == key_lens[rep]).nonzero()[0]
         n = key_lens[rep[cand]]
         last = (n - 1) >> 3  # a key's last word; -1: empty, equal on length
         act = last >= 0

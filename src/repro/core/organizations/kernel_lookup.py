@@ -1,11 +1,9 @@
 """In-stream lookups of the mixed-op kernels.
 
 A lookup inside a mutation batch reads the table as it stood before the
-batch -- the heap's flat image of the CPU side, the looked-up keys' chains
-matched through the table's cached suffixes
-(:class:`~repro.core.suffixes.SuffixCache`), the newest-first automaton
-of the scalar readers run as a mask over the matches -- plus what the
-earlier ops of its batch did to its key.
+batch -- one flat image of the CPU side, the looked-up keys' chains matched
+through it, the newest-first automaton of the scalar readers run as a mask
+over the matches -- plus what the earlier ops of its batch did to its key.
 Both are column operations: a lookup reads what its key showed before the
 batch, oldest first, then the values the batch added to it in op order,
 cut where the newest op before it that closed the key left it
@@ -20,22 +18,20 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core import entries as E
-from repro.core.chainview import walk_cpu_image
+from repro.core.chainview import match_cpu_chains, walk_cpu_image
 from repro.core.mutations import OP_DELETE, OP_LOOKUP, OP_UPDATE
 from repro.core.organizations.kernel_front import _latest_before, _slices
-from repro.core.suffixes import _ranges
 
 
-def _lookup_matches(table, batch, idx, dk, looks):
+def _lookup_matches(table, batch, idx, dk, looks, kind):
     """What the in-stream lookups ``looks`` (m,) of one kernel call read:
-    the heap's image of the CPU side as it stood before the batch
-    (:meth:`~repro.memalloc.heap.GpuHeap.image`), the looked-up keys'
-    bucket chains read through it and the table's cached suffixes, every
-    same-key entry matched.
+    one flat image of the CPU side as it stood before the batch (released
+    with the caller's frame), the looked-up keys' bucket chains walked
+    through it, every same-key entry matched.
 
-    Returns ``(lk, slot, n_keys, image, cm)``: the lookup ops, each
+    Returns ``(lk, slot, n_keys, blob, image, cm)``: the lookup ops, each
     distinct key's row among the ``n_keys`` looked-up ones (-1 for the
-    others), the image, and the
+    others), the image as bytes and as uint8, and the
     :class:`~repro.core.chainview.ChainMatches` of those rows.
     """
     lk = looks.nonzero()[0]
@@ -44,13 +40,13 @@ def _lookup_matches(table, batch, idx, dk, looks):
     keys = (slot == 0).nonzero()[0]  # distinct looked-up keys
     slot[keys] = np.arange(len(keys))
     rec = idx[dk.firstj[keys]]
-    buckets = dk.gbucket[keys]
-    image = table.heap.image()
-    cm = table.suffixes.match(
-        image, table.buckets.head_cpu[buckets], buckets, batch.keys[rec],
-        batch.key_lens[rec],
+    blob = table.heap.cpu_image()
+    image = np.frombuffer(blob, dtype=np.uint8)
+    cm = match_cpu_chains(
+        image, table.buckets.head_cpu[dk.gbucket[keys]], kind,
+        batch.keys[rec], batch.key_lens[rec],
     )
-    return lk, slot, len(keys), image, cm
+    return lk, slot, len(keys), blob, image, cm
 
 
 def _newest_first(cm, first, closing, dead):
@@ -70,11 +66,11 @@ def _newest_first(cm, first, closing, dead):
     return (older == 0) & ~dead, probes, nbytes
 
 
-def _spans(image, lo, n) -> list:
-    """``bytes(image[lo[i]:lo[i] + n[i]])`` for every ``i``: one gather
-    of the spans, then slices of it."""
+def _ranges(lo, n):
+    """``lo[i], lo[i] + 1, ..., lo[i] + n[i] - 1`` for every ``i``, in
+    order."""
     ends = n.cumsum()
-    return _slices(image[_ranges(lo, n)].tobytes(), ends - n, ends)
+    return np.arange(ends[-1] if len(n) else 0) + (lo - ends + n).repeat(n)
 
 
 def _value_bytes(batch, rec) -> list:
@@ -203,8 +199,8 @@ def _answer_lookups(
     oldest first, as the loop reads the table.  ``st`` and ``creator``
     are the kernel's :class:`~.kernel_mixed._KeyStates` and makers.
     """
-    lk, slot, n_keys, image, cm = _lookup_matches(
-        table, batch, idx, dk, looks
+    lk, slot, n_keys, blob, image, cm = _lookup_matches(
+        table, batch, idx, dk, looks, "generic"
     )
     first = np.searchsorted(cm.key, np.arange(n_keys))
     # a tombstone closes its key unseen, a shadow shows itself and closes
@@ -230,7 +226,7 @@ def _answer_lookups(
         vpos = cm.vpos[old]
         _list_answers(
             batch.lookup_results, idx, r,
-            _spans(image, vpos, cm.vlen[old]), lo, hi,
+            _slices(blob, vpos, vpos + cm.vlen[old]), lo, hi,
             _value_bytes(batch, idx[r.added]),
         )
         return
@@ -280,8 +276,8 @@ def _answer_lookups_mv(
     the key walk plus one probe and the header + value bytes of every
     node it returns.
     """
-    lk, slot, n_keys, image, cm = _lookup_matches(
-        table, batch, idx, dk, looks
+    lk, slot, n_keys, blob, image, cm = _lookup_matches(
+        table, batch, idx, dk, looks, "key"
     )
     vhead = E.gather_field(image, cm.pos + 24, "<i8")
     tomb = (cm.flags & E.FLAG_TOMBSTONE) != 0
@@ -314,6 +310,6 @@ def _answer_lookups_mv(
     probe[dirty] += r.ahi - r.alo
     touched[dirty] += add_b[r.ahi] - add_b[r.alo]
     _list_answers(
-        batch.lookup_results, idx, r, _spans(image, node, vlen[old]),
+        batch.lookup_results, idx, r, _slices(blob, node, node + vlen[old]),
         lo, hi, _value_bytes(batch, rec),
     )

@@ -829,12 +829,12 @@ def _first_node_to_null(real):
 
 
 def _unborn_entries_match(real):
-    def lookup_matches(*args):
-        *rest, cm = real(*args)
+    def match_cpu_chains(image, heads, kind, keys, key_lens):
+        cm = real(image, heads, kind, keys, key_lens)
         # (an entry without a value list counts unless it is a tombstone)
-        return (*rest, cm._replace(flags=np.where(
-            cm.flags & E.FLAG_PENDING, cm.flags | E.FLAG_TOMBSTONE, cm.flags)))
-    return lookup_matches
+        return cm._replace(flags=np.where(
+            cm.flags & E.FLAG_PENDING, cm.flags | E.FLAG_TOMBSTONE, cm.flags))
+    return match_cpu_chains
 
 
 def _in_place_onto_a_new_entry(real):
@@ -853,7 +853,7 @@ MV_FAULTS = {
     "link a first value node to NULL": (
         kernel_mixed, "_link_value_lists", _first_node_to_null),
     "treat an empty PENDING entry as a lookup match": (
-        kernel_lookup, "_lookup_matches", _unborn_entries_match),
+        kernel_lookup, "match_cpu_chains", _unborn_entries_match),
     "apply an in-place append to a new entry": (
         kernel_lookup, "_reads", _in_place_onto_a_new_entry),
 }

@@ -9,6 +9,11 @@ built on.  Nothing here is charged; the counts are pinned per organization
 on a small seeded stream, and are the same whether a pass applies its
 mixed-op chunks one call a chunk or joined, because residency changes only
 at the iteration boundary.
+
+The same walks read through :meth:`GpuHeap.cpu_image`, which verifies
+every stored segment before a pointer is read out of it: with integrity on,
+a lookup over a segment ``StaleSegmentFault`` damaged raises
+``CorruptionError`` instead of reading the damage as a table.
 """
 
 import numpy as np
@@ -25,8 +30,10 @@ from repro.core import (
 from repro.core import hashtable
 from repro.core.organizations import oracle
 from repro.gpusim import CostLedger, GTX_780TI, KernelModel, PCIeBus
+from repro.integrity import CorruptionError
 from repro.memalloc import GpuHeap
-from tests.core.test_mutations import make_org, mut_batch
+from repro.sanitize import faults as F
+from tests.core.test_mutations import make_org, mut_batch, seeded_ops
 
 #: (entry and value-node reads, of which from non-resident segments)
 PINNED = {
@@ -94,3 +101,57 @@ def test_stream_lookups_read_host_memory_joined_or_not(kind, monkeypatch):
         alone = reads_of_stream_lookups(kind, monkeypatch)
     assert joined == alone
     assert joined == PINNED[kind]
+
+
+def run_batch(table, kind, seed, n=512):
+    """One mixed-op batch of the batched kernel to completion (postponed
+    ops retried after a boundary), then a boundary."""
+    batch = mut_batch(kind, seeded_ops(seed, n, 256, kind))
+    pending = np.arange(len(batch))
+    for _ in range(64):
+        pending = pending[~table.mutate_batch(batch, pending).success]
+        table.end_iteration()
+        if not len(pending):
+            return
+    raise AssertionError("the batch does not converge")
+
+
+def _unchecked_cpu_image(monkeypatch):
+    """The planted fault: ``cpu_image`` joins the store unverified."""
+    real = GpuHeap.cpu_image
+
+    def cpu_image(self):
+        integrity, self.integrity = self.integrity, None
+        try:
+            return real(self)
+        finally:
+            self.integrity = integrity
+
+    monkeypatch.setattr(GpuHeap, "cpu_image", cpu_image)
+
+
+def _stale_caught(kind) -> bool:
+    """Whether integrity catches the damage: four batches with integrity
+    on over 64 buckets and 24 pages of 512 bytes (each spills to the
+    store), the lowest stored segment overwritten with the next one's
+    bytes, then a batch whose in-stream lookups read it."""
+    table = GpuHashTable(64, make_org(kind, "vectorized"),
+                         GpuHeap(24 * 512, 512), group_size=8,
+                         ledger=CostLedger(), integrity="verify")
+    for seed in range(4):
+        run_batch(table, kind, seed)
+    F.StaleSegmentFault()._corrupt(table.heap)
+    try:
+        run_batch(table, kind, 4)
+    except CorruptionError:
+        return True
+    except Exception:  # the damage read as a table: anything may break
+        return False
+    return False
+
+
+@pytest.mark.parametrize("kind", list(PINNED))
+def test_a_stale_segment_under_a_stream_lookup_is_caught(kind, monkeypatch):
+    assert _stale_caught(kind)
+    _unchecked_cpu_image(monkeypatch)
+    assert not _stale_caught(kind)
